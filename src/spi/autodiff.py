@@ -4,7 +4,7 @@ A small taped engine: forward functions compute numpy values and record
 adjoint rules on the active ``Tape``; ``backward`` walks the tape in reverse
 and returns gradients for named trainable leaves. Only the primitives the
 dialogue model needs are implemented, each with explicit shape checks.
-Arithmetic is float64 unless ``set_default_dtype`` opts into float32.
+Arithmetic is always float64.
 
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
@@ -14,26 +14,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
 _LOCAL = threading.local()
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype for new tensors. float32 is an opt-in speed mode."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ContractError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class Tensor:
@@ -43,7 +30,7 @@ class Tensor:
 
     def __init__(self, data, name: str | None = None, trainable: bool = False,
                  _validate: bool = True):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=np.float64)
         if _validate and not np.isfinite(arr).all():
             raise NumericError(f"tensor {name or '<anon>'} has non-finite entries")
         self.data = arr
@@ -61,15 +48,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
-
-
-def leaf(data, name: str | None = None, trainable: bool = False) -> Tensor:
-    """Create a leaf tensor (validated finite)."""
-    return Tensor(data, name=name, trainable=trainable)
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
 
 
 class Tape:
@@ -166,10 +144,6 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
 # primitives
 
 
-def _shape_of(t: Tensor) -> tuple[int, ...]:
-    return t.data.shape
-
-
 def _matmul_vjp(g, ad, bd):
     if ad.ndim == 2 and bd.ndim == 2:
         return g @ bd.T, ad.T @ g
@@ -245,19 +219,6 @@ def tanh(x: Tensor) -> Tensor:
         return _tanh_vjp(g, y)
 
     return _emit(y, (x,), vjp, check=False, op="tanh")
-
-
-def _relu_vjp(g, xd):
-    return (g * (xd > 0.0),)
-
-
-def relu(x: Tensor) -> Tensor:
-    xd = x.data
-
-    def vjp(g, xd=xd):
-        return _relu_vjp(g, xd)
-
-    return _emit(np.maximum(xd, 0.0), (x,), vjp, check=False, op="relu")
 
 
 def _softmax_vjp(g, y):
@@ -468,30 +429,6 @@ def neg(x: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, neg(b))
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "multiply": multiply,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax-over-last-axis": softmax,
-    "log": log,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "gather-rows": gather_rows,
-    "concat-last-axis": lambda a, b: concat((a, b), axis=-1),
-    "squared-l2": squared_l2,
-}
-
-
-def forward_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by kind name; unknown kinds are contract errors."""
-    fn = PRIMITIVES.get(kind)
-    if fn is None:
-        raise ContractError(f"unknown primitive kind {kind!r}")
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,19 @@ def save_checkpoint(path: str | Path, params: ModelParams, config: SpiConfig) ->
     atomic_write_bytes(path, checkpoint_bytes(params, config.fingerprint()))
 
 
+def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
+    """Name and shape of one manifest entry, checked before any use."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ContractError(f"{path}: manifest entry without a name: {entry!r}")
+    name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+    if dtype != "<f8":
+        raise ContractError(f"{path}: unsupported tensor dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise ContractError(f"{path}: tensor {name!r} has a malformed shape {shape!r}")
+    return name, tuple(shape)
+
+
 def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     """Parse a checkpoint file; returns (arrays by name, stored fingerprint)."""
     blob = Path(path).read_bytes()
@@ -53,15 +66,15 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         raise ContractError(f"{path}: truncated checkpoint manifest")
     try:
         manifest = json.loads(rest[:newline].decode("ascii"))
-        entries = manifest["tensors"]
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise ContractError(f"{path}: malformed checkpoint manifest") from err
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ContractError(f"{path}: malformed checkpoint manifest (no tensor list)")
     cursor = newline + 1
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
-        name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-        if dtype != "<f8":
-            raise ContractError(f"{path}: unsupported tensor dtype {dtype!r}")
+        name, shape = _manifest_entry(path, entry)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
         payload = rest[cursor:cursor + nbytes]

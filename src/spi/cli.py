@@ -33,7 +33,7 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.
 
 # SpiConfig fields settable from the command line (None means "not given").
 _RUN_FLAG_FIELDS = ("prior", "top_s", "langevin_steps", "step_size", "selection",
-                    "temperature", "seed", "threads", "epochs", "batch_size",
+                    "temperature", "seed", "epochs", "batch_size",
                     "lr_model", "lr_head")
 
 
@@ -56,7 +56,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selection", choices=("greedy", "sampled"), default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr-model", dest="lr_model", type=float, default=None)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,6 @@ SEED_INIT = 1
 SEED_TRAIN = 2
 SEED_VALID = 3
 SEED_SHUFFLE = 4
-SEED_EVAL = 5
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class SpiConfig:
     batch_size: int = 16
     epochs: int = 5
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         self.model.validate()
@@ -82,8 +80,8 @@ class SpiConfig:
             raise ContractError("step_size must be non-negative")
         if self.temperature <= 0.0:
             raise ContractError("temperature must be positive")
-        if self.batch_size < 1 or self.epochs < 0 or self.threads < 1:
-            raise ContractError("batch_size/epochs/threads out of range")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ContractError("batch_size/epochs out of range")
 
     def fingerprint(self) -> str:
         """Hash of the fields a checkpoint must agree on (shapes + prior mode)."""

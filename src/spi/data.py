@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError
 from .fsio import atomic_write_text, dump_json_line, read_jsonl
-from .model import BOS, EOS, PAD, SEP, DialogueExample, Vocab
+from .model import EOS, DialogueExample, Vocab
 
 
 @dataclass(frozen=True)
@@ -225,17 +225,22 @@ def save_corpus(corpus: SyntheticCorpus, out_dir: str | Path) -> None:
 
 def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
     fields = {}
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
-        fields[key.strip()] = value.strip()
+        fields[key.strip()] = (value.strip(), lineno)
     kwargs = {}
     for name, field_info in SyntheticSpec.__dataclass_fields__.items():
         if name not in fields:
             raise ContractError(f"{path}: spec sidecar is missing {name!r}")
+        value, lineno = fields[name]
         caster = float if field_info.type == "float" else int
-        kwargs[name] = caster(fields[name])
+        try:
+            kwargs[name] = caster(value)
+        except ValueError:
+            raise ContractError(
+                f"{path}:{lineno}: {name} = {value!r} is not a valid {caster.__name__}") from None
     return SyntheticSpec(**kwargs)
 
 
@@ -246,7 +251,13 @@ def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
     vocab_path = out / "vocab.json"
     if not vocab_path.exists():
         raise ContractError(f"{out}: not a corpus directory (no vocab.json)")
-    vocab = Vocab(tuple(json.loads(vocab_path.read_text())["tokens"]))
+    try:
+        tokens = json.loads(vocab_path.read_text())["tokens"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise ContractError(f"{vocab_path}: malformed vocabulary file ({err!r})") from None
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ContractError(f"{vocab_path}: 'tokens' must be a list of strings")
+    vocab = Vocab(tuple(tokens))
     if vocab.tokens[:4] != ("<pad>", "<bos>", "<eos>", "<sep>"):
         raise ContractError(f"{vocab_path}: reserved tokens are wrong or reordered")
     spec = _parse_spec_sidecar(out / "spec.txt")

@@ -11,6 +11,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
+from .errors import ContractError
+
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
@@ -51,5 +53,5 @@ def read_jsonl(path: str | Path) -> list[dict]:
             try:
                 out.append(json.loads(line))
             except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{number}: malformed JSON ({err.msg})") from err
+                raise ContractError(f"{path}:{number}: malformed JSON ({err.msg})") from err
     return out

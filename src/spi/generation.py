@@ -8,14 +8,16 @@ is greedy with a hard length cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .fsio import write_jsonl
-from .model import (BOS, EOS, DialogueExample, ModelParams, decoder_advance,
-                    decoder_start, encode_context, initializer_scores,
-                    knowledge_prior_logits, latent_prior_mean)
+from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
+                    candidate_encodings, decoder_advance, decoder_start,
+                    initializer_scores, knowledge_prior_logits,
+                    latent_prior_mean)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -24,13 +26,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def select_for_generation(params: ModelParams, example: DialogueExample, *,
-                          prior: str) -> int:
+                          prior: str,
+                          encodings: Sequence[EncodedContext] | None = None) -> int:
     """Argmax knowledge pick over all candidates, scored without the
     response. Ties resolve to the lowest index."""
     if prior == "uniform":
-        scores = initializer_scores(params, example, prior="uniform").data
+        scores = initializer_scores(params, example, prior="uniform",
+                                    encodings=encodings).data
     elif prior == "learnable":
-        scores = knowledge_prior_logits(params, example, prior="learnable").data
+        scores = knowledge_prior_logits(params, example, prior="learnable",
+                                        encodings=encodings).data
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
     return int(np.argmax(scores))
@@ -50,8 +55,9 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
     tokens and forces EOS at the cap."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    s = select_for_generation(params, example, prior=prior)
-    encoded = encode_context(params, example, s)
+    encodings = candidate_encodings(params, example)
+    s = select_for_generation(params, example, prior=prior, encodings=encodings)
+    encoded = encodings[s]
     z = latent_prior_mean(params, example, s, encoded=encoded).data
     cursor = decoder_start(params, encoded, z)
     tokens: list[int] = []

@@ -17,8 +17,9 @@ from .autodiff import Tape, Tensor
 from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, encode_context, initializer_scores,
-                    knowledge_prior_logits, latent_prior_mean)
+                    candidate_encodings, decode_logprob, encode_context,
+                    initializer_scores, knowledge_prior_logits,
+                    latent_prior_mean)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -43,10 +44,6 @@ class SelectionOutcome:
 
     def weight_of(self, index: int) -> float:
         return float(np.exp(self.log_weights[self.evaluated.index(index)]))
-
-
-def candidate_encodings(params: ModelParams, example: DialogueExample) -> list[EncodedContext]:
-    return [encode_context(params, example, i) for i in range(len(example.candidates))]
 
 
 def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
@@ -214,16 +211,19 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample, s: int, *,
 
 def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
                                config: SpiConfig,
-                               rng: np.random.Generator | None = None) -> LatentPair:
+                               rng: np.random.Generator | None = None,
+                               encodings: Sequence[EncodedContext] | None = None) -> LatentPair:
     """Two-stage posterior draw: knowledge index, then latent via Langevin.
 
     With no generator supplied, one is derived from the config seed, so
-    repeated calls agree bit for bit.
+    repeated calls agree bit for bit. ``encodings`` (one per candidate)
+    skips re-encoding when the caller already holds them.
     """
     config.validate()
     gen = rng if rng is not None else derived_rng(config.seed, 0)
     m = len(example.candidates)
-    encodings = candidate_encodings(params, example)
+    if encodings is None:
+        encodings = candidate_encodings(params, example)
     top_s = min(config.top_s, m) if config.prior == "uniform" else None
     outcome = select_knowledge(
         params, example, prior=config.prior, mode=config.selection,

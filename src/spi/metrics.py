@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import SpiConfig
 from .errors import ContractError
-from .generation import GenerationResult, generate_batch, select_for_generation
+from .generation import GenerationResult, generate_batch
 from .model import (EOS, DialogueExample, ModelParams, decode_logprob,
                     encode_context, latent_prior_mean)
 
@@ -36,21 +36,17 @@ def selection_accuracy(predicted: list[int], examples: list[DialogueExample]) ->
 
 
 def perplexity(params: ModelParams, examples: list[DialogueExample], *,
-               prior: str, oracle_knowledge: bool = False) -> float:
+               picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
-    responses, decoding from the prior-mean latent. ``oracle_knowledge``
-    conditions on the gold candidate instead of the model's pick."""
+    responses, each conditioned on its knowledge pick and decoded from the
+    prior-mean latent."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
+    if len(picks) != len(examples):
+        raise ContractError("picks must align with the examples")
     total_lp = 0.0
     total_tokens = 0
-    for example in examples:
-        if oracle_knowledge:
-            if example.gold_index is None:
-                raise ContractError("oracle scoring needs a gold index")
-            s = example.gold_index
-        else:
-            s = select_for_generation(params, example, prior=prior)
+    for example, s in zip(examples, picks):
         encoded = encode_context(params, example, s)
         z = latent_prior_mean(params, example, s, encoded=encoded).data
         total_lp += float(decode_logprob(params, example, s, z, encoded=encoded).data)
@@ -156,20 +152,26 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
              config: SpiConfig, *, oracle_knowledge: bool = False,
              generations: list[GenerationResult] | None = None) -> EvalReport:
     """Full held-out evaluation. Selection accuracy always scores the model's
-    own pick; the oracle flag affects only perplexity."""
+    own pick; the oracle flag makes perplexity condition on the gold
+    candidate instead of that pick."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
     if generations is None:
         generations = generate_batch(params, examples, prior=config.prior,
                                      max_len=config.model.max_response)
+    if oracle_knowledge:
+        if any(ex.gold_index is None for ex in examples):
+            raise ContractError("oracle scoring needs a gold index")
+        picks = [ex.gold_index for ex in examples]
+    else:
+        picks = [g.s for g in generations]
     cands = [_strip_eos(g.tokens) for g in generations]
     refs = [_strip_eos(list(ex.response)) for ex in examples]
     return EvalReport(
         n_examples=len(examples),
         n_tokens=sum(len(ex.response) for ex in examples),
         selection_accuracy=selection_accuracy([g.s for g in generations], examples),
-        perplexity=perplexity(params, examples, prior=config.prior,
-                              oracle_knowledge=oracle_knowledge),
+        perplexity=perplexity(params, examples, picks=picks),
         bleu3=bleu_corpus(cands, refs, max_n=3),
         bleu4=bleu_corpus(cands, refs, max_n=4),
         rouge1=rouge_n(cands, refs, n=1),

@@ -8,15 +8,15 @@ inference (no tape) and learning (taped).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ModelConfig, SpiConfig, derived_rng
-from .errors import ContractError, NumericError
+from .config import SEED_INIT, ModelConfig, derived_rng
+from .errors import ContractError
 
 PAD, BOS, EOS, SEP = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>")
@@ -130,7 +130,7 @@ class ModelParams:
     @staticmethod
     def init(cfg: ModelConfig, seed: int = 0, scale: float = 0.1) -> "ModelParams":
         cfg.validate()
-        rng = derived_rng(seed, 1)
+        rng = derived_rng(seed, SEED_INIT)
         tensors: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg):
             if name.endswith("_b"):
@@ -226,6 +226,11 @@ def encode_context(params: ModelParams, example: DialogueExample, s: int) -> Enc
     states = ad.stack_rows(rows)
     pooled = ad.reduce_mean(states, axis=0)
     return EncodedContext(states=states, pooled=pooled)
+
+
+def candidate_encodings(params: ModelParams, example: DialogueExample) -> list[EncodedContext]:
+    """One encoding per candidate, in candidate order."""
+    return [encode_context(params, example, i) for i in range(len(example.candidates))]
 
 
 # ---------------------------------------------------------------------------

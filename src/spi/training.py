@@ -6,13 +6,17 @@ constant), and one descent step on the selection head's binary cross-entropy
 against multi-hot labels (gold plus the posterior pick). Validation loss is
 the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
+
+Each example's candidates are encoded once per pass; inference, the head
+cross-entropy and validation reuse those encodings. Only the taped
+surrogate step re-encodes, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,38 +26,36 @@ from .config import (SEED_SHUFFLE, SEED_TRAIN, SEED_VALID, SpiConfig,
                      derived_rng)
 from .errors import ContractError, NumericError
 from .fsio import dump_json_line, atomic_write_text
-from .inference import (candidate_encodings, langevin_infer_z,
-                        select_knowledge, sequential_posterior_infer)
-from .model import (INITIALIZER_HEAD, KNOWLEDGE_PRIOR_HEAD, DialogueExample,
-                    LatentPair, ModelParams, _sigmoid_and_logs,
-                    decode_logprob, encode_context, knowledge_prior_logits,
+from .generation import select_for_generation
+from .inference import sequential_posterior_infer
+from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
+                    _sigmoid_and_logs, candidate_encodings, decode_logprob,
+                    encode_context, knowledge_prior_logits,
                     latent_prior_log_density, latent_prior_mean)
 
 log = logging.getLogger(__name__)
 
 
 def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
-                        z: np.ndarray, prior: str) -> ad.Tensor:
+                        z: np.ndarray, prior: str,
+                        encodings: Sequence[EncodedContext] | None = None) -> ad.Tensor:
     """Latent-completed objective for one example: latent prior log-density
     plus response log-likelihood, plus the knowledge prior log-probability in
-    learnable mode. ``z`` and ``s`` enter as constants."""
-    encoded = encode_context(params, example, s)
+    learnable mode. ``z`` and ``s`` enter as constants. Passing the
+    candidate ``encodings`` skips re-encoding; encodings made off the tape
+    carry no encoder gradient."""
+    encoded = encodings[s] if encodings is not None else encode_context(params, example, s)
     mu = latent_prior_mean(params, example, s, encoded=encoded)
     zt = Tensor(np.asarray(z, dtype=np.float64))
     obj = ad.add(latent_prior_log_density(mu, zt),
                  decode_logprob(params, example, s, zt, encoded=encoded))
     if prior == "learnable":
-        logits = knowledge_prior_logits(params, example, prior="learnable")
+        logits = knowledge_prior_logits(params, example, prior="learnable",
+                                        encodings=encodings)
         obj = ad.add(obj, ad.gather_rows(ad.log(ad.softmax(logits)), s))
     elif prior != "uniform":
         raise ContractError(f"unknown prior mode {prior!r}")
     return obj
-
-
-def _frozen_heads(prior: str) -> tuple[str, ...]:
-    if prior == "uniform":
-        return INITIALIZER_HEAD + KNOWLEDGE_PRIOR_HEAD
-    return INITIALIZER_HEAD
 
 
 def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfig,
@@ -62,8 +64,9 @@ def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfi
     """One ascent step on the batch-mean surrogate objective.
 
     Infers (s, z) per example unless ``latents`` provides them. Returns the
-    surrogate loss (negative mean objective). The selection heads never move
-    here in uniform mode; the initializer head never moves in either mode.
+    surrogate loss (negative mean objective). The objective never reads the
+    initializer head, nor the knowledge prior head in uniform mode, so
+    neither moves here.
     """
     if not batch:
         raise ContractError("mle_step needs a non-empty batch")
@@ -71,7 +74,6 @@ def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfi
         raise ContractError("latents must align with the batch")
     total = 0.0
     grad_sum: dict[str, np.ndarray] = {}
-    frozen = set(_frozen_heads(config.prior))
     for i, example in enumerate(batch):
         if latents is None:
             rng = rngs[i] if rngs is not None else None
@@ -83,8 +85,6 @@ def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfi
             grads = ad.backward(tape, obj)
         total += float(obj.data)
         for name, grad in grads.items():
-            if name in frozen:
-                continue
             held = grad_sum.get(name)
             grad_sum[name] = grad.copy() if held is None else held + grad
     if config.lr_model != 0.0:
@@ -160,42 +160,35 @@ def prior_ce_step(params: ModelParams, batch: list[DialogueExample],
 
 
 def surrogate_value(params: ModelParams, example: DialogueExample, s: int,
-                    z: np.ndarray, prior: str) -> float:
-    return float(surrogate_objective(params, example, s, z, prior).data)
+                    z: np.ndarray, prior: str,
+                    encodings: Sequence[EncodedContext] | None = None) -> float:
+    return float(surrogate_objective(params, example, s, z, prior, encodings).data)
 
 
 def validation_loss(params: ModelParams, examples: list[DialogueExample],
-                    config: SpiConfig, epoch: int) -> float:
+                    config: SpiConfig, epoch: int) -> tuple[float, float]:
     """Mean surrogate loss on held-out data with the run's own inference
-    settings under a fixed per-epoch seed."""
+    settings under a fixed per-epoch seed, and the selection accuracy of the
+    generation-time pick over the gold-labelled examples (0 when none are).
+    Each example's candidates are encoded once for both."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
+    hits = 0
+    labelled = 0
     for idx, example in enumerate(examples):
+        encodings = candidate_encodings(params, example)
         rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
-        pair = _infer_with_cache(params, example, config, rng)[0]
-        total += surrogate_value(params, example, pair.s, pair.z, config.prior)
-    return -total / len(examples)
-
-
-def _infer_with_cache(params: ModelParams, example: DialogueExample,
-                      config: SpiConfig, rng: np.random.Generator):
-    """Posterior inference that reuses candidate encodings; returns the pair
-    and the encodings for downstream reuse."""
-    encodings = candidate_encodings(params, example)
-    m = len(example.candidates)
-    top_s = min(config.top_s, m) if config.prior == "uniform" else None
-    outcome = select_knowledge(params, example, prior=config.prior,
-                               mode=config.selection, top_s=top_s,
-                               temperature=config.temperature, rng=rng,
-                               encodings=encodings)
-    trace = langevin_infer_z(params, example, outcome.chosen,
-                             steps=config.langevin_steps,
-                             step_size=config.step_size, rng=rng,
-                             noise=config.langevin_noise,
-                             grad_clamp=config.grad_clamp,
-                             encoded=encodings[outcome.chosen])
-    return LatentPair(s=outcome.chosen, z=trace.final), encodings
+        pair = sequential_posterior_infer(params, example, config, rng=rng,
+                                          encodings=encodings)
+        total += surrogate_value(params, example, pair.s, pair.z, config.prior,
+                                 encodings)
+        if example.gold_index is not None:
+            labelled += 1
+            pick = select_for_generation(params, example, prior=config.prior,
+                                         encodings=encodings)
+            hits += pick == example.gold_index
+    return -total / len(examples), (hits / labelled if labelled else 0.0)
 
 
 @dataclass
@@ -221,7 +214,6 @@ def train(train_examples: list[DialogueExample],
     config.validate()
     if not train_examples:
         raise ContractError("training set is empty")
-    from .generation import select_for_generation  # late import, no cycle at call time
     params = ModelParams.init(config.model, seed=config.seed)
     records: list[dict] = []
     epoch_seconds: list[float] = []
@@ -229,78 +221,60 @@ def train(train_examples: list[DialogueExample],
     best_loss = np.inf
     best_epoch = -1
     best_params = params.copy()
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            order = derived_rng(config.seed, SEED_SHUFFLE, epoch).permutation(
-                len(train_examples))
-            batch_losses: list[float] = []
-            ce_losses: list[float] = []
-            for lo in range(0, len(order), config.batch_size):
-                idxs = [int(i) for i in order[lo:lo + config.batch_size]]
-                batch = [train_examples[i] for i in idxs]
-                rngs = [derived_rng(config.seed, SEED_TRAIN, epoch, i) for i in idxs]
+    for epoch in range(config.epochs):
+        start = time.perf_counter()
+        order = derived_rng(config.seed, SEED_SHUFFLE, epoch).permutation(
+            len(train_examples))
+        batch_losses: list[float] = []
+        ce_losses: list[float] = []
+        for lo in range(0, len(order), config.batch_size):
+            idxs = [int(i) for i in order[lo:lo + config.batch_size]]
+            batch = [train_examples[i] for i in idxs]
+            try:
+                encodings_batch = [candidate_encodings(params, ex) for ex in batch]
+                latents = [sequential_posterior_infer(
+                               params, ex, config,
+                               rng=derived_rng(config.seed, SEED_TRAIN, epoch, i),
+                               encodings=encs)
+                           for i, ex, encs in zip(idxs, batch, encodings_batch)]
+                loss = mle_step(params, batch, config, latents=latents)
+                labels = [multi_hot_labels(ex, pair.s) for ex, pair in zip(batch, latents)]
+                if config.prior == "uniform":
+                    ce = initializer_ce_step(params, batch, labels, config.lr_head,
+                                             encodings_batch)
+                else:
+                    ce = prior_ce_step(params, batch, labels, config.lr_head,
+                                       encodings_batch)
+            except NumericError as err:
+                raise NumericError(
+                    f"epoch {epoch}, batch {lo // config.batch_size}: {err}") from err
+            batch_losses.append(loss)
+            ce_losses.append(ce)
+        epoch_seconds.append(time.perf_counter() - start)
+        all_batch_losses.append(batch_losses)
 
-                def infer(pos: int):
-                    return _infer_with_cache(params, batch[pos], config, rngs[pos])
-
-                try:
-                    if pool is not None:
-                        inferred = list(pool.map(infer, range(len(batch))))
-                    else:
-                        inferred = [infer(pos) for pos in range(len(batch))]
-                    latents = [pair for pair, _ in inferred]
-                    encodings_batch = [encs for _, encs in inferred]
-                    loss = mle_step(params, batch, config, latents=latents)
-                    labels = [multi_hot_labels(batch[i], latents[i].s)
-                              for i in range(len(batch))]
-                    if config.prior == "uniform":
-                        ce = initializer_ce_step(params, batch, labels, config.lr_head,
-                                                 encodings_batch)
-                    else:
-                        ce = prior_ce_step(params, batch, labels, config.lr_head,
-                                           encodings_batch)
-                except NumericError as err:
-                    raise NumericError(
-                        f"epoch {epoch}, batch {lo // config.batch_size}: {err}") from err
-                batch_losses.append(loss)
-                ce_losses.append(ce)
-            epoch_seconds.append(time.perf_counter() - start)
-            all_batch_losses.append(batch_losses)
-
-            val_loss = (validation_loss(params, valid_examples, config, epoch)
-                        if valid_examples else float(np.mean(batch_losses)))
-            if valid_examples:
-                hits = sum(1 for ex in valid_examples
-                           if ex.gold_index is not None
-                           and select_for_generation(params, ex, prior=config.prior)
-                           == ex.gold_index)
-                denom = sum(1 for ex in valid_examples if ex.gold_index is not None)
-                val_acc = hits / denom if denom else 0.0
-            else:
-                val_acc = 0.0
-            record = {"epoch": epoch,
-                      "surrogate_loss": float(np.mean(batch_losses)),
-                      "ce_loss": float(np.mean(ce_losses)),
-                      "validation_loss": float(val_loss),
-                      "selection_accuracy": float(val_acc)}
-            records.append(record)
-            if not quiet:
-                log.info("epoch %d: surrogate %.4f ce %.4f val %.4f acc %.3f (%.1fs)",
-                         epoch, record["surrogate_loss"], record["ce_loss"],
-                         val_loss, val_acc, epoch_seconds[-1])
-            if val_loss < best_loss:
-                best_loss = float(val_loss)
-                best_epoch = epoch
-                best_params = params.copy()
-            if log_path is not None:
-                lines = [dump_json_line({"config": config.to_dict()})]
-                lines += [dump_json_line(r) for r in records]
-                atomic_write_text(log_path, "\n".join(lines) + "\n")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if valid_examples:
+            val_loss, val_acc = validation_loss(params, valid_examples, config, epoch)
+        else:
+            val_loss, val_acc = float(np.mean(batch_losses)), 0.0
+        record = {"epoch": epoch,
+                  "surrogate_loss": float(np.mean(batch_losses)),
+                  "ce_loss": float(np.mean(ce_losses)),
+                  "validation_loss": float(val_loss),
+                  "selection_accuracy": float(val_acc)}
+        records.append(record)
+        if not quiet:
+            log.info("epoch %d: surrogate %.4f ce %.4f val %.4f acc %.3f (%.1fs)",
+                     epoch, record["surrogate_loss"], record["ce_loss"],
+                     val_loss, val_acc, epoch_seconds[-1])
+        if val_loss < best_loss:
+            best_loss = float(val_loss)
+            best_epoch = epoch
+            best_params = params.copy()
+        if log_path is not None:
+            lines = [dump_json_line({"config": config.to_dict()})]
+            lines += [dump_json_line(r) for r in records]
+            atomic_write_text(log_path, "\n".join(lines) + "\n")
     if best_epoch < 0:
         best_params = params.copy()
         best_epoch = 0

@@ -10,14 +10,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, gradcheck
+from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
+from .data import SyntheticSpec, generate_corpus
 from .errors import ContractError
-from .inference import langevin_chain, select_knowledge, top_s_candidates
-from .model import (BOS, EOS, DialogueExample, ModelParams,
+from .inference import langevin_chain, select_knowledge, sequential_posterior_infer
+from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob,
                     latent_prior_log_density, latent_prior_mean)
-from .training import head_ce_loss, multi_hot_labels, surrogate_objective
+from .training import head_ce_loss, multi_hot_labels, surrogate_objective, train
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,6 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
             return latent_prior_log_density(Tensor(mu_const), x)
 
         def loglik_term(x: Tensor) -> Tensor:
-            from .model import decode_logprob
             return decode_logprob(params, example, s, x)
 
         for label, fn in (("latent-prior", prior_term), ("latent-loglik", loglik_term)):
@@ -303,13 +303,7 @@ def check_selection(n_instances: int = 100, seed: int = 0,
 
 
 def check_determinism() -> CheckResult:
-    """Same-seed corpus, inference, and training runs must agree bit for bit;
-    a 2-thread run must equal the single-thread run."""
-    from .checkpoint import checkpoint_bytes
-    from .data import SyntheticSpec, generate_corpus
-    from .inference import sequential_posterior_infer
-    from .training import train
-
+    """Same-seed corpus, inference, and training runs must agree bit for bit."""
     spec = SyntheticSpec(vocab_size=32, m_candidates=3, candidate_len=4,
                          n_styles=2, n_train=12, n_valid=4, n_test=4,
                          history_len=4, seed=5)
@@ -333,24 +327,14 @@ def check_determinism() -> CheckResult:
         return CheckResult("determinism", False, "repeated seeded inference differs")
 
     runs = []
-    for threads in (1, 1, 2):
-        result = train(first.train, first.valid, _with_threads(config, threads),
-                       quiet=True)
+    for _ in range(2):
+        result = train(first.train, first.valid, config, quiet=True)
         runs.append((checkpoint_bytes(result.params, config.fingerprint()),
                      result.records))
     if runs[0] != runs[1]:
         return CheckResult("determinism", False, "same-seed training runs differ")
-    if runs[0] != runs[2]:
-        return CheckResult("determinism", False,
-                           "2-thread training differs from single-thread")
     return CheckResult("determinism", True,
-                       "corpus, inference, and training are bit-stable across "
-                       "repeats and thread counts")
-
-
-def _with_threads(config: SpiConfig, threads: int) -> SpiConfig:
-    from .config import with_overrides
-    return with_overrides(config, threads=threads)
+                       "corpus, inference, and training are bit-stable across repeats")
 
 
 def run_all(fast: bool = False) -> list[CheckResult]:

@@ -120,10 +120,6 @@ class TestShapeAndNumericErrors:
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor(np.ones((3, 2))), [0, 3])
 
-    def test_unknown_primitive_kind(self):
-        with pytest.raises(ContractError):
-            ad.forward_primitive("outer-product", ad.Tensor([1.0]))
-
 
 def _primitive_cases():
     rng = np.random.default_rng(11)
@@ -140,7 +136,6 @@ def _primitive_cases():
         "add-bias": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
         "tanh": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(x))),
-        "relu": ((3, 4), lambda x: ad.reduce_sum(ad.relu(x))),
         "softmax": ((5,), lambda x: ad.reduce_sum(ad.multiply(ad.softmax(x), w5))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "sum-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_sum(x, axis=0), wv)),
@@ -162,9 +157,6 @@ def test_primitive_gradients_match_central_differences(name):
     # 50 random points per primitive; the acceptance suite runs the wide sweep
     for _ in range(50):
         point = rng.normal(size=shape)
-        if name == "relu":
-            # keep away from the kink where the derivative jumps
-            point = point + np.sign(point) * 0.1
         report = ad.gradcheck(fn, point, h=1e-5, tol=1e-4)
         assert report.passed, str(report)
 
@@ -202,15 +194,3 @@ def test_gradcheck_flags_injected_wrong_adjoint(monkeypatch):
 def test_gradcheck_nonfinite_region_raises():
     with pytest.raises(NumericError):
         ad.gradcheck(lambda x: ad.reduce_sum(ad.log(x)), np.array([1e-7, 2.0]), h=1e-5)
-
-
-def test_float32_opt_in_mode():
-    ad.set_default_dtype(np.float32)
-    try:
-        x = ad.Tensor([1.0, 2.0])
-        assert x.data.dtype == np.float32
-        y = ad.reduce_sum(ad.multiply(x, x))
-        assert y.data.dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
-    assert ad.Tensor([1.0]).data.dtype == np.float64

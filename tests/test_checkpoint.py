@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,17 @@ def test_mismatch_message_names_both_prefixes(tmp_path, cfg):
         load_checkpoint(path, other)
     assert cfg.fingerprint()[:12] in str(err.value)
     assert other.fingerprint()[:12] in str(err.value)
+
+
+@pytest.mark.parametrize("manifest", [
+    [{"name": "embed", "dtype": "<f8", "shape": [1]}],     # list, not an object
+    {"tensors": 5},                                         # tensors not a list
+    {"tensors": [{"dtype": "<f8", "shape": [1]}]},          # entry with no name
+    {"tensors": [{"name": "embed", "dtype": "<f8", "shape": "ab"}]},
+], ids=["list-manifest", "tensors-not-list", "entry-without-name", "string-shape"])
+def test_malformed_manifest_shapes_name_the_file(tmp_path, manifest):
+    path = tmp_path / "model.bin"
+    path.write_bytes(MAGIC + json.dumps(manifest).encode("ascii") + b"\n"
+                     + b"\x00" * 8 + b"fingerprint: 00\n")
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        read_checkpoint(path)

@@ -31,7 +31,6 @@ class TestValidate:
         {"temperature": 0.0},
         {"batch_size": 0},
         {"epochs": -1},
-        {"threads": 0},
     ])
     def test_bad_run_fields_rejected(self, kw):
         with pytest.raises(ContractError):
@@ -82,6 +81,12 @@ class TestSerialization:
         data = make_config().to_dict()
         data["momentum"] = 0.9
         with pytest.raises(ContractError, match="momentum"):
+            config_from_dict(data)
+
+    def test_old_threads_field_rejected(self):
+        data = make_config().to_dict()
+        data["threads"] = 1
+        with pytest.raises(ContractError, match="unknown config fields.*threads"):
             config_from_dict(data)
 
     def test_unknown_model_field_rejected(self):

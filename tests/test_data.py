@@ -1,6 +1,8 @@
 """Synthetic corpus construction, determinism, and the disk round trip."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from spi.data import (SyntheticSpec, example_to_record, generate_corpus,
@@ -188,6 +190,36 @@ class TestDiskRoundTrip:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=r"valid\.jsonl:2"):
+            load_corpus(tmp_path)
+
+    def test_malformed_json_line_names_file_and_line(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:-3]  # cut the closing brackets
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:3: malformed JSON")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("text", ['["<pad>", "<bos>"]', '{"words": []}',
+                                      '{"tokens": "abc"}', '{"tokens": [1, 2]}', "{oops"],
+                             ids=["list", "no-tokens", "string-tokens",
+                                  "non-string-tokens", "bad-json"])
+    def test_malformed_vocab_names_the_file(self, tmp_path, text):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "vocab.json"
+        path.write_text(text)
+        with pytest.raises(ContractError, match=re.escape(str(path))):
+            load_corpus(tmp_path)
+
+    def test_non_numeric_spec_value_names_file_and_line(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("rho = ")
+        lines[4] = "rho = half"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:5: rho")):
             load_corpus(tmp_path)
 
     def test_unknown_split_name_rejected(self):

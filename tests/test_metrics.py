@@ -107,7 +107,7 @@ class TestPerplexity:
         arrays = {name: np.zeros(shape) for name, shape in param_shapes(cfg)}
         p = ModelParams.from_arrays(cfg, arrays)
         exs = [make_example(resp=(6, 7, EOS)), make_example(resp=(5, EOS))]
-        assert perplexity(p, exs, prior="uniform") == pytest.approx(8.0, abs=1e-9)
+        assert perplexity(p, exs, picks=[0, 1]) == pytest.approx(8.0, abs=1e-9)
 
     def test_order_invariance(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
@@ -116,8 +116,10 @@ class TestPerplexity:
         p = ModelParams.init(cfg, seed=3)
         exs = [make_example(resp=(6, 7, EOS)), make_example(resp=(5, EOS)),
                make_example(resp=(4, 4, EOS))]
-        assert perplexity(p, exs, prior="uniform") == \
-            perplexity(p, list(reversed(exs)), prior="uniform")
+        from spi.generation import select_for_generation
+        picks = [select_for_generation(p, ex, prior="uniform") for ex in exs]
+        assert perplexity(p, exs, picks=picks) == \
+            perplexity(p, list(reversed(exs)), picks=list(reversed(picks)))
 
     def test_never_below_one(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
@@ -125,23 +127,30 @@ class TestPerplexity:
                           max_candidate=6, max_response=8)
         for seed in range(3):
             p = ModelParams.init(cfg, seed=seed)
-            assert perplexity(p, [make_example()], prior="uniform") >= 1.0
+            assert perplexity(p, [make_example()], picks=[0]) >= 1.0
 
     def test_oracle_needs_gold(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
                           dec_hidden_dim=5, latent_dim=2, max_history=8,
                           max_candidate=6, max_response=8)
         p = ModelParams.init(cfg, seed=3)
-        with pytest.raises(ContractError):
-            perplexity(p, [make_example(gold=None)], prior="uniform",
-                       oracle_knowledge=True)
+        with pytest.raises(ContractError, match="gold"):
+            evaluate(p, [make_example(), make_example(gold=None)], SpiConfig(model=cfg),
+                     oracle_knowledge=True)
+
+    def test_misaligned_picks_rejected(self):
+        cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
+                          dec_hidden_dim=5, latent_dim=2, max_history=8,
+                          max_candidate=6, max_response=8)
+        with pytest.raises(ContractError, match="picks"):
+            perplexity(ModelParams.init(cfg), [make_example()], picks=[0, 1])
 
     def test_empty_corpus_rejected(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
                           dec_hidden_dim=5, latent_dim=2, max_history=8,
                           max_candidate=6, max_response=8)
         with pytest.raises(ContractError):
-            perplexity(ModelParams.init(cfg), [], prior="uniform")
+            perplexity(ModelParams.init(cfg), [], picks=[])
 
 
 class TestBleu:
@@ -304,6 +313,18 @@ class TestEvaluate:
         assert oracle.selection_accuracy == plain.selection_accuracy
         assert oracle.bleu4 == plain.bleu4
         assert oracle.distinct1 == plain.distinct1
+
+    def test_perplexity_scores_the_generation_picks_or_gold(self, small_corpus,
+                                                             small_config, small_trained):
+        from spi.generation import generate_batch
+        params, examples = small_trained.best_params, small_corpus.test
+        gens = generate_batch(params, examples, prior=small_config.prior)
+        plain = evaluate(params, examples, small_config, generations=gens)
+        oracle = evaluate(params, examples, small_config, generations=gens,
+                          oracle_knowledge=True)
+        assert plain.perplexity == perplexity(params, examples, picks=[g.s for g in gens])
+        assert oracle.perplexity == perplexity(
+            params, examples, picks=[ex.gold_index for ex in examples])
 
     def test_supplied_generations_are_respected(self, small_corpus, small_config,
                                                 small_trained):
