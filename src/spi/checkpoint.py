@@ -57,7 +57,10 @@ def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     """Parse a checkpoint file; returns (arrays by name, stored fingerprint)."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read the checkpoint ({err.strerror})") from None
     if not blob.startswith(MAGIC):
         raise ContractError(f"{path}: not a checkpoint (bad magic)")
     rest = blob[len(MAGIC):]

@@ -62,10 +62,25 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-head", dest="lr_head", type=float, default=None)
 
 
+def _read_config_file(path: Path) -> SpiConfig:
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read the config file ({err.strerror})") from None
+    except ValueError as err:
+        raise ContractError(f"{path}: malformed JSON ({err})") from None
+    if not isinstance(raw, dict):
+        raise ContractError(f"{path}: a config file holds a JSON object, "
+                            f"not {type(raw).__name__}")
+    try:
+        return config_from_dict(raw)
+    except (ContractError, TypeError, ValueError) as err:
+        raise ContractError(f"{path}: {err}") from None
+
+
 def _build_config(args: argparse.Namespace, vocab_size: int) -> SpiConfig:
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        base = config_from_dict(raw)
+        base = _read_config_file(Path(args.config))
         if base.model.vocab_size != vocab_size:
             raise ContractError(
                 f"config vocab_size {base.model.vocab_size} does not match "

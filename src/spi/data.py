@@ -224,8 +224,12 @@ def save_corpus(corpus: SyntheticCorpus, out_dir: str | Path) -> None:
 
 
 def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read the spec sidecar ({err.strerror})") from None
     fields = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
@@ -265,9 +269,8 @@ def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
     splits = {}
     for name in ("train", "valid", "test"):
         path = out / f"{name}.jsonl"
-        records = read_jsonl(path)
         examples = []
-        for lineno, record in enumerate(records, start=1):
+        for lineno, record in read_jsonl(path):
             ex = example_from_record(record, f"{path}:{lineno}")
             try:
                 ex.validate(vocab.size)

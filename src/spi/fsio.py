@@ -43,15 +43,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     atomic_write_text(path, "".join(dump_json_line(r) + "\n" for r in records))
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
+    """Each record of a JSON-lines file with its 1-based line number; blank
+    lines are skipped."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise ContractError(f"{path}:{number}: malformed JSON ({err.msg})") from err
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append((number, json.loads(line)))
+                except json.JSONDecodeError as err:
+                    raise ContractError(f"{path}:{number}: malformed JSON ({err.msg})") from err
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read ({err.strerror})") from None
     return out

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
-                    candidate_encodings, decoder_advance, decoder_start,
+                    decoder_advance, decoder_start, encode_context,
                     initializer_scores, knowledge_prior_logits,
                     latent_prior_mean)
 
@@ -55,7 +55,7 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
     tokens and forces EOS at the cap."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    encodings = candidate_encodings(params, example)
+    encodings = encode_context(params, example)
     s = select_for_generation(params, example, prior=prior, encodings=encodings)
     encoded = encodings[s]
     z = latent_prior_mean(params, example, s, encoded=encoded).data

@@ -17,9 +17,8 @@ from .autodiff import Tape, Tensor
 from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    candidate_encodings, decode_logprob, encode_context,
-                    initializer_scores, knowledge_prior_logits,
-                    latent_prior_mean)
+                    decode_logprob, encode_context, initializer_scores,
+                    knowledge_prior_logits, latent_prior_mean)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -81,6 +80,8 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
         raise ContractError("selection needs a response to score")
     if temperature <= 0.0:
         raise ContractError("temperature must be positive")
+    if encodings is None:
+        encodings = encode_context(params, example)
     if prior == "uniform":
         subset = list(range(m)) if top_s is None else top_s_candidates(
             params, example, top_s, encodings=encodings)
@@ -96,10 +97,8 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
 
     raw = np.empty(len(subset))
     for pos, i in enumerate(subset):
-        enc = encodings[i] if encodings is not None else None
-        enc = enc if enc is not None else encode_context(params, example, i)
-        mu = latent_prior_mean(params, example, i, encoded=enc)
-        loglik = float(decode_logprob(params, example, i, mu, encoded=enc).data)
+        mu = latent_prior_mean(params, example, i, encoded=encodings[i])
+        loglik = float(decode_logprob(params, example, i, mu, encoded=encodings[i]).data)
         raw[pos] = prior_logits[pos] + loglik
     scaled = raw / temperature
     log_weights = scaled - log_sum_exp(scaled)
@@ -186,7 +185,7 @@ def decoder_grad_z(params: ModelParams, example: DialogueExample, s: int,
     The context encoding is treated as fixed, so the tape only spans the
     decoder.
     """
-    enc = encoded if encoded is not None else encode_context(params, example, s)
+    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     with Tape() as tape:
         zt = Tensor(np.asarray(z, dtype=np.float64), name="z", trainable=True)
         loglik = decode_logprob(params, example, s, zt, encoded=enc)
@@ -199,7 +198,7 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample, s: int, *,
                      grad_clamp: float = 100.0, z0: np.ndarray | None = None,
                      encoded: EncodedContext | None = None) -> LangevinTrace:
     """Run the short Langevin chain for candidate ``s`` of one example."""
-    enc = encoded if encoded is not None else encode_context(params, example, s)
+    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     mu = latent_prior_mean(params, example, s, encoded=enc).data
 
     def grad_loglik(z: np.ndarray) -> np.ndarray:
@@ -223,7 +222,7 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
     gen = rng if rng is not None else derived_rng(config.seed, 0)
     m = len(example.candidates)
     if encodings is None:
-        encodings = candidate_encodings(params, example)
+        encodings = encode_context(params, example)
     top_s = min(config.top_s, m) if config.prior == "uniform" else None
     outcome = select_knowledge(
         params, example, prior=config.prior, mode=config.selection,

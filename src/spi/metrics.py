@@ -47,7 +47,7 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
     total_lp = 0.0
     total_tokens = 0
     for example, s in zip(examples, picks):
-        encoded = encode_context(params, example, s)
+        encoded = encode_context(params, example, [s])[0]
         z = latent_prior_mean(params, example, s, encoded=encoded).data
         total_lp += float(decode_logprob(params, example, s, z, encoded=encoded).data)
         total_tokens += len(example.response)

@@ -59,18 +59,19 @@ class DialogueExample:
     def validate(self, vocab_size: int) -> None:
         if len(self.candidates) < 1:
             raise ContractError("example needs at least one knowledge candidate")
-        if self.gold_index is not None and not 0 <= self.gold_index < len(self.candidates):
-            raise ContractError(
-                f"gold_index {self.gold_index} out of range for {len(self.candidates)} candidates")
+        if self.gold_index is not None:
+            if not _is_index(self.gold_index):
+                raise ContractError(f"gold_index {self.gold_index!r} is not an integer")
+            if not 0 <= self.gold_index < len(self.candidates):
+                raise ContractError(f"gold_index {self.gold_index} out of range for "
+                                    f"{len(self.candidates)} candidates")
         if not self.response:
             raise ContractError("example response is empty")
         if self.response[-1] != EOS:
             raise ContractError("example response must end with the end-of-sequence token")
         for name, seq in (("history", self.history), ("response", self.response),
                           *((f"candidate {i}", c) for i, c in enumerate(self.candidates))):
-            for tok in seq:
-                if not 0 <= tok < vocab_size:
-                    raise ContractError(f"{name} token id {tok} outside vocabulary of {vocab_size}")
+            _check_tokens(seq, vocab_size, name)
 
 
 @dataclass
@@ -193,44 +194,73 @@ class EncodedContext:
     pooled: Tensor  # (hidden,)
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_tokens(tokens: Sequence[int], vocab_size: int, what: str) -> None:
     for tok in tokens:
-        if not 0 <= tok < vocab_size:
-            raise ContractError(f"{what} token id {tok} outside vocabulary of {vocab_size}")
+        # a plain int in range passes on the first test; it runs per token
+        if type(tok) is not int or not 0 <= tok < vocab_size:
+            if not _is_index(tok):
+                raise ContractError(f"{what} token id {tok!r} is not an integer")
+            if not 0 <= tok < vocab_size:
+                raise ContractError(f"{what} token id {tok} outside vocabulary of {vocab_size}")
 
 
-def encode_context(params: ModelParams, example: DialogueExample, s: int) -> EncodedContext:
-    """Encode history and candidate ``s`` joined by the separator token.
+def encode_context(params: ModelParams, example: DialogueExample,
+                   indices: Sequence[int] | None = None) -> list[EncodedContext]:
+    """Encode the history joined by the separator token to each requested
+    candidate (every candidate by default), in one pass.
 
-    History longer than the cap keeps its most recent tokens; the candidate
-    keeps its head.
+    History longer than the cap keeps its most recent tokens; a candidate
+    keeps its head. The shared prefix runs once; the distinct truncated
+    candidates then advance from its last state in lockstep, as rows of one
+    (k, hidden) state padded to the longest. Equal truncated candidates share
+    one encoding, so their scores tie exactly: a matrix product may round
+    two equal rows differently.
     """
     cfg = params.cfg
-    if not 0 <= s < len(example.candidates):
-        raise ContractError(f"candidate index {s} out of range")
+    m = len(example.candidates)
     hist = list(example.history[-cfg.max_history:])
-    cand = list(example.candidates[s][:cfg.max_candidate])
-    if not hist and not cand:
-        raise ContractError("cannot encode an empty history with an empty candidate")
-    tokens = hist + [SEP] + cand
+    lanes: dict[tuple[int, ...], int] = {}
+    lane_of = []
+    for s in (range(m) if indices is None else indices):
+        if not 0 <= s < m:
+            raise ContractError(f"candidate index {s} out of range")
+        cand = tuple(example.candidates[s][:cfg.max_candidate])
+        if not hist and not cand:
+            raise ContractError("cannot encode an empty history with an empty candidate")
+        lane_of.append(lanes.setdefault(cand, len(lanes)))
+    cands = list(lanes)
+    k = len(cands)
+    width = max(map(len, cands), default=0)
+    prefix = hist + [SEP]
+    n = len(prefix)
+    # row n + i*k + j holds token i of lane j (PAD past the lane's end)
+    tokens = prefix + [c[i] if i < len(c) else PAD for i in range(width) for c in cands]
     _check_tokens(tokens, cfg.vocab_size, "context")
     t = params.tensors
     emb = ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64))
     wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
+    # a step reads one row of ``emb``, or k rows once the lanes split; a lone
+    # lane stays a vector like the prefix
+    steps = list(range(n)) + [n + i if k == 1 else np.arange(n + i * k, n + (i + 1) * k)
+                              for i in range(width)]
     state = Tensor(np.zeros(cfg.hidden_dim))
     rows = []
-    for i in range(len(tokens)):
-        x = ad.gather_rows(emb, i)
+    for step in steps:
+        x = ad.gather_rows(emb, step)
+        # the prefix's last state enters the first lockstep step as a row-wise bias
         state = ad.tanh(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(state, wh)), b))
         rows.append(state)
-    states = ad.stack_rows(rows)
-    pooled = ad.reduce_mean(states, axis=0)
-    return EncodedContext(states=states, pooled=pooled)
-
-
-def candidate_encodings(params: ModelParams, example: DialogueExample) -> list[EncodedContext]:
-    """One encoding per candidate, in candidate order."""
-    return [encode_context(params, example, i) for i in range(len(example.candidates))]
+    flat = ad.concat(rows, axis=0)  # rows laid out as ``tokens``
+    encoded = []
+    for j, cand in enumerate(cands):
+        idx = list(range(n)) + [n + i * k + j for i in range(len(cand))]
+        states = flat if len(idx) == len(tokens) else ad.gather_rows(flat, np.asarray(idx))
+        encoded.append(EncodedContext(states=states, pooled=ad.reduce_mean(states, axis=0)))
+    return [encoded[lane] for lane in lane_of]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +288,10 @@ def initializer_scores(params: ModelParams, example: DialogueExample, *,
     """
     if prior != "uniform":
         raise ContractError("initializer scores are only defined in uniform-prior mode")
+    if encodings is None:
+        encodings = encode_context(params, example)
     scores = []
-    for i in range(len(example.candidates)):
-        enc = encodings[i] if encodings is not None else encode_context(params, example, i)
+    for enc in encodings:
         sig, _, _ = _sigmoid_and_logs(initializer_score_logit(params, enc.pooled))
         scores.append(sig)
     return ad.stack_rows(scores)
@@ -275,10 +306,11 @@ def knowledge_prior_logits(params: ModelParams, example: DialogueExample, *,
     """
     if prior != "learnable":
         raise ContractError("knowledge prior logits are only defined in learnable-prior mode")
+    if encodings is None:
+        encodings = encode_context(params, example)
     t = params.tensors
     logits = []
-    for i in range(len(example.candidates)):
-        enc = encodings[i] if encodings is not None else encode_context(params, example, i)
+    for enc in encodings:
         logits.append(ad.add(ad.matmul(enc.pooled, t["kprior_w"]), t["kprior_b"]))
     return ad.stack_rows(logits)
 
@@ -286,7 +318,7 @@ def knowledge_prior_logits(params: ModelParams, example: DialogueExample, *,
 def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
                       encoded: EncodedContext | None = None) -> Tensor:
     """Mean of the unit-variance Gaussian prior over the response latent."""
-    enc = encoded if encoded is not None else encode_context(params, example, s)
+    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     t = params.tensors
     return ad.add(ad.matmul(enc.pooled, t["zprior_w"]), t["zprior_b"])
 
@@ -359,7 +391,7 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int, z,
         raise ContractError(
             f"response of length {len(response)} exceeds the cap {cfg.max_response}")
     _check_tokens(response, cfg.vocab_size, "response")
-    enc = encoded if encoded is not None else encode_context(params, example, s)
+    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     cur = decoder_start(params, enc, z)
     total: Tensor | None = None
     prev = BOS
@@ -379,7 +411,7 @@ def decode_step(params: ModelParams, example: DialogueExample, s: int, z,
         raise ContractError("decode_step needs a non-empty prefix")
     if prefix[0] != BOS:
         raise ContractError("decode_step prefix must start with the begin-of-sequence token")
-    enc = encoded if encoded is not None else encode_context(params, example, s)
+    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     cur = decoder_start(params, enc, z)
     logits: Tensor | None = None
     for token in prefix:

@@ -7,9 +7,9 @@ against multi-hot labels (gold plus the posterior pick). Validation loss is
 the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
 
-Each example's candidates are encoded once per pass; inference, the head
-cross-entropy and validation reuse those encodings. Only the taped
-surrogate step re-encodes, since its gradient runs through the encoder.
+Each example is encoded in one pass off the tape; inference, the head
+cross-entropy and validation reuse those encodings. The taped surrogate
+step makes one more pass, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ from .fsio import dump_json_line, atomic_write_text
 from .generation import select_for_generation
 from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    _sigmoid_and_logs, candidate_encodings, decode_logprob,
-                    encode_context, knowledge_prior_logits,
-                    latent_prior_log_density, latent_prior_mean)
+                    _sigmoid_and_logs, decode_logprob, encode_context,
+                    knowledge_prior_logits, latent_prior_log_density,
+                    latent_prior_mean)
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +41,13 @@ def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
                         encodings: Sequence[EncodedContext] | None = None) -> ad.Tensor:
     """Latent-completed objective for one example: latent prior log-density
     plus response log-likelihood, plus the knowledge prior log-probability in
-    learnable mode. ``z`` and ``s`` enter as constants. Passing the
-    candidate ``encodings`` skips re-encoding; encodings made off the tape
-    carry no encoder gradient."""
-    encoded = encodings[s] if encodings is not None else encode_context(params, example, s)
+    learnable mode. ``z`` and ``s`` enter as constants. Without the
+    candidate ``encodings`` it encodes candidate ``s`` (uniform) or every
+    candidate (learnable) in one pass; encodings made off the tape carry no
+    encoder gradient."""
+    if encodings is None and prior == "learnable":
+        encodings = encode_context(params, example)
+    encoded = encodings[s] if encodings is not None else encode_context(params, example, [s])[0]
     mu = latent_prior_mean(params, example, s, encoded=encoded)
     zt = Tensor(np.asarray(z, dtype=np.float64))
     obj = ad.add(latent_prior_log_density(mu, zt),
@@ -120,7 +123,7 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
         if len(y) != len(example.candidates):
             raise ContractError("label vector length must match the candidate count")
         encs = (encodings_batch[i] if encodings_batch is not None
-                else candidate_encodings(params, example))
+                else encode_context(params, example))
         for j in range(len(example.candidates)):
             pooled = Tensor(encs[j].pooled.data)  # constant copy
             logit = ad.add(ad.matmul(pooled, params.tensors[w_name]),
@@ -170,14 +173,14 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     """Mean surrogate loss on held-out data with the run's own inference
     settings under a fixed per-epoch seed, and the selection accuracy of the
     generation-time pick over the gold-labelled examples (0 when none are).
-    Each example's candidates are encoded once for both."""
+    Each example is encoded in one pass for both."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
     hits = 0
     labelled = 0
     for idx, example in enumerate(examples):
-        encodings = candidate_encodings(params, example)
+        encodings = encode_context(params, example)
         rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
         pair = sequential_posterior_infer(params, example, config, rng=rng,
                                           encodings=encodings)
@@ -231,7 +234,7 @@ def train(train_examples: list[DialogueExample],
             idxs = [int(i) for i in order[lo:lo + config.batch_size]]
             batch = [train_examples[i] for i in idxs]
             try:
-                encodings_batch = [candidate_encodings(params, ex) for ex in batch]
+                encodings_batch = [encode_context(params, ex) for ex in batch]
                 latents = [sequential_posterior_infer(
                                params, ex, config,
                                rng=derived_rng(config.seed, SEED_TRAIN, epoch, i),

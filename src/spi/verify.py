@@ -147,6 +147,22 @@ def _random_example(rng: np.random.Generator, vocab_size: int, m: int = 3,
                            response=draw(max(resp_len - 1, 1)) + [EOS])
 
 
+def _ragged_example(rng: np.random.Generator, cfg: ModelConfig,
+                    hist_len: int) -> DialogueExample:
+    """Candidates of ragged lengths, from empty to past the cap, one of them
+    repeated, so the encoder's padded lanes and shared encodings are used."""
+    def draw(k: int) -> list[int]:
+        return [int(t) for t in rng.integers(4, cfg.vocab_size, size=k)]
+
+    lengths = [0, 1, int(rng.integers(2, cfg.max_candidate + 1)), cfg.max_candidate + 2]
+    candidates = [draw(k) for k in rng.permutation(lengths)]
+    repeat = list(candidates[int(rng.integers(len(candidates)))])
+    candidates.insert(int(rng.integers(len(candidates) + 1)), repeat)
+    return DialogueExample(history=draw(hist_len), candidates=candidates,
+                           gold_index=int(rng.integers(len(candidates))),
+                           response=draw(int(rng.integers(1, 5))) + [EOS])
+
+
 def _swap(params: ModelParams, name: str, tensor: Tensor) -> ModelParams:
     merged = dict(params.tensors)
     merged[name] = tensor
@@ -156,8 +172,9 @@ def _swap(params: ModelParams, name: str, tensor: Tensor) -> ModelParams:
 def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                     priors: Sequence[str] = ("uniform", "learnable")) -> CheckResult:
     """Finite-difference check of the full parameter gradient of the training
-    objective, the head cross-entropy gradient, and the two latent-gradient
-    terms driving the Langevin drift."""
+    objective (on a plain and a ragged-candidate example), the head
+    cross-entropy gradient, and the two latent-gradient terms driving the
+    Langevin drift."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -166,19 +183,25 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         example = _random_example(rng, cfg.vocab_size)
         s = int(rng.integers(len(example.candidates)))
         z = rng.normal(size=cfg.latent_dim)
-        for prior in priors:
-            for name in params.names():
-                def obj(x: Tensor, _name=name, _prior=prior) -> Tensor:
-                    return surrogate_objective(_swap(params, _name, x), example,
-                                               s, z, _prior)
+        ragged_rng = derived_rng(9000 + seed, 2)
+        ragged = _ragged_example(ragged_rng, cfg, hist_len=cfg.max_history + 2)
+        cases = [("", example, s),
+                 ("ragged/", ragged, int(ragged_rng.integers(len(ragged.candidates))))]
+        for label, ex, pick in cases:
+            for prior in priors:
+                for name in params.names():
+                    def obj(x: Tensor, _name=name, _prior=prior, _ex=ex, _s=pick) -> Tensor:
+                        return surrogate_objective(_swap(params, _name, x), _ex,
+                                                   _s, z, _prior)
 
-                # h tuned to the objective's O(10) magnitude: truncation stays
-                # ~1e-8 while roundoff drops an order versus the 1e-5 default
-                report = gradcheck(obj, params.tensors[name].data, tol=tol, h=1e-4)
-                worst = max(worst, report.max_rel_error)
-                if not report.passed:
-                    return CheckResult("gradients", False,
-                                       f"objective/{prior}/{name} seed {seed}: {report}")
+                    # h tuned to the objective's O(10) magnitude: truncation stays
+                    # ~1e-8 while roundoff drops an order versus the 1e-5 default
+                    report = gradcheck(obj, params.tensors[name].data, tol=tol, h=1e-4)
+                    worst = max(worst, report.max_rel_error)
+                    if not report.passed:
+                        return CheckResult(
+                            "gradients", False,
+                            f"objective/{label}{prior}/{name} seed {seed}: {report}")
         labels = [multi_hot_labels(example, s)]
         for head, head_fields in (("initializer", ("init_w", "init_b")),
                                   ("knowledge_prior", ("kprior_w", "kprior_b"))):
@@ -263,10 +286,26 @@ def check_selection(n_instances: int = 100, seed: int = 0,
                     select_fn: Callable[..., object] | None = None) -> CheckResult:
     """Greedy posterior selection versus the brute-force reference above, on
     random tiny instances plus constructed all-tied instances (duplicate
-    candidates), in both prior modes; also pins top-S at S=M to exhaustive."""
+    candidates) and ragged-candidate instances, in both prior modes; also
+    pins top-S at S=M to exhaustive."""
     fn = select_fn if select_fn is not None else select_knowledge
     rng = derived_rng(4_400 + seed, 1)
-    mismatches = []
+    mismatches: list[str] = []
+
+    def compare(label: str, params: ModelParams, example: DialogueExample) -> None:
+        m = len(example.candidates)
+        for prior in ("uniform", "learnable"):
+            got = fn(params, example, prior=prior, mode="greedy").chosen
+            want = naive_select(params, example, prior)
+            if got != want:
+                mismatches.append(f"{label} prior={prior}: {got} != {want}")
+        full = fn(params, example, prior="uniform", mode="greedy", top_s=m).chosen
+        exhaustive = fn(params, example, prior="uniform", mode="greedy").chosen
+        if full != exhaustive:
+            mismatches.append(f"{label} top-S=M: {full} != {exhaustive}")
+        if naive_top_s(params, example, m) != list(range(m)):
+            mismatches.append(f"{label}: top-S at S=M lost a candidate")
+
     ties = 0
     for i in range(n_instances):
         vocab = int(rng.integers(6, 9))
@@ -280,22 +319,21 @@ def check_selection(n_instances: int = 100, seed: int = 0,
             # all candidates identical: every posterior weight ties exactly
             example.candidates = [list(example.candidates[0]) for _ in range(m)]
             ties += 1
-        for prior in ("uniform", "learnable"):
-            got = fn(params, example, prior=prior, mode="greedy").chosen
-            want = naive_select(params, example, prior)
-            if got != want:
-                mismatches.append(f"instance {i} prior={prior}: {got} != {want}")
-        full = fn(params, example, prior="uniform", mode="greedy", top_s=m).chosen
-        exhaustive = fn(params, example, prior="uniform", mode="greedy").chosen
-        if full != exhaustive:
-            mismatches.append(f"instance {i} top-S=M: {full} != {exhaustive}")
-        if naive_top_s(params, example, m) != list(range(m)):
-            mismatches.append(f"instance {i}: top-S at S=M lost a candidate")
+        compare(f"instance {i}", params, example)
+    # drawn from their own stream, so the instances above stay as they were
+    ragged_rng = derived_rng(4_400 + seed, 2)
+    n_ragged = max(1, n_instances // 5)
+    for i in range(n_ragged):
+        cfg = _tiny_model_config(vocab_size=int(ragged_rng.integers(6, 9)))
+        params = ModelParams.init(cfg, seed=int(ragged_rng.integers(1_000_000)))
+        hist_len = int(ragged_rng.choice([1, cfg.max_history + 2]))
+        compare(f"ragged instance {i}", params, _ragged_example(ragged_rng, cfg, hist_len))
     if mismatches:
         return CheckResult("selection", False,
                            f"{len(mismatches)} mismatches: " + "; ".join(mismatches[:3]))
     return CheckResult("selection", True,
-                       f"0 mismatches over {n_instances} instances ({ties} tied)")
+                       f"0 mismatches over {n_instances} instances ({ties} tied) "
+                       f"and {n_ragged} ragged ones")
 
 
 # ---------------------------------------------------------------------------

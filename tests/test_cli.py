@@ -107,3 +107,43 @@ def test_malformed_corpus_line_exits_1_with_file_and_line(workdir, corpus_dir,
     assert code == 1
     assert err.startswith(f"error: {train_path}:2:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [None, "{oops", "[1, 2]", '{"model": 5}'],
+                         ids=["missing", "malformed-json", "not-an-object", "model-not-an-object"])
+def test_bad_config_file_exits_1_naming_the_file(workdir, corpus_dir, tmp_path, capsys,
+                                                 text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(workdir / "c"),
+                 "--config", str(path), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["spec.txt", "train.jsonl"])
+def test_corpus_missing_a_file_exits_1_naming_it(workdir, corpus_dir, config_file,
+                                                 capsys, name):
+    partial = workdir / f"partial-{name}"
+    partial.mkdir()
+    for path in corpus_dir.iterdir():
+        if path.name != name:
+            (partial / path.name).write_bytes(path.read_bytes())
+    code = main(["train", "--corpus", str(partial), "--out", str(workdir / "p"),
+                 "--config", str(config_file), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {partial / name}: ")
+    assert "Traceback" not in err
+
+
+def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, capsys):
+    path = workdir / "no-such.bin"
+    code = main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),
+                 "--checkpoint", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")

@@ -222,6 +222,39 @@ class TestDiskRoundTrip:
         with pytest.raises(ContractError, match=re.escape(f"{path}:5: rho")):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("field, value", [("history", ["a"]), ("response", [4.0, EOS]),
+                                              ("candidates", [[5, None]]), ("gold_index", "0")],
+                             ids=["string-token", "float-token", "null-token", "string-gold"])
+    def test_non_integer_field_names_file_and_line(self, tmp_path, field, value):
+        import json
+        c = generate_corpus(small_spec())
+        save_corpus(c, tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:3: ")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("name", ["spec.txt", "valid.jsonl"])
+    def test_missing_file_names_the_file(self, tmp_path, name):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(ContractError, match=re.escape(str(tmp_path / name))):
+            load_corpus(tmp_path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines.insert(1, "")
+        lines[3] = '{"history": [4], "candidates": [[5]], "gold_index": 3, "response": [2]}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:4: ")):
+            load_corpus(tmp_path)
+
     def test_unknown_split_name_rejected(self):
         c = generate_corpus(small_spec())
         with pytest.raises(ContractError):

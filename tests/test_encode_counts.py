@@ -1,19 +1,20 @@
-"""Candidate encodings are computed once per example and reused: counts of
-``encode_context`` calls per stage, and bit-identity with the path that
-re-encodes from scratch."""
+"""Each example is encoded in one pass (``encode_context`` call) per stage
+and the passes are reused: counts of passes per stage, and bit-identity with
+the path that re-encodes from scratch."""
 from __future__ import annotations
 
 import sys
 
 import pytest
 
+from spi import autodiff as ad
 from spi import model
 from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.generation import generate, select_for_generation
 from spi.inference import sequential_posterior_infer
 from spi.metrics import evaluate
-from spi.model import ModelParams
+from spi.model import ModelParams, encode_context
 from spi.training import surrogate_value, train, validation_loss
 
 M = 8
@@ -36,14 +37,16 @@ def config_for(corpus, prior, **kw):
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Counts every call of ``encode_context``, wherever a module of the
-    package refers to it."""
+    """Records every encoder pass, wherever a module of the package refers
+    to ``encode_context``: the candidates it covers and whether a tape was
+    open."""
     original = model.encode_context
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("s"))
-        return original(*args, **kwargs)
+    def counting(params, example, indices=None):
+        covered = list(range(len(example.candidates))) if indices is None else list(indices)
+        calls.append((covered, ad.active_tape() is not None))
+        return original(params, example, indices)
 
     for name, module in list(sys.modules.items()):
         if (name == "spi" or name.startswith("spi.")) and \
@@ -52,12 +55,15 @@ def encode_calls(monkeypatch):
     return calls
 
 
+ALL = list(range(M))
+
+
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
 def test_validation_encodes_each_candidate_once(corpus, encode_calls, prior):
     cfg = config_for(corpus, prior)
     params = ModelParams.init(cfg.model, seed=1)
     validation_loss(params, corpus.valid[:1], cfg, epoch=0)
-    assert sorted(encode_calls) == list(range(M))
+    assert encode_calls == [(ALL, False)]
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
@@ -65,7 +71,7 @@ def test_generate_encodes_each_candidate_once(corpus, encode_calls, prior):
     cfg = config_for(corpus, prior)
     params = ModelParams.init(cfg.model, seed=1)
     generate(params, corpus.test[0], prior=prior)
-    assert sorted(encode_calls) == list(range(M))
+    assert encode_calls == [(ALL, False)]
 
 
 @pytest.mark.parametrize("oracle", [False, True])
@@ -73,16 +79,22 @@ def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_ca
                                                                 oracle):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
-    evaluate(params, corpus.test[:1], cfg, oracle_knowledge=oracle)
-    assert len(encode_calls) == M + 1
+    ex = corpus.test[0]
+    evaluate(params, [ex], cfg, oracle_knowledge=oracle)
+    calls = list(encode_calls)
+    pick = ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
+    assert calls == [(ALL, False), ([pick], False)]
 
 
-@pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", 1 + M)])
+@pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])
 def test_training_pass_encodes_once_outside_the_tape(corpus, encode_calls, prior, taped):
-    # the taped surrogate re-encodes: its gradient runs through the encoder
+    # one more pass on the tape: the surrogate's gradient runs through the
+    # encoder; it covers the pick alone, or every candidate for the prior term
     cfg = config_for(corpus, prior)
     train(corpus.train[:1], [], cfg, quiet=True)
-    assert len(encode_calls) == M + taped
+    assert [tape for _, tape in encode_calls] == [False, True]
+    assert encode_calls[0][0] == ALL
+    assert len(encode_calls[1][0]) == taped
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
@@ -94,7 +106,9 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
     for idx, ex in enumerate(examples):
         rng = derived_rng(cfg.seed, SEED_VALID, 3, idx)
         pair = sequential_posterior_infer(params, ex, cfg, rng=rng)
-        total += surrogate_value(params, ex, pair.s, pair.z, prior)
+        # a fresh pass over every candidate, as validation makes: a pass over
+        # fewer candidates may round its lockstep rows differently
+        total += surrogate_value(params, ex, pair.s, pair.z, prior, encode_context(params, ex))
         hits += select_for_generation(params, ex, prior=prior) == ex.gold_index
     loss, accuracy = validation_loss(params, examples, cfg, epoch=3)
     assert loss == -total / len(examples)

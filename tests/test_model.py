@@ -139,61 +139,67 @@ class TestParams:
 class TestEncoder:
     def test_zero_weights_give_zero_states(self):
         p = zero_params(tiny_cfg())
-        enc = encode_context(p, make_example(), 0)
+        enc = encode_context(p, make_example(), [0])[0]
         assert np.all(enc.states.data == 0.0)
         assert np.all(enc.pooled.data == 0.0)
 
     def test_state_count_covers_history_sep_candidate(self):
         p = random_params(tiny_cfg())
         ex = make_example(hist=(4, 5, 6), cands=((7, 4),))
-        enc = encode_context(p, ex, 0)
+        enc = encode_context(p, ex, [0])[0]
         assert enc.states.shape == (3 + 1 + 2, 5)
 
     def test_repeated_encode_is_bit_identical(self):
         p = random_params(tiny_cfg())
-        a = encode_context(p, make_example(), 1)
-        b = encode_context(p, make_example(), 1)
+        a = encode_context(p, make_example(), [1])[0]
+        b = encode_context(p, make_example(), [1])[0]
         assert np.array_equal(a.pooled.data, b.pooled.data)
 
     def test_perturbing_candidate_token_changes_pooled(self):
         p = random_params(tiny_cfg())
-        a = encode_context(p, make_example(cands=((6, 7),)), 0)
-        b = encode_context(p, make_example(cands=((6, 5),)), 0)
+        a = encode_context(p, make_example(cands=((6, 7),)), [0])[0]
+        b = encode_context(p, make_example(cands=((6, 5),)), [0])[0]
         assert not np.array_equal(a.pooled.data, b.pooled.data)
 
     def test_history_keeps_most_recent_tokens(self):
         p = random_params(tiny_cfg(max_history=3))
         long = make_example(hist=(7, 6, 4, 5, 6))
         short = make_example(hist=(4, 5, 6))
-        a = encode_context(p, long, 0)
-        b = encode_context(p, short, 0)
+        a = encode_context(p, long, [0])[0]
+        b = encode_context(p, short, [0])[0]
         assert np.array_equal(a.pooled.data, b.pooled.data)
 
     def test_candidate_keeps_its_head(self):
         p = random_params(tiny_cfg(max_candidate=2))
-        a = encode_context(p, make_example(cands=((6, 7, 4, 5),)), 0)
-        b = encode_context(p, make_example(cands=((6, 7),)), 0)
+        a = encode_context(p, make_example(cands=((6, 7, 4, 5),)), [0])[0]
+        b = encode_context(p, make_example(cands=((6, 7),)), [0])[0]
         assert np.array_equal(a.pooled.data, b.pooled.data)
 
     def test_candidate_index_out_of_range(self):
         p = random_params(tiny_cfg())
         with pytest.raises(ContractError):
-            encode_context(p, make_example(), 2)
+            encode_context(p, make_example(), [2])
 
     def test_empty_history_with_candidate_is_fine(self):
         p = random_params(tiny_cfg())
-        enc = encode_context(p, make_example(hist=()), 0)
+        enc = encode_context(p, make_example(hist=()), [0])[0]
         assert enc.states.shape[0] == 3
 
     def test_empty_history_and_empty_candidate_rejected(self):
         p = random_params(tiny_cfg())
         with pytest.raises(ContractError):
-            encode_context(p, make_example(hist=(), cands=((),)), 0)
+            encode_context(p, make_example(hist=(), cands=((),)), [0])
 
     def test_token_outside_vocab_rejected(self):
         p = random_params(tiny_cfg())
         with pytest.raises(ContractError):
-            encode_context(p, make_example(hist=(11,)), 0)
+            encode_context(p, make_example(hist=(11,)), [0])
+
+    @pytest.mark.parametrize("token", ["a", 4.0, None, True])
+    def test_non_integer_token_rejected(self, token):
+        p = random_params(tiny_cfg())
+        with pytest.raises(ContractError, match="not an integer"):
+            encode_context(p, make_example(hist=(4, token)), [0])
 
 
 class TestHeads:
@@ -362,7 +368,7 @@ class TestDecoder:
         p = random_params(cfg, seed=11)
         ex = make_example()
         z = np.zeros(cfg.latent_dim)
-        enc = encode_context(p, ex, 0)
+        enc = encode_context(p, ex, [0])[0]
         cur = decoder_start(p, enc, z)
         cur, logits = decoder_advance(p, cur, BOS)
         via_step = decode_step(p, ex, 0, z, [BOS])
@@ -371,7 +377,7 @@ class TestDecoder:
     def test_decoder_token_out_of_vocab(self):
         cfg = tiny_cfg()
         p = random_params(cfg)
-        enc = encode_context(p, make_example(), 0)
+        enc = encode_context(p, make_example(), [0])[0]
         cur = decoder_start(p, enc, np.zeros(cfg.latent_dim))
         with pytest.raises(ContractError):
             decoder_advance(p, cur, cfg.vocab_size)
