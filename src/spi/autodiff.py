@@ -241,6 +241,41 @@ def softmax(x: Tensor) -> Tensor:
     return _emit(y, (x,), vjp, check=False, op="softmax")
 
 
+def _segment_softmax_vjp(g, y):
+    # a row-wise softmax adjoint; each column holds one weight and constant
+    # zeros, so summing the column gives the entry's gradient
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (((g - inner) * y).sum(axis=0),)
+
+
+def segment_softmax(x: Tensor, seg, k: int) -> Tensor:
+    """Softmax of a rank-1 ``x`` (N,) within each of ``k`` segments.
+
+    ``seg[n]`` names the segment of entry n; every segment must be
+    non-empty. Row j of the (k, N) result holds segment j's weights in its
+    entries' columns and zeros elsewhere, so ``matmul(out, rows)`` gives
+    each segment's weighted sum of its own rows.
+    """
+    xd = x.data
+    seg = np.asarray(seg)
+    if xd.ndim != 1 or seg.shape != xd.shape:
+        raise ShapeError(f"segment_softmax expects (N,) scores and segments, "
+                         f"got {xd.shape} and {seg.shape}")
+    if not np.issubdtype(seg.dtype, np.integer):
+        raise ContractError("segment_softmax segments must be integers")
+    mask = seg == np.arange(k)[:, None]
+    if not mask.any(axis=1).all() or not mask.any(axis=0).all():
+        raise ShapeError(f"segment_softmax needs every entry in one of {k} non-empty segments")
+    masked = np.where(mask, xd, -np.inf)
+    e = np.exp(masked - masked.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g, y=y):
+        return _segment_softmax_vjp(g, y)
+
+    return _emit(y, (x,), vjp, check=False, op="segment-softmax")
+
+
 def _log_vjp(g, xd):
     return (g / xd,)
 

@@ -74,7 +74,7 @@ def _read_config_file(path: Path) -> SpiConfig:
                             f"not {type(raw).__name__}")
     try:
         return config_from_dict(raw)
-    except (ContractError, TypeError, ValueError) as err:
+    except ContractError as err:
         raise ContractError(f"{path}: {err}") from None
 
 

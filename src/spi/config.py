@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -17,6 +17,28 @@ SEED_INIT = 1
 SEED_TRAIN = 2
 SEED_VALID = 3
 SEED_SHUFFLE = 4
+
+
+_KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string"}
+
+
+def _check_kinds(cfg, prefix: str) -> None:
+    """Each field must hold its declared type; a bool is not a number and a
+    float is not an integer."""
+    for f in fields(cfg):
+        kind, value = f.type, getattr(cfg, f.name)  # a string: annotations are postponed
+        if kind not in _KINDS:
+            continue
+        if kind == "bool":
+            ok = isinstance(value, bool)
+        elif kind == "str":
+            ok = isinstance(value, str)
+        else:
+            numbers = (int, float) if kind == "float" else int
+            ok = isinstance(value, numbers) and not isinstance(value, bool)
+        if not ok:
+            raise ContractError(f"config field {prefix}{f.name} must be {_KINDS[kind]}, "
+                                f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +56,9 @@ class ModelConfig:
     max_response: int = 32
 
     def validate(self) -> None:
+        _check_kinds(self, "model.")
         for name, value in asdict(self).items():
-            if int(value) <= 0:
+            if value <= 0:
                 raise ContractError(f"ModelConfig.{name} must be positive, got {value}")
         if self.vocab_size < 4:
             raise ContractError("vocab_size must cover the four reserved tokens")
@@ -67,6 +90,7 @@ class SpiConfig:
 
     def validate(self) -> None:
         self.model.validate()
+        _check_kinds(self, "")
         if self.prior not in PRIOR_MODES:
             raise ContractError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
         if self.selection not in SELECTION_MODES:
@@ -97,8 +121,12 @@ class SpiConfig:
 
 def config_from_dict(data: dict) -> SpiConfig:
     """Build a SpiConfig from a plain dict (config files, CLI merges)."""
+    if not isinstance(data, dict):
+        raise ContractError(f"a config is an object, not {type(data).__name__}")
     data = dict(data)
     model_part = data.pop("model", None)
+    if model_part is not None and not isinstance(model_part, dict):
+        raise ContractError(f"config field model must be an object, got {model_part!r}")
     if model_part is None or "vocab_size" not in model_part:
         raise ContractError("config requires model.vocab_size")
     known_model = {f for f in ModelConfig.__dataclass_fields__}

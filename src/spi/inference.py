@@ -95,11 +95,12 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
 
-    raw = np.empty(len(subset))
-    for pos, i in enumerate(subset):
-        mu = latent_prior_mean(params, example, i, encoded=encodings[i])
-        loglik = float(decode_logprob(params, example, i, mu, encoded=encodings[i]).data)
-        raw[pos] = prior_logits[pos] + loglik
+    # every candidate teacher-forces the same response: one lockstep decode
+    subset_encodings = [encodings[i] for i in subset]
+    mus = np.stack([latent_prior_mean(params, example, i, encoded=enc).data
+                    for i, enc in zip(subset, subset_encodings)])
+    raw = prior_logits + decode_logprob(params, example, subset, mus,
+                                        encoded=subset_encodings).data
     scaled = raw / temperature
     log_weights = scaled - log_sum_exp(scaled)
 

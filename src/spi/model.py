@@ -337,50 +337,117 @@ def latent_prior_log_density(mu: Tensor, z) -> Tensor:
 
 @dataclass
 class DecoderCursor:
-    """Incremental decoding state: attended slots, their projections, and the
-    recurrent state after the consumed prefix."""
+    """Incremental decoding state of one lane, or of k lanes in lockstep:
+    attended slots, their projections, the recurrent state after the
+    consumed prefix and, for k lanes, the lane each slot belongs to."""
 
-    slots: Tensor       # (L+1, hidden)
-    proj: Tensor        # (L+1, att)
-    state: Tensor       # (dec_hidden,)
+    slots: Tensor       # (N, hidden): the lanes' encoder states, then their latent slots
+    proj: Tensor        # (N, att)
+    state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
+    seg: np.ndarray | None = None  # (N,) lane of each slot; None for one lane
 
 
-def decoder_start(params: ModelParams, encoded: EncodedContext, z) -> DecoderCursor:
+def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[EncodedContext],
+                  z) -> DecoderCursor:
+    """Cursor before the first token: one encoding with ``z`` of shape
+    (latent,), or a sequence of k encodings with ``z`` of shape (k, latent)
+    for k lanes decoded in lockstep."""
     t = params.tensors
+    d = params.cfg.latent_dim
     zt = z if isinstance(z, Tensor) else Tensor(z)
-    if zt.shape != (params.cfg.latent_dim,):
-        raise ContractError(
-            f"latent has shape {zt.shape}, expected ({params.cfg.latent_dim},)")
+    lanes = [encoded] if isinstance(encoded, EncodedContext) else list(encoded)
+    if not lanes:
+        raise ContractError("decoder_start needs at least one encoding")
+    want = (d,) if isinstance(encoded, EncodedContext) else (len(lanes), d)
+    if zt.shape != want:
+        raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
-    slots = ad.concat([encoded.states, zrow], axis=0)
+    slots = ad.concat([enc.states for enc in lanes] + [zrow], axis=0)
     proj = ad.matmul(slots, t["att_enc"])
-    state = ad.tanh(ad.add(ad.matmul(encoded.pooled, t["dec_init_w"]), t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, state=state)
+    if isinstance(encoded, EncodedContext):
+        pooled, seg = encoded.pooled, None
+    else:
+        pooled = ad.stack_rows([enc.pooled for enc in lanes])
+        seg = np.concatenate([np.full(enc.states.shape[0], j) for j, enc in enumerate(lanes)]
+                             + [np.arange(len(lanes))])
+    state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
+    return DecoderCursor(slots=slots, proj=proj, state=state, seg=seg)
 
 
 def decoder_advance(params: ModelParams, cur: DecoderCursor, token: int) -> tuple[DecoderCursor, Tensor]:
-    """Consume one token; returns the new cursor and next-token logits (V,)."""
+    """Consume one token in every lane; returns the new cursor and the
+    next-token logits, (V,) for one lane or (k, V) for k."""
     t = params.tensors
     if not 0 <= token < params.cfg.vocab_size:
         raise ContractError(f"decoder input token {token} outside vocabulary")
     e = ad.gather_rows(t["embed"], int(token))
     q = ad.add(ad.matmul(cur.state, t["att_dec"]), t["att_b"])
+    if cur.seg is not None:
+        q = ad.gather_rows(q, cur.seg)  # each slot meets its own lane's query
     scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
-    weights = ad.softmax(scores)
+    if cur.seg is None:
+        weights = ad.softmax(scores)
+    else:
+        weights = ad.segment_softmax(scores, cur.seg, cur.state.shape[0])
     ctx = ad.matmul(weights, cur.slots)
-    pre = ad.add(ad.add(ad.matmul(e, t["dec_wx"]), ad.matmul(ctx, t["dec_wc"])),
+    # the context term comes first: the engine broadcasts only a second operand
+    pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
                  ad.add(ad.matmul(cur.state, t["dec_wh"]), t["dec_b"]))
     state = ad.tanh(pre)
     logits = ad.add(ad.add(ad.matmul(state, t["out_w"]), ad.matmul(ctx, t["out_c"])),
                     t["out_b"])
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=state), logits
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=state, seg=cur.seg), logits
 
 
-def decode_logprob(params: ModelParams, example: DialogueExample, s: int, z,
-                   encoded: EncodedContext | None = None) -> Tensor:
+def _lockstep_start(params: ModelParams, example: DialogueExample, indices: Sequence[int],
+                    z, encoded: Sequence[EncodedContext] | None) -> tuple[DecoderCursor, np.ndarray]:
+    """Cursor over the distinct (truncated candidate, latent) pairs of
+    ``indices``, and the lane of each index."""
+    cfg = params.cfg
+    indices = list(indices)
+    if not indices:
+        raise ContractError("a lockstep decode needs at least one candidate index")
+    m = len(example.candidates)
+    for s in indices:
+        if not _is_index(s) or not 0 <= s < m:
+            raise ContractError(f"candidate index {s!r} out of range")
+    zt = z if isinstance(z, Tensor) else Tensor(z)
+    if zt.shape != (len(indices), cfg.latent_dim):
+        raise ContractError(f"latents have shape {zt.shape}, expected "
+                            f"({len(indices)}, {cfg.latent_dim})")
+    encs = encode_context(params, example, indices) if encoded is None else list(encoded)
+    if len(encs) != len(indices):
+        raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
+    lanes: dict[tuple, int] = {}
+    firsts, lane_of = [], []
+    for pos, s in enumerate(indices):
+        key = (tuple(example.candidates[s][:cfg.max_candidate]), zt.data[pos].tobytes())
+        if key not in lanes:
+            lanes[key] = len(firsts)
+            firsts.append(pos)
+        lane_of.append(lanes[key])
+    if len(firsts) == 1:
+        cur = decoder_start(params, encs[firsts[0]], ad.gather_rows(zt, firsts[0]))
+    else:
+        cur = decoder_start(params, [encs[pos] for pos in firsts],
+                            ad.gather_rows(zt, np.asarray(firsts)))
+    return cur, np.asarray(lane_of)
+
+
+def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Sequence[int], z,
+                   encoded: EncodedContext | Sequence[EncodedContext] | None = None) -> Tensor:
     """Teacher-forced log-probability of the full response under candidate
-    ``s`` and latent ``z`` (scalar tensor). Tokens after the first
-    end-of-sequence token are padding and do not contribute."""
+    ``s`` and latent ``z``. Tokens after the first end-of-sequence token are
+    padding and do not contribute.
+
+    An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
+    of shape (k, latent) and ``encoded`` (if given) one encoding per index,
+    gives a (k,) tensor from one lockstep pass. Its lanes are the distinct
+    pairs of truncated candidate and latent row: a repeated pair shares its
+    first occurrence's lane, so the two tie exactly (a matrix product may
+    round equal rows differently), and its gradient in ``z`` reaches that
+    first row. A lone lane runs the one-candidate ops.
+    """
     cfg = params.cfg
     response = list(example.response)
     if EOS in response:
@@ -391,29 +458,27 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int, z,
         raise ContractError(
             f"response of length {len(response)} exceeds the cap {cfg.max_response}")
     _check_tokens(response, cfg.vocab_size, "response")
-    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-    cur = decoder_start(params, enc, z)
+    if _is_index(s):
+        enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
+        cur, lane_of = decoder_start(params, enc, z), None
+    else:
+        cur, lane_of = _lockstep_start(params, example, s, z, encoded)
     total: Tensor | None = None
     prev = BOS
     for target in response:
         cur, logits = decoder_advance(params, cur, prev)
-        logp = ad.gather_rows(ad.log(ad.softmax(logits)), int(target))
+        logp = ad.log(ad.softmax(logits))
+        if cur.seg is None:
+            logp = ad.gather_rows(logp, int(target))
+        else:
+            # the target's column; a one-hot product picks it exactly
+            onehot = np.zeros(cfg.vocab_size)
+            onehot[target] = 1.0
+            logp = ad.matmul(logp, Tensor(onehot))
         total = logp if total is None else ad.add(total, logp)
         prev = int(target)
-    return total
-
-
-def decode_step(params: ModelParams, example: DialogueExample, s: int, z,
-                prefix: Sequence[int], encoded: EncodedContext | None = None) -> Tensor:
-    """Next-token logits after teacher-forcing ``prefix`` (which starts with
-    the begin-of-sequence token)."""
-    if not prefix:
-        raise ContractError("decode_step needs a non-empty prefix")
-    if prefix[0] != BOS:
-        raise ContractError("decode_step prefix must start with the begin-of-sequence token")
-    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-    cur = decoder_start(params, enc, z)
-    logits: Tensor | None = None
-    for token in prefix:
-        cur, logits = decoder_advance(params, cur, int(token))
-    return logits
+    if lane_of is None:
+        return total
+    if cur.seg is None:
+        total = ad.stack_rows([total])
+    return ad.gather_rows(total, lane_of)

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gradcheck
+from .autodiff import Tensor, gradcheck, matmul
 from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
@@ -173,8 +173,9 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                     priors: Sequence[str] = ("uniform", "learnable")) -> CheckResult:
     """Finite-difference check of the full parameter gradient of the training
     objective (on a plain and a ragged-candidate example), the head
-    cross-entropy gradient, and the two latent-gradient terms driving the
-    Langevin drift."""
+    cross-entropy gradient, the two latent-gradient terms driving the
+    Langevin drift, and a lockstep decode of a ragged example's candidates
+    in ``att_v``."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -229,6 +230,24 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
             if not report.passed:
                 return CheckResult("gradients", False,
                                    f"{label} grad wrt z seed {seed}: {report}")
+        # its own stream, so the draws above stay as they were
+        lock_rng = derived_rng(9000 + seed, 3)
+        lockstep = _ragged_example(lock_rng, cfg,
+                                   hist_len=int(lock_rng.integers(1, cfg.max_history + 3)))
+        order = [int(i) for i in lock_rng.permutation(len(lockstep.candidates))]
+        # prior means, so the repeated candidate shares its lane
+        mus = np.stack([latent_prior_mean(params, lockstep, i).data for i in order])
+        coeffs = Tensor(lock_rng.normal(size=len(order)))
+
+        def lockstep_term(x: Tensor) -> Tensor:
+            return matmul(decode_logprob(_swap(params, "att_v", x), lockstep, order, mus),
+                          coeffs)
+
+        report = gradcheck(lockstep_term, params.tensors["att_v"].data, tol=tol, h=1e-4)
+        worst = max(worst, report.max_rel_error)
+        if not report.passed:
+            return CheckResult("gradients", False,
+                               f"lockstep decode grad wrt att_v seed {seed}: {report}")
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

@@ -28,6 +28,12 @@ class TestFrozenValues:
             grads = ad.backward(tape, y)
         np.testing.assert_allclose(grads["x"], [2.0, 4.0, 6.0], atol=1e-15)
 
+    def test_segment_softmax_of_zeros_is_uniform_per_segment(self):
+        out = ad.segment_softmax(ad.Tensor(np.zeros(5)), [1, 0, 1, 2, 1], 3)
+        np.testing.assert_allclose(out.data, [[0, 1, 0, 0, 0],
+                                              [1 / 3, 0, 1 / 3, 0, 1 / 3],
+                                              [0, 0, 0, 1, 0]], atol=1e-15)
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         x = ad.Tensor(rng.normal(size=(5, 9)) * 10.0)
@@ -116,6 +122,14 @@ class TestShapeAndNumericErrors:
         with pytest.raises(NumericError):
             ad.multiply(big, big)
 
+    def test_segment_softmax_needs_non_empty_segments(self):
+        with pytest.raises(ShapeError):
+            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 0, 2], 3)
+        with pytest.raises(ShapeError):
+            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 1, 3], 3)
+        with pytest.raises(ShapeError):
+            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 1], 2)
+
     def test_gather_index_out_of_range(self):
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor(np.ones((3, 2))), [0, 3])
@@ -126,7 +140,9 @@ def _primitive_cases():
     w2 = ad.Tensor(rng.normal(size=(4, 3)))
     wv = ad.Tensor(rng.normal(size=4))
     w5 = ad.Tensor(rng.normal(size=5))
+    w6 = ad.Tensor(rng.normal(size=(6, 3)))
     idx = [0, 2, 2]
+    seg = [0, 1, 1, 0, 2, 1]  # segment 2 holds one entry
     return {
         "matmul-22": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
@@ -137,6 +153,8 @@ def _primitive_cases():
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
         "tanh": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(x))),
         "softmax": ((5,), lambda x: ad.reduce_sum(ad.multiply(ad.softmax(x), w5))),
+        "segment-softmax": ((6,), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(ad.segment_softmax(x, seg, 3), w6)))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "sum-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_sum(x, axis=0), wv)),
         "mean": ((3, 4), lambda x: ad.reduce_mean(x)),

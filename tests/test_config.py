@@ -95,6 +95,25 @@ class TestSerialization:
         with pytest.raises(ContractError, match="n_layers"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, field", [
+        ({"model": 5}, "model"),
+        ({"model": {"vocab_size": 64}, "top_s": "a"}, "top_s"),
+        ({"model": {"vocab_size": "x"}}, "model.vocab_size"),
+        ({"model": {"vocab_size": 64, "hidden_dim": 8.0}}, "model.hidden_dim"),
+        ({"model": {"vocab_size": True}}, "model.vocab_size"),
+        ({"model": {"vocab_size": 64}, "epochs": 2.5}, "epochs"),
+        ({"model": {"vocab_size": 64}, "step_size": False}, "step_size"),
+        ({"model": {"vocab_size": 64}, "langevin_noise": 1}, "langevin_noise"),
+        ({"model": {"vocab_size": 64}, "prior": 0}, "prior"),
+    ])
+    def test_mistyped_field_is_a_contract_error_naming_it(self, data, field):
+        with pytest.raises(ContractError, match=rf"config field {field} must be"):
+            config_from_dict(data)
+
+    def test_integer_accepted_for_a_number_field(self):
+        cfg = config_from_dict({"model": {"vocab_size": 64}, "temperature": 2})
+        assert cfg.temperature == 2
+
     def test_invalid_values_rejected_on_load(self):
         data = make_config().to_dict()
         data["prior"] = "flat"
@@ -116,6 +135,12 @@ class TestOverrides:
     def test_invalid_override_rejected(self):
         with pytest.raises(ContractError):
             with_overrides(make_config(), top_s=0)
+
+    @pytest.mark.parametrize("field, value", [("top_s", "3"), ("hidden_dim", 8.5),
+                                              ("langevin_noise", 0)])
+    def test_mistyped_override_names_the_field(self, field, value):
+        with pytest.raises(ContractError, match=rf"config field (model\.)?{field} must be"):
+            with_overrides(make_config(), **{field: value})
 
 
 class TestDerivedRng:

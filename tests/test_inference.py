@@ -62,8 +62,8 @@ class TestSelection:
         ex = make_example(cands=((6, 7), (7, 6)))
         gap = math.log(3.0)
 
-        def fixed_loglik(params, example, s, z, encoded=None):
-            return Tensor(0.0 if s == 0 else -gap)
+        def fixed_loglik(params, example, indices, z, encoded=None):
+            return Tensor([0.0 if s == 0 else -gap for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", fixed_loglik)
         out = select_knowledge(p, ex, prior="uniform")
@@ -76,7 +76,8 @@ class TestSelection:
         base = {0: -1.3, 1: -0.2, 2: -2.9}
 
         def loglik_at(shift):
-            return lambda params, example, s, z, encoded=None: Tensor(base[s] + shift)
+            return lambda params, example, indices, z, encoded=None: \
+                Tensor([base[s] + shift for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", loglik_at(0.0))
         plain = select_knowledge(p, ex, prior="uniform")
@@ -96,8 +97,8 @@ class TestSelection:
         p = ModelParams.init(tiny_cfg(), seed=3)
         ex = make_example(cands=((6, 7), (7, 6)))
 
-        def flat_loglik(params, example, s, z, encoded=None):
-            return Tensor(-1.0)
+        def flat_loglik(params, example, indices, z, encoded=None):
+            return Tensor(np.full(len(indices), -1.0))
 
         def tilted_logits(params, example, *, prior, encodings=None):
             return Tensor(np.array([0.0, 2.0]))
@@ -127,8 +128,8 @@ class TestSelection:
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6)))
 
-        def fixed_loglik(params, example, s, z, encoded=None):
-            return Tensor(0.0 if s == 0 else -2.0)
+        def fixed_loglik(params, example, indices, z, encoded=None):
+            return Tensor([0.0 if s == 0 else -2.0 for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", fixed_loglik)
         sharp = select_knowledge(p, ex, prior="uniform", temperature=1.0)

@@ -10,7 +10,7 @@ from spi import autodiff as ad
 from spi.config import ModelConfig
 from spi.errors import ContractError
 from spi.model import (BOS, EOS, PAD, SEP, DialogueExample, ModelParams, Vocab,
-                       decode_logprob, decode_step, decoder_advance,
+                       decode_logprob, decoder_advance,
                        decoder_start, encode_context, initializer_scores,
                        knowledge_prior_logits, latent_prior_log_density,
                        latent_prior_mean, param_shapes)
@@ -292,13 +292,14 @@ class TestDecoder:
         ex = make_example(resp=(6, 4, 7, EOS))
         rng = np.random.default_rng(1)
         z = rng.normal(size=cfg.latent_dim)
+        cur = decoder_start(p, encode_context(p, ex, [0])[0], z)
         total = 0.0
-        prefix = [BOS]
+        prev = BOS
         for target in ex.response:
-            logits = decode_step(p, ex, 0, z, prefix).data
-            logits = logits - logits.max()
+            cur, logits = decoder_advance(p, cur, prev)
+            logits = logits.data - logits.data.max()
             total += float(logits[target] - np.log(np.exp(logits).sum()))
-            prefix.append(target)
+            prev = target
         lp = float(decode_logprob(p, ex, 0, z).data)
         assert abs(total - lp) <= 1e-10
 
@@ -354,25 +355,6 @@ class TestDecoder:
         ex = make_example(resp=(4, 5, EOS, PAD, PAD, PAD, PAD))
         lp = decode_logprob(p, ex, 0, np.zeros(cfg.latent_dim))
         assert np.isfinite(lp.data)
-
-    def test_decode_step_needs_bos_prefix(self):
-        cfg = tiny_cfg()
-        p = random_params(cfg)
-        with pytest.raises(ContractError):
-            decode_step(p, make_example(), 0, np.zeros(cfg.latent_dim), [4])
-        with pytest.raises(ContractError):
-            decode_step(p, make_example(), 0, np.zeros(cfg.latent_dim), [])
-
-    def test_cursor_advance_matches_step(self):
-        cfg = tiny_cfg()
-        p = random_params(cfg, seed=11)
-        ex = make_example()
-        z = np.zeros(cfg.latent_dim)
-        enc = encode_context(p, ex, [0])[0]
-        cur = decoder_start(p, enc, z)
-        cur, logits = decoder_advance(p, cur, BOS)
-        via_step = decode_step(p, ex, 0, z, [BOS])
-        np.testing.assert_allclose(logits.data, via_step.data, atol=1e-15)
 
     def test_decoder_token_out_of_vocab(self):
         cfg = tiny_cfg()
