@@ -6,13 +6,17 @@ and returns gradients for named trainable leaves. Only the primitives the
 dialogue model needs are implemented, each with explicit shape checks.
 Arithmetic is always float64.
 
+Gradients are formed only where asked: a tensor needs a gradient when it is
+a trainable leaf or a recorded node with such an input. A node whose inputs
+all are constants is not recorded, and an adjoint is told which of its
+inputs need a gradient, so it can skip the rest.
+
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
 checkers notice.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,13 +24,11 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
-_LOCAL = threading.local()
-
 
 class Tensor:
     """Dense real tensor; leaves may be named and marked trainable."""
 
-    __slots__ = ("data", "name", "trainable")
+    __slots__ = ("data", "name", "trainable", "requires_grad")
 
     def __init__(self, data, name: str | None = None, trainable: bool = False,
                  _validate: bool = True):
@@ -36,6 +38,7 @@ class Tensor:
         self.data = arr
         self.name = name
         self.trainable = trainable
+        self.requires_grad = trainable
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -51,43 +54,41 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications for one backward pass.
+    """Ordered record of the primitive applications that need a gradient,
+    for one backward pass.
 
-    Used as a context manager; entering pushes it onto a thread-local stack
-    so tapes never interleave across threads.
+    Used as a context manager; entering pushes it onto the stack of open
+    tapes, and the innermost one records.
     """
 
     __slots__ = ("_nodes", "_out_ids")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # (output, inputs, which inputs need a gradient, adjoint)
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], list[bool], Callable]] = []
         self._out_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_LOCAL, "stack", None)
-        if stack is None:
-            stack = _LOCAL.stack = []
-        stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _LOCAL.stack.pop()
+        _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def clear(self) -> None:
-        self._nodes.clear()
-        self._out_ids.clear()
-
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._nodes.append((out, inputs, vjp))
+    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], needs: list[bool],
+                vjp: Callable) -> None:
+        self._nodes.append((out, inputs, needs, vjp))
         self._out_ids.add(id(out))
 
 
+_TAPES: list[Tape] = []
+
+
 def active_tape() -> Tape | None:
-    stack = getattr(_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable,
@@ -95,9 +96,11 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable,
     if check and not np.isfinite(out_data).all():
         raise NumericError(f"{op} produced a non-finite value")
     out = Tensor(out_data, _validate=False)
-    tape = active_tape()
-    if tape is not None:
-        tape._record(out, inputs, vjp)
+    if _TAPES:
+        needs = [t.requires_grad for t in inputs]
+        if True in needs:
+            out.requires_grad = True
+            _TAPES[-1]._record(out, inputs, needs, vjp)
     return out
 
 
@@ -106,23 +109,27 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
 
     Covers every named trainable leaf consumed on the tape; leaves the root
     does not depend on get zero gradients. Returned arrays must be treated
-    as read-only.
+    as read-only. A root that needs no gradient depends on no trainable
+    leaf at all, which is a caller's error (say, constant weights where
+    trainable ones were meant), so it raises like a foreign root.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        raise ContractError("backward root needs no gradient: it depends on no trainable leaf")
     if id(root) not in tape._out_ids and not root.trainable:
         raise ContractError("backward root was not produced on this tape")
     adjoints: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     leaves: dict[str, Tensor] = {}
     if root.trainable and root.name is not None:
         leaves[root.name] = root
-    for out, inputs, vjp in reversed(tape._nodes):
+    for out, inputs, needs, vjp in reversed(tape._nodes):
         grad_out = adjoints.pop(id(out), None)
         if grad_out is None:
             continue
-        grads_in = vjp(grad_out)
-        for tensor, grad in zip(inputs, grads_in):
-            if grad is None:
+        grads_in = vjp(grad_out, needs)
+        for tensor, need, grad in zip(inputs, needs, grads_in):
+            if not need:
                 continue
             key = id(tensor)
             held = adjoints.get(key)
@@ -144,14 +151,21 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
 # primitives
 
 
-def _matmul_vjp(g, ad, bd):
+def _matmul_vjp(g, ad, bd, needs):
+    need_a, need_b = needs
     if ad.ndim == 2 and bd.ndim == 2:
-        return g @ bd.T, ad.T @ g
-    if ad.ndim == 2 and bd.ndim == 1:
-        return np.outer(g, bd), ad.T @ g
-    if ad.ndim == 1 and bd.ndim == 2:
-        return bd @ g, np.outer(ad, g)
-    return g * bd, g * ad
+        ga = g @ bd.T if need_a else None
+        gb = ad.T @ g if need_b else None
+    elif ad.ndim == 2:
+        ga = np.outer(g, bd) if need_a else None
+        gb = ad.T @ g if need_b else None
+    elif bd.ndim == 2:
+        ga = bd @ g if need_a else None
+        gb = np.outer(ad, g) if need_b else None
+    else:
+        ga = g * bd if need_a else None
+        gb = g * ad if need_b else None
+    return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -162,8 +176,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
     out = ad @ bd
 
-    def vjp(g, ad=ad, bd=bd):
-        return _matmul_vjp(g, ad, bd)
+    def vjp(g, needs, ad=ad, bd=bd):
+        return _matmul_vjp(g, ad, bd, needs)
 
     return _emit(out, (a, b), vjp, check=True, op="matmul")
 
@@ -172,28 +186,31 @@ def _add_same_vjp(g):
     return g, g
 
 
-def _add_bias_vjp(g):
-    return g, g.sum(axis=0)
+def _add_bias_vjp(g, needs):
+    return g, (g.sum(axis=0) if needs[1] else None)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.shape == bd.shape:
-        vjp = lambda g: _add_same_vjp(g)
+        vjp = lambda g, needs: _add_same_vjp(g)
     elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
         # row-wise bias: the only broadcast this engine supports
-        vjp = lambda g: _add_bias_vjp(g)
+        vjp = lambda g, needs: _add_bias_vjp(g, needs)
     else:
         raise ShapeError(f"add cannot combine shapes {ad.shape} and {bd.shape}")
     return _emit(ad + bd, (a, b), vjp, check=True, op="add")
 
 
-def _mul_vjp(g, ad, bd):
-    if ad.shape == bd.shape:
-        return g * bd, g * ad
-    if ad.shape == ():
-        return (g * bd).sum(), g * ad
-    return g * bd, (g * ad).sum()
+def _mul_vjp(g, ad, bd, needs):
+    ga = g * bd if needs[0] else None
+    gb = g * ad if needs[1] else None
+    # a scalar operand sums the adjoints of the entries it was broadcast to
+    if ga is not None and ad.shape == () and bd.shape != ():
+        ga = ga.sum()
+    if gb is not None and bd.shape == () and ad.shape != ():
+        gb = gb.sum()
+    return ga, gb
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -202,8 +219,8 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"multiply needs equal shapes or a scalar, got {ad.shape} * {bd.shape}")
     out = ad * bd
 
-    def vjp(g, ad=ad, bd=bd):
-        return _mul_vjp(g, ad, bd)
+    def vjp(g, needs, ad=ad, bd=bd):
+        return _mul_vjp(g, ad, bd, needs)
 
     return _emit(out, (a, b), vjp, check=True, op="multiply")
 
@@ -215,7 +232,7 @@ def _tanh_vjp(g, y):
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
-    def vjp(g, y=y):
+    def vjp(g, needs, y=y):
         return _tanh_vjp(g, y)
 
     return _emit(y, (x,), vjp, check=False, op="tanh")
@@ -235,7 +252,7 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g, y=y):
+    def vjp(g, needs, y=y):
         return _softmax_vjp(g, y)
 
     return _emit(y, (x,), vjp, check=False, op="softmax")
@@ -270,7 +287,7 @@ def segment_softmax(x: Tensor, seg, k: int) -> Tensor:
     e = np.exp(masked - masked.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
 
-    def vjp(g, y=y):
+    def vjp(g, needs, y=y):
         return _segment_softmax_vjp(g, y)
 
     return _emit(y, (x,), vjp, check=False, op="segment-softmax")
@@ -284,7 +301,7 @@ def log(x: Tensor) -> Tensor:
     xd = x.data
     out = np.log(xd) if (xd > 0.0).all() else np.full(xd.shape, np.nan)
 
-    def vjp(g, xd=xd):
+    def vjp(g, needs, xd=xd):
         return _log_vjp(g, xd)
 
     return _emit(out, (x,), vjp, check=True, op="log")
@@ -305,7 +322,7 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     out = xd.sum(axis=axis)
     shape = xd.shape
 
-    def vjp(g, shape=shape, axis=axis):
+    def vjp(g, needs, shape=shape, axis=axis):
         return _reduce_sum_vjp(g, shape, axis)
 
     return _emit(out, (x,), vjp, check=True, op="sum")
@@ -329,7 +346,7 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     out = xd.mean(axis=axis)
     shape = xd.shape
 
-    def vjp(g, shape=shape, axis=axis, n=n):
+    def vjp(g, needs, shape=shape, axis=axis, n=n):
         return _reduce_mean_vjp(g, shape, axis, n)
 
     return _emit(out, (x,), vjp, check=True, op="mean")
@@ -366,7 +383,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         out = xd[arr]
     shape = xd.shape
 
-    def vjp(g, shape=shape, key=key):
+    def vjp(g, needs, shape=shape, key=key):
         return _gather_vjp(g, shape, key)
 
     return _emit(out, (x,), vjp, check=False, op="gather-rows")
@@ -411,7 +428,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ContractError(f"concat supports axis 0 or the last axis, got {axis}")
     shapes = [d.shape for d in datas]
 
-    def vjp(g, shapes=tuple(shapes), axis=axis):
+    def vjp(g, needs, shapes=tuple(shapes), axis=axis):
         return _concat_vjp(g, shapes, axis)
 
     return _emit(out, tuple(parts), vjp, check=False, op="concat")
@@ -431,7 +448,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     out = np.stack(datas, axis=0)
     n = len(datas)
 
-    def vjp(g, n=n):
+    def vjp(g, needs, n=n):
         return _stack_vjp(g, n)
 
     return _emit(out, tuple(parts), vjp, check=False, op="stack-rows")
@@ -445,7 +462,7 @@ def squared_l2(x: Tensor) -> Tensor:
     xd = x.data
     out = np.asarray((xd * xd).sum())
 
-    def vjp(g, xd=xd):
+    def vjp(g, needs, xd=xd):
         return _squared_l2_vjp(g, xd)
 
     return _emit(out, (x,), vjp, check=True, op="squared-l2")
@@ -492,10 +509,11 @@ class GradCheckReport:
 
 
 def gradcheck(fn: Callable[[Tensor], Tensor], point: np.ndarray,
-              h: float = 1e-5, tol: float = 1e-4,
-              floor: float = 1e-6) -> GradCheckReport:
-    """Compare the taped gradient of ``fn`` at ``point`` against central
-    finite differences, coordinate by coordinate.
+              h: float = 1e-5, tol: float = 1e-4, floor: float = 1e-6,
+              analytic: np.ndarray | None = None) -> GradCheckReport:
+    """Compare the gradient of ``fn`` at ``point`` against central finite
+    differences, coordinate by coordinate. The gradient is ``fn``'s taped
+    one unless ``analytic`` gives one computed elsewhere.
 
     The per-coordinate relative error divides by max(|analytic|, |numeric|,
     floor). The floor bounds the scale below which double-precision central
@@ -504,12 +522,17 @@ def gradcheck(fn: Callable[[Tensor], Tensor], point: np.ndarray,
     produces a relative error near 1.
     """
     point = np.asarray(point, dtype=np.float64)
-    with Tape() as tape:
-        out = fn(Tensor(point, name="x", trainable=True))
-        if out.size != 1:
-            raise ContractError("gradcheck target must return a scalar")
-        # a function independent of x has gradient zero everywhere
-        analytic = backward(tape, out).get("x", np.zeros_like(point))
+    if analytic is None:
+        with Tape() as tape:
+            out = fn(Tensor(point, name="x", trainable=True))
+            if out.size != 1:
+                raise ContractError("gradcheck target must return a scalar")
+            # a function independent of x has gradient zero everywhere
+            analytic = (backward(tape, out).get("x", np.zeros_like(point))
+                        if out.requires_grad else np.zeros_like(point))
+    elif np.shape(analytic) != point.shape:
+        raise ContractError(f"gradient of shape {np.shape(analytic)} for a point of "
+                            f"shape {point.shape}")
 
     def value_at(p: np.ndarray) -> float:
         return float(fn(Tensor(p)).data)

@@ -17,7 +17,7 @@ from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
                     decoder_advance, decoder_start, encode_context,
                     initializer_scores, knowledge_prior_logits,
-                    latent_prior_mean)
+                    latent_prior_mean, output_logits)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -64,7 +64,8 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
     logprobs: list[float] = []
     prev = BOS
     while len(tokens) < max_len:
-        cursor, logits = decoder_advance(params, cursor, prev)
+        cursor = decoder_advance(params, cursor, prev)
+        logits = output_logits(params, cursor.state, cursor.ctx)
         logp = _log_softmax(logits.data)
         tok = int(np.argmax(logits.data))
         if len(tokens) == max_len - 1 and tok != EOS:

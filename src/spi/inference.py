@@ -184,7 +184,9 @@ def decoder_grad_z(params: ModelParams, example: DialogueExample, s: int,
     """Gradient of the teacher-forced response log-likelihood in z.
 
     The context encoding is treated as fixed, so the tape only spans the
-    decoder.
+    decoder. Under ``params.constant()`` the tape holds only the nodes that
+    depend on z, and the backward forms no weight gradient; the z-gradient
+    is the same either way.
     """
     enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     with Tape() as tape:
@@ -198,12 +200,16 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample, s: int, *,
                      rng: np.random.Generator | None = None, noise: bool = True,
                      grad_clamp: float = 100.0, z0: np.ndarray | None = None,
                      encoded: EncodedContext | None = None) -> LangevinTrace:
-    """Run the short Langevin chain for candidate ``s`` of one example."""
+    """Run the short Langevin chain for candidate ``s`` of one example.
+
+    The chain asks only for z-gradients, so it runs against a constant view
+    of the weights, made for this chain alone."""
     enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     mu = latent_prior_mean(params, example, s, encoded=enc).data
+    weights = params.constant()
 
     def grad_loglik(z: np.ndarray) -> np.ndarray:
-        return decoder_grad_z(params, example, s, z, encoded=enc)
+        return decoder_grad_z(weights, example, s, z, encoded=enc)
 
     return langevin_chain(mu, grad_loglik, steps=steps, step_size=step_size,
                           rng=rng, noise=noise, grad_clamp=grad_clamp, z0=z0)

@@ -174,6 +174,13 @@ class ModelParams:
             name: Tensor(t.data.copy(), name=name, trainable=True)
             for name, t in self.tensors.items()})
 
+    def constant(self) -> "ModelParams":
+        """The same arrays as constants: a tape records only the nodes that
+        depend on some other input, and forms no weight gradient."""
+        return ModelParams(self.cfg, {
+            name: Tensor(t.data, name=name, _validate=False)
+            for name, t in self.tensors.items()})
+
     def head_names(self, head: str) -> tuple[str, ...]:
         if head == "initializer":
             return INITIALIZER_HEAD
@@ -339,12 +346,14 @@ def latent_prior_log_density(mu: Tensor, z) -> Tensor:
 class DecoderCursor:
     """Incremental decoding state of one lane, or of k lanes in lockstep:
     attended slots, their projections, the recurrent state after the
-    consumed prefix and, for k lanes, the lane each slot belongs to."""
+    consumed prefix, the attention context of its last step and, for k
+    lanes, the lane each slot belongs to."""
 
     slots: Tensor       # (N, hidden): the lanes' encoder states, then their latent slots
     proj: Tensor        # (N, att)
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
     seg: np.ndarray | None = None  # (N,) lane of each slot; None for one lane
+    ctx: Tensor | None = None      # (hidden,) or (k, hidden); None before the first token
 
 
 def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[EncodedContext],
@@ -374,9 +383,10 @@ def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[Encode
     return DecoderCursor(slots=slots, proj=proj, state=state, seg=seg)
 
 
-def decoder_advance(params: ModelParams, cur: DecoderCursor, token: int) -> tuple[DecoderCursor, Tensor]:
-    """Consume one token in every lane; returns the new cursor and the
-    next-token logits, (V,) for one lane or (k, V) for k."""
+def decoder_advance(params: ModelParams, cur: DecoderCursor, token: int) -> DecoderCursor:
+    """Consume one token in every lane: the attention and recurrent step.
+    ``output_logits`` of the new cursor's state and context gives the
+    next-token logits."""
     t = params.tensors
     if not 0 <= token < params.cfg.vocab_size:
         raise ContractError(f"decoder input token {token} outside vocabulary")
@@ -393,10 +403,16 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, token: int) -> tupl
     # the context term comes first: the engine broadcasts only a second operand
     pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
                  ad.add(ad.matmul(cur.state, t["dec_wh"]), t["dec_b"]))
-    state = ad.tanh(pre)
-    logits = ad.add(ad.add(ad.matmul(state, t["out_w"]), ad.matmul(ctx, t["out_c"])),
-                    t["out_b"])
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=state, seg=cur.seg), logits
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre), seg=cur.seg,
+                         ctx=ctx)
+
+
+def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
+    """The output head: next-token logits of decoder states and their
+    attention contexts, (V,) for one row or (n, V) for n rows."""
+    t = params.tensors
+    return ad.add(ad.add(ad.matmul(state, t["out_w"]), ad.matmul(ctx, t["out_c"])),
+                  t["out_b"])
 
 
 def _lockstep_start(params: ModelParams, example: DialogueExample, indices: Sequence[int],
@@ -447,6 +463,12 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Seque
     first occurrence's lane, so the two tie exactly (a matrix product may
     round equal rows differently), and its gradient in ``z`` reaches that
     first row. A lone lane runs the one-candidate ops.
+
+    The recurrence steps token by token; the output head then runs once
+    over every step's rows. Each token's log-probability is taken as
+    (x_t - x_top) + log softmax(x)_top, where x_top is its row's largest
+    logit: the softmax there is at least 1/V, so the log stays finite
+    however confident the model is.
     """
     cfg = params.cfg
     response = list(example.response)
@@ -463,22 +485,25 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Seque
         cur, lane_of = decoder_start(params, enc, z), None
     else:
         cur, lane_of = _lockstep_start(params, example, s, z, encoded)
-    total: Tensor | None = None
+    states, ctxs = [], []
     prev = BOS
     for target in response:
-        cur, logits = decoder_advance(params, cur, prev)
-        logp = ad.log(ad.softmax(logits))
-        if cur.seg is None:
-            logp = ad.gather_rows(logp, int(target))
-        else:
-            # the target's column; a one-hot product picks it exactly
-            onehot = np.zeros(cfg.vocab_size)
-            onehot[target] = 1.0
-            logp = ad.matmul(logp, Tensor(onehot))
-        total = logp if total is None else ad.add(total, logp)
+        cur = decoder_advance(params, cur, prev)
+        states.append(cur.state)
+        ctxs.append(cur.ctx)
         prev = int(target)
-    if lane_of is None:
-        return total
-    if cur.seg is None:
-        total = ad.stack_rows([total])
-    return ad.gather_rows(total, lane_of)
+    # row t*k + j holds step t of lane j
+    k = 1 if cur.seg is None else cur.state.shape[0]
+    logits = output_logits(params, ad.concat(states, axis=0), ad.concat(ctxs, axis=0))
+    rows = np.arange(len(response) * k)
+    top = np.zeros(logits.shape)
+    top[rows, logits.data.argmax(axis=1)] = 1.0
+    pick = np.zeros(logits.shape)
+    pick[rows, np.repeat(response, k)] = 1.0
+    # one-hot and 0/1 products pick entries and sum each lane's rows exactly
+    ones = Tensor(np.ones(cfg.vocab_size))
+    gap = ad.matmul(ad.multiply(logits, Tensor(pick - top)), ones)
+    log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
+    lanes = Tensor((rows % k == np.arange(k)[:, None]).astype(np.float64))
+    total = ad.matmul(lanes, ad.add(gap, log_top))
+    return ad.gather_rows(total, 0 if lane_of is None else lane_of)

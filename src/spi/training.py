@@ -110,23 +110,24 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
                  labels: list[np.ndarray], head: str,
                  encodings_batch=None) -> Tensor:
     """Batch-mean binary cross-entropy of one selection head against
-    multi-hot labels. The candidate encodings enter as constants, so the
-    gradient touches only the head."""
+    multi-hot labels. The candidate encodings enter as constants (made off
+    the tape or, when not given, under constant weights), so the gradient
+    touches only the head."""
     if not batch:
         raise ContractError("cross-entropy needs a non-empty batch")
     if len(labels) != len(batch):
         raise ContractError("labels must align with the batch")
     w_name, b_name = params.head_names(head)
+    encoder = params.constant() if encodings_batch is None else None
     loss: Tensor | None = None
     for i, example in enumerate(batch):
         y = labels[i]
         if len(y) != len(example.candidates):
             raise ContractError("label vector length must match the candidate count")
         encs = (encodings_batch[i] if encodings_batch is not None
-                else encode_context(params, example))
+                else encode_context(encoder, example))
         for j in range(len(example.candidates)):
-            pooled = Tensor(encs[j].pooled.data)  # constant copy
-            logit = ad.add(ad.matmul(pooled, params.tensors[w_name]),
+            logit = ad.add(ad.matmul(encs[j].pooled, params.tensors[w_name]),
                            params.tensors[b_name])
             _, log_sig, log_one_minus = _sigmoid_and_logs(logit)
             term = log_sig if y[j] == 1.0 else log_one_minus

@@ -15,7 +15,8 @@ from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
 from .errors import ContractError
-from .inference import langevin_chain, select_knowledge, sequential_posterior_infer
+from .inference import (decoder_grad_z, langevin_chain, select_knowledge,
+                        sequential_posterior_infer)
 from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob,
                     latent_prior_log_density, latent_prior_mean)
 from .training import head_ce_loss, multi_hot_labels, surrogate_objective, train
@@ -38,6 +39,11 @@ class CheckResult:
 def _np_softmax(v: np.ndarray) -> np.ndarray:
     e = np.exp(v - np.max(v))
     return e / e.sum()
+
+
+def _np_logsumexp(v: np.ndarray) -> float:
+    m = np.max(v)
+    return float(m + np.log(np.exp(v - m).sum()))
 
 
 def naive_response_logprob(params: ModelParams, example: DialogueExample,
@@ -68,7 +74,7 @@ def naive_response_logprob(params: ModelParams, example: DialogueExample,
         state = np.tanh(w["embed"][prev] @ w["dec_wx"] + ctx @ w["dec_wc"]
                         + state @ w["dec_wh"] + w["dec_b"])
         logits = state @ w["out_w"] + ctx @ w["out_c"] + w["out_b"]
-        total += float(np.log(_np_softmax(logits))[target])
+        total += float(logits[target] - _np_logsumexp(logits))
         prev = int(target)
     return total
 
@@ -174,8 +180,9 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
     """Finite-difference check of the full parameter gradient of the training
     objective (on a plain and a ragged-candidate example), the head
     cross-entropy gradient, the two latent-gradient terms driving the
-    Langevin drift, and a lockstep decode of a ragged example's candidates
-    in ``att_v``."""
+    Langevin drift, a lockstep decode of a ragged example's candidates in
+    ``att_v``, and ``decoder_grad_z`` through the constant weights the
+    Langevin chain runs on."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -248,6 +255,20 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         if not report.passed:
             return CheckResult("gradients", False,
                                f"lockstep decode grad wrt att_v seed {seed}: {report}")
+        # the chain's own path, from its own stream as well
+        chain_rng = derived_rng(9000 + seed, 4)
+        chained = _ragged_example(chain_rng, cfg,
+                                  hist_len=int(chain_rng.integers(1, cfg.max_history + 3)))
+        pick = int(chain_rng.integers(len(chained.candidates)))
+        z0 = chain_rng.normal(size=cfg.latent_dim)
+        weights = params.constant()
+        report = gradcheck(lambda x: decode_logprob(weights, chained, pick, x), z0,
+                           tol=tol, h=1e-4,
+                           analytic=decoder_grad_z(weights, chained, pick, z0))
+        worst = max(worst, report.max_rel_error)
+        if not report.passed:
+            return CheckResult("gradients", False,
+                               f"decoder_grad_z under constant weights seed {seed}: {report}")
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

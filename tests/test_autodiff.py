@@ -42,13 +42,61 @@ class TestFrozenValues:
 
 
 class TestTape:
-    def test_cleared_tape_holds_zero_nodes(self):
+    def test_tape_records_the_nodes_that_need_a_gradient(self):
         with ad.Tape() as tape:
-            x = ad.Tensor([1.0, 2.0])
-            ad.reduce_sum(ad.tanh(x))
+            x = ad.Tensor([1.0, 2.0], name="x", trainable=True)
+            y = ad.reduce_sum(ad.tanh(x))
         assert len(tape) == 2
-        tape.clear()
-        assert len(tape) == 0
+        assert y.requires_grad
+
+    def test_constant_only_nodes_are_not_recorded(self):
+        with ad.Tape() as tape:
+            w = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+            hidden = ad.tanh(ad.matmul(ad.gather_rows(w, [1, 0]), ad.Tensor([0.5, -0.5])))
+            assert len(tape) == 0 and not hidden.requires_grad
+            x = ad.Tensor([1.0, 2.0], name="x", trainable=True)
+            y = ad.squared_l2(ad.add(hidden, x))
+        # the add meets a needing input, and so does everything after it
+        assert len(tape) == 2
+        assert y.requires_grad and not hidden.requires_grad
+
+    def test_adjoints_are_never_asked_for_a_constant_input(self, monkeypatch):
+        asked = []
+        matmul_vjp, gather_vjp = ad._matmul_vjp, ad._gather_vjp
+
+        def spy_matmul(g, a, b, needs):
+            asked.append(("matmul", tuple(needs)))
+            out = matmul_vjp(g, a, b, needs)
+            assert [grad is not None for grad in out] == list(needs)
+            return out
+
+        def spy_gather(g, shape, idx):
+            asked.append(("gather", shape))
+            return gather_vjp(g, shape, idx)
+
+        monkeypatch.setattr(ad, "_matmul_vjp", spy_matmul)
+        monkeypatch.setattr(ad, "_gather_vjp", spy_gather)
+        rng = np.random.default_rng(4)
+        embed = ad.Tensor(rng.normal(size=(5, 3)))        # constant table
+        w = ad.Tensor(rng.normal(size=(3, 3)))            # constant weight
+        z = ad.Tensor(rng.normal(size=3), name="z", trainable=True)
+        with ad.Tape() as tape:
+            rows = ad.gather_rows(embed, [4, 1])
+            h = ad.tanh(ad.add(ad.matmul(rows, w), z))   # z enters as a row-wise bias
+            y = ad.squared_l2(ad.matmul(h, w))
+            grads = ad.backward(tape, y)
+        # the constant lookup and its product were never recorded; the one
+        # matmul on the tape is asked for its left operand alone
+        assert asked == [("matmul", (True, False))]
+        assert set(grads) == {"z"}
+
+    def test_backward_from_a_root_that_needs_no_gradient_is_an_error(self):
+        with ad.Tape() as tape:
+            ad.Tensor([1.0], name="unused", trainable=True)
+            root = ad.squared_l2(ad.Tensor([3.0, 4.0]))
+        assert not root.requires_grad
+        with pytest.raises(ContractError, match="needs no gradient"):
+            ad.backward(tape, root)
 
     def test_ops_outside_tape_do_not_record(self):
         out = ad.tanh(ad.Tensor([0.5]))
@@ -64,12 +112,13 @@ class TestTape:
 
     def test_backward_rejects_foreign_root(self):
         with ad.Tape():
-            stray = ad.tanh(ad.Tensor([1.0]))
+            w = ad.Tensor([1.0], name="w", trainable=True)
+            stray = ad.reduce_sum(ad.tanh(w))
         with ad.Tape() as tape:
             x = ad.Tensor([1.0], name="x", trainable=True)
             ad.reduce_sum(ad.multiply(x, x))
-        with pytest.raises(ContractError):
-            ad.backward(tape, ad.reduce_sum(stray))
+        with pytest.raises(ContractError, match="not produced on this tape"):
+            ad.backward(tape, stray)
 
     def test_untouched_leaf_gets_zero_gradient(self):
         with ad.Tape() as tape:
@@ -207,6 +256,22 @@ def test_gradcheck_flags_injected_wrong_adjoint(monkeypatch):
     assert not report.passed
     assert report.bad_coords
     assert "coordinate" in str(report)
+
+
+def test_gradcheck_of_a_function_independent_of_x_gives_zeros():
+    const = ad.Tensor([0.3, -1.2])
+    report = ad.gradcheck(lambda x: ad.squared_l2(ad.tanh(const)), np.array([0.7, 2.0]))
+    assert report.passed
+    assert report.max_rel_error == 0.0
+
+
+def test_gradcheck_takes_a_gradient_computed_elsewhere():
+    point = np.array([0.7, -1.2])
+    fn = lambda x: ad.squared_l2(x)
+    assert ad.gradcheck(fn, point, analytic=2.0 * point).passed
+    assert not ad.gradcheck(fn, point, analytic=point).passed
+    with pytest.raises(ContractError):
+        ad.gradcheck(fn, point, analytic=np.zeros(3))
 
 
 def test_gradcheck_nonfinite_region_raises():

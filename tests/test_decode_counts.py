@@ -1,13 +1,15 @@
 """Posterior selection scores its candidates in one decoder pass
 (``decode_logprob`` call), in both prior modes: the call covers the
 evaluated subset, and its lanes are the subset's distinct truncated
-candidates."""
+candidates. A teacher-forced decode runs its output head once."""
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
+from spi import autodiff as ad
 from spi import model
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.inference import select_knowledge, sequential_posterior_infer
@@ -72,3 +74,18 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
     assert steps == [pair.s] * 3
     assert decoder_calls["lanes"] == [distinct(subset)] + [1] * 3
+
+
+@pytest.mark.parametrize("s", [1, [0, 1, 3, 2, 5]])
+def test_taped_decode_applies_the_output_head_once(s):
+    params = ModelParams.init(CFG, seed=3)
+    lanes = 1 if isinstance(s, int) else len(s)
+    z = np.random.default_rng(0).normal(size=(lanes, CFG.latent_dim) if lanes > 1
+                                        else CFG.latent_dim)
+    with ad.Tape() as tape:
+        model.decode_logprob(params, EXAMPLE, s, z)
+    uses = [inputs for _, inputs, _, _ in tape._nodes
+            if any(t is params["out_w"] for t in inputs)]
+    assert len(uses) == 1
+    # every step of every lane in one product (distinct latents: no lane is shared)
+    assert uses[0][0].shape == (len(EXAMPLE.response) * lanes, CFG.dec_hidden_dim)

@@ -13,7 +13,7 @@ from spi.model import (BOS, EOS, PAD, SEP, DialogueExample, ModelParams, Vocab,
                        decode_logprob, decoder_advance,
                        decoder_start, encode_context, initializer_scores,
                        knowledge_prior_logits, latent_prior_log_density,
-                       latent_prior_mean, param_shapes)
+                       latent_prior_mean, output_logits, param_shapes)
 
 
 def tiny_cfg(vocab_size=8, **kw):
@@ -296,8 +296,9 @@ class TestDecoder:
         total = 0.0
         prev = BOS
         for target in ex.response:
-            cur, logits = decoder_advance(p, cur, prev)
-            logits = logits.data - logits.data.max()
+            cur = decoder_advance(p, cur, prev)
+            logits = output_logits(p, cur.state, cur.ctx).data
+            logits = logits - logits.max()
             total += float(logits[target] - np.log(np.exp(logits).sum()))
             prev = target
         lp = float(decode_logprob(p, ex, 0, z).data)

@@ -80,6 +80,17 @@ class TestNegativeControls:
         assert not result.passed
         assert "rel err" in result.detail
 
+    def test_wrong_chain_gradient_is_caught(self, monkeypatch):
+        true_grad = verify.decoder_grad_z
+
+        def halved(*args, **kwargs):
+            return 0.5 * true_grad(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "decoder_grad_z", halved)
+        result = check_gradients(n_seeds=1, priors=("uniform",))
+        assert not result.passed
+        assert "decoder_grad_z under constant weights" in result.detail
+
     def test_wrong_tie_break_is_caught(self):
         def highest_index_on_ties(params, example, *, prior, mode, top_s=None,
                                   **kwargs):
