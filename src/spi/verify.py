@@ -15,8 +15,7 @@ from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
 from .errors import ContractError
-from .inference import (decoder_grad_z, langevin_chain, select_knowledge,
-                        sequential_posterior_infer)
+from .inference import langevin_chain, select_knowledge, sequential_posterior_infer
 from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob,
                     latent_prior_log_density, latent_prior_mean)
 from .training import head_ce_loss, multi_hot_labels, surrogate_objective, train
@@ -181,8 +180,8 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
     objective (on a plain and a ragged-candidate example), the head
     cross-entropy gradient, the two latent-gradient terms driving the
     Langevin drift, a lockstep decode of a ragged example's candidates in
-    ``att_v``, and ``decoder_grad_z`` through the constant weights the
-    Langevin chain runs on."""
+    ``att_v``, and the latent log-likelihood gradient through the constant
+    weights the Langevin chain runs on (the tape ``decoder_grad_z`` records)."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -263,12 +262,11 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         z0 = chain_rng.normal(size=cfg.latent_dim)
         weights = params.constant()
         report = gradcheck(lambda x: decode_logprob(weights, chained, pick, x), z0,
-                           tol=tol, h=1e-4,
-                           analytic=decoder_grad_z(weights, chained, pick, z0))
+                           tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
-            return CheckResult("gradients", False,
-                               f"decoder_grad_z under constant weights seed {seed}: {report}")
+            return CheckResult("gradients", False, f"latent-loglik grad wrt z under "
+                               f"constant weights seed {seed}: {report}")
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

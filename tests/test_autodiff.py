@@ -265,15 +265,6 @@ def test_gradcheck_of_a_function_independent_of_x_gives_zeros():
     assert report.max_rel_error == 0.0
 
 
-def test_gradcheck_takes_a_gradient_computed_elsewhere():
-    point = np.array([0.7, -1.2])
-    fn = lambda x: ad.squared_l2(x)
-    assert ad.gradcheck(fn, point, analytic=2.0 * point).passed
-    assert not ad.gradcheck(fn, point, analytic=point).passed
-    with pytest.raises(ContractError):
-        ad.gradcheck(fn, point, analytic=np.zeros(3))
-
-
 def test_gradcheck_nonfinite_region_raises():
     with pytest.raises(NumericError):
         ad.gradcheck(lambda x: ad.reduce_sum(ad.log(x)), np.array([1e-7, 2.0]), h=1e-5)

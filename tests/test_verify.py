@@ -80,16 +80,21 @@ class TestNegativeControls:
         assert not result.passed
         assert "rel err" in result.detail
 
-    def test_wrong_chain_gradient_is_caught(self, monkeypatch):
-        true_grad = verify.decoder_grad_z
+    def test_wrong_adjoint_under_constant_weights_is_caught(self, monkeypatch):
+        # of the checks, only the constant-weight one multiplies a data input
+        # by a weight matrix that needs no gradient
+        true_vjp = ad._matmul_vjp
 
-        def halved(*args, **kwargs):
-            return 0.5 * true_grad(*args, **kwargs)
+        def halved_when_weight_constant(g, a, b, needs):
+            ga, gb = true_vjp(g, a, b, needs)
+            if needs[0] and not needs[1] and b.ndim == 2:
+                ga = 0.5 * ga
+            return ga, gb
 
-        monkeypatch.setattr(verify, "decoder_grad_z", halved)
+        monkeypatch.setattr(ad, "_matmul_vjp", halved_when_weight_constant)
         result = check_gradients(n_seeds=1, priors=("uniform",))
         assert not result.passed
-        assert "decoder_grad_z under constant weights" in result.detail
+        assert "under constant weights" in result.detail
 
     def test_wrong_tie_break_is_caught(self):
         def highest_index_on_ties(params, example, *, prior, mode, top_s=None,
