@@ -307,6 +307,21 @@ def log(x: Tensor) -> Tensor:
     return _emit(out, (x,), vjp, check=True, op="log")
 
 
+def _log_sigmoid_vjp(g, xd):
+    # the derivative sigma(-x), as exp(-log(1 + e^x)) so that it cannot overflow
+    return (g * np.exp(-np.logaddexp(0.0, xd)),)
+
+
+def log_sigmoid(x: Tensor) -> Tensor:
+    """Elementwise log sigma(x) = -log(1 + e^-x), finite for every finite x."""
+    xd = x.data
+
+    def vjp(g, needs, xd=xd):
+        return _log_sigmoid_vjp(g, xd)
+
+    return _emit(-np.logaddexp(0.0, -xd), (x,), vjp, check=False, op="log-sigmoid")
+
+
 def _reduce_sum_vjp(g, shape, axis):
     if axis is None:
         return (np.full(shape, g),)
@@ -389,49 +404,32 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return _emit(out, (x,), vjp, check=False, op="gather-rows")
 
 
-def _concat_vjp(g, shapes, axis):
+def _concat_vjp(g, shapes):
     grads = []
     start = 0
     for shape in shapes:
-        if axis == 0:
-            rows = shape[0] if len(shape) == 2 else 1
-            piece = g[start:start + rows]
-            start += rows
-        else:
-            width = shape[-1]
-            piece = g[..., start:start + width]
-            start += width
-        grads.append(piece.reshape(shape))
+        rows = shape[0] if len(shape) == 2 else 1
+        grads.append(g[start:start + rows].reshape(shape))
+        start += rows
     return tuple(grads)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along axis 0 (rows; rank-1 parts count as single rows)
-    or along the last axis."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate rows; rank-1 parts count as single rows."""
     if len(parts) == 0:
         raise ContractError("concat of zero parts")
     datas = [p.data for p in parts]
-    if axis == 0:
-        if any(d.ndim not in (1, 2) for d in datas):
-            raise ShapeError("concat axis 0 expects rank 1 or 2 parts")
-        widths = {d.shape[-1] for d in datas}
-        if len(widths) != 1:
-            raise ShapeError(f"concat axis 0 parts disagree on width: {sorted(widths)}")
-        out = np.vstack(datas)
-    elif axis in (-1, datas[0].ndim - 1):
-        axis = -1
-        lead = {d.shape[:-1] for d in datas}
-        if len(lead) != 1:
-            raise ShapeError("concat last-axis parts disagree on leading shape")
-        out = np.concatenate(datas, axis=-1)
-    else:
-        raise ContractError(f"concat supports axis 0 or the last axis, got {axis}")
-    shapes = [d.shape for d in datas]
+    if any(d.ndim not in (1, 2) for d in datas):
+        raise ShapeError("concat expects rank 1 or 2 parts")
+    widths = {d.shape[-1] for d in datas}
+    if len(widths) != 1:
+        raise ShapeError(f"concat parts disagree on width: {sorted(widths)}")
+    shapes = tuple(d.shape for d in datas)
 
-    def vjp(g, needs, shapes=tuple(shapes), axis=axis):
-        return _concat_vjp(g, shapes, axis)
+    def vjp(g, needs, shapes=shapes):
+        return _concat_vjp(g, shapes)
 
-    return _emit(out, tuple(parts), vjp, check=False, op="concat")
+    return _emit(np.vstack(datas), tuple(parts), vjp, check=False, op="concat")
 
 
 def _stack_vjp(g, n):

@@ -139,7 +139,13 @@ def _parse_grid(text: str, what: str) -> list[int]:
     values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
         raise ContractError(f"{what} sweep grid is empty")
-    return [int(v) for v in values]
+    grid = []
+    for v in values:
+        try:
+            grid.append(int(v))
+        except ValueError:
+            raise ContractError(f"--sweep-{what}: {v!r} is not an integer") from None
+    return grid
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -171,17 +177,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_split(corpus, name: str):
-    if name not in ("train", "valid", "test"):
-        raise ContractError(f"unknown split {name!r}")
-    return getattr(corpus, name)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(Path(args.corpus))
     config = _build_config(args, corpus.vocab.size)
     params = load_checkpoint(Path(args.checkpoint), config)
-    examples = _load_split(corpus, args.split)
+    examples = corpus.split(args.split)
     if args.limit is not None:
         examples = examples[:args.limit]
     report = evaluate(params, examples, config,
@@ -199,7 +199,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     corpus = load_corpus(Path(args.corpus))
     config = _build_config(args, corpus.vocab.size)
     params = load_checkpoint(Path(args.checkpoint), config)
-    examples = _load_split(corpus, args.split)
+    examples = corpus.split(args.split)
     if args.limit is not None:
         examples = examples[:args.limit]
     results = generate_batch(params, examples, prior=config.prior,

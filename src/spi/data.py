@@ -182,14 +182,6 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     return corpus
 
 
-def strip_candidates(examples: list[DialogueExample]) -> list[DialogueExample]:
-    """Knowledge-blind view: one empty candidate, so the encoder sees only
-    history and separator. Used by the grounding-ablation baseline."""
-    return [DialogueExample(history=list(ex.history), candidates=[[]],
-                            gold_index=0, response=list(ex.response))
-            for ex in examples]
-
-
 # ---------------------------------------------------------------------------
 # on-disk layout: train/valid/test JSONL + vocab.json + spec.txt sidecar
 

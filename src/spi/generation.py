@@ -31,11 +31,9 @@ def select_for_generation(params: ModelParams, example: DialogueExample, *,
     """Argmax knowledge pick over all candidates, scored without the
     response. Ties resolve to the lowest index."""
     if prior == "uniform":
-        scores = initializer_scores(params, example, prior="uniform",
-                                    encodings=encodings).data
+        scores = initializer_scores(params, example, encodings=encodings)
     elif prior == "learnable":
-        scores = knowledge_prior_logits(params, example, prior="learnable",
-                                        encodings=encodings).data
+        scores = knowledge_prior_logits(params, example, encodings=encodings).data
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
     return int(np.argmax(scores))

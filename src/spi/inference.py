@@ -41,9 +41,6 @@ class SelectionOutcome:
     evaluated: tuple[int, ...]
     log_weights: np.ndarray
 
-    def weight_of(self, index: int) -> float:
-        return float(np.exp(self.log_weights[self.evaluated.index(index)]))
-
 
 def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
                      encodings: Sequence[EncodedContext] | None = None) -> list[int]:
@@ -54,8 +51,7 @@ def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
     m = len(example.candidates)
     if not 1 <= top_s <= m:
         raise ContractError(f"top_s must be in [1, {m}], got {top_s}")
-    scores = initializer_scores(params, example, prior="uniform",
-                                encodings=encodings).data
+    scores = initializer_scores(params, example, encodings=encodings)
     order = np.argsort(-scores, kind="stable")[:top_s]
     return sorted(int(i) for i in order)
 
@@ -90,8 +86,7 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
         if top_s is not None:
             raise ContractError("top_s preselection is undefined under the learnable prior")
         subset = list(range(m))
-        prior_logits = knowledge_prior_logits(params, example, prior="learnable",
-                                              encodings=encodings).data
+        prior_logits = knowledge_prior_logits(params, example, encodings=encodings).data
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
 

@@ -9,7 +9,7 @@ inference (no tape) and learning (taped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class Vocab:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def to_text(self, ids: Iterable[int]) -> str:
-        return " ".join(self.tokens[i] for i in ids)
 
 
 @dataclass
@@ -72,6 +69,9 @@ class DialogueExample:
         for name, seq in (("history", self.history), ("response", self.response),
                           *((f"candidate {i}", c) for i, c in enumerate(self.candidates))):
             _check_tokens(seq, vocab_size, name)
+        if not self.history and [] in self.candidates:
+            raise ContractError(f"candidate {self.candidates.index([])} is empty and so is "
+                                f"the history: the encoder has nothing to read")
 
 
 @dataclass
@@ -85,8 +85,8 @@ class LatentPair:
 # ---------------------------------------------------------------------------
 # parameters
 
-INITIALIZER_HEAD = ("init_w", "init_b")
-KNOWLEDGE_PRIOR_HEAD = ("kprior_w", "kprior_b")
+# the (weight, bias) of each selection head
+HEADS = {"initializer": ("init_w", "init_b"), "knowledge_prior": ("kprior_w", "kprior_b")}
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -166,9 +166,6 @@ class ModelParams:
     def names(self):
         return list(self.tensors.keys())
 
-    def num_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, {
             name: Tensor(t.data.copy(), name=name, trainable=True)
@@ -181,12 +178,10 @@ class ModelParams:
             name: Tensor(t.data, name=name, _validate=False)
             for name, t in self.tensors.items()})
 
-    def head_names(self, head: str) -> tuple[str, ...]:
-        if head == "initializer":
-            return INITIALIZER_HEAD
-        if head == "knowledge_prior":
-            return KNOWLEDGE_PRIOR_HEAD
-        raise ContractError(f"unknown head {head!r}")
+    def head_names(self, head: str) -> tuple[str, str]:
+        if head not in HEADS:
+            raise ContractError(f"unknown head {head!r}")
+        return HEADS[head]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ def encode_context(params: ModelParams, example: DialogueExample,
         # the prefix's last state enters the first lockstep step as a row-wise bias
         state = ad.tanh(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(state, wh)), b))
         rows.append(state)
-    flat = ad.concat(rows, axis=0)  # rows laid out as ``tokens``
+    flat = ad.concat(rows)  # rows laid out as ``tokens``
     encoded = []
     for j, cand in enumerate(cands):
         idx = list(range(n)) + [n + i * k + j for i in range(len(cand))]
@@ -274,52 +269,42 @@ def encode_context(params: ModelParams, example: DialogueExample,
 # heads
 
 
-def _sigmoid_and_logs(logit: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """sigmoid(x), log sigmoid(x), log(1 - sigmoid(x)) via a stable pairing."""
-    pair = ad.softmax(ad.stack_rows([logit, Tensor(0.0)]))
-    logs = ad.log(pair)
-    return ad.gather_rows(pair, 0), ad.gather_rows(logs, 0), ad.gather_rows(logs, 1)
-
-
-def initializer_score_logit(params: ModelParams, pooled: Tensor) -> Tensor:
+def head_logits(params: ModelParams, head: str,
+                encodings: Sequence[EncodedContext]) -> Tensor:
+    """Logits pooled . w + b of a selection head, one per encoding; the only
+    code that applies a head. Each distinct encoding is one row of a single
+    matrix product, so equal candidates, which share an encoding, tie
+    exactly: a matrix product may round two equal rows differently."""
+    w_name, b_name = params.head_names(head)
+    pooled = {id(enc): enc.pooled for enc in encodings}  # first occurrence order
+    row = {key: i for i, key in enumerate(pooled)}
     t = params.tensors
-    return ad.add(ad.matmul(pooled, t["init_w"]), t["init_b"])
+    # the engine broadcasts only row biases, so the scalar bias meets a ones vector
+    logits = ad.add(ad.matmul(ad.stack_rows(list(pooled.values())), t[w_name]),
+                    ad.multiply(Tensor(np.ones(len(pooled))), t[b_name]))
+    return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
 
 
-def initializer_scores(params: ModelParams, example: DialogueExample, *,
-                       prior: str, encodings: Sequence[EncodedContext] | None = None) -> Tensor:
-    """Per-candidate relevance scores in (0, 1) from the selection head.
-
-    Only defined for the uniform-prior configuration; the learnable prior
-    replaces this head entirely.
-    """
-    if prior != "uniform":
-        raise ContractError("initializer scores are only defined in uniform-prior mode")
+def initializer_scores(params: ModelParams, example: DialogueExample,
+                       *, encodings: Sequence[EncodedContext] | None = None) -> np.ndarray:
+    """Per-candidate relevance scores in [0, 1] of the initializer head, the
+    sigmoid of its logits, as plain values. The learnable prior replaces
+    this head entirely."""
     if encodings is None:
         encodings = encode_context(params, example)
-    scores = []
-    for enc in encodings:
-        sig, _, _ = _sigmoid_and_logs(initializer_score_logit(params, enc.pooled))
-        scores.append(sig)
-    return ad.stack_rows(scores)
+    x = head_logits(params, "initializer", encodings).data
+    # the two forms a softmax over (x, 0) takes; exp(-|x|) cannot overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
 
 
-def knowledge_prior_logits(params: ModelParams, example: DialogueExample, *,
-                           prior: str, encodings: Sequence[EncodedContext] | None = None) -> Tensor:
-    """Per-candidate logits of the learnable knowledge prior (softmax weights).
-
-    With one candidate the softmax puts mass 1 on it. Calling this under the
-    uniform prior is a contract error.
-    """
-    if prior != "learnable":
-        raise ContractError("knowledge prior logits are only defined in learnable-prior mode")
+def knowledge_prior_logits(params: ModelParams, example: DialogueExample,
+                           *, encodings: Sequence[EncodedContext] | None = None) -> Tensor:
+    """Per-candidate logits of the learnable knowledge prior (softmax
+    weights). With one candidate the softmax puts mass 1 on it."""
     if encodings is None:
         encodings = encode_context(params, example)
-    t = params.tensors
-    logits = []
-    for enc in encodings:
-        logits.append(ad.add(ad.matmul(enc.pooled, t["kprior_w"]), t["kprior_b"]))
-    return ad.stack_rows(logits)
+    return head_logits(params, "knowledge_prior", encodings)
 
 
 def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
@@ -371,7 +356,7 @@ def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[Encode
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
-    slots = ad.concat([enc.states for enc in lanes] + [zrow], axis=0)
+    slots = ad.concat([enc.states for enc in lanes] + [zrow])
     proj = ad.matmul(slots, t["att_enc"])
     if isinstance(encoded, EncodedContext):
         pooled, seg = encoded.pooled, None
@@ -494,7 +479,7 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Seque
         prev = int(target)
     # row t*k + j holds step t of lane j
     k = 1 if cur.seg is None else cur.state.shape[0]
-    logits = output_logits(params, ad.concat(states, axis=0), ad.concat(ctxs, axis=0))
+    logits = output_logits(params, ad.concat(states), ad.concat(ctxs))
     rows = np.arange(len(response) * k)
     top = np.zeros(logits.shape)
     top[rows, logits.data.argmax(axis=1)] = 1.0

@@ -29,7 +29,7 @@ from .fsio import dump_json_line, atomic_write_text
 from .generation import select_for_generation
 from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    _sigmoid_and_logs, decode_logprob, encode_context,
+                    decode_logprob, encode_context, head_logits,
                     knowledge_prior_logits, latent_prior_log_density,
                     latent_prior_mean)
 
@@ -53,8 +53,7 @@ def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
     obj = ad.add(latent_prior_log_density(mu, zt),
                  decode_logprob(params, example, s, zt, encoded=encoded))
     if prior == "learnable":
-        logits = knowledge_prior_logits(params, example, prior="learnable",
-                                        encodings=encodings)
+        logits = knowledge_prior_logits(params, example, encodings=encodings)
         obj = ad.add(obj, ad.gather_rows(ad.log(ad.softmax(logits)), s))
     elif prior != "uniform":
         raise ContractError(f"unknown prior mode {prior!r}")
@@ -62,27 +61,20 @@ def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
 
 
 def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfig,
-             latents: list[LatentPair] | None = None,
-             rngs: list[np.random.Generator] | None = None) -> float:
-    """One ascent step on the batch-mean surrogate objective.
-
-    Infers (s, z) per example unless ``latents`` provides them. Returns the
-    surrogate loss (negative mean objective). The objective never reads the
-    initializer head, nor the knowledge prior head in uniform mode, so
-    neither moves here.
+             latents: list[LatentPair]) -> float:
+    """One ascent step on the batch-mean surrogate objective at the inferred
+    ``latents``, one (s, z) per example. Returns the surrogate loss
+    (negative mean objective). The objective never reads the initializer
+    head, nor the knowledge prior head in uniform mode, so neither moves
+    here.
     """
     if not batch:
         raise ContractError("mle_step needs a non-empty batch")
-    if latents is not None and len(latents) != len(batch):
+    if len(latents) != len(batch):
         raise ContractError("latents must align with the batch")
     total = 0.0
     grad_sum: dict[str, np.ndarray] = {}
-    for i, example in enumerate(batch):
-        if latents is None:
-            rng = rngs[i] if rngs is not None else None
-            pair = sequential_posterior_infer(params, example, config, rng=rng)
-        else:
-            pair = latents[i]
+    for example, pair in zip(batch, latents):
         with Tape() as tape:
             obj = surrogate_objective(params, example, pair.s, pair.z, config.prior)
             grads = ad.backward(tape, obj)
@@ -109,30 +101,27 @@ def multi_hot_labels(example: DialogueExample, selected: int) -> np.ndarray:
 def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
                  labels: list[np.ndarray], head: str,
                  encodings_batch=None) -> Tensor:
-    """Batch-mean binary cross-entropy of one selection head against
-    multi-hot labels. The candidate encodings enter as constants (made off
-    the tape or, when not given, under constant weights), so the gradient
-    touches only the head."""
+    """Batch-mean binary cross-entropy of one selection head against 0/1
+    multi-hot labels: -(y . log sigmoid(x) + (1 - y) . log sigmoid(-x)) / B
+    over every candidate's logit x in the batch, from one head pass. The
+    candidate encodings enter as constants (made off the tape or, when not
+    given, under constant weights), so the gradient touches only the head."""
     if not batch:
         raise ContractError("cross-entropy needs a non-empty batch")
     if len(labels) != len(batch):
         raise ContractError("labels must align with the batch")
-    w_name, b_name = params.head_names(head)
     encoder = params.constant() if encodings_batch is None else None
-    loss: Tensor | None = None
+    encodings: list[EncodedContext] = []
     for i, example in enumerate(batch):
-        y = labels[i]
-        if len(y) != len(example.candidates):
+        if len(labels[i]) != len(example.candidates):
             raise ContractError("label vector length must match the candidate count")
-        encs = (encodings_batch[i] if encodings_batch is not None
-                else encode_context(encoder, example))
-        for j in range(len(example.candidates)):
-            logit = ad.add(ad.matmul(encs[j].pooled, params.tensors[w_name]),
-                           params.tensors[b_name])
-            _, log_sig, log_one_minus = _sigmoid_and_logs(logit)
-            term = log_sig if y[j] == 1.0 else log_one_minus
-            loss = term if loss is None else ad.add(loss, term)
-    return ad.scale(loss, -1.0 / len(batch))
+        encodings += (encodings_batch[i] if encodings_batch is not None
+                      else encode_context(encoder, example))
+    x = head_logits(params, head, encodings)
+    y = np.concatenate(labels).astype(np.float64)
+    total = ad.add(ad.matmul(ad.log_sigmoid(x), Tensor(y)),
+                   ad.matmul(ad.log_sigmoid(ad.neg(x)), Tensor(1.0 - y)))
+    return ad.scale(total, -1.0 / len(batch))
 
 
 def _head_ce_step(params: ModelParams, batch: list[DialogueExample],

@@ -178,10 +178,12 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                     priors: Sequence[str] = ("uniform", "learnable")) -> CheckResult:
     """Finite-difference check of the full parameter gradient of the training
     objective (on a plain and a ragged-candidate example), the head
-    cross-entropy gradient, the two latent-gradient terms driving the
-    Langevin drift, a lockstep decode of a ragged example's candidates in
-    ``att_v``, and the latent log-likelihood gradient through the constant
-    weights the Langevin chain runs on (the tape ``decoder_grad_z`` records)."""
+    cross-entropy gradient (also on a ragged example, whose repeated
+    candidate is one row of the head pass), the two latent-gradient terms
+    driving the Langevin drift, a lockstep decode of a ragged example's
+    candidates in ``att_v``, and the latent log-likelihood gradient through
+    the constant weights the Langevin chain runs on (the tape
+    ``decoder_grad_z`` records)."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -209,19 +211,24 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                         return CheckResult(
                             "gradients", False,
                             f"objective/{label}{prior}/{name} seed {seed}: {report}")
-        labels = [multi_hot_labels(example, s)]
-        for head, head_fields in (("initializer", ("init_w", "init_b")),
-                                  ("knowledge_prior", ("kprior_w", "kprior_b"))):
-            for name in head_fields:
-                def ce(x: Tensor, _name=name, _head=head) -> Tensor:
-                    return head_ce_loss(_swap(params, _name, x), [example],
-                                        labels, _head)
+        # a ragged example's repeated candidate is one row of the head pass;
+        # drawn from its own stream, so every other draw stays as it was
+        head_rng = derived_rng(9000 + seed, 5)
+        shared = _ragged_example(head_rng, cfg,
+                                 hist_len=int(head_rng.integers(1, cfg.max_history + 3)))
+        shared_pick = int(head_rng.integers(len(shared.candidates)))
+        for label, ex, pick in (("", example, s), ("shared-rows/", shared, shared_pick)):
+            labels = [multi_hot_labels(ex, pick)]
+            for head in ("initializer", "knowledge_prior"):
+                for name in params.head_names(head):
+                    def ce(x: Tensor, _name=name, _head=head, _ex=ex, _y=labels) -> Tensor:
+                        return head_ce_loss(_swap(params, _name, x), [_ex], _y, _head)
 
-                report = gradcheck(ce, params.tensors[name].data, tol=tol, h=1e-4)
-                worst = max(worst, report.max_rel_error)
-                if not report.passed:
-                    return CheckResult("gradients", False,
-                                       f"cross-entropy/{name} seed {seed}: {report}")
+                    report = gradcheck(ce, params.tensors[name].data, tol=tol, h=1e-4)
+                    worst = max(worst, report.max_rel_error)
+                    if not report.passed:
+                        return CheckResult("gradients", False,
+                                           f"cross-entropy/{label}{name} seed {seed}: {report}")
         mu_const = latent_prior_mean(params, example, s).data
 
         def prior_term(x: Tensor) -> Tensor:

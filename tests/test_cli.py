@@ -140,6 +140,17 @@ def test_corpus_missing_a_file_exits_1_naming_it(workdir, corpus_dir, config_fil
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--sweep-top-s", "--sweep-langevin-steps"])
+def test_non_integer_sweep_grid_exits_1_naming_flag_and_value(workdir, corpus_dir,
+                                                              config_file, capsys, flag):
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(workdir / "g"),
+                 "--config", str(config_file), "--epochs", "1", flag, "1,x"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {flag}: 'x' is not an integer")
+    assert "Traceback" not in err
+
+
 def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, capsys):
     path = workdir / "no-such.bin"
     code = main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),

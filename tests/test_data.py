@@ -6,8 +6,7 @@ import re
 import pytest
 
 from spi.data import (SyntheticSpec, example_to_record, generate_corpus,
-                      load_corpus, oracle_select, plan_vocab, save_corpus,
-                      strip_candidates)
+                      load_corpus, oracle_select, plan_vocab, save_corpus)
 from spi.errors import ContractError
 from spi.model import EOS
 
@@ -136,24 +135,6 @@ class TestOracle:
         assert oracle_select(ex, c.spec, c.layout) == -1
 
 
-class TestStripCandidates:
-    def test_blind_view_has_one_empty_candidate(self):
-        c = generate_corpus(small_spec())
-        blind = strip_candidates(c.train)
-        assert len(blind) == len(c.train)
-        for ex, orig in zip(blind, c.train):
-            assert ex.candidates == [[]]
-            assert ex.gold_index == 0
-            assert ex.response == orig.response
-            assert ex.history == orig.history
-
-    def test_original_examples_untouched(self):
-        c = generate_corpus(small_spec())
-        before = [vars(x).copy() for x in c.train]
-        strip_candidates(c.train)
-        assert [vars(x) for x in c.train] == before
-
-
 class TestDiskRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):
         c = generate_corpus(small_spec())
@@ -236,6 +217,19 @@ class TestDiskRoundTrip:
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=re.escape(f"{path}:3: ")):
+            load_corpus(tmp_path)
+
+    def test_unencodable_example_names_file_and_line(self, tmp_path):
+        import json
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["history"] = []
+        record["candidates"][1] = []
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:3: candidate 1 is empty")):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("name", ["spec.txt", "valid.jsonl"])

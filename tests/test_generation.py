@@ -32,7 +32,7 @@ class TestSelectForGeneration:
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
         monkeypatch.setattr(generation, "initializer_scores",
-                            lambda *a, **k: Tensor(np.array([0.9, 0.1, 0.1])))
+                            lambda *a, **k: np.array([0.9, 0.1, 0.1]))
         assert select_for_generation(p, ex, prior="uniform") == 0
 
     def test_ties_resolve_to_lowest_index(self):

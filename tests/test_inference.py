@@ -12,7 +12,7 @@ from spi import inference
 from spi.autodiff import Tensor
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
-from spi.inference import (LangevinTrace, SelectionOutcome, decoder_grad_z,
+from spi.inference import (LangevinTrace, decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
                            select_knowledge, sequential_posterior_infer,
                            top_s_candidates)
@@ -100,7 +100,7 @@ class TestSelection:
         def flat_loglik(params, example, indices, z, encoded=None):
             return Tensor(np.full(len(indices), -1.0))
 
-        def tilted_logits(params, example, *, prior, encodings=None):
+        def tilted_logits(params, example, *, encodings=None):
             return Tensor(np.array([0.0, 2.0]))
 
         monkeypatch.setattr(inference, "decode_logprob", flat_loglik)
@@ -160,11 +160,6 @@ class TestSelection:
             select_knowledge(p, ex, prior="uniform", temperature=0.0)
         with pytest.raises(ContractError):
             select_knowledge(p, make_example(cands=((6, 7),), resp=()), prior="uniform")
-
-    def test_weight_of_looks_up_by_candidate_index(self):
-        out = SelectionOutcome(chosen=2, evaluated=(0, 2),
-                               log_weights=np.log([0.25, 0.75]))
-        assert out.weight_of(2) == pytest.approx(0.75, abs=1e-12)
 
 
 class TestTopS:

@@ -9,9 +9,10 @@ import pytest
 from spi import autodiff as ad
 from spi.config import ModelConfig
 from spi.errors import ContractError
+from spi import verify
 from spi.model import (BOS, EOS, PAD, SEP, DialogueExample, ModelParams, Vocab,
                        decode_logprob, decoder_advance,
-                       decoder_start, encode_context, initializer_scores,
+                       decoder_start, encode_context, head_logits, initializer_scores,
                        knowledge_prior_logits, latent_prior_log_density,
                        latent_prior_mean, output_logits, param_shapes)
 
@@ -53,10 +54,6 @@ class TestVocab:
         with pytest.raises(ContractError):
             Vocab.build(["<pad>"])
 
-    def test_to_text(self):
-        v = Vocab.build(["alpha", "beta"])
-        assert v.to_text([4, 3, 5]) == "alpha <sep> beta"
-
 
 class TestExampleValidation:
     def test_valid_example_passes(self):
@@ -81,14 +78,17 @@ class TestExampleValidation:
         with pytest.raises(ContractError, match="history"):
             make_example(hist=(9,)).validate(8)
 
+    def test_empty_history_with_an_empty_candidate_rejected(self):
+        # the encoder would have no token to read for that candidate
+        with pytest.raises(ContractError, match="candidate 1 is empty"):
+            make_example(hist=(), cands=((6, 7), ())).validate(8)
+
+    def test_one_of_history_and_candidate_may_be_empty(self):
+        make_example(hist=()).validate(8)
+        make_example(cands=((6, 7), ())).validate(8)
+
 
 class TestParams:
-    def test_num_params_matches_shapes(self):
-        cfg = tiny_cfg()
-        p = random_params(cfg)
-        want = sum(int(np.prod(shape)) for _, shape in param_shapes(cfg))
-        assert p.num_params() == want
-
     def test_biases_start_at_zero(self):
         p = random_params(tiny_cfg())
         assert np.all(p["enc_b"].data == 0.0)
@@ -207,36 +207,53 @@ class TestHeads:
         p = random_params(tiny_cfg())
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
-        scores = initializer_scores(p, make_example(), prior="uniform")
-        np.testing.assert_allclose(scores.data, [0.5, 0.5], atol=1e-15)
-
-    def test_initializer_requires_uniform_mode(self):
-        p = random_params(tiny_cfg())
-        with pytest.raises(ContractError):
-            initializer_scores(p, make_example(), prior="learnable")
+        scores = initializer_scores(p, make_example())
+        np.testing.assert_allclose(scores, [0.5, 0.5], atol=1e-15)
 
     def test_scores_stay_in_unit_interval(self):
         p = random_params(tiny_cfg(), seed=9)
         p["init_w"].data[:] = 40.0
-        scores = initializer_scores(p, make_example(), prior="uniform")
-        assert np.all(scores.data > 0.0) and np.all(scores.data < 1.0)
-
-    def test_prior_logits_require_learnable_mode(self):
-        p = random_params(tiny_cfg())
-        with pytest.raises(ContractError):
-            knowledge_prior_logits(p, make_example(), prior="uniform")
+        scores = initializer_scores(p, make_example())
+        assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_prior_softmax_sums_to_one(self):
         p = random_params(tiny_cfg(), seed=4)
-        logits = knowledge_prior_logits(p, make_example(), prior="learnable")
+        logits = knowledge_prior_logits(p, make_example())
         weights = ad.softmax(logits)
         assert abs(float(weights.data.sum()) - 1.0) <= 1e-12
 
     def test_single_candidate_takes_full_mass(self):
         p = random_params(tiny_cfg())
         ex = make_example(cands=((6, 7),), gold=0)
-        weights = ad.softmax(knowledge_prior_logits(p, ex, prior="learnable"))
+        weights = ad.softmax(knowledge_prior_logits(p, ex))
         np.testing.assert_allclose(weights.data, [1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
+    def test_equal_candidates_get_equal_logits(self, head):
+        # at hidden 8 a matrix product over three rows rounds rows 0 and 2
+        # apart, though equal, unless they are one shared row
+        p = random_params(tiny_cfg(hidden_dim=8), seed=4)
+        ex = make_example(cands=((6, 7), (5, 4), (6, 7)))
+        logits = head_logits(p, head, encode_context(p, ex)).data
+        assert logits[0] == logits[2]
+        w_name, b_name = p.head_names(head)
+        want = [verify._naive_pooled(p, ex, i) @ p[w_name].data + p[b_name].data
+                for i in range(3)]
+        np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0.0)
+
+    def test_logits_follow_the_requested_order(self):
+        p = random_params(tiny_cfg(), seed=2)
+        encs = encode_context(p, make_example(cands=((6, 7), (5, 4), (6, 7))))
+        logits = head_logits(p, "initializer", encs).data
+        reordered = head_logits(p, "initializer", [encs[2], encs[1], encs[2], encs[0]]).data
+        np.testing.assert_array_equal(reordered, logits[[2, 1, 2, 0]])
+
+    def test_saturated_scores_are_exact_and_warn_nothing(self):
+        p = random_params(tiny_cfg())
+        p["init_w"].data[:] = 0.0
+        for bias, want in ((1e4, 1.0), (-1e4, 0.0)):
+            p["init_b"].data[()] = bias
+            np.testing.assert_array_equal(initializer_scores(p, make_example()), [want, want])
 
 
 class TestLatentPrior:

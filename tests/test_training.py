@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from spi import autodiff as ad
-from spi import training
+from spi import training, verify
 from spi.autodiff import Tape, Tensor
-from spi.config import ModelConfig, SpiConfig
+from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams,
                        latent_prior_log_density, latent_prior_mean)
@@ -90,6 +90,37 @@ class TestHeadCrossEntropy:
                            "initializer")
         assert float(one.data) == pytest.approx(float(two.data), abs=1e-12)
 
+    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
+    def test_matches_plain_numpy_on_a_ragged_batch(self, head):
+        cfg = verify._tiny_model_config()
+        p = ModelParams.init(cfg, seed=4)
+        rng = derived_rng(31, 1)
+        batch = [verify._ragged_example(rng, cfg, hist_len=n) for n in (1, 3, 10)]
+        labels = [multi_hot_labels(ex, int(rng.integers(len(ex.candidates)))) for ex in batch]
+        w_name, b_name = p.head_names(head)
+        want = 0.0
+        for ex, y in zip(batch, labels):
+            x = np.array([verify._naive_pooled(p, ex, i) @ p[w_name].data + p[b_name].data
+                          for i in range(len(ex.candidates))])
+            sig = 1.0 / (1.0 + np.exp(-x))
+            want -= float((y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)).sum())
+        got = float(head_ce_loss(p, batch, labels, head).data)
+        assert got == pytest.approx(want / len(batch), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
+    def test_tape_does_not_grow_with_the_batch(self, head):
+        p = ModelParams.init(tiny_cfg(), seed=1)
+        examples = [make_example(), make_example(cands=((5, 4), (4, 5), (6, 6)), gold=2)]
+
+        def nodes(n):
+            batch = [examples[i % 2] for i in range(n)]
+            labels = [multi_hot_labels(ex, 0) for ex in batch]
+            with Tape() as tape:
+                head_ce_loss(p, batch, labels, head)
+            return len(tape)
+
+        assert nodes(1) == nodes(16)
+
     def test_label_length_mismatch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
@@ -139,7 +170,7 @@ class TestSurrogateObjective:
         plain = surrogate_value(p, ex, 1, z, "uniform")
         tilted = surrogate_value(p, ex, 1, z, "learnable")
         from spi.model import knowledge_prior_logits
-        logits = knowledge_prior_logits(p, ex, prior="learnable").data
+        logits = knowledge_prior_logits(p, ex).data
         expected = logits[1] - math.log(np.exp(logits).sum())
         assert tilted - plain == pytest.approx(expected, abs=1e-10)
 
@@ -233,7 +264,7 @@ class TestMleStep:
     def test_empty_batch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
         with pytest.raises(ContractError):
-            mle_step(p, [], run_config())
+            mle_step(p, [], run_config(), latents=[])
 
     def test_misaligned_latents_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
