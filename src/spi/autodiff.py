@@ -258,39 +258,44 @@ def softmax(x: Tensor) -> Tensor:
     return _emit(y, (x,), vjp, check=False, op="softmax")
 
 
-def _segment_softmax_vjp(g, y):
-    # a row-wise softmax adjoint; each column holds one weight and constant
-    # zeros, so summing the column gives the entry's gradient
-    inner = (g * y).sum(axis=1, keepdims=True)
-    return (((g - inner) * y).sum(axis=0),)
+def _segment_attention_vjp(g, slots, w, out, seg, needs):
+    # each slot meets its own segment's output gradient
+    gs = g[seg]
+    gx = w * ((gs * slots).sum(axis=1) - (g * out).sum(axis=1)[seg]) if needs[0] else None
+    gv = w[:, None] * gs if needs[1] else None
+    return gx, gv
 
 
-def segment_softmax(x: Tensor, seg, k: int) -> Tensor:
-    """Softmax of a rank-1 ``x`` (N,) within each of ``k`` segments.
+def segment_attention(x: Tensor, slots: Tensor, seg) -> Tensor:
+    """Attention within contiguous segments: row j of the (k, D) result is
+    the softmax of segment j's scores in ``x`` (N,) applied to the same
+    segment's rows of ``slots`` (N, D).
 
-    ``seg[n]`` names the segment of entry n; every segment must be
-    non-empty. Row j of the (k, N) result holds segment j's weights in its
-    entries' columns and zeros elsewhere, so ``matmul(out, rows)`` gives
-    each segment's weighted sum of its own rows.
+    ``seg[n]`` names the segment of entry n; the segments are 0..k-1 in
+    order, each non-empty and contiguous. Per-segment reductions do the
+    work, so the cost is linear in N: no (k, N) weight matrix is formed.
     """
-    xd = x.data
+    xd, vd = x.data, slots.data
     seg = np.asarray(seg)
-    if xd.ndim != 1 or seg.shape != xd.shape:
-        raise ShapeError(f"segment_softmax expects (N,) scores and segments, "
-                         f"got {xd.shape} and {seg.shape}")
+    if (xd.ndim != 1 or not xd.size or seg.shape != xd.shape or vd.ndim != 2
+            or vd.shape[0] != xd.shape[0]):
+        raise ShapeError(f"segment_attention expects (N,) scores and segments and (N, D) "
+                         f"slots, N > 0, got {xd.shape}, {seg.shape} and {vd.shape}")
     if not np.issubdtype(seg.dtype, np.integer):
-        raise ContractError("segment_softmax segments must be integers")
-    mask = seg == np.arange(k)[:, None]
-    if not mask.any(axis=1).all() or not mask.any(axis=0).all():
-        raise ShapeError(f"segment_softmax needs every entry in one of {k} non-empty segments")
-    masked = np.where(mask, xd, -np.inf)
-    e = np.exp(masked - masked.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
+        raise ContractError("segment_attention segments must be integers")
+    step = np.empty_like(seg)  # each entry's step from the one before, from -1 for the first
+    step[0], step[1:] = seg[0] + 1, seg[1:] - seg[:-1]
+    if step[0] != 1 or (step & ~1).any():
+        raise ShapeError("segment_attention needs non-empty contiguous segments 0..k-1 in order")
+    starts = np.flatnonzero(step)
+    e = np.exp(xd - np.maximum.reduceat(xd, starts)[seg])
+    w = e / np.add.reduceat(e, starts)[seg]
+    out = np.add.reduceat(w[:, None] * vd, starts, axis=0)
 
-    def vjp(g, needs, y=y):
-        return _segment_softmax_vjp(g, y)
+    def vjp(g, needs, vd=vd, w=w, out=out, seg=seg):
+        return _segment_attention_vjp(g, vd, w, out, seg, needs)
 
-    return _emit(y, (x,), vjp, check=False, op="segment-softmax")
+    return _emit(out, (x, slots), vjp, check=False, op="segment-attention")
 
 
 def _log_vjp(g, xd):

@@ -20,11 +20,6 @@ from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
                     latent_prior_mean, output_logits)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
-
-
 def select_for_generation(params: ModelParams, example: DialogueExample, *,
                           prior: str,
                           encodings: Sequence[EncodedContext] | None = None) -> int:
@@ -51,34 +46,51 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
              max_len: int = 32) -> GenerationResult:
     """Greedy decode from the prior-mean latent. Emits at most ``max_len``
     tokens and forces EOS at the cap."""
-    if max_len < 1:
-        raise ContractError("max_len must be at least 1")
-    encodings = encode_context(params, example)
-    s = select_for_generation(params, example, prior=prior, encodings=encodings)
-    encoded = encodings[s]
-    z = latent_prior_mean(params, example, s, encoded=encoded).data
-    cursor = decoder_start(params, encoded, z)
-    tokens: list[int] = []
-    logprobs: list[float] = []
-    prev = BOS
-    while len(tokens) < max_len:
-        cursor = decoder_advance(params, cursor, prev)
-        logits = output_logits(params, cursor.state, cursor.ctx)
-        logp = _log_softmax(logits.data)
-        tok = int(np.argmax(logits.data))
-        if len(tokens) == max_len - 1 and tok != EOS:
-            tok = EOS
-        tokens.append(tok)
-        logprobs.append(float(logp[tok]))
-        if tok == EOS:
-            break
-        prev = tok
-    return GenerationResult(s=s, z=z, tokens=tokens, logprobs=logprobs)
+    return generate_batch(params, [example], prior=prior, max_len=max_len)[0]
 
 
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
                    prior: str, max_len: int = 32) -> list[GenerationResult]:
-    return [generate(params, ex, prior=prior, max_len=max_len) for ex in examples]
+    """``generate`` for every example, as the lanes of one greedy lockstep
+    decode; a lane retires at its own EOS or at the cap. A lone example
+    runs the one-lane ops."""
+    if max_len < 1:
+        raise ContractError("max_len must be at least 1")
+    if not examples:
+        return []
+    picks, picked, zs = [], [], []
+    for example in examples:
+        # only the picked encoding outlives this loop
+        encodings = encode_context(params, example)
+        s = select_for_generation(params, example, prior=prior, encodings=encodings)
+        picks.append(s)
+        picked.append(encodings[s])
+        zs.append(latent_prior_mean(params, example, s, encoded=encodings[s]).data)
+    if len(examples) == 1:
+        cursor = decoder_start(params, picked[0], zs[0])
+    else:
+        cursor = decoder_start(params, picked, np.stack(zs))
+    tokens: list[list[int]] = [[] for _ in examples]
+    logprobs: list[list[float]] = [[] for _ in examples]
+    done = [False] * len(examples)  # a retired lane runs on unread
+    prev = np.full(len(examples), BOS)
+    for step in range(max_len):
+        cursor = decoder_advance(params, cursor, prev)
+        logits = np.atleast_2d(output_logits(params, cursor.state, cursor.ctx).data)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        prev = logits.argmax(axis=1)
+        if step == max_len - 1:
+            prev[:] = EOS
+        for lane, tok in enumerate(prev.tolist()):
+            if not done[lane]:
+                tokens[lane].append(tok)
+                logprobs[lane].append(float(logp[lane, tok]))
+                done[lane] = tok == EOS
+        if all(done):
+            break
+    return [GenerationResult(s=s, z=z, tokens=toks, logprobs=lps)
+            for s, z, toks, lps in zip(picks, zs, tokens, logprobs)]
 
 
 def write_generations(path, results: list[GenerationResult]) -> None:

@@ -39,18 +39,16 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
                picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent."""
+    prior-mean latent; every example is a lane of one lockstep decode."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
-    total_lp = 0.0
-    total_tokens = 0
-    for example, s in zip(examples, picks):
-        encoded = encode_context(params, example, [s])[0]
-        z = latent_prior_mean(params, example, s, encoded=encoded).data
-        total_lp += float(decode_logprob(params, example, s, z, encoded=encoded).data)
-        total_tokens += len(example.response)
+    encoded = [encode_context(params, ex, [s])[0] for ex, s in zip(examples, picks)]
+    z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
+                  for ex, s, enc in zip(examples, picks, encoded)])
+    total_lp = sum(decode_logprob(params, examples, picks, z, encoded=encoded).data.tolist())
+    total_tokens = sum(len(ex.response) for ex in examples)
     return math.exp(-total_lp / total_tokens)
 
 

@@ -332,12 +332,13 @@ class DecoderCursor:
     """Incremental decoding state of one lane, or of k lanes in lockstep:
     attended slots, their projections, the recurrent state after the
     consumed prefix, the attention context of its last step and, for k
-    lanes, the lane each slot belongs to."""
+    lanes, the lane each slot belongs to. A lane's slots are contiguous:
+    its encoder states, then its latent slot."""
 
-    slots: Tensor       # (N, hidden): the lanes' encoder states, then their latent slots
+    slots: Tensor       # (N, hidden)
     proj: Tensor        # (N, att)
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
-    seg: np.ndarray | None = None  # (N,) lane of each slot; None for one lane
+    seg: np.ndarray | None = None  # (N,) lane of each slot, ascending; None for one lane
     ctx: Tensor | None = None      # (hidden,) or (k, hidden); None before the first token
 
 
@@ -357,34 +358,41 @@ def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[Encode
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
     slots = ad.concat([enc.states for enc in lanes] + [zrow])
-    proj = ad.matmul(slots, t["att_enc"])
     if isinstance(encoded, EncodedContext):
         pooled, seg = encoded.pooled, None
     else:
+        lengths = [enc.states.shape[0] for enc in lanes]
+        n, order, start = sum(lengths), [], 0
+        for j, length in enumerate(lengths):  # lane j's encoder rows, then its latent row
+            order += [*range(start, start + length), n + j]
+            start += length
+        slots = ad.gather_rows(slots, np.asarray(order))
         pooled = ad.stack_rows([enc.pooled for enc in lanes])
-        seg = np.concatenate([np.full(enc.states.shape[0], j) for j, enc in enumerate(lanes)]
-                             + [np.arange(len(lanes))])
+        seg = np.repeat(np.arange(len(lanes)), np.add(lengths, 1))
+    proj = ad.matmul(slots, t["att_enc"])
     state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
     return DecoderCursor(slots=slots, proj=proj, state=state, seg=seg)
 
 
-def decoder_advance(params: ModelParams, cur: DecoderCursor, token: int) -> DecoderCursor:
-    """Consume one token in every lane: the attention and recurrent step.
-    ``output_logits`` of the new cursor's state and context gives the
-    next-token logits."""
+def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
+    """Consume one token in every lane: ``tokens`` holds one id per lane, or
+    one id that every lane reads. ``output_logits`` of the new cursor's
+    state and context gives the next-token logits."""
     t = params.tensors
-    if not 0 <= token < params.cfg.vocab_size:
-        raise ContractError(f"decoder input token {token} outside vocabulary")
-    e = ad.gather_rows(t["embed"], int(token))
+    ids = [tokens] if _is_index(tokens) else np.asarray(tokens).reshape(-1).tolist()
+    if len(ids) != 1 and (cur.seg is None or len(ids) != cur.state.shape[0]):
+        raise ContractError(f"decoder input {ids} is not one token id per lane")
+    _check_tokens(ids, params.cfg.vocab_size, "decoder input")
+    # an id that every lane reads enters as one row, broadcast as a row bias
+    e = ad.gather_rows(t["embed"], ids[0] if len(ids) == 1 else np.asarray(ids))
     q = ad.add(ad.matmul(cur.state, t["att_dec"]), t["att_b"])
-    if cur.seg is not None:
-        q = ad.gather_rows(q, cur.seg)  # each slot meets its own lane's query
-    scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
     if cur.seg is None:
-        weights = ad.softmax(scores)
+        scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
+        ctx = ad.matmul(ad.softmax(scores), cur.slots)
     else:
-        weights = ad.segment_softmax(scores, cur.seg, cur.state.shape[0])
-    ctx = ad.matmul(weights, cur.slots)
+        # each slot meets its own lane's query
+        scores = ad.matmul(ad.tanh(ad.add(cur.proj, ad.gather_rows(q, cur.seg))), t["att_v"])
+        ctx = ad.segment_attention(scores, cur.slots, cur.seg)
     # the context term comes first: the engine broadcasts only a second operand
     pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
                  ad.add(ad.matmul(cur.state, t["dec_wh"]), t["dec_b"]))
@@ -400,62 +408,8 @@ def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
                   t["out_b"])
 
 
-def _lockstep_start(params: ModelParams, example: DialogueExample, indices: Sequence[int],
-                    z, encoded: Sequence[EncodedContext] | None) -> tuple[DecoderCursor, np.ndarray]:
-    """Cursor over the distinct (truncated candidate, latent) pairs of
-    ``indices``, and the lane of each index."""
-    cfg = params.cfg
-    indices = list(indices)
-    if not indices:
-        raise ContractError("a lockstep decode needs at least one candidate index")
-    m = len(example.candidates)
-    for s in indices:
-        if not _is_index(s) or not 0 <= s < m:
-            raise ContractError(f"candidate index {s!r} out of range")
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    if zt.shape != (len(indices), cfg.latent_dim):
-        raise ContractError(f"latents have shape {zt.shape}, expected "
-                            f"({len(indices)}, {cfg.latent_dim})")
-    encs = encode_context(params, example, indices) if encoded is None else list(encoded)
-    if len(encs) != len(indices):
-        raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
-    lanes: dict[tuple, int] = {}
-    firsts, lane_of = [], []
-    for pos, s in enumerate(indices):
-        key = (tuple(example.candidates[s][:cfg.max_candidate]), zt.data[pos].tobytes())
-        if key not in lanes:
-            lanes[key] = len(firsts)
-            firsts.append(pos)
-        lane_of.append(lanes[key])
-    if len(firsts) == 1:
-        cur = decoder_start(params, encs[firsts[0]], ad.gather_rows(zt, firsts[0]))
-    else:
-        cur = decoder_start(params, [encs[pos] for pos in firsts],
-                            ad.gather_rows(zt, np.asarray(firsts)))
-    return cur, np.asarray(lane_of)
-
-
-def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Sequence[int], z,
-                   encoded: EncodedContext | Sequence[EncodedContext] | None = None) -> Tensor:
-    """Teacher-forced log-probability of the full response under candidate
-    ``s`` and latent ``z``. Tokens after the first end-of-sequence token are
-    padding and do not contribute.
-
-    An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
-    of shape (k, latent) and ``encoded`` (if given) one encoding per index,
-    gives a (k,) tensor from one lockstep pass. Its lanes are the distinct
-    pairs of truncated candidate and latent row: a repeated pair shares its
-    first occurrence's lane, so the two tie exactly (a matrix product may
-    round equal rows differently), and its gradient in ``z`` reaches that
-    first row. A lone lane runs the one-candidate ops.
-
-    The recurrence steps token by token; the output head then runs once
-    over every step's rows. Each token's log-probability is taken as
-    (x_t - x_top) + log softmax(x)_top, where x_top is its row's largest
-    logit: the softmax there is at least 1/V, so the log stays finite
-    however confident the model is.
-    """
-    cfg = params.cfg
+def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
+    """The response up to its first end-of-sequence token; the rest is padding."""
     response = list(example.response)
     if EOS in response:
         response = response[:response.index(EOS) + 1]
@@ -465,30 +419,117 @@ def decode_logprob(params: ModelParams, example: DialogueExample, s: int | Seque
         raise ContractError(
             f"response of length {len(response)} exceeds the cap {cfg.max_response}")
     _check_tokens(response, cfg.vocab_size, "response")
-    if _is_index(s):
-        enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-        cur, lane_of = decoder_start(params, enc, z), None
+    return response
+
+
+def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
+                    indices: Sequence[int], z,
+                    encoded: Sequence[EncodedContext] | None
+                    ) -> tuple[DecoderCursor, list[int], np.ndarray]:
+    """Cursor over the distinct (example, truncated candidate, latent row)
+    lanes of the k (example, index) pairs, the first pair of each lane and
+    the lane of each pair."""
+    cfg = params.cfg
+    if not indices:
+        raise ContractError("a lockstep decode needs at least one candidate index")
+    if len(examples) != len(indices):
+        raise ContractError(f"{len(examples)} examples for {len(indices)} candidate indices")
+    for ex, s in zip(examples, indices):
+        if not _is_index(s) or not 0 <= s < len(ex.candidates):
+            raise ContractError(f"candidate index {s!r} out of range")
+    zt = z if isinstance(z, Tensor) else Tensor(z)
+    if zt.shape != (len(indices), cfg.latent_dim):
+        raise ContractError(f"latents have shape {zt.shape}, expected "
+                            f"({len(indices)}, {cfg.latent_dim})")
+    if encoded is None:
+        encoded = [None] * len(indices)
+        for ex in {id(ex): ex for ex in examples}.values():
+            # one encoder pass per example, over the indices its lanes ask for
+            mine = [pos for pos, other in enumerate(examples) if other is ex]
+            for pos, enc in zip(mine, encode_context(params, ex, [indices[p] for p in mine])):
+                encoded[pos] = enc
+    encs = list(encoded)
+    if len(encs) != len(indices):
+        raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
+    # lanes of different examples never merge: their histories and responses differ
+    lanes: dict[tuple, int] = {}
+    firsts, lane_of = [], []
+    for pos, (ex, s) in enumerate(zip(examples, indices)):
+        key = (id(ex), tuple(ex.candidates[s][:cfg.max_candidate]), zt.data[pos].tobytes())
+        if key not in lanes:
+            lanes[key] = len(firsts)
+            firsts.append(pos)
+        lane_of.append(lanes[key])
+    if len(firsts) == 1:
+        cur = decoder_start(params, encs[firsts[0]], ad.gather_rows(zt, firsts[0]))
     else:
-        cur, lane_of = _lockstep_start(params, example, s, z, encoded)
+        cur = decoder_start(params, [encs[pos] for pos in firsts],
+                            ad.gather_rows(zt, np.asarray(firsts)))
+    return cur, firsts, np.asarray(lane_of)
+
+
+def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+                   s: int | Sequence[int], z,
+                   encoded: EncodedContext | Sequence[EncodedContext] | None = None) -> Tensor:
+    """Teacher-forced log-probability of the full response under candidate
+    ``s`` and latent ``z``. Tokens after the first end-of-sequence token are
+    padding and do not contribute.
+
+    An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
+    of shape (k, latent) and ``encoded`` (if given) one encoding per index,
+    gives a (k,) tensor from one lockstep pass; entry j scores candidate
+    ``s[j]`` of ``example``, or of ``example[j]`` for a sequence of k
+    examples, against that example's own response. The lanes are the
+    distinct (example, truncated candidate, latent row) triples: a repeated
+    triple shares its first occurrence's lane, so the two tie exactly (a
+    matrix product may round equal rows differently), and its gradient in
+    ``z`` reaches that first row. A lone lane runs the one-candidate ops.
+
+    The recurrence steps every lane token by token; a live mask drops the
+    steps past a lane's end. The output head then runs once over every
+    step's rows. Each token's log-probability is taken as (x_t - x_top) +
+    log softmax(x)_top, where x_top is its row's largest logit: the softmax
+    there is at least 1/V, so the log stays finite however confident the
+    model is.
+    """
+    cfg = params.cfg
+    if _is_index(s):
+        if not isinstance(example, DialogueExample):
+            raise ContractError("one candidate index scores one example")
+        responses = [_scored_response(cfg, example)]
+        enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
+        cur, lane_of = decoder_start(params, enc, z), 0
+    else:
+        indices = list(s)
+        examples = ([example] * len(indices) if isinstance(example, DialogueExample)
+                    else list(example))
+        scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
+        cur, firsts, lane_of = _lockstep_start(params, examples, indices, z, encoded)
+        responses = [scored[id(examples[pos])] for pos in firsts]
+    k = len(responses)
+    lengths = np.array([len(r) for r in responses])
+    width = int(lengths.max())
+    # targets[t, j] is lane j's step-t target; past the lane's end, padding
+    targets = np.array([r + [PAD] * (width - len(r)) for r in responses]).T
+    # step t reads the step t-1 targets, one id for all when the lanes agree
+    shared = (targets == targets[:, :1]).all()
+    feed = [BOS] + (targets[:-1, 0].tolist() if shared else list(targets[:-1]))
     states, ctxs = [], []
-    prev = BOS
-    for target in response:
-        cur = decoder_advance(params, cur, prev)
+    for step in range(width):
+        cur = decoder_advance(params, cur, feed[step])
         states.append(cur.state)
         ctxs.append(cur.ctx)
-        prev = int(target)
     # row t*k + j holds step t of lane j
-    k = 1 if cur.seg is None else cur.state.shape[0]
     logits = output_logits(params, ad.concat(states), ad.concat(ctxs))
-    rows = np.arange(len(response) * k)
+    rows = np.arange(width * k)
     top = np.zeros(logits.shape)
     top[rows, logits.data.argmax(axis=1)] = 1.0
     pick = np.zeros(logits.shape)
-    pick[rows, np.repeat(response, k)] = 1.0
-    # one-hot and 0/1 products pick entries and sum each lane's rows exactly
+    pick[rows, targets.reshape(-1)] = 1.0
+    # one-hot and 0/1 products pick entries and sum each lane's live rows exactly
     ones = Tensor(np.ones(cfg.vocab_size))
     gap = ad.matmul(ad.multiply(logits, Tensor(pick - top)), ones)
     log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
-    lanes = Tensor((rows % k == np.arange(k)[:, None]).astype(np.float64))
-    total = ad.matmul(lanes, ad.add(gap, log_top))
-    return ad.gather_rows(total, 0 if lane_of is None else lane_of)
+    live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
+    total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
+    return ad.gather_rows(total, lane_of)

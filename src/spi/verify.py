@@ -101,8 +101,10 @@ def naive_initializer_scores(params: ModelParams, example: DialogueExample) -> n
     w = params.tensors
     out = np.zeros(len(example.candidates))
     for i in range(len(example.candidates)):
-        logit = _naive_pooled(params, example, i) @ w["init_w"].data + w["init_b"].data
-        out[i] = 1.0 / (1.0 + np.exp(-logit))
+        logit = float(_naive_pooled(params, example, i) @ w["init_w"].data + w["init_b"].data)
+        # exp of a non-positive number: no overflow however large the logit
+        e = np.exp(-abs(logit))
+        out[i] = 1.0 / (1.0 + e) if logit >= 0.0 else e / (1.0 + e)
     return out
 
 
@@ -181,9 +183,10 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
     cross-entropy gradient (also on a ragged example, whose repeated
     candidate is one row of the head pass), the two latent-gradient terms
     driving the Langevin drift, a lockstep decode of a ragged example's
-    candidates in ``att_v``, and the latent log-likelihood gradient through
+    candidates in ``att_v``, the latent log-likelihood gradient through
     the constant weights the Langevin chain runs on (the tape
-    ``decoder_grad_z`` records)."""
+    ``decoder_grad_z`` records), and a decode whose lanes come from two
+    examples, in the latents under constant weights and in ``att_v``."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -274,6 +277,26 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         if not report.passed:
             return CheckResult("gradients", False, f"latent-loglik grad wrt z under "
                                f"constant weights seed {seed}: {report}")
+        # lanes of two examples in one decode, each teacher-forcing its own
+        # response (the second ends later), from its own stream as well
+        cross_rng = derived_rng(9000 + seed, 6)
+        first, second = (_ragged_example(cross_rng, cfg, int(cross_rng.integers(
+            1, cfg.max_history + 3))) for _ in range(2))
+        second.response = _random_example(cross_rng, cfg.vocab_size,
+                                          resp_len=len(first.response) + 2).response
+        owners = [first, second, second, first]
+        picks = [int(cross_rng.integers(len(ex.candidates))) for ex in owners]
+        zs, mix = cross_rng.normal(size=(4, cfg.latent_dim)), Tensor(cross_rng.normal(size=4))
+        for label, fn, point in (
+                ("z under constant weights",
+                 lambda x: matmul(decode_logprob(weights, owners, picks, x), mix), zs),
+                ("att_v", lambda x: matmul(decode_logprob(
+                    _swap(params, "att_v", x), owners, picks, zs), mix), params["att_v"].data)):
+            report = gradcheck(fn, point, tol=tol, h=1e-4)
+            worst = max(worst, report.max_rel_error)
+            if not report.passed:
+                return CheckResult("gradients", False, f"cross-example decode grad wrt "
+                                   f"{label} seed {seed}: {report}")
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

@@ -30,11 +30,11 @@ class TestFrozenValues:
             grads = ad.backward(tape, y)
         np.testing.assert_allclose(grads["x"], [2.0, 4.0, 6.0], atol=1e-15)
 
-    def test_segment_softmax_of_zeros_is_uniform_per_segment(self):
-        out = ad.segment_softmax(ad.Tensor(np.zeros(5)), [1, 0, 1, 2, 1], 3)
-        np.testing.assert_allclose(out.data, [[0, 1, 0, 0, 0],
-                                              [1 / 3, 0, 1 / 3, 0, 1 / 3],
-                                              [0, 0, 0, 1, 0]], atol=1e-15)
+    def test_segment_attention_of_equal_scores_averages_each_segment(self):
+        slots = np.arange(12.0).reshape(6, 2)
+        out = ad.segment_attention(ad.Tensor(np.zeros(6)), ad.Tensor(slots), [0, 0, 0, 1, 2, 2])
+        np.testing.assert_allclose(out.data, [slots[:3].mean(axis=0), slots[3],
+                                              slots[4:].mean(axis=0)], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -173,13 +173,17 @@ class TestShapeAndNumericErrors:
         with pytest.raises(NumericError):
             ad.multiply(big, big)
 
-    def test_segment_softmax_needs_non_empty_segments(self):
-        with pytest.raises(ShapeError):
-            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 0, 2], 3)
-        with pytest.raises(ShapeError):
-            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 1, 3], 3)
-        with pytest.raises(ShapeError):
-            ad.segment_softmax(ad.Tensor(np.zeros(3)), [0, 1], 2)
+    def test_segment_attention_needs_contiguous_non_empty_segments(self):
+        for seg, n_slots in (([0, 0, 2], 3),   # segment 1 is empty
+                             ([1, 1, 0], 3),   # segments out of order
+                             ([0, 1, 0], 3),   # segment 0 is not contiguous
+                             ([0, 1], 3),      # one segment id per score
+                             ([0, 0, 1], 2)):  # one slot per score
+            with pytest.raises(ShapeError):
+                ad.segment_attention(ad.Tensor(np.zeros(3)), ad.Tensor(np.ones((n_slots, 2))),
+                                     seg)
+        with pytest.raises(ContractError):
+            ad.segment_attention(ad.Tensor(np.zeros(2)), ad.Tensor(np.ones((2, 2))), [0.0, 1.0])
 
     def test_gather_index_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -191,9 +195,9 @@ def _primitive_cases():
     w2 = ad.Tensor(rng.normal(size=(4, 3)))
     wv = ad.Tensor(rng.normal(size=4))
     w5 = ad.Tensor(rng.normal(size=5))
-    w6 = ad.Tensor(rng.normal(size=(6, 3)))
     idx = [0, 2, 2]
-    seg = [0, 1, 1, 0, 2, 1]  # segment 2 holds one entry
+    w3 = ad.Tensor(rng.normal(size=3))
+    seg = [0, 0, 0, 1, 2, 2]  # segment 1 holds one slot
     return {
         "matmul-22": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
@@ -204,8 +208,9 @@ def _primitive_cases():
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
         "tanh": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(x))),
         "softmax": ((5,), lambda x: ad.reduce_sum(ad.multiply(ad.softmax(x), w5))),
-        "segment-softmax": ((6,), lambda x: ad.reduce_sum(
-            ad.tanh(ad.matmul(ad.segment_softmax(x, seg, 3), w6)))),
+        # the slots are x and their scores a function of x: both adjoints count
+        "segment-attention": ((6, 3), lambda x: ad.reduce_sum(
+            ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, seg)))),
         "log-sigmoid": ((4,), lambda x: ad.reduce_sum(ad.multiply(ad.log_sigmoid(x), wv))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "sum-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_sum(x, axis=0), wv)),

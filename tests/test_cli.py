@@ -1,8 +1,13 @@
 """End-to-end command line: synth, train, eval and generate on a tiny corpus,
-plus the exit codes for a removed flag and a malformed corpus."""
+plus the exit codes for a removed flag, a malformed corpus and a reader
+that closes standard output early."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +163,24 @@ def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, 
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # as in ``spi ... | head -0``: the pipe closes before the first line, with
+    # stdout unbuffered (the print fails) or buffered (the final flush fails)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spi", "synth", "--out", str(tmp_path / "c"), "--train", "2",
+         "--valid", "1", "--test", "1", "--candidates", "2", "--candidate-len", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -1,7 +1,8 @@
 """Posterior selection scores its candidates in one decoder pass
 (``decode_logprob`` call), in both prior modes: the call covers the
 evaluated subset, and its lanes are the subset's distinct truncated
-candidates. A teacher-forced decode runs its output head once."""
+candidates. Evaluation decodes all its examples in two passes, one greedy
+and one teacher-forced. A teacher-forced decode runs its output head once."""
 from __future__ import annotations
 
 import sys
@@ -13,6 +14,7 @@ from spi import autodiff as ad
 from spi import model
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.inference import select_knowledge, sequential_posterior_infer
+from spi.metrics import evaluate
 from spi.model import EOS, DialogueExample, EncodedContext, ModelParams
 
 CFG = ModelConfig(vocab_size=16, embed_dim=4, hidden_dim=5, att_dim=3, dec_hidden_dim=5,
@@ -89,3 +91,17 @@ def test_taped_decode_applies_the_output_head_once(s):
     assert len(uses) == 1
     # every step of every lane in one product (distinct latents: no lane is shared)
     assert uses[0][0].shape == (len(EXAMPLE.response) * lanes, CFG.dec_hidden_dim)
+
+
+def test_evaluate_decodes_every_example_in_one_greedy_and_one_teacher_forced_pass(
+        decoder_calls):
+    examples = [DialogueExample(history=[4 + i, 5, 6][:3 - i % 2], candidates=EXAMPLE.candidates,
+                                gold_index=1, response=EXAMPLE.response[i % 2:])
+                for i in range(4)]
+    params = ModelParams.init(CFG, seed=4)
+    report = evaluate(params, examples, SpiConfig(model=CFG))
+    assert report.n_examples == 4
+    [picks] = decoder_calls["decode"]
+    assert len(picks) == 4
+    # greedy generation, then the decode that scores the references
+    assert decoder_calls["lanes"] == [4, 4]

@@ -1,8 +1,9 @@
 """The lockstep decoder against the one-candidate decode and the plain-numpy
 reference in ``verify``: ragged candidate lengths (empty, capped and past
 the cap), histories empty or past their cap, repeated candidates, index
-subsets in any order and both prior modes; plus its gradient in the latent,
-its contract errors, and greedy generation checked against teacher forcing."""
+subsets in any order, lanes of several examples and both prior modes; plus
+its gradient in the latent, its contract errors, and greedy generation
+checked against teacher forcing."""
 from __future__ import annotations
 
 import numpy as np
@@ -16,8 +17,8 @@ from spi.config import ModelConfig
 from spi.errors import ContractError
 from spi.generation import generate
 from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge
-from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, encode_context,
-                       latent_prior_mean)
+from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decoder_advance,
+                       decoder_start, encode_context, latent_prior_mean)
 
 CFG = verify._tiny_model_config()
 TOL = 1e-12
@@ -75,6 +76,47 @@ def test_lockstep_decode_matches_one_candidate_decodes_and_the_reference(example
         for other, t in enumerate(indices[:pos]):
             if truncated(example, s) == truncated(example, t):
                 assert out[pos] == out[other]
+
+
+@given(examples=st.lists(ragged_examples(), min_size=2, max_size=3), seed=st.integers(0, 3),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cross_example_lanes_match_their_own_decodes_and_the_reference(examples, seed,
+                                                                      data):
+    # each lane teacher-forces its own example's response; equal lanes of one
+    # example share, equal lanes of two examples never do
+    params = ModelParams.init(CFG, seed=seed)
+    lanes = data.draw(st.lists(st.integers(0, len(examples) - 1).flatmap(
+        lambda e: st.tuples(st.just(e), st.integers(0, len(examples[e].candidates) - 1))),
+        min_size=1, max_size=6))
+    owners = [examples[e] for e, _ in lanes]
+    indices = [s for _, s in lanes]
+    z = np.stack([shared_latents(examples[e], [s], seed)[0] for e, s in lanes])
+    out = decode_logprob(params, owners, indices, z).data
+    assert out.shape == (len(lanes),)
+    for pos, (e, s) in enumerate(lanes):
+        one = float(decode_logprob(params, examples[e], s, z[pos]).data)
+        assert out[pos] == pytest.approx(one, rel=TOL, abs=0)
+        naive = verify.naive_response_logprob(params, examples[e], s, z[pos])
+        assert out[pos] == pytest.approx(naive, rel=TOL, abs=0)
+        for other, (f, t) in enumerate(lanes[:pos]):
+            if e == f and truncated(examples[e], s) == truncated(examples[f], t):
+                assert out[pos] == out[other]
+
+
+def test_lanes_of_two_examples_never_share():
+    # the same truncated candidate and latent row, another history and response
+    params = ModelParams.init(CFG, seed=1)
+    first = DialogueExample(history=[4, 5], candidates=[[7, 8], [9]], gold_index=0,
+                            response=[6, 7, EOS])
+    second = DialogueExample(history=[10, 11, 4], candidates=[[5], [7, 8]], gold_index=0,
+                             response=[5, EOS, 9])
+    z = np.tile(np.linspace(-1.0, 1.0, CFG.latent_dim), (3, 1))
+    out = decode_logprob(params, [first, second, first], [0, 1, 0], z).data
+    assert out[0] != out[1] and out[0] == out[2]
+    for pos, (ex, s) in enumerate(((first, 0), (second, 1))):
+        assert out[pos] == pytest.approx(float(decode_logprob(params, ex, s, z[pos]).data),
+                                         rel=TOL, abs=0)
 
 
 @given(example=ragged_examples(), seed=st.integers(0, 3),
@@ -169,6 +211,19 @@ def test_lockstep_contract_errors(indices, z_rows, n_encodings, match):
     encoded = None if n_encodings is None else encode_context(params, example, [0])
     with pytest.raises(ContractError, match=match):
         decode_logprob(params, example, indices, z, encoded=encoded)
+
+
+def test_cross_example_contract_errors():
+    params = ModelParams.init(CFG, seed=0)
+    example = fixed_example()
+    z = np.zeros((3, CFG.latent_dim))
+    with pytest.raises(ContractError, match="2 examples for 3"):
+        decode_logprob(params, [example, example], [0, 1, 2], z)
+    with pytest.raises(ContractError, match="one example"):
+        decode_logprob(params, [example], 0, z[0])
+    cursor = decoder_start(params, encode_context(params, example, [0, 1, 3]), z)
+    with pytest.raises(ContractError, match="one token id per lane"):
+        decoder_advance(params, cursor, [4, 5])
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])

@@ -86,6 +86,19 @@ def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_ca
     assert calls == [(ALL, False), ([pick], False)]
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+def test_evaluate_of_several_examples_encodes_each_once_plus_its_scored_pick(
+        corpus, encode_calls, oracle):
+    cfg = config_for(corpus, "uniform")
+    params = ModelParams.init(cfg.model, seed=1)
+    examples = corpus.test[:4]
+    evaluate(params, examples, cfg, oracle_knowledge=oracle)
+    calls = list(encode_calls)
+    picks = [ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
+             for ex in examples]
+    assert calls == [(ALL, False)] * 4 + [([pick], False) for pick in picks]
+
+
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])
 def test_training_pass_encodes_once_outside_the_tape(corpus, encode_calls, prior, taped):
     # one more pass on the tape: the surrogate's gradient runs through the

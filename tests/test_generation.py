@@ -133,11 +133,37 @@ class TestGenerate:
 
 class TestBatchAndOutput:
     def test_batch_matches_individual_calls(self):
-        p = ModelParams.init(tiny_cfg(), seed=2)
-        examples = [make_example(), make_example(cands=((5, 4), (4, 5)), gold=1)]
-        batch = generate_batch(p, examples, prior="uniform")
-        singles = [generate(p, ex, prior="uniform") for ex in examples]
-        assert [r.tokens for r in batch] == [r.tokens for r in singles]
+        # weights under which the lanes retire at different steps, some at the
+        # cap; ragged histories and candidates, one example given twice
+        p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
+        p["out_b"].data[EOS] += 1.0
+        examples = [make_example(cands=((6, 7), (7, 6))),
+                    make_example(hist=(), cands=((8,), (5, 4, 9))),
+                    make_example(hist=(9, 8, 7, 6, 5, 4, 9, 8, 7, 6), cands=((6,), (7,) * 8)),
+                    make_example(hist=(4,), cands=((5,), (5,))),
+                    make_example(hist=(7, 7), cands=((9, 9, 9), (4,))),
+                    make_example(hist=(5, 6, 7), cands=((8, 8), (6,)))]
+        examples.append(examples[1])
+        uncapped = [len(generate(p, ex, prior="uniform", max_len=32).tokens)
+                    for ex in examples]
+        assert len(set(uncapped)) >= 3 and min(uncapped) == 1 and max(uncapped) > 6
+        for prior in ("uniform", "learnable"):
+            for max_len in (1, 3, 6):
+                batch = generate_batch(p, examples, prior=prior, max_len=max_len)
+                singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
+                for got, want in zip(batch, singles):
+                    assert got.tokens == want.tokens
+                    assert got.s == want.s
+                    assert np.array_equal(got.z, want.z)
+                    np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=0, atol=1e-12)
+        # at the cap of 6 some lanes are forced to EOS and others retired before
+        capped = [len(r.tokens) for r in generate_batch(p, examples, prior="uniform",
+                                                         max_len=6)]
+        assert any(n == 6 < u for n, u in zip(capped, uncapped))
+        assert any(n < 6 for n in capped)
+
+    def test_empty_batch_gives_no_results(self):
+        assert generate_batch(ModelParams.init(tiny_cfg(), seed=2), [], prior="uniform") == []
 
     def test_written_file_round_trips(self, tmp_path):
         p = ModelParams.init(tiny_cfg(), seed=2)

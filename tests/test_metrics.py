@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spi import verify
 from spi.config import ModelConfig, SpiConfig
 from spi.errors import ContractError
 from spi.metrics import (bleu_corpus, distinct_n, evaluate, perplexity,
@@ -120,6 +121,28 @@ class TestPerplexity:
         picks = [select_for_generation(p, ex, prior="uniform") for ex in exs]
         assert perplexity(p, exs, picks=picks) == \
             perplexity(p, list(reversed(exs)), picks=list(reversed(picks)))
+
+    def test_ragged_batch_matches_the_reference(self):
+        # one lockstep decode: responses of different lengths, one of EOS
+        # alone and one with tokens after its EOS, which are not scored
+        cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,
+                          dec_hidden_dim=5, latent_dim=2, max_history=8,
+                          max_candidate=6, max_response=8)
+        p = ModelParams.init(cfg, seed=6, scale=0.5)
+        exs = [make_example(resp=(6, 7, 8, 9, 4, EOS)),
+               make_example(hist=(), resp=(EOS,)),
+               make_example(hist=(9, 8, 7, 6, 5, 4, 9, 8, 7), cands=((5,), (4,) * 7),
+                            resp=(5, EOS, 6, 7)),
+               make_example(hist=(4,), resp=(8, 8, EOS))]
+        picks = [1, 0, 1, 0]
+        total = 0.0
+        for ex, s in zip(exs, picks):
+            scored = ex.response[:ex.response.index(EOS) + 1]
+            truncated = DialogueExample(ex.history, ex.candidates, ex.gold_index, scored)
+            total += verify.naive_response_logprob(
+                p, truncated, s, verify.naive_latent_mean(p, ex, s))
+        want = math.exp(-total / sum(len(ex.response) for ex in exs))
+        assert perplexity(p, exs, picks=picks) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_never_below_one(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,

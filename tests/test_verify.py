@@ -8,7 +8,7 @@ import pytest
 from spi import autodiff as ad
 from spi import verify
 from spi.config import derived_rng
-from spi.inference import SelectionOutcome, select_knowledge
+from spi.inference import SelectionOutcome, select_knowledge, top_s_candidates
 from spi.model import ModelParams, decode_logprob
 from spi.verify import (CheckResult, check_determinism, check_gradients,
                         check_langevin, check_selection,
@@ -48,6 +48,17 @@ class TestNaiveOracle:
         params = ModelParams.init(cfg, seed=1)
         example = verify._random_example(rng, cfg.vocab_size, m=4)
         assert naive_top_s(params, example, 4) == [0, 1, 2, 3]
+
+
+    @pytest.mark.parametrize("bias", [-1e4, 1e4])
+    def test_naive_top_s_of_a_saturated_initializer(self, bias):
+        # every sigmoid saturates to the same value: ties, lowest indices first
+        rng = derived_rng(7, 4)
+        cfg = verify._tiny_model_config()
+        params = ModelParams.init(cfg, seed=2)
+        params["init_b"].data[...] = bias
+        example = verify._random_example(rng, cfg.vocab_size, m=4)
+        assert naive_top_s(params, example, 2) == top_s_candidates(params, example, 2) == [0, 1]
 
 
 class TestSuitesPass:
@@ -95,6 +106,19 @@ class TestNegativeControls:
         result = check_gradients(n_seeds=1, priors=("uniform",))
         assert not result.passed
         assert "under constant weights" in result.detail
+
+    def test_wrong_sign_in_the_segment_attention_slot_gradient_is_caught(self, monkeypatch):
+        # only the cross-example decode differentiates lockstep slots: in z
+        true_vjp = ad._segment_attention_vjp
+
+        def flipped_slots(*args, **kwargs):
+            gx, gv = true_vjp(*args, **kwargs)
+            return gx, (None if gv is None else -gv)
+
+        monkeypatch.setattr(ad, "_segment_attention_vjp", flipped_slots)
+        result = check_gradients(n_seeds=1, priors=("uniform",))
+        assert not result.passed
+        assert "cross-example decode grad wrt z" in result.detail
 
     def test_wrong_tie_break_is_caught(self):
         def highest_index_on_ties(params, example, *, prior, mode, top_s=None,
