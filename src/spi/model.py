@@ -386,12 +386,12 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderC
     # an id that every lane reads enters as one row, broadcast as a row bias
     e = ad.gather_rows(t["embed"], ids[0] if len(ids) == 1 else np.asarray(ids))
     q = ad.add(ad.matmul(cur.state, t["att_dec"]), t["att_b"])
+    if cur.seg is not None:
+        q = ad.gather_rows(q, cur.seg)  # each slot meets its own lane's query
+    scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
     if cur.seg is None:
-        scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
         ctx = ad.matmul(ad.softmax(scores), cur.slots)
     else:
-        # each slot meets its own lane's query
-        scores = ad.matmul(ad.tanh(ad.add(cur.proj, ad.gather_rows(q, cur.seg))), t["att_v"])
         ctx = ad.segment_attention(scores, cur.slots, cur.seg)
     # the context term comes first: the engine broadcasts only a second operand
     pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
