@@ -79,24 +79,14 @@ def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_ca
                                                                 oracle):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
-    ex = corpus.test[0]
-    evaluate(params, [ex], cfg, oracle_knowledge=oracle)
-    calls = list(encode_calls)
-    pick = ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
-    assert calls == [(ALL, False), ([pick], False)]
-
-
-@pytest.mark.parametrize("oracle", [False, True])
-def test_evaluate_of_several_examples_encodes_each_once_plus_its_scored_pick(
-        corpus, encode_calls, oracle):
-    cfg = config_for(corpus, "uniform")
-    params = ModelParams.init(cfg.model, seed=1)
-    examples = corpus.test[:4]
-    evaluate(params, examples, cfg, oracle_knowledge=oracle)
-    calls = list(encode_calls)
-    picks = [ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
-             for ex in examples]
-    assert calls == [(ALL, False)] * 4 + [([pick], False) for pick in picks]
+    for examples in (corpus.test[:1], corpus.test[:4]):
+        encode_calls.clear()
+        evaluate(params, examples, cfg, oracle_knowledge=oracle)
+        calls = list(encode_calls)
+        picks = [ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
+                 for ex in examples]
+        # every candidate of each example for generation, then each scored pick
+        assert calls == [(ALL, False)] * len(examples) + [([pick], False) for pick in picks]
 
 
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])
