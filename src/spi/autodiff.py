@@ -437,26 +437,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.vstack(datas), tuple(parts), vjp, check=False, op="concat")
 
 
-def _stack_vjp(g, n):
-    return tuple(g[i] for i in range(n))
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shaped parts along a new leading axis (scalars give rank 1)."""
-    if len(parts) == 0:
-        raise ContractError("stack_rows of zero parts")
-    datas = [p.data for p in parts]
-    if len({d.shape for d in datas}) != 1:
-        raise ShapeError("stack_rows parts must share a shape")
-    out = np.stack(datas, axis=0)
-    n = len(datas)
-
-    def vjp(g, needs, n=n):
-        return _stack_vjp(g, n)
-
-    return _emit(out, tuple(parts), vjp, check=False, op="stack-rows")
-
-
 def _squared_l2_vjp(g, xd):
     return ((2.0 * g) * xd,)
 

@@ -13,12 +13,13 @@ were trained under; loading refuses a mismatch.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .config import SpiConfig
-from .errors import ContractError
+from .errors import ContractError, SpiError
 from .fsio import atomic_write_bytes
 from .model import ModelParams
 
@@ -69,7 +70,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         raise ContractError(f"{path}: truncated checkpoint manifest")
     try:
         manifest = json.loads(rest[:newline].decode("ascii"))
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise ContractError(f"{path}: malformed checkpoint manifest") from err
     entries = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
@@ -78,8 +79,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = _manifest_entry(path, entry)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8  # Python ints: a huge shape cannot wrap to 0
         payload = rest[cursor:cursor + nbytes]
         if len(payload) != nbytes:
             raise ContractError(f"{path}: truncated payload for tensor {name!r}")
@@ -99,4 +99,7 @@ def load_checkpoint(path: str | Path, config: SpiConfig) -> ModelParams:
         raise ContractError(
             f"{path}: checkpoint fingerprint {stored[:12]}... does not match the "
             f"current config {expected[:12]}...; architecture or prior mode differ")
-    return ModelParams.from_arrays(config.model, arrays)
+    try:
+        return ModelParams.from_arrays(config.model, arrays)
+    except SpiError as err:  # a missing or misshapen tensor, or a non-finite value
+        raise ContractError(f"{path}: {err}") from None

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, SpiConfig, config_from_dict, with_overrides
 from .data import SyntheticSpec, generate_corpus, load_corpus, save_corpus
 from .errors import ContractError, SpiError
-from .fsio import atomic_write_text, dump_json_line
+from .fsio import atomic_write_text, dump_json_line, read_text
 from .generation import generate_batch, write_generations
 from .metrics import evaluate
 from .training import train
@@ -64,10 +64,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _read_config_file(path: Path) -> SpiConfig:
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ContractError(f"{path}: cannot read the config file ({err.strerror})") from None
-    except ValueError as err:
+        raw = json.loads(read_text(path, "the config file"))
+    except (ValueError, RecursionError) as err:
         raise ContractError(f"{path}: malformed JSON ({err})") from None
     if not isinstance(raw, dict):
         raise ContractError(f"{path}: a config file holds a JSON object, "

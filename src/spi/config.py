@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -19,12 +20,12 @@ SEED_VALID = 3
 SEED_SHUFFLE = 4
 
 
-_KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string"}
+_KINDS = {"int": "an integer", "float": "a finite number", "bool": "a boolean", "str": "a string"}
 
 
 def _check_kinds(cfg, prefix: str) -> None:
-    """Each field must hold its declared type; a bool is not a number and a
-    float is not an integer."""
+    """Each field must hold its declared type; a bool is not a number, a float
+    is not an integer, and a number is finite (JSON reads NaN and Infinity)."""
     for f in fields(cfg):
         kind, value = f.type, getattr(cfg, f.name)  # a string: annotations are postponed
         if kind not in _KINDS:
@@ -36,6 +37,8 @@ def _check_kinds(cfg, prefix: str) -> None:
         else:
             numbers = (int, float) if kind == "float" else int
             ok = isinstance(value, numbers) and not isinstance(value, bool)
+            if ok and kind == "float":
+                ok = -sys.float_info.max <= value <= sys.float_info.max  # False for NaN
         if not ok:
             raise ContractError(f"config field {prefix}{f.name} must be {_KINDS[kind]}, "
                                 f"got {value!r}")

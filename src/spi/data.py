@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .fsio import atomic_write_text, dump_json_line, read_jsonl
+from .fsio import atomic_write_text, dump_json_line, read_jsonl, read_text
 from .model import EOS, DialogueExample, Vocab
 
 
@@ -216,12 +216,8 @@ def save_corpus(corpus: SyntheticCorpus, out_dir: str | Path) -> None:
 
 
 def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ContractError(f"{path}: cannot read the spec sidecar ({err.strerror})") from None
     fields = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "the spec sidecar").splitlines(), start=1):
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
@@ -248,16 +244,23 @@ def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
     if not vocab_path.exists():
         raise ContractError(f"{out}: not a corpus directory (no vocab.json)")
     try:
-        tokens = json.loads(vocab_path.read_text())["tokens"]
-    except (ValueError, KeyError, TypeError) as err:
+        tokens = json.loads(read_text(vocab_path, "the vocabulary"))["tokens"]
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise ContractError(f"{vocab_path}: malformed vocabulary file ({err!r})") from None
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ContractError(f"{vocab_path}: 'tokens' must be a list of strings")
     vocab = Vocab(tuple(tokens))
     if vocab.tokens[:4] != ("<pad>", "<bos>", "<eos>", "<sep>"):
         raise ContractError(f"{vocab_path}: reserved tokens are wrong or reordered")
-    spec = _parse_spec_sidecar(out / "spec.txt")
-    _, layout = plan_vocab(spec)
+    spec_path = out / "spec.txt"
+    spec = _parse_spec_sidecar(spec_path)
+    if spec.vocab_size != vocab.size:
+        raise ContractError(f"{spec_path}: vocab_size {spec.vocab_size} does not match "
+                            f"the {vocab.size} tokens of {vocab_path}")
+    try:
+        _, layout = plan_vocab(spec)
+    except ContractError as err:
+        raise ContractError(f"{spec_path}: {err}") from None
     splits = {}
     for name in ("train", "valid", "test"):
         path = out / f"{name}.jsonl"

@@ -5,6 +5,7 @@ renamed into place, so readers never observe a partial file.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -43,20 +44,34 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     atomic_write_text(path, "".join(dump_json_line(r) + "\n" for r in records))
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 text file; a file that cannot be read or is not UTF-8 ends in
+    a ContractError that names it (and the line of the first bad byte)."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise ContractError(f"{path}: cannot read {what} ({err.strerror})") from None
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = blob.count(b"\n", 0, err.start) + 1
+        raise ContractError(f"{path}:{line}: {what} is not UTF-8 text") from None
+
+
 def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
     """Each record of a JSON-lines file with its 1-based line number; blank
     lines are skipped."""
     out = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append((number, json.loads(line)))
-                except json.JSONDecodeError as err:
-                    raise ContractError(f"{path}:{number}: malformed JSON ({err.msg})") from err
-    except OSError as err:
-        raise ContractError(f"{path}: cannot read ({err.strerror})") from None
+    # lines split as a text-mode file splits them
+    for number, line in enumerate(io.StringIO(read_text(path, "the file"), newline=None),
+                                  start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append((number, json.loads(line)))
+        except json.JSONDecodeError as err:
+            raise ContractError(f"{path}:{number}: malformed JSON ({err.msg})") from err
+        except RecursionError:
+            raise ContractError(f"{path}:{number}: malformed JSON (nested too deeply)") from None
     return out

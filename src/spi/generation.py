@@ -52,8 +52,7 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
                    prior: str, max_len: int = 32) -> list[GenerationResult]:
     """``generate`` for every example, as the lanes of one greedy lockstep
-    decode; a lane retires at its own EOS or at the cap. A lone example
-    runs the one-lane ops."""
+    decode; a lane retires at its own EOS or at the cap."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     if not examples:
@@ -66,10 +65,7 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
         picks.append(s)
         picked.append(encodings[s])
         zs.append(latent_prior_mean(params, example, s, encoded=encodings[s]).data)
-    if len(examples) == 1:
-        cursor = decoder_start(params, picked[0], zs[0])
-    else:
-        cursor = decoder_start(params, picked, np.stack(zs))
+    cursor = decoder_start(params, picked, np.stack(zs))
     tokens: list[list[int]] = [[] for _ in examples]
     logprobs: list[list[float]] = [[] for _ in examples]
     done = [False] * len(examples)  # a retired lane runs on unread

@@ -14,7 +14,7 @@ import numpy as np
 from .config import SpiConfig
 from .errors import ContractError
 from .generation import GenerationResult, generate_batch
-from .model import (EOS, DialogueExample, ModelParams, decode_logprob,
+from .model import (EOS, DialogueExample, ModelParams, _scored_response, decode_logprob,
                     encode_context, latent_prior_mean)
 
 
@@ -35,11 +35,17 @@ def selection_accuracy(predicted: list[int], examples: list[DialogueExample]) ->
     return hits / denom
 
 
+def scored_tokens(params: ModelParams, examples: list[DialogueExample]) -> int:
+    """Tokens a teacher-forced decode scores: each response up to its first EOS."""
+    return sum(len(_scored_response(params.cfg, ex)) for ex in examples)
+
+
 def perplexity(params: ModelParams, examples: list[DialogueExample], *,
                picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent; every example is a lane of one lockstep decode."""
+    prior-mean latent; every example is a lane of one lockstep decode. The
+    mean runs over the scored tokens, so padding past an EOS counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
@@ -48,8 +54,7 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
     z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
                   for ex, s, enc in zip(examples, picks, encoded)])
     total_lp = sum(decode_logprob(params, examples, picks, z, encoded=encoded).data.tolist())
-    total_tokens = sum(len(ex.response) for ex in examples)
-    return math.exp(-total_lp / total_tokens)
+    return math.exp(-total_lp / scored_tokens(params, examples))
 
 
 def _ngrams(seq: list[int], n: int) -> Counter:
@@ -167,7 +172,7 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     refs = [_strip_eos(list(ex.response)) for ex in examples]
     return EvalReport(
         n_examples=len(examples),
-        n_tokens=sum(len(ex.response) for ex in examples),
+        n_tokens=scored_tokens(params, examples),
         selection_accuracy=selection_accuracy([g.s for g in generations], examples),
         perplexity=perplexity(params, examples, picks=picks),
         bleu3=bleu_corpus(cands, refs, max_n=3),

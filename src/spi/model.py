@@ -245,10 +245,8 @@ def encode_context(params: ModelParams, example: DialogueExample,
     t = params.tensors
     emb = ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64))
     wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
-    # a step reads one row of ``emb``, or k rows once the lanes split; a lone
-    # lane stays a vector like the prefix
-    steps = list(range(n)) + [n + i if k == 1 else np.arange(n + i * k, n + (i + 1) * k)
-                              for i in range(width)]
+    # a step reads one row of ``emb``, or k rows once the lanes split
+    steps = list(range(n)) + [np.arange(n + i * k, n + (i + 1) * k) for i in range(width)]
     state = Tensor(np.zeros(cfg.hidden_dim))
     rows = []
     for step in steps:
@@ -280,7 +278,7 @@ def head_logits(params: ModelParams, head: str,
     row = {key: i for i, key in enumerate(pooled)}
     t = params.tensors
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
-    logits = ad.add(ad.matmul(ad.stack_rows(list(pooled.values())), t[w_name]),
+    logits = ad.add(ad.matmul(ad.concat(list(pooled.values())), t[w_name]),
                     ad.multiply(Tensor(np.ones(len(pooled))), t[b_name]))
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
 
@@ -342,24 +340,25 @@ class DecoderCursor:
     ctx: Tensor | None = None      # (hidden,) or (k, hidden); None before the first token
 
 
-def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[EncodedContext],
-                  z) -> DecoderCursor:
-    """Cursor before the first token: one encoding with ``z`` of shape
-    (latent,), or a sequence of k encodings with ``z`` of shape (k, latent)
-    for k lanes decoded in lockstep."""
+def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> DecoderCursor:
+    """Cursor before the first token of k lanes decoded in lockstep, from k
+    encodings and ``z`` of shape (k, latent).
+
+    The only code that picks the decoder ops: a lone lane gets the one-lane
+    cursor (vectors, ``seg`` None), which runs faster than a one-lane
+    segment layout, and ``decoder_advance`` follows the cursor."""
     t = params.tensors
-    d = params.cfg.latent_dim
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    lanes = [encoded] if isinstance(encoded, EncodedContext) else list(encoded)
+    lanes = list(encoded)
     if not lanes:
         raise ContractError("decoder_start needs at least one encoding")
-    want = (d,) if isinstance(encoded, EncodedContext) else (len(lanes), d)
+    zt = z if isinstance(z, Tensor) else Tensor(z)
+    want = (len(lanes), params.cfg.latent_dim)
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
     slots = ad.concat([enc.states for enc in lanes] + [zrow])
-    if isinstance(encoded, EncodedContext):
-        pooled, seg = encoded.pooled, None
+    if len(lanes) == 1:
+        pooled, seg = lanes[0].pooled, None
     else:
         lengths = [enc.states.shape[0] for enc in lanes]
         n, order, start = sum(lengths), [], 0
@@ -367,7 +366,7 @@ def decoder_start(params: ModelParams, encoded: EncodedContext | Sequence[Encode
             order += [*range(start, start + length), n + j]
             start += length
         slots = ad.gather_rows(slots, np.asarray(order))
-        pooled = ad.stack_rows([enc.pooled for enc in lanes])
+        pooled = ad.concat([enc.pooled for enc in lanes])
         seg = np.repeat(np.arange(len(lanes)), np.add(lengths, 1))
     proj = ad.matmul(slots, t["att_enc"])
     state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
@@ -460,11 +459,8 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
             lanes[key] = len(firsts)
             firsts.append(pos)
         lane_of.append(lanes[key])
-    if len(firsts) == 1:
-        cur = decoder_start(params, encs[firsts[0]], ad.gather_rows(zt, firsts[0]))
-    else:
-        cur = decoder_start(params, [encs[pos] for pos in firsts],
-                            ad.gather_rows(zt, np.asarray(firsts)))
+    cur = decoder_start(params, [encs[pos] for pos in firsts],
+                        ad.gather_rows(zt, np.asarray(firsts)))
     return cur, firsts, np.asarray(lane_of)
 
 
@@ -483,7 +479,7 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     distinct (example, truncated candidate, latent row) triples: a repeated
     triple shares its first occurrence's lane, so the two tie exactly (a
     matrix product may round equal rows differently), and its gradient in
-    ``z`` reaches that first row. A lone lane runs the one-candidate ops.
+    ``z`` reaches that first row.
 
     The recurrence steps every lane token by token; a live mask drops the
     steps past a lane's end. The output head then runs once over every
@@ -493,19 +489,18 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     model is.
     """
     cfg = params.cfg
-    if _is_index(s):
+    one = _is_index(s)
+    if one:  # lane 0 of a one-index lockstep, returned as a scalar
         if not isinstance(example, DialogueExample):
             raise ContractError("one candidate index scores one example")
-        responses = [_scored_response(cfg, example)]
-        enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-        cur, lane_of = decoder_start(params, enc, z), 0
-    else:
-        indices = list(s)
-        examples = ([example] * len(indices) if isinstance(example, DialogueExample)
-                    else list(example))
-        scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
-        cur, firsts, lane_of = _lockstep_start(params, examples, indices, z, encoded)
-        responses = [scored[id(examples[pos])] for pos in firsts]
+        s, z = [s], ad.concat([z]) if isinstance(z, Tensor) else np.asarray(z)[None]
+        encoded = None if encoded is None else [encoded]
+    indices = list(s)
+    examples = ([example] * len(indices) if isinstance(example, DialogueExample)
+                else list(example))
+    scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
+    cur, firsts, lane_of = _lockstep_start(params, examples, indices, z, encoded)
+    responses = [scored[id(examples[pos])] for pos in firsts]
     k = len(responses)
     lengths = np.array([len(r) for r in responses])
     width = int(lengths.max())
@@ -532,4 +527,4 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
     live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
     total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
-    return ad.gather_rows(total, lane_of)
+    return ad.gather_rows(total, 0 if one else lane_of)

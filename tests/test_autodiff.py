@@ -219,7 +219,7 @@ def _primitive_cases():
         "gather": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, idx)))),
         "gather-int": ((5, 4), lambda x: ad.reduce_sum(ad.gather_rows(x, 3))),
         "concat-rows": ((2, 4), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv])))),
-        "stack-rows": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.stack_rows([x, wv, x])))),
+        "concat-vectors": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv, x])))),
         "squared-l2": ((4,), lambda x: ad.squared_l2(x)),
     }
 

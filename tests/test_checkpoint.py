@@ -120,3 +120,27 @@ def test_malformed_manifest_shapes_name_the_file(tmp_path, manifest):
                      + b"\x00" * 8 + b"fingerprint: 00\n")
     with pytest.raises(ContractError, match=re.escape(str(path))):
         read_checkpoint(path)
+
+
+def test_a_shape_whose_count_overflows_int64_names_the_file(tmp_path):
+    # 2**40 * 2**40 wraps to 0 in int64, which would read an empty payload
+    manifest = {"tensors": [{"name": "embed", "dtype": "<f8", "shape": [2**40, 2**40]}]}
+    path = tmp_path / "model.bin"
+    path.write_bytes(MAGIC + json.dumps(manifest).encode("ascii") + b"\n"
+                     + b"fingerprint: 00\n")
+    with pytest.raises(ContractError, match=re.escape(f"{path}: truncated payload")):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["nan-payload", "renamed-tensor"])
+def test_load_errors_name_the_file(tmp_path, cfg, damage):
+    blob = checkpoint_bytes(ModelParams.init(cfg.model), cfg.fingerprint())
+    if damage == "nan-payload":  # the last value of the last tensor
+        tail = blob.rindex(b"fingerprint: ")
+        blob = blob[:tail - 8] + np.array([np.nan]).tobytes() + blob[tail:]
+    else:
+        blob = blob.replace(b'"name":"out_b"', b'"name":"out_x"')
+    path = tmp_path / "model.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        load_checkpoint(path, cfg)

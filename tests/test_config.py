@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,19 @@ class TestSerialization:
     def test_mistyped_field_is_a_contract_error_naming_it(self, data, field):
         with pytest.raises(ContractError, match=rf"config field {field} must be"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("field, text", [("step_size", "NaN"), ("temperature", "Infinity"),
+                                             ("grad_clamp", "-Infinity"), ("lr_model", "1e400"),
+                                             ("lr_head", "NaN")])
+    def test_non_finite_number_is_a_contract_error_naming_it(self, field, text):
+        # json reads NaN and Infinity, and 1e400 as inf
+        data = json.loads(f'{{"model": {{"vocab_size": 64}}, "{field}": {text}}}')
+        with pytest.raises(ContractError, match=rf"config field {field} must be a finite"):
+            config_from_dict(data)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ContractError, match="config field step_size must be"):
+            config_from_dict({"model": {"vocab_size": 64}, "step_size": 10**400})
 
     def test_integer_accepted_for_a_number_field(self):
         cfg = config_from_dict({"model": {"vocab_size": 64}, "temperature": 2})

@@ -193,6 +193,32 @@ class TestDiskRoundTrip:
         with pytest.raises(ContractError, match=re.escape(str(path))):
             load_corpus(tmp_path)
 
+    def test_non_utf8_jsonl_line_names_file_and_line(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "valid.jsonl"
+        lines = path.read_bytes().splitlines()
+        lines[2] = lines[2][:10] + b"\xff\xfe" + lines[2][10:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:3: ")):
+            load_corpus(tmp_path)
+
+    def test_non_utf8_spec_sidecar_names_file_and_line(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_bytes().splitlines()
+        lines[4] = b"rho = \xe9"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:5: ")):
+            load_corpus(tmp_path)
+
+    def test_spec_vocab_size_must_match_the_vocabulary(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        text = path.read_text()
+        path.write_text(text.replace("vocab_size = 48", "vocab_size = 64"))
+        with pytest.raises(ContractError, match=re.escape(f"{path}: vocab_size")):
+            load_corpus(tmp_path)
+
     def test_non_numeric_spec_value_names_file_and_line(self, tmp_path):
         save_corpus(generate_corpus(small_spec()), tmp_path)
         path = tmp_path / "spec.txt"

@@ -15,7 +15,7 @@ from spi import model
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.inference import select_knowledge, sequential_posterior_infer
 from spi.metrics import evaluate
-from spi.model import EOS, DialogueExample, EncodedContext, ModelParams
+from spi.model import EOS, DialogueExample, ModelParams
 
 CFG = ModelConfig(vocab_size=16, embed_dim=4, hidden_dim=5, att_dim=3, dec_hidden_dim=5,
                   latent_dim=2, max_history=8, max_candidate=3, max_response=8)
@@ -40,7 +40,7 @@ def decoder_calls(monkeypatch):
         return decode(params, example, s, z, encoded=encoded)
 
     def counting_start(params, encoded, z):
-        calls["lanes"].append(1 if isinstance(encoded, EncodedContext) else len(encoded))
+        calls["lanes"].append(len(encoded))
         return start(params, encoded, z)
 
     for name, module in list(sys.modules.items()):

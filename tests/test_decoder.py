@@ -164,6 +164,19 @@ def fixed_example() -> DialogueExample:
                            gold_index=0, response=[6, 7, 5, EOS])
 
 
+def z_gradient(params, example, s, z):
+    """The score and its z-gradient, with the tape they came from."""
+    with ad.Tape() as tape:
+        zt = ad.Tensor(z, name="z", trainable=True)
+        out = decode_logprob(params.constant(), example, s, zt)
+        grad = ad.backward(tape, ad.reduce_sum(out))["z"]
+    return out.data, grad, tape
+
+
+def recorded_primitives(tape) -> set[str]:
+    return {vjp.__qualname__.split(".<locals>")[0] for *_, vjp in tape._nodes}
+
+
 def test_a_lone_lane_runs_the_one_candidate_ops():
     params = ModelParams.init(CFG, seed=3)
     example = fixed_example()
@@ -171,6 +184,22 @@ def test_a_lone_lane_runs_the_one_candidate_ops():
     one = decode_logprob(params, example, 0, z).data
     both = decode_logprob(params, example, [2, 0], np.stack([z, z])).data
     assert both[0] == one and both[1] == one
+    # an int index is the one-index sequence, lane 0 as a scalar
+    score, grad, _ = z_gradient(params, example, 0, z)
+    lane_score, lane_grad, _ = z_gradient(params, example, [0], z[None])
+    assert score.shape == () and lane_score.shape == (1,)
+    assert score == lane_score[0]
+    assert np.array_equal(grad, lane_grad[0])
+
+
+def test_a_lone_lane_tape_holds_no_segment_attention():
+    params = ModelParams.init(CFG, seed=3)
+    example = fixed_example()
+    z = np.linspace(-1.0, 1.0, CFG.latent_dim)
+    *_, lone = z_gradient(params, example, 1, z)
+    *_, pair = z_gradient(params, example, [1, 3], np.stack([z, -z]))
+    assert "segment_attention" not in recorded_primitives(lone)
+    assert "segment_attention" in recorded_primitives(pair)
 
 
 def test_passed_encodings_give_the_same_scores():

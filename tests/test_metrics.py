@@ -141,8 +141,16 @@ class TestPerplexity:
             truncated = DialogueExample(ex.history, ex.candidates, ex.gold_index, scored)
             total += verify.naive_response_logprob(
                 p, truncated, s, verify.naive_latent_mean(p, ex, s))
-        want = math.exp(-total / sum(len(ex.response) for ex in exs))
+        # the mean runs over the scored tokens: 6 + 1 + 2 + 3
+        want = math.exp(-total / 12)
         assert perplexity(p, exs, picks=picks) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_padding_past_eos_leaves_perplexity_unchanged(self):
+        # both responses score the same two tokens, so they average over two
+        p = ModelParams.init(verify._tiny_model_config(), seed=1)
+        padded = make_example(resp=(5, EOS, 6, EOS))
+        bare = make_example(resp=(5, EOS))
+        assert perplexity(p, [padded], picks=[0]) == perplexity(p, [bare], picks=[0])
 
     def test_never_below_one(self):
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=5, att_dim=3,

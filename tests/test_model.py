@@ -309,7 +309,7 @@ class TestDecoder:
         ex = make_example(resp=(6, 4, 7, EOS))
         rng = np.random.default_rng(1)
         z = rng.normal(size=cfg.latent_dim)
-        cur = decoder_start(p, encode_context(p, ex, [0])[0], z)
+        cur = decoder_start(p, [encode_context(p, ex, [0])[0]], z[None])
         total = 0.0
         prev = BOS
         for target in ex.response:
@@ -378,6 +378,6 @@ class TestDecoder:
         cfg = tiny_cfg()
         p = random_params(cfg)
         enc = encode_context(p, make_example(), [0])[0]
-        cur = decoder_start(p, enc, np.zeros(cfg.latent_dim))
+        cur = decoder_start(p, [enc], np.zeros((1, cfg.latent_dim)))
         with pytest.raises(ContractError):
             decoder_advance(p, cur, cfg.vocab_size)
