@@ -379,28 +379,29 @@ def _gather_vjp(g, shape, idx):
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows by index; an int index drops the leading axis.
+    """Select rows by index; an int index drops the leading axis, and a slice
+    takes consecutive rows with no index array to check.
 
     Duplicate indices accumulate gradient, so this doubles as the embedding
     lookup.
     """
     xd = x.data
     if isinstance(idx, (int, np.integer)):
-        i = int(idx)
-        if not -xd.shape[0] <= i < xd.shape[0]:
-            raise ShapeError(f"row index {i} out of range for shape {xd.shape}")
-        key: int | np.ndarray = i
-        out = xd[i]
+        if not -xd.shape[0] <= idx < xd.shape[0]:
+            raise ShapeError(f"row index {idx} out of range for shape {xd.shape}")
+        key: int | slice | np.ndarray = int(idx)
+    elif isinstance(idx, slice):
+        if idx.indices(xd.shape[0]) != (idx.start, idx.stop, 1) or idx.start >= idx.stop:
+            raise ShapeError(f"row slice {idx} out of range for shape {xd.shape}")
+        key = idx
     else:
-        arr = np.asarray(idx)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ShapeError(f"gather_rows needs a non-empty 1-d index list, got {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ContractError("gather_rows indices must be integers")
-        if (arr < 0).any() or (arr >= xd.shape[0]).any():
+        key = np.asarray(idx)
+        if key.ndim != 1 or key.size == 0 or not np.issubdtype(key.dtype, np.integer):
+            raise ShapeError(f"gather_rows needs a non-empty 1-d list of integer indices, "
+                             f"got {key.dtype} of shape {key.shape}")
+        if (key < 0).any() or (key >= xd.shape[0]).any():
             raise ShapeError(f"gather_rows index out of range for shape {xd.shape}")
-        key = arr
-        out = xd[arr]
+    out = xd[key]
     shape = xd.shape
 
     def vjp(g, needs, shape=shape, key=key):

@@ -245,8 +245,8 @@ def encode_context(params: ModelParams, example: DialogueExample,
     t = params.tensors
     emb = ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64))
     wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
-    # a step reads one row of ``emb``, or k rows once the lanes split
-    steps = list(range(n)) + [np.arange(n + i * k, n + (i + 1) * k) for i in range(width)]
+    # a step reads one row of ``emb``, or k consecutive rows once the lanes split
+    steps = list(range(n)) + [slice(n + i * k, n + (i + 1) * k) for i in range(width)]
     state = Tensor(np.zeros(cfg.hidden_dim))
     rows = []
     for step in steps:

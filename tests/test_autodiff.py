@@ -188,6 +188,9 @@ class TestShapeAndNumericErrors:
     def test_gather_index_out_of_range(self):
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor(np.ones((3, 2))), [0, 3])
+        for rows in (slice(2, 4), slice(2, 2), slice(0, 2, 2), slice(None, 2)):
+            with pytest.raises(ShapeError):
+                ad.gather_rows(ad.Tensor(np.ones((3, 2))), rows)
 
 
 def _primitive_cases():
@@ -218,6 +221,7 @@ def _primitive_cases():
         "mean-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_mean(x, axis=0), wv)),
         "gather": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, idx)))),
         "gather-int": ((5, 4), lambda x: ad.reduce_sum(ad.gather_rows(x, 3))),
+        "gather-slice": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, slice(1, 3))))),
         "concat-rows": ((2, 4), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv])))),
         "concat-vectors": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv, x])))),
         "squared-l2": ((4,), lambda x: ad.squared_l2(x)),
