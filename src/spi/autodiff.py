@@ -399,7 +399,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         if key.ndim != 1 or key.size == 0 or not np.issubdtype(key.dtype, np.integer):
             raise ShapeError(f"gather_rows needs a non-empty 1-d list of integer indices, "
                              f"got {key.dtype} of shape {key.shape}")
-        if (key < 0).any() or (key >= xd.shape[0]).any():
+        if key.min() < 0 or key.max() >= xd.shape[0]:
             raise ShapeError(f"gather_rows index out of range for shape {xd.shape}")
     out = xd[key]
     shape = xd.shape

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
-                    decoder_advance, decoder_start, encode_context,
+                    decoder_advance, decoder_start, encode_batch,
                     initializer_scores, knowledge_prior_logits,
                     latent_prior_mean, output_logits)
 
@@ -58,9 +58,7 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
     if not examples:
         return []
     picks, picked, zs = [], [], []
-    for example in examples:
-        # only the picked encoding outlives this loop
-        encodings = encode_context(params, example)
+    for example, encodings in zip(examples, encode_batch(params, examples)):
         s = select_for_generation(params, example, prior=prior, encodings=encodings)
         picks.append(s)
         picked.append(encodings[s])

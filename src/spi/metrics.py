@@ -15,7 +15,7 @@ from .config import SpiConfig
 from .errors import ContractError
 from .generation import GenerationResult, generate_batch
 from .model import (EOS, DialogueExample, ModelParams, _scored_response, decode_logprob,
-                    encode_context, latent_prior_mean)
+                    encode_batch, latent_prior_mean)
 
 
 def selection_accuracy(predicted: list[int], examples: list[DialogueExample]) -> float:
@@ -50,7 +50,7 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
-    encoded = [encode_context(params, ex, [s])[0] for ex, s in zip(examples, picks)]
+    encoded = [encs[0] for encs in encode_batch(params, examples, [[s] for s in picks])]
     z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
                   for ex, s, enc in zip(examples, picks, encoded)])
     total_lp = sum(decode_logprob(params, examples, picks, z, encoded=encoded).data.tolist())

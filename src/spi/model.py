@@ -188,12 +188,27 @@ class ModelParams:
 # encoder
 
 
-@dataclass
 class EncodedContext:
-    """Per-token encoder states and their mean-pooled summary."""
+    """Per-token encoder states of one lane and their mean-pooled summary.
 
-    states: Tensor  # (L, hidden)
-    pooled: Tensor  # (hidden,)
+    A lane made off the tape keeps only its row indices into its pass's row
+    matrix, and ``states`` gathers them on each read, so a pass over many
+    lanes holds its rows once, not once per lane. On a tape the gathered
+    rows are kept, since the tape holds them anyway."""
+
+    __slots__ = ("pooled", "_rows", "_idx", "_states")
+
+    def __init__(self, rows: Tensor, idx: np.ndarray | None):
+        states = rows if idx is None else ad.gather_rows(rows, idx)
+        self.pooled = ad.reduce_mean(states, axis=0)  # (hidden,)
+        self._rows, self._idx = rows, idx
+        self._states = states if idx is None or states.requires_grad else None
+
+    @property
+    def states(self) -> Tensor:  # (L, hidden)
+        if self._states is not None:
+            return self._states
+        return ad.gather_rows(self._rows, self._idx)
 
 
 def _is_index(value) -> bool:
@@ -210,57 +225,104 @@ def _check_tokens(tokens: Sequence[int], vocab_size: int, what: str) -> None:
                 raise ContractError(f"{what} token id {tok} outside vocabulary of {vocab_size}")
 
 
+def _encoder_steps(params: ModelParams, emb: Tensor, state: Tensor, steps) -> list[Tensor]:
+    """The recurrent states after each step, a step reading its rows of ``emb``."""
+    t = params.tensors
+    wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
+    rows = []
+    for step in steps:
+        state = ad.tanh(ad.add(ad.add(ad.matmul(ad.gather_rows(emb, step), wx),
+                                      ad.matmul(state, wh)), b))
+        rows.append(state)
+    return rows
+
+
 def encode_context(params: ModelParams, example: DialogueExample,
                    indices: Sequence[int] | None = None) -> list[EncodedContext]:
     """Encode the history joined by the separator token to each requested
-    candidate (every candidate by default), in one pass.
+    candidate (every candidate by default): ``encode_batch`` of one example."""
+    return encode_batch(params, [example], [indices])[0]
+
+
+def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
+                 indices: Sequence[Sequence[int] | None] | None = None
+                 ) -> list[list[EncodedContext]]:
+    """Encode each example's history joined by the separator token to each
+    of its requested candidates (``indices[e]``; every candidate by
+    default), for the whole batch in one lockstep pass.
 
     History longer than the cap keeps its most recent tokens; a candidate
-    keeps its head. The shared prefix runs once; the distinct truncated
-    candidates then advance from its last state in lockstep, as rows of one
-    (k, hidden) state padded to the longest. Equal truncated candidates share
-    one encoding, so their scores tie exactly: a matrix product may round
-    two equal rows differently.
+    keeps its head. The E prefixes advance first as the rows of one
+    (E, hidden) state, left-aligned with padding past each one's end. Each
+    lane, a distinct truncated candidate of one example, then starts from
+    its own example's last prefix state, and the lanes of every example
+    advance in lockstep as the rows of one (K, hidden) state padded to the
+    longest. Equal truncated candidates of one example share one encoding,
+    so their scores tie exactly: a matrix product may round two equal rows
+    differently. Lanes of different examples never share.
     """
     cfg = params.cfg
-    m = len(example.candidates)
-    hist = list(example.history[-cfg.max_history:])
-    lanes: dict[tuple[int, ...], int] = {}
+    if indices is None:
+        indices = [None] * len(examples)
+    elif len(indices) != len(examples):
+        raise ContractError(f"{len(indices)} index lists for {len(examples)} examples")
+    prefixes = []
+    lanes: dict[tuple[int, tuple[int, ...]], int] = {}  # (example, candidate) -> lane
     lane_of = []
-    for s in (range(m) if indices is None else indices):
-        if not 0 <= s < m:
-            raise ContractError(f"candidate index {s} out of range")
-        cand = tuple(example.candidates[s][:cfg.max_candidate])
-        if not hist and not cand:
-            raise ContractError("cannot encode an empty history with an empty candidate")
-        lane_of.append(lanes.setdefault(cand, len(lanes)))
-    cands = list(lanes)
-    k = len(cands)
-    width = max(map(len, cands), default=0)
-    prefix = hist + [SEP]
-    n = len(prefix)
-    # row n + i*k + j holds token i of lane j (PAD past the lane's end)
-    tokens = prefix + [c[i] if i < len(c) else PAD for i in range(width) for c in cands]
+    for e, (example, wanted) in enumerate(zip(examples, indices)):
+        m = len(example.candidates)
+        hist = list(example.history[-cfg.max_history:])
+        prefixes.append(hist + [SEP])
+        mine = []
+        for s in (range(m) if wanted is None else wanted):
+            if not 0 <= s < m:
+                raise ContractError(f"candidate index {s} out of range")
+            cand = tuple(example.candidates[s][:cfg.max_candidate])
+            if not hist and not cand:
+                raise ContractError("cannot encode an empty history with an empty candidate")
+            mine.append(lanes.setdefault((e, cand), len(lanes)))
+        lane_of.append(mine)
+    if not examples:
+        return []
+    n_ex, k = len(examples), len(lanes)
+    n = max(map(len, prefixes))
+    width = max((len(c) for _, c in lanes), default=0)
+    # row i*E + e holds prefix token i of example e, then row E*n + i*k + j
+    # holds token i of lane j (PAD past either's end)
+    base = n_ex * n
+    tokens = [p[i] if i < len(p) else PAD for i in range(n) for p in prefixes]
+    tokens += [c[i] if i < len(c) else PAD for i in range(width) for _, c in lanes]
     _check_tokens(tokens, cfg.vocab_size, "context")
-    t = params.tensors
-    emb = ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64))
-    wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
-    # a step reads one row of ``emb``, or k consecutive rows once the lanes split
-    steps = list(range(n)) + [slice(n + i * k, n + (i + 1) * k) for i in range(width)]
-    state = Tensor(np.zeros(cfg.hidden_dim))
-    rows = []
-    for step in steps:
-        x = ad.gather_rows(emb, step)
-        # the prefix's last state enters the first lockstep step as a row-wise bias
-        state = ad.tanh(ad.add(ad.add(ad.matmul(x, wx), ad.matmul(state, wh)), b))
-        rows.append(state)
+    if not lanes:
+        return [[] for _ in examples]
+    emb = ad.gather_rows(params.tensors["embed"], np.asarray(tokens, dtype=np.int64))
+    # a lone example's prefix steps read one row each, so its last state is a
+    # vector, which enters the first lockstep step as a row-wise bias
+    one = n_ex == 1
+    rows = _encoder_steps(params, emb, Tensor(np.zeros(cfg.hidden_dim)),
+                          range(n) if one else [slice(i * n_ex, (i + 1) * n_ex)
+                                                for i in range(n)])
+    if one:
+        start = rows[-1]
+    else:  # each lane starts from its own example's last prefix row
+        ends = sorted({len(p) for p in prefixes})
+        # row a*E + e of ``last`` is example e's state after ends[a] prefix tokens
+        last = ad.concat([rows[end - 1] for end in ends])
+        start = ad.gather_rows(last, np.asarray(
+            [ends.index(len(prefixes[e])) * n_ex + e for e, _ in lanes]))
+    rows += _encoder_steps(params, emb, start,
+                           [slice(base + i * k, base + (i + 1) * k) for i in range(width)])
+    # the concatenation holds every row twice, the pass's peak memory: drop
+    # what is done with before it, and the step rows after it
+    del emb, start
     flat = ad.concat(rows)  # rows laid out as ``tokens``
+    del rows
     encoded = []
-    for j, cand in enumerate(cands):
-        idx = list(range(n)) + [n + i * k + j for i in range(len(cand))]
-        states = flat if len(idx) == len(tokens) else ad.gather_rows(flat, np.asarray(idx))
-        encoded.append(EncodedContext(states=states, pooled=ad.reduce_mean(states, axis=0)))
-    return [encoded[lane] for lane in lane_of]
+    for j, (e, cand) in enumerate(lanes):
+        idx = [*range(e, len(prefixes[e]) * n_ex, n_ex),
+               *range(base + j, base + len(cand) * k, k)]
+        encoded.append(EncodedContext(flat, None if len(idx) == len(tokens) else np.asarray(idx)))
+    return [[encoded[lane] for lane in mine] for mine in lane_of]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +418,12 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
-    slots = ad.concat([enc.states for enc in lanes] + [zrow])
+    states = [enc.states for enc in lanes]
+    slots = ad.concat(states + [zrow])
     if len(lanes) == 1:
         pooled, seg = lanes[0].pooled, None
     else:
-        lengths = [enc.states.shape[0] for enc in lanes]
+        lengths = [rows.shape[0] for rows in states]
         n, order, start = sum(lengths), [], 0
         for j, length in enumerate(lengths):  # lane j's encoder rows, then its latent row
             order += [*range(start, start + length), n + j]
@@ -441,11 +504,15 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
         raise ContractError(f"latents have shape {zt.shape}, expected "
                             f"({len(indices)}, {cfg.latent_dim})")
     if encoded is None:
+        # one encoder pass: each distinct example with the indices its lanes ask for
+        mine: dict[int, list[int]] = {}
+        for pos, ex in enumerate(examples):
+            mine.setdefault(id(ex), []).append(pos)
         encoded = [None] * len(indices)
-        for ex in {id(ex): ex for ex in examples}.values():
-            # one encoder pass per example, over the indices its lanes ask for
-            mine = [pos for pos, other in enumerate(examples) if other is ex]
-            for pos, enc in zip(mine, encode_context(params, ex, [indices[p] for p in mine])):
+        batch = encode_batch(params, [examples[ps[0]] for ps in mine.values()],
+                             [[indices[p] for p in ps] for ps in mine.values()])
+        for ps, encs in zip(mine.values(), batch):
+            for pos, enc in zip(ps, encs):
                 encoded[pos] = enc
     encs = list(encoded)
     if len(encs) != len(indices):

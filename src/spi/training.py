@@ -7,9 +7,11 @@ against multi-hot labels (gold plus the posterior pick). Validation loss is
 the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
 
-Each example is encoded in one pass off the tape; inference, the head
-cross-entropy and validation reuse those encodings. The taped surrogate
-step makes one more pass, since its gradient runs through the encoder.
+Each batch is encoded in one pass off the tape (``encode_batch``), every
+candidate of every example a lane of it; inference and the head
+cross-entropy reuse those encodings. Validation encodes all its examples in
+one such pass up front. The taped surrogate step makes one more pass per
+example, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .fsio import dump_json_line, atomic_write_text
 from .generation import select_for_generation
 from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, encode_context, head_logits,
+                    decode_logprob, encode_batch, encode_context, head_logits,
                     knowledge_prior_logits, latent_prior_log_density,
                     latent_prior_mean)
 
@@ -110,14 +112,12 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
         raise ContractError("cross-entropy needs a non-empty batch")
     if len(labels) != len(batch):
         raise ContractError("labels must align with the batch")
-    encoder = params.constant() if encodings_batch is None else None
-    encodings: list[EncodedContext] = []
-    for i, example in enumerate(batch):
-        if len(labels[i]) != len(example.candidates):
+    for y, example in zip(labels, batch):
+        if len(y) != len(example.candidates):
             raise ContractError("label vector length must match the candidate count")
-        encodings += (encodings_batch[i] if encodings_batch is not None
-                      else encode_context(encoder, example))
-    x = head_logits(params, head, encodings)
+    if encodings_batch is None:
+        encodings_batch = encode_batch(params.constant(), batch)
+    x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs])
     y = np.concatenate(labels).astype(np.float64)
     total = ad.add(ad.matmul(ad.log_sigmoid(x), Tensor(y)),
                    ad.matmul(ad.log_sigmoid(ad.neg(x)), Tensor(1.0 - y)))
@@ -169,8 +169,7 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     total = 0.0
     hits = 0
     labelled = 0
-    for idx, example in enumerate(examples):
-        encodings = encode_context(params, example)
+    for idx, (example, encodings) in enumerate(zip(examples, encode_batch(params, examples))):
         rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
         pair = sequential_posterior_infer(params, example, config, rng=rng,
                                           encodings=encodings)
@@ -213,7 +212,6 @@ def train(train_examples: list[DialogueExample],
     all_batch_losses: list[list[float]] = []
     best_loss = np.inf
     best_epoch = -1
-    best_params = params.copy()
     for epoch in range(config.epochs):
         start = time.perf_counter()
         order = derived_rng(config.seed, SEED_SHUFFLE, epoch).permutation(
@@ -224,7 +222,7 @@ def train(train_examples: list[DialogueExample],
             idxs = [int(i) for i in order[lo:lo + config.batch_size]]
             batch = [train_examples[i] for i in idxs]
             try:
-                encodings_batch = [encode_context(params, ex) for ex in batch]
+                encodings_batch = encode_batch(params, batch)
                 latents = [sequential_posterior_infer(
                                params, ex, config,
                                rng=derived_rng(config.seed, SEED_TRAIN, epoch, i),

@@ -188,6 +188,8 @@ class TestShapeAndNumericErrors:
     def test_gather_index_out_of_range(self):
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor(np.ones((3, 2))), [0, 3])
+        with pytest.raises(ShapeError):
+            ad.gather_rows(ad.Tensor(np.ones((3, 2))), [1, -1])
         for rows in (slice(2, 4), slice(2, 2), slice(0, 2, 2), slice(None, 2)):
             with pytest.raises(ShapeError):
                 ad.gather_rows(ad.Tensor(np.ones((3, 2))), rows)

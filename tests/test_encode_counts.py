@@ -1,6 +1,6 @@
-"""Each example is encoded in one pass (``encode_context`` call) per stage
-and the passes are reused: counts of passes per stage, and bit-identity with
-the path that re-encodes from scratch."""
+"""Each stage encodes its examples in one batch pass (``encode_batch`` call),
+whatever their number, and the passes are reused: counts of passes per
+stage, and bit-identity with the path that re-encodes from scratch."""
 from __future__ import annotations
 
 import sys
@@ -14,7 +14,7 @@ from spi.data import SyntheticSpec, generate_corpus
 from spi.generation import generate, select_for_generation
 from spi.inference import sequential_posterior_infer
 from spi.metrics import evaluate
-from spi.model import ModelParams, encode_context
+from spi.model import ModelParams, encode_batch
 from spi.training import surrogate_value, train, validation_loss
 
 M = 8
@@ -38,20 +38,22 @@ def config_for(corpus, prior, **kw):
 @pytest.fixture
 def encode_calls(monkeypatch):
     """Records every encoder pass, wherever a module of the package refers
-    to ``encode_context``: the candidates it covers and whether a tape was
-    open."""
-    original = model.encode_context
+    to ``encode_batch`` (``encode_context`` included, which makes a pass of
+    one example): the candidates it covers per example and whether a tape
+    was open."""
+    original = model.encode_batch
     calls = []
 
-    def counting(params, example, indices=None):
-        covered = list(range(len(example.candidates))) if indices is None else list(indices)
-        calls.append((covered, ad.active_tape() is not None))
-        return original(params, example, indices)
+    def counting(params, examples, indices=None):
+        wanted = [None] * len(examples) if indices is None else indices
+        calls.append(([list(range(len(ex.candidates))) if idx is None else list(idx)
+                       for ex, idx in zip(examples, wanted)], ad.active_tape() is not None))
+        return original(params, examples, indices)
 
     for name, module in list(sys.modules.items()):
         if (name == "spi" or name.startswith("spi.")) and \
-                getattr(module, "encode_context", None) is original:
-            monkeypatch.setattr(module, "encode_context", counting)
+                getattr(module, "encode_batch", None) is original:
+            monkeypatch.setattr(module, "encode_batch", counting)
     return calls
 
 
@@ -62,8 +64,10 @@ ALL = list(range(M))
 def test_validation_encodes_each_candidate_once(corpus, encode_calls, prior):
     cfg = config_for(corpus, prior)
     params = ModelParams.init(cfg.model, seed=1)
-    validation_loss(params, corpus.valid[:1], cfg, epoch=0)
-    assert encode_calls == [(ALL, False)]
+    for examples in (corpus.valid[:1], corpus.valid):
+        encode_calls.clear()
+        validation_loss(params, examples, cfg, epoch=0)
+        assert encode_calls == [([ALL] * len(examples), False)]
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
@@ -71,7 +75,7 @@ def test_generate_encodes_each_candidate_once(corpus, encode_calls, prior):
     cfg = config_for(corpus, prior)
     params = ModelParams.init(cfg.model, seed=1)
     generate(params, corpus.test[0], prior=prior)
-    assert encode_calls == [(ALL, False)]
+    assert encode_calls == [([ALL], False)]
 
 
 @pytest.mark.parametrize("oracle", [False, True])
@@ -85,19 +89,21 @@ def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_ca
         calls = list(encode_calls)
         picks = [ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
                  for ex in examples]
-        # every candidate of each example for generation, then each scored pick
-        assert calls == [(ALL, False)] * len(examples) + [([pick], False) for pick in picks]
+        # every candidate of every example for generation, then the scored picks
+        assert calls == [([ALL] * len(examples), False), ([[s] for s in picks], False)]
 
 
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])
 def test_training_pass_encodes_once_outside_the_tape(corpus, encode_calls, prior, taped):
-    # one more pass on the tape: the surrogate's gradient runs through the
-    # encoder; it covers the pick alone, or every candidate for the prior term
-    cfg = config_for(corpus, prior)
-    train(corpus.train[:1], [], cfg, quiet=True)
-    assert [tape for _, tape in encode_calls] == [False, True]
-    assert encode_calls[0][0] == ALL
-    assert len(encode_calls[1][0]) == taped
+    # one untaped pass per batch; then one pass per example on the tape, since
+    # the surrogate's gradient runs through the encoder: it covers the pick
+    # alone, or every candidate for the prior term
+    cfg = config_for(corpus, prior)  # batches of 2
+    train(corpus.train[:3], [], cfg, quiet=True)
+    assert [(len(covered), tape) for covered, tape in encode_calls] == \
+        [(2, False), (1, True), (1, True), (1, False), (1, True)]
+    for covered, tape in encode_calls:
+        assert all(c == ALL if not tape else len(c) == taped for c in covered)
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
@@ -107,12 +113,16 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
     examples = corpus.valid
     total, hits = 0.0, 0
     for idx, ex in enumerate(examples):
+        # each use gets a fresh pass over every candidate of every example, as
+        # validation makes: a pass over other lanes may round its rows differently
+        def fresh():
+            return encode_batch(params, examples)[idx]
+
         rng = derived_rng(cfg.seed, SEED_VALID, 3, idx)
-        pair = sequential_posterior_infer(params, ex, cfg, rng=rng)
-        # a fresh pass over every candidate, as validation makes: a pass over
-        # fewer candidates may round its lockstep rows differently
-        total += surrogate_value(params, ex, pair.s, pair.z, prior, encode_context(params, ex))
-        hits += select_for_generation(params, ex, prior=prior) == ex.gold_index
+        pair = sequential_posterior_infer(params, ex, cfg, rng=rng, encodings=fresh())
+        total += surrogate_value(params, ex, pair.s, pair.z, prior, fresh())
+        hits += select_for_generation(params, ex, prior=prior,
+                                      encodings=fresh()) == ex.gold_index
     loss, accuracy = validation_loss(params, examples, cfg, epoch=3)
     assert loss == -total / len(examples)
     assert accuracy == hits / len(examples)

@@ -134,7 +134,8 @@ class TestGenerate:
 class TestBatchAndOutput:
     def test_batch_matches_individual_calls(self):
         # weights under which the lanes retire at different steps, some at the
-        # cap; ragged histories and candidates, one example given twice
+        # cap; ragged histories and candidates, one example given twice; the
+        # picks and tokens agree exactly
         p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
         p["out_b"].data[EOS] += 1.0
         examples = [make_example(cands=((6, 7), (7, 6))),
@@ -154,7 +155,8 @@ class TestBatchAndOutput:
                 for got, want in zip(batch, singles):
                     assert got.tokens == want.tokens
                     assert got.s == want.s
-                    assert np.array_equal(got.z, want.z)
+                    # the batch encodes in one pass, which may round its rows differently
+                    np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=0, atol=1e-12)
         # at the cap of 6 some lanes are forced to EOS and others retired before
         capped = [len(r.tokens) for r in generate_batch(p, examples, prior="uniform",
