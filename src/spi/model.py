@@ -282,10 +282,8 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
                 raise ContractError("cannot encode an empty history with an empty candidate")
             mine.append(lanes.setdefault((e, cand), len(lanes)))
         lane_of.append(mine)
-    if not examples:
-        return []
     n_ex, k = len(examples), len(lanes)
-    n = max(map(len, prefixes))
+    n = max(map(len, prefixes), default=0)
     width = max((len(c) for _, c in lanes), default=0)
     # row i*E + e holds prefix token i of example e, then row E*n + i*k + j
     # holds token i of lane j (PAD past either's end)
