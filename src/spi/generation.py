@@ -42,6 +42,12 @@ class GenerationResult:
     logprobs: list[float]       # per-token log-probability under the model
 
 
+# examples per encoder pass of ``generate_batch``: a pass holds the rows of
+# every candidate of its examples at once, so a long input is encoded in
+# chunks, each freed once its picks own their rows
+ENCODE_CHUNK = 32
+
+
 def generate(params: ModelParams, example: DialogueExample, *, prior: str,
              max_len: int = 32) -> GenerationResult:
     """Greedy decode from the prior-mean latent. Emits at most ``max_len``
@@ -52,17 +58,21 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
                    prior: str, max_len: int = 32) -> list[GenerationResult]:
     """``generate`` for every example, as the lanes of one greedy lockstep
-    decode; a lane retires at its own EOS or at the cap."""
+    decode; a lane retires at its own EOS or at the cap. The examples are
+    encoded ``ENCODE_CHUNK`` to a pass."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     if not examples:
         return []
     picks, picked, zs = [], [], []
-    for example, encodings in zip(examples, encode_batch(params, examples)):
-        s = select_for_generation(params, example, prior=prior, encodings=encodings)
-        picks.append(s)
-        picked.append(encodings[s])
-        zs.append(latent_prior_mean(params, example, s, encoded=encodings[s]).data)
+    for lo in range(0, len(examples), ENCODE_CHUNK):
+        chunk = examples[lo:lo + ENCODE_CHUNK]
+        for example, encodings in zip(chunk, encode_batch(params, chunk)):
+            s = select_for_generation(params, example, prior=prior, encodings=encodings)
+            picks.append(s)
+            picked.append(encodings[s].own_states())
+            zs.append(latent_prior_mean(params, example, s, encoded=encodings[s]).data)
+    del encodings  # the last example's lanes would hold their pass through the decode
     cursor = decoder_start(params, picked, np.stack(zs))
     tokens: list[list[int]] = [[] for _ in examples]
     logprobs: list[list[float]] = [[] for _ in examples]

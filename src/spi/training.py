@@ -9,9 +9,9 @@ the best checkpoint is the epoch with the lowest validation loss.
 
 Each batch is encoded in one pass off the tape (``encode_batch``), every
 candidate of every example a lane of it; inference and the head
-cross-entropy reuse those encodings. Validation encodes all its examples in
-one such pass up front. The taped surrogate step makes one more pass per
-example, since its gradient runs through the encoder.
+cross-entropy reuse those encodings. Validation encodes its examples the
+same way, ``batch_size`` to a pass. The taped surrogate step makes one more
+pass per example, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -163,23 +163,26 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     """Mean surrogate loss on held-out data with the run's own inference
     settings under a fixed per-epoch seed, and the selection accuracy of the
     generation-time pick over the gold-labelled examples (0 when none are).
-    Each example is encoded in one pass for both."""
+    Each batch of ``config.batch_size`` examples is encoded in one pass for
+    both."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
     hits = 0
     labelled = 0
-    for idx, (example, encodings) in enumerate(zip(examples, encode_batch(params, examples))):
-        rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
-        pair = sequential_posterior_infer(params, example, config, rng=rng,
-                                          encodings=encodings)
-        total += surrogate_value(params, example, pair.s, pair.z, config.prior,
-                                 encodings)
-        if example.gold_index is not None:
-            labelled += 1
-            pick = select_for_generation(params, example, prior=config.prior,
-                                         encodings=encodings)
-            hits += pick == example.gold_index
+    for lo in range(0, len(examples), config.batch_size):
+        chunk = examples[lo:lo + config.batch_size]
+        for idx, (example, encodings) in enumerate(zip(chunk, encode_batch(params, chunk)), lo):
+            rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
+            pair = sequential_posterior_infer(params, example, config, rng=rng,
+                                              encodings=encodings)
+            total += surrogate_value(params, example, pair.s, pair.z, config.prior,
+                                     encodings)
+            if example.gold_index is not None:
+                labelled += 1
+                pick = select_for_generation(params, example, prior=config.prior,
+                                             encodings=encodings)
+                hits += pick == example.gold_index
     return -total / len(examples), (hits / labelled if labelled else 0.0)
 
 

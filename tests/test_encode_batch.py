@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spi import model, verify
+from spi import generation, model, verify
 from spi.errors import ContractError
 from spi.generation import generate, generate_batch
 from spi.model import EOS, DialogueExample, ModelParams, encode_batch, encode_context
@@ -105,28 +105,34 @@ def _generation_batch():
                              ((7,), ((8,),)))]
 
 
+@pytest.mark.parametrize("chunk", [1, 3, generation.ENCODE_CHUNK])
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
-def test_generate_batch_gives_the_tokens_of_one_example_at_a_time(prior):
+def test_generate_batch_gives_the_tokens_of_one_example_at_a_time(prior, chunk, monkeypatch):
+    monkeypatch.setattr(generation, "ENCODE_CHUNK", chunk)
     params = ModelParams.init(CFG, seed=3, scale=0.8)
     examples = _generation_batch()
     batch = generate_batch(params, examples, prior=prior, max_len=6)
     for got, ex in zip(batch, examples):
         want = generate(params, ex, prior=prior, max_len=6)
         assert got.s == want.s and got.tokens == want.tokens
+        if chunk == 1:  # one-example passes: the latents are the same bits
+            assert np.array_equal(got.z, want.z)
+        np.testing.assert_allclose(got.z, want.z, rtol=0, atol=TOL)
 
 
 def test_generate_batch_gathers_states_of_the_picks_only(monkeypatch):
-    reads = []
+    gathered = []
     states = model.EncodedContext.states
 
     def counting(enc):
-        reads.append(enc)
+        if enc._states is None:  # a read that gathers from its pass's rows
+            gathered.append(enc)
         return states.fget(enc)
 
     monkeypatch.setattr(model.EncodedContext, "states", property(counting))
     params = ModelParams.init(CFG, seed=3)
     examples = _generation_batch()
     generate_batch(params, examples, prior="uniform", max_len=4)
-    # the one read is decoder_start's, of each example's picked lane
-    assert len(reads) == len(examples)
-    assert all(enc._states is None for enc in reads)
+    # each example's picked lane gathers its rows once, then lets go of the pass
+    assert len({id(enc) for enc in gathered}) == len(gathered) == len(examples)
+    assert all(enc._rows is None for enc in gathered)

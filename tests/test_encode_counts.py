@@ -1,20 +1,21 @@
-"""Each stage encodes its examples in one batch pass (``encode_batch`` call),
-whatever their number, and the passes are reused: counts of passes per
-stage, and bit-identity with the path that re-encodes from scratch."""
+"""Each stage encodes its examples in batch passes (``encode_batch`` calls)
+and reuses them: counts of passes per stage, and agreement with the paths
+that encode for themselves."""
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import pytest
 
 from spi import autodiff as ad
-from spi import model
+from spi import generation, model
 from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.generation import generate, select_for_generation
 from spi.inference import sequential_posterior_infer
 from spi.metrics import evaluate
-from spi.model import ModelParams, encode_batch
+from spi.model import ModelParams, encode_batch, encode_context
 from spi.training import surrogate_value, train, validation_loss
 
 M = 8
@@ -67,7 +68,9 @@ def test_validation_encodes_each_candidate_once(corpus, encode_calls, prior):
     for examples in (corpus.valid[:1], corpus.valid):
         encode_calls.clear()
         validation_loss(params, examples, cfg, epoch=0)
-        assert encode_calls == [([ALL] * len(examples), False)]
+        # one pass per batch of ``batch_size`` examples
+        assert encode_calls == [([ALL] * len(examples[lo:lo + cfg.batch_size]), False)
+                                for lo in range(0, len(examples), cfg.batch_size)]
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
@@ -93,6 +96,14 @@ def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_ca
         assert calls == [([ALL] * len(examples), False), ([[s] for s in picks], False)]
 
 
+def test_generation_encodes_a_chunk_of_examples_per_pass(corpus, encode_calls, monkeypatch):
+    cfg = config_for(corpus, "uniform")
+    params = ModelParams.init(cfg.model, seed=1)
+    monkeypatch.setattr(generation, "ENCODE_CHUNK", 3)
+    evaluate(params, corpus.test[:4], cfg)
+    assert [len(covered) for covered, _ in encode_calls] == [3, 1, 4]
+
+
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])
 def test_training_pass_encodes_once_outside_the_tape(corpus, encode_calls, prior, taped):
     # one untaped pass per batch; then one pass per example on the tape, since
@@ -113,16 +124,17 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
     examples = corpus.valid
     total, hits = 0.0, 0
     for idx, ex in enumerate(examples):
-        # each use gets a fresh pass over every candidate of every example, as
-        # validation makes: a pass over other lanes may round its rows differently
-        def fresh():
-            return encode_batch(params, examples)[idx]
-
         rng = derived_rng(cfg.seed, SEED_VALID, 3, idx)
-        pair = sequential_posterior_infer(params, ex, cfg, rng=rng, encodings=fresh())
-        total += surrogate_value(params, ex, pair.s, pair.z, prior, fresh())
-        hits += select_for_generation(params, ex, prior=prior,
-                                      encodings=fresh()) == ex.gold_index
-    loss, accuracy = validation_loss(params, examples, cfg, epoch=3)
+        pair = sequential_posterior_infer(params, ex, cfg, rng=rng)
+        # a fresh pass over every candidate, as validation makes: a pass over
+        # fewer candidates may round its lockstep rows differently
+        total += surrogate_value(params, ex, pair.s, pair.z, prior, encode_context(params, ex))
+        hits += select_for_generation(params, ex, prior=prior) == ex.gold_index
+    # in batches of one, validation's passes are these one-example passes
+    loss, accuracy = validation_loss(params, examples, replace(cfg, batch_size=1), epoch=3)
     assert loss == -total / len(examples)
+    assert accuracy == hits / len(examples)
+    # a pass over several examples may round its rows differently in the last bits
+    loss, accuracy = validation_loss(params, examples, cfg, epoch=3)
+    assert loss == pytest.approx(-total / len(examples), rel=1e-12, abs=0)
     assert accuracy == hits / len(examples)

@@ -12,7 +12,8 @@ from spi.config import ModelConfig
 from spi.errors import ContractError
 from spi.generation import (generate, generate_batch, select_for_generation,
                             write_generations)
-from spi.model import EOS, DialogueExample, ModelParams
+from spi.model import (EOS, DialogueExample, ModelParams, encode_batch, encode_context,
+                       latent_prior_mean)
 
 
 def tiny_cfg(vocab_size=10):
@@ -134,8 +135,7 @@ class TestGenerate:
 class TestBatchAndOutput:
     def test_batch_matches_individual_calls(self):
         # weights under which the lanes retire at different steps, some at the
-        # cap; ragged histories and candidates, one example given twice; the
-        # picks and tokens agree exactly
+        # cap; ragged histories and candidates, one example given twice
         p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
         p["out_b"].data[EOS] += 1.0
         examples = [make_example(cands=((6, 7), (7, 6))),
@@ -148,14 +148,22 @@ class TestBatchAndOutput:
         uncapped = [len(generate(p, ex, prior="uniform", max_len=32).tokens)
                     for ex in examples]
         assert len(set(uncapped)) >= 3 and min(uncapped) == 1 and max(uncapped) > 6
+        passes = encode_batch(p, examples)
         for prior in ("uniform", "learnable"):
             for max_len in (1, 3, 6):
                 batch = generate_batch(p, examples, prior=prior, max_len=max_len)
                 singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
-                for got, want in zip(batch, singles):
+                for ex, encs, got, want in zip(examples, passes, batch, singles):
                     assert got.tokens == want.tokens
                     assert got.s == want.s
-                    # the batch encodes in one pass, which may round its rows differently
+                    # each latent is exactly the prior mean of its own pass: the
+                    # batch's, or a one-example pass over every candidate
+                    assert np.array_equal(got.z, latent_prior_mean(
+                        p, ex, got.s, encoded=encs[got.s]).data)
+                    assert np.array_equal(want.z, latent_prior_mean(
+                        p, ex, want.s, encoded=encode_context(p, ex)[want.s]).data)
+                    # the batch's prefix rows are one matrix product where a lone
+                    # example's are vector products, which may round differently
                     np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=0, atol=1e-12)
         # at the cap of 6 some lanes are forced to EOS and others retired before
