@@ -14,6 +14,18 @@ inputs need a gradient, so it can skip the rest.
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
 checkers notice.
+
+Finiteness is checked where a value enters the engine or leaves it, not in
+each primitive: a ``Tensor`` made by a caller rejects non-finite entries,
+``log`` rejects entries that are not positive, ``backward`` rejects a
+non-finite root and ``gradcheck`` a non-finite value at any probe. A
+primitive's result is never checked, so an overflow travels on as inf or
+NaN until a boundary meets it; the model's callers check what they return
+or act on (``model.decode_logprob``, ``model.head_logits``, each greedy
+step, each Langevin state, each untaped surrogate value, each summed
+training gradient). A ``tanh`` that
+saturates an overflow yields its limit, +-1, and the value stays finite:
+that is the chosen semantics, not an error.
 """
 from __future__ import annotations
 
@@ -91,10 +103,10 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable,
-          check: bool, op: str) -> Tensor:
-    if check and not np.isfinite(out_data).all():
-        raise NumericError(f"{op} produced a non-finite value")
+def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """Wrap a primitive's value and record it when a tape needs it. The
+    value is not checked for finiteness: see the module docstring for where
+    that happens."""
     out = Tensor(out_data, _validate=False)
     if _TAPES:
         needs = [t.requires_grad for t in inputs]
@@ -111,7 +123,8 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
     does not depend on get zero gradients. Returned arrays must be treated
     as read-only. A root that needs no gradient depends on no trainable
     leaf at all, which is a caller's error (say, constant weights where
-    trainable ones were meant), so it raises like a foreign root.
+    trainable ones were meant), so it raises like a foreign root. A
+    non-finite root raises ``NumericError``.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -119,6 +132,8 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
         raise ContractError("backward root needs no gradient: it depends on no trainable leaf")
     if id(root) not in tape._out_ids and not root.trainable:
         raise ContractError("backward root was not produced on this tape")
+    if not np.isfinite(root.data).all():
+        raise NumericError("backward root is non-finite")
     adjoints: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     leaves: dict[str, Tensor] = {}
     if root.trainable and root.name is not None:
@@ -179,7 +194,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs, ad=ad, bd=bd):
         return _matmul_vjp(g, ad, bd, needs)
 
-    return _emit(out, (a, b), vjp, check=True, op="matmul")
+    return _emit(out, (a, b), vjp)
 
 
 def _add_same_vjp(g):
@@ -199,7 +214,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         vjp = lambda g, needs: _add_bias_vjp(g, needs)
     else:
         raise ShapeError(f"add cannot combine shapes {ad.shape} and {bd.shape}")
-    return _emit(ad + bd, (a, b), vjp, check=True, op="add")
+    return _emit(ad + bd, (a, b), vjp)
 
 
 def _mul_vjp(g, ad, bd, needs):
@@ -222,7 +237,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs, ad=ad, bd=bd):
         return _mul_vjp(g, ad, bd, needs)
 
-    return _emit(out, (a, b), vjp, check=True, op="multiply")
+    return _emit(out, (a, b), vjp)
 
 
 def _tanh_vjp(g, y):
@@ -235,7 +250,7 @@ def tanh(x: Tensor) -> Tensor:
     def vjp(g, needs, y=y):
         return _tanh_vjp(g, y)
 
-    return _emit(y, (x,), vjp, check=False, op="tanh")
+    return _emit(y, (x,), vjp)
 
 
 def _softmax_vjp(g, y):
@@ -255,7 +270,7 @@ def softmax(x: Tensor) -> Tensor:
     def vjp(g, needs, y=y):
         return _softmax_vjp(g, y)
 
-    return _emit(y, (x,), vjp, check=False, op="softmax")
+    return _emit(y, (x,), vjp)
 
 
 def _segment_attention_vjp(g, slots, w, out, seg, needs):
@@ -295,7 +310,7 @@ def segment_attention(x: Tensor, slots: Tensor, seg) -> Tensor:
     def vjp(g, needs, vd=vd, w=w, out=out, seg=seg):
         return _segment_attention_vjp(g, vd, w, out, seg, needs)
 
-    return _emit(out, (x, slots), vjp, check=False, op="segment-attention")
+    return _emit(out, (x, slots), vjp)
 
 
 def _log_vjp(g, xd):
@@ -303,13 +318,15 @@ def _log_vjp(g, xd):
 
 
 def log(x: Tensor) -> Tensor:
+    """Elementwise log; an entry that is not positive (or is NaN) raises."""
     xd = x.data
-    out = np.log(xd) if (xd > 0.0).all() else np.full(xd.shape, np.nan)
+    if not (xd > 0.0).all():
+        raise NumericError("log of a value that is not positive")
 
     def vjp(g, needs, xd=xd):
         return _log_vjp(g, xd)
 
-    return _emit(out, (x,), vjp, check=True, op="log")
+    return _emit(np.log(xd), (x,), vjp)
 
 
 def _log_sigmoid_vjp(g, xd):
@@ -324,7 +341,7 @@ def log_sigmoid(x: Tensor) -> Tensor:
     def vjp(g, needs, xd=xd):
         return _log_sigmoid_vjp(g, xd)
 
-    return _emit(-np.logaddexp(0.0, -xd), (x,), vjp, check=False, op="log-sigmoid")
+    return _emit(-np.logaddexp(0.0, -xd), (x,), vjp)
 
 
 def _reduce_sum_vjp(g, shape, axis):
@@ -345,7 +362,7 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     def vjp(g, needs, shape=shape, axis=axis):
         return _reduce_sum_vjp(g, shape, axis)
 
-    return _emit(out, (x,), vjp, check=True, op="sum")
+    return _emit(out, (x,), vjp)
 
 
 def _reduce_mean_vjp(g, shape, axis, n):
@@ -369,7 +386,7 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     def vjp(g, needs, shape=shape, axis=axis, n=n):
         return _reduce_mean_vjp(g, shape, axis, n)
 
-    return _emit(out, (x,), vjp, check=True, op="mean")
+    return _emit(out, (x,), vjp)
 
 
 def _gather_vjp(g, shape, idx):
@@ -407,7 +424,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     def vjp(g, needs, shape=shape, key=key):
         return _gather_vjp(g, shape, key)
 
-    return _emit(out, (x,), vjp, check=False, op="gather-rows")
+    return _emit(out, (x,), vjp)
 
 
 def _concat_vjp(g, shapes):
@@ -435,7 +452,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g, needs, shapes=shapes):
         return _concat_vjp(g, shapes)
 
-    return _emit(np.vstack(datas), tuple(parts), vjp, check=False, op="concat")
+    return _emit(np.vstack(datas), tuple(parts), vjp)
 
 
 def _squared_l2_vjp(g, xd):
@@ -449,7 +466,7 @@ def squared_l2(x: Tensor) -> Tensor:
     def vjp(g, needs, xd=xd):
         return _squared_l2_vjp(g, xd)
 
-    return _emit(out, (x,), vjp, check=True, op="squared-l2")
+    return _emit(out, (x,), vjp)
 
 
 # thin composites, each recorded through the ops above
@@ -514,7 +531,11 @@ def gradcheck(fn: Callable[[Tensor], Tensor], point: np.ndarray,
                     if out.requires_grad else np.zeros_like(point))
 
     def value_at(p: np.ndarray) -> float:
-        return float(fn(Tensor(p)).data)
+        # a NaN difference would compare false against ``tol`` and pass
+        value = float(fn(Tensor(p)).data)
+        if not np.isfinite(value):
+            raise NumericError("gradcheck target is non-finite at a probe point")
+        return value
 
     numeric = np.zeros_like(point)
     flat = point.ravel()

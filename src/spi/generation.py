@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
                     decoder_advance, decoder_start, encode_batch,
@@ -81,6 +81,8 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
     for step in range(max_len):
         cursor = decoder_advance(params, cursor, prev)
         logits = np.atleast_2d(output_logits(params, cursor.state, cursor.ctx).data)
+        if not np.isfinite(logits).all():
+            raise NumericError(f"generation step {step} has non-finite logits")
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         prev = logits.argmax(axis=1)

@@ -135,7 +135,8 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
     Each step moves by step_size * (-(z - mu) + clamp(grad_loglik(z))) plus
     sqrt(2 * step_size) Gaussian noise when ``noise`` is on. The chain starts
     at the prior draw mu + eps (or at mu exactly when noise is off) unless
-    ``z0`` overrides it.
+    ``z0`` overrides it. A non-finite state, the start included, raises
+    ``NumericError``.
     """
     if steps < 0:
         raise ContractError("langevin steps must be non-negative")
@@ -152,6 +153,8 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
         z = mu + rng.standard_normal(mu.shape)
     else:
         z = mu.copy()
+    if not np.isfinite(z).all():
+        raise NumericError("langevin start state is non-finite")
     states = [z.copy()]
     drift_norms: list[float] = []
     scale = np.sqrt(2.0 * step_size)

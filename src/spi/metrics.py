@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import generation
 from .config import SpiConfig
 from .errors import ContractError
 from .generation import GenerationResult, generate_batch
@@ -44,17 +45,24 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
                picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent; every example is a lane of one lockstep decode. The
-    mean runs over the scored tokens, so padding past an EOS counts nowhere."""
+    prior-mean latent. Each ``generation.ENCODE_CHUNK`` examples are the lanes
+    of one encoder pass and one lockstep decode, so memory stays bounded
+    however many examples there are. The mean runs over the scored tokens, so
+    padding past an EOS counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
-    encoded = [encs[0] for encs in encode_batch(params, examples, [[s] for s in picks])]
-    z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
-                  for ex, s, enc in zip(examples, picks, encoded)])
-    total_lp = sum(decode_logprob(params, examples, picks, z, encoded=encoded).data.tolist())
-    return math.exp(-total_lp / scored_tokens(params, examples))
+    lps: list[float] = []
+    chunk = generation.ENCODE_CHUNK
+    for lo in range(0, len(examples), chunk):
+        exs, ss = examples[lo:lo + chunk], picks[lo:lo + chunk]
+        encoded = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
+        z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
+                      for ex, s, enc in zip(exs, ss, encoded)])
+        lps += decode_logprob(params, exs, ss, z, encoded=encoded).data.tolist()
+    # summed in example order, as one pass over every example would
+    return math.exp(-sum(lps) / scored_tokens(params, examples))
 
 
 def _ngrams(seq: list[int], n: int) -> Counter:

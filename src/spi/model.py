@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import SEED_INIT, ModelConfig, derived_rng
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 PAD, BOS, EOS, SEP = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>")
@@ -341,7 +341,8 @@ def head_logits(params: ModelParams, head: str,
     """Logits pooled . w + b of a selection head, one per encoding; the only
     code that applies a head. Each distinct encoding is one row of a single
     matrix product, so equal candidates, which share an encoding, tie
-    exactly: a matrix product may round two equal rows differently."""
+    exactly: a matrix product may round two equal rows differently.
+    Non-finite logits raise ``NumericError``."""
     w_name, b_name = params.head_names(head)
     pooled = {id(enc): enc.pooled for enc in encodings}  # first occurrence order
     row = {key: i for i, key in enumerate(pooled)}
@@ -349,6 +350,8 @@ def head_logits(params: ModelParams, head: str,
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
     logits = ad.add(ad.matmul(ad.concat(list(pooled.values())), t[w_name]),
                     ad.multiply(Tensor(np.ones(len(pooled))), t[b_name]))
+    if not np.isfinite(logits.data).all():
+        raise NumericError(f"{head} head logits are non-finite")
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
 
 
@@ -560,7 +563,8 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     step's rows. Each token's log-probability is taken as (x_t - x_top) +
     log softmax(x)_top, where x_top is its row's largest logit: the softmax
     there is at least 1/V, so the log stays finite however confident the
-    model is.
+    model is. A non-finite total (an overflow in the weights) raises
+    ``NumericError``.
     """
     cfg = params.cfg
     one = _is_index(s)
@@ -601,4 +605,6 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
     live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
     total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
+    if not np.isfinite(total.data).all():
+        raise NumericError("response log-probability is non-finite")
     return ad.gather_rows(total, 0 if one else lane_of)

@@ -84,11 +84,20 @@ def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfi
         for name, grad in grads.items():
             held = grad_sum.get(name)
             grad_sum[name] = grad.copy() if held is None else held + grad
+    _check_gradients(grad_sum, params.names())
     if config.lr_model != 0.0:
         inv = 1.0 / len(batch)
         for name, grad in grad_sum.items():
             params.tensors[name].data += config.lr_model * inv * grad
     return -total / len(batch)
+
+
+def _check_gradients(grads: dict[str, np.ndarray], names) -> None:
+    """Raise, naming the first of ``names`` whose gradient is non-finite,
+    before any weight moves."""
+    for name in names:
+        if name in grads and not np.isfinite(grads[name]).all():
+            raise NumericError(f"gradient of {name} is non-finite")
 
 
 def multi_hot_labels(example: DialogueExample, selected: int) -> np.ndarray:
@@ -131,6 +140,7 @@ def _head_ce_step(params: ModelParams, batch: list[DialogueExample],
     with Tape() as tape:
         loss = head_ce_loss(params, batch, labels, head, encodings_batch)
         grads = ad.backward(tape, loss)
+    _check_gradients(grads, params.head_names(head))
     if lr != 0.0:
         for name in params.head_names(head):
             params.tensors[name].data -= lr * grads[name]
@@ -155,7 +165,10 @@ def prior_ce_step(params: ModelParams, batch: list[DialogueExample],
 def surrogate_value(params: ModelParams, example: DialogueExample, s: int,
                     z: np.ndarray, prior: str,
                     encodings: Sequence[EncodedContext] | None = None) -> float:
-    return float(surrogate_objective(params, example, s, z, prior, encodings).data)
+    value = float(surrogate_objective(params, example, s, z, prior, encodings).data)
+    if not np.isfinite(value):
+        raise NumericError("surrogate objective is non-finite")
+    return value
 
 
 def validation_loss(params: ModelParams, examples: list[DialogueExample],

@@ -168,10 +168,20 @@ class TestShapeAndNumericErrors:
             ad.Tensor([np.inf, 1.0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_overflowing_multiply_is_numeric_error(self):
+    def test_overflowing_multiply_returns_inf(self):
+        # a primitive's result is not checked: the overflow travels on to a
+        # boundary (tests/test_numeric_boundaries.py)
         big = ad.Tensor(np.full(3, 1e308))
-        with pytest.raises(NumericError):
-            ad.multiply(big, big)
+        assert np.array_equal(ad.multiply(big, big).data, np.full(3, np.inf))
+        # a tanh that saturates it gives its limit, the chosen semantics
+        assert np.array_equal(ad.tanh(ad.multiply(big, ad.neg(big))).data, np.full(3, -1.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_backward_rejects_a_non_finite_root(self):
+        with ad.Tape() as tape:
+            root = ad.squared_l2(ad.Tensor([1e308, 1.0], name="x", trainable=True))
+            with pytest.raises(NumericError, match="root"):
+                ad.backward(tape, root)
 
     def test_segment_attention_needs_contiguous_non_empty_segments(self):
         for seg, n_slots in (([0, 0, 2], 3),   # segment 1 is empty
@@ -295,3 +305,21 @@ def test_gradcheck_of_a_function_independent_of_x_gives_zeros():
 def test_gradcheck_nonfinite_region_raises():
     with pytest.raises(NumericError):
         ad.gradcheck(lambda x: ad.reduce_sum(ad.log(x)), np.array([1e-7, 2.0]), h=1e-5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_gradcheck_raises_where_the_function_overflows_off_the_log_path():
+    # finite at the point and past the largest double at the probe x + h; the
+    # analytic gradient overflows too, and inf - inf is NaN, which compares
+    # false against the tolerance: only the probe check sees it
+    def fn(x):
+        return ad.squared_l2(ad.scale(x, 1e154))
+
+    assert np.isfinite(float(fn(ad.Tensor([1.34])).data))
+    with pytest.raises(NumericError, match="probe"):
+        ad.gradcheck(fn, np.array([1.34]), h=1e-3)
+    # a function independent of x has no backward at all
+    const = ad.Tensor([1e308])
+    with pytest.raises(NumericError, match="probe"):
+        ad.gradcheck(lambda x: ad.squared_l2(const), np.array([1.0]))

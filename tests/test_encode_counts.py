@@ -101,7 +101,8 @@ def test_generation_encodes_a_chunk_of_examples_per_pass(corpus, encode_calls, m
     params = ModelParams.init(cfg.model, seed=1)
     monkeypatch.setattr(generation, "ENCODE_CHUNK", 3)
     evaluate(params, corpus.test[:4], cfg)
-    assert [len(covered) for covered, _ in encode_calls] == [3, 1, 4]
+    # generation's passes, then perplexity's, each over the same chunks
+    assert [len(covered) for covered, _ in encode_calls] == [3, 1, 3, 1]
 
 
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])

@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spi import verify
+from spi import generation, verify
 from spi.config import ModelConfig, SpiConfig
+from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import ContractError
 from spi.metrics import (bleu_corpus, distinct_n, evaluate, perplexity,
                          rouge_n, selection_accuracy)
@@ -144,6 +146,22 @@ class TestPerplexity:
         # the mean runs over the scored tokens: 6 + 1 + 2 + 3
         want = math.exp(-total / 12)
         assert perplexity(p, exs, picks=picks) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # 250 desk test examples: one decode over all of them peaked at 18.8 MB
+        corpus = generate_corpus(SyntheticSpec(n_train=1, n_valid=1, n_test=250, seed=0))
+        params = ModelParams.init(ModelConfig(vocab_size=corpus.vocab.size), seed=0)
+        picks = [ex.gold_index for ex in corpus.test]
+        tracemalloc.start()
+        try:
+            chunked = perplexity(params, corpus.test, picks=picks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        monkeypatch.setattr(generation, "ENCODE_CHUNK", len(corpus.test))
+        one_pass = perplexity(params, corpus.test, picks=picks)
+        assert chunked == pytest.approx(one_pass, rel=1e-12, abs=0)
 
     def test_padding_past_eos_leaves_perplexity_unchanged(self):
         # both responses score the same two tokens, so they average over two
