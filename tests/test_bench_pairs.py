@@ -1,4 +1,4 @@
-"""The pairs driver in ``tools/bench_pairs.py``: the order of its runs and
+"""The pairs script ``tools/bench_pairs.py``: the order of its runs and
 the shape of what it records, with a stub in place of the benchmark."""
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def test_runs_are_recorded_in_the_bench_file_shape(tmp_path):
     json.dumps(runs)  # the file is plain JSON
 
 
-def test_a_failing_run_stops_the_driver(tmp_path):
+def test_a_failing_run_stops_the_script(tmp_path):
     with pytest.raises(RuntimeError, match="exited with 3"):
         bench_pairs.run_pairs({"parent": tmp_path, "change": tmp_path},
                               [sys.executable, "-c", "raise SystemExit(3)"],

@@ -98,6 +98,19 @@ def test_generate_raises_at_the_first_step(prior):
         generate(overflowing_params(), EXAMPLE, prior=prior)
 
 
+@pytest.mark.parametrize("prior, weight", [("uniform", "init_w"),
+                                           ("learnable", "kprior_w")])
+def test_head_logits_raise_before_a_pick(prior, weight):
+    # every encoder state saturates at 1, so each logit is 5e308: inf. The
+    # sigmoid of inf is 1 and an argmax over it picks quietly, so only the
+    # check on the logits stops it
+    params = ModelParams.init(CFG, seed=1)
+    params["enc_b"].data[:] = BIG
+    params[weight].data[:] = BIG
+    with pytest.raises(NumericError, match="head logits"):
+        generate(params, EXAMPLE, prior=prior)
+
+
 def test_train_raises_naming_the_batch(monkeypatch):
     init = ModelParams.init
     monkeypatch.setattr(ModelParams, "init", staticmethod(

@@ -3,7 +3,7 @@ commit, and write every run to one ``BENCH_<tag>.json``.
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py --tag pr11 --parent HEAD~1 --change HEAD \\
+    python3 tools/bench_pairs.py --tag NAME --parent HEAD~1 --change HEAD \\
         --note "what the change does and what it claims"
 
 Each side runs from a clean copy of its commit's files (``git archive``)
@@ -59,12 +59,11 @@ def run_one(command: list[str], cwd: Path, workload: str, seed: int, seconds: fl
 
 def run_pairs(dirs: dict[str, Path], command: list[str], workloads: list[str], pairs: int,
               seed: int, seconds: float,
-              run: Callable[..., tuple[dict, dict]] = run_one,
               log: Callable[[str], None] = lambda line: None) -> list[dict]:
     """Every run of ``plan``, each as {side, file, record, result}."""
     runs = []
     for side, workload, s, trace in plan(workloads, pairs, seed):
-        record, result = run(command, dirs[side], workload, s, seconds, trace)
+        record, result = run_one(command, dirs[side], workload, s, seconds, trace)
         name = f"{workload}-seed{s}-trace{trace}.json"
         runs.append({"side": side, "file": name, "record": record, "result": result})
         log(f"{side} {name}: failed {result.get('failed')}")
@@ -97,7 +96,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=None,
                    help="run length; defaults to run_seconds of BENCHMARK.json")
     p.add_argument("--workdir", type=Path, default=None,
-                   help="where the two copies go (a new temporary directory by default)")
+                   help="where the two copies go and stay (by default a temporary "
+                        "directory, removed at the end)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -106,12 +106,13 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
     workloads = [w["name"] for w in bench["workloads"]]
     shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    dirs = {side: work / side for side in SIDES}
-    for side in SIDES:
-        _export(shas[side], dirs[side])
-    runs = run_pairs(dirs, bench["command"], workloads, args.pairs, args.seed, seconds,
-                     log=lambda line: print(line, file=sys.stderr, flush=True))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        work = args.workdir or Path(tmp)
+        dirs = {side: work / side for side in SIDES}
+        for side in SIDES:
+            _export(shas[side], dirs[side])
+        runs = run_pairs(dirs, bench["command"], workloads, args.pairs, args.seed, seconds,
+                         log=lambda line: print(line, file=sys.stderr, flush=True))
     how = (f"{' '.join(bench['command'])} --workload W --seed N --seconds {seconds:g} "
            f"--trace T, run by tools/bench_pairs.py from clean copies of the parent and "
            f"the change: {args.pairs} untraced pairs per workload on seeds {args.seed}-"
