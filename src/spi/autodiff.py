@@ -18,12 +18,13 @@ checkers notice.
 Finiteness is checked where a value enters the engine or leaves it, not in
 each primitive: a ``Tensor`` made by a caller rejects non-finite entries,
 ``log`` rejects entries that are not positive, ``backward`` rejects a
-non-finite root and ``gradcheck`` a non-finite value at any probe. A
-primitive's result is never checked, so an overflow travels on as inf or
-NaN until a boundary meets it; the model's callers check what they return
-or act on (``model.decode_logprob``, ``model.head_logits``, each greedy
-step, each Langevin state, each untaped surrogate value, each summed
-training gradient). A ``tanh`` that
+non-finite root and ``gradcheck`` a non-finite value at any probe or a
+non-finite analytic gradient. A primitive's result is never checked, so an
+overflow travels on as inf or NaN until a boundary meets it; the model's
+callers check what they return or act on (``model.decode_logprob``,
+``model.head_logits``, each greedy step, each Langevin state, each untaped
+surrogate value, each summed training gradient). Every boundary after
+``log`` and ``Tensor`` applies ``check_finite``. A ``tanh`` that
 saturates an overflow yields its limit, +-1, and the value stays finite:
 that is the chosen semantics, not an error.
 """
@@ -99,6 +100,14 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
+def check_finite(values, what: str) -> None:
+    """Raise ``NumericError("<what> is non-finite")`` unless every entry of
+    ``values`` is finite: the rule each boundary of the module docstring
+    applies."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what} is non-finite")
+
+
 def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
@@ -132,8 +141,7 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
         raise ContractError("backward root needs no gradient: it depends on no trainable leaf")
     if id(root) not in tape._out_ids and not root.trainable:
         raise ContractError("backward root was not produced on this tape")
-    if not np.isfinite(root.data).all():
-        raise NumericError("backward root is non-finite")
+    check_finite(root.data, "backward root")
     adjoints: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     leaves: dict[str, Tensor] = {}
     if root.trainable and root.name is not None:
@@ -531,10 +539,8 @@ def gradcheck(fn: Callable[[Tensor], Tensor], point: np.ndarray,
                     if out.requires_grad else np.zeros_like(point))
 
     def value_at(p: np.ndarray) -> float:
-        # a NaN difference would compare false against ``tol`` and pass
         value = float(fn(Tensor(p)).data)
-        if not np.isfinite(value):
-            raise NumericError("gradcheck target is non-finite at a probe point")
+        check_finite(value, "gradcheck target at a probe point")
         return value
 
     numeric = np.zeros_like(point)
@@ -546,8 +552,11 @@ def gradcheck(fn: Callable[[Tensor], Tensor], point: np.ndarray,
         hi = value_at((flat + bump).reshape(point.shape))
         lo = value_at((flat - bump).reshape(point.shape))
         num_flat[i] = (hi - lo) / (2.0 * h)
+    # a saturating op can keep every value finite while its adjoint meets
+    # an overflowed input (0 * inf); a NaN error would compare false below
+    check_finite(analytic, "gradcheck analytic gradient")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     rel = np.abs(analytic - numeric) / denom
-    bad = [tuple(ix) for ix in np.argwhere(rel > tol)]
+    bad = [tuple(ix) for ix in np.argwhere(~(rel <= tol))]
     return GradCheckReport(rel_error=rel, max_rel_error=float(rel.max()) if rel.size else 0.0,
                            tol=tol, bad_coords=bad)

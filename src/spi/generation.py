@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .autodiff import check_finite
+from .errors import ContractError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
                     decoder_advance, decoder_start, encode_batch,
@@ -81,8 +82,7 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
     for step in range(max_len):
         cursor = decoder_advance(params, cursor, prev)
         logits = np.atleast_2d(output_logits(params, cursor.state, cursor.ctx).data)
-        if not np.isfinite(logits).all():
-            raise NumericError(f"generation step {step} has non-finite logits")
+        check_finite(logits, f"output at generation step {step}")
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         prev = logits.argmax(axis=1)

@@ -153,8 +153,7 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
         z = mu + rng.standard_normal(mu.shape)
     else:
         z = mu.copy()
-    if not np.isfinite(z).all():
-        raise NumericError("langevin start state is non-finite")
+    ad.check_finite(z, "langevin start state")
     states = [z.copy()]
     drift_norms: list[float] = []
     scale = np.sqrt(2.0 * step_size)
@@ -170,8 +169,7 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
             z = z + step_size * drift
             if noise:
                 z = z + scale * rng.standard_normal(mu.shape)
-        if not np.isfinite(z).all():
-            raise NumericError(f"langevin state diverged at step {step}")
+        ad.check_finite(z, f"langevin state at step {step}")
         states.append(z.copy())
     return LangevinTrace(states=states, drift_norms=drift_norms,
                          step_size=step_size, noisy=noise)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import SEED_INIT, ModelConfig, derived_rng
-from .errors import ContractError, NumericError
+from .errors import ContractError
 
 PAD, BOS, EOS, SEP = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>")
@@ -350,8 +350,7 @@ def head_logits(params: ModelParams, head: str,
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
     logits = ad.add(ad.matmul(ad.concat(list(pooled.values())), t[w_name]),
                     ad.multiply(Tensor(np.ones(len(pooled))), t[b_name]))
-    if not np.isfinite(logits.data).all():
-        raise NumericError(f"{head} head logits are non-finite")
+    ad.check_finite(logits.data, f"{head} head output")
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
 
 
@@ -605,6 +604,5 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
     live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
     total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
-    if not np.isfinite(total.data).all():
-        raise NumericError("response log-probability is non-finite")
+    ad.check_finite(total.data, "response log-probability")
     return ad.gather_rows(total, 0 if one else lane_of)

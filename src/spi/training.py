@@ -96,8 +96,8 @@ def _check_gradients(grads: dict[str, np.ndarray], names) -> None:
     """Raise, naming the first of ``names`` whose gradient is non-finite,
     before any weight moves."""
     for name in names:
-        if name in grads and not np.isfinite(grads[name]).all():
-            raise NumericError(f"gradient of {name} is non-finite")
+        if name in grads:
+            ad.check_finite(grads[name], f"gradient of {name}")
 
 
 def multi_hot_labels(example: DialogueExample, selected: int) -> np.ndarray:
@@ -166,8 +166,7 @@ def surrogate_value(params: ModelParams, example: DialogueExample, s: int,
                     z: np.ndarray, prior: str,
                     encodings: Sequence[EncodedContext] | None = None) -> float:
     value = float(surrogate_objective(params, example, s, z, prior, encodings).data)
-    if not np.isfinite(value):
-        raise NumericError("surrogate objective is non-finite")
+    ad.check_finite(value, "surrogate objective")
     return value
 
 

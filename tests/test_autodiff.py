@@ -323,3 +323,18 @@ def test_gradcheck_raises_where_the_function_overflows_off_the_log_path():
     const = ad.Tensor([1e308])
     with pytest.raises(NumericError, match="probe"):
         ad.gradcheck(lambda x: ad.squared_l2(const), np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_gradcheck_raises_on_a_nan_gradient_behind_a_saturated_tanh():
+    # u overflows to inf and tanh(x * u) saturates at +-1, so every probe
+    # value is finite; the adjoint of x * u is 0 * inf = NaN
+    u = ad.multiply(ad.Tensor([1e200]), ad.Tensor([1e200]))
+
+    def fn(x):
+        return ad.reduce_sum(ad.tanh(ad.multiply(x, u)))
+
+    assert float(fn(ad.Tensor([0.5])).data) == 1.0
+    with pytest.raises(NumericError, match="analytic gradient"):
+        ad.gradcheck(fn, np.array([0.5]))

@@ -107,7 +107,7 @@ def test_head_logits_raise_before_a_pick(prior, weight):
     params = ModelParams.init(CFG, seed=1)
     params["enc_b"].data[:] = BIG
     params[weight].data[:] = BIG
-    with pytest.raises(NumericError, match="head logits"):
+    with pytest.raises(NumericError, match="head output"):
         generate(params, EXAMPLE, prior=prior)
 
 

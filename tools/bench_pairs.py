@@ -8,13 +8,13 @@ Usage, from the repository root:
 
 Each side runs from a clean copy of its commit's files (``git archive``)
 under ``--workdir``, so uncommitted edits and build leftovers never reach
-a run. For every workload in ``BENCHMARK.json`` the script runs ``--pairs``
-untraced pairs on seeds ``--seed``, ``--seed`` + 1, ..., and the side that
-runs first alternates from one pair to the next (the parent on even
-pairs); then one traced pair per workload on the first seed. A run is the
-``command`` of ``BENCHMARK.json`` with ``--workload``, ``--seed``,
-``--seconds`` and ``--trace``, and its last two output lines are kept as
-the run's ``record`` and ``result``. A run that exits non-zero stops the
+a run. For every workload in ``BENCHMARK.json`` the script runs 10
+untraced pairs on seeds 101-110, and the side that runs first alternates
+from one pair to the next (the parent on even pairs); then one traced pair
+per workload on seed 101. A run is the ``command`` of ``BENCHMARK.json``
+with ``--workload``, ``--seed``, ``--seconds`` (its ``run_seconds``) and
+``--trace``, and its last two output lines are kept as the run's
+``record`` and ``result``. A run that exits non-zero stops the
 script. The script only invokes the benchmark; it changes nothing under
 ``perfbench/``.
 """
@@ -27,9 +27,10 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Callable
 
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def plan(workloads: list[str], pairs: int, seed: int) -> list[tuple[str, str, int, int]]:
@@ -58,15 +59,14 @@ def run_one(command: list[str], cwd: Path, workload: str, seed: int, seconds: fl
 
 
 def run_pairs(dirs: dict[str, Path], command: list[str], workloads: list[str], pairs: int,
-              seed: int, seconds: float,
-              log: Callable[[str], None] = lambda line: None) -> list[dict]:
+              seed: int, seconds: float) -> list[dict]:
     """Every run of ``plan``, each as {side, file, record, result}."""
     runs = []
     for side, workload, s, trace in plan(workloads, pairs, seed):
         record, result = run_one(command, dirs[side], workload, s, seconds, trace)
         name = f"{workload}-seed{s}-trace{trace}.json"
         runs.append({"side": side, "file": name, "record": record, "result": result})
-        log(f"{side} {name}: failed {result.get('failed')}")
+        print(f"{side} {name}: failed {result.get('failed')}", file=sys.stderr, flush=True)
     return runs
 
 
@@ -91,19 +91,13 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="parent commit")
     p.add_argument("--change", default="HEAD", help="change commit")
     p.add_argument("--note", required=True, help="what the change does and claims")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; defaults to run_seconds of BENCHMARK.json")
     p.add_argument("--workdir", type=Path, default=None,
                    help="where the two copies go and stay (by default a temporary "
                         "directory, removed at the end)")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     workloads = [w["name"] for w in bench["workloads"]]
     shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -111,13 +105,12 @@ def main(argv=None) -> int:
         dirs = {side: work / side for side in SIDES}
         for side in SIDES:
             _export(shas[side], dirs[side])
-        runs = run_pairs(dirs, bench["command"], workloads, args.pairs, args.seed, seconds,
-                         log=lambda line: print(line, file=sys.stderr, flush=True))
+        runs = run_pairs(dirs, bench["command"], workloads, PAIRS, FIRST_SEED, seconds)
     how = (f"{' '.join(bench['command'])} --workload W --seed N --seconds {seconds:g} "
            f"--trace T, run by tools/bench_pairs.py from clean copies of the parent and "
-           f"the change: {args.pairs} untraced pairs per workload on seeds {args.seed}-"
-           f"{args.seed + args.pairs - 1}, alternating which side runs first from one pair "
-           f"to the next, then one traced pair per workload on seed {args.seed}")
+           f"the change: {PAIRS} untraced pairs per workload on seeds {FIRST_SEED}-"
+           f"{FIRST_SEED + PAIRS - 1}, alternating which side runs first from one pair "
+           f"to the next, then one traced pair per workload on seed {FIRST_SEED}")
     out = {"tag": args.tag, "change": args.note, "how": how,
            "parent_sha": shas["parent"], "change_sha": shas["change"], "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
