@@ -15,6 +15,13 @@ Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
 checkers notice.
 
+Two paths make a ``Tensor``. A caller's leaf goes through ``Tensor.__init__``,
+which converts its data to a float64 array and validates it. A primitive's
+result is wrapped as computed by ``_emit``, the only wrapper of primitive
+results: it neither converts (numpy keeps float64 inputs float64; only a
+0-d result, which numpy returns as a scalar, goes through ``np.asarray``)
+nor validates.
+
 Finiteness is checked where a value enters the engine or leaves it, not in
 each primitive: a ``Tensor`` made by a caller rejects non-finite entries,
 ``log`` rejects entries that are not positive, ``backward`` rejects a
@@ -39,7 +46,12 @@ from .errors import ContractError, NumericError, ShapeError
 
 
 class Tensor:
-    """Dense real tensor; leaves may be named and marked trainable."""
+    """Dense real tensor; leaves may be named and marked trainable.
+
+    The constructor is for a caller's leaves: it converts ``data`` to a
+    float64 array and rejects non-finite entries. Primitive results are
+    wrapped by ``_emit`` without either step (see the module docstring).
+    """
 
     __slots__ = ("data", "name", "trainable", "requires_grad")
 
@@ -91,11 +103,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], needs: list[bool],
-                vjp: Callable) -> None:
-        self._nodes.append((out, inputs, needs, vjp))
-        self._out_ids.add(id(out))
-
 
 _TAPES: list[Tape] = []
 
@@ -112,16 +119,22 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def _emit(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """Wrap a primitive's value and record it when a tape needs it. The
-    value is not checked for finiteness: see the module docstring for where
-    that happens."""
-    out = Tensor(out_data, _validate=False)
+    slots are set here, not by ``Tensor.__init__``, and the value is neither
+    converted nor checked: see the module docstring."""
+    out = object.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.name = None
+    out.trainable = False
+    out.requires_grad = False
     if _TAPES:
         needs = [t.requires_grad for t in inputs]
         if True in needs:
             out.requires_grad = True
-            _TAPES[-1]._record(out, inputs, needs, vjp)
+            tape = _TAPES[-1]
+            tape._nodes.append((out, inputs, needs, vjp))
+            tape._out_ids.add(id(out))
     return out
 
 
@@ -469,7 +482,7 @@ def _squared_l2_vjp(g, xd):
 
 def squared_l2(x: Tensor) -> Tensor:
     xd = x.data
-    out = np.asarray((xd * xd).sum())
+    out = (xd * xd).sum()
 
     def vjp(g, needs, xd=xd):
         return _squared_l2_vjp(g, xd)

@@ -78,20 +78,22 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
     tokens: list[list[int]] = [[] for _ in examples]
     logprobs: list[list[float]] = [[] for _ in examples]
     done = [False] * len(examples)  # a retired lane runs on unread
+    lanes = np.arange(len(examples))
     prev = np.full(len(examples), BOS)
     for step in range(max_len):
         cursor = decoder_advance(params, cursor, prev)
-        logits = np.atleast_2d(output_logits(params, cursor.state, cursor.ctx).data)
+        logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(len(lanes), -1)
         check_finite(logits, f"output at generation step {step}")
         shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         prev = logits.argmax(axis=1)
         if step == max_len - 1:
             prev[:] = EOS
-        for lane, tok in enumerate(prev.tolist()):
+        # the log-softmax at the picked token only
+        picked = shifted[lanes, prev] - np.log(np.exp(shifted).sum(axis=1))
+        for lane, (tok, lp) in enumerate(zip(prev.tolist(), picked.tolist())):
             if not done[lane]:
                 tokens[lane].append(tok)
-                logprobs[lane].append(float(logp[lane, tok]))
+                logprobs[lane].append(lp)
                 done[lane] = tok == EOS
         if all(done):
             break

@@ -69,6 +69,55 @@ def _ngrams(seq: list[int], n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
+def _order_stats(candidates: list[list[int]], references: list[list[int]],
+                 n: int) -> tuple[list[tuple[int, int, int]], list[Counter]]:
+    """The n-gram counts every n-gram metric is built from: per pair, the
+    clipped matches, the candidate's n-grams and the reference's n-grams; and
+    each candidate's n-gram ``Counter``."""
+    stats, cand_grams = [], []
+    for cand, ref in zip(candidates, references):
+        cgrams, rgrams = _ngrams(cand, n), _ngrams(ref, n)
+        overlap = sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
+        stats.append((overlap, sum(cgrams.values()), sum(rgrams.values())))
+        cand_grams.append(cgrams)
+    return stats, cand_grams
+
+
+def _bleu(stats_by_order: list[list[tuple[int, int, int]]]) -> float:
+    log_precision_sum = 0.0
+    for stats in stats_by_order:
+        matches = sum(overlap for overlap, _, _ in stats)
+        total = sum(cand_total for _, cand_total, _ in stats)
+        if total == 0:
+            return 0.0
+        precision = matches / total if matches > 0 else (matches + 1) / (total + 1)
+        log_precision_sum += math.log(precision)
+    # a sequence has as many unigrams as tokens
+    cand_len = sum(cand_total for _, cand_total, _ in stats_by_order[0])
+    ref_len = sum(ref_total for _, _, ref_total in stats_by_order[0])
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_precision_sum / len(stats_by_order))
+
+
+def _rouge(stats: list[tuple[int, int, int]]) -> float:
+    scores = []
+    for overlap, cand_total, ref_total in stats:
+        precision = overlap / cand_total if cand_total else 0.0
+        recall = overlap / ref_total if ref_total else 0.0
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall > 0 else 0.0)
+        scores.append(f1)
+    return float(np.mean(scores))
+
+
+def _distinct(grams) -> float:
+    seen: Counter = Counter()
+    for counts in grams:
+        seen.update(counts)
+    total = sum(seen.values())
+    return len(seen) / total if total else 0.0
+
+
 def bleu_corpus(candidates: list[list[int]], references: list[list[int]],
                 max_n: int = 4) -> float:
     """Corpus BLEU with brevity penalty. A zero n-gram match count falls back
@@ -77,25 +126,7 @@ def bleu_corpus(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("max_n must lie in 1..4")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    log_precision_sum = 0.0
-    for n in range(1, max_n + 1):
-        matches = 0
-        total = 0
-        for cand, ref in zip(candidates, references):
-            cgrams = _ngrams(cand, n)
-            rgrams = _ngrams(ref, n)
-            total += sum(cgrams.values())
-            matches += sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
-        if total == 0:
-            return 0.0
-        precision = matches / total if matches > 0 else (matches + 1) / (total + 1)
-        log_precision_sum += math.log(precision)
-    cand_len = sum(len(c) for c in candidates)
-    ref_len = sum(len(r) for r in references)
-    if cand_len == 0:
-        return 0.0
-    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return brevity * math.exp(log_precision_sum / max_n)
+    return _bleu([_order_stats(candidates, references, n)[0] for n in range(1, max_n + 1)])
 
 
 def rouge_n(candidates: list[list[int]], references: list[list[int]],
@@ -105,30 +136,24 @@ def rouge_n(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("n must be at least 1")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    scores = []
-    for cand, ref in zip(candidates, references):
-        cgrams = _ngrams(cand, n)
-        rgrams = _ngrams(ref, n)
-        overlap = sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
-        cand_total = sum(cgrams.values())
-        ref_total = sum(rgrams.values())
-        precision = overlap / cand_total if cand_total else 0.0
-        recall = overlap / ref_total if ref_total else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        scores.append(f1)
-    return float(np.mean(scores))
+    return _rouge(_order_stats(candidates, references, n)[0])
 
 
 def distinct_n(sequences: list[list[int]], n: int = 1) -> float:
     """Unique n-grams over total n-grams, pooled across all sequences."""
     if n < 1:
         raise ContractError("n must be at least 1")
-    seen: Counter = Counter()
-    for seq in sequences:
-        seen.update(_ngrams(seq, n))
-    total = sum(seen.values())
-    return len(seen) / total if total else 0.0
+    return _distinct(_ngrams(seq, n) for seq in sequences)
+
+
+def _ngram_fields(candidates: list[list[int]], references: list[list[int]]) -> dict:
+    """``evaluate``'s BLEU, ROUGE and distinct-n fields, from one count of
+    each pair's 1- to 4-grams; each equals its public function's value."""
+    orders = [_order_stats(candidates, references, n) for n in range(1, 5)]
+    stats = [s for s, _ in orders]
+    return {"bleu3": _bleu(stats[:3]), "bleu4": _bleu(stats),
+            "rouge1": _rouge(stats[0]), "rouge2": _rouge(stats[1]),
+            "distinct1": _distinct(orders[0][1]), "distinct2": _distinct(orders[1][1])}
 
 
 def _strip_eos(tokens: list[int]) -> list[int]:
@@ -139,7 +164,7 @@ def _strip_eos(tokens: list[int]) -> list[int]:
 class EvalReport:
     n_examples: int
     n_tokens: int
-    selection_accuracy: float
+    selection_accuracy: float | None   # None when no example is gold-labelled
     perplexity: float
     bleu3: float
     bleu4: float
@@ -163,8 +188,9 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
              config: SpiConfig, *, oracle_knowledge: bool = False,
              generations: list[GenerationResult] | None = None) -> EvalReport:
     """Full held-out evaluation. Selection accuracy always scores the model's
-    own pick; the oracle flag makes perplexity condition on the gold
-    candidate instead of that pick."""
+    own pick, over the gold-labelled examples, and is None when there are
+    none; the oracle flag makes perplexity condition on the gold candidate
+    instead of that pick."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
     if generations is None:
@@ -176,17 +202,14 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         picks = [ex.gold_index for ex in examples]
     else:
         picks = [g.s for g in generations]
+    labelled = any(ex.gold_index is not None for ex in examples)
     cands = [_strip_eos(g.tokens) for g in generations]
     refs = [_strip_eos(list(ex.response)) for ex in examples]
     return EvalReport(
         n_examples=len(examples),
         n_tokens=scored_tokens(params, examples),
-        selection_accuracy=selection_accuracy([g.s for g in generations], examples),
+        selection_accuracy=(selection_accuracy([g.s for g in generations], examples)
+                            if labelled else None),
         perplexity=perplexity(params, examples, picks=picks),
-        bleu3=bleu_corpus(cands, refs, max_n=3),
-        bleu4=bleu_corpus(cands, refs, max_n=4),
-        rouge1=rouge_n(cands, refs, n=1),
-        rouge2=rouge_n(cands, refs, n=2),
-        distinct1=distinct_n(cands, n=1),
-        distinct2=distinct_n(cands, n=2),
+        **_ngram_fields(cands, refs),
         oracle_knowledge=oracle_knowledge)

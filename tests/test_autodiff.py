@@ -205,6 +205,67 @@ class TestShapeAndNumericErrors:
                 ad.gather_rows(ad.Tensor(np.ones((3, 2))), rows)
 
 
+def _wrap_cases():
+    """One primitive call each, of an input x of the given shape; the 0-d
+    results are the cases numpy returns as scalars."""
+    rng = np.random.default_rng(5)
+    m = ad.Tensor(rng.normal(size=(4, 3)))
+    v3 = ad.Tensor(rng.normal(size=3))
+    v4 = ad.Tensor(rng.normal(size=4))
+    slots = ad.Tensor(rng.normal(size=(3, 2)))
+    return {
+        "matmul-22": ((2, 4), lambda x: ad.matmul(x, m)),
+        "matmul-21": ((2, 3), lambda x: ad.matmul(x, v3)),
+        "matmul-12": ((4,), lambda x: ad.matmul(x, m)),
+        "matmul-11": ((3,), lambda x: ad.matmul(x, v3)),
+        "add": ((3,), lambda x: ad.add(x, v3)),
+        "add-bias": ((2, 3), lambda x: ad.add(x, v3)),
+        "multiply": ((3,), lambda x: ad.multiply(x, v3)),
+        "multiply-scalar": ((), lambda x: ad.multiply(x, v3)),
+        "multiply-0d": ((), lambda x: ad.multiply(x, ad.Tensor(2.0))),
+        "tanh": ((2, 3), ad.tanh),
+        "tanh-0d": ((), ad.tanh),
+        "softmax": ((2, 3), ad.softmax),
+        "segment-attention": ((3,), lambda x: ad.segment_attention(x, slots, [0, 0, 1])),
+        "segment-attention-slots": ((3, 2), lambda x: ad.segment_attention(v3, x, [0, 1, 1])),
+        "log": ((3,), ad.log),
+        "log-0d": ((), ad.log),
+        "log-sigmoid": ((3,), ad.log_sigmoid),
+        "log-sigmoid-0d": ((), ad.log_sigmoid),
+        "sum": ((2, 3), ad.reduce_sum),
+        "sum-axis0": ((2, 3), lambda x: ad.reduce_sum(x, axis=0)),
+        "sum-0d": ((), ad.reduce_sum),
+        "mean": ((2, 3), ad.reduce_mean),
+        "mean-axis0": ((2, 3), lambda x: ad.reduce_mean(x, axis=0)),
+        "gather": ((4, 3), lambda x: ad.gather_rows(x, [2, 0, 2])),
+        "gather-int": ((4, 3), lambda x: ad.gather_rows(x, 1)),
+        "gather-int-of-vector": ((4,), lambda x: ad.gather_rows(x, 1)),
+        "gather-slice": ((4, 3), lambda x: ad.gather_rows(x, slice(1, 3))),
+        "concat": ((2, 4), lambda x: ad.concat([x, v4])),
+        "squared-l2": ((3,), ad.squared_l2),
+        "squared-l2-0d": ((), ad.squared_l2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_wrap_cases().keys()))
+def test_primitive_results_are_float64_arrays_that_need_a_gradient_only_when_recorded(name):
+    shape, fn = _wrap_cases()[name]
+    point = np.abs(np.random.default_rng(9).normal(size=shape)) + 0.5  # positive, for log
+
+    def check(y, recorded):
+        assert type(y.data) is np.ndarray and y.data.dtype == np.float64
+        assert y.name is None and y.trainable is False
+        assert y.requires_grad is recorded
+
+    check(fn(ad.Tensor(point)), False)
+    with ad.Tape() as tape:
+        check(fn(ad.Tensor(point)), False)
+        assert len(tape) == 0
+        y = fn(ad.Tensor(point, name="x", trainable=True))
+        check(y, True)
+        assert len(tape) == 1 and tape._nodes[0][0] is y
+
+
 def _primitive_cases():
     rng = np.random.default_rng(11)
     w2 = ad.Tensor(rng.normal(size=(4, 3)))

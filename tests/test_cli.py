@@ -77,6 +77,28 @@ def test_eval_writes_a_report(workdir, corpus_dir, config_file, run_dir):
     assert report["perplexity"] >= 1.0
 
 
+def test_eval_of_an_unlabelled_split_reports_no_selection_accuracy(workdir, corpus_dir,
+                                                                    config_file, run_dir):
+    unlabelled = workdir / "unlabelled"
+    unlabelled.mkdir()
+    for name in ("train.jsonl", "valid.jsonl", "vocab.json", "spec.txt"):
+        (unlabelled / name).write_bytes((corpus_dir / name).read_bytes())
+    records = [json.loads(line) for line in (corpus_dir / "test.jsonl").read_text().splitlines()]
+    (unlabelled / "test.jsonl").write_text(
+        "".join(json.dumps(dict(r, gold_index=None)) + "\n" for r in records))
+    reports = []
+    for corpus in (corpus_dir, unlabelled):
+        out = workdir / f"{corpus.name}-report.json"
+        code = main(["eval", "--corpus", str(corpus), "--config", str(config_file),
+                     "--checkpoint", str(run_dir / "checkpoint.bin"), "--out", str(out)])
+        assert code == 0
+        reports.append(json.loads(out.read_text()))
+    labelled, report = reports
+    assert report.pop("selection_accuracy") is None
+    labelled.pop("selection_accuracy")
+    assert report == labelled
+
+
 def test_generate_writes_one_line_per_example(workdir, corpus_dir, config_file, run_dir):
     out = workdir / "generations.jsonl"
     code = main(["generate", "--corpus", str(corpus_dir), "--config", str(config_file),

@@ -121,6 +121,27 @@ class TestGenerate:
         assert a.logprobs == b.logprobs
         assert np.array_equal(a.z, b.z)
 
+    def test_leaves_made_do_not_grow_with_the_tokens_decoded(self, monkeypatch):
+        # primitive results are wrapped without the constructor, so a decode
+        # makes the same caller leaves however many tokens it runs
+        p = ModelParams.init(tiny_cfg(), seed=7)
+        p["out_b"].data[EOS] = -1e3  # the decode runs to either cap
+        made = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        counts = {}
+        for max_len in (2, 8):
+            made.clear()
+            out = generate(p, make_example(), prior="uniform", max_len=max_len)
+            assert len(out.tokens) == max_len
+            counts[max_len] = len(made)
+        assert counts[2] == counts[8]
+
     def test_max_len_below_one_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
         with pytest.raises(ContractError):

@@ -389,3 +389,33 @@ class TestEvaluate:
     def test_empty_corpus_rejected(self, small_config, small_trained):
         with pytest.raises(ContractError):
             evaluate(small_trained.best_params, [], small_config)
+
+    def test_ngram_fields_equal_the_standalone_functions(self, small_corpus, small_config,
+                                                         small_trained):
+        from spi.generation import generate_batch
+        from spi.metrics import _strip_eos
+        params, examples = small_trained.best_params, small_corpus.test
+        gens = generate_batch(params, examples, prior=small_config.prior,
+                              max_len=small_config.model.max_response)
+        report = evaluate(params, examples, small_config, generations=gens)
+        cands = [_strip_eos(g.tokens) for g in gens]
+        refs = [_strip_eos(list(ex.response)) for ex in examples]
+        assert report.bleu3 == bleu_corpus(cands, refs, max_n=3)
+        assert report.bleu4 == bleu_corpus(cands, refs, max_n=4)
+        assert report.rouge1 == rouge_n(cands, refs, n=1)
+        assert report.rouge2 == rouge_n(cands, refs, n=2)
+        assert report.distinct1 == distinct_n(cands, n=1)
+        assert report.distinct2 == distinct_n(cands, n=2)
+
+    def test_unlabelled_examples_report_no_selection_accuracy(self, small_corpus,
+                                                              small_config, small_trained):
+        from dataclasses import replace
+        params, examples = small_trained.best_params, small_corpus.test
+        unlabelled = [replace(ex, gold_index=None) for ex in examples]
+        plain = evaluate(params, examples, small_config)
+        report = evaluate(params, unlabelled, small_config)
+        assert report.selection_accuracy is None
+        assert report.to_dict()["selection_accuracy"] is None
+        assert report == replace(plain, selection_accuracy=None)
+        with pytest.raises(ContractError, match="gold"):
+            evaluate(params, unlabelled, small_config, oracle_knowledge=True)
