@@ -69,18 +69,17 @@ def _ngrams(seq: list[int], n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
+def _pair_stats(cgrams: Counter, rgrams: Counter) -> tuple[int, int, int]:
+    """What every n-gram score takes from one pair's counts: the clipped
+    matches, the candidate's n-grams and the reference's n-grams."""
+    overlap = sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
+    return overlap, sum(cgrams.values()), sum(rgrams.values())
+
+
 def _order_stats(candidates: list[list[int]], references: list[list[int]],
-                 n: int) -> tuple[list[tuple[int, int, int]], list[Counter]]:
-    """The n-gram counts every n-gram metric is built from: per pair, the
-    clipped matches, the candidate's n-grams and the reference's n-grams; and
-    each candidate's n-gram ``Counter``."""
-    stats, cand_grams = [], []
-    for cand, ref in zip(candidates, references):
-        cgrams, rgrams = _ngrams(cand, n), _ngrams(ref, n)
-        overlap = sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
-        stats.append((overlap, sum(cgrams.values()), sum(rgrams.values())))
-        cand_grams.append(cgrams)
-    return stats, cand_grams
+                 n: int) -> list[tuple[int, int, int]]:
+    return [_pair_stats(_ngrams(cand, n), _ngrams(ref, n))
+            for cand, ref in zip(candidates, references)]
 
 
 def _bleu(stats_by_order: list[list[tuple[int, int, int]]]) -> float:
@@ -110,10 +109,7 @@ def _rouge(stats: list[tuple[int, int, int]]) -> float:
     return float(np.mean(scores))
 
 
-def _distinct(grams) -> float:
-    seen: Counter = Counter()
-    for counts in grams:
-        seen.update(counts)
+def _distinct(seen: Counter) -> float:
     total = sum(seen.values())
     return len(seen) / total if total else 0.0
 
@@ -126,7 +122,7 @@ def bleu_corpus(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("max_n must lie in 1..4")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    return _bleu([_order_stats(candidates, references, n)[0] for n in range(1, max_n + 1)])
+    return _bleu([_order_stats(candidates, references, n) for n in range(1, max_n + 1)])
 
 
 def rouge_n(candidates: list[list[int]], references: list[list[int]],
@@ -136,24 +132,33 @@ def rouge_n(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("n must be at least 1")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    return _rouge(_order_stats(candidates, references, n)[0])
+    return _rouge(_order_stats(candidates, references, n))
 
 
 def distinct_n(sequences: list[list[int]], n: int = 1) -> float:
     """Unique n-grams over total n-grams, pooled across all sequences."""
     if n < 1:
         raise ContractError("n must be at least 1")
-    return _distinct(_ngrams(seq, n) for seq in sequences)
+    seen: Counter = Counter()
+    for seq in sequences:
+        seen.update(_ngrams(seq, n))
+    return _distinct(seen)
 
 
 def _ngram_fields(candidates: list[list[int]], references: list[list[int]]) -> dict:
     """``evaluate``'s BLEU, ROUGE and distinct-n fields, from one count of
     each pair's 1- to 4-grams; each equals its public function's value."""
-    orders = [_order_stats(candidates, references, n) for n in range(1, 5)]
-    stats = [s for s, _ in orders]
+    stats: list[list[tuple[int, int, int]]] = [[], [], [], []]
+    seen = [Counter(), Counter()]  # candidate unigrams and bigrams, for distinct-n
+    for cand, ref in zip(candidates, references):
+        for n, order in enumerate(stats, start=1):
+            cgrams = _ngrams(cand, n)
+            order.append(_pair_stats(cgrams, _ngrams(ref, n)))
+            if n <= 2:
+                seen[n - 1].update(cgrams)
     return {"bleu3": _bleu(stats[:3]), "bleu4": _bleu(stats),
             "rouge1": _rouge(stats[0]), "rouge2": _rouge(stats[1]),
-            "distinct1": _distinct(orders[0][1]), "distinct2": _distinct(orders[1][1])}
+            "distinct1": _distinct(seen[0]), "distinct2": _distinct(seen[1])}
 
 
 def _strip_eos(tokens: list[int]) -> list[int]:
