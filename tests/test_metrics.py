@@ -407,6 +407,19 @@ class TestEvaluate:
         assert report.distinct1 == distinct_n(cands, n=1)
         assert report.distinct2 == distinct_n(cands, n=2)
 
+    @given(st.lists(st.tuples(st.lists(st.integers(4, 12), max_size=8), token_seq),
+                    min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_ngram_fields_equal_the_standalone_functions_on_any_corpus(self, pairs):
+        # an empty candidate is a generation that was a lone EOS
+        from spi.metrics import _ngram_fields
+        cands = [list(c) for c, _ in pairs]
+        refs = [list(r) for _, r in pairs]
+        assert _ngram_fields(cands, refs) == {
+            "bleu3": bleu_corpus(cands, refs, max_n=3), "bleu4": bleu_corpus(cands, refs),
+            "rouge1": rouge_n(cands, refs, n=1), "rouge2": rouge_n(cands, refs, n=2),
+            "distinct1": distinct_n(cands, n=1), "distinct2": distinct_n(cands, n=2)}
+
     def test_unlabelled_examples_report_no_selection_accuracy(self, small_corpus,
                                                               small_config, small_trained):
         from dataclasses import replace
