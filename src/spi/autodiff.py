@@ -121,8 +121,9 @@ def active_tape() -> Tape | None:
 
 def _emit(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """Wrap a primitive's value and record it when a tape needs it. The
-    slots are set here, not by ``Tensor.__init__``, and the value is neither
-    converted nor checked: see the module docstring."""
+    slots are set here, not by ``Tensor.__init__``; the value is converted
+    only when numpy returned a scalar, and never checked: see the module
+    docstring."""
     out = object.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
     out.name = None
