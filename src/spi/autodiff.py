@@ -295,42 +295,87 @@ def softmax(x: Tensor) -> Tensor:
     return _emit(y, (x,), vjp)
 
 
-def _segment_attention_vjp(g, slots, w, out, seg, needs):
-    # each slot meets its own segment's output gradient
-    gs = g[seg]
-    gx = w * ((gs * slots).sum(axis=1) - (g * out).sum(axis=1)[seg]) if needs[0] else None
-    gv = w[:, None] * gs if needs[1] else None
+class Windows:
+    """k windows over the rows of a tensor, in a (k, width) index matrix:
+    window j reads rows ``index[j, :lengths[j]]`` in that order, and its
+    entries past its length are dead (they repeat a live row, so every entry
+    indexes a row). ``segments`` builds windows that cover 0..N-1 in order,
+    each a contiguous run; when they are also of equal length (``tiled``),
+    a window is a reshape with no copy. The layout is checked once, here,
+    so the primitives that take it need not re-derive it at every call."""
+
+    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled")
+
+    def __init__(self, index, lengths, *, segments: bool = False):
+        index, lengths = np.asarray(index), np.asarray(lengths)
+        if (index.ndim != 2 or not index.size or lengths.shape != index.shape[:1]
+                or not np.issubdtype(index.dtype, np.integer)
+                or not np.issubdtype(lengths.dtype, np.integer)):
+            raise ShapeError(f"windows need a non-empty (k, width) integer index and k "
+                             f"integer lengths, got {index.shape} and {lengths.shape}")
+        if lengths.min() < 1 or lengths.max() > index.shape[1] or index.min() < 0:
+            raise ShapeError("every window needs 1..width live entries and row indices >= 0")
+        self.index, self.lengths = index, lengths
+        self.live = np.arange(index.shape[1]) < lengths[:, None]  # (k, width)
+        self.full = self.live.all(axis=0)  # (width,) columns with no dead entry
+        self.span = int(index.max()) + 1   # the rows a tensor needs
+        self.segments = segments
+        self.tiled = segments and bool(self.full.all())
+
+    @staticmethod
+    def of_segments(lengths) -> "Windows":
+        """Windows of consecutive runs of ``lengths`` rows, run j after run j - 1."""
+        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        if not lengths.size or lengths.min() < 1:
+            raise ShapeError(f"segments need to be non-empty, got lengths {lengths.tolist()}")
+        starts = np.cumsum(lengths) - lengths
+        offsets = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+        return Windows(starts[:, None] + offsets, lengths, segments=True)
+
+
+def _segment_attention_vjp(g, vw, w, out, windows, needs):
+    gx = gv = None
+    if needs[0]:
+        # the window softmax's adjoint: w * (g . v - g . out), 0 at dead entries
+        gw = np.matmul(vw, g[:, :, None])[:, :, 0]
+        gxw = w * (gw - (g * out).sum(axis=1, keepdims=True))
+        gx = gxw.reshape(-1) if windows.tiled else gxw[windows.live]
+    if needs[1]:
+        gvw = w[:, :, None] * g[:, None, :]
+        gv = gvw.reshape(-1, g.shape[1]) if windows.tiled else gvw[windows.live]
     return gx, gv
 
 
-def segment_attention(x: Tensor, slots: Tensor, seg) -> Tensor:
-    """Attention within contiguous segments: row j of the (k, D) result is
-    the softmax of segment j's scores in ``x`` (N,) applied to the same
-    segment's rows of ``slots`` (N, D).
+def segment_attention(x: Tensor, slots: Tensor, windows: Windows) -> Tensor:
+    """Attention within segments: row j of the (k, D) result is the softmax
+    of segment j's scores in ``x`` (N,) applied to the same segment's rows
+    of ``slots`` (N, D).
 
-    ``seg[n]`` names the segment of entry n; the segments are 0..k-1 in
-    order, each non-empty and contiguous. Per-segment reductions do the
-    work, so the cost is linear in N: no (k, N) weight matrix is formed.
+    ``windows`` (``Windows.of_segments``) lays the N entries out as k
+    padded windows of the longest segment's width: a (k, width) softmax,
+    with the dead entries at weight 0, and one batched product do the work.
+    Equal segments make the windows a reshape of ``x`` and ``slots``; ragged
+    ones gather them.
     """
     xd, vd = x.data, slots.data
-    seg = np.asarray(seg)
-    if (xd.ndim != 1 or not xd.size or seg.shape != xd.shape or vd.ndim != 2
-            or vd.shape[0] != xd.shape[0]):
-        raise ShapeError(f"segment_attention expects (N,) scores and segments and (N, D) "
-                         f"slots, N > 0, got {xd.shape}, {seg.shape} and {vd.shape}")
-    if not np.issubdtype(seg.dtype, np.integer):
-        raise ContractError("segment_attention segments must be integers")
-    step = np.empty_like(seg)  # each entry's step from the one before, from -1 for the first
-    step[0], step[1:] = seg[0] + 1, seg[1:] - seg[:-1]
-    if step[0] != 1 or (step & ~1).any():
-        raise ShapeError("segment_attention needs non-empty contiguous segments 0..k-1 in order")
-    starts = np.flatnonzero(step)
-    e = np.exp(xd - np.maximum.reduceat(xd, starts)[seg])
-    w = e / np.add.reduceat(e, starts)[seg]
-    out = np.add.reduceat(w[:, None] * vd, starts, axis=0)
+    if not isinstance(windows, Windows) or not windows.segments:
+        raise ContractError("segment_attention needs segment windows (Windows.of_segments)")
+    n = int(windows.lengths.sum())
+    if xd.shape != (n,) or vd.ndim != 2 or vd.shape[0] != n:
+        raise ShapeError(f"segment_attention over {n} entries expects ({n},) scores and "
+                         f"({n}, D) slots, got {xd.shape} and {vd.shape}")
+    k, width = windows.index.shape
+    if windows.tiled:
+        xw, vw = xd.reshape(k, width), vd.reshape(k, width, -1)
+    else:
+        xw = np.where(windows.live, xd[windows.index], -np.inf)
+        vw = vd[windows.index]
+    e = np.exp(xw - xw.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    out = np.matmul(w[:, None, :], vw)[:, 0, :]
 
-    def vjp(g, needs, vd=vd, w=w, out=out, seg=seg):
-        return _segment_attention_vjp(g, vd, w, out, seg, needs)
+    def vjp(g, needs, vw=vw, w=w, out=out, windows=windows):
+        return _segment_attention_vjp(g, vw, w, out, windows, needs)
 
     return _emit(out, (x, slots), vjp)
 
@@ -393,8 +438,40 @@ def _reduce_mean_vjp(g, shape, axis, n):
     return (np.broadcast_to(g / n, shape).copy(),)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
+def _window_mean_vjp(g, shape, windows):
+    out = np.zeros(shape, dtype=g.dtype)
+    # each live entry meets its window's adjoint over the window's length
+    np.add.at(out, windows.index[windows.live],
+              np.repeat(g / windows.lengths[:, None], windows.lengths, axis=0))
+    return (out,)
+
+
+def reduce_mean(x: Tensor, axis: int | None = None, *,
+                windows: Windows | None = None) -> Tensor:
+    """Mean of every entry (``axis`` None) or of the rows (``axis`` 0); or,
+    given ``windows``, row j of the (k, D) result is the mean of window j's
+    rows of ``x`` (R, D). The windows are summed a column at a time, each
+    window's rows in its order, as a mean over its gathered rows would sum
+    them, with no (k, width, D) copy."""
     xd = x.data
+    if windows is not None:
+        if axis is not None or not isinstance(windows, Windows):
+            raise ContractError("a windowed reduce_mean takes a Windows layout and no axis")
+        if xd.ndim != 2 or xd.shape[0] < windows.span:
+            raise ShapeError(f"a windowed mean over {windows.span} rows expects rank 2, "
+                             f"got {xd.shape}")
+        index, live, full = windows.index, windows.live, windows.full
+        acc = xd[index[:, 0]]
+        for c in range(1, index.shape[1]):
+            col = xd[index[:, c]]
+            acc += col if full[c] else col * live[:, c, None]
+        out = acc / windows.lengths[:, None]
+        shape = xd.shape
+
+        def window_vjp(g, needs, shape=shape, windows=windows):
+            return _window_mean_vjp(g, shape, windows)
+
+        return _emit(out, (x,), window_vjp)
     if axis not in (None, 0):
         raise ContractError(f"reduce_mean supports axis None or 0, got {axis}")
     if axis == 0 and xd.ndim != 2:

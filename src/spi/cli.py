@@ -76,6 +76,17 @@ def _read_config_file(path: Path) -> SpiConfig:
         raise ContractError(f"{path}: {err}") from None
 
 
+def _limit(text: str) -> int:
+    """``--limit``: how many examples of the split to use, from the first."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; it counts examples")
+    return value
+
+
 def _build_config(args: argparse.Namespace, vocab_size: int) -> SpiConfig:
     if args.config is not None:
         base = _read_config_file(Path(args.config))
@@ -252,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--corpus", required=True)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--split", default="test")
-    ev.add_argument("--limit", type=int, default=None)
+    ev.add_argument("--limit", type=_limit, default=None)
     ev.add_argument("--oracle-knowledge", dest="oracle_knowledge",
                     action="store_true")
     ev.add_argument("--out", default=None)
@@ -263,7 +274,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--corpus", required=True)
     gen.add_argument("--checkpoint", required=True)
     gen.add_argument("--split", default="test")
-    gen.add_argument("--limit", type=int, default=None)
+    gen.add_argument("--limit", type=_limit, default=None)
     gen.add_argument("--out", required=True)
     _add_config_flags(gen)
     gen.set_defaults(func=cmd_generate)

@@ -150,11 +150,18 @@ def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
                            gold_index=gold_index, response=response)
 
 
+# the number of examples in each split
+SPLIT_SIZES = ("n_train", "n_valid", "n_test")
+
+
 def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     """Deterministically build all three splits from the spec."""
     vocab, layout = plan_vocab(spec)
     if spec.m_candidates < 1:
         raise ContractError("need at least one candidate")
+    for name in SPLIT_SIZES:
+        if getattr(spec, name) < 0:
+            raise ContractError(f"{name} must not be negative, got {getattr(spec, name)}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     content_len = spec.candidate_len - 1
     topics_content = [
@@ -233,6 +240,8 @@ def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
         except ValueError:
             raise ContractError(
                 f"{path}:{lineno}: {name} = {value!r} is not a valid {caster.__name__}") from None
+        if name in SPLIT_SIZES and kwargs[name] < 0:
+            raise ContractError(f"{path}:{lineno}: {name} = {value} must not be negative")
     return SyntheticSpec(**kwargs)
 
 

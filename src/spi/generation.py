@@ -16,23 +16,38 @@ from .autodiff import check_finite
 from .errors import ContractError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
-                    decoder_advance, decoder_start, encode_batch,
-                    initializer_scores, knowledge_prior_logits,
-                    latent_prior_mean, output_logits)
+                    decoder_advance, decoder_start, encode_batch, encode_context,
+                    head_logits, keep_lanes, latent_prior_means, output_logits,
+                    sigmoid)
+
+
+def pick_knowledge(params: ModelParams, encodings_batch: Sequence[Sequence[EncodedContext]],
+                   *, prior: str) -> list[int]:
+    """Argmax knowledge pick of each example over all its candidates
+    (``encodings_batch[e]``, one encoding per candidate), scored without the
+    response, from one head product over every encoding of the batch: the
+    initializer's scores (uniform prior) or the prior's logits (learnable).
+    Ties resolve to the lowest index."""
+    if prior not in ("uniform", "learnable"):
+        raise ContractError(f"unknown prior mode {prior!r}")
+    head = "initializer" if prior == "uniform" else "knowledge_prior"
+    x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs]).data
+    if prior == "uniform":
+        x = sigmoid(x)  # scores can tie where their logits do not
+    picks, lo = [], 0
+    for encs in encodings_batch:
+        picks.append(int(np.argmax(x[lo:lo + len(encs)])))
+        lo += len(encs)
+    return picks
 
 
 def select_for_generation(params: ModelParams, example: DialogueExample, *,
                           prior: str,
                           encodings: Sequence[EncodedContext] | None = None) -> int:
-    """Argmax knowledge pick over all candidates, scored without the
-    response. Ties resolve to the lowest index."""
-    if prior == "uniform":
-        scores = initializer_scores(params, example, encodings=encodings)
-    elif prior == "learnable":
-        scores = knowledge_prior_logits(params, example, encodings=encodings).data
-    else:
-        raise ContractError(f"unknown prior mode {prior!r}")
-    return int(np.argmax(scores))
+    """``pick_knowledge`` of one example."""
+    if encodings is None:
+        encodings = encode_context(params, example)
+    return pick_knowledge(params, [encodings], prior=prior)[0]
 
 
 @dataclass(frozen=True)
@@ -45,8 +60,74 @@ class GenerationResult:
 
 # examples per encoder pass of ``generate_batch``: a pass holds the rows of
 # every candidate of its examples at once, so a long input is encoded in
-# chunks, each freed once its picks own their rows
+# chunks, each freed once its picked lanes are kept
 ENCODE_CHUNK = 32
+
+
+@dataclass
+class Picks:
+    """What ``encode_and_pick`` keeps of its encoder passes."""
+
+    s: list[int]                 # each example's knowledge pick
+    lanes: list[EncodedContext]  # each pick's lane, gathered out of its pass
+    z: np.ndarray                # (n, latent) prior means of the picks
+    gold: list[EncodedContext]   # each gold lane, when asked for; else empty
+
+
+def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
+                    prior: str, gold: bool = False) -> Picks:
+    """Encode the examples ``ENCODE_CHUNK`` to a pass; per pass, pick every
+    example's knowledge from one head product (``pick_knowledge``), take the
+    picks' prior means from one latent-prior product and keep the picked
+    lanes (and the gold lanes, when ``gold``) with one gather
+    (``keep_lanes``), so each pass is freed before the next."""
+    picks, lanes, zs, golds = [], [], [], []
+    for lo in range(0, len(examples), ENCODE_CHUNK):
+        chunk = examples[lo:lo + ENCODE_CHUNK]
+        encodings = encode_batch(params, chunk)
+        ss = pick_knowledge(params, encodings, prior=prior)
+        kept = keep_lanes([encs[s] for encs, s in zip(encodings, ss)])
+        picks += ss
+        lanes += kept
+        zs.append(latent_prior_means(params, kept).data)
+        if gold:
+            golds += keep_lanes([encs[ex.gold_index] for ex, encs in zip(chunk, encodings)])
+    z = np.concatenate(zs) if zs else np.zeros((0, params.cfg.latent_dim))
+    return Picks(s=picks, lanes=lanes, z=z, gold=golds)
+
+
+def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[GenerationResult]:
+    """Greedy lockstep decode of the picked lanes from their prior-mean
+    latents; a lane retires at its own EOS or at the cap, where EOS is
+    forced."""
+    if max_len < 1:
+        raise ContractError("max_len must be at least 1")
+    n = len(picks.lanes)
+    cursor = decoder_start(params, picks.lanes, picks.z)
+    tokens: list[list[int]] = [[] for _ in range(n)]
+    logprobs: list[list[float]] = [[] for _ in range(n)]
+    done = [False] * n  # a retired lane runs on unread
+    rows = np.arange(n)
+    prev = np.full(n, BOS)
+    for step in range(max_len):
+        cursor = decoder_advance(params, cursor, prev)
+        logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(n, -1)
+        check_finite(logits, f"output at generation step {step}")
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        prev = logits.argmax(axis=1)
+        if step == max_len - 1:
+            prev[:] = EOS
+        # the log-softmax at the picked token only
+        chosen = shifted[rows, prev] - np.log(np.exp(shifted).sum(axis=1))
+        for lane, (tok, lp) in enumerate(zip(prev.tolist(), chosen.tolist())):
+            if not done[lane]:
+                tokens[lane].append(tok)
+                logprobs[lane].append(lp)
+                done[lane] = tok == EOS
+        if all(done):
+            break
+    return [GenerationResult(s=s, z=z, tokens=toks, logprobs=lps)
+            for s, z, toks, lps in zip(picks.s, picks.z, tokens, logprobs)]
 
 
 def generate(params: ModelParams, example: DialogueExample, *, prior: str,
@@ -59,46 +140,13 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
                    prior: str, max_len: int = 32) -> list[GenerationResult]:
     """``generate`` for every example, as the lanes of one greedy lockstep
-    decode; a lane retires at its own EOS or at the cap. The examples are
-    encoded ``ENCODE_CHUNK`` to a pass."""
+    decode (``decode_greedy``). The examples are encoded and picked
+    ``ENCODE_CHUNK`` to a pass (``encode_and_pick``)."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     if not examples:
         return []
-    picks, picked, zs = [], [], []
-    for lo in range(0, len(examples), ENCODE_CHUNK):
-        chunk = examples[lo:lo + ENCODE_CHUNK]
-        for example, encodings in zip(chunk, encode_batch(params, chunk)):
-            s = select_for_generation(params, example, prior=prior, encodings=encodings)
-            picks.append(s)
-            picked.append(encodings[s].own_states())
-            zs.append(latent_prior_mean(params, example, s, encoded=encodings[s]).data)
-    del encodings  # the last example's lanes would hold their pass through the decode
-    cursor = decoder_start(params, picked, np.stack(zs))
-    tokens: list[list[int]] = [[] for _ in examples]
-    logprobs: list[list[float]] = [[] for _ in examples]
-    done = [False] * len(examples)  # a retired lane runs on unread
-    lanes = np.arange(len(examples))
-    prev = np.full(len(examples), BOS)
-    for step in range(max_len):
-        cursor = decoder_advance(params, cursor, prev)
-        logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(len(lanes), -1)
-        check_finite(logits, f"output at generation step {step}")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        prev = logits.argmax(axis=1)
-        if step == max_len - 1:
-            prev[:] = EOS
-        # the log-softmax at the picked token only
-        picked = shifted[lanes, prev] - np.log(np.exp(shifted).sum(axis=1))
-        for lane, (tok, lp) in enumerate(zip(prev.tolist(), picked.tolist())):
-            if not done[lane]:
-                tokens[lane].append(tok)
-                logprobs[lane].append(lp)
-                done[lane] = tok == EOS
-        if all(done):
-            break
-    return [GenerationResult(s=s, z=z, tokens=toks, logprobs=lps)
-            for s, z, toks, lps in zip(picks, zs, tokens, logprobs)]
+    return decode_greedy(params, encode_and_pick(params, examples, prior=prior), max_len)
 
 
 def write_generations(path, results: list[GenerationResult]) -> None:

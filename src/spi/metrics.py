@@ -8,15 +8,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import generation
 from .config import SpiConfig
 from .errors import ContractError
-from .generation import GenerationResult, generate_batch
-from .model import (EOS, DialogueExample, ModelParams, _scored_response, decode_logprob,
-                    encode_batch, latent_prior_mean)
+from .generation import GenerationResult, decode_greedy, encode_and_pick
+from .model import (EOS, DialogueExample, EncodedContext, ModelParams, _scored_response,
+                    decode_logprob, encode_batch, latent_prior_means)
 
 
 def selection_accuracy(predicted: list[int], examples: list[DialogueExample]) -> float:
@@ -42,24 +43,31 @@ def scored_tokens(params: ModelParams, examples: list[DialogueExample]) -> int:
 
 
 def perplexity(params: ModelParams, examples: list[DialogueExample], *,
-               picks: list[int]) -> float:
+               picks: list[int], encodings: Sequence[EncodedContext] | None = None) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
     prior-mean latent. Each ``generation.ENCODE_CHUNK`` examples are the lanes
-    of one encoder pass and one lockstep decode, so memory stays bounded
-    however many examples there are. The mean runs over the scored tokens, so
-    padding past an EOS counts nowhere."""
+    of one lockstep decode, their latents from one latent-prior product, so
+    memory stays bounded however many examples there are. ``encodings``,
+    each example's encoding of its pick, spares the encoder: ``evaluate``
+    passes the lanes generation kept from its own passes. Without them each
+    chunk's picks are encoded in one pass. The mean runs over the scored
+    tokens, so padding past an EOS counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
+    if encodings is not None and len(encodings) != len(examples):
+        raise ContractError("encodings must align with the examples")
     lps: list[float] = []
     chunk = generation.ENCODE_CHUNK
     for lo in range(0, len(examples), chunk):
         exs, ss = examples[lo:lo + chunk], picks[lo:lo + chunk]
-        encoded = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
-        z = np.stack([latent_prior_mean(params, ex, s, encoded=enc).data
-                      for ex, s, enc in zip(exs, ss, encoded)])
+        if encodings is None:
+            encoded = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
+        else:
+            encoded = list(encodings[lo:lo + chunk])
+        z = latent_prior_means(params, encoded).data
         lps += decode_logprob(params, exs, ss, z, encoded=encoded).data.tolist()
     # summed in example order, as one pass over every example would
     return math.exp(-sum(lps) / scored_tokens(params, examples))
@@ -195,15 +203,22 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     """Full held-out evaluation. Selection accuracy always scores the model's
     own pick, over the gold-labelled examples, and is None when there are
     none; the oracle flag makes perplexity condition on the gold candidate
-    instead of that pick."""
+    instead of that pick.
+
+    Without ``generations`` the examples are encoded in one pass per
+    ``generation.ENCODE_CHUNK`` (``encode_and_pick``), and perplexity scores
+    the lanes generation kept from those passes: the picked lanes, or the
+    gold lanes under the oracle flag."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
+    if oracle_knowledge and any(ex.gold_index is None for ex in examples):
+        raise ContractError("oracle scoring needs a gold index")
+    scored = None
     if generations is None:
-        generations = generate_batch(params, examples, prior=config.prior,
-                                     max_len=config.model.max_response)
+        kept = encode_and_pick(params, examples, prior=config.prior, gold=oracle_knowledge)
+        generations = decode_greedy(params, kept, config.model.max_response)
+        scored = kept.gold if oracle_knowledge else kept.lanes
     if oracle_knowledge:
-        if any(ex.gold_index is None for ex in examples):
-            raise ContractError("oracle scoring needs a gold index")
         picks = [ex.gold_index for ex in examples]
     else:
         picks = [g.s for g in generations]
@@ -215,6 +230,6 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         n_tokens=scored_tokens(params, examples),
         selection_accuracy=(selection_accuracy([g.s for g in generations], examples)
                             if labelled else None),
-        perplexity=perplexity(params, examples, picks=picks),
+        perplexity=perplexity(params, examples, picks=picks, encodings=scored),
         **_ngram_fields(cands, refs),
         oracle_knowledge=oracle_knowledge)

@@ -188,34 +188,105 @@ class ModelParams:
 # encoder
 
 
+class _Pass:
+    """The rows of one encoder pass, (R, hidden), its lanes' mean-pooled
+    rows, (K, hidden), and where each lane's states lie: lane j's are rows
+    ``windows.index[j, :windows.lengths[j]]``, in order."""
+
+    __slots__ = ("rows", "pooled", "windows")
+
+    def __init__(self, rows: Tensor, windows: ad.Windows, pooled: Tensor | None = None):
+        self.rows, self.windows = rows, windows
+        # every lane of the pass pooled in one call, with no copy of its rows
+        self.pooled = ad.reduce_mean(rows, windows=windows) if pooled is None else pooled
+
+
 class EncodedContext:
-    """Per-token encoder states of one lane and their mean-pooled summary.
+    """One lane of an encoder pass: its per-token encoder states, (L,
+    hidden), and their mean-pooled summary, (hidden,).
 
-    A lane made off the tape keeps only its row indices into its pass's row
-    matrix, and ``states`` gathers them on each read, so a pass over many
-    lanes holds its rows once, not once per lane. On a tape the gathered
-    rows are kept, since the tape holds them anyway."""
+    A lane holds only its pass and its row in it. ``pooled`` takes the
+    lane's row of the pass's pooled matrix, which ``encode_batch`` makes for
+    every lane at once. ``states`` gathers the lane's rows on each read, so
+    a pass over many lanes holds its rows once, not once per lane; on a tape
+    the gathered rows are kept, since the tape holds them anyway. Code that
+    reads many lanes at once (``head_logits``, ``decoder_start``,
+    ``latent_prior_means``) takes their rows from the pass in one gather,
+    and ``keep_lanes`` gathers lanes into a pass of their own, so the pass
+    they came from can be freed while they live on."""
 
-    __slots__ = ("pooled", "_rows", "_idx", "_states")
+    __slots__ = ("_pass", "lane", "_states", "_pooled")
 
-    def __init__(self, rows: Tensor, idx: np.ndarray | None):
-        states = rows if idx is None else ad.gather_rows(rows, idx)
-        self.pooled = ad.reduce_mean(states, axis=0)  # (hidden,)
-        self._rows, self._idx = rows, idx
-        self._states = states if idx is None or states.requires_grad else None
+    def __init__(self, pass_: _Pass, lane: int):
+        self._pass, self.lane = pass_, lane
+        self._states = self._pooled = None
+
+    @property
+    def pooled(self) -> Tensor:  # (hidden,)
+        if self._pooled is None:
+            self._pooled = ad.gather_rows(self._pass.pooled, self.lane)
+        return self._pooled
 
     @property
     def states(self) -> Tensor:  # (L, hidden)
         if self._states is not None:
             return self._states
-        return ad.gather_rows(self._rows, self._idx)
+        rows, windows = self._pass.rows, self._pass.windows
+        length = int(windows.lengths[self.lane])
+        if length == rows.shape[0]:  # the lane is the whole pass, in order
+            states = rows
+        else:
+            states = ad.gather_rows(rows, windows.index[self.lane, :length])
+        if states.requires_grad or states is rows:
+            self._states = states
+        return states
 
-    def own_states(self) -> EncodedContext:
-        """Gather this lane's rows once and let go of its pass's row matrix,
-        so the pass can be freed while the lane lives on."""
-        self._states = self.states
-        self._rows = self._idx = None
-        return self
+
+def _runs(encodings: Sequence[EncodedContext]) -> list[tuple[_Pass, np.ndarray]]:
+    """The encodings as runs of consecutive lanes of one pass: (pass, lanes)."""
+    runs: list[tuple[_Pass, list[int]]] = []
+    for enc in encodings:
+        if runs and runs[-1][0] is enc._pass:
+            runs[-1][1].append(enc.lane)
+        else:
+            runs.append((enc._pass, [enc.lane]))
+    return [(pass_, np.asarray(lanes)) for pass_, lanes in runs]
+
+
+def _lane_rows(encodings: Sequence[EncodedContext], states: bool = True
+               ) -> tuple[Tensor | None, Tensor, np.ndarray]:
+    """The encodings' states, end to end (when ``states``), their pooled
+    rows, (n, hidden), and their lengths: one gather each per run of lanes
+    of one pass, and none where a run is every lane of its pass in order
+    (every row too, for the states of a pass of ``keep_lanes``)."""
+    rows, pooled, lengths = [], [], []
+    for pass_, lanes in _runs(encodings):
+        windows = pass_.windows
+        every = (len(lanes) == windows.lengths.shape[0]
+                 and bool((lanes == np.arange(len(lanes))).all()))
+        pooled.append(pass_.pooled if every else ad.gather_rows(pass_.pooled, lanes))
+        lengths.append(windows.lengths[lanes])
+        if not states:
+            continue
+        if every and windows.segments and int(windows.lengths.sum()) == pass_.rows.shape[0]:
+            rows.append(pass_.rows)
+        else:
+            rows.append(ad.gather_rows(pass_.rows, windows.index[lanes][windows.live[lanes]]))
+    if len(pooled) > 1:
+        return ((ad.concat(rows) if states else None), ad.concat(pooled),
+                np.concatenate(lengths))
+    return (rows[0] if states else None), pooled[0], lengths[0]
+
+
+def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
+    """The lanes of ``encodings``, gathered into a pass of their own (one
+    gather of states and one of pooled rows per pass they come from), so
+    their passes can be freed while they live on."""
+    if not encodings:
+        return []
+    rows, pooled, lengths = _lane_rows(encodings)
+    kept = _Pass(rows, ad.Windows.of_segments(lengths), pooled)
+    return [EncodedContext(kept, j) for j in range(len(encodings))]
 
 
 def _is_index(value) -> bool:
@@ -324,11 +395,16 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     del emb, start
     flat = ad.concat(rows)  # rows laid out as ``tokens``
     del rows
-    encoded = []
-    for j, (e, cand) in enumerate(lanes):
-        idx = [*range(e, len(prefixes[e]) * n_ex, n_ex),
-               *range(base + j, base + len(cand) * k, k)]
-        encoded.append(EncodedContext(flat, None if len(idx) == len(tokens) else np.asarray(idx)))
+    # lane j reads its example's prefix rows, then its own candidate rows
+    ex = np.asarray([e for e, _ in lanes])
+    plen = np.asarray([len(p) for p in prefixes])[ex]
+    length = plen + np.asarray([len(c) for _, c in lanes])
+    # entries past a lane's end repeat its last row
+    w = np.minimum(np.arange(int(length.max())), length[:, None] - 1)
+    index = np.where(w < plen[:, None], ex[:, None] + w * n_ex,
+                     base + np.arange(k)[:, None] + (w - plen[:, None]) * k)
+    pass_ = _Pass(flat, ad.Windows(index, length))
+    encoded = [EncodedContext(pass_, j) for j in range(k)]
     return [[encoded[lane] for lane in mine] for mine in lane_of]
 
 
@@ -340,18 +416,30 @@ def head_logits(params: ModelParams, head: str,
                 encodings: Sequence[EncodedContext]) -> Tensor:
     """Logits pooled . w + b of a selection head, one per encoding; the only
     code that applies a head. Each distinct encoding is one row of a single
-    matrix product, so equal candidates, which share an encoding, tie
-    exactly: a matrix product may round two equal rows differently.
-    Non-finite logits raise ``NumericError``."""
+    matrix product, its pooled row taken from its pass in one gather (none
+    when the encodings are every lane of one pass, as a batch's are), so
+    equal candidates, which share an encoding, tie exactly: a matrix product
+    may round two equal rows differently. Non-finite logits raise
+    ``NumericError``."""
     w_name, b_name = params.head_names(head)
-    pooled = {id(enc): enc.pooled for enc in encodings}  # first occurrence order
-    row = {key: i for i, key in enumerate(pooled)}
+    row: dict[int, int] = {}  # id of each distinct encoding -> its row
+    distinct = []
+    for enc in encodings:
+        if row.setdefault(id(enc), len(distinct)) == len(distinct):
+            distinct.append(enc)
     t = params.tensors
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
-    logits = ad.add(ad.matmul(ad.concat(list(pooled.values())), t[w_name]),
-                    ad.multiply(Tensor(np.ones(len(pooled))), t[b_name]))
+    logits = ad.add(ad.matmul(_lane_rows(distinct, states=False)[1], t[w_name]),
+                    ad.multiply(Tensor(np.ones(len(distinct))), t[b_name]))
     ad.check_finite(logits.data, f"{head} head output")
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, in the two forms a softmax over (x, 0) takes;
+    exp(-|x|) cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
 
 
 def initializer_scores(params: ModelParams, example: DialogueExample,
@@ -361,10 +449,7 @@ def initializer_scores(params: ModelParams, example: DialogueExample,
     this head entirely."""
     if encodings is None:
         encodings = encode_context(params, example)
-    x = head_logits(params, "initializer", encodings).data
-    # the two forms a softmax over (x, 0) takes; exp(-|x|) cannot overflow
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
+    return sigmoid(head_logits(params, "initializer", encodings).data)
 
 
 def knowledge_prior_logits(params: ModelParams, example: DialogueExample,
@@ -384,6 +469,14 @@ def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
     return ad.add(ad.matmul(enc.pooled, t["zprior_w"]), t["zprior_b"])
 
 
+def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
+    """``latent_prior_mean`` of every encoding, (n, latent), from one matrix
+    product over their pooled rows."""
+    t = params.tensors
+    pooled = _lane_rows(encodings, states=False)[1]
+    return ad.add(ad.matmul(pooled, t["zprior_w"]), t["zprior_b"])
+
+
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
     """log N(z; mu, I) up to the additive constant: -||z - mu||^2 / 2."""
     zt = z if isinstance(z, Tensor) else Tensor(z)
@@ -401,14 +494,15 @@ class DecoderCursor:
     """Incremental decoding state of one lane, or of k lanes in lockstep:
     attended slots, their projections, the recurrent state after the
     consumed prefix, the attention context of its last step and, for k
-    lanes, the lane each slot belongs to. A lane's slots are contiguous:
-    its encoder states, then its latent slot."""
+    lanes, the slot windows. A lane's slots are contiguous: its encoder
+    states, then its latent slot."""
 
     slots: Tensor       # (N, hidden)
     proj: Tensor        # (N, att)
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
-    seg: np.ndarray | None = None  # (N,) lane of each slot, ascending; None for one lane
-    ctx: Tensor | None = None      # (hidden,) or (k, hidden); None before the first token
+    windows: ad.Windows | None = None  # each lane's slots; None for one lane
+    lane: np.ndarray | None = None     # (N,) lane of each slot; None for one lane
+    ctx: Tensor | None = None          # (hidden,) or (k, hidden); None before the first token
 
 
 def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> DecoderCursor:
@@ -416,8 +510,11 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     encodings and ``z`` of shape (k, latent).
 
     The only code that picks the decoder ops: a lone lane gets the one-lane
-    cursor (vectors, ``seg`` None), which runs faster than a one-lane
-    segment layout, and ``decoder_advance`` follows the cursor."""
+    cursor (vectors, no windows), which runs faster than a one-lane segment
+    layout, and ``decoder_advance`` follows the cursor. For k lanes the
+    states and pooled rows come from their pass in one gather each, and the
+    slot windows of ``segment_attention`` are laid out here, once per
+    decode."""
     t = params.tensors
     lanes = list(encoded)
     if not lanes:
@@ -427,22 +524,25 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
-    states = [enc.states for enc in lanes]
-    slots = ad.concat(states + [zrow])
+    windows = lane = None
     if len(lanes) == 1:
-        pooled, seg = lanes[0].pooled, None
+        slots = ad.concat([lanes[0].states, zrow])
+        pooled = lanes[0].pooled
     else:
-        lengths = [rows.shape[0] for rows in states]
-        n, order, start = sum(lengths), [], 0
-        for j, length in enumerate(lengths):  # lane j's encoder rows, then its latent row
-            order += [*range(start, start + length), n + j]
-            start += length
-        slots = ad.gather_rows(slots, np.asarray(order))
-        pooled = ad.concat([enc.pooled for enc in lanes])
-        seg = np.repeat(np.arange(len(lanes)), np.add(lengths, 1))
+        states, pooled, lengths = _lane_rows(lanes)
+        # lane j's encoder rows, then its latent row (row n + j of the concatenation)
+        n, k = states.shape[0], len(lanes)
+        zpos = np.cumsum(lengths) + np.arange(k)
+        order = np.empty(n + k, dtype=np.int64)
+        encoder = np.ones(n + k, dtype=bool)
+        encoder[zpos] = False
+        order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
+        slots = ad.gather_rows(ad.concat([states, zrow]), order)
+        windows = ad.Windows.of_segments(lengths + 1)
+        lane = np.repeat(np.arange(k), lengths + 1)
     proj = ad.matmul(slots, t["att_enc"])
     state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, state=state, seg=seg)
+    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows, lane=lane)
 
 
 def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
@@ -451,24 +551,24 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderC
     state and context gives the next-token logits."""
     t = params.tensors
     ids = [tokens] if _is_index(tokens) else np.asarray(tokens).reshape(-1).tolist()
-    if len(ids) != 1 and (cur.seg is None or len(ids) != cur.state.shape[0]):
+    if len(ids) != 1 and (cur.windows is None or len(ids) != cur.state.shape[0]):
         raise ContractError(f"decoder input {ids} is not one token id per lane")
     _check_tokens(ids, params.cfg.vocab_size, "decoder input")
     # an id that every lane reads enters as one row, broadcast as a row bias
     e = ad.gather_rows(t["embed"], ids[0] if len(ids) == 1 else np.asarray(ids))
     q = ad.add(ad.matmul(cur.state, t["att_dec"]), t["att_b"])
-    if cur.seg is not None:
-        q = ad.gather_rows(q, cur.seg)  # each slot meets its own lane's query
+    if cur.windows is not None:
+        q = ad.gather_rows(q, cur.lane)  # each slot meets its own lane's query
     scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
-    if cur.seg is None:
+    if cur.windows is None:
         ctx = ad.matmul(ad.softmax(scores), cur.slots)
     else:
-        ctx = ad.segment_attention(scores, cur.slots, cur.seg)
+        ctx = ad.segment_attention(scores, cur.slots, cur.windows)
     # the context term comes first: the engine broadcasts only a second operand
     pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
                  ad.add(ad.matmul(cur.state, t["dec_wh"]), t["dec_b"]))
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre), seg=cur.seg,
-                         ctx=ctx)
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
+                         windows=cur.windows, lane=cur.lane, ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:

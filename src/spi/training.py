@@ -8,10 +8,13 @@ the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
 
 Each batch is encoded in one pass off the tape (``encode_batch``), every
-candidate of every example a lane of it; inference and the head
-cross-entropy reuse those encodings. Validation encodes its examples the
-same way, ``batch_size`` to a pass. The taped surrogate step makes one more
-pass per example, since its gradient runs through the encoder.
+candidate of every example a lane of it and every lane pooled in one
+windowed mean; inference and the head cross-entropy reuse those encodings.
+Validation encodes its examples the same way, ``batch_size`` to a pass,
+and takes the generation-time pick of every example of a pass from one head
+product (``pick_knowledge``). Inference, its Langevin chain and the taped
+surrogate step still run one example at a time; the surrogate step makes
+one more pass per example, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .config import (SEED_SHUFFLE, SEED_TRAIN, SEED_VALID, SpiConfig,
                      derived_rng)
 from .errors import ContractError, NumericError
 from .fsio import dump_json_line, atomic_write_text
-from .generation import select_for_generation
+from .generation import pick_knowledge
 from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
@@ -176,7 +179,7 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     settings under a fixed per-epoch seed, and the selection accuracy of the
     generation-time pick over the gold-labelled examples (0 when none are).
     Each batch of ``config.batch_size`` examples is encoded in one pass for
-    both."""
+    both, and picked by one head product (``pick_knowledge``)."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
@@ -184,7 +187,9 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     labelled = 0
     for lo in range(0, len(examples), config.batch_size):
         chunk = examples[lo:lo + config.batch_size]
-        for idx, (example, encodings) in enumerate(zip(chunk, encode_batch(params, chunk)), lo):
+        encodings_batch = encode_batch(params, chunk)
+        picks = pick_knowledge(params, encodings_batch, prior=config.prior)
+        for idx, (example, encodings, pick) in enumerate(zip(chunk, encodings_batch, picks), lo):
             rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
             pair = sequential_posterior_infer(params, example, config, rng=rng,
                                               encodings=encodings)
@@ -192,8 +197,6 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
                                      encodings)
             if example.gold_index is not None:
                 labelled += 1
-                pick = select_for_generation(params, example, prior=config.prior,
-                                             encodings=encodings)
                 hits += pick == example.gold_index
     return -total / len(examples), (hits / labelled if labelled else 0.0)
 

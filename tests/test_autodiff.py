@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spi import autodiff as ad
 from spi.errors import ContractError, NumericError, ShapeError
@@ -32,7 +34,8 @@ class TestFrozenValues:
 
     def test_segment_attention_of_equal_scores_averages_each_segment(self):
         slots = np.arange(12.0).reshape(6, 2)
-        out = ad.segment_attention(ad.Tensor(np.zeros(6)), ad.Tensor(slots), [0, 0, 0, 1, 2, 2])
+        out = ad.segment_attention(ad.Tensor(np.zeros(6)), ad.Tensor(slots),
+                                   ad.Windows.of_segments([3, 1, 2]))
         np.testing.assert_allclose(out.data, [slots[:3].mean(axis=0), slots[3],
                                               slots[4:].mean(axis=0)], atol=1e-15)
 
@@ -183,17 +186,35 @@ class TestShapeAndNumericErrors:
             with pytest.raises(NumericError, match="root"):
                 ad.backward(tape, root)
 
-    def test_segment_attention_needs_contiguous_non_empty_segments(self):
-        for seg, n_slots in (([0, 0, 2], 3),   # segment 1 is empty
-                             ([1, 1, 0], 3),   # segments out of order
-                             ([0, 1, 0], 3),   # segment 0 is not contiguous
-                             ([0, 1], 3),      # one segment id per score
-                             ([0, 0, 1], 2)):  # one slot per score
+    def test_segment_attention_needs_non_empty_segment_windows_of_its_size(self):
+        for lengths in ([2, 0, 1], [], [-1, 4]):  # an empty segment, none at all
             with pytest.raises(ShapeError):
-                ad.segment_attention(ad.Tensor(np.zeros(3)), ad.Tensor(np.ones((n_slots, 2))),
-                                     seg)
-        with pytest.raises(ContractError):
-            ad.segment_attention(ad.Tensor(np.zeros(2)), ad.Tensor(np.ones((2, 2))), [0.0, 1.0])
+                ad.Windows.of_segments(lengths)
+        windows = ad.Windows.of_segments([2, 1])
+        for n_scores, n_slots in ((2, 3),   # one score per entry
+                                  (3, 2),   # one slot per entry
+                                  (4, 4)):  # the windows cover 3 entries
+            with pytest.raises(ShapeError):
+                ad.segment_attention(ad.Tensor(np.zeros(n_scores)),
+                                     ad.Tensor(np.ones((n_slots, 2))), windows)
+        # windows over rows in any order are not segments; nor is a list of ids
+        rows = ad.Windows(np.array([[0, 2], [1, 1]]), np.array([2, 1]))
+        for layout in (rows, [0, 0, 1]):
+            with pytest.raises(ContractError):
+                ad.segment_attention(ad.Tensor(np.zeros(3)), ad.Tensor(np.ones((3, 2))), layout)
+
+    def test_windows_need_live_entries_and_integer_rows(self):
+        for index, lengths in (([[0, 1]], [0]),         # an empty window
+                               ([[0, 1]], [3]),         # longer than its width
+                               ([[0, -1]], [2]),        # a negative row
+                               ([[0.0, 1.0]], [2]),     # rows that are not integers
+                               ([0, 1], [2]),           # not a (k, width) matrix
+                               ([[0, 1]], [1, 1])):     # one length per window
+            with pytest.raises(ShapeError):
+                ad.Windows(np.array(index), np.array(lengths))
+        with pytest.raises(ShapeError):  # the windows read row 3 of 3
+            ad.reduce_mean(ad.Tensor(np.ones((3, 2))),
+                           windows=ad.Windows(np.array([[0, 3]]), np.array([2])))
 
     def test_gather_index_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -213,6 +234,7 @@ def _wrap_cases():
     v3 = ad.Tensor(rng.normal(size=3))
     v4 = ad.Tensor(rng.normal(size=4))
     slots = ad.Tensor(rng.normal(size=(3, 2)))
+    windows = ad.Windows(np.array([[3, 0, 0], [1, 3, 2]]), np.array([1, 3]))
     return {
         "matmul-22": ((2, 4), lambda x: ad.matmul(x, m)),
         "matmul-21": ((2, 3), lambda x: ad.matmul(x, v3)),
@@ -226,8 +248,10 @@ def _wrap_cases():
         "tanh": ((2, 3), ad.tanh),
         "tanh-0d": ((), ad.tanh),
         "softmax": ((2, 3), ad.softmax),
-        "segment-attention": ((3,), lambda x: ad.segment_attention(x, slots, [0, 0, 1])),
-        "segment-attention-slots": ((3, 2), lambda x: ad.segment_attention(v3, x, [0, 1, 1])),
+        "segment-attention": ((3,), lambda x: ad.segment_attention(
+            x, slots, ad.Windows.of_segments([2, 1]))),
+        "segment-attention-slots": ((3, 2), lambda x: ad.segment_attention(
+            v3, x, ad.Windows.of_segments([1, 2]))),
         "log": ((3,), ad.log),
         "log-0d": ((), ad.log),
         "log-sigmoid": ((3,), ad.log_sigmoid),
@@ -237,6 +261,7 @@ def _wrap_cases():
         "sum-0d": ((), ad.reduce_sum),
         "mean": ((2, 3), ad.reduce_mean),
         "mean-axis0": ((2, 3), lambda x: ad.reduce_mean(x, axis=0)),
+        "mean-windows": ((4, 3), lambda x: ad.reduce_mean(x, windows=windows)),
         "gather": ((4, 3), lambda x: ad.gather_rows(x, [2, 0, 2])),
         "gather-int": ((4, 3), lambda x: ad.gather_rows(x, 1)),
         "gather-int-of-vector": ((4,), lambda x: ad.gather_rows(x, 1)),
@@ -273,7 +298,11 @@ def _primitive_cases():
     w5 = ad.Tensor(rng.normal(size=5))
     idx = [0, 2, 2]
     w3 = ad.Tensor(rng.normal(size=3))
-    seg = [0, 0, 0, 1, 2, 2]  # segment 1 holds one slot
+    seg = ad.Windows.of_segments([3, 1, 2])  # segment 1 holds one slot
+    tiled = ad.Windows.of_segments([2, 2, 2])  # equal segments: a reshape
+    # rows in any order, shared between windows, one window a single row
+    pools = ad.Windows(np.array([[4, 0, 2, 2], [0, 0, 0, 0], [1, 3, 0, 4]]),
+                       np.array([3, 1, 4]))
     return {
         "matmul-22": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
@@ -287,11 +316,15 @@ def _primitive_cases():
         # the slots are x and their scores a function of x: both adjoints count
         "segment-attention": ((6, 3), lambda x: ad.reduce_sum(
             ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, seg)))),
+        "segment-attention-tiled": ((6, 3), lambda x: ad.reduce_sum(
+            ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, tiled)))),
         "log-sigmoid": ((4,), lambda x: ad.reduce_sum(ad.multiply(ad.log_sigmoid(x), wv))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "sum-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_sum(x, axis=0), wv)),
         "mean": ((3, 4), lambda x: ad.reduce_mean(x)),
         "mean-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_mean(x, axis=0), wv)),
+        "mean-windows": ((5, 4), lambda x: ad.reduce_sum(
+            ad.tanh(ad.reduce_mean(x, windows=pools)))),
         "gather": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, idx)))),
         "gather-int": ((5, 4), lambda x: ad.reduce_sum(ad.gather_rows(x, 3))),
         "gather-slice": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, slice(1, 3))))),
@@ -399,3 +432,42 @@ def test_gradcheck_raises_on_a_nan_gradient_behind_a_saturated_tanh():
     assert float(fn(ad.Tensor([0.5])).data) == 1.0
     with pytest.raises(NumericError, match="analytic gradient"):
         ad.gradcheck(fn, np.array([0.5]))
+
+
+SEGMENT_LENGTHS = st.one_of(
+    st.lists(st.just(1), min_size=1, max_size=6),                         # one-slot segments
+    st.tuples(st.integers(1, 6), st.integers(1, 5)).map(lambda t: [t[0]] * t[1]),  # all equal
+    st.lists(st.integers(1, 6), min_size=1, max_size=6))                  # mixed
+
+
+@given(lengths=SEGMENT_LENGTHS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_windowed_segment_attention_matches_a_plain_softmax_per_segment(lengths, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    x, slots = rng.normal(size=n) * 3.0, rng.normal(size=(n, 4))
+    out = ad.segment_attention(ad.Tensor(x), ad.Tensor(slots),
+                               ad.Windows.of_segments(lengths)).data
+    assert out.shape == (len(lengths), 4)
+    start = 0
+    for row, length in zip(out, lengths):
+        scores = x[start:start + length]
+        e = np.exp(scores - scores.max())
+        np.testing.assert_allclose(row, (e / e.sum()) @ slots[start:start + length],
+                                   rtol=0, atol=1e-12)
+        start += length
+
+
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed):
+    n_rows = data.draw(st.integers(1, 7))
+    k, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    index = np.array(data.draw(st.lists(st.lists(st.integers(0, n_rows - 1), min_size=width,
+                                                 max_size=width), min_size=k, max_size=k)))
+    lengths = np.array(data.draw(st.lists(st.integers(1, width), min_size=k, max_size=k)))
+    x = np.random.default_rng(seed).normal(size=(n_rows, 3))
+    out = ad.reduce_mean(ad.Tensor(x), windows=ad.Windows(index, lengths)).data
+    for row, rows, length in zip(out, index, lengths):
+        # summed in window order: the same bits as the gathered rows' mean
+        assert np.array_equal(row, x[rows[:length]].mean(axis=0))

@@ -15,24 +15,31 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 # prints a record line echoing its arguments and directory, then a result line
+# whose one per-layer metric reads the seed, plus a half on the change side
 STUB = [sys.executable, "-c",
         "import json, os, sys\n"
         "a = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "cwd = os.path.basename(os.getcwd())\n"
+        "value = int(a['--seed']) + (0.5 if cwd == 'change' else 0.0)\n"
         "print('noise before the two lines')\n"
-        "print(json.dumps({'args': a, 'cwd': os.path.basename(os.getcwd())}))\n"
-        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n"]
+        "print(json.dumps({'args': a, 'cwd': cwd}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {\n"
+        "    'model.decode_logprob_ms': {'value': value, 'unit': 'ms'},\n"
+        "    'eval_examples_per_s': {'value': 1.0, 'unit': '1/s'}}}))\n"]
 
 
-def test_pairs_alternate_which_side_runs_first_then_one_traced_pair_each():
-    assert bench_pairs.plan(["a", "b"], 3, 101) == [
+def test_pairs_alternate_which_side_runs_first_then_three_traced_pairs_each():
+    assert bench_pairs.plan(["a", "b"], 2, 101) == [
         ("parent", "a", 101, 0), ("change", "a", 101, 0),
         ("change", "a", 102, 0), ("parent", "a", 102, 0),
-        ("parent", "a", 103, 0), ("change", "a", 103, 0),
         ("parent", "b", 101, 0), ("change", "b", 101, 0),
         ("change", "b", 102, 0), ("parent", "b", 102, 0),
-        ("parent", "b", 103, 0), ("change", "b", 103, 0),
         ("parent", "a", 101, 1), ("change", "a", 101, 1),
-        ("parent", "b", 101, 1), ("change", "b", 101, 1)]
+        ("change", "a", 102, 1), ("parent", "a", 102, 1),
+        ("parent", "a", 103, 1), ("change", "a", 103, 1),
+        ("parent", "b", 101, 1), ("change", "b", 101, 1),
+        ("change", "b", 102, 1), ("parent", "b", 102, 1),
+        ("parent", "b", 103, 1), ("change", "b", 103, 1)]
 
 
 def test_runs_are_recorded_in_the_bench_file_shape(tmp_path):
@@ -43,7 +50,9 @@ def test_runs_are_recorded_in_the_bench_file_shape(tmp_path):
     assert [(r["side"], r["file"]) for r in runs] == [
         ("parent", "eval-desk-seed7-trace0.json"), ("change", "eval-desk-seed7-trace0.json"),
         ("change", "eval-desk-seed8-trace0.json"), ("parent", "eval-desk-seed8-trace0.json"),
-        ("parent", "eval-desk-seed7-trace1.json"), ("change", "eval-desk-seed7-trace1.json")]
+        ("parent", "eval-desk-seed7-trace1.json"), ("change", "eval-desk-seed7-trace1.json"),
+        ("change", "eval-desk-seed8-trace1.json"), ("parent", "eval-desk-seed8-trace1.json"),
+        ("parent", "eval-desk-seed9-trace1.json"), ("change", "eval-desk-seed9-trace1.json")]
     for r in runs:
         assert set(r) == {"side", "file", "record", "result"}
         assert r["record"]["cwd"] == r["side"]  # each side runs in its own copy
@@ -53,6 +62,11 @@ def test_runs_are_recorded_in_the_bench_file_shape(tmp_path):
         assert args["--seconds"] == "0.5"
         assert r["result"]["failed"] == 0
     json.dumps(runs)  # the file is plain JSON
+    # the medians of the traced runs only (seeds 7-9), per side, of the
+    # per-layer metrics named
+    assert bench_pairs.traced_medians(runs, ["model.decode_logprob_ms"]) == {
+        "eval-desk": {"parent": {"model.decode_logprob_ms": 8.0},
+                      "change": {"model.decode_logprob_ms": 8.5}}}
 
 
 def test_a_failing_run_stops_the_script(tmp_path):

@@ -110,6 +110,41 @@ def test_generate_writes_one_line_per_example(workdir, corpus_dir, config_file, 
     assert all(r["tokens"] and r["tokens"][-1] == 2 for r in records)
 
 
+@pytest.mark.parametrize("command", ["eval", "generate"])
+@pytest.mark.parametrize("limit", ["-5", "-1", "two"])
+def test_a_limit_that_is_not_a_count_is_a_usage_error(workdir, corpus_dir, config_file,
+                                                      run_dir, capsys, command, limit):
+    out = workdir / f"{command}-limit.out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--corpus", str(corpus_dir), "--config", str(config_file),
+              "--checkpoint", str(run_dir / "checkpoint.bin"), "--limit", limit,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_limit_counts_examples_from_the_first(workdir, corpus_dir, config_file, run_dir):
+    out = workdir / "limited-report.json"
+    code = main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),
+                 "--checkpoint", str(run_dir / "checkpoint.bin"), "--limit", "2",
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["n_examples"] == 2
+
+
+@pytest.mark.parametrize("flag, field", [("--train", "n_train"), ("--valid", "n_valid"),
+                                         ("--test", "n_test")])
+def test_synth_rejects_a_negative_split_size(workdir, capsys, flag, field):
+    out = workdir / f"negative{flag}"
+    code = main(["synth", "--out", str(out), "--vocab-size", str(VOCAB),
+                 "--candidates", "3", "--candidate-len", "4", "--styles", "2",
+                 flag, "-5"])
+    assert code == 1
+    assert f"{field} must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_flag_is_gone(workdir, corpus_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--corpus", str(corpus_dir), "--out", str(workdir / "t"),

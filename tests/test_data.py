@@ -44,6 +44,12 @@ class TestPlanVocab:
         with pytest.raises(ContractError):
             plan_vocab(small_spec(**kw))
 
+    @pytest.mark.parametrize("name", ["n_train", "n_valid", "n_test"])
+    def test_negative_split_size_rejected(self, name):
+        with pytest.raises(ContractError, match=f"{name} must not be negative, got -5"):
+            generate_corpus(small_spec(**{name: -5}))
+        assert len(generate_corpus(small_spec(**{name: 0})).split(name[2:])) == 0
+
 
 class TestGeneration:
     def test_same_spec_same_examples(self):
@@ -217,6 +223,18 @@ class TestDiskRoundTrip:
         text = path.read_text()
         path.write_text(text.replace("vocab_size = 48", "vocab_size = 64"))
         with pytest.raises(ContractError, match=re.escape(f"{path}: vocab_size")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("name", ["n_train", "n_valid", "n_test"])
+    def test_negative_split_size_in_the_sidecar_names_file_and_line(self, tmp_path, name):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{name} = "))
+        lines[lineno - 1] = f"{name} = -5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(
+                f"{path}:{lineno}: {name} = -5 must not be negative")):
             load_corpus(tmp_path)
 
     def test_non_numeric_spec_value_names_file_and_line(self, tmp_path):

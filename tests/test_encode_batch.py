@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spi import autodiff as ad
 from spi import generation, model, verify
 from spi.errors import ContractError
 from spi.generation import generate, generate_batch
@@ -72,6 +73,62 @@ def test_each_lane_matches_its_one_example_pass(examples, seed, data):
                 assert (encodings[a] is encodings[b]) == same
 
 
+@given(examples=ragged_batches(), seed=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_the_pass_pools_every_lane_as_the_plain_numpy_reference(examples, seed):
+    params = ModelParams.init(CFG, seed=seed)
+    batch = encode_batch(params, examples)
+    pooled = batch[0][0]._pass.pooled.data  # one matrix for the pass
+    assert pooled.shape[0] == len({id(enc) for encs in batch for enc in encs})
+    for ex, encodings in zip(examples, batch):
+        for s, enc in enumerate(encodings):
+            assert enc._pass.pooled.data is pooled
+            np.testing.assert_allclose(pooled[enc.lane], verify._naive_pooled(params, ex, s),
+                                       rtol=0, atol=TOL)
+
+
+def test_pooling_makes_no_per_lane_primitive_calls(monkeypatch):
+    calls = []
+    emit = ad._emit
+
+    def counting(out, inputs, vjp):
+        calls.append(vjp.__qualname__.split(".<locals>")[0])
+        return emit(out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_emit", counting)
+    params = ModelParams.init(CFG, seed=1)
+    counts = []
+    for n_ex, m in ((2, 1), (2, 5), (6, 5)):  # 2, 10 and 30 lanes, equal lengths
+        examples = [DialogueExample(history=[4, 5, 6], candidates=[[7 + i, 8] for i in range(m)],
+                                    gold_index=0, response=[5, EOS]) for _ in range(n_ex)]
+        calls.clear()
+        encode_batch(params, examples)
+        counts.append(len(calls))
+        assert calls.count("reduce_mean") == 1  # every lane of the pass at once
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_equal_candidates_get_equal_logits_from_the_batched_head():
+    params = ModelParams.init(CFG, seed=2, scale=0.8)
+    cap = CFG.max_candidate
+    examples = [DialogueExample(history=[4, 5], candidates=[[6, 7], [8], [6, 7], [8, 9]],
+                                gold_index=0, response=[5, EOS]),
+                DialogueExample(history=[9], candidates=[[4] * (cap + 1), [5], [4] * (cap + 2)],
+                                gold_index=0, response=[5, EOS])]
+    batch = encode_batch(params, examples)
+    for head in ("initializer", "knowledge_prior"):
+        logits = model.head_logits(params, head, [enc for encs in batch for enc in encs]).data
+        first, second = logits[:4], logits[4:]
+        assert first[0] == first[2] and second[0] == second[2]
+        assert len(set(first.tolist())) == 3 and len(set(second.tolist())) == 2
+    for prior in ("uniform", "learnable"):
+        # ties resolve to the lowest index
+        params_tied = ModelParams.init(CFG, seed=2)
+        params_tied["init_w"].data[:] = params_tied["kprior_w"].data[:] = 0.0
+        assert generation.pick_knowledge(params_tied, encode_batch(params_tied, examples),
+                                         prior=prior) == [0, 0]
+
+
 def test_equal_examples_get_their_own_lanes():
     params = ModelParams.init(CFG, seed=1)
     ex = DialogueExample(history=[4, 5], candidates=[[6, 7], [6, 7]], gold_index=0,
@@ -120,19 +177,38 @@ def test_generate_batch_gives_the_tokens_of_one_example_at_a_time(prior, chunk, 
         np.testing.assert_allclose(got.z, want.z, rtol=0, atol=TOL)
 
 
-def test_generate_batch_gathers_states_of_the_picks_only(monkeypatch):
-    gathered = []
+def test_generate_batch_keeps_the_picked_lanes_only(monkeypatch):
+    monkeypatch.setattr(generation, "ENCODE_CHUNK", 3)
+    kept_calls = []
+    keep = generation.keep_lanes
+
+    def counting(encodings):
+        kept = keep(encodings)
+        kept_calls.append((encodings, kept))
+        return kept
+
+    monkeypatch.setattr(generation, "keep_lanes", counting)
+    read = []
     states = model.EncodedContext.states
 
-    def counting(enc):
-        if enc._states is None:  # a read that gathers from its pass's rows
-            gathered.append(enc)
+    def reading(enc):
+        read.append(enc)
         return states.fget(enc)
 
-    monkeypatch.setattr(model.EncodedContext, "states", property(counting))
+    monkeypatch.setattr(model.EncodedContext, "states", property(reading))
     params = ModelParams.init(CFG, seed=3)
     examples = _generation_batch()
+    results = generate_batch(params, examples, prior="uniform", max_len=4)
+    # one gather per pass keeps each example's pick, in a pass of its own
+    # that holds the picks' rows and nothing else
+    assert [len(encodings) for encodings, _ in kept_calls] == [3, 1]
+    picked = [enc for encodings, _ in kept_calls for enc in encodings]
+    passes = encode_batch(params, examples)
+    for enc, encs, result in zip(picked, passes, results):
+        assert enc.states.data.shape == encs[result.s].states.data.shape
+    for _, kept in kept_calls:
+        assert kept[0]._pass.rows.shape[0] == sum(enc.states.shape[0] for enc in kept)
+    # the decode reads no lane's states one at a time
+    read.clear()
     generate_batch(params, examples, prior="uniform", max_len=4)
-    # each example's picked lane gathers its rows once, then lets go of the pass
-    assert len({id(enc) for enc in gathered}) == len(gathered) == len(examples)
-    assert all(enc._rows is None for enc in gathered)
+    assert read == []

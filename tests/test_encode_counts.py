@@ -14,7 +14,7 @@ from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.generation import generate, select_for_generation
 from spi.inference import sequential_posterior_infer
-from spi.metrics import evaluate
+from spi.metrics import evaluate, perplexity
 from spi.model import ModelParams, encode_batch, encode_context
 from spi.training import surrogate_value, train, validation_loss
 
@@ -82,27 +82,39 @@ def test_generate_encodes_each_candidate_once(corpus, encode_calls, prior):
 
 
 @pytest.mark.parametrize("oracle", [False, True])
-def test_evaluate_encodes_candidates_once_plus_the_scored_pick(corpus, encode_calls,
-                                                                oracle):
+def test_evaluate_encodes_each_candidate_once(corpus, encode_calls, oracle):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
     for examples in (corpus.test[:1], corpus.test[:4]):
         encode_calls.clear()
         evaluate(params, examples, cfg, oracle_knowledge=oracle)
-        calls = list(encode_calls)
-        picks = [ex.gold_index if oracle else select_for_generation(params, ex, prior="uniform")
-                 for ex in examples]
-        # every candidate of every example for generation, then the scored picks
-        assert calls == [([ALL] * len(examples), False), ([[s] for s in picks], False)]
+        # one pass over every candidate of every example: perplexity scores
+        # the picked (or gold) lanes of generation's pass
+        assert encode_calls == [([ALL] * len(examples), False)]
 
 
-def test_generation_encodes_a_chunk_of_examples_per_pass(corpus, encode_calls, monkeypatch):
+def test_evaluate_makes_one_pass_per_chunk_of_examples(corpus, encode_calls, monkeypatch):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
+    examples = corpus.test[:4]
     monkeypatch.setattr(generation, "ENCODE_CHUNK", 3)
-    evaluate(params, corpus.test[:4], cfg)
-    # generation's passes, then perplexity's, each over the same chunks
-    assert [len(covered) for covered, _ in encode_calls] == [3, 1, 3, 1]
+    evaluate(params, examples, cfg)
+    assert [len(covered) for covered, _ in encode_calls] == [3, 1]
+    # at the default, 32 examples to a pass
+    monkeypatch.setattr(generation, "ENCODE_CHUNK", 32)
+    encode_calls.clear()
+    evaluate(params, examples * 17, cfg)  # 68 examples
+    assert [len(covered) for covered, _ in encode_calls] == [32, 32, 4]
+
+
+def test_perplexity_without_lanes_encodes_the_picks_alone(corpus, encode_calls):
+    cfg = config_for(corpus, "uniform")
+    params = ModelParams.init(cfg.model, seed=1)
+    examples = corpus.test[:4]
+    picks = [select_for_generation(params, ex, prior="uniform") for ex in examples]
+    encode_calls.clear()
+    perplexity(params, examples, picks=picks)
+    assert encode_calls == [([[s] for s in picks], False)]
 
 
 @pytest.mark.parametrize("prior, taped", [("uniform", 1), ("learnable", M)])

@@ -13,7 +13,7 @@ from spi.errors import ContractError
 from spi.generation import (generate, generate_batch, select_for_generation,
                             write_generations)
 from spi.model import (EOS, DialogueExample, ModelParams, encode_batch, encode_context,
-                       latent_prior_mean)
+                       latent_prior_mean, latent_prior_means)
 
 
 def tiny_cfg(vocab_size=10):
@@ -32,9 +32,20 @@ class TestSelectForGeneration:
     def test_argmax_of_initializer_scores(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        monkeypatch.setattr(generation, "initializer_scores",
-                            lambda *a, **k: np.array([0.9, 0.1, 0.1]))
-        assert select_for_generation(p, ex, prior="uniform") == 0
+        heads = []
+
+        def logits(params, head, encodings):
+            heads.append(head)
+            return Tensor(np.array([2.2, -2.2, 40.0]))
+
+        monkeypatch.setattr(generation, "head_logits", logits)
+        assert select_for_generation(p, ex, prior="uniform") == 2
+        assert heads == ["initializer"]
+        # the pick is the argmax of the scores, the sigmoid of the logits: two
+        # logits past where it rounds to 1 tie, and the lower index wins
+        monkeypatch.setattr(generation, "head_logits",
+                            lambda *a: Tensor(np.array([0.0, 40.0, 41.0])))
+        assert select_for_generation(p, ex, prior="uniform") == 1
 
     def test_ties_resolve_to_lowest_index(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -52,9 +63,15 @@ class TestSelectForGeneration:
     def test_learnable_mode_uses_the_prior_head(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6)))
-        monkeypatch.setattr(generation, "knowledge_prior_logits",
-                            lambda *a, **k: Tensor(np.array([-2.0, 1.5])))
+        heads = []
+
+        def logits(params, head, encodings):
+            heads.append(head)
+            return Tensor(np.array([-2.0, 1.5]))
+
+        monkeypatch.setattr(generation, "head_logits", logits)
         assert select_for_generation(p, ex, prior="learnable") == 1
+        assert heads == ["knowledge_prior"]
 
     def test_unknown_prior_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -174,15 +191,19 @@ class TestBatchAndOutput:
             for max_len in (1, 3, 6):
                 batch = generate_batch(p, examples, prior=prior, max_len=max_len)
                 singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
-                for ex, encs, got, want in zip(examples, passes, batch, singles):
+                # the latents are exactly the prior means of the picks of one
+                # pass, from one product: the batch's, or a one-example pass
+                # over every candidate
+                means = latent_prior_means(p, [encs[g.s] for encs, g in zip(passes, batch)])
+                for ex, got, want, mean in zip(examples, batch, singles, means.data):
                     assert got.tokens == want.tokens
                     assert got.s == want.s
-                    # each latent is exactly the prior mean of its own pass: the
-                    # batch's, or a one-example pass over every candidate
-                    assert np.array_equal(got.z, latent_prior_mean(
-                        p, ex, got.s, encoded=encs[got.s]).data)
-                    assert np.array_equal(want.z, latent_prior_mean(
-                        p, ex, want.s, encoded=encode_context(p, ex)[want.s]).data)
+                    assert np.array_equal(got.z, mean)
+                    assert np.array_equal(want.z, latent_prior_means(
+                        p, [encode_context(p, ex)[want.s]]).data[0])
+                    np.testing.assert_allclose(got.z, latent_prior_mean(
+                        p, ex, got.s, encoded=passes[examples.index(ex)][got.s]).data,
+                        rtol=0, atol=1e-12)
                     # the batch's prefix rows are one matrix product where a lone
                     # example's are vector products, which may round differently
                     np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)

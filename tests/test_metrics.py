@@ -163,6 +163,20 @@ class TestPerplexity:
         one_pass = perplexity(params, corpus.test, picks=picks)
         assert chunked == pytest.approx(one_pass, rel=1e-12, abs=0)
 
+    def test_a_desk_evaluate_of_32_examples_peaks_under_3_mb(self):
+        # one encoder pass over every candidate, pooled with no lane-major
+        # copy of its rows: a prototype that made that copy peaked at 3.73 MB
+        corpus = generate_corpus(SyntheticSpec(n_train=1, n_valid=1, n_test=32, seed=0))
+        config = SpiConfig(model=ModelConfig(vocab_size=corpus.vocab.size))
+        params = ModelParams.init(config.model, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(params, corpus.test, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_padding_past_eos_leaves_perplexity_unchanged(self):
         # both responses score the same two tokens, so they average over two
         p = ModelParams.init(verify._tiny_model_config(), seed=1)

@@ -10,18 +10,23 @@ Each side runs from a clean copy of its commit's files (``git archive``)
 under ``--workdir``, so uncommitted edits and build leftovers never reach
 a run. For every workload in ``BENCHMARK.json`` the script runs 10
 untraced pairs on seeds 101-110, and the side that runs first alternates
-from one pair to the next (the parent on even pairs); then one traced pair
-per workload on seed 101. A run is the ``command`` of ``BENCHMARK.json``
-with ``--workload``, ``--seed``, ``--seconds`` (its ``run_seconds``) and
-``--trace``, and its last two output lines are kept as the run's
-``record`` and ``result``. A run that exits non-zero stops the
-script. The script only invokes the benchmark; it changes nothing under
-``perfbench/``.
+from one pair to the next (the parent on even pairs); then three traced
+pairs per workload on seeds 101-103, alternating the same way. A run is
+the ``command`` of ``BENCHMARK.json`` with ``--workload``, ``--seed``,
+``--seconds`` (its ``run_seconds``) and ``--trace``, and its last two
+output lines are kept as the run's ``record`` and ``result``. A run that
+exits non-zero stops the script. Per-layer times are wall clock, so one
+traced pair can point the wrong way; the file also records each side's
+median of every per-layer metric over its traced runs
+(``traced_medians``). The script only invokes the benchmark; it changes
+nothing under ``perfbench/``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -30,18 +35,18 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED_PAIRS = 3
 FIRST_SEED = 101
 
 
 def plan(workloads: list[str], pairs: int, seed: int) -> list[tuple[str, str, int, int]]:
     """The runs in order, as (side, workload, seed, trace)."""
     runs = []
-    for workload in workloads:
-        for i in range(pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            runs += [(side, workload, seed + i, 0) for side in order]
-    for workload in workloads:
-        runs += [(side, workload, seed, 1) for side in SIDES]
+    for count, trace in ((pairs, 0), (TRACED_PAIRS, 1)):
+        for workload in workloads:
+            for i in range(count):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                runs += [(side, workload, seed + i, trace) for side in order]
     return runs
 
 
@@ -68,6 +73,23 @@ def run_pairs(dirs: dict[str, Path], command: list[str], workloads: list[str], p
         runs.append({"side": side, "file": name, "record": record, "result": result})
         print(f"{side} {name}: failed {result.get('failed')}", file=sys.stderr, flush=True)
     return runs
+
+
+def traced_medians(runs: list[dict], names: list[str]) -> dict:
+    """{workload: {side: {metric: median}}} of each per-layer metric in
+    ``names`` over each side's traced runs."""
+    values: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for run in runs:
+        workload, trace = re.fullmatch(r"(.+)-seed\d+-trace(\d)\.json", run["file"]).groups()
+        if trace == "0":
+            continue
+        metrics = values.setdefault(workload, {}).setdefault(run["side"], {})
+        for name, metric in run["result"].get("metrics", {}).items():
+            if name in names:
+                metrics.setdefault(name, []).append(metric["value"])
+    return {workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
+                       for side, metrics in sides.items()}
+            for workload, sides in values.items()}
 
 
 def _git(*args: str) -> str:
@@ -110,9 +132,14 @@ def main(argv=None) -> int:
            f"--trace T, run by tools/bench_pairs.py from clean copies of the parent and "
            f"the change: {PAIRS} untraced pairs per workload on seeds {FIRST_SEED}-"
            f"{FIRST_SEED + PAIRS - 1}, alternating which side runs first from one pair "
-           f"to the next, then one traced pair per workload on seed {FIRST_SEED}")
+           f"to the next, then {TRACED_PAIRS} traced pairs per workload on seeds "
+           f"{FIRST_SEED}-{FIRST_SEED + TRACED_PAIRS - 1}, alternating the same way; "
+           f"traced_medians holds each side's median of every per-layer metric over "
+           f"its traced runs")
+    medians = traced_medians(runs, [m["name"] for m in bench["per_layer"]])
     out = {"tag": args.tag, "change": args.note, "how": how,
-           "parent_sha": shas["parent"], "change_sha": shas["change"], "runs": runs}
+           "parent_sha": shas["parent"], "change_sha": shas["change"],
+           "traced_medians": medians, "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
