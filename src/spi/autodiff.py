@@ -11,6 +11,10 @@ a trainable leaf or a recorded node with such an input. A node whose inputs
 all are constants is not recorded, and an adjoint is told which of its
 inputs need a gradient, so it can skip the rest.
 
+The windowed primitives (``segment_attention``, ``reduce_mean`` over
+windows) take a ``Windows`` layout, checked once where it is built, so a
+decoder step does not re-derive or re-check its lanes.
+
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
 checkers notice.
@@ -299,18 +303,18 @@ class Windows:
     """k windows over the rows of a tensor, in a (k, width) index matrix:
     window j reads rows ``index[j, :lengths[j]]`` in that order, and its
     entries past its length are dead (they repeat a live row, so every entry
-    indexes a row). ``segments`` builds windows that cover 0..N-1 in order,
-    each a contiguous run; when they are also of equal length (``tiled``),
-    a window is a reshape with no copy. The layout is checked once, here,
-    so the primitives that take it need not re-derive it at every call."""
+    indexes a row). Windows that are consecutive runs covering rows 0..N-1
+    in order are ``segments`` (``of_segments`` builds them); when they are
+    also of equal length (``tiled``), the windows are a reshape with no
+    copy. The layout is checked once, here, so the primitives that take it
+    need not re-derive it at every call."""
 
     __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled")
 
-    def __init__(self, index, lengths, *, segments: bool = False):
+    def __init__(self, index, lengths):
         index, lengths = np.asarray(index), np.asarray(lengths)
         if (index.ndim != 2 or not index.size or lengths.shape != index.shape[:1]
-                or not np.issubdtype(index.dtype, np.integer)
-                or not np.issubdtype(lengths.dtype, np.integer)):
+                or index.dtype.kind not in "iu" or lengths.dtype.kind not in "iu"):
             raise ShapeError(f"windows need a non-empty (k, width) integer index and k "
                              f"integer lengths, got {index.shape} and {lengths.shape}")
         if lengths.min() < 1 or lengths.max() > index.shape[1] or index.min() < 0:
@@ -319,8 +323,9 @@ class Windows:
         self.live = np.arange(index.shape[1]) < lengths[:, None]  # (k, width)
         self.full = self.live.all(axis=0)  # (width,) columns with no dead entry
         self.span = int(index.max()) + 1   # the rows a tensor needs
-        self.segments = segments
-        self.tiled = segments and bool(self.full.all())
+        n = int(lengths.sum())
+        self.segments = self.span == n and bool((index[self.live] == np.arange(n)).all())
+        self.tiled = self.segments and bool(self.full.all())
 
     @staticmethod
     def of_segments(lengths) -> "Windows":
@@ -330,7 +335,7 @@ class Windows:
             raise ShapeError(f"segments need to be non-empty, got lengths {lengths.tolist()}")
         starts = np.cumsum(lengths) - lengths
         offsets = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
-        return Windows(starts[:, None] + offsets, lengths, segments=True)
+        return Windows(starts[:, None] + offsets, lengths)
 
 
 def _segment_attention_vjp(g, vw, w, out, windows, needs):
@@ -439,10 +444,14 @@ def _reduce_mean_vjp(g, shape, axis, n):
 
 
 def _window_mean_vjp(g, shape, windows):
-    out = np.zeros(shape, dtype=g.dtype)
     # each live entry meets its window's adjoint over the window's length
-    np.add.at(out, windows.index[windows.live],
-              np.repeat(g / windows.lengths[:, None], windows.lengths, axis=0))
+    grad = g / windows.lengths[:, None]
+    out = np.zeros(shape, dtype=g.dtype)
+    if windows.tiled:
+        k, width = windows.index.shape
+        out[:k * width] = np.repeat(grad, width, axis=0)
+    else:
+        np.add.at(out, windows.index[windows.live], np.repeat(grad, windows.lengths, axis=0))
     return (out,)
 
 
@@ -452,7 +461,8 @@ def reduce_mean(x: Tensor, axis: int | None = None, *,
     given ``windows``, row j of the (k, D) result is the mean of window j's
     rows of ``x`` (R, D). The windows are summed a column at a time, each
     window's rows in its order, as a mean over its gathered rows would sum
-    them, with no (k, width, D) copy."""
+    them, with no (k, width, D) copy; tiled windows are reduced as a
+    reshape of ``x``."""
     xd = x.data
     if windows is not None:
         if axis is not None or not isinstance(windows, Windows):
@@ -461,10 +471,14 @@ def reduce_mean(x: Tensor, axis: int | None = None, *,
             raise ShapeError(f"a windowed mean over {windows.span} rows expects rank 2, "
                              f"got {xd.shape}")
         index, live, full = windows.index, windows.live, windows.full
-        acc = xd[index[:, 0]]
-        for c in range(1, index.shape[1]):
-            col = xd[index[:, c]]
-            acc += col if full[c] else col * live[:, c, None]
+        k, width = index.shape
+        if windows.tiled:  # a reduction over a view, in the same order
+            acc = np.add.reduce(xd[:k * width].reshape(k, width, -1), axis=1)
+        else:
+            acc = xd[index[:, 0]]
+            for c in range(1, width):
+                col = xd[index[:, c]]
+                acc += col if full[c] else col * live[:, c, None]
         out = acc / windows.lengths[:, None]
         shape = xd.shape
 

@@ -268,7 +268,7 @@ def _lane_rows(encodings: Sequence[EncodedContext], states: bool = True
         lengths.append(windows.lengths[lanes])
         if not states:
             continue
-        if every and windows.segments and int(windows.lengths.sum()) == pass_.rows.shape[0]:
+        if every and windows.segments and windows.span == pass_.rows.shape[0]:
             rows.append(pass_.rows)
         else:
             rows.append(ad.gather_rows(pass_.rows, windows.index[lanes][windows.live[lanes]]))

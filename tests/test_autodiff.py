@@ -303,6 +303,7 @@ def _primitive_cases():
     # rows in any order, shared between windows, one window a single row
     pools = ad.Windows(np.array([[4, 0, 2, 2], [0, 0, 0, 0], [1, 3, 0, 4]]),
                        np.array([3, 1, 4]))
+    tiled_pools = ad.Windows.of_segments([2, 2])
     return {
         "matmul-22": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
@@ -325,6 +326,9 @@ def _primitive_cases():
         "mean-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_mean(x, axis=0), wv)),
         "mean-windows": ((5, 4), lambda x: ad.reduce_sum(
             ad.tanh(ad.reduce_mean(x, windows=pools)))),
+        # tiled windows over the first 4 of 5 rows: a reshape
+        "mean-windows-tiled": ((5, 4), lambda x: ad.reduce_sum(
+            ad.tanh(ad.reduce_mean(x, windows=tiled_pools)))),
         "gather": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, idx)))),
         "gather-int": ((5, 4), lambda x: ad.reduce_sum(ad.gather_rows(x, 3))),
         "gather-slice": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, slice(1, 3))))),
@@ -466,8 +470,11 @@ def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed)
     index = np.array(data.draw(st.lists(st.lists(st.integers(0, n_rows - 1), min_size=width,
                                                  max_size=width), min_size=k, max_size=k)))
     lengths = np.array(data.draw(st.lists(st.integers(1, width), min_size=k, max_size=k)))
-    x = np.random.default_rng(seed).normal(size=(n_rows, 3))
-    out = ad.reduce_mean(ad.Tensor(x), windows=ad.Windows(index, lengths)).data
-    for row, rows, length in zip(out, index, lengths):
-        # summed in window order: the same bits as the gathered rows' mean
-        assert np.array_equal(row, x[rows[:length]].mean(axis=0))
+    x = np.random.default_rng(seed).normal(size=(max(n_rows, k * width), 3))
+    segments = ad.Windows.of_segments(lengths)  # consecutive runs of the rows
+    assert segments.tiled == (len(set(lengths.tolist())) == 1)
+    for windows in (ad.Windows(index, lengths), segments):
+        out = ad.reduce_mean(ad.Tensor(x), windows=windows).data
+        for row, rows, length in zip(out, windows.index, lengths):
+            # summed in window order: the same bits as the gathered rows' mean
+            assert np.array_equal(row, x[rows[:length]].mean(axis=0))
