@@ -150,7 +150,6 @@ def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
                            gold_index=gold_index, response=response)
 
 
-# the number of examples in each split
 SPLIT_SIZES = ("n_train", "n_valid", "n_test")
 
 
