@@ -306,10 +306,12 @@ class Windows:
     indexes a row). Windows that are consecutive runs covering rows 0..N-1
     in order are ``segments`` (``of_segments`` builds them); when they are
     also of equal length (``tiled``), the windows are a reshape with no
-    copy. The layout is checked once, here, so the primitives that take it
-    need not re-derive it at every call."""
+    copy. The leading columns that every window reads alike are ``shared``
+    (a one-example encoder pass's prefix rows). The layout is checked once,
+    here, so the primitives that take it need not re-derive it at every
+    call."""
 
-    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled")
+    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled", "shared")
 
     def __init__(self, index, lengths):
         index, lengths = np.asarray(index), np.asarray(lengths)
@@ -319,23 +321,33 @@ class Windows:
                              f"integer lengths, got {index.shape} and {lengths.shape}")
         if lengths.min() < 1 or lengths.max() > index.shape[1] or index.min() < 0:
             raise ShapeError("every window needs 1..width live entries and row indices >= 0")
-        self.index, self.lengths = index, lengths
-        self.live = np.arange(index.shape[1]) < lengths[:, None]  # (k, width)
-        self.full = self.live.all(axis=0)  # (width,) columns with no dead entry
-        self.span = int(index.max()) + 1   # the rows a tensor needs
+        self._lay_out(index, lengths, int(index.max()) + 1)
         n = int(lengths.sum())
         self.segments = self.span == n and bool((index[self.live] == np.arange(n)).all())
-        self.tiled = self.segments and bool(self.full.all())
+        self.tiled = self.segments and bool(self.full[-1])
+        alike = (index == index[:1]).all(axis=0) & self.full
+        self.shared = int(np.append(alike, False).argmin())
+
+    def _lay_out(self, index, lengths, span):
+        self.index, self.lengths, self.span = index, lengths, span  # span: the rows a tensor needs
+        columns = np.arange(index.shape[1])
+        self.live = columns < lengths[:, None]  # (k, width)
+        self.full = columns < lengths.min()     # (width,) columns with no dead entry
 
     @staticmethod
     def of_segments(lengths) -> "Windows":
-        """Windows of consecutive runs of ``lengths`` rows, run j after run j - 1."""
+        """Windows of consecutive runs of ``lengths`` rows, run j after run j - 1:
+        segments by construction, so nothing is re-derived from the index."""
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
         if not lengths.size or lengths.min() < 1:
             raise ShapeError(f"segments need to be non-empty, got lengths {lengths.tolist()}")
-        starts = np.cumsum(lengths) - lengths
+        ends = np.cumsum(lengths)
         offsets = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
-        return Windows(starts[:, None] + offsets, lengths)
+        windows = object.__new__(Windows)
+        windows._lay_out((ends - lengths)[:, None] + offsets, lengths, int(ends[-1]))
+        windows.segments, windows.tiled = True, bool(windows.full[-1])
+        windows.shared = int(ends[0]) if len(ends) == 1 else 0  # runs are disjoint
+        return windows
 
 
 def _segment_attention_vjp(g, vw, w, out, windows, needs):
@@ -461,8 +473,8 @@ def reduce_mean(x: Tensor, axis: int | None = None, *,
     given ``windows``, row j of the (k, D) result is the mean of window j's
     rows of ``x`` (R, D). The windows are summed a column at a time, each
     window's rows in its order, as a mean over its gathered rows would sum
-    them, with no (k, width, D) copy; tiled windows are reduced as a
-    reshape of ``x``."""
+    them, with no (k, width, D) copy; their shared columns are summed once
+    for them all, and tiled windows are reduced as a reshape of ``x``."""
     xd = x.data
     if windows is not None:
         if axis is not None or not isinstance(windows, Windows):
@@ -475,8 +487,12 @@ def reduce_mean(x: Tensor, axis: int | None = None, *,
         if windows.tiled:  # a reduction over a view, in the same order
             acc = np.add.reduce(xd[:k * width].reshape(k, width, -1), axis=1)
         else:
-            acc = xd[index[:, 0]]
-            for c in range(1, width):
+            start = max(windows.shared, 1)
+            if start > 1:  # the same rows in the same order: the same partial sum
+                acc = np.repeat(np.add.reduce(xd[index[0, :start]], axis=0)[None], k, axis=0)
+            else:
+                acc = xd[index[:, 0]]
+            for c in range(start, width):
                 col = xd[index[:, c]]
                 acc += col if full[c] else col * live[:, c, None]
         out = acc / windows.lengths[:, None]

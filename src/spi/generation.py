@@ -71,17 +71,16 @@ class Picks:
     s: list[int]                 # each example's knowledge pick
     lanes: list[EncodedContext]  # each pick's lane, gathered out of its pass
     z: np.ndarray                # (n, latent) prior means of the picks
-    gold: list[EncodedContext]   # each gold lane, when asked for; else empty
 
 
 def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
-                    prior: str, gold: bool = False) -> Picks:
+                    prior: str) -> Picks:
     """Encode the examples ``ENCODE_CHUNK`` to a pass; per pass, pick every
     example's knowledge from one head product (``pick_knowledge``), take the
     picks' prior means from one latent-prior product and keep the picked
-    lanes (and the gold lanes, when ``gold``) with one gather
-    (``keep_lanes``), so each pass is freed before the next."""
-    picks, lanes, zs, golds = [], [], [], []
+    lanes with one gather (``keep_lanes``), so each pass is freed before the
+    next."""
+    picks, lanes, zs = [], [], []
     for lo in range(0, len(examples), ENCODE_CHUNK):
         chunk = examples[lo:lo + ENCODE_CHUNK]
         encodings = encode_batch(params, chunk)
@@ -90,10 +89,8 @@ def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
         picks += ss
         lanes += kept
         zs.append(latent_prior_means(params, kept).data)
-        if gold:
-            golds += keep_lanes([encs[ex.gold_index] for ex, encs in zip(chunk, encodings)])
     z = np.concatenate(zs) if zs else np.zeros((0, params.cfg.latent_dim))
-    return Picks(s=picks, lanes=lanes, z=z, gold=golds)
+    return Picks(s=picks, lanes=lanes, z=z)
 
 
 def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[GenerationResult]:
@@ -102,8 +99,11 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
     forced."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    n = len(picks.lanes)
-    cursor = decoder_start(params, picks.lanes, picks.z)
+    n, s, z = len(picks.lanes), picks.s, picks.z
+    cursor = decoder_start(params, picks.lanes, z)
+    # the cursor holds the picked lanes' rows: a caller that hands its picks
+    # on (``generate_batch``) lets the lanes go for the decode
+    del picks
     tokens: list[list[int]] = [[] for _ in range(n)]
     logprobs: list[list[float]] = [[] for _ in range(n)]
     done = [False] * n  # a retired lane runs on unread
@@ -126,8 +126,8 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
                 done[lane] = tok == EOS
         if all(done):
             break
-    return [GenerationResult(s=s, z=z, tokens=toks, logprobs=lps)
-            for s, z, toks, lps in zip(picks.s, picks.z, tokens, logprobs)]
+    return [GenerationResult(s=pick, z=mean, tokens=toks, logprobs=lps)
+            for pick, mean, toks, lps in zip(s, z, tokens, logprobs)]
 
 
 def generate(params: ModelParams, example: DialogueExample, *, prior: str,

@@ -15,7 +15,7 @@ import numpy as np
 from . import generation
 from .config import SpiConfig
 from .errors import ContractError
-from .generation import GenerationResult, decode_greedy, encode_and_pick
+from .generation import GenerationResult, decode_greedy, encode_and_pick, generate_batch
 from .model import (EOS, DialogueExample, EncodedContext, ModelParams, _scored_response,
                     decode_logprob, encode_batch, latent_prior_means)
 
@@ -207,18 +207,22 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
 
     Without ``generations`` the examples are encoded in one pass per
     ``generation.ENCODE_CHUNK`` (``encode_and_pick``), and perplexity scores
-    the lanes generation kept from those passes: the picked lanes, or the
-    gold lanes under the oracle flag."""
+    the picked lanes generation kept from those passes. Under the oracle
+    flag it encodes each chunk's gold candidates itself, and generation
+    lets its picked lanes go for the decode (``generate_batch``)."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
-    if oracle_knowledge and any(ex.gold_index is None for ex in examples):
-        raise ContractError("oracle scoring needs a gold index")
-    scored = None
-    if generations is None:
-        kept = encode_and_pick(params, examples, prior=config.prior, gold=oracle_knowledge)
+    scored = None  # the lanes perplexity scores; without them it encodes its own
+    if generations is None and oracle_knowledge:  # perplexity encodes the gold lanes
+        generations = generate_batch(params, examples, prior=config.prior,
+                                     max_len=config.model.max_response)
+    elif generations is None:  # perplexity scores the picked lanes generation kept
+        kept = encode_and_pick(params, examples, prior=config.prior)
         generations = decode_greedy(params, kept, config.model.max_response)
-        scored = kept.gold if oracle_knowledge else kept.lanes
+        scored = kept.lanes
     if oracle_knowledge:
+        if any(ex.gold_index is None for ex in examples):
+            raise ContractError("oracle scoring needs a gold index")
         picks = [ex.gold_index for ex in examples]
     else:
         picks = [g.s for g in generations]

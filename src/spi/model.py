@@ -231,15 +231,20 @@ class EncodedContext:
     def states(self) -> Tensor:  # (L, hidden)
         if self._states is not None:
             return self._states
-        rows, windows = self._pass.rows, self._pass.windows
-        length = int(windows.lengths[self.lane])
-        if length == rows.shape[0]:  # the lane is the whole pass, in order
-            states = rows
-        else:
-            states = ad.gather_rows(rows, windows.index[self.lane, :length])
-        if states.requires_grad or states is rows:
+        states = _states_of(self._pass, self.lane)
+        if states.requires_grad or states is self._pass.rows:
             self._states = states
         return states
+
+
+def _states_of(pass_: _Pass, lane: int) -> Tensor:
+    """Lane ``lane``'s rows of the pass: one gather, or none when the lane
+    is the whole pass, in order."""
+    rows, windows = pass_.rows, pass_.windows
+    length = int(windows.lengths[lane])
+    if length == rows.shape[0]:
+        return rows
+    return ad.gather_rows(rows, windows.index[lane, :length])
 
 
 def _runs(encodings: Sequence[EncodedContext]) -> list[tuple[_Pass, np.ndarray]]:
@@ -254,11 +259,20 @@ def _runs(encodings: Sequence[EncodedContext]) -> list[tuple[_Pass, np.ndarray]]
 
 
 def _lane_rows(encodings: Sequence[EncodedContext], states: bool = True
-               ) -> tuple[Tensor | None, Tensor, np.ndarray]:
-    """The encodings' states, end to end (when ``states``), their pooled
-    rows, (n, hidden), and their lengths: one gather each per run of lanes
-    of one pass, and none where a run is every lane of its pass in order
-    (every row too, for the states of a pass of ``keep_lanes``)."""
+               ) -> tuple[list[Tensor], Tensor, np.ndarray]:
+    """The encodings' states, end to end in one part per run of lanes of one
+    pass (when ``states``; else no parts), their pooled rows, (n, hidden),
+    and their lengths: one gather each per run, and none where a run is
+    every lane of its pass in order (every row too, for the states of a
+    pass of ``keep_lanes``). The caller joins the parts, so a join with more
+    rows copies them once."""
+    if len(encodings) == 1:  # a lone lane: its own rows, with no walk over runs
+        enc = encodings[0]
+        pass_, j = enc._pass, enc.lane
+        pooled = pass_.pooled
+        if pooled.shape[0] > 1:
+            pooled = ad.gather_rows(pooled, slice(j, j + 1))
+        return ([_states_of(pass_, j)] if states else []), pooled, pass_.windows.lengths[j:j + 1]
     rows, pooled, lengths = [], [], []
     for pass_, lanes in _runs(encodings):
         windows = pass_.windows
@@ -273,9 +287,8 @@ def _lane_rows(encodings: Sequence[EncodedContext], states: bool = True
         else:
             rows.append(ad.gather_rows(pass_.rows, windows.index[lanes][windows.live[lanes]]))
     if len(pooled) > 1:
-        return ((ad.concat(rows) if states else None), ad.concat(pooled),
-                np.concatenate(lengths))
-    return (rows[0] if states else None), pooled[0], lengths[0]
+        return rows, ad.concat(pooled), np.concatenate(lengths)
+    return rows, pooled[0], lengths[0]
 
 
 def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
@@ -284,7 +297,8 @@ def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
     their passes can be freed while they live on."""
     if not encodings:
         return []
-    rows, pooled, lengths = _lane_rows(encodings)
+    parts, pooled, lengths = _lane_rows(encodings)
+    rows = parts[0] if len(parts) == 1 else ad.concat(parts)
     kept = _Pass(rows, ad.Windows.of_segments(lengths), pooled)
     return [EncodedContext(kept, j) for j in range(len(encodings))]
 
@@ -471,8 +485,12 @@ def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
 
 def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
     """``latent_prior_mean`` of every encoding, (n, latent), from one matrix
-    product over their pooled rows."""
+    product over their pooled rows. A lone encoding's row is the vector
+    product of ``latent_prior_mean``, so one example's latent is bit-equal
+    to it; a matrix product may round a row differently."""
     t = params.tensors
+    if len(encodings) == 1:
+        return ad.concat([latent_prior_mean(params, None, 0, encoded=encodings[0])])
     pooled = _lane_rows(encodings, states=False)[1]
     return ad.add(ad.matmul(pooled, t["zprior_w"]), t["zprior_b"])
 
@@ -529,15 +547,15 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         slots = ad.concat([lanes[0].states, zrow])
         pooled = lanes[0].pooled
     else:
-        states, pooled, lengths = _lane_rows(lanes)
+        parts, pooled, lengths = _lane_rows(lanes)
         # lane j's encoder rows, then its latent row (row n + j of the concatenation)
-        n, k = states.shape[0], len(lanes)
+        n, k = int(lengths.sum()), len(lanes)
         zpos = np.cumsum(lengths) + np.arange(k)
         order = np.empty(n + k, dtype=np.int64)
         encoder = np.ones(n + k, dtype=bool)
         encoder[zpos] = False
         order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
-        slots = ad.gather_rows(ad.concat([states, zrow]), order)
+        slots = ad.gather_rows(ad.concat(parts + [zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
         lane = np.repeat(np.arange(k), lengths + 1)
     proj = ad.matmul(slots, t["att_enc"])

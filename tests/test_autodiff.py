@@ -462,6 +462,20 @@ def test_windowed_segment_attention_matches_a_plain_softmax_per_segment(lengths,
         start += length
 
 
+@given(lengths=SEGMENT_LENGTHS)
+@settings(max_examples=100, deadline=None)
+def test_segment_windows_match_the_layout_derived_from_their_index(lengths):
+    # ``of_segments`` sets what the general constructor derives from the index
+    built = ad.Windows.of_segments(lengths)
+    derived = ad.Windows(built.index, built.lengths)
+    assert built.segments and derived.segments
+    assert built.tiled == derived.tiled == (len(set(lengths)) == 1)
+    assert built.span == derived.span == sum(lengths)
+    assert built.shared == derived.shared
+    for name in ("index", "lengths", "live", "full"):
+        assert np.array_equal(getattr(built, name), getattr(derived, name))
+
+
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed):
@@ -470,10 +484,16 @@ def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed)
     index = np.array(data.draw(st.lists(st.lists(st.integers(0, n_rows - 1), min_size=width,
                                                  max_size=width), min_size=k, max_size=k)))
     lengths = np.array(data.draw(st.lists(st.integers(1, width), min_size=k, max_size=k)))
+    # windows that start with the same rows, as the lanes of one example do
+    # with its prefix, have those columns summed once
+    alike = data.draw(st.integers(0, width))
+    index[:, :alike] = index[0, :alike]
+    rows = ad.Windows(index, lengths)
+    assert rows.shared >= min(alike, lengths.min())
     x = np.random.default_rng(seed).normal(size=(max(n_rows, k * width), 3))
     segments = ad.Windows.of_segments(lengths)  # consecutive runs of the rows
     assert segments.tiled == (len(set(lengths.tolist())) == 1)
-    for windows in (ad.Windows(index, lengths), segments):
+    for windows in (rows, segments):
         out = ad.reduce_mean(ad.Tensor(x), windows=windows).data
         for row, rows, length in zip(out, windows.index, lengths):
             # summed in window order: the same bits as the gathered rows' mean

@@ -5,6 +5,8 @@ an example and equal candidates across examples, and index subsets; plus
 generation over a batch against one example at a time."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,30 @@ def test_generate_batch_keeps_the_picked_lanes_only(monkeypatch):
     read.clear()
     generate_batch(params, examples, prior="uniform", max_len=4)
     assert read == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_generate_batch_lets_the_picked_lanes_go_for_the_decode(chunk, monkeypatch):
+    # the cursor holds the picked rows, so no kept pass lives through the steps
+    monkeypatch.setattr(generation, "ENCODE_CHUNK", chunk)
+    kept_rows, alive = [], []
+    keep, advance = generation.keep_lanes, generation.decoder_advance
+
+    def tracking(encodings):
+        kept = keep(encodings)
+        kept_rows.append(weakref.ref(kept[0]._pass.rows.data))
+        return kept
+
+    def checking(params, cursor, tokens):
+        alive.append(sum(ref() is not None for ref in kept_rows))
+        return advance(params, cursor, tokens)
+
+    monkeypatch.setattr(generation, "keep_lanes", tracking)
+    monkeypatch.setattr(generation, "decoder_advance", checking)
+    params = ModelParams.init(CFG, seed=3)
+    examples = _generation_batch()
+    generate_batch(params, examples, prior="uniform", max_len=4)
+    assert len(kept_rows) == -(-len(examples) // chunk) and alive and set(alive) == {0}
+    alive.clear()
+    generate(params, examples[0], prior="uniform", max_len=4)
+    assert alive and set(alive) == {0}

@@ -89,8 +89,10 @@ def test_evaluate_encodes_each_candidate_once(corpus, encode_calls, oracle):
         encode_calls.clear()
         evaluate(params, examples, cfg, oracle_knowledge=oracle)
         # one pass over every candidate of every example: perplexity scores
-        # the picked (or gold) lanes of generation's pass
-        assert encode_calls == [([ALL] * len(examples), False)]
+        # the picked lanes of generation's pass, or under the oracle flag
+        # encodes the gold candidates in a pass of its own
+        gold = [([[ex.gold_index] for ex in examples], False)] if oracle else []
+        assert encode_calls == [([ALL] * len(examples), False)] + gold
 
 
 def test_evaluate_makes_one_pass_per_chunk_of_examples(corpus, encode_calls, monkeypatch):

@@ -191,19 +191,16 @@ class TestBatchAndOutput:
             for max_len in (1, 3, 6):
                 batch = generate_batch(p, examples, prior=prior, max_len=max_len)
                 singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
-                # the latents are exactly the prior means of the picks of one
-                # pass, from one product: the batch's, or a one-example pass
-                # over every candidate
+                # the batch's latents are exactly the prior means of its picks
+                # from one product; a lone example's is exactly its own prior
+                # mean, the vector product of a one-example pass
                 means = latent_prior_means(p, [encs[g.s] for encs, g in zip(passes, batch)])
                 for ex, got, want, mean in zip(examples, batch, singles, means.data):
                     assert got.tokens == want.tokens
                     assert got.s == want.s
                     assert np.array_equal(got.z, mean)
-                    assert np.array_equal(want.z, latent_prior_means(
-                        p, [encode_context(p, ex)[want.s]]).data[0])
-                    np.testing.assert_allclose(got.z, latent_prior_mean(
-                        p, ex, got.s, encoded=passes[examples.index(ex)][got.s]).data,
-                        rtol=0, atol=1e-12)
+                    assert np.array_equal(want.z, latent_prior_mean(
+                        p, ex, want.s, encoded=encode_context(p, ex)[want.s]).data)
                     # the batch's prefix rows are one matrix product where a lone
                     # example's are vector products, which may round differently
                     np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)
