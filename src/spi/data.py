@@ -110,7 +110,13 @@ def _topic_split(spec: SyntheticSpec, layout: VocabLayout) -> tuple[list[int], l
     return list(range(n_train_topics)), list(range(n_train_topics, n_topics))
 
 
-def _distractor_content(gold: list[int], rho: float, content_ids: tuple[int, ...],
+def _draw(rng: np.random.Generator, ids: np.ndarray, size=None):
+    """Ids drawn uniformly with replacement: the draws ``rng.choice(ids,
+    size)`` makes, from the same stream, without its argument checks."""
+    return ids[rng.integers(0, len(ids), size=size)]
+
+
+def _distractor_content(gold: list[int], rho: float, content_ids: np.ndarray,
                         rng: np.random.Generator) -> list[int]:
     length = len(gold)
     n_keep = int(round(rho * length))
@@ -119,27 +125,27 @@ def _distractor_content(gold: list[int], rho: float, content_ids: tuple[int, ...
     for pos in range(length):
         if pos in keep:
             continue
-        tok = int(rng.choice(content_ids))
+        tok = int(_draw(rng, content_ids))
         while tok == gold[pos] and len(content_ids) > 1:
-            tok = int(rng.choice(content_ids))
+            tok = int(_draw(rng, content_ids))
         out[pos] = tok
     return out
 
 
 def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
-                  spec: SyntheticSpec, layout: VocabLayout,
+                  spec: SyntheticSpec, layout: VocabLayout, content_ids: np.ndarray,
                   rng: np.random.Generator) -> DialogueExample:
     content = topics_content[topic]
     name = layout.name_ids[topic]
-    filler = rng.choice(layout.content_ids, size=spec.history_len - 1).tolist()
-    history = [int(x) for x in filler] + [name]
+    filler = _draw(rng, content_ids, spec.history_len - 1).tolist()
+    history = filler + [name]
     others = [t for t in pool if t != topic]
     distractor_topics = rng.choice(others, size=spec.m_candidates - 1,
                                    replace=False).tolist()
     gold_candidate = [name] + content
     candidates = []
     for d in distractor_topics:
-        body = _distractor_content(content, spec.rho, layout.content_ids, rng)
+        body = _distractor_content(content, spec.rho, content_ids, rng)
         candidates.append([layout.name_ids[d]] + body)
     gold_index = int(rng.integers(0, spec.m_candidates))
     candidates.insert(gold_index, gold_candidate)
@@ -163,18 +169,21 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
             raise ContractError(f"{name} must not be negative, got {getattr(spec, name)}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     content_len = spec.candidate_len - 1
-    topics_content = [
-        [int(x) for x in rng.choice(layout.content_ids, size=content_len)]
-        for _ in range(len(layout.name_ids))]
+    # draws with replacement index arrays built once (``_draw``)
+    content_ids = np.asarray(layout.content_ids)
+    topics_content = [_draw(rng, content_ids, content_len).tolist()
+                      for _ in range(len(layout.name_ids))]
     train_topics, test_topics = _topic_split(spec, layout)
     all_topics = train_topics + test_topics
 
     def build(count: int, gold_pool: list[int]) -> list[DialogueExample]:
+        pool = np.asarray(gold_pool)
         out = []
         for _ in range(count):
-            topic = int(rng.choice(gold_pool))
+            topic = int(_draw(rng, pool))
             # distractor names may come from either pool; gold topics define the split
-            out.append(_make_example(topic, topics_content, all_topics, spec, layout, rng))
+            out.append(_make_example(topic, topics_content, all_topics, spec, layout,
+                                     content_ids, rng))
         return out
 
     train = build(spec.n_train, train_topics)

@@ -58,15 +58,20 @@ class GenerationResult:
     logprobs: list[float]       # per-token log-probability under the model
 
 
-# examples per encoder pass of ``generate_batch``: a pass holds the rows of
-# every candidate of its examples at once, so a long input is encoded in
-# chunks, each freed once its picked lanes are kept
+# examples per encoder pass: a pass holds the rows of every candidate of its
+# examples at once, and a greedy decode every step's logits of its lanes, so
+# a long input is encoded, decoded and scored in chunks (``chunks``)
 ENCODE_CHUNK = 32
+
+
+def chunks(items: Sequence) -> list[Sequence]:
+    """The examples, or what aligns with them, ``ENCODE_CHUNK`` at a time."""
+    return [items[lo:lo + ENCODE_CHUNK] for lo in range(0, len(items), ENCODE_CHUNK)]
 
 
 @dataclass
 class Picks:
-    """What ``encode_and_pick`` keeps of its encoder passes."""
+    """What ``encode_and_pick`` keeps of its encoder pass."""
 
     s: list[int]                 # each example's knowledge pick
     lanes: list[EncodedContext]  # each pick's lane, gathered out of its pass
@@ -75,28 +80,27 @@ class Picks:
 
 def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
                     prior: str) -> Picks:
-    """Encode the examples ``ENCODE_CHUNK`` to a pass; per pass, pick every
+    """Encode the examples (one chunk of ``chunks``) in one pass, pick every
     example's knowledge from one head product (``pick_knowledge``), take the
     picks' prior means from one latent-prior product and keep the picked
-    lanes with one gather (``keep_lanes``), so each pass is freed before the
-    next."""
-    picks, lanes, zs = [], [], []
-    for lo in range(0, len(examples), ENCODE_CHUNK):
-        chunk = examples[lo:lo + ENCODE_CHUNK]
-        encodings = encode_batch(params, chunk)
-        ss = pick_knowledge(params, encodings, prior=prior)
-        kept = keep_lanes([encs[s] for encs, s in zip(encodings, ss)])
-        picks += ss
-        lanes += kept
-        zs.append(latent_prior_means(params, kept).data)
-    z = np.concatenate(zs) if zs else np.zeros((0, params.cfg.latent_dim))
-    return Picks(s=picks, lanes=lanes, z=z)
+    lanes with one gather (``keep_lanes``), so the pass is freed on return."""
+    encodings = encode_batch(params, examples)
+    picks = pick_knowledge(params, encodings, prior=prior)
+    kept = keep_lanes([encs[s] for encs, s in zip(encodings, picks)])
+    return Picks(s=picks, lanes=kept, z=latent_prior_means(params, kept).data)
 
 
 def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[GenerationResult]:
     """Greedy lockstep decode of the picked lanes from their prior-mean
     latents; a lane retires at its own EOS or at the cap, where EOS is
-    forced."""
+    forced.
+
+    A step only advances the cursor, applies the output head and takes each
+    lane's argmax. The steps' logits are kept, (steps, lanes, V), and read
+    once after the loop: a non-finite entry raises ``NumericError`` naming
+    the first step that has one, and each kept token's log-probability is
+    the log-softmax of its step's row at it, by the formula (and to the
+    bits) a step would take."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     n, s, z = len(picks.lanes), picks.s, picks.z
@@ -104,30 +108,36 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
     # the cursor holds the picked lanes' rows: a caller that hands its picks
     # on (``generate_batch``) lets the lanes go for the decode
     del picks
-    tokens: list[list[int]] = [[] for _ in range(n)]
-    logprobs: list[list[float]] = [[] for _ in range(n)]
-    done = [False] * n  # a retired lane runs on unread
-    rows = np.arange(n)
+    step_logits, step_tokens = [], []
+    done = np.zeros(n, dtype=bool)  # a retired lane runs on unread
     prev = np.full(n, BOS)
     for step in range(max_len):
         cursor = decoder_advance(params, cursor, prev)
         logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(n, -1)
-        check_finite(logits, f"output at generation step {step}")
-        shifted = logits - logits.max(axis=1, keepdims=True)
         prev = logits.argmax(axis=1)
         if step == max_len - 1:
             prev[:] = EOS
-        # the log-softmax at the picked token only
-        chosen = shifted[rows, prev] - np.log(np.exp(shifted).sum(axis=1))
-        for lane, (tok, lp) in enumerate(zip(prev.tolist(), chosen.tolist())):
-            if not done[lane]:
-                tokens[lane].append(tok)
-                logprobs[lane].append(lp)
-                done[lane] = tok == EOS
-        if all(done):
+        step_logits.append(logits)
+        step_tokens.append(prev)
+        done |= prev == EOS
+        if done.all():
             break
-    return [GenerationResult(s=pick, z=mean, tokens=toks, logprobs=lps)
-            for pick, mean, toks, lps in zip(s, z, tokens, logprobs)]
+    del cursor
+    logits, tokens = np.stack(step_logits), np.stack(step_tokens)  # (T, n, V), (T, n)
+    del step_logits
+    finite = np.isfinite(logits).all(axis=(1, 2))
+    if not finite.all():
+        first = int(finite.argmin())
+        check_finite(logits[first], f"output at generation step {first}")
+    # the log-softmax at the picked token only, in place
+    logits -= logits.max(axis=2, keepdims=True)
+    at = np.take_along_axis(logits, tokens[:, :, None], axis=2)[:, :, 0]
+    logprobs = (at - np.log(np.exp(logits, out=logits).sum(axis=2))).T.tolist()
+    # each lane keeps its steps up to its first EOS, which every lane has
+    ends = (tokens == EOS).argmax(axis=0) + 1
+    return [GenerationResult(s=pick, z=mean, tokens=toks[:end], logprobs=lps[:end])
+            for pick, mean, toks, lps, end in zip(s, z, tokens.T.tolist(), logprobs,
+                                                   ends.tolist())]
 
 
 def generate(params: ModelParams, example: DialogueExample, *, prior: str,
@@ -139,14 +149,14 @@ def generate(params: ModelParams, example: DialogueExample, *, prior: str,
 
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
                    prior: str, max_len: int = 32) -> list[GenerationResult]:
-    """``generate`` for every example, as the lanes of one greedy lockstep
-    decode (``decode_greedy``). The examples are encoded and picked
-    ``ENCODE_CHUNK`` to a pass (``encode_and_pick``)."""
+    """``generate`` for every example. Each chunk of ``chunks`` is encoded
+    and picked in one pass (``encode_and_pick``), then decoded as the lanes
+    of one greedy lockstep decode (``decode_greedy``), before the next."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    if not examples:
-        return []
-    return decode_greedy(params, encode_and_pick(params, examples, prior=prior), max_len)
+    return [result for chunk in chunks(examples)
+            for result in decode_greedy(params, encode_and_pick(params, chunk, prior=prior),
+                                        max_len)]
 
 
 def write_generations(path, results: list[GenerationResult]) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from . import generation
 from .config import SpiConfig
 from .errors import ContractError
-from .generation import GenerationResult, decode_greedy, encode_and_pick, generate_batch
+from .generation import GenerationResult, decode_greedy, encode_and_pick
 from .model import (EOS, DialogueExample, EncodedContext, ModelParams, _scored_response,
                     decode_logprob, encode_batch, latent_prior_means)
 
@@ -43,33 +43,39 @@ def scored_tokens(params: ModelParams, examples: list[DialogueExample]) -> int:
 
 
 def perplexity(params: ModelParams, examples: list[DialogueExample], *,
-               picks: list[int], encodings: Sequence[EncodedContext] | None = None) -> float:
+               picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent. Each ``generation.ENCODE_CHUNK`` examples are the lanes
-    of one lockstep decode, their latents from one latent-prior product, so
-    memory stays bounded however many examples there are. ``encodings``,
-    each example's encoding of its pick, spares the encoder: ``evaluate``
-    passes the lanes generation kept from its own passes. Without them each
-    chunk's picks are encoded in one pass. The mean runs over the scored
-    tokens, so padding past an EOS counts nowhere."""
+    prior-mean latent. Each chunk of ``generation.chunks`` is encoded in one
+    pass and scored in one lockstep decode (``_chunk_logprobs``), so memory
+    stays bounded however many examples there are. The mean runs over the
+    scored tokens, so padding past an EOS counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
-    if encodings is not None and len(encodings) != len(examples):
-        raise ContractError("encodings must align with the examples")
-    lps: list[float] = []
-    chunk = generation.ENCODE_CHUNK
-    for lo in range(0, len(examples), chunk):
-        exs, ss = examples[lo:lo + chunk], picks[lo:lo + chunk]
-        if encodings is None:
-            encoded = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
-        else:
-            encoded = list(encodings[lo:lo + chunk])
-        z = latent_prior_means(params, encoded).data
-        lps += decode_logprob(params, exs, ss, z, encoded=encoded).data.tolist()
-    # summed in example order, as one pass over every example would
+    lps = [lp for exs, ss in zip(generation.chunks(examples), generation.chunks(picks))
+           for lp in _chunk_logprobs(params, exs, ss)]
+    return _perplexity(params, examples, lps)
+
+
+def _chunk_logprobs(params: ModelParams, examples: Sequence[DialogueExample],
+                    picks: Sequence[int],
+                    encodings: Sequence[EncodedContext] | None = None) -> list[float]:
+    """Each example's reference log-probability under its pick, from the
+    pick's prior-mean latent: one latent-prior product and one lockstep
+    decode. ``encodings``, each example's encoding of its pick, spares the
+    encoder (``evaluate`` passes the lanes generation kept); without them
+    the picks are encoded in one pass."""
+    if encodings is None:
+        encodings = [encs[0] for encs in encode_batch(params, examples, [[s] for s in picks])]
+    z = latent_prior_means(params, encodings).data
+    return decode_logprob(params, examples, picks, z, encoded=encodings).data.tolist()
+
+
+def _perplexity(params: ModelParams, examples: list[DialogueExample],
+                lps: list[float]) -> float:
+    # summed in example order, however the examples were chunked
     return math.exp(-sum(lps) / scored_tokens(params, examples))
 
 
@@ -205,35 +211,42 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     none; the oracle flag makes perplexity condition on the gold candidate
     instead of that pick.
 
-    Without ``generations`` the examples are encoded in one pass per
-    ``generation.ENCODE_CHUNK`` (``encode_and_pick``), and perplexity scores
-    the picked lanes generation kept from those passes. Under the oracle
-    flag it encodes each chunk's gold candidates itself, and generation
-    lets its picked lanes go for the decode (``generate_batch``)."""
+    Each chunk of ``generation.chunks`` is encoded, picked, decoded and
+    scored before the next, so memory stays bounded however many examples
+    there are. Without ``generations`` a chunk is encoded in one pass
+    (``encode_and_pick``), and perplexity scores the picked lanes generation
+    kept from it. Under the oracle flag, or with ``generations``, perplexity
+    encodes the chunk's scored candidates itself, and generation lets its
+    picked lanes go for the decode."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
-    scored = None  # the lanes perplexity scores; without them it encodes its own
-    if generations is None and oracle_knowledge:  # perplexity encodes the gold lanes
-        generations = generate_batch(params, examples, prior=config.prior,
-                                     max_len=config.model.max_response)
-    elif generations is None:  # perplexity scores the picked lanes generation kept
-        kept = encode_and_pick(params, examples, prior=config.prior)
-        generations = decode_greedy(params, kept, config.model.max_response)
-        scored = kept.lanes
-    if oracle_knowledge:
-        if any(ex.gold_index is None for ex in examples):
-            raise ContractError("oracle scoring needs a gold index")
-        picks = [ex.gold_index for ex in examples]
-    else:
-        picks = [g.s for g in generations]
+    if oracle_knowledge and any(ex.gold_index is None for ex in examples):
+        raise ContractError("oracle scoring needs a gold index")
+    made: list[GenerationResult] = []
+    lps: list[float] = []
+    max_len = config.model.max_response
+    for chunk in generation.chunks(examples):
+        scored = None  # the lanes perplexity scores; without them it encodes its own
+        if generations is not None:
+            gens = generations[len(made):len(made) + len(chunk)]
+        elif oracle_knowledge:
+            gens = decode_greedy(params, encode_and_pick(params, chunk, prior=config.prior),
+                                 max_len)
+        else:
+            kept = encode_and_pick(params, chunk, prior=config.prior)
+            gens = decode_greedy(params, kept, max_len)
+            scored = kept.lanes
+        picks = [ex.gold_index for ex in chunk] if oracle_knowledge else [g.s for g in gens]
+        lps += _chunk_logprobs(params, chunk, picks, scored)
+        made += gens
     labelled = any(ex.gold_index is not None for ex in examples)
-    cands = [_strip_eos(g.tokens) for g in generations]
+    cands = [_strip_eos(g.tokens) for g in made]
     refs = [_strip_eos(list(ex.response)) for ex in examples]
     return EvalReport(
         n_examples=len(examples),
         n_tokens=scored_tokens(params, examples),
-        selection_accuracy=(selection_accuracy([g.s for g in generations], examples)
+        selection_accuracy=(selection_accuracy([g.s for g in made], examples)
                             if labelled else None),
-        perplexity=perplexity(params, examples, picks=picks, encodings=scored),
+        perplexity=_perplexity(params, examples, lps),
         **_ngram_fields(cands, refs),
         oracle_knowledge=oracle_knowledge)

@@ -208,18 +208,17 @@ class EncodedContext:
     A lane holds only its pass and its row in it. ``pooled`` takes the
     lane's row of the pass's pooled matrix, which ``encode_batch`` makes for
     every lane at once. ``states`` gathers the lane's rows on each read, so
-    a pass over many lanes holds its rows once, not once per lane; on a tape
-    the gathered rows are kept, since the tape holds them anyway. Code that
-    reads many lanes at once (``head_logits``, ``decoder_start``,
-    ``latent_prior_means``) takes their rows from the pass in one gather,
-    and ``keep_lanes`` gathers lanes into a pass of their own, so the pass
+    a pass over many lanes holds its rows once, not once per lane. Code that
+    reads lanes (``head_logits``, ``decoder_start``, ``latent_prior_means``)
+    takes their rows from the pass, many lanes' in one gather, and
+    ``keep_lanes`` gathers lanes into a pass of their own, so the pass
     they came from can be freed while they live on."""
 
-    __slots__ = ("_pass", "lane", "_states", "_pooled")
+    __slots__ = ("_pass", "lane", "_pooled")
 
     def __init__(self, pass_: _Pass, lane: int):
         self._pass, self.lane = pass_, lane
-        self._states = self._pooled = None
+        self._pooled = None
 
     @property
     def pooled(self) -> Tensor:  # (hidden,)
@@ -229,12 +228,7 @@ class EncodedContext:
 
     @property
     def states(self) -> Tensor:  # (L, hidden)
-        if self._states is not None:
-            return self._states
-        states = _states_of(self._pass, self.lane)
-        if states.requires_grad or states is self._pass.rows:
-            self._states = states
-        return states
+        return _states_of(self._pass, self.lane)
 
 
 def _states_of(pass_: _Pass, lane: int) -> Tensor:
@@ -317,14 +311,13 @@ def _check_tokens(tokens: Sequence[int], vocab_size: int, what: str) -> None:
                 raise ContractError(f"{what} token id {tok} outside vocabulary of {vocab_size}")
 
 
-def _encoder_steps(params: ModelParams, emb: Tensor, state: Tensor, steps) -> list[Tensor]:
-    """The recurrent states after each step, a step reading its rows of ``emb``."""
-    t = params.tensors
-    wx, wh, b = t["enc_wx"], t["enc_wh"], t["enc_b"]
+def _encoder_steps(params: ModelParams, table: Tensor, state: Tensor, steps) -> list[Tensor]:
+    """The recurrent states after each step, a step reading the rows of
+    ``table``, every token's input projection, at its token ids."""
+    wh = params.tensors["enc_wh"]
     rows = []
-    for step in steps:
-        state = ad.tanh(ad.add(ad.add(ad.matmul(ad.gather_rows(emb, step), wx),
-                                      ad.matmul(state, wh)), b))
+    for ids in steps:
+        state = ad.tanh(ad.add(ad.gather_rows(table, ids), ad.matmul(state, wh)))
         rows.append(state)
     return rows
 
@@ -352,6 +345,11 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     longest. Equal truncated candidates of one example share one encoding,
     so their scores tie exactly: a matrix product may round two equal rows
     differently. Lanes of different examples never share.
+
+    The input projection depends on the token id alone, so the pass makes
+    it once for the whole vocabulary, a (V, hidden) table embed @ enc_wx +
+    enc_b, and a step is tanh(table[its ids] + state @ enc_wh): one gather
+    and one product per step, and no copy of the tokens' embeddings.
     """
     cfg = params.cfg
     if indices is None:
@@ -385,15 +383,17 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     _check_tokens(tokens, cfg.vocab_size, "context")
     if not lanes:
         return [[] for _ in examples]
-    emb = ad.gather_rows(params.tensors["embed"], np.asarray(tokens, dtype=np.int64))
-    # a lone example's prefix steps read one row each, so its last state is a
+    t = params.tensors
+    # every token id's input projection, once per pass: a step gathers its rows
+    table = ad.add(ad.matmul(t["embed"], t["enc_wx"]), t["enc_b"])
+    ids = np.asarray(tokens, dtype=np.int64)
+    # a lone example's prefix steps read one id each, so its last state is a
     # vector, which enters the first lockstep step as a row-wise bias: two
     # tape nodes fewer, and less time, than a (1, hidden) row state with its
     # concat and gather
     one = n_ex == 1
-    rows = _encoder_steps(params, emb, Tensor(np.zeros(cfg.hidden_dim)),
-                          range(n) if one else [slice(i * n_ex, (i + 1) * n_ex)
-                                                for i in range(n)])
+    rows = _encoder_steps(params, table, Tensor(np.zeros(cfg.hidden_dim)),
+                          tokens[:n] if one else ids[:base].reshape(n, n_ex))
     if one:
         start = rows[-1]
     else:  # each lane starts from its own example's last prefix row
@@ -402,11 +402,10 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
         last = ad.concat([rows[end - 1] for end in ends])
         start = ad.gather_rows(last, np.asarray(
             [ends.index(len(prefixes[e])) * n_ex + e for e, _ in lanes]))
-    rows += _encoder_steps(params, emb, start,
-                           [slice(base + i * k, base + (i + 1) * k) for i in range(width)])
+    rows += _encoder_steps(params, table, start, ids[base:].reshape(width, k))
     # the concatenation holds every row twice, the pass's peak memory: drop
     # what is done with before it, and the step rows after it
-    del emb, start
+    del table, start
     flat = ad.concat(rows)  # rows laid out as ``tokens``
     del rows
     # lane j reads its example's prefix rows, then its own candidate rows
@@ -509,14 +508,19 @@ def latent_prior_log_density(mu: Tensor, z) -> Tensor:
 
 @dataclass
 class DecoderCursor:
-    """Incremental decoding state of one lane, or of k lanes in lockstep:
-    attended slots, their projections, the recurrent state after the
-    consumed prefix, the attention context of its last step and, for k
-    lanes, the slot windows. A lane's slots are contiguous: its encoder
-    states, then its latent slot."""
+    """Incremental decoding state of one lane, or of k lanes in lockstep.
+
+    What a decode holds fixed is built once, in ``decoder_start``: the
+    attended slots, their attention projections with the attention bias
+    added, and every token id's decoder input, embed @ dec_wx + dec_b, as a
+    (V, dec_hidden) table that a step gathers from. A step moves the
+    recurrent state after the consumed prefix and the attention context of
+    its last step. For k lanes the cursor also holds the slot windows. A
+    lane's slots are contiguous: its encoder states, then its latent slot."""
 
     slots: Tensor       # (N, hidden)
-    proj: Tensor        # (N, att)
+    proj: Tensor        # (N, att): slots @ att_enc + att_b
+    inputs: Tensor      # (V, dec_hidden): embed @ dec_wx + dec_b, one row per token id
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
     windows: ad.Windows | None = None  # each lane's slots; None for one lane
     lane: np.ndarray | None = None     # (N,) lane of each slot; None for one lane
@@ -531,8 +535,10 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     cursor (vectors, no windows), which runs faster than a one-lane segment
     layout, and ``decoder_advance`` follows the cursor. For k lanes the
     states and pooled rows come from their pass in one gather each, and the
-    slot windows of ``segment_attention`` are laid out here, once per
-    decode."""
+    slot windows of ``segment_attention`` are laid out here. The work that
+    no step changes is done here too, once per decode, on the tape or off
+    it alike: the slots' attention projections with ``att_b`` added, and
+    the input table of every token id with ``dec_b`` added."""
     t = params.tensors
     lanes = list(encoded)
     if not lanes:
@@ -544,8 +550,9 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
     windows = lane = None
     if len(lanes) == 1:
-        slots = ad.concat([lanes[0].states, zrow])
-        pooled = lanes[0].pooled
+        enc = lanes[0]
+        slots = ad.concat([_states_of(enc._pass, enc.lane), zrow])
+        pooled = enc.pooled
     else:
         parts, pooled, lengths = _lane_rows(lanes)
         # lane j's encoder rows, then its latent row (row n + j of the concatenation)
@@ -558,23 +565,30 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         slots = ad.gather_rows(ad.concat(parts + [zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
         lane = np.repeat(np.arange(k), lengths + 1)
-    proj = ad.matmul(slots, t["att_enc"])
+    proj = ad.add(ad.matmul(slots, t["att_enc"]), t["att_b"])
+    inputs = ad.add(ad.matmul(t["embed"], t["dec_wx"]), t["dec_b"])
     state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows, lane=lane)
+    return DecoderCursor(slots=slots, proj=proj, inputs=inputs, state=state,
+                         windows=windows, lane=lane)
 
 
 def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
     """Consume one token in every lane: ``tokens`` holds one id per lane, or
     one id that every lane reads. ``output_logits`` of the new cursor's
-    state and context gives the next-token logits."""
+    state and context gives the next-token logits.
+
+    A step does only what depends on the state: it gathers its inputs from
+    the cursor's table, projects the state for attention and for the
+    recurrence, and attends; the input product and the biases were applied
+    once, in ``decoder_start``."""
     t = params.tensors
     ids = [tokens] if _is_index(tokens) else np.asarray(tokens).reshape(-1).tolist()
     if len(ids) != 1 and (cur.windows is None or len(ids) != cur.state.shape[0]):
         raise ContractError(f"decoder input {ids} is not one token id per lane")
     _check_tokens(ids, params.cfg.vocab_size, "decoder input")
     # an id that every lane reads enters as one row, broadcast as a row bias
-    e = ad.gather_rows(t["embed"], ids[0] if len(ids) == 1 else np.asarray(ids))
-    q = ad.add(ad.matmul(cur.state, t["att_dec"]), t["att_b"])
+    x = ad.gather_rows(cur.inputs, ids[0] if len(ids) == 1 else np.asarray(ids))
+    q = ad.matmul(cur.state, t["att_dec"])
     if cur.windows is not None:
         q = ad.gather_rows(q, cur.lane)  # each slot meets its own lane's query
     scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
@@ -583,10 +597,9 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderC
     else:
         ctx = ad.segment_attention(scores, cur.slots, cur.windows)
     # the context term comes first: the engine broadcasts only a second operand
-    pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), ad.matmul(e, t["dec_wx"])),
-                 ad.add(ad.matmul(cur.state, t["dec_wh"]), t["dec_b"]))
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
-                         windows=cur.windows, lane=cur.lane, ctx=ctx)
+    pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), x), ad.matmul(cur.state, t["dec_wh"]))
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, inputs=cur.inputs,
+                         state=ad.tanh(pre), windows=cur.windows, lane=cur.lane, ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
@@ -653,8 +666,9 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
             lanes[key] = len(firsts)
             firsts.append(pos)
         lane_of.append(lanes[key])
-    cur = decoder_start(params, [encs[pos] for pos in firsts],
-                        ad.gather_rows(zt, np.asarray(firsts)))
+    # the latent rows of the lanes: a gather only when some pairs share a lane
+    zl = zt if len(firsts) == len(indices) else ad.gather_rows(zt, np.asarray(firsts))
+    cur = decoder_start(params, [encs[pos] for pos in firsts], zl)
     return cur, firsts, np.asarray(lane_of)
 
 

@@ -74,3 +74,30 @@ def test_a_failing_run_stops_the_script(tmp_path):
         bench_pairs.run_pairs({"parent": tmp_path, "change": tmp_path},
                               [sys.executable, "-c", "raise SystemExit(3)"],
                               ["eval-desk"], 1, 1, 1.0)
+
+
+def test_held_out_seeds_add_one_untraced_pair_each_after_the_traced_pairs():
+    runs = bench_pairs.plan(["a", "b"], 2, 101, held_out=(211, 212))
+    assert runs[:20] == bench_pairs.plan(["a", "b"], 2, 101)
+    assert runs[20:] == [
+        ("parent", "a", 211, 0), ("change", "a", 211, 0),
+        ("change", "a", 212, 0), ("parent", "a", 212, 0),
+        ("parent", "b", 211, 0), ("change", "b", 211, 0),
+        ("change", "b", 212, 0), ("parent", "b", 212, 0)]
+    with pytest.raises(ValueError, match="overlap"):
+        bench_pairs.plan(["a"], 10, 101, held_out=(110, 211))
+    assert bench_pairs._seeds("211,212,213") == (211, 212, 213)
+
+
+def test_held_out_runs_are_marked_and_stay_out_of_the_traced_medians(tmp_path):
+    dirs = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for d in dirs.values():
+        d.mkdir()
+    runs = bench_pairs.run_pairs(dirs, STUB, ["eval-desk"], 1, 7, 0.5, held_out=(30,))
+    held = [r for r in runs if r.get("held_out")]
+    assert [(r["side"], r["file"]) for r in held] == [
+        ("parent", "eval-desk-seed30-trace0.json"), ("change", "eval-desk-seed30-trace0.json")]
+    assert all("held_out" not in r for r in runs if r not in held)
+    assert bench_pairs.traced_medians(runs, ["model.decode_logprob_ms"]) == {
+        "eval-desk": {"parent": {"model.decode_logprob_ms": 8.0},
+                      "change": {"model.decode_logprob_ms": 8.5}}}

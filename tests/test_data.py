@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
-from spi.data import (SyntheticSpec, example_to_record, generate_corpus,
+from spi.data import (SyntheticSpec, _draw, example_to_record, generate_corpus,
                       load_corpus, oracle_select, plan_vocab, save_corpus)
 from spi.errors import ContractError
 from spi.model import EOS
@@ -17,6 +18,17 @@ def small_spec(**kw):
                 seed=11)
     base.update(kw)
     return SyntheticSpec(**base)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, (3, 2)])
+def test_draws_take_the_stream_of_choice_with_replacement(size):
+    # the corpus bytes depend on it: ``_draw`` stands in for ``rng.choice``
+    ids = np.asarray([11, 4, 29, 8, 17])
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20):
+        got, want = _draw(ours, ids, size), theirs.choice(ids, size=size)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    assert ours.integers(1 << 62) == theirs.integers(1 << 62)  # the streams end level
 
 
 class TestPlanVocab:

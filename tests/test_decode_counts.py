@@ -105,3 +105,59 @@ def test_evaluate_decodes_every_example_in_one_greedy_and_one_teacher_forced_pas
     assert len(picks) == 4
     # greedy generation, then the decode that scores the references
     assert decoder_calls["lanes"] == [4, 4]
+
+
+def _uses(tape, tensor) -> list[str]:
+    """The primitive of every node on the tape that reads ``tensor``."""
+    return [vjp.__qualname__.split(".<locals>")[0] for _, inputs, _, vjp in tape._nodes
+            if any(t is tensor for t in inputs)]
+
+
+@pytest.mark.parametrize("s", [1, [0, 1, 3, 2, 5]])
+def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
+    params = ModelParams.init(CFG, seed=3)
+    lanes = 1 if isinstance(s, int) else len(s)
+    z = np.random.default_rng(0).normal(size=(lanes, CFG.latent_dim) if lanes > 1
+                                        else CFG.latent_dim)
+    for response in ([6, EOS], [6, 7, 5, 4, 8, 9, EOS]):
+        example = DialogueExample(history=EXAMPLE.history, candidates=EXAMPLE.candidates,
+                                  gold_index=1, response=response)
+        with ad.Tape() as tape:
+            model.decode_logprob(params, example, s, z)
+        # the input table, its bias and the attention bias: once per decode
+        assert _uses(tape, params["dec_wx"]) == ["matmul"]
+        assert _uses(tape, params["dec_b"]) == ["add"]
+        assert _uses(tape, params["att_b"]) == ["add"]
+        # what reads the state: once per step
+        assert _uses(tape, params["dec_wh"]) == ["matmul"] * len(response)
+        assert _uses(tape, params["att_dec"]) == ["matmul"] * len(response)
+
+
+@pytest.mark.parametrize("n_examples", [1, 3])
+def test_a_taped_encoder_pass_projects_its_inputs_once_whatever_its_length(n_examples):
+    params = ModelParams.init(CFG, seed=3)
+    for history in ([4], [4, 5, 6, 7, 8, 9]):
+        examples = [DialogueExample(history=history[i:], candidates=EXAMPLE.candidates,
+                                    gold_index=1, response=EXAMPLE.response)
+                    for i in range(n_examples)]
+        with ad.Tape() as tape:
+            model.encode_batch(params, examples)
+        assert _uses(tape, params["enc_wx"]) == ["matmul"]
+        assert _uses(tape, params["enc_b"]) == ["add"]
+        # one recurrent product per step: the prefix with its separator, then
+        # the longest truncated candidate
+        steps = len(history) + 1 + CFG.max_candidate
+        assert _uses(tape, params["enc_wh"]) == ["matmul"] * steps
+
+
+def test_latent_rows_are_gathered_only_when_pairs_share_a_lane():
+    params = ModelParams.init(CFG, seed=3)
+    rng = np.random.default_rng(1)
+    # distinct lanes take z as it is; candidates 0 and 2 are equal, and with
+    # equal latent rows the two pairs share one lane, which a gather picks
+    for s, z, want in (([0, 1, 3], rng.normal(size=(3, CFG.latent_dim)), ["matmul"]),
+                       ([0, 2], np.ones((2, CFG.latent_dim)), ["gather_rows"])):
+        with ad.Tape() as tape:
+            zt = ad.Tensor(z, name="z", trainable=True)
+            model.decode_logprob(params.constant(), EXAMPLE, s, zt)
+        assert _uses(tape, zt) == want

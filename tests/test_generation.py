@@ -9,7 +9,7 @@ import pytest
 from spi import generation
 from spi.autodiff import Tensor
 from spi.config import ModelConfig
-from spi.errors import ContractError
+from spi.errors import ContractError, NumericError
 from spi.generation import (generate, generate_batch, select_for_generation,
                             write_generations)
 from spi.model import (EOS, DialogueExample, ModelParams, encode_batch, encode_context,
@@ -170,18 +170,84 @@ class TestGenerate:
         assert out.tokens == [EOS]
 
 
+def _ragged_examples():
+    """Examples whose lanes retire at different steps under ``_ragged_params``."""
+    return [make_example(cands=((6, 7), (7, 6))),
+            make_example(hist=(), cands=((8,), (5, 4, 9))),
+            make_example(hist=(9, 8, 7, 6, 5, 4, 9, 8, 7, 6), cands=((6,), (7,) * 8)),
+            make_example(hist=(4,), cands=((5,), (5,))),
+            make_example(hist=(7, 7), cands=((9, 9, 9), (4,)))]
+
+
+def _ragged_params():
+    p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
+    p["out_b"].data[EOS] += 1.0
+    return p
+
+
+@pytest.fixture
+def step_logits(monkeypatch):
+    """Every greedy step's logits, (lanes, V), as ``output_logits`` gave them."""
+    seen = []
+    real = generation.output_logits
+
+    def spying(params, state, ctx):
+        out = real(params, state, ctx)
+        seen.append(out.data.reshape(-1, out.shape[-1]).copy())
+        return out
+
+    monkeypatch.setattr(generation, "output_logits", spying)
+    return seen
+
+
+class TestGreedyDecode:
+    """The greedy loop takes only argmaxes; the log-probabilities and the
+    finiteness check are read off the stacked step logits afterwards."""
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_a_non_finite_output_names_the_first_step_that_has_one(self, lanes,
+                                                                   monkeypatch):
+        p = ModelParams.init(tiny_cfg(), seed=7)
+        p["out_b"].data[EOS] = -1e3  # every lane runs to the cap
+        steps = []
+        real = generation.output_logits
+
+        def poisoned(params, state, ctx):
+            out = real(params, state, ctx)
+            if len(steps) in (3, 5):  # the last lane's last logit
+                out.data.reshape(-1)[-1] = np.nan if len(steps) == 3 else np.inf
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(generation, "output_logits", poisoned)
+        examples = [make_example(), make_example(hist=(6,)), make_example(hist=())][:lanes]
+        with pytest.raises(NumericError, match=r"output at generation step 3 is non-finite"):
+            generate_batch(p, examples, prior="uniform", max_len=8)
+
+    @pytest.mark.parametrize("lanes", [1, 5])
+    def test_logprobs_are_each_steps_log_softmax_to_the_bit(self, lanes, step_logits):
+        p = _ragged_params()
+        examples = _ragged_examples()[:lanes]
+        results = generate_batch(p, examples, prior="uniform", max_len=6)
+        assert len(step_logits) == max(len(r.tokens) for r in results)
+        if lanes > 1:  # the lanes retire at different steps
+            assert len({len(r.tokens) for r in results}) >= 3
+        for lane, result in enumerate(results):
+            want = []
+            for logits, token in zip(step_logits, result.tokens):
+                # the per-step formula of a loop that scores as it goes
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                want.append(float(shifted[lane, token]
+                                  - np.log(np.exp(shifted).sum(axis=1))[lane]))
+            assert result.logprobs == want
+
+
 class TestBatchAndOutput:
     def test_batch_matches_individual_calls(self):
         # weights under which the lanes retire at different steps, some at the
         # cap; ragged histories and candidates, one example given twice
-        p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
-        p["out_b"].data[EOS] += 1.0
-        examples = [make_example(cands=((6, 7), (7, 6))),
-                    make_example(hist=(), cands=((8,), (5, 4, 9))),
-                    make_example(hist=(9, 8, 7, 6, 5, 4, 9, 8, 7, 6), cands=((6,), (7,) * 8)),
-                    make_example(hist=(4,), cands=((5,), (5,))),
-                    make_example(hist=(7, 7), cands=((9, 9, 9), (4,))),
-                    make_example(hist=(5, 6, 7), cands=((8, 8), (6,)))]
+        p = _ragged_params()
+        examples = _ragged_examples() + [make_example(hist=(5, 6, 7), cands=((8, 8), (6,)))]
         examples.append(examples[1])
         uncapped = [len(generate(p, ex, prior="uniform", max_len=32).tokens)
                     for ex in examples]

@@ -177,6 +177,21 @@ class TestPerplexity:
             tracemalloc.stop()
         assert peak < 3e6
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_a_desk_evaluate_of_250_examples_peaks_under_4_mb(self, oracle):
+        # each chunk is encoded, decoded and scored before the next: with one
+        # greedy decode over every example's kept lane the peak was 9.87 MiB
+        corpus = generate_corpus(SyntheticSpec(n_train=1, n_valid=1, n_test=250, seed=0))
+        config = SpiConfig(model=ModelConfig(vocab_size=corpus.vocab.size))
+        params = ModelParams.init(config.model, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(params, corpus.test, config, oracle_knowledge=oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_padding_past_eos_leaves_perplexity_unchanged(self):
         # both responses score the same two tokens, so they average over two
         p = ModelParams.init(verify._tiny_model_config(), seed=1)

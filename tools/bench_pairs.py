@@ -4,14 +4,18 @@ commit, and write every run to one ``BENCH_<tag>.json``.
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --tag NAME --parent HEAD~1 --change HEAD \\
-        --note "what the change does and what it claims"
+        --note "what the change does and what it claims" [--held-out 211,212,213]
 
 Each side runs from a clean copy of its commit's files (``git archive``)
 under ``--workdir``, so uncommitted edits and build leftovers never reach
 a run. For every workload in ``BENCHMARK.json`` the script runs 10
 untraced pairs on seeds 101-110, and the side that runs first alternates
 from one pair to the next (the parent on even pairs); then three traced
-pairs per workload on seeds 101-103, alternating the same way. A run is
+pairs per workload on seeds 101-103, alternating the same way. With
+``--held-out``, one more untraced pair per workload and held-out seed
+follows, alternating the same way; those runs are marked ``"held_out":
+true``, so a claim checked on seeds 101-110 can be checked again on seeds
+it was not tuned on. A run is
 the ``command`` of ``BENCHMARK.json`` with ``--workload``, ``--seed``,
 ``--seconds`` (its ``run_seconds``) and ``--trace``, and its last two
 output lines are kept as the run's ``record`` and ``result``. A run that
@@ -39,14 +43,20 @@ TRACED_PAIRS = 3
 FIRST_SEED = 101
 
 
-def plan(workloads: list[str], pairs: int, seed: int) -> list[tuple[str, str, int, int]]:
-    """The runs in order, as (side, workload, seed, trace)."""
+def plan(workloads: list[str], pairs: int, seed: int,
+         held_out: tuple[int, ...] = ()) -> list[tuple[str, str, int, int]]:
+    """The runs in order, as (side, workload, seed, trace): the pairs, the
+    traced pairs, then one untraced pair per held-out seed."""
+    if set(held_out) & set(range(seed, seed + max(pairs, TRACED_PAIRS))):
+        raise ValueError(f"held-out seeds {list(held_out)} overlap the pairs' seeds "
+                         f"{seed}-{seed + max(pairs, TRACED_PAIRS) - 1}")
     runs = []
-    for count, trace in ((pairs, 0), (TRACED_PAIRS, 1)):
+    for seeds, trace in ((range(seed, seed + pairs), 0),
+                         (range(seed, seed + TRACED_PAIRS), 1), (held_out, 0)):
         for workload in workloads:
-            for i in range(count):
+            for i, s in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                runs += [(side, workload, seed + i, trace) for side in order]
+                runs += [(side, workload, s, trace) for side in order]
     return runs
 
 
@@ -64,13 +74,16 @@ def run_one(command: list[str], cwd: Path, workload: str, seed: int, seconds: fl
 
 
 def run_pairs(dirs: dict[str, Path], command: list[str], workloads: list[str], pairs: int,
-              seed: int, seconds: float) -> list[dict]:
-    """Every run of ``plan``, each as {side, file, record, result}."""
+              seed: int, seconds: float, held_out: tuple[int, ...] = ()) -> list[dict]:
+    """Every run of ``plan``, each as {side, file, record, result}, and
+    ``held_out`` true on the runs of a held-out seed."""
     runs = []
-    for side, workload, s, trace in plan(workloads, pairs, seed):
+    for side, workload, s, trace in plan(workloads, pairs, seed, held_out):
         record, result = run_one(command, dirs[side], workload, s, seconds, trace)
         name = f"{workload}-seed{s}-trace{trace}.json"
         runs.append({"side": side, "file": name, "record": record, "result": result})
+        if s in held_out:
+            runs[-1]["held_out"] = True
         print(f"{side} {name}: failed {result.get('failed')}", file=sys.stderr, flush=True)
     return runs
 
@@ -90,6 +103,14 @@ def traced_medians(runs: list[dict], names: list[str]) -> dict:
     return {workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
                        for side, metrics in sides.items()}
             for workload, sides in values.items()}
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    """``--held-out``'s comma-separated seeds."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of seeds: {text!r}")
 
 
 def _git(*args: str) -> str:
@@ -113,6 +134,9 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="parent commit")
     p.add_argument("--change", default="HEAD", help="change commit")
     p.add_argument("--note", required=True, help="what the change does and claims")
+    p.add_argument("--held-out", type=_seeds, default=(), metavar="SEEDS",
+                   help="comma-separated seeds of one more untraced pair per workload "
+                        "each, marked held out (say 211,212,213)")
     p.add_argument("--workdir", type=Path, default=None,
                    help="where the two copies go and stay (by default a temporary "
                         "directory, removed at the end)")
@@ -127,7 +151,8 @@ def main(argv=None) -> int:
         dirs = {side: work / side for side in SIDES}
         for side in SIDES:
             _export(shas[side], dirs[side])
-        runs = run_pairs(dirs, bench["command"], workloads, PAIRS, FIRST_SEED, seconds)
+        runs = run_pairs(dirs, bench["command"], workloads, PAIRS, FIRST_SEED, seconds,
+                         args.held_out)
     how = (f"{' '.join(bench['command'])} --workload W --seed N --seconds {seconds:g} "
            f"--trace T, run by tools/bench_pairs.py from clean copies of the parent and "
            f"the change: {PAIRS} untraced pairs per workload on seeds {FIRST_SEED}-"
@@ -136,9 +161,14 @@ def main(argv=None) -> int:
            f"{FIRST_SEED}-{FIRST_SEED + TRACED_PAIRS - 1}, alternating the same way; "
            f"traced_medians holds each side's median of every per-layer metric over "
            f"its traced runs")
+    if args.held_out:
+        how += (f"; then one untraced pair per workload on each held-out seed "
+                f"{', '.join(map(str, args.held_out))}, alternating the same way, its "
+                f"runs marked held_out")
     medians = traced_medians(runs, [m["name"] for m in bench["per_layer"]])
     out = {"tag": args.tag, "change": args.note, "how": how,
            "parent_sha": shas["parent"], "change_sha": shas["change"],
+           "held_out_seeds": list(args.held_out),
            "traced_medians": medians, "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
