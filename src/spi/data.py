@@ -14,7 +14,7 @@ Same spec, same bytes: generation is a pure function of the spec fields.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,11 @@ class VocabLayout:
     frame_ids: tuple[tuple[int, int], ...]  # (open, close) per style
     name_ids: tuple[int, ...]
     content_ids: tuple[int, ...]
+    # ``content_ids`` as an array, for the draws with replacement (``_draw``)
+    content_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "content_array", np.asarray(self.content_ids))
 
 
 def plan_vocab(spec: SyntheticSpec) -> tuple[Vocab, VocabLayout]:
@@ -133,11 +138,10 @@ def _distractor_content(gold: list[int], rho: float, content_ids: np.ndarray,
 
 
 def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
-                  spec: SyntheticSpec, layout: VocabLayout, content_ids: np.ndarray,
-                  rng: np.random.Generator) -> DialogueExample:
+                  spec: SyntheticSpec, layout: VocabLayout, rng: np.random.Generator) -> DialogueExample:
     content = topics_content[topic]
     name = layout.name_ids[topic]
-    filler = _draw(rng, content_ids, spec.history_len - 1).tolist()
+    filler = _draw(rng, layout.content_array, spec.history_len - 1).tolist()
     history = filler + [name]
     others = [t for t in pool if t != topic]
     distractor_topics = rng.choice(others, size=spec.m_candidates - 1,
@@ -145,7 +149,7 @@ def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
     gold_candidate = [name] + content
     candidates = []
     for d in distractor_topics:
-        body = _distractor_content(content, spec.rho, content_ids, rng)
+        body = _distractor_content(content, spec.rho, layout.content_array, rng)
         candidates.append([layout.name_ids[d]] + body)
     gold_index = int(rng.integers(0, spec.m_candidates))
     candidates.insert(gold_index, gold_candidate)
@@ -169,9 +173,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
             raise ContractError(f"{name} must not be negative, got {getattr(spec, name)}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     content_len = spec.candidate_len - 1
-    # draws with replacement index arrays built once (``_draw``)
-    content_ids = np.asarray(layout.content_ids)
-    topics_content = [_draw(rng, content_ids, content_len).tolist()
+    topics_content = [_draw(rng, layout.content_array, content_len).tolist()
                       for _ in range(len(layout.name_ids))]
     train_topics, test_topics = _topic_split(spec, layout)
     all_topics = train_topics + test_topics
@@ -182,8 +184,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
         for _ in range(count):
             topic = int(_draw(rng, pool))
             # distractor names may come from either pool; gold topics define the split
-            out.append(_make_example(topic, topics_content, all_topics, spec, layout,
-                                     content_ids, rng))
+            out.append(_make_example(topic, topics_content, all_topics, spec, layout, rng))
         return out
 
     train = build(spec.n_train, train_topics)

@@ -222,6 +222,8 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         raise ContractError("evaluate needs at least one example")
     if oracle_knowledge and any(ex.gold_index is None for ex in examples):
         raise ContractError("oracle scoring needs a gold index")
+    if generations is not None and len(generations) != len(examples):
+        raise ContractError(f"{len(generations)} generations for {len(examples)} examples")
     made: list[GenerationResult] = []
     lps: list[float] = []
     max_len = config.model.max_response

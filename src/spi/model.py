@@ -208,17 +208,18 @@ class EncodedContext:
     A lane holds only its pass and its row in it. ``pooled`` takes the
     lane's row of the pass's pooled matrix, which ``encode_batch`` makes for
     every lane at once. ``states`` gathers the lane's rows on each read, so
-    a pass over many lanes holds its rows once, not once per lane. Code that
-    reads lanes (``head_logits``, ``decoder_start``, ``latent_prior_means``)
-    takes their rows from the pass, many lanes' in one gather, and
-    ``keep_lanes`` gathers lanes into a pass of their own, so the pass
+    a pass over many lanes holds its rows once, not once per lane; on a tape
+    the gathered rows are kept, since the tape holds them anyway. Code that
+    reads many lanes at once (``head_logits``, ``decoder_start``,
+    ``latent_prior_means``) takes their rows from the pass in one gather,
+    and ``keep_lanes`` gathers lanes into a pass of their own, so the pass
     they came from can be freed while they live on."""
 
-    __slots__ = ("_pass", "lane", "_pooled")
+    __slots__ = ("_pass", "lane", "_states", "_pooled")
 
     def __init__(self, pass_: _Pass, lane: int):
         self._pass, self.lane = pass_, lane
-        self._pooled = None
+        self._states = self._pooled = None
 
     @property
     def pooled(self) -> Tensor:  # (hidden,)
@@ -228,7 +229,12 @@ class EncodedContext:
 
     @property
     def states(self) -> Tensor:  # (L, hidden)
-        return _states_of(self._pass, self.lane)
+        if self._states is not None:
+            return self._states
+        states = _states_of(self._pass, self.lane)
+        if states.requires_grad or states is self._pass.rows:
+            self._states = states
+        return states
 
 
 def _states_of(pass_: _Pass, lane: int) -> Tensor:
@@ -311,13 +317,13 @@ def _check_tokens(tokens: Sequence[int], vocab_size: int, what: str) -> None:
                 raise ContractError(f"{what} token id {tok} outside vocabulary of {vocab_size}")
 
 
-def _encoder_steps(params: ModelParams, table: Tensor, state: Tensor, steps) -> list[Tensor]:
-    """The recurrent states after each step, a step reading the rows of
-    ``table``, every token's input projection, at its token ids."""
+def _encoder_steps(params: ModelParams, inputs: Tensor, state: Tensor, steps) -> list[Tensor]:
+    """The recurrent states after each step, a step reading its rows of
+    ``inputs``, the tokens' input projections."""
     wh = params.tensors["enc_wh"]
     rows = []
-    for ids in steps:
-        state = ad.tanh(ad.add(ad.gather_rows(table, ids), ad.matmul(state, wh)))
+    for step in steps:
+        state = ad.tanh(ad.add(ad.gather_rows(inputs, step), ad.matmul(state, wh)))
         rows.append(state)
     return rows
 
@@ -346,10 +352,10 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     so their scores tie exactly: a matrix product may round two equal rows
     differently. Lanes of different examples never share.
 
-    The input projection depends on the token id alone, so the pass makes
-    it once for the whole vocabulary, a (V, hidden) table embed @ enc_wx +
-    enc_b, and a step is tanh(table[its ids] + state @ enc_wh): one gather
-    and one product per step, and no copy of the tokens' embeddings.
+    The input projection does not depend on the state, so the pass makes
+    it once for all its tokens, embed[tokens] @ enc_wx + enc_b, one row per
+    token read, and a step is tanh(its rows + state @ enc_wh): one slice and
+    one product per step.
     """
     cfg = params.cfg
     if indices is None:
@@ -384,16 +390,17 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     if not lanes:
         return [[] for _ in examples]
     t = params.tensors
-    # every token id's input projection, once per pass: a step gathers its rows
-    table = ad.add(ad.matmul(t["embed"], t["enc_wx"]), t["enc_b"])
-    ids = np.asarray(tokens, dtype=np.int64)
-    # a lone example's prefix steps read one id each, so its last state is a
+    # the input projection of every token of the pass, once; a step slices its rows
+    inputs = ad.add(ad.matmul(ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64)),
+                              t["enc_wx"]), t["enc_b"])
+    # a lone example's prefix steps read one row each, so its last state is a
     # vector, which enters the first lockstep step as a row-wise bias: two
     # tape nodes fewer, and less time, than a (1, hidden) row state with its
     # concat and gather
     one = n_ex == 1
-    rows = _encoder_steps(params, table, Tensor(np.zeros(cfg.hidden_dim)),
-                          tokens[:n] if one else ids[:base].reshape(n, n_ex))
+    rows = _encoder_steps(params, inputs, Tensor(np.zeros(cfg.hidden_dim)),
+                          range(n) if one else [slice(i * n_ex, (i + 1) * n_ex)
+                                                for i in range(n)])
     if one:
         start = rows[-1]
     else:  # each lane starts from its own example's last prefix row
@@ -402,10 +409,11 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
         last = ad.concat([rows[end - 1] for end in ends])
         start = ad.gather_rows(last, np.asarray(
             [ends.index(len(prefixes[e])) * n_ex + e for e, _ in lanes]))
-    rows += _encoder_steps(params, table, start, ids[base:].reshape(width, k))
+    rows += _encoder_steps(params, inputs, start,
+                           [slice(base + i * k, base + (i + 1) * k) for i in range(width)])
     # the concatenation holds every row twice, the pass's peak memory: drop
     # what is done with before it, and the step rows after it
-    del table, start
+    del inputs, start
     flat = ad.concat(rows)  # rows laid out as ``tokens``
     del rows
     # lane j reads its example's prefix rows, then its own candidate rows
@@ -511,16 +519,14 @@ class DecoderCursor:
     """Incremental decoding state of one lane, or of k lanes in lockstep.
 
     What a decode holds fixed is built once, in ``decoder_start``: the
-    attended slots, their attention projections with the attention bias
-    added, and every token id's decoder input, embed @ dec_wx + dec_b, as a
-    (V, dec_hidden) table that a step gathers from. A step moves the
-    recurrent state after the consumed prefix and the attention context of
-    its last step. For k lanes the cursor also holds the slot windows. A
-    lane's slots are contiguous: its encoder states, then its latent slot."""
+    attended slots and their attention projections with the attention bias
+    added. A step moves the recurrent state after the consumed prefix and
+    the attention context of its last step. For k lanes the cursor also
+    holds the slot windows. A lane's slots are contiguous: its encoder
+    states, then its latent slot."""
 
     slots: Tensor       # (N, hidden)
     proj: Tensor        # (N, att): slots @ att_enc + att_b
-    inputs: Tensor      # (V, dec_hidden): embed @ dec_wx + dec_b, one row per token id
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
     windows: ad.Windows | None = None  # each lane's slots; None for one lane
     lane: np.ndarray | None = None     # (N,) lane of each slot; None for one lane
@@ -535,10 +541,9 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     cursor (vectors, no windows), which runs faster than a one-lane segment
     layout, and ``decoder_advance`` follows the cursor. For k lanes the
     states and pooled rows come from their pass in one gather each, and the
-    slot windows of ``segment_attention`` are laid out here. The work that
-    no step changes is done here too, once per decode, on the tape or off
-    it alike: the slots' attention projections with ``att_b`` added, and
-    the input table of every token id with ``dec_b`` added."""
+    slot windows of ``segment_attention`` are laid out here. The slots'
+    attention projections, with ``att_b`` added, are made here too, once
+    per decode, on the tape or off it alike."""
     t = params.tensors
     lanes = list(encoded)
     if not lanes:
@@ -550,9 +555,8 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
     windows = lane = None
     if len(lanes) == 1:
-        enc = lanes[0]
-        slots = ad.concat([_states_of(enc._pass, enc.lane), zrow])
-        pooled = enc.pooled
+        slots = ad.concat([lanes[0].states, zrow])
+        pooled = lanes[0].pooled
     else:
         parts, pooled, lengths = _lane_rows(lanes)
         # lane j's encoder rows, then its latent row (row n + j of the concatenation)
@@ -566,10 +570,16 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         windows = ad.Windows.of_segments(lengths + 1)
         lane = np.repeat(np.arange(k), lengths + 1)
     proj = ad.add(ad.matmul(slots, t["att_enc"]), t["att_b"])
-    inputs = ad.add(ad.matmul(t["embed"], t["dec_wx"]), t["dec_b"])
     state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, inputs=inputs, state=state,
-                         windows=windows, lane=lane)
+    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows, lane=lane)
+
+
+def _decoder_inputs(params: ModelParams, ids) -> Tensor:
+    """The decoder's input projections embed[ids] @ dec_wx + dec_b, one row
+    per id read: a step's, or every step's of a decode that knows its
+    tokens before it runs (``decode_logprob``), in one product."""
+    t = params.tensors
+    return ad.add(ad.matmul(ad.gather_rows(t["embed"], ids), t["dec_wx"]), t["dec_b"])
 
 
 def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
@@ -577,17 +587,24 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderC
     one id that every lane reads. ``output_logits`` of the new cursor's
     state and context gives the next-token logits.
 
-    A step does only what depends on the state: it gathers its inputs from
-    the cursor's table, projects the state for attention and for the
-    recurrence, and attends; the input product and the biases were applied
-    once, in ``decoder_start``."""
-    t = params.tensors
+    The step projects its ids' inputs (``_decoder_inputs``), then
+    ``_decoder_step`` does the work that reads the state: a greedy decode
+    learns its next ids only from this step's logits."""
     ids = [tokens] if _is_index(tokens) else np.asarray(tokens).reshape(-1).tolist()
     if len(ids) != 1 and (cur.windows is None or len(ids) != cur.state.shape[0]):
         raise ContractError(f"decoder input {ids} is not one token id per lane")
     _check_tokens(ids, params.cfg.vocab_size, "decoder input")
     # an id that every lane reads enters as one row, broadcast as a row bias
-    x = ad.gather_rows(cur.inputs, ids[0] if len(ids) == 1 else np.asarray(ids))
+    return _decoder_step(params, cur,
+                         _decoder_inputs(params, ids[0] if len(ids) == 1 else np.asarray(ids)))
+
+
+def _decoder_step(params: ModelParams, cur: DecoderCursor, x: Tensor) -> DecoderCursor:
+    """One step from the input projections ``x`` of its tokens
+    (``_decoder_inputs``): the state projected for attention and for the
+    recurrence, and the attention. The attention bias was added once, in
+    ``decoder_start``, and the input bias is in ``x``."""
+    t = params.tensors
     q = ad.matmul(cur.state, t["att_dec"])
     if cur.windows is not None:
         q = ad.gather_rows(q, cur.lane)  # each slot meets its own lane's query
@@ -598,8 +615,8 @@ def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderC
         ctx = ad.segment_attention(scores, cur.slots, cur.windows)
     # the context term comes first: the engine broadcasts only a second operand
     pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), x), ad.matmul(cur.state, t["dec_wh"]))
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, inputs=cur.inputs,
-                         state=ad.tanh(pre), windows=cur.windows, lane=cur.lane, ctx=ctx)
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
+                         windows=cur.windows, lane=cur.lane, ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
@@ -689,8 +706,9 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     matrix product may round equal rows differently), and its gradient in
     ``z`` reaches that first row.
 
-    The recurrence steps every lane token by token; a live mask drops the
-    steps past a lane's end. The output head then runs once over every
+    The teacher-forced inputs of every step are projected in one product,
+    then the recurrence steps every lane token by token; a live mask drops
+    the steps past a lane's end. The output head then runs once over every
     step's rows. Each token's log-probability is taken as (x_t - x_top) +
     log softmax(x)_top, where x_top is its row's largest logit: the softmax
     there is at least 1/V, so the log stays finite however confident the
@@ -715,12 +733,19 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     width = int(lengths.max())
     # targets[t, j] is lane j's step-t target; past the lane's end, padding
     targets = np.array([r + [PAD] * (width - len(r)) for r in responses]).T
-    # step t reads the step t-1 targets, one id for all when the lanes agree
+    # step t reads the step t-1 targets, one id for all when the lanes agree;
+    # every step's input projections come from one product, row t (a vector,
+    # broadcast as a row bias) or rows t*k to t*k + k of it
     shared = (targets == targets[:, :1]).all()
-    feed = [BOS] + (targets[:-1, 0].tolist() if shared else list(targets[:-1]))
+    feed = np.vstack([np.full(k, BOS), targets[:-1]])
+    if shared:
+        inputs, steps = _decoder_inputs(params, feed[:, 0]), range(width)
+    else:
+        inputs = _decoder_inputs(params, feed.reshape(-1))
+        steps = [slice(t * k, (t + 1) * k) for t in range(width)]
     states, ctxs = [], []
-    for step in range(width):
-        cur = decoder_advance(params, cur, feed[step])
+    for step in steps:
+        cur = _decoder_step(params, cur, ad.gather_rows(inputs, step))
         states.append(cur.state)
         ctxs.append(cur.ctx)
     # row t*k + j holds step t of lane j

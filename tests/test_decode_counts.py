@@ -113,6 +113,12 @@ def _uses(tape, tensor) -> list[str]:
             if any(t is tensor for t in inputs)]
 
 
+def _projected_rows(tape, weight) -> list[int]:
+    """The rows each product with ``weight`` on the tape projects."""
+    return [inputs[0].shape[0] for _, inputs, _, _ in tape._nodes
+            if len(inputs) == 2 and inputs[1] is weight]
+
+
 @pytest.mark.parametrize("s", [1, [0, 1, 3, 2, 5]])
 def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
     params = ModelParams.init(CFG, seed=3)
@@ -124,8 +130,11 @@ def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
                                   gold_index=1, response=response)
         with ad.Tape() as tape:
             model.decode_logprob(params, example, s, z)
-        # the input table, its bias and the attention bias: once per decode
+        # the inputs' projection, its bias and the attention bias: once per
+        # decode; the projection covers the tokens read (the lanes share one
+        # response), not the vocabulary
         assert _uses(tape, params["dec_wx"]) == ["matmul"]
+        assert _projected_rows(tape, params["dec_wx"]) == [len(response)]
         assert _uses(tape, params["dec_b"]) == ["add"]
         assert _uses(tape, params["att_b"]) == ["add"]
         # what reads the state: once per step
@@ -144,6 +153,11 @@ def test_a_taped_encoder_pass_projects_its_inputs_once_whatever_its_length(n_exa
             model.encode_batch(params, examples)
         assert _uses(tape, params["enc_wx"]) == ["matmul"]
         assert _uses(tape, params["enc_b"]) == ["add"]
+        # the projection covers the pass's token rows, not the vocabulary:
+        # each example's prefix, then its distinct truncated candidates
+        lanes = distinct(range(len(EXAMPLE.candidates)))
+        assert _projected_rows(tape, params["enc_wx"]) == [
+            n_examples * (len(history) + 1 + lanes * CFG.max_candidate)]
         # one recurrent product per step: the prefix with its separator, then
         # the longest truncated candidate
         steps = len(history) + 1 + CFG.max_candidate

@@ -210,10 +210,13 @@ def test_generate_batch_keeps_the_picked_lanes_only(monkeypatch):
         assert enc.states.data.shape == encs[result.s].states.data.shape
     for _, kept in kept_calls:
         assert kept[0]._pass.rows.shape[0] == sum(enc.states.shape[0] for enc in kept)
-    # the decode reads no lane's states one at a time
+    # a multi-lane decode reads no lane's states one at a time; a one-lane
+    # decode (the second chunk's) reads its lone lane's, once
     read.clear()
+    kept_calls.clear()
     generate_batch(params, examples, prior="uniform", max_len=4)
-    assert read == []
+    assert [len(kept) for _, kept in kept_calls] == [3, 1]
+    assert read == [kept_calls[1][1][0]]
 
 
 @pytest.mark.parametrize("chunk", [1, 3])

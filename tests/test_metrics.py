@@ -415,6 +415,18 @@ class TestEvaluate:
                      generations=gens)
         assert a == b
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_generations_must_align_with_the_examples(self, small_corpus, small_config,
+                                                      small_trained, oracle):
+        from spi.generation import generate_batch
+        params, examples = small_trained.best_params, small_corpus.test
+        gens = generate_batch(params, examples, prior=small_config.prior,
+                              max_len=small_config.model.max_response)
+        for wrong in (gens + gens[:1], gens[:-1]):
+            with pytest.raises(ContractError, match="generations for"):
+                evaluate(params, examples, small_config, generations=wrong,
+                         oracle_knowledge=oracle)
+
     def test_empty_corpus_rejected(self, small_config, small_trained):
         with pytest.raises(ContractError):
             evaluate(small_trained.best_params, [], small_config)
