@@ -11,9 +11,10 @@ a trainable leaf or a recorded node with such an input. A node whose inputs
 all are constants is not recorded, and an adjoint is told which of its
 inputs need a gradient, so it can skip the rest.
 
-The windowed primitives (``segment_attention``, ``reduce_mean`` over
-windows) take a ``Windows`` layout, checked once where it is built, so a
-decoder step does not re-derive or re-check its lanes.
+The windowed primitives, ``segment_attention`` and ``reduce_mean`` (a mean
+over windows only: the encoder's pooling), take a ``Windows`` layout,
+checked once where it is built, so a decoder step does not re-derive or
+re-check its lanes.
 
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
 look up by name at call time, so tests can swap a rule in and verify the
@@ -449,13 +450,7 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _emit(out, (x,), vjp)
 
 
-def _reduce_mean_vjp(g, shape, axis, n):
-    if axis is None:
-        return (np.full(shape, g / n),)
-    return (np.broadcast_to(g / n, shape).copy(),)
-
-
-def _window_mean_vjp(g, shape, windows):
+def _reduce_mean_vjp(g, shape, windows):
     # each live entry meets its window's adjoint over the window's length
     grad = g / windows.lengths[:, None]
     out = np.zeros(shape, dtype=g.dtype)
@@ -467,53 +462,36 @@ def _window_mean_vjp(g, shape, windows):
     return (out,)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None, *,
-                windows: Windows | None = None) -> Tensor:
-    """Mean of every entry (``axis`` None) or of the rows (``axis`` 0); or,
-    given ``windows``, row j of the (k, D) result is the mean of window j's
-    rows of ``x`` (R, D). The windows are summed a column at a time, each
-    window's rows in its order, as a mean over its gathered rows would sum
-    them, with no (k, width, D) copy; their shared columns are summed once
-    for them all, and tiled windows are reduced as a reshape of ``x``."""
+def reduce_mean(x: Tensor, *, windows: Windows) -> Tensor:
+    """Row j of the (k, D) result is the mean of window j's rows of ``x``
+    (R, D). The windows are summed a column at a time, each window's rows in
+    its order, as a mean over its gathered rows would sum them, with no (k,
+    width, D) copy; their shared columns are summed once for them all, and
+    tiled windows are reduced as a reshape of ``x``."""
     xd = x.data
-    if windows is not None:
-        if axis is not None or not isinstance(windows, Windows):
-            raise ContractError("a windowed reduce_mean takes a Windows layout and no axis")
-        if xd.ndim != 2 or xd.shape[0] < windows.span:
-            raise ShapeError(f"a windowed mean over {windows.span} rows expects rank 2, "
-                             f"got {xd.shape}")
-        index, live, full = windows.index, windows.live, windows.full
-        k, width = index.shape
-        if windows.tiled:  # a reduction over a view, in the same order
-            acc = np.add.reduce(xd[:k * width].reshape(k, width, -1), axis=1)
+    if not isinstance(windows, Windows):
+        raise ContractError("reduce_mean takes a Windows layout")
+    if xd.ndim != 2 or xd.shape[0] < windows.span:
+        raise ShapeError(f"a windowed mean over {windows.span} rows expects rank 2, "
+                         f"got {xd.shape}")
+    index, live, full = windows.index, windows.live, windows.full
+    k, width = index.shape
+    if windows.tiled:  # a reduction over a view, in the same order
+        acc = np.add.reduce(xd[:k * width].reshape(k, width, -1), axis=1)
+    else:
+        start = max(windows.shared, 1)
+        if start > 1:  # the same rows in the same order: the same partial sum
+            acc = np.repeat(np.add.reduce(xd[index[0, :start]], axis=0)[None], k, axis=0)
         else:
-            start = max(windows.shared, 1)
-            if start > 1:  # the same rows in the same order: the same partial sum
-                acc = np.repeat(np.add.reduce(xd[index[0, :start]], axis=0)[None], k, axis=0)
-            else:
-                acc = xd[index[:, 0]]
-            for c in range(start, width):
-                col = xd[index[:, c]]
-                acc += col if full[c] else col * live[:, c, None]
-        out = acc / windows.lengths[:, None]
-        shape = xd.shape
-
-        def window_vjp(g, needs, shape=shape, windows=windows):
-            return _window_mean_vjp(g, shape, windows)
-
-        return _emit(out, (x,), window_vjp)
-    if axis not in (None, 0):
-        raise ContractError(f"reduce_mean supports axis None or 0, got {axis}")
-    if axis == 0 and xd.ndim != 2:
-        raise ShapeError(f"reduce_mean over axis 0 expects rank 2, got {xd.shape}")
-    if xd.size == 0:
-        raise ContractError("reduce_mean of an empty tensor")
-    n = xd.shape[0] if axis == 0 else xd.size
-    out = xd.mean(axis=axis)
+            acc = xd[index[:, 0]]
+        for c in range(start, width):
+            col = xd[index[:, c]]
+            acc += col if full[c] else col * live[:, c, None]
+    out = acc / windows.lengths[:, None]
     shape = xd.shape
 
-    def vjp(g, needs, shape=shape, axis=axis, n=n):
-        return _reduce_mean_vjp(g, shape, axis, n)
+    def vjp(g, needs, shape=shape, windows=windows):
+        return _reduce_mean_vjp(g, shape, windows)
 
     return _emit(out, (x,), vjp)
 

@@ -27,9 +27,11 @@ def pick_knowledge(params: ModelParams, encodings_batch: Sequence[Sequence[Encod
     (``encodings_batch[e]``, one encoding per candidate), scored without the
     response, from one head product over every encoding of the batch: the
     initializer's scores (uniform prior) or the prior's logits (learnable).
-    Ties resolve to the lowest index."""
+    Ties resolve to the lowest index; no examples get no picks."""
     if prior not in ("uniform", "learnable"):
         raise ContractError(f"unknown prior mode {prior!r}")
+    if not encodings_batch:
+        return []
     head = "initializer" if prior == "uniform" else "knowledge_prior"
     x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs]).data
     if prior == "uniform":

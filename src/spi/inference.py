@@ -18,7 +18,7 @@ from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_context, initializer_scores,
-                    knowledge_prior_logits, latent_prior_mean)
+                    knowledge_prior_logits, latent_prior_mean, latent_prior_means)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -92,8 +92,7 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
 
     # every candidate teacher-forces the same response: one lockstep decode
     subset_encodings = [encodings[i] for i in subset]
-    mus = np.stack([latent_prior_mean(params, example, i, encoded=enc).data
-                    for i, enc in zip(subset, subset_encodings)])
+    mus = latent_prior_means(params, subset_encodings).data
     raw = prior_logits + decode_logprob(params, example, subset, mus,
                                         encoded=subset_encodings).data
     scaled = raw / temperature

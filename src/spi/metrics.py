@@ -204,8 +204,7 @@ class EvalReport:
 
 
 def evaluate(params: ModelParams, examples: list[DialogueExample],
-             config: SpiConfig, *, oracle_knowledge: bool = False,
-             generations: list[GenerationResult] | None = None) -> EvalReport:
+             config: SpiConfig, *, oracle_knowledge: bool = False) -> EvalReport:
     """Full held-out evaluation. Selection accuracy always scores the model's
     own pick, over the gold-labelled examples, and is None when there are
     none; the oracle flag makes perplexity condition on the gold candidate
@@ -213,34 +212,23 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
 
     Each chunk of ``generation.chunks`` is encoded, picked, decoded and
     scored before the next, so memory stays bounded however many examples
-    there are. Without ``generations`` a chunk is encoded in one pass
-    (``encode_and_pick``), and perplexity scores the picked lanes generation
-    kept from it. Under the oracle flag, or with ``generations``, perplexity
-    encodes the chunk's scored candidates itself, and generation lets its
-    picked lanes go for the decode."""
+    there are: it is encoded and picked in one pass (``encode_and_pick``)
+    and decoded from the picked lanes kept from it (``decode_greedy``).
+    Perplexity then scores those kept lanes, or, under the oracle flag, the
+    gold candidates, which it encodes in a pass of their own."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
     if oracle_knowledge and any(ex.gold_index is None for ex in examples):
         raise ContractError("oracle scoring needs a gold index")
-    if generations is not None and len(generations) != len(examples):
-        raise ContractError(f"{len(generations)} generations for {len(examples)} examples")
     made: list[GenerationResult] = []
     lps: list[float] = []
-    max_len = config.model.max_response
     for chunk in generation.chunks(examples):
-        scored = None  # the lanes perplexity scores; without them it encodes its own
-        if generations is not None:
-            gens = generations[len(made):len(made) + len(chunk)]
-        elif oracle_knowledge:
-            gens = decode_greedy(params, encode_and_pick(params, chunk, prior=config.prior),
-                                 max_len)
+        kept = encode_and_pick(params, chunk, prior=config.prior)
+        made += decode_greedy(params, kept, config.model.max_response)
+        if oracle_knowledge:
+            lps += _chunk_logprobs(params, chunk, [ex.gold_index for ex in chunk])
         else:
-            kept = encode_and_pick(params, chunk, prior=config.prior)
-            gens = decode_greedy(params, kept, max_len)
-            scored = kept.lanes
-        picks = [ex.gold_index for ex in chunk] if oracle_knowledge else [g.s for g in gens]
-        lps += _chunk_logprobs(params, chunk, picks, scored)
-        made += gens
+            lps += _chunk_logprobs(params, chunk, kept.s, kept.lanes)
     labelled = any(ex.gold_index is not None for ex in examples)
     cands = [_strip_eos(g.tokens) for g in made]
     refs = [_strip_eos(list(ex.response)) for ex in examples]

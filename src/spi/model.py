@@ -211,8 +211,10 @@ class EncodedContext:
     a pass over many lanes holds its rows once, not once per lane; on a tape
     the gathered rows are kept, since the tape holds them anyway. Code that
     reads many lanes at once (``head_logits``, ``decoder_start``,
-    ``latent_prior_means``) takes their rows from the pass in one gather,
-    and ``keep_lanes`` gathers lanes into a pass of their own, so the pass
+    ``latent_prior_means``, ``keep_lanes``) takes them through
+    ``_lane_pooled`` and ``_lane_states``, the only code that reads lanes
+    out of a pass, and the lanes it reads together must be lanes of one
+    pass; ``keep_lanes`` gathers lanes into a pass of their own, so the pass
     they came from can be freed while they live on."""
 
     __slots__ = ("_pass", "lane", "_states", "_pooled")
@@ -231,75 +233,52 @@ class EncodedContext:
     def states(self) -> Tensor:  # (L, hidden)
         if self._states is not None:
             return self._states
-        states = _states_of(self._pass, self.lane)
+        states = _lane_states([self])[0]
         if states.requires_grad or states is self._pass.rows:
             self._states = states
         return states
 
 
-def _states_of(pass_: _Pass, lane: int) -> Tensor:
-    """Lane ``lane``'s rows of the pass: one gather, or none when the lane
-    is the whole pass, in order."""
-    rows, windows = pass_.rows, pass_.windows
-    length = int(windows.lengths[lane])
-    if length == rows.shape[0]:
-        return rows
-    return ad.gather_rows(rows, windows.index[lane, :length])
+def _one_pass(encodings: Sequence[EncodedContext]) -> tuple[_Pass, list[int], bool]:
+    """The pass the encodings are lanes of, their lanes, and whether they
+    are every lane of it in order; no lanes, or lanes of several passes,
+    raise ``ContractError``."""
+    if not encodings:
+        raise ContractError("no encodings to read")
+    pass_ = encodings[0]._pass
+    if any(enc._pass is not pass_ for enc in encodings):
+        raise ContractError("encodings read together must be lanes of one encoder pass")
+    lanes, k = [enc.lane for enc in encodings], pass_.windows.lengths.shape[0]
+    return pass_, lanes, len(lanes) == k and lanes == list(range(k))
 
 
-def _runs(encodings: Sequence[EncodedContext]) -> list[tuple[_Pass, np.ndarray]]:
-    """The encodings as runs of consecutive lanes of one pass: (pass, lanes)."""
-    runs: list[tuple[_Pass, list[int]]] = []
-    for enc in encodings:
-        if runs and runs[-1][0] is enc._pass:
-            runs[-1][1].append(enc.lane)
-        else:
-            runs.append((enc._pass, [enc.lane]))
-    return [(pass_, np.asarray(lanes)) for pass_, lanes in runs]
+def _lane_pooled(encodings: Sequence[EncodedContext]) -> Tensor:
+    """The encodings' pooled rows, (n, hidden): one gather from their pass,
+    none when they are every lane of it in order."""
+    pass_, lanes, every = _one_pass(encodings)
+    return pass_.pooled if every else ad.gather_rows(pass_.pooled, np.asarray(lanes))
 
 
-def _lane_rows(encodings: Sequence[EncodedContext], states: bool = True
-               ) -> tuple[list[Tensor], Tensor, np.ndarray]:
-    """The encodings' states, end to end in one part per run of lanes of one
-    pass (when ``states``; else no parts), their pooled rows, (n, hidden),
-    and their lengths: one gather each per run, and none where a run is
-    every lane of its pass in order (every row too, for the states of a
-    pass of ``keep_lanes``). The caller joins the parts, so a join with more
-    rows copies them once."""
-    if len(encodings) == 1:  # a lone lane: its own rows, with no walk over runs
-        enc = encodings[0]
-        pass_, j = enc._pass, enc.lane
-        pooled = pass_.pooled
-        if pooled.shape[0] > 1:
-            pooled = ad.gather_rows(pooled, slice(j, j + 1))
-        return ([_states_of(pass_, j)] if states else []), pooled, pass_.windows.lengths[j:j + 1]
-    rows, pooled, lengths = [], [], []
-    for pass_, lanes in _runs(encodings):
-        windows = pass_.windows
-        every = (len(lanes) == windows.lengths.shape[0]
-                 and bool((lanes == np.arange(len(lanes))).all()))
-        pooled.append(pass_.pooled if every else ad.gather_rows(pass_.pooled, lanes))
-        lengths.append(windows.lengths[lanes])
-        if not states:
-            continue
-        if every and windows.segments and windows.span == pass_.rows.shape[0]:
-            rows.append(pass_.rows)
-        else:
-            rows.append(ad.gather_rows(pass_.rows, windows.index[lanes][windows.live[lanes]]))
-    if len(pooled) > 1:
-        return rows, ad.concat(pooled), np.concatenate(lengths)
-    return rows, pooled[0], lengths[0]
+def _lane_states(encodings: Sequence[EncodedContext]) -> tuple[Tensor, np.ndarray]:
+    """The encodings' states end to end and their lengths: one gather from
+    their pass, none when they are every lane of it in order and its rows
+    are theirs alone, in order (a pass of ``keep_lanes``, or of one lane)."""
+    pass_, lanes, every = _one_pass(encodings)
+    windows = pass_.windows
+    if every and windows.segments and windows.span == pass_.rows.shape[0]:
+        return pass_.rows, windows.lengths
+    return (ad.gather_rows(pass_.rows, windows.index[lanes][windows.live[lanes]]),
+            windows.lengths[lanes])
 
 
 def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
-    """The lanes of ``encodings``, gathered into a pass of their own (one
-    gather of states and one of pooled rows per pass they come from), so
-    their passes can be freed while they live on."""
+    """The encodings, lanes of one pass, gathered into a pass of their own
+    (one gather of states and one of pooled rows), so the pass they came
+    from can be freed while they live on."""
     if not encodings:
         return []
-    parts, pooled, lengths = _lane_rows(encodings)
-    rows = parts[0] if len(parts) == 1 else ad.concat(parts)
-    kept = _Pass(rows, ad.Windows.of_segments(lengths), pooled)
+    rows, lengths = _lane_states(encodings)
+    kept = _Pass(rows, ad.Windows.of_segments(lengths), _lane_pooled(encodings))
     return [EncodedContext(kept, j) for j in range(len(encodings))]
 
 
@@ -435,10 +414,11 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
 
 def head_logits(params: ModelParams, head: str,
                 encodings: Sequence[EncodedContext]) -> Tensor:
-    """Logits pooled . w + b of a selection head, one per encoding; the only
-    code that applies a head. Each distinct encoding is one row of a single
-    matrix product, its pooled row taken from its pass in one gather (none
-    when the encodings are every lane of one pass, as a batch's are), so
+    """Logits pooled . w + b of a selection head, one per encoding (lanes of
+    one pass); the only code that applies a head. Each distinct encoding is
+    one row of a single matrix product, its pooled row taken from the pass
+    in one gather (none when the encodings are every lane of the pass, as a
+    batch's are), so
     equal candidates, which share an encoding, tie exactly: a matrix product
     may round two equal rows differently. Non-finite logits raise
     ``NumericError``."""
@@ -450,7 +430,7 @@ def head_logits(params: ModelParams, head: str,
             distinct.append(enc)
     t = params.tensors
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
-    logits = ad.add(ad.matmul(_lane_rows(distinct, states=False)[1], t[w_name]),
+    logits = ad.add(ad.matmul(_lane_pooled(distinct), t[w_name]),
                     ad.multiply(Tensor(np.ones(len(distinct))), t[b_name]))
     ad.check_finite(logits.data, f"{head} head output")
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
@@ -491,15 +471,13 @@ def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
 
 
 def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
-    """``latent_prior_mean`` of every encoding, (n, latent), from one matrix
-    product over their pooled rows. A lone encoding's row is the vector
-    product of ``latent_prior_mean``, so one example's latent is bit-equal
-    to it; a matrix product may round a row differently."""
+    """``latent_prior_mean`` of every encoding (lanes of one pass), (n,
+    latent), from one matrix product over their pooled rows. A lone
+    encoding's (1, hidden) product has the bits of ``latent_prior_mean``'s
+    vector product; a matrix product of more rows may round a row
+    differently."""
     t = params.tensors
-    if len(encodings) == 1:
-        return ad.concat([latent_prior_mean(params, None, 0, encoded=encodings[0])])
-    pooled = _lane_rows(encodings, states=False)[1]
-    return ad.add(ad.matmul(pooled, t["zprior_w"]), t["zprior_b"])
+    return ad.add(ad.matmul(_lane_pooled(encodings), t["zprior_w"]), t["zprior_b"])
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
@@ -539,8 +517,9 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
 
     The only code that picks the decoder ops: a lone lane gets the one-lane
     cursor (vectors, no windows), which runs faster than a one-lane segment
-    layout, and ``decoder_advance`` follows the cursor. For k lanes the
-    states and pooled rows come from their pass in one gather each, and the
+    layout, and ``decoder_advance`` follows the cursor. For k lanes, which
+    must be lanes of one pass, the states and pooled rows come from it in
+    one gather each (``_lane_states``, ``_lane_pooled``), and the
     slot windows of ``segment_attention`` are laid out here. The slots'
     attention projections, with ``att_b`` added, are made here too, once
     per decode, on the tape or off it alike."""
@@ -558,7 +537,8 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         slots = ad.concat([lanes[0].states, zrow])
         pooled = lanes[0].pooled
     else:
-        parts, pooled, lengths = _lane_rows(lanes)
+        rows, lengths = _lane_states(lanes)
+        pooled = _lane_pooled(lanes)
         # lane j's encoder rows, then its latent row (row n + j of the concatenation)
         n, k = int(lengths.sum()), len(lanes)
         zpos = np.cumsum(lengths) + np.arange(k)
@@ -566,7 +546,7 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         encoder = np.ones(n + k, dtype=bool)
         encoder[zpos] = False
         order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
-        slots = ad.gather_rows(ad.concat(parts + [zrow]), order)
+        slots = ad.gather_rows(ad.concat([rows, zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
         lane = np.repeat(np.arange(k), lengths + 1)
     proj = ad.add(ad.matmul(slots, t["att_enc"]), t["att_b"])
@@ -698,7 +678,7 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
 
     An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
     of shape (k, latent) and ``encoded`` (if given) one encoding per index,
-    gives a (k,) tensor from one lockstep pass; entry j scores candidate
+    lanes of one encoder pass, gives a (k,) tensor from one lockstep pass; entry j scores candidate
     ``s[j]`` of ``example``, or of ``example[j]`` for a sequence of k
     examples, against that example's own response. The lanes are the
     distinct (example, truncated candidate, latent row) triples: a repeated

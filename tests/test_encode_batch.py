@@ -155,6 +155,57 @@ def test_batch_arguments_are_checked():
         encode_batch(params, [ex, ex], [[0], None])
 
 
+def test_lanes_read_together_come_from_one_pass():
+    params = ModelParams.init(CFG, seed=1)
+    ex = DialogueExample(history=[5, 6], candidates=[[6, 7], [8], [9, 9]], gold_index=0,
+                         response=[5, EOS])
+    one = encode_context(params, ex)
+    two = [one[0], encode_context(params, ex)[1]]  # lanes of two passes
+    z = np.zeros((2, CFG.latent_dim))
+    for read in (lambda encs: model.head_logits(params, "initializer", encs),
+                 lambda encs: model.latent_prior_means(params, encs),
+                 model.keep_lanes,
+                 lambda encs: model.decoder_start(params, encs, z),
+                 lambda encs: model.decode_logprob(params, ex, [0, 1], z, encoded=encs)):
+        read(one[:2])  # lanes of one pass
+        with pytest.raises(ContractError, match="one encoder pass"):
+            read(two)
+
+
+def test_empty_lane_sets_end_in_a_contract_error():
+    params = ModelParams.init(CFG, seed=1)
+    for head in ("initializer", "knowledge_prior"):
+        with pytest.raises(ContractError, match="no encodings"):
+            model.head_logits(params, head, [])
+    with pytest.raises(ContractError, match="no encodings"):
+        model.latent_prior_means(params, [])
+    for prior in ("uniform", "learnable"):
+        assert generation.pick_knowledge(params, [], prior=prior) == []
+
+
+def test_lane_reads_take_the_pass_as_it_is_or_one_gather():
+    params = ModelParams.init(CFG, seed=1)
+    examples = _generation_batch()
+    # equal candidates of one example share a lane
+    lanes = list({id(enc): enc for encs in encode_batch(params, examples)
+                  for enc in encs}.values())
+    pass_ = lanes[0]._pass
+    assert [enc.lane for enc in lanes] == list(range(pass_.pooled.shape[0]))
+    # every lane of the pass in order: its pooled rows with no gather
+    assert model._lane_pooled(lanes) is pass_.pooled
+    picked = [lanes[4], lanes[1], lanes[4]]
+    pooled = model._lane_pooled(picked)
+    states, lengths = model._lane_states(picked)
+    assert np.array_equal(pooled.data, np.stack([enc.pooled.data for enc in picked]))
+    assert np.array_equal(states.data, np.concatenate([enc.states.data for enc in picked]))
+    assert lengths.tolist() == [enc.states.shape[0] for enc in picked]
+    # a kept pass holds its lanes' rows alone, in order: read as it is
+    kept = model.keep_lanes(picked)
+    assert model._lane_states(kept)[0] is kept[0]._pass.rows
+    assert model._lane_pooled(kept) is kept[0]._pass.pooled
+    assert np.array_equal(model._lane_states(kept)[0].data, states.data)
+
+
 def _generation_batch():
     return [DialogueExample(history=list(h), candidates=[list(c) for c in cands],
                             gold_index=0, response=[5, EOS])

@@ -259,7 +259,7 @@ class TestBatchAndOutput:
                 singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
                 # the batch's latents are exactly the prior means of its picks
                 # from one product; a lone example's is exactly its own prior
-                # mean, the vector product of a one-example pass
+                # mean, a one-row product with the bits of the vector product
                 means = latent_prior_means(p, [encs[g.s] for encs, g in zip(passes, batch)])
                 for ex, got, want, mean in zip(examples, batch, singles, means.data):
                     assert got.tokens == want.tokens

@@ -396,36 +396,13 @@ class TestEvaluate:
                                                              small_config, small_trained):
         from spi.generation import generate_batch
         params, examples = small_trained.best_params, small_corpus.test
-        gens = generate_batch(params, examples, prior=small_config.prior)
-        plain = evaluate(params, examples, small_config, generations=gens)
-        oracle = evaluate(params, examples, small_config, generations=gens,
-                          oracle_knowledge=True)
+        gens = generate_batch(params, examples, prior=small_config.prior,
+                              max_len=small_config.model.max_response)
+        plain = evaluate(params, examples, small_config)
+        oracle = evaluate(params, examples, small_config, oracle_knowledge=True)
         assert plain.perplexity == perplexity(params, examples, picks=[g.s for g in gens])
         assert oracle.perplexity == perplexity(
             params, examples, picks=[ex.gold_index for ex in examples])
-
-    def test_supplied_generations_are_respected(self, small_corpus, small_config,
-                                                small_trained):
-        from spi.generation import generate_batch
-        gens = generate_batch(small_trained.best_params, small_corpus.test,
-                              prior=small_config.prior,
-                              max_len=small_config.model.max_response)
-        a = evaluate(small_trained.best_params, small_corpus.test, small_config)
-        b = evaluate(small_trained.best_params, small_corpus.test, small_config,
-                     generations=gens)
-        assert a == b
-
-    @pytest.mark.parametrize("oracle", [False, True])
-    def test_generations_must_align_with_the_examples(self, small_corpus, small_config,
-                                                      small_trained, oracle):
-        from spi.generation import generate_batch
-        params, examples = small_trained.best_params, small_corpus.test
-        gens = generate_batch(params, examples, prior=small_config.prior,
-                              max_len=small_config.model.max_response)
-        for wrong in (gens + gens[:1], gens[:-1]):
-            with pytest.raises(ContractError, match="generations for"):
-                evaluate(params, examples, small_config, generations=wrong,
-                         oracle_knowledge=oracle)
 
     def test_empty_corpus_rejected(self, small_config, small_trained):
         with pytest.raises(ContractError):
@@ -438,7 +415,7 @@ class TestEvaluate:
         params, examples = small_trained.best_params, small_corpus.test
         gens = generate_batch(params, examples, prior=small_config.prior,
                               max_len=small_config.model.max_response)
-        report = evaluate(params, examples, small_config, generations=gens)
+        report = evaluate(params, examples, small_config)
         cands = [_strip_eos(g.tokens) for g in gens]
         refs = [_strip_eos(list(ex.response)) for ex in examples]
         assert report.bleu3 == bleu_corpus(cands, refs, max_n=3)

@@ -1,0 +1,78 @@
+"""The same-bytes check ``tools/same_bytes.py``: its pipeline's digests on a
+tiny corpus, and the side-by-side comparison, with stubs in place of the
+two commits' runs."""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import same_bytes  # noqa: E402
+
+TINY = {"sizes": (4, 2, 3), "epochs": 1}
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """Two runs of the pipeline on the tiny corpus, and one of another seed."""
+    runs = {}
+    for name, seed in (("a", same_bytes.SEED), ("b", same_bytes.SEED), ("seed", 7)):
+        out = tmp_path_factory.mktemp(name)
+        runs[name] = (out, same_bytes.pipeline(out, seed=seed, **TINY))
+    return runs
+
+
+def test_the_pipeline_digests_every_artefact_it_writes(tiny_runs):
+    out, digests = tiny_runs["a"]
+    per_corpus = {"metrics.jsonl", "checkpoint.bin", "final.bin", "evaluate.json",
+                  "evaluate-oracle.json", "generations.jsonl"}
+    assert set(digests) == {f"{name}/{file}" for name, _, _ in same_bytes.CORPORA
+                            for file in per_corpus}
+    for name, value in digests.items():
+        assert value == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    # the oracle flag changes the perplexity field, so the two reports differ
+    for name, _, _ in same_bytes.CORPORA:
+        assert digests[f"{name}/evaluate.json"] != digests[f"{name}/evaluate-oracle.json"]
+
+
+def test_the_pipeline_gives_the_same_bytes_twice_and_other_bytes_on_another_seed(tiny_runs):
+    assert tiny_runs["a"][1] == tiny_runs["b"][1]
+    other = tiny_runs["seed"][1]
+    assert set(other) == set(tiny_runs["a"][1])
+    assert same_bytes.differing({"parent": tiny_runs["a"][1], "change": other}) == sorted(other)
+
+
+def test_the_comparison_names_each_artefact_that_differs(capsys):
+    parent = {"x/a": "1" * 64, "x/b": "2" * 64, "y/c": "3" * 64}
+    assert same_bytes.report({"parent": parent, "change": dict(parent)}) == 0
+    assert "3 of 3 artefacts have the same bytes" in capsys.readouterr().out
+    change = {"x/a": "1" * 64, "x/b": "f" * 64, "y/d": "3" * 64}
+    assert same_bytes.differing({"parent": parent, "change": change}) == ["x/b", "y/c", "y/d"]
+    assert same_bytes.report({"parent": parent, "change": change}) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["artefact", "parent", "change"]
+    assert lines[1].split() == ["x/a", "1" * 64, "1" * 64]  # side by side
+    assert lines[2].split() == ["x/b", "2" * 64, "f" * 64]
+    assert lines[3].split() == ["y/c", "3" * 64, "-"]  # one side lacks it
+    assert [line for line in lines if line.startswith("differs:")] == [
+        "differs: x/b", "differs: y/c", "differs: y/d"]
+
+
+def test_main_runs_each_side_from_its_own_copy(monkeypatch, capsys):
+    exported, ran = [], []
+    monkeypatch.setattr(same_bytes, "_git", lambda *args: f"sha-of-{args[-1]}")
+    monkeypatch.setattr(same_bytes, "_export", lambda sha, dest: exported.append((sha, dest.name)))
+
+    def fake_side(root, out):
+        ran.append((root.name, out.name))
+        return {"x/a": ("1" if root.name == "parent" else "2") * 64}
+
+    monkeypatch.setattr(same_bytes, "side_digests", fake_side)
+    assert same_bytes.main(["--parent", "p1", "--change", "c1"]) == 1
+    assert exported == [("sha-of-p1", "parent"), ("sha-of-c1", "change")]
+    assert ran == [("parent", "parent-out"), ("change", "change-out")]
+    out = capsys.readouterr().out
+    assert "parent sha-of-p1" in out and "differs: x/a" in out

@@ -1,0 +1,134 @@
+"""Check that a change leaves the program's output bytes as its parent made
+them: run one fixed pipeline on both commits and compare the sha256 of
+every artefact.
+
+Usage, from the repository root:
+
+    python3 tools/same_bytes.py --parent REV [--change REV]
+
+Each side runs from a clean copy of its commit's files (``bench_pairs``'s
+``_export``), in a subprocess with that copy's ``src`` first on the path, so
+uncommitted edits never reach a run. The pipeline (``pipeline``) runs on
+two synthetic corpora, a desk one under the uniform prior and one with
+history 32 under the learnable prior, each of 96/24/40 train/valid/test
+examples from seed 101: a 3-epoch ``train`` (its metrics log, best and
+final checkpoints), plain and oracle ``evaluate`` reports of the test
+split, and ``generate_batch`` of it. The script prints each artefact's
+sha256 side by side, then exits 1 naming each artefact that differs, or 0
+when every one agrees.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import SIDES, _export, _git
+
+# (name, history length, prior) of each corpus
+CORPORA = (("desk-uniform", 8, "uniform"), ("history32-learnable", 32, "learnable"))
+SIZES = (96, 24, 40)  # train, valid, test examples
+EPOCHS = 3
+SEED = 101
+
+# runs ``pipeline`` of this file under the ``spi`` found first on the path
+_RUN = ("import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import spi, same_bytes\n"
+        "print(json.dumps({'spi': spi.__file__, 'digests': same_bytes.pipeline(sys.argv[2])}))\n")
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
+             seed: int = SEED) -> dict[str, str]:
+    """Write every artefact of the pipeline under ``out``, one directory per
+    corpus; returns {artefact path under ``out``: sha256}."""
+    import spi
+    from spi import checkpoint, data, generation, metrics
+    from spi.fsio import atomic_write_text, dump_json_line
+
+    out = Path(out)
+    n_train, n_valid, n_test = sizes
+    for name, history, prior in CORPORA:
+        where = out / name
+        where.mkdir(parents=True)
+        corpus = data.generate_corpus(data.SyntheticSpec(
+            history_len=history, n_train=n_train, n_valid=n_valid, n_test=n_test, seed=seed))
+        config = spi.SpiConfig(model=spi.ModelConfig(vocab_size=corpus.vocab.size),
+                               prior=prior, epochs=epochs, seed=seed)
+        result = spi.train(corpus.train, corpus.valid, config,
+                           log_path=where / "metrics.jsonl", quiet=True)
+        checkpoint.save_checkpoint(where / "checkpoint.bin", result.best_params, config)
+        checkpoint.save_checkpoint(where / "final.bin", result.params, config)
+        for oracle, file in ((False, "evaluate.json"), (True, "evaluate-oracle.json")):
+            report = metrics.evaluate(result.best_params, corpus.test, config,
+                                      oracle_knowledge=oracle)
+            atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
+        generation.write_generations(where / "generations.jsonl", generation.generate_batch(
+            result.best_params, corpus.test, prior=prior, max_len=config.model.max_response))
+    return {path.relative_to(out).as_posix(): digest(path)
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def side_digests(root: Path, out: Path) -> dict[str, str]:
+    """``pipeline``'s digests under the ``spi`` of the copy at ``root``."""
+    src = (root / "src").resolve()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _RUN, str(Path(__file__).resolve().parent),
+                           str(out)], cwd=out.parent, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"the pipeline under {src} exited with {done.returncode}:\n"
+                           f"{done.stderr}")
+    run = json.loads(done.stdout.strip().splitlines()[-1])
+    if not Path(run["spi"]).resolve().is_relative_to(src):
+        raise RuntimeError(f"the pipeline imported {run['spi']}, not the copy under {src}")
+    return run["digests"]
+
+
+def differing(digests: dict[str, dict[str, str]]) -> list[str]:
+    """The artefacts whose digests differ between the sides, or that one
+    side lacks."""
+    names = sorted(set().union(*digests.values()))
+    return [name for name in names if len({d.get(name) for d in digests.values()}) != 1]
+
+
+def report(digests: dict[str, dict[str, str]]) -> int:
+    """Print each artefact's digests side by side; 1 when any differ."""
+    names = sorted(set().union(*digests.values()))
+    width = max(map(len, names))
+    print(f"{'artefact':<{width}}  " + "  ".join(f"{side:<64}" for side in SIDES))
+    for name in names:
+        print(f"{name:<{width}}  " + "  ".join(f"{digests[side].get(name, '-'):<64}"
+                                               for side in SIDES))
+    bad = differing(digests)
+    for name in bad:
+        print(f"differs: {name}")
+    print(f"{len(names) - len(bad)} of {len(names)} artefacts have the same bytes")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="parent commit")
+    p.add_argument("--change", default="HEAD", help="change commit")
+    args = p.parse_args(argv)
+    shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
+    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
+        digests = {}
+        for side in SIDES:
+            _export(shas[side], Path(tmp) / side)
+            digests[side] = side_digests(Path(tmp) / side, Path(tmp) / f"{side}-out")
+    print(f"parent {shas['parent']}\nchange {shas['change']}")
+    return report(digests)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
