@@ -212,9 +212,9 @@ class EncodedContext:
     the gathered rows are kept, since the tape holds them anyway. Code that
     reads many lanes at once (``head_logits``, ``decoder_start``,
     ``latent_prior_means``, ``keep_lanes``) takes them through
-    ``_lane_pooled`` and ``_lane_states``, the only code that reads lanes
-    out of a pass, and the lanes it reads together must be lanes of one
-    pass; ``keep_lanes`` gathers lanes into a pass of their own, so the pass
+    ``_lane_pooled`` and ``_lane_states``, the only code that reads lane
+    sets out of a pass (``states`` reads its lane through the second), and
+    the lanes read together must be lanes of one pass; ``keep_lanes`` gathers lanes into a pass of their own, so the pass
     they came from can be freed while they live on."""
 
     __slots__ = ("_pass", "lane", "_states", "_pooled")
@@ -275,8 +275,6 @@ def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
     """The encodings, lanes of one pass, gathered into a pass of their own
     (one gather of states and one of pooled rows), so the pass they came
     from can be freed while they live on."""
-    if not encodings:
-        return []
     rows, lengths = _lane_states(encodings)
     kept = _Pass(rows, ad.Windows.of_segments(lengths), _lane_pooled(encodings))
     return [EncodedContext(kept, j) for j in range(len(encodings))]
