@@ -217,8 +217,8 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
     """Two-stage posterior draw: knowledge index, then latent via Langevin.
 
     With no generator supplied, one is derived from the config seed, so
-    repeated calls agree bit for bit. ``encodings`` (one per candidate)
-    skips re-encoding when the caller already holds them.
+    repeated calls agree bit for bit. ``encodings`` (one per candidate,
+    lanes of one pass) skips re-encoding when the caller already holds them.
     """
     config.validate()
     gen = rng if rng is not None else derived_rng(config.seed, 0)
