@@ -214,8 +214,9 @@ class EncodedContext:
     ``latent_prior_means``, ``keep_lanes``) takes them through
     ``_lane_pooled`` and ``_lane_states``, the only code that reads lane
     sets out of a pass (``states`` reads its lane through the second), and
-    the lanes read together must be lanes of one pass; ``keep_lanes`` gathers lanes into a pass of their own, so the pass
-    they came from can be freed while they live on."""
+    the lanes read together must be lanes of one pass. ``keep_lanes``
+    gathers lanes into a pass of their own, so the pass they came from can
+    be freed while they live on."""
 
     __slots__ = ("_pass", "lane", "_states", "_pooled")
 
@@ -416,10 +417,9 @@ def head_logits(params: ModelParams, head: str,
     one pass); the only code that applies a head. Each distinct encoding is
     one row of a single matrix product, its pooled row taken from the pass
     in one gather (none when the encodings are every lane of the pass, as a
-    batch's are), so
-    equal candidates, which share an encoding, tie exactly: a matrix product
-    may round two equal rows differently. Non-finite logits raise
-    ``NumericError``."""
+    batch's are), so equal candidates, which share an encoding, tie
+    exactly: a matrix product may round two equal rows differently.
+    Non-finite logits raise ``NumericError``."""
     w_name, b_name = params.head_names(head)
     row: dict[int, int] = {}  # id of each distinct encoding -> its row
     distinct = []
@@ -676,13 +676,13 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
 
     An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
     of shape (k, latent) and ``encoded`` (if given) one encoding per index,
-    lanes of one encoder pass, gives a (k,) tensor from one lockstep pass; entry j scores candidate
-    ``s[j]`` of ``example``, or of ``example[j]`` for a sequence of k
-    examples, against that example's own response. The lanes are the
-    distinct (example, truncated candidate, latent row) triples: a repeated
-    triple shares its first occurrence's lane, so the two tie exactly (a
-    matrix product may round equal rows differently), and its gradient in
-    ``z`` reaches that first row.
+    lanes of one encoder pass, gives a (k,) tensor from one lockstep pass;
+    entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
+    for a sequence of k examples, against that example's own response. The
+    lanes are the distinct (example, truncated candidate, latent row)
+    triples: a repeated triple shares its first occurrence's lane, so the
+    two tie exactly (a matrix product may round equal rows differently),
+    and its gradient in ``z`` reaches that first row.
 
     The teacher-forced inputs of every step are projected in one product,
     then the recurrence steps every lane token by token; a live mask drops
