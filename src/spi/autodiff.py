@@ -429,25 +429,19 @@ def log_sigmoid(x: Tensor) -> Tensor:
     return _emit(-np.logaddexp(0.0, -xd), (x,), vjp)
 
 
-def _reduce_sum_vjp(g, shape, axis):
-    if axis is None:
-        return (np.full(shape, g),)
-    return (np.broadcast_to(g, shape).copy(),)
+def _reduce_sum_vjp(g, shape):
+    return (np.full(shape, g),)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+def reduce_sum(x: Tensor) -> Tensor:
+    """The sum of every entry, a scalar."""
     xd = x.data
-    if axis not in (None, 0):
-        raise ContractError(f"reduce_sum supports axis None or 0, got {axis}")
-    if axis == 0 and xd.ndim != 2:
-        raise ShapeError(f"reduce_sum over axis 0 expects rank 2, got {xd.shape}")
-    out = xd.sum(axis=axis)
     shape = xd.shape
 
-    def vjp(g, needs, shape=shape, axis=axis):
-        return _reduce_sum_vjp(g, shape, axis)
+    def vjp(g, needs, shape=shape):
+        return _reduce_sum_vjp(g, shape)
 
-    return _emit(out, (x,), vjp)
+    return _emit(xd.sum(), (x,), vjp)
 
 
 def _reduce_mean_vjp(g, shape, windows):

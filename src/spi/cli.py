@@ -122,16 +122,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
                          n_test=args.test, history_len=args.history_len,
                          seed=args.seed if args.seed is not None else 0)
     corpus = generate_corpus(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, out)
+    save_corpus(corpus, Path(args.out))
     print(f"corpus {spec.n_train}/{spec.n_valid}/{spec.n_test} examples, "
           f"vocab {corpus.vocab.size}, fingerprint {_spec_fingerprint(spec)}")
     return 0
 
 
 def _train_once(corpus, config: SpiConfig, out: Path) -> dict:
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, config)
     result = train(corpus.train, corpus.valid, config,
                    log_path=out / "metrics.jsonl")
@@ -181,7 +178,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     lines = ["langevin_steps\ttop_s\tbest_epoch\tbest_validation_loss\tmean_epoch_seconds"]
     lines += [f"{t}\t{s}\t{m['best_epoch']}\t{m['best_validation_loss']:.6f}"
               f"\t{m['mean_epoch_seconds']:.3f}" for t, s, m in rows]
-    out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "sweep.tsv", "\n".join(lines) + "\n")
     return 0
 

@@ -220,7 +220,6 @@ def example_from_record(record: dict, where: str) -> DialogueExample:
 
 def save_corpus(corpus: SyntheticCorpus, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "valid", "test"):
         lines = "".join(dump_json_line(example_to_record(ex)) + "\n"
                         for ex in corpus.split(name))

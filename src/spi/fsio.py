@@ -16,7 +16,16 @@ from .errors import ContractError
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, making its directory if need be; a file
+    that cannot be written ends in a ContractError that names it."""
     path = Path(path)
+    try:
+        _write_and_replace(path, data)
+    except OSError as err:
+        raise ContractError(f"{path}: cannot write ({err.strerror})") from None
+
+
+def _write_and_replace(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:

@@ -16,40 +16,18 @@ from .autodiff import check_finite
 from .errors import ContractError
 from .fsio import write_jsonl
 from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
-                    decoder_advance, decoder_start, encode_batch, encode_context,
-                    head_logits, keep_lanes, latent_prior_means, output_logits,
-                    sigmoid)
+                    decoder_advance, decoder_start, encode_batch, keep_lanes,
+                    latent_prior_means, output_logits, prior_scores)
 
 
 def pick_knowledge(params: ModelParams, encodings_batch: Sequence[Sequence[EncodedContext]],
                    *, prior: str) -> list[int]:
     """Argmax knowledge pick of each example over all its candidates
-    (``encodings_batch[e]``, one encoding per candidate), scored without the
-    response, from one head product over every encoding of the batch: the
-    initializer's scores (uniform prior) or the prior's logits (learnable).
-    Ties resolve to the lowest index; no examples get no picks."""
-    if prior not in ("uniform", "learnable"):
-        raise ContractError(f"unknown prior mode {prior!r}")
-    if not encodings_batch:
-        return []
-    head = "initializer" if prior == "uniform" else "knowledge_prior"
-    x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs]).data
-    if prior == "uniform":
-        x = sigmoid(x)  # scores can tie where their logits do not
-    picks, lo = [], 0
-    for encs in encodings_batch:
-        picks.append(int(np.argmax(x[lo:lo + len(encs)])))
-        lo += len(encs)
-    return picks
-
-
-def select_for_generation(params: ModelParams, example: DialogueExample, *,
-                          prior: str,
-                          encodings: Sequence[EncodedContext] | None = None) -> int:
-    """``pick_knowledge`` of one example."""
-    if encodings is None:
-        encodings = encode_context(params, example)
-    return pick_knowledge(params, [encodings], prior=prior)[0]
+    (``encodings_batch[e]``, one encoding per candidate): the argmax of its
+    ``prior_scores``, which scores every encoding of the batch in one head
+    product without the response. Ties resolve to the lowest index; no
+    examples get no picks."""
+    return [int(np.argmax(x)) for x in prior_scores(params, encodings_batch, prior=prior)]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from .autodiff import Tape, Tensor
 from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, encode_context, initializer_scores,
-                    knowledge_prior_logits, latent_prior_mean, latent_prior_means)
+                    decode_logprob, encode_context, latent_prior_mean,
+                    latent_prior_means, prior_scores)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -44,14 +44,16 @@ class SelectionOutcome:
 
 def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
                      encodings: Sequence[EncodedContext] | None = None) -> list[int]:
-    """Indices of the ``top_s`` highest initializer scores, ascending.
-
-    Ranking is by descending score with lower index winning ties.
+    """Indices of the ``top_s`` highest initializer scores, ascending: a
+    stable argsort of the uniform ``prior_scores`` of the example's
+    ``encodings`` (a pass of its own by default), so lower indices win ties.
     """
     m = len(example.candidates)
     if not 1 <= top_s <= m:
         raise ContractError(f"top_s must be in [1, {m}], got {top_s}")
-    scores = initializer_scores(params, example, encodings=encodings)
+    if encodings is None:
+        encodings = encode_context(params, example)
+    scores = prior_scores(params, [encodings], prior="uniform")[0]
     order = np.argsort(-scores, kind="stable")[:top_s]
     return sorted(int(i) for i in order)
 
@@ -66,8 +68,9 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
     The latent is held at the prior mean of each candidate (point mass), so a
     candidate's weight is its prior weight times the teacher-forced response
     likelihood. Uniform-prior mode restricts scoring to the initializer's
-    top-S subset; the learnable prior scores every candidate and rejects
-    ``top_s``.
+    top-S subset (``top_s_candidates``); the learnable prior scores every
+    candidate, its prior weights the learnable ``prior_scores`` logits, and
+    rejects ``top_s``.
     """
     m = len(example.candidates)
     if m < 1:
@@ -86,7 +89,7 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
         if top_s is not None:
             raise ContractError("top_s preselection is undefined under the learnable prior")
         subset = list(range(m))
-        prior_logits = knowledge_prior_logits(params, example, encodings=encodings).data
+        prior_logits = prior_scores(params, [encodings], prior="learnable")[0]
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
 

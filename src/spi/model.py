@@ -330,6 +330,10 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     so their scores tie exactly: a matrix product may round two equal rows
     differently. Lanes of different examples never share.
 
+    A lone example is the case E = 1, on the same path: its prefix advances
+    as a (1, hidden) row state, and its lanes start through the same
+    concatenation and gather of last prefix rows as a batch's.
+
     The input projection does not depend on the state, so the pass makes
     it once for all its tokens, embed[tokens] @ enc_wx + enc_b, one row per
     token read, and a step is tanh(its rows + state @ enc_wh): one slice and
@@ -371,27 +375,19 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     # the input projection of every token of the pass, once; a step slices its rows
     inputs = ad.add(ad.matmul(ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64)),
                               t["enc_wx"]), t["enc_b"])
-    # a lone example's prefix steps read one row each, so its last state is a
-    # vector, which enters the first lockstep step as a row-wise bias: two
-    # tape nodes fewer, and less time, than a (1, hidden) row state with its
-    # concat and gather
-    one = n_ex == 1
     rows = _encoder_steps(params, inputs, Tensor(np.zeros(cfg.hidden_dim)),
-                          range(n) if one else [slice(i * n_ex, (i + 1) * n_ex)
-                                                for i in range(n)])
-    if one:
-        start = rows[-1]
-    else:  # each lane starts from its own example's last prefix row
-        ends = sorted({len(p) for p in prefixes})
-        # row a*E + e of ``last`` is example e's state after ends[a] prefix tokens
-        last = ad.concat([rows[end - 1] for end in ends])
-        start = ad.gather_rows(last, np.asarray(
-            [ends.index(len(prefixes[e])) * n_ex + e for e, _ in lanes]))
+                          [slice(i * n_ex, (i + 1) * n_ex) for i in range(n)])
+    # each lane starts from its own example's last prefix row
+    ends = sorted({len(p) for p in prefixes})
+    # row a*E + e of ``last`` is example e's state after ends[a] prefix tokens
+    last = ad.concat([rows[end - 1] for end in ends])
+    start = ad.gather_rows(last, np.asarray(
+        [ends.index(len(prefixes[e])) * n_ex + e for e, _ in lanes]))
     rows += _encoder_steps(params, inputs, start,
                            [slice(base + i * k, base + (i + 1) * k) for i in range(width)])
     # the concatenation holds every row twice, the pass's peak memory: drop
     # what is done with before it, and the step rows after it
-    del inputs, start
+    del inputs, last, start
     flat = ad.concat(rows)  # rows laid out as ``tokens``
     del rows
     # lane j reads its example's prefix rows, then its own candidate rows
@@ -441,23 +437,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
 
 
-def initializer_scores(params: ModelParams, example: DialogueExample,
-                       *, encodings: Sequence[EncodedContext] | None = None) -> np.ndarray:
-    """Per-candidate relevance scores in [0, 1] of the initializer head, the
-    sigmoid of its logits, as plain values. The learnable prior replaces
-    this head entirely."""
-    if encodings is None:
-        encodings = encode_context(params, example)
-    return sigmoid(head_logits(params, "initializer", encodings).data)
-
-
-def knowledge_prior_logits(params: ModelParams, example: DialogueExample,
-                           *, encodings: Sequence[EncodedContext] | None = None) -> Tensor:
-    """Per-candidate logits of the learnable knowledge prior (softmax
-    weights). With one candidate the softmax puts mass 1 on it."""
-    if encodings is None:
-        encodings = encode_context(params, example)
-    return head_logits(params, "knowledge_prior", encodings)
+def prior_scores(params: ModelParams, encodings_batch: Sequence[Sequence[EncodedContext]],
+                 *, prior: str) -> list[np.ndarray]:
+    """Response-free knowledge scores of each example's candidates
+    (``encodings_batch[e]``, lanes of one pass), as plain values, from one
+    ``head_logits`` product over every encoding given: the initializer's
+    sigmoid scores under the uniform prior, or the knowledge prior's logits
+    under the learnable one. The only code that maps a prior mode to its
+    head and score; scores can tie where their logits do not."""
+    if prior not in ("uniform", "learnable"):
+        raise ContractError(f"unknown prior mode {prior!r}")
+    if not encodings_batch:
+        return []
+    x = head_logits(params, "initializer" if prior == "uniform" else "knowledge_prior",
+                    [enc for encs in encodings_batch for enc in encs]).data
+    if prior == "uniform":
+        x = sigmoid(x)
+    return np.split(x, np.cumsum([len(encs) for encs in encodings_batch[:-1]]))
 
 
 def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,

@@ -35,8 +35,7 @@ from .generation import pick_knowledge
 from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
-                    knowledge_prior_logits, latent_prior_log_density,
-                    latent_prior_mean)
+                    latent_prior_log_density, latent_prior_mean)
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +48,8 @@ def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
     learnable mode. ``z`` and ``s`` enter as constants. Without the
     candidate ``encodings`` it encodes candidate ``s`` (uniform) or every
     candidate (learnable) in one pass; encodings made off the tape carry no
-    encoder gradient."""
+    encoder gradient. The knowledge prior's logits come from ``head_logits``
+    itself, not ``prior_scores``: the objective needs the taped tensor."""
     if encodings is None and prior == "learnable":
         encodings = encode_context(params, example)
     encoded = encodings[s] if encodings is not None else encode_context(params, example, [s])[0]
@@ -58,7 +58,7 @@ def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
     obj = ad.add(latent_prior_log_density(mu, zt),
                  decode_logprob(params, example, s, zt, encoded=encoded))
     if prior == "learnable":
-        logits = knowledge_prior_logits(params, example, encodings=encodings)
+        logits = head_logits(params, "knowledge_prior", encodings)
         obj = ad.add(obj, ad.gather_rows(ad.log(ad.softmax(logits)), s))
     elif prior != "uniform":
         raise ContractError(f"unknown prior mode {prior!r}")

@@ -97,7 +97,7 @@ def naive_latent_mean(params: ModelParams, example: DialogueExample, s: int) -> 
     return pooled @ w["zprior_w"].data + w["zprior_b"].data
 
 
-def naive_initializer_scores(params: ModelParams, example: DialogueExample) -> np.ndarray:
+def naive_initializer_probs(params: ModelParams, example: DialogueExample) -> np.ndarray:
     w = params.tensors
     out = np.zeros(len(example.candidates))
     for i in range(len(example.candidates)):
@@ -127,7 +127,7 @@ def naive_select(params: ModelParams, example: DialogueExample, prior: str) -> i
 
 
 def naive_top_s(params: ModelParams, example: DialogueExample, top_s: int) -> list[int]:
-    scores = naive_initializer_scores(params, example)
+    scores = naive_initializer_probs(params, example)
     keep = np.argsort(-scores, kind="stable")[:top_s]
     return sorted(int(i) for i in keep)
 

@@ -257,7 +257,6 @@ def _wrap_cases():
         "log-sigmoid": ((3,), ad.log_sigmoid),
         "log-sigmoid-0d": ((), ad.log_sigmoid),
         "sum": ((2, 3), ad.reduce_sum),
-        "sum-axis0": ((2, 3), lambda x: ad.reduce_sum(x, axis=0)),
         "sum-0d": ((), ad.reduce_sum),
         "mean-windows": ((4, 3), lambda x: ad.reduce_mean(x, windows=windows)),
         "gather": ((4, 3), lambda x: ad.gather_rows(x, [2, 0, 2])),
@@ -319,7 +318,6 @@ def _primitive_cases():
             ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, tiled)))),
         "log-sigmoid": ((4,), lambda x: ad.reduce_sum(ad.multiply(ad.log_sigmoid(x), wv))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
-        "sum-axis0": ((3, 4), lambda x: ad.matmul(ad.reduce_sum(x, axis=0), wv)),
         "mean-windows": ((5, 4), lambda x: ad.reduce_sum(
             ad.tanh(ad.reduce_mean(x, windows=pools)))),
         # tiled windows over the first 4 of 5 rows: a reshape

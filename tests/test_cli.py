@@ -222,6 +222,27 @@ def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, 
     assert err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "generate"])
+def test_an_output_path_under_a_regular_file_exits_1_naming_it(workdir, corpus_dir,
+                                                               config_file, run_dir,
+                                                               tmp_path, capsys, command):
+    blocked = tmp_path / "file"
+    blocked.write_text("not a directory\n")
+    out = blocked / "x"
+    args = {"synth": ["--vocab-size", str(VOCAB), "--train", "2", "--valid", "1",
+                      "--test", "1"],
+            "train": ["--corpus", str(corpus_dir), "--config", str(config_file),
+                      "--epochs", "1"]}.get(command, [
+        "--corpus", str(corpus_dir), "--config", str(config_file),
+        "--checkpoint", str(run_dir / "checkpoint.bin"), "--limit", "1"])
+    code = main([command, "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(out) in err and "cannot write" in err
+    assert blocked.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
     # as in ``spi ... | head -0``: the pipe closes before the first line, with

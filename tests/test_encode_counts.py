@@ -12,7 +12,7 @@ from spi import autodiff as ad
 from spi import generation, model
 from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
-from spi.generation import generate, select_for_generation
+from spi.generation import generate, pick_knowledge
 from spi.inference import sequential_posterior_infer
 from spi.metrics import evaluate, perplexity
 from spi.model import ModelParams, encode_batch, encode_context
@@ -113,7 +113,7 @@ def test_perplexity_without_lanes_encodes_the_picks_alone(corpus, encode_calls):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
     examples = corpus.test[:4]
-    picks = [select_for_generation(params, ex, prior="uniform") for ex in examples]
+    picks = pick_knowledge(params, encode_batch(params, examples), prior="uniform")
     encode_calls.clear()
     perplexity(params, examples, picks=picks)
     assert encode_calls == [([[s] for s in picks], False)]
@@ -144,7 +144,8 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
         # a fresh pass over every candidate, as validation makes: a pass over
         # fewer candidates may round its lockstep rows differently
         total += surrogate_value(params, ex, pair.s, pair.z, prior, encode_context(params, ex))
-        hits += select_for_generation(params, ex, prior=prior) == ex.gold_index
+        hits += pick_knowledge(params, [encode_context(params, ex)], prior=prior)[0] \
+            == ex.gold_index
     # in batches of one, validation's passes are these one-example passes
     loss, accuracy = validation_loss(params, examples, replace(cfg, batch_size=1), epoch=3)
     assert loss == -total / len(examples)

@@ -6,12 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from spi import generation
+from spi import generation, model
 from spi.autodiff import Tensor
 from spi.config import ModelConfig
 from spi.errors import ContractError, NumericError
-from spi.generation import (generate, generate_batch, select_for_generation,
-                            write_generations)
+from spi.generation import generate, generate_batch, pick_knowledge, write_generations
 from spi.model import (EOS, DialogueExample, ModelParams, encode_batch, encode_context,
                        latent_prior_mean, latent_prior_means)
 
@@ -28,7 +27,12 @@ def make_example(cands=((6, 7), (7, 6)), hist=(4, 5), resp=(6, 7, EOS), gold=0):
                            gold_index=gold, response=list(resp))
 
 
-class TestSelectForGeneration:
+def pick_one(params, example, prior):
+    """``pick_knowledge`` of one example, every candidate a lane of one pass."""
+    return pick_knowledge(params, [encode_context(params, example)], prior=prior)[0]
+
+
+class TestPickKnowledge:
     def test_argmax_of_initializer_scores(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
@@ -38,27 +42,27 @@ class TestSelectForGeneration:
             heads.append(head)
             return Tensor(np.array([2.2, -2.2, 40.0]))
 
-        monkeypatch.setattr(generation, "head_logits", logits)
-        assert select_for_generation(p, ex, prior="uniform") == 2
+        monkeypatch.setattr(model, "head_logits", logits)
+        assert pick_one(p, ex, "uniform") == 2
         assert heads == ["initializer"]
         # the pick is the argmax of the scores, the sigmoid of the logits: two
         # logits past where it rounds to 1 tie, and the lower index wins
-        monkeypatch.setattr(generation, "head_logits",
+        monkeypatch.setattr(model, "head_logits",
                             lambda *a: Tensor(np.array([0.0, 40.0, 41.0])))
-        assert select_for_generation(p, ex, prior="uniform") == 1
+        assert pick_one(p, ex, "uniform") == 1
 
     def test_ties_resolve_to_lowest_index(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        assert select_for_generation(p, ex, prior="uniform") == 0
+        assert pick_one(p, ex, "uniform") == 0
 
     def test_single_candidate_is_chosen(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7),))
         for prior in ("uniform", "learnable"):
-            assert select_for_generation(p, ex, prior=prior) == 0
+            assert pick_one(p, ex, prior) == 0
 
     def test_learnable_mode_uses_the_prior_head(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -69,14 +73,14 @@ class TestSelectForGeneration:
             heads.append(head)
             return Tensor(np.array([-2.0, 1.5]))
 
-        monkeypatch.setattr(generation, "head_logits", logits)
-        assert select_for_generation(p, ex, prior="learnable") == 1
+        monkeypatch.setattr(model, "head_logits", logits)
+        assert pick_one(p, ex, "learnable") == 1
         assert heads == ["knowledge_prior"]
 
     def test_unknown_prior_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
-            select_for_generation(p, make_example(), prior="flat")
+            pick_one(p, make_example(), "flat")
 
 
 class TestGenerate:

@@ -100,11 +100,12 @@ class TestSelection:
         def flat_loglik(params, example, indices, z, encoded=None):
             return Tensor(np.full(len(indices), -1.0))
 
-        def tilted_logits(params, example, *, encodings=None):
-            return Tensor(np.array([0.0, 2.0]))
+        def tilted_logits(params, encodings_batch, *, prior):
+            assert prior == "learnable" and len(encodings_batch) == 1
+            return [np.array([0.0, 2.0])]
 
         monkeypatch.setattr(inference, "decode_logprob", flat_loglik)
-        monkeypatch.setattr(inference, "knowledge_prior_logits", tilted_logits)
+        monkeypatch.setattr(inference, "prior_scores", tilted_logits)
         out = select_knowledge(p, ex, prior="learnable")
         assert out.chosen == 1
         np.testing.assert_allclose(

@@ -15,7 +15,7 @@ from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import ContractError
 from spi.metrics import (bleu_corpus, distinct_n, evaluate, perplexity,
                          rouge_n, selection_accuracy)
-from spi.model import EOS, DialogueExample, ModelParams, param_shapes
+from spi.model import EOS, DialogueExample, ModelParams, encode_batch, param_shapes
 
 
 def make_example(cands=((6, 7), (7, 6)), hist=(4, 5), resp=(6, 7, EOS), gold=0):
@@ -119,8 +119,7 @@ class TestPerplexity:
         p = ModelParams.init(cfg, seed=3)
         exs = [make_example(resp=(6, 7, EOS)), make_example(resp=(5, EOS)),
                make_example(resp=(4, 4, EOS))]
-        from spi.generation import select_for_generation
-        picks = [select_for_generation(p, ex, prior="uniform") for ex in exs]
+        picks = generation.pick_knowledge(p, encode_batch(p, exs), prior="uniform")
         assert perplexity(p, exs, picks=picks) == \
             perplexity(p, list(reversed(exs)), picks=list(reversed(picks)))
 

@@ -9,12 +9,11 @@ import pytest
 from spi import autodiff as ad
 from spi.config import ModelConfig
 from spi.errors import ContractError
-from spi import verify
+from spi import model, verify
 from spi.model import (BOS, EOS, PAD, SEP, DialogueExample, ModelParams, Vocab,
-                       decode_logprob, decoder_advance,
-                       decoder_start, encode_context, head_logits, initializer_scores,
-                       knowledge_prior_logits, latent_prior_log_density,
-                       latent_prior_mean, output_logits, param_shapes)
+                       decode_logprob, decoder_advance, decoder_start, encode_batch,
+                       encode_context, head_logits, latent_prior_log_density,
+                       latent_prior_mean, output_logits, param_shapes, prior_scores)
 
 
 def tiny_cfg(vocab_size=8, **kw):
@@ -202,6 +201,11 @@ class TestEncoder:
             encode_context(p, make_example(hist=(4, token)), [0])
 
 
+def initializer_scores(params, example):
+    """The uniform prior's ``prior_scores`` of one example's candidates."""
+    return prior_scores(params, [encode_context(params, example)], prior="uniform")[0]
+
+
 class TestHeads:
     def test_zero_head_scores_one_half(self):
         p = random_params(tiny_cfg())
@@ -218,14 +222,14 @@ class TestHeads:
 
     def test_prior_softmax_sums_to_one(self):
         p = random_params(tiny_cfg(), seed=4)
-        logits = knowledge_prior_logits(p, make_example())
+        logits = head_logits(p, "knowledge_prior", encode_context(p, make_example()))
         weights = ad.softmax(logits)
         assert abs(float(weights.data.sum()) - 1.0) <= 1e-12
 
     def test_single_candidate_takes_full_mass(self):
         p = random_params(tiny_cfg())
         ex = make_example(cands=((6, 7),), gold=0)
-        weights = ad.softmax(knowledge_prior_logits(p, ex))
+        weights = ad.softmax(head_logits(p, "knowledge_prior", encode_context(p, ex)))
         np.testing.assert_allclose(weights.data, [1.0], atol=1e-15)
 
     @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
@@ -254,6 +258,30 @@ class TestHeads:
         for bias, want in ((1e4, 1.0), (-1e4, 0.0)):
             p["init_b"].data[()] = bias
             np.testing.assert_array_equal(initializer_scores(p, make_example()), [want, want])
+
+    def test_prior_scores_split_one_head_product_by_example(self, monkeypatch):
+        p = random_params(tiny_cfg(), seed=5)
+        exs = [make_example(cands=((6, 7), (5, 4))), make_example(cands=((4,), (7, 6), (6,)))]
+        encodings = encode_batch(p, exs)
+        heads = []
+        real = model.head_logits
+
+        def counted(params, head, encs):
+            heads.append((head, len(encs)))
+            return real(params, head, encs)
+
+        monkeypatch.setattr(model, "head_logits", counted)
+        flat = [enc for encs in encodings for enc in encs]
+        for prior, head in (("uniform", "initializer"), ("learnable", "knowledge_prior")):
+            heads.clear()
+            scores = prior_scores(p, encodings, prior=prior)
+            assert heads == [(head, 5)]
+            x = real(p, head, flat).data
+            want = model.sigmoid(x) if prior == "uniform" else x
+            assert [list(s) for s in scores] == [list(want[:2]), list(want[2:])]
+        assert prior_scores(p, [], prior="uniform") == []
+        with pytest.raises(ContractError, match="unknown prior mode"):
+            prior_scores(p, encodings, prior="flat")
 
 
 class TestLatentPrior:

@@ -4,6 +4,8 @@ two commits' runs."""
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +63,48 @@ def test_the_comparison_names_each_artefact_that_differs(capsys):
         "differs: x/b", "differs: y/c", "differs: y/d"]
 
 
+def test_the_largest_relative_difference_tells_noise_from_a_change(tmp_path):
+    def write(name, *records):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    base = write("a.jsonl", {"loss": 3.0, "tokens": [5, 6], "tag": "x", "ok": True},
+                 {"loss": -2.0})
+    same = write("b.jsonl", {"loss": 3.0, "tokens": [5, 6], "tag": "y", "ok": False},
+                 {"loss": -2.0})
+    noise = write("c.jsonl", {"loss": math.nextafter(3.0, 4.0), "tokens": [5, 6]},
+                  {"loss": -2.0})
+    moved = write("d.jsonl", {"loss": 3.0, "tokens": [5, 7]}, {"loss": -2.5})
+    longer = write("e.jsonl", {"loss": 3.0, "tokens": [5, 6, 2]}, {"loss": -2.0})
+    assert same_bytes.numeric_fields(base) == {
+        "line 1.loss": 3.0, "line 1.tokens[0]": 5.0, "line 1.tokens[1]": 6.0,
+        "line 2.loss": -2.0}  # strings and booleans are not numbers
+    assert same_bytes.largest_relative_difference(base, same) == (0.0, None)
+    gap, where = same_bytes.largest_relative_difference(base, noise)
+    assert 0.0 < gap <= 2 ** -52 and where == "line 1.loss"
+    assert same_bytes.largest_relative_difference(base, moved) == (0.2, "line 2.loss")
+    assert same_bytes.largest_relative_difference(base, longer) == (math.inf,
+                                                                    "line 1.tokens[2]")
+    # a JSON file is one document, however many lines it spans
+    doc = tmp_path / "r.json"
+    doc.write_text(json.dumps({"ppl": 8.0, "n": 4}, indent=1))
+    assert same_bytes.numeric_fields(doc) == {".ppl": 8.0, ".n": 4.0}
+
+
+def test_the_comparison_prints_the_largest_relative_difference(capsys):
+    parent = {"x/a.jsonl": "1" * 64, "x/b.bin": "2" * 64, "x/c.json": "3" * 64}
+    change = {"x/a.jsonl": "4" * 64, "x/b.bin": "5" * 64, "x/c.json": "6" * 64}
+    gaps = {"x/a.jsonl": (1.5e-16, "line 3.loss"), "x/c.json": (0.0, None)}
+    assert same_bytes.report({"parent": parent, "change": change}, gaps) == 1
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("differs:")] == [
+        "differs: x/a.jsonl (largest relative difference 1.5e-16 over its numbers, "
+        "at line 3.loss)",
+        "differs: x/b.bin",
+        "differs: x/c.json (largest relative difference 0 over its numbers)"]
+
+
 def test_main_runs_each_side_from_its_own_copy(monkeypatch, capsys):
     exported, ran = [], []
     monkeypatch.setattr(same_bytes, "_git", lambda *args: f"sha-of-{args[-1]}")
@@ -68,11 +112,18 @@ def test_main_runs_each_side_from_its_own_copy(monkeypatch, capsys):
 
     def fake_side(root, out):
         ran.append((root.name, out.name))
-        return {"x/a": ("1" if root.name == "parent" else "2") * 64}
+        (out / "x").mkdir(parents=True)
+        value = 4.0 if root.name == "parent" else 5.0
+        (out / "x" / "b.jsonl").write_text(json.dumps({"loss": value}) + "\n")
+        return {"x/a": ("1" if root.name == "parent" else "2") * 64,
+                "x/b.jsonl": ("3" if root.name == "parent" else "4") * 64}
 
     monkeypatch.setattr(same_bytes, "side_digests", fake_side)
     assert same_bytes.main(["--parent", "p1", "--change", "c1"]) == 1
     assert exported == [("sha-of-p1", "parent"), ("sha-of-c1", "change")]
     assert ran == [("parent", "parent-out"), ("change", "change-out")]
     out = capsys.readouterr().out
-    assert "parent sha-of-p1" in out and "differs: x/a" in out
+    assert "parent sha-of-p1" in out and "differs: x/a\n" in out
+    # the gap is read from the sides' own files, before they are removed
+    assert "differs: x/b.jsonl (largest relative difference 0.2 over its numbers, " \
+        "at line 1.loss)" in out

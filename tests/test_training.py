@@ -169,8 +169,8 @@ class TestSurrogateObjective:
         z = np.full(2, 0.3)
         plain = surrogate_value(p, ex, 1, z, "uniform")
         tilted = surrogate_value(p, ex, 1, z, "learnable")
-        from spi.model import knowledge_prior_logits
-        logits = knowledge_prior_logits(p, ex).data
+        from spi.model import encode_context, prior_scores
+        logits = prior_scores(p, [encode_context(p, ex)], prior="learnable")[0]
         expected = logits[1] - math.log(np.exp(logits).sum())
         assert tilted - plain == pytest.approx(expected, abs=1e-10)
 

@@ -15,13 +15,17 @@ examples from seed 101: a 3-epoch ``train`` (its metrics log, best and
 final checkpoints), plain and oracle ``evaluate`` reports of the test
 split, and ``generate_batch`` of it. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
-when every one agrees.
+when every one agrees. For a JSON or JSON-lines artefact that differs it
+also prints the largest relative difference over its numeric fields
+(``largest_relative_difference``), which tells float noise (around 1e-16)
+from a change of behaviour.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +97,51 @@ def side_digests(root: Path, out: Path) -> dict[str, str]:
     return run["digests"]
 
 
+def _numbers(value, where: str, out: dict[str, float]) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _numbers(item, f"{where}.{key}", out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{where}[{i}]", out)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        out[where] = float(value)
+
+
+def numeric_fields(path: Path) -> dict[str, float]:
+    """Every number in a JSON file, or in each line of a JSON-lines file,
+    keyed by where it lies (``line 2.tokens[0]``)."""
+    text = Path(path).read_text()
+    records = ([("", json.loads(text))] if Path(path).suffix == ".json" else
+               [(f"line {n}", json.loads(line))
+                for n, line in enumerate(text.splitlines(), 1) if line.strip()])
+    out: dict[str, float] = {}
+    for where, record in records:
+        _numbers(record, where, out)
+    return out
+
+
+def _relative(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    gap = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(gap) else gap
+
+
+def largest_relative_difference(a: Path, b: Path) -> tuple[float, str | None]:
+    """The largest |x - y| / max(|x|, |y|) over the numeric fields of two
+    JSON or JSON-lines files, and the field where it lies (None when every
+    number agrees); a field that only one file has counts as inf."""
+    xs, ys = numeric_fields(a), numeric_fields(b)
+    gap, where = 0.0, None
+    for field in sorted(set(xs) | set(ys)):
+        value = (_relative(xs[field], ys[field]) if field in xs and field in ys
+                 else math.inf)
+        if value > gap:
+            gap, where = value, field
+    return gap, where
+
+
 def differing(digests: dict[str, dict[str, str]]) -> list[str]:
     """The artefacts whose digests differ between the sides, or that one
     side lacks."""
@@ -100,8 +149,11 @@ def differing(digests: dict[str, dict[str, str]]) -> list[str]:
     return [name for name in names if len({d.get(name) for d in digests.values()}) != 1]
 
 
-def report(digests: dict[str, dict[str, str]]) -> int:
-    """Print each artefact's digests side by side; 1 when any differ."""
+def report(digests: dict[str, dict[str, str]],
+           gaps: dict[str, tuple[float, str | None]] | None = None) -> int:
+    """Print each artefact's digests side by side, and for each that differs
+    its ``largest_relative_difference`` when ``gaps`` has one; 1 when any
+    differ."""
     names = sorted(set().union(*digests.values()))
     width = max(map(len, names))
     print(f"{'artefact':<{width}}  " + "  ".join(f"{side:<64}" for side in SIDES))
@@ -110,7 +162,12 @@ def report(digests: dict[str, dict[str, str]]) -> int:
                                                for side in SIDES))
     bad = differing(digests)
     for name in bad:
-        print(f"differs: {name}")
+        line = f"differs: {name}"
+        if gaps and name in gaps:
+            gap, where = gaps[name]
+            line += f" (largest relative difference {gap:.3g} over its numbers"
+            line += f", at {where})" if where else ")"
+        print(line)
     print(f"{len(names) - len(bad)} of {len(names)} artefacts have the same bytes")
     return 1 if bad else 0
 
@@ -126,8 +183,12 @@ def main(argv=None) -> int:
         for side in SIDES:
             _export(shas[side], Path(tmp) / side)
             digests[side] = side_digests(Path(tmp) / side, Path(tmp) / f"{side}-out")
+        files = {name: [Path(tmp) / f"{side}-out" / name for side in SIDES]
+                 for name in differing(digests) if name.endswith((".json", ".jsonl"))}
+        gaps = {name: largest_relative_difference(*paths) for name, paths in files.items()
+                if all(path.is_file() for path in paths)}
     print(f"parent {shas['parent']}\nchange {shas['change']}")
-    return report(digests)
+    return report(digests, gaps)
 
 
 if __name__ == "__main__":
