@@ -20,24 +20,20 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     that cannot be written ends in a ContractError that names it."""
     path = Path(path)
     try:
-        _write_and_replace(path, data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
     except OSError as err:
         raise ContractError(f"{path}: cannot write ({err.strerror})") from None
-
-
-def _write_and_replace(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from spi.cli import main
+from spi.errors import ContractError
+from spi.fsio import atomic_write_bytes
 
 VOCAB = 32
 
@@ -241,6 +244,15 @@ def test_an_output_path_under_a_regular_file_exits_1_naming_it(workdir, corpus_d
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert str(out) in err and "cannot write" in err
     assert blocked.read_text() == "not a directory\n"
+
+
+def test_a_write_that_fails_after_its_temp_file_names_the_path_and_removes_it(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # the rename onto a directory fails
+    with pytest.raises(ContractError, match=f"^{re.escape(str(target))}: cannot write"):
+        atomic_write_bytes(target, b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
