@@ -453,7 +453,11 @@ def prior_scores(params: ModelParams, encodings_batch: Sequence[Sequence[Encoded
                     [enc for encs in encodings_batch for enc in encs]).data
     if prior == "uniform":
         x = sigmoid(x)
-    return np.split(x, np.cumsum([len(encs) for encs in encodings_batch[:-1]]))
+    scores, lo = [], 0
+    for encs in encodings_batch:
+        scores.append(x[lo:lo + len(encs)])
+        lo += len(encs)
+    return scores
 
 
 def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
