@@ -11,6 +11,13 @@ a trainable leaf or a recorded node with such an input. A node whose inputs
 all are constants is not recorded, and an adjoint is told which of its
 inputs need a gradient, so it can skip the rest.
 
+Dispatch, not arithmetic, is what a small model pays for, so an affine map
+is one primitive: ``matmul(a, b, plus=c)`` is ``a.b + c`` as one node, with
+``c`` added in place into the fresh product. Since IEEE addition is
+commutative, it has the bits of ``add(matmul(a, b), c)`` and of
+``add(c, matmul(a, b))``. Products call ``ndarray.dot``, forward and in the
+adjoint, which reaches BLAS with less overhead than ``@``.
+
 The windowed primitives, ``segment_attention`` and ``reduce_mean`` (a mean
 over windows only: the encoder's pooling), take a ``Windows`` layout,
 checked once where it is built, so a decoder step does not re-derive or
@@ -196,32 +203,68 @@ def backward(tape: Tape, root: Tensor) -> dict[str, np.ndarray]:
 def _matmul_vjp(g, ad, bd, needs):
     need_a, need_b = needs
     if ad.ndim == 2 and bd.ndim == 2:
-        ga = g @ bd.T if need_a else None
-        gb = ad.T @ g if need_b else None
+        ga = g.dot(bd.T) if need_a else None
+        gb = ad.T.dot(g) if need_b else None
     elif ad.ndim == 2:
-        ga = np.outer(g, bd) if need_a else None
-        gb = ad.T @ g if need_b else None
+        ga = g[:, None] * bd if need_a else None  # the outer product
+        gb = ad.T.dot(g) if need_b else None
     elif bd.ndim == 2:
-        ga = bd @ g if need_a else None
-        gb = np.outer(ad, g) if need_b else None
+        ga = bd.dot(g) if need_a else None
+        gb = ad[:, None] * g if need_b else None
     else:
         ga = g * bd if need_a else None
         gb = g * ad if need_b else None
     return ga, gb
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_plus_vjp(g, ad, bd, pshape, needs):
+    """The adjoints of ``a.b + c``, ``c`` of shape ``pshape``: the product's
+    (``_matmul_vjp``) and the addend's, ``g`` itself or, for a row bias,
+    its row sum. A vector product broadcast over the addend's rows meets
+    the row sum of ``g``."""
+    if len(pshape) < g.ndim:  # a row bias
+        gp = g.sum(axis=0) if needs[2] else None
+    else:
+        gp = g if needs[2] else None
+        if g.ndim > ad.ndim + bd.ndim - 2:  # the product was broadcast over rows
+            g = g.sum(axis=0)
+    return (*_matmul_vjp(g, ad, bd, needs[:2]), gp)
+
+
+def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
+    """The product ``a.b`` of rank-1 or rank-2 tensors, or ``a.b + plus``
+    as one node. ``plus`` has the product's shape, is a row bias of a
+    (n, m) product, or holds the (k, m) rows that an (m,) product is
+    broadcast over. It is added in place into the fresh product, so no
+    second array of its size is made. The products call ``ndarray.dot``,
+    which dispatches to BLAS with less overhead than ``@``."""
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul expects rank 1 or 2, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
-    out = ad @ bd
+    out = ad.dot(bd)
+    if plus is None:
+        def vjp(g, needs, ad=ad, bd=bd):
+            return _matmul_vjp(g, ad, bd, needs)
 
-    def vjp(g, needs, ad=ad, bd=bd):
-        return _matmul_vjp(g, ad, bd, needs)
+        return _emit(out, (a, b), vjp)
+    pd = plus.data
+    if pd.shape == out.shape or (out.ndim == 2 and pd.shape == out.shape[1:]):
+        if type(out) is np.ndarray:
+            out += pd
+        else:  # numpy returns a vector . vector product as a scalar
+            out = out + pd
+    elif out.ndim == 1 and pd.ndim == 2 and pd.shape[1] == out.shape[0]:
+        out = pd + out
+    else:
+        raise ShapeError(f"matmul cannot add shape {pd.shape} to a product of "
+                         f"shape {out.shape}")
 
-    return _emit(out, (a, b), vjp)
+    def vjp(g, needs, ad=ad, bd=bd, pshape=pd.shape):
+        return _matmul_plus_vjp(g, ad, bd, pshape, needs)
+
+    return _emit(out, (a, b, plus), vjp)
 
 
 def _add_same_vjp(g):

@@ -301,7 +301,7 @@ def _encoder_steps(params: ModelParams, inputs: Tensor, state: Tensor, steps) ->
     wh = params.tensors["enc_wh"]
     rows = []
     for step in steps:
-        state = ad.tanh(ad.add(ad.gather_rows(inputs, step), ad.matmul(state, wh)))
+        state = ad.tanh(ad.matmul(state, wh, plus=ad.gather_rows(inputs, step)))
         rows.append(state)
     return rows
 
@@ -373,8 +373,8 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
         return [[] for _ in examples]
     t = params.tensors
     # the input projection of every token of the pass, once; a step slices its rows
-    inputs = ad.add(ad.matmul(ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64)),
-                              t["enc_wx"]), t["enc_b"])
+    inputs = ad.matmul(ad.gather_rows(t["embed"], np.asarray(tokens, dtype=np.int64)),
+                       t["enc_wx"], plus=t["enc_b"])
     rows = _encoder_steps(params, inputs, Tensor(np.zeros(cfg.hidden_dim)),
                           [slice(i * n_ex, (i + 1) * n_ex) for i in range(n)])
     # each lane starts from its own example's last prefix row
@@ -424,8 +424,8 @@ def head_logits(params: ModelParams, head: str,
             distinct.append(enc)
     t = params.tensors
     # the engine broadcasts only row biases, so the scalar bias meets a ones vector
-    logits = ad.add(ad.matmul(_lane_pooled(distinct), t[w_name]),
-                    ad.multiply(Tensor(np.ones(len(distinct))), t[b_name]))
+    logits = ad.matmul(_lane_pooled(distinct), t[w_name],
+                       plus=ad.multiply(Tensor(np.ones(len(distinct))), t[b_name]))
     ad.check_finite(logits.data, f"{head} head output")
     return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
 
@@ -465,7 +465,7 @@ def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
     """Mean of the unit-variance Gaussian prior over the response latent."""
     enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
     t = params.tensors
-    return ad.add(ad.matmul(enc.pooled, t["zprior_w"]), t["zprior_b"])
+    return ad.matmul(enc.pooled, t["zprior_w"], plus=t["zprior_b"])
 
 
 def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
@@ -475,7 +475,7 @@ def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext])
     vector product; a matrix product of more rows may round a row
     differently."""
     t = params.tensors
-    return ad.add(ad.matmul(_lane_pooled(encodings), t["zprior_w"]), t["zprior_b"])
+    return ad.matmul(_lane_pooled(encodings), t["zprior_w"], plus=t["zprior_b"])
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
@@ -529,7 +529,7 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     want = (len(lanes), params.cfg.latent_dim)
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
-    zrow = ad.add(ad.matmul(zt, t["zslot_w"]), t["zslot_b"])
+    zrow = ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])
     windows = lane = None
     if len(lanes) == 1:
         slots = ad.concat([lanes[0].states, zrow])
@@ -547,8 +547,8 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         slots = ad.gather_rows(ad.concat([rows, zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
         lane = np.repeat(np.arange(k), lengths + 1)
-    proj = ad.add(ad.matmul(slots, t["att_enc"]), t["att_b"])
-    state = ad.tanh(ad.add(ad.matmul(pooled, t["dec_init_w"]), t["dec_init_b"]))
+    proj = ad.matmul(slots, t["att_enc"], plus=t["att_b"])
+    state = ad.tanh(ad.matmul(pooled, t["dec_init_w"], plus=t["dec_init_b"]))
     return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows, lane=lane)
 
 
@@ -557,7 +557,7 @@ def _decoder_inputs(params: ModelParams, ids) -> Tensor:
     per id read: a step's, or every step's of a decode that knows its
     tokens before it runs (``decode_logprob``), in one product."""
     t = params.tensors
-    return ad.add(ad.matmul(ad.gather_rows(t["embed"], ids), t["dec_wx"]), t["dec_b"])
+    return ad.matmul(ad.gather_rows(t["embed"], ids), t["dec_wx"], plus=t["dec_b"])
 
 
 def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
@@ -583,26 +583,29 @@ def _decoder_step(params: ModelParams, cur: DecoderCursor, x: Tensor) -> Decoder
     recurrence, and the attention. The attention bias was added once, in
     ``decoder_start``, and the input bias is in ``x``."""
     t = params.tensors
-    q = ad.matmul(cur.state, t["att_dec"])
-    if cur.windows is not None:
-        q = ad.gather_rows(q, cur.lane)  # each slot meets its own lane's query
-    scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
     if cur.windows is None:
-        ctx = ad.matmul(ad.softmax(scores), cur.slots)
+        # one lane: its query, a vector product, is broadcast over the slots' rows
+        hidden = ad.matmul(cur.state, t["att_dec"], plus=cur.proj)
+        ctx = ad.matmul(ad.softmax(ad.matmul(ad.tanh(hidden), t["att_v"])), cur.slots)
     else:
+        # each slot meets its own lane's query
+        q = ad.gather_rows(ad.matmul(cur.state, t["att_dec"]), cur.lane)
+        scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
         ctx = ad.segment_attention(scores, cur.slots, cur.windows)
-    # the context term comes first: the engine broadcasts only a second operand
-    pre = ad.add(ad.add(ad.matmul(ctx, t["dec_wc"]), x), ad.matmul(cur.state, t["dec_wh"]))
+    # state . dec_wh + (ctx . dec_wc + x); ``x`` may be one row that every lane reads
+    pre = ad.matmul(cur.state, t["dec_wh"], plus=ad.matmul(ctx, t["dec_wc"], plus=x))
     return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
                          windows=cur.windows, lane=cur.lane, ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
     """The output head: next-token logits of decoder states and their
-    attention contexts, (V,) for one row or (n, V) for n rows."""
+    attention contexts, (V,) for one row or (n, V) for n rows, as
+    (state . out_w + ctx . out_c) + out_b. The bias is its own node: folding
+    it into a product would sum the three terms in another order, and so
+    round differently."""
     t = params.tensors
-    return ad.add(ad.add(ad.matmul(state, t["out_w"]), ad.matmul(ctx, t["out_c"])),
-                  t["out_b"])
+    return ad.add(ad.matmul(ctx, t["out_c"], plus=ad.matmul(state, t["out_w"])), t["out_b"])
 
 
 def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:

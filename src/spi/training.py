@@ -131,8 +131,8 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
         encodings_batch = encode_batch(params.constant(), batch)
     x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs])
     y = np.concatenate(labels).astype(np.float64)
-    total = ad.add(ad.matmul(ad.log_sigmoid(x), Tensor(y)),
-                   ad.matmul(ad.log_sigmoid(ad.neg(x)), Tensor(1.0 - y)))
+    positive = ad.matmul(ad.log_sigmoid(x), Tensor(y))
+    total = ad.matmul(ad.log_sigmoid(ad.neg(x)), Tensor(1.0 - y), plus=positive)
     return ad.scale(total, -1.0 / len(batch))
 
 

@@ -114,9 +114,16 @@ def _uses(tape, tensor) -> list[str]:
 
 
 def _projected_rows(tape, weight) -> list[int]:
-    """The rows each product with ``weight`` on the tape projects."""
+    """The rows each product with ``weight`` on the tape projects; a product
+    that adds an addend has it as a third input."""
     return [inputs[0].shape[0] for _, inputs, _, _ in tape._nodes
-            if len(inputs) == 2 and inputs[1] is weight]
+            if len(inputs) >= 2 and inputs[1] is weight]
+
+
+def _adding(tape, bias) -> list:
+    """The weight of each product on the tape that adds ``bias``."""
+    return [inputs[1] for _, inputs, _, _ in tape._nodes
+            if len(inputs) == 3 and inputs[2] is bias]
 
 
 @pytest.mark.parametrize("s", [1, [0, 1, 3, 2, 5]])
@@ -130,13 +137,16 @@ def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
                                   gold_index=1, response=response)
         with ad.Tape() as tape:
             model.decode_logprob(params, example, s, z)
-        # the inputs' projection, its bias and the attention bias: once per
-        # decode; the projection covers the tokens read (the lanes share one
-        # response), not the vocabulary
+        # the inputs' projection with its bias, and the slots' attention
+        # projection with the attention bias: once per decode, each bias
+        # added by its product's node; the projection covers the tokens read
+        # (the lanes share one response), not the vocabulary
         assert _uses(tape, params["dec_wx"]) == ["matmul"]
         assert _projected_rows(tape, params["dec_wx"]) == [len(response)]
-        assert _uses(tape, params["dec_b"]) == ["add"]
-        assert _uses(tape, params["att_b"]) == ["add"]
+        assert _uses(tape, params["dec_b"]) == ["matmul"]
+        assert _uses(tape, params["att_b"]) == ["matmul"]
+        assert _adding(tape, params["dec_b"]) == [params["dec_wx"]]
+        assert _adding(tape, params["att_b"]) == [params["att_enc"]]
         # what reads the state: once per step
         assert _uses(tape, params["dec_wh"]) == ["matmul"] * len(response)
         assert _uses(tape, params["att_dec"]) == ["matmul"] * len(response)
@@ -151,8 +161,10 @@ def test_a_taped_encoder_pass_projects_its_inputs_once_whatever_its_length(n_exa
                     for i in range(n_examples)]
         with ad.Tape() as tape:
             model.encode_batch(params, examples)
+        # the bias is added by the projection's node
         assert _uses(tape, params["enc_wx"]) == ["matmul"]
-        assert _uses(tape, params["enc_b"]) == ["add"]
+        assert _uses(tape, params["enc_b"]) == ["matmul"]
+        assert _adding(tape, params["enc_b"]) == [params["enc_wx"]]
         # the projection covers the pass's token rows, not the vocabulary:
         # each example's prefix, then its distinct truncated candidates
         lanes = distinct(range(len(EXAMPLE.candidates)))
