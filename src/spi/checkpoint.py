@@ -79,6 +79,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = _manifest_entry(path, entry)
+        if name in arrays:  # the later payload would silently win
+            raise ContractError(f"{path}: the manifest lists tensor {name!r} twice")
         nbytes = math.prod(shape) * 8  # Python ints: a huge shape cannot wrap to 0
         payload = rest[cursor:cursor + nbytes]
         if len(payload) != nbytes:

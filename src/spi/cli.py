@@ -148,9 +148,12 @@ def _parse_grid(text: str, what: str) -> list[int]:
     grid = []
     for v in values:
         try:
-            grid.append(int(v))
+            value = int(v)
         except ValueError:
             raise ContractError(f"--sweep-{what}: {v!r} is not an integer") from None
+        if value in grid:  # one point trained twice into one directory
+            raise ContractError(f"--sweep-{what}: {value} is listed twice")
+        grid.append(value)
     return grid
 
 

@@ -67,11 +67,17 @@ class TestTape:
 
     def test_adjoints_are_never_asked_for_a_constant_input(self, monkeypatch):
         asked = []
-        matmul_vjp, gather_vjp = ad._matmul_vjp, ad._gather_vjp
+        matmul_vjp, plus_vjp, gather_vjp = ad._matmul_vjp, ad._matmul_plus_vjp, ad._gather_vjp
 
         def spy_matmul(g, a, b, needs):
             asked.append(("matmul", tuple(needs)))
             out = matmul_vjp(g, a, b, needs)
+            assert [grad is not None for grad in out] == list(needs)
+            return out
+
+        def spy_plus(g, a, b, pshape, needs):
+            asked.append(("matmul-plus", tuple(needs)))
+            out = plus_vjp(g, a, b, pshape, needs)
             assert [grad is not None for grad in out] == list(needs)
             return out
 
@@ -80,10 +86,12 @@ class TestTape:
             return gather_vjp(g, shape, idx)
 
         monkeypatch.setattr(ad, "_matmul_vjp", spy_matmul)
+        monkeypatch.setattr(ad, "_matmul_plus_vjp", spy_plus)
         monkeypatch.setattr(ad, "_gather_vjp", spy_gather)
         rng = np.random.default_rng(4)
         embed = ad.Tensor(rng.normal(size=(5, 3)))        # constant table
         w = ad.Tensor(rng.normal(size=(3, 3)))            # constant weight
+        c = ad.Tensor(rng.normal(size=(2, 3)))            # constant addend
         z = ad.Tensor(rng.normal(size=3), name="z", trainable=True)
         with ad.Tape() as tape:
             rows = ad.gather_rows(embed, [4, 1])
@@ -93,6 +101,14 @@ class TestTape:
         # the constant lookup and its product were never recorded; the one
         # matmul on the tape is asked for its left operand alone
         assert asked == [("matmul", (True, False))]
+        assert set(grads) == {"z"}
+        asked.clear()
+        with ad.Tape() as tape:
+            h = ad.tanh(ad.add(ad.matmul(ad.gather_rows(embed, [4, 1]), w), z))
+            y = ad.squared_l2(ad.matmul(h, w, plus=c))
+            grads = ad.backward(tape, y)
+        # a constant addend is asked for nothing, and so is the weight
+        assert asked == [("matmul-plus", (True, False, False)), ("matmul", (True, False))]
         assert set(grads) == {"z"}
 
     def test_backward_from_a_root_that_needs_no_gradient_is_an_error(self):
@@ -157,6 +173,14 @@ class TestShapeAndNumericErrors:
         with pytest.raises(ShapeError) as err:
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+    def test_an_addend_of_another_shape_is_a_shape_error(self):
+        for a, b, c in (((2, 3), (3,), (3,)),       # a (2,) product meets a (3,) addend
+                        ((3, 2), (2, 3), (2, 3)),   # a (3, 3) product
+                        ((3,), (3,), (1,))):        # a scalar product meets a vector
+            with pytest.raises(ShapeError, match="cannot add"):
+                ad.matmul(ad.Tensor(np.ones(a)), ad.Tensor(np.ones(b)),
+                          plus=ad.Tensor(np.ones(c)))
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -233,6 +257,7 @@ def _wrap_cases():
     m = ad.Tensor(rng.normal(size=(4, 3)))
     v3 = ad.Tensor(rng.normal(size=3))
     v4 = ad.Tensor(rng.normal(size=4))
+    m23 = ad.Tensor(rng.normal(size=(2, 3)))
     slots = ad.Tensor(rng.normal(size=(3, 2)))
     windows = ad.Windows(np.array([[3, 0, 0], [1, 3, 2]]), np.array([1, 3]))
     return {
@@ -240,6 +265,11 @@ def _wrap_cases():
         "matmul-21": ((2, 3), lambda x: ad.matmul(x, v3)),
         "matmul-12": ((4,), lambda x: ad.matmul(x, m)),
         "matmul-11": ((3,), lambda x: ad.matmul(x, v3)),
+        "matmul-plus": ((2, 4), lambda x: ad.matmul(x, m, plus=m23)),
+        "matmul-plus-bias": ((2, 4), lambda x: ad.matmul(x, m, plus=v3)),
+        "matmul-plus-rows": ((4,), lambda x: ad.matmul(x, m, plus=m23)),
+        "matmul-plus-0d": ((3,), lambda x: ad.matmul(x, v3, plus=ad.Tensor(1.5))),
+        "matmul-plus-addend": ((3,), lambda x: ad.matmul(v4, m, plus=x)),
         "add": ((3,), lambda x: ad.add(x, v3)),
         "add-bias": ((2, 3), lambda x: ad.add(x, v3)),
         "multiply": ((3,), lambda x: ad.multiply(x, v3)),
@@ -295,6 +325,8 @@ def _primitive_cases():
     w5 = ad.Tensor(rng.normal(size=5))
     idx = [0, 2, 2]
     w3 = ad.Tensor(rng.normal(size=3))
+    c33 = ad.Tensor(rng.normal(size=(3, 3)))
+    c34 = ad.Tensor(rng.normal(size=(3, 4)))
     seg = ad.Windows.of_segments([3, 1, 2])  # segment 1 holds one slot
     tiled = ad.Windows.of_segments([2, 2, 2])  # equal segments: a reshape
     # rows in any order, shared between windows, one window a single row
@@ -306,6 +338,23 @@ def _primitive_cases():
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
         "matmul-12": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-11": ((4,), lambda x: ad.tanh(ad.matmul(x, wv))),
+        # the three addend modes, each with x an operand (a constant addend)
+        # and with x the addend
+        "matmul-plus": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2, plus=c33)))),
+        "matmul-plus-addend": ((3, 3), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(c34, w2, plus=x)))),
+        "matmul-plus-bias": ((3, 4), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(x, w2, plus=w3)))),
+        "matmul-plus-bias-addend": ((3,), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(c34, w2, plus=x)))),
+        "matmul-plus-rows": ((4,), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(x, w2, plus=c33)))),
+        "matmul-plus-rows-addend": ((2, 3), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(wv, w2, plus=x)))),
+        # x both an operand and the addend: the two adjoints accumulate
+        "matmul-plus-both": ((3, 3), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(x, c33, plus=x)))),
+        "matmul-plus-0d": ((4,), lambda x: ad.tanh(ad.matmul(x, wv, plus=ad.squared_l2(x)))),
         "add": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "add-bias": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
@@ -341,6 +390,37 @@ def test_primitive_gradients_match_central_differences(name):
         point = rng.normal(size=shape)
         report = ad.gradcheck(fn, point, h=1e-5, tol=1e-4)
         assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("mode, shapes", [
+    ("same", ((6, 9), (9, 7), (6, 7))),
+    ("bias", ((6, 9), (9, 7), (7,))),
+    ("rows", ((9,), (9, 7), (6, 7))),   # a vector product broadcast over the rows
+    ("0d", ((9,), (9,), ())),
+])
+def test_a_product_plus_addend_has_the_bits_of_a_product_and_an_add(mode, shapes):
+    rng = np.random.default_rng(13)
+    points = [rng.normal(size=shape) for shape in shapes]
+    unfused = {"same": ["product first", "addend first"], "bias": ["product first"],
+               "rows": ["addend first"], "0d": ["product first", "addend first"]}[mode]
+
+    def run(form):
+        with ad.Tape() as tape:
+            a, b, c = (ad.Tensor(p, name=n, trainable=True) for p, n in zip(points, "abc"))
+            if form == "fused":
+                y = ad.matmul(a, b, plus=c)
+            elif form == "product first":
+                y = ad.add(ad.matmul(a, b), c)
+            else:
+                y = ad.add(c, ad.matmul(a, b))
+            grads = ad.backward(tape, ad.reduce_sum(ad.tanh(y)))
+        return [y.data] + [grads[n] for n in "abc"]
+
+    fused = run("fused")
+    assert fused[0].shape == np.broadcast_shapes(np.dot(points[0], points[1]).shape, shapes[2])
+    for form in unfused:
+        for got, want in zip(fused, run(form)):
+            assert got.shape == want.shape and np.array_equal(got, want), form
 
 
 def test_log_sigmoid_is_finite_at_extremes_and_exact_at_moderate_x():

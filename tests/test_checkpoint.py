@@ -144,3 +144,18 @@ def test_load_errors_name_the_file(tmp_path, cfg, damage):
     path.write_bytes(blob)
     with pytest.raises(ContractError, match=re.escape(str(path))):
         load_checkpoint(path, cfg)
+
+
+def test_a_manifest_that_lists_a_tensor_twice_names_the_file_and_the_tensor(tmp_path, cfg):
+    # a second "embed" entry at the end, whose payload would win: all 0.5
+    params = ModelParams.init(cfg.model)
+    blob = checkpoint_bytes(params, cfg.fingerprint())
+    start, tail = blob.index(b"\n", len(MAGIC)), blob.rindex(b"fingerprint: ")
+    manifest = json.loads(blob[len(MAGIC):start])
+    shape = list(params["embed"].shape)
+    manifest["tensors"].append({"name": "embed", "dtype": "<f8", "shape": shape})
+    path = tmp_path / "model.bin"
+    path.write_bytes(MAGIC + json.dumps(manifest).encode("ascii") + blob[start:tail]
+                     + np.full(shape, 0.5).tobytes() + blob[tail:])
+    with pytest.raises(ContractError, match=re.escape(f"{path}: ") + ".*'embed' twice"):
+        read_checkpoint(path)

@@ -216,6 +216,20 @@ def test_non_integer_sweep_grid_exits_1_naming_flag_and_value(workdir, corpus_di
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--sweep-top-s", "--sweep-langevin-steps"])
+def test_a_repeated_sweep_value_exits_1_naming_the_flag(workdir, corpus_dir, config_file,
+                                                         capsys, flag):
+    # a repeated value would train one point twice into one directory
+    out = workdir / "repeated"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", flag, "2,1,2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {flag}: 2 is listed twice")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, capsys):
     path = workdir / "no-such.bin"
     code = main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),
