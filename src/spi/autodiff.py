@@ -251,10 +251,7 @@ def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
         return _emit(out, (a, b), vjp)
     pd = plus.data
     if pd.shape == out.shape or (out.ndim == 2 and pd.shape == out.shape[1:]):
-        if type(out) is np.ndarray:
-            out += pd
-        else:  # numpy returns a vector . vector product as a scalar
-            out = out + pd
+        out += pd  # a vector . vector product is a numpy scalar, added out of place
     elif out.ndim == 1 and pd.ndim == 2 and pd.shape[1] == out.shape[0]:
         out = pd + out
     else:
