@@ -219,11 +219,11 @@ def _matmul_vjp(g, ad, bd, needs):
 
 def _matmul_plus_vjp(g, ad, bd, pshape, needs):
     """The adjoints of ``a.b + c``, ``c`` of shape ``pshape``: the product's
-    (``_matmul_vjp``) and the addend's, ``g`` itself or, for a row bias,
-    its row sum. A vector product broadcast over the addend's rows meets
-    the row sum of ``g``."""
-    if len(pshape) < g.ndim:  # a row bias
-        gp = g.sum(axis=0) if needs[2] else None
+    (``_matmul_vjp``) and the addend's: ``g`` itself, its row sum for a
+    row bias, or its sum for a 0-d addend. A vector product broadcast over
+    the addend's rows meets the row sum of ``g``."""
+    if len(pshape) < g.ndim:  # a row bias or a 0-d addend
+        gp = (g.sum(axis=0) if pshape else g.sum()) if needs[2] else None
     else:
         gp = g if needs[2] else None
         if g.ndim > ad.ndim + bd.ndim - 2:  # the product was broadcast over rows
@@ -233,8 +233,8 @@ def _matmul_plus_vjp(g, ad, bd, pshape, needs):
 
 def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
     """The product ``a.b`` of rank-1 or rank-2 tensors, or ``a.b + plus``
-    as one node. ``plus`` has the product's shape, is a row bias of a
-    (n, m) product, or holds the (k, m) rows that an (m,) product is
+    as one node. ``plus`` has the product's shape, is 0-d or a row bias of
+    a (n, m) product, or holds the (k, m) rows that an (m,) product is
     broadcast over. It is added in place into the fresh product, so no
     second array of its size is made. The products call ``ndarray.dot``,
     which dispatches to BLAS with less overhead than ``@``."""
@@ -250,7 +250,7 @@ def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
 
         return _emit(out, (a, b), vjp)
     pd = plus.data
-    if pd.shape == out.shape or (out.ndim == 2 and pd.shape == out.shape[1:]):
+    if pd.shape in (out.shape, ()) or (out.ndim == 2 and pd.shape == out.shape[1:]):
         out += pd  # a vector . vector product is a numpy scalar, added out of place
     elif out.ndim == 1 and pd.ndim == 2 and pd.shape[1] == out.shape[0]:
         out = pd + out

@@ -121,17 +121,18 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
 
 
 def generate(params: ModelParams, example: DialogueExample, *, prior: str,
-             max_len: int = 32) -> GenerationResult:
+             max_len: int | None = None) -> GenerationResult:
     """Greedy decode from the prior-mean latent. Emits at most ``max_len``
-    tokens and forces EOS at the cap."""
+    tokens (by default the model's ``max_response``), EOS forced at the cap."""
     return generate_batch(params, [example], prior=prior, max_len=max_len)[0]
 
 
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
-                   prior: str, max_len: int = 32) -> list[GenerationResult]:
+                   prior: str, max_len: int | None = None) -> list[GenerationResult]:
     """``generate`` for every example. Each chunk of ``chunks`` is encoded
     and picked in one pass (``encode_and_pick``), then decoded as the lanes
     of one greedy lockstep decode (``decode_greedy``), before the next."""
+    max_len = params.cfg.max_response if max_len is None else max_len
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     return [result for chunk in chunks(examples)

@@ -70,7 +70,7 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
     likelihood. Uniform-prior mode restricts scoring to the initializer's
     top-S subset (``top_s_candidates``); the learnable prior scores every
     candidate, its prior weights the learnable ``prior_scores`` logits, and
-    rejects ``top_s``.
+    rejects ``top_s``. Sampled mode draws from ``rng``, which it requires.
     """
     m = len(example.candidates)
     if m < 1:
@@ -104,10 +104,11 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
     if mode == "greedy":
         chosen = subset[int(np.argmax(log_weights))]
     elif mode == "sampled":
-        gen = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            raise ContractError("a seeded generator is required for sampled selection")
         probs = np.exp(log_weights)
         probs = probs / probs.sum()
-        chosen = int(gen.choice(np.asarray(subset), p=probs))
+        chosen = int(rng.choice(np.asarray(subset), p=probs))
     else:
         raise ContractError(f"unknown selection mode {mode!r}")
     return SelectionOutcome(chosen=chosen, evaluated=tuple(subset), log_weights=log_weights)

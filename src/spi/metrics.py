@@ -1,13 +1,13 @@
 """Evaluation metrics: selection accuracy, perplexity, BLEU, ROUGE, distinct-n.
 
-N-gram metrics operate on token id sequences with the trailing EOS removed;
-perplexity covers every response token including EOS.
+N-gram metrics operate on token id sequences cut before their first EOS;
+perplexity covers every response token up to and including the first EOS.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -176,7 +176,7 @@ def _ngram_fields(candidates: list[list[int]], references: list[list[int]]) -> d
 
 
 def _strip_eos(tokens: list[int]) -> list[int]:
-    return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
+    return tokens[:tokens.index(EOS)] if EOS in tokens else tokens
 
 
 @dataclass(frozen=True)
@@ -194,13 +194,7 @@ class EvalReport:
     oracle_knowledge: bool
 
     def to_dict(self) -> dict:
-        return {"n_examples": self.n_examples, "n_tokens": self.n_tokens,
-                "selection_accuracy": self.selection_accuracy,
-                "perplexity": self.perplexity,
-                "bleu3": self.bleu3, "bleu4": self.bleu4,
-                "rouge1": self.rouge1, "rouge2": self.rouge2,
-                "distinct1": self.distinct1, "distinct2": self.distinct2,
-                "oracle_knowledge": self.oracle_knowledge}
+        return asdict(self)
 
 
 def evaluate(params: ModelParams, examples: list[DialogueExample],

@@ -9,7 +9,7 @@ inference (no tape) and learning (taped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,11 +210,11 @@ class EncodedContext:
     every lane at once. ``states`` gathers the lane's rows on each read, so
     a pass over many lanes holds its rows once, not once per lane; on a tape
     the gathered rows are kept, since the tape holds them anyway. Code that
-    reads many lanes at once (``head_logits``, ``decoder_start``,
-    ``latent_prior_means``, ``keep_lanes``) takes them through
-    ``_lane_pooled`` and ``_lane_states``, the only code that reads lane
-    sets out of a pass (``states`` reads its lane through the second), and
-    the lanes read together must be lanes of one pass. ``keep_lanes``
+    reads many lanes at once (``_pooled_product``, ``decoder_start``,
+    ``keep_lanes``) takes them through ``_lane_pooled`` and
+    ``_lane_states``, the only code that reads lane sets out of a pass
+    (``states`` reads its lane through the second), and the lanes read
+    together must be lanes of one pass. ``keep_lanes``
     gathers lanes into a pass of their own, so the pass they came from can
     be freed while they live on."""
 
@@ -238,6 +238,17 @@ class EncodedContext:
         if states.requires_grad or states is self._pass.rows:
             self._states = states
         return states
+
+
+def distinct_lanes(keys: Iterable[Hashable]) -> tuple[list[int], np.ndarray | None]:
+    """Which entries are one lane: the first position of each distinct key,
+    ascending, and each entry's index among them, or None when every key is
+    distinct. A product over lanes runs once per distinct lane, so equal
+    lanes get equal bits (a matrix product may round equal rows apart)."""
+    first: dict = {}
+    at = [first.setdefault(key, pos) for pos, key in enumerate(keys)]
+    firsts = list(first.values())
+    return firsts, None if len(firsts) == len(at) else np.searchsorted(firsts, at)
 
 
 def _one_pass(encodings: Sequence[EncodedContext]) -> tuple[_Pass, list[int], bool]:
@@ -327,8 +338,8 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     its own example's last prefix state, and the lanes of every example
     advance in lockstep as the rows of one (K, hidden) state padded to the
     longest. Equal truncated candidates of one example share one encoding,
-    so their scores tie exactly: a matrix product may round two equal rows
-    differently. Lanes of different examples never share.
+    so they tie exactly in every product over lanes (``distinct_lanes``).
+    Lanes of different examples never share. Only this pass reads the caps.
 
     A lone example is the case E = 1, on the same path: its prefix advances
     as a (1, hidden) row state, and its lanes start through the same
@@ -407,27 +418,24 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
 # heads
 
 
+def _pooled_product(encodings: Sequence[EncodedContext], w: Tensor, b: Tensor) -> Tensor:
+    """pooled . w + b of each encoding (lanes of one pass): one product over
+    the distinct encodings' pooled rows (``distinct_lanes``, ``_lane_pooled``),
+    gathered back only when an encoding repeats."""
+    firsts, lane_of = distinct_lanes(encodings)
+    out = ad.matmul(_lane_pooled([encodings[pos] for pos in firsts]), w, plus=b)
+    return out if lane_of is None else ad.gather_rows(out, lane_of)
+
+
 def head_logits(params: ModelParams, head: str,
                 encodings: Sequence[EncodedContext]) -> Tensor:
     """Logits pooled . w + b of a selection head, one per encoding (lanes of
-    one pass); the only code that applies a head. Each distinct encoding is
-    one row of a single matrix product, its pooled row taken from the pass
-    in one gather (none when the encodings are every lane of the pass, as a
-    batch's are), so equal candidates, which share an encoding, tie
-    exactly: a matrix product may round two equal rows differently.
+    one pass), from one ``_pooled_product``; the only code that applies a
+    head. Equal candidates share an encoding, so they tie exactly.
     Non-finite logits raise ``NumericError``."""
-    w_name, b_name = params.head_names(head)
-    row: dict[int, int] = {}  # id of each distinct encoding -> its row
-    distinct = []
-    for enc in encodings:
-        if row.setdefault(id(enc), len(distinct)) == len(distinct):
-            distinct.append(enc)
-    t = params.tensors
-    # the engine broadcasts only row biases, so the scalar bias meets a ones vector
-    logits = ad.matmul(_lane_pooled(distinct), t[w_name],
-                       plus=ad.multiply(Tensor(np.ones(len(distinct))), t[b_name]))
+    logits = _pooled_product(encodings, *(params[name] for name in params.head_names(head)))
     ad.check_finite(logits.data, f"{head} head output")
-    return ad.gather_rows(logits, np.asarray([row[id(enc)] for enc in encodings]))
+    return logits
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -470,12 +478,10 @@ def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
 
 def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
     """``latent_prior_mean`` of every encoding (lanes of one pass), (n,
-    latent), from one matrix product over their pooled rows. A lone
-    encoding's (1, hidden) product has the bits of ``latent_prior_mean``'s
-    vector product; a matrix product of more rows may round a row
-    differently."""
-    t = params.tensors
-    return ad.matmul(_lane_pooled(encodings), t["zprior_w"], plus=t["zprior_b"])
+    latent), from one ``_pooled_product``. A lone encoding's (1, hidden)
+    product has the bits of ``latent_prior_mean``'s vector product; a
+    matrix product of more rows may round a row differently."""
+    return _pooled_product(encodings, params["zprior_w"], params["zprior_b"])
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
@@ -625,11 +631,10 @@ def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
 def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
                     indices: Sequence[int], z,
                     encoded: Sequence[EncodedContext] | None
-                    ) -> tuple[DecoderCursor, list[int], np.ndarray]:
-    """Cursor over the distinct (example, truncated candidate, latent row)
-    lanes of the k (example, index) pairs, the first pair of each lane and
-    the lane of each pair."""
-    cfg = params.cfg
+                    ) -> tuple[DecoderCursor, list[int], np.ndarray | None]:
+    """Cursor over the distinct (example, encoding, latent row) lanes of the
+    k (example, index) pairs (``distinct_lanes``), the first pair of each
+    lane and the lane of each pair, None when no two pairs share one."""
     if not indices:
         raise ContractError("a lockstep decode needs at least one candidate index")
     if len(examples) != len(indices):
@@ -638,9 +643,9 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
         if not _is_index(s) or not 0 <= s < len(ex.candidates):
             raise ContractError(f"candidate index {s!r} out of range")
     zt = z if isinstance(z, Tensor) else Tensor(z)
-    if zt.shape != (len(indices), cfg.latent_dim):
-        raise ContractError(f"latents have shape {zt.shape}, expected "
-                            f"({len(indices)}, {cfg.latent_dim})")
+    want = (len(indices), params.cfg.latent_dim)
+    if zt.shape != want:
+        raise ContractError(f"latents have shape {zt.shape}, expected {want}")
     if encoded is None:
         # one encoder pass: each distinct example with the indices its lanes ask for
         mine: dict[int, list[int]] = {}
@@ -655,19 +660,11 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
     encs = list(encoded)
     if len(encs) != len(indices):
         raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
-    # lanes of different examples never merge: their histories and responses differ
-    lanes: dict[tuple, int] = {}
-    firsts, lane_of = [], []
-    for pos, (ex, s) in enumerate(zip(examples, indices)):
-        key = (id(ex), tuple(ex.candidates[s][:cfg.max_candidate]), zt.data[pos].tobytes())
-        if key not in lanes:
-            lanes[key] = len(firsts)
-            firsts.append(pos)
-        lane_of.append(lanes[key])
-    # the latent rows of the lanes: a gather only when some pairs share a lane
-    zl = zt if len(firsts) == len(indices) else ad.gather_rows(zt, np.asarray(firsts))
-    cur = decoder_start(params, [encs[pos] for pos in firsts], zl)
-    return cur, firsts, np.asarray(lane_of)
+    # lanes of different examples never merge: their responses differ
+    firsts, lane_of = distinct_lanes(
+        (id(ex), enc, row.tobytes()) for ex, enc, row in zip(examples, encs, zt.data))
+    zl = zt if lane_of is None else ad.gather_rows(zt, np.asarray(firsts))
+    return decoder_start(params, [encs[pos] for pos in firsts], zl), firsts, lane_of
 
 
 def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
@@ -682,10 +679,10 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     lanes of one encoder pass, gives a (k,) tensor from one lockstep pass;
     entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
     for a sequence of k examples, against that example's own response. The
-    lanes are the distinct (example, truncated candidate, latent row)
-    triples: a repeated triple shares its first occurrence's lane, so the
-    two tie exactly (a matrix product may round equal rows differently),
-    and its gradient in ``z`` reaches that first row.
+    lanes are the distinct (example, encoding, latent row) triples
+    (``distinct_lanes``): a repeated triple shares its first occurrence's
+    lane, so the two tie exactly, and its gradient in ``z`` reaches that
+    first row.
 
     The teacher-forced inputs of every step are projected in one product,
     then the recurrence steps every lane token by token; a live mask drops
@@ -743,4 +740,5 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
     total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
     ad.check_finite(total.data, "response log-probability")
-    return ad.gather_rows(total, 0 if one else lane_of)
+    lane_of = 0 if one else lane_of  # one index: the scalar of lane 0
+    return total if lane_of is None else ad.gather_rows(total, lane_of)

@@ -45,25 +45,34 @@ def _np_logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.exp(v - m).sum()))
 
 
-def naive_response_logprob(params: ModelParams, example: DialogueExample,
-                           s: int, z: np.ndarray) -> float:
-    """Reference teacher-forced response log-probability."""
+def _naive_states(params: ModelParams, example: DialogueExample, s: int) -> np.ndarray:
+    """Reference encoder states, one row per token read: the history's most
+    recent tokens, the separator, then the head of candidate ``s``."""
     cfg = params.cfg
     w = {k: t.data for k, t in params.tensors.items()}
-    hist = list(example.history)[-cfg.max_history:]
-    cand = list(example.candidates[s])[:cfg.max_candidate]
-    tokens = hist + [3] + cand  # separator id
+    tokens = (list(example.history)[-cfg.max_history:] + [3]  # separator id
+              + list(example.candidates[s])[:cfg.max_candidate])
     h = np.zeros(cfg.hidden_dim)
     states = []
     for tok in tokens:
         h = np.tanh(w["embed"][tok] @ w["enc_wx"] + h @ w["enc_wh"] + w["enc_b"])
         states.append(h)
-    mat = np.array(states)
-    pooled = mat.mean(axis=0)
-    zrow = np.asarray(z) @ w["zslot_w"] + w["zslot_b"]
-    slots = np.vstack([mat, zrow])
+    return np.array(states)
+
+
+def _naive_pooled(params: ModelParams, example: DialogueExample, s: int) -> np.ndarray:
+    return _naive_states(params, example, s).mean(axis=0)
+
+
+def naive_response_logprob(params: ModelParams, example: DialogueExample,
+                           s: int, z: np.ndarray) -> float:
+    """Reference teacher-forced response log-probability, over the response
+    up to and including its first EOS; what follows it is padding."""
+    w = {k: t.data for k, t in params.tensors.items()}
+    mat = _naive_states(params, example, s)
+    slots = np.vstack([mat, np.asarray(z) @ w["zslot_w"] + w["zslot_b"]])
     proj = slots @ w["att_enc"]
-    state = np.tanh(pooled @ w["dec_init_w"] + w["dec_init_b"])
+    state = np.tanh(mat.mean(axis=0) @ w["dec_init_w"] + w["dec_init_b"])
     prev = BOS
     total = 0.0
     for target in example.response:
@@ -74,27 +83,14 @@ def naive_response_logprob(params: ModelParams, example: DialogueExample,
                         + state @ w["dec_wh"] + w["dec_b"])
         logits = state @ w["out_w"] + ctx @ w["out_c"] + w["out_b"]
         total += float(logits[target] - _np_logsumexp(logits))
+        if target == EOS:
+            break
         prev = int(target)
     return total
 
 
-def _naive_pooled(params: ModelParams, example: DialogueExample, s: int) -> np.ndarray:
-    cfg = params.cfg
-    w = {k: t.data for k, t in params.tensors.items()}
-    tokens = (list(example.history)[-cfg.max_history:] + [3]
-              + list(example.candidates[s])[:cfg.max_candidate])
-    h = np.zeros(cfg.hidden_dim)
-    acc = np.zeros(cfg.hidden_dim)
-    for tok in tokens:
-        h = np.tanh(w["embed"][tok] @ w["enc_wx"] + h @ w["enc_wh"] + w["enc_b"])
-        acc += h
-    return acc / len(tokens)
-
-
 def naive_latent_mean(params: ModelParams, example: DialogueExample, s: int) -> np.ndarray:
-    w = params.tensors
-    pooled = _naive_pooled(params, example, s)
-    return pooled @ w["zprior_w"].data + w["zprior_b"].data
+    return _naive_pooled(params, example, s) @ params["zprior_w"].data + params["zprior_b"].data
 
 
 def naive_initializer_probs(params: ModelParams, example: DialogueExample) -> np.ndarray:
@@ -354,7 +350,8 @@ def check_selection(n_instances: int = 100, seed: int = 0,
                     select_fn: Callable[..., object] | None = None) -> CheckResult:
     """Greedy posterior selection versus the brute-force reference above, on
     random tiny instances plus constructed all-tied instances (duplicate
-    candidates) and ragged-candidate instances, in both prior modes; also
+    candidates), ragged-candidate instances and wide all-tied instances, whose
+    equal rows a matrix product can round apart, in both prior modes; also
     pins top-S at S=M to exhaustive."""
     fn = select_fn if select_fn is not None else select_knowledge
     rng = derived_rng(4_400 + seed, 1)
@@ -396,12 +393,21 @@ def check_selection(n_instances: int = 100, seed: int = 0,
         params = ModelParams.init(cfg, seed=int(ragged_rng.integers(1_000_000)))
         hist_len = int(ragged_rng.choice([1, cfg.max_history + 2]))
         compare(f"ragged instance {i}", params, _ragged_example(ragged_rng, cfg, hist_len))
+    wide_rng = derived_rng(4_400 + seed, 3)  # a stream of their own as well
+    n_wide = max(2, n_instances // 10)
+    for i in range(n_wide):
+        cfg = ModelConfig(vocab_size=int(wide_rng.integers(6, 9)), hidden_dim=32, latent_dim=10)
+        params = ModelParams.init(cfg, seed=int(wide_rng.integers(1_000_000)), scale=0.3)
+        example = _random_example(wide_rng, cfg.vocab_size, m=6,
+                                  resp_len=int(wide_rng.integers(2, 6)), hist_len=2, cand_len=2)
+        example.candidates = [example.candidates[0]] * 6
+        compare(f"wide tied instance {i}", params, example)
     if mismatches:
         return CheckResult("selection", False,
                            f"{len(mismatches)} mismatches: " + "; ".join(mismatches[:3]))
     return CheckResult("selection", True,
-                       f"0 mismatches over {n_instances} instances ({ties} tied) "
-                       f"and {n_ragged} ragged ones")
+                       f"0 mismatches over {n_instances} instances ({ties} tied), "
+                       f"{n_ragged} ragged ones and {n_wide} wide tied ones")
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ def _wrap_cases():
         "matmul-plus-rows": ((4,), lambda x: ad.matmul(x, m, plus=m23)),
         "matmul-plus-0d": ((3,), lambda x: ad.matmul(x, v3, plus=ad.Tensor(1.5))),
         "matmul-plus-addend": ((3,), lambda x: ad.matmul(v4, m, plus=x)),
+        "matmul-plus-scalar": ((2, 4), lambda x: ad.matmul(x, m, plus=ad.Tensor(1.5))),
+        "matmul-plus-scalar-addend": ((), lambda x: ad.matmul(m23, v3, plus=x)),
         "add": ((3,), lambda x: ad.add(x, v3)),
         "add-bias": ((2, 3), lambda x: ad.add(x, v3)),
         "multiply": ((3,), lambda x: ad.multiply(x, v3)),
@@ -355,6 +357,13 @@ def _primitive_cases():
         "matmul-plus-both": ((3, 3), lambda x: ad.reduce_sum(
             ad.tanh(ad.matmul(x, c33, plus=x)))),
         "matmul-plus-0d": ((4,), lambda x: ad.tanh(ad.matmul(x, wv, plus=ad.squared_l2(x)))),
+        # a 0-d addend of a vector or a matrix product: its adjoint is the sum
+        "matmul-plus-scalar": ((3, 4), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(x, w2, plus=ad.squared_l2(wv))))),
+        "matmul-plus-scalar-addend": ((), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(c34, wv, plus=x)))),
+        "matmul-plus-scalar-both": ((4,), lambda x: ad.reduce_sum(
+            ad.tanh(ad.matmul(c34, x, plus=ad.squared_l2(x))))),
         "add": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "add-bias": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
@@ -421,6 +430,23 @@ def test_a_product_plus_addend_has_the_bits_of_a_product_and_an_add(mode, shapes
     for form in unfused:
         for got, want in zip(fused, run(form)):
             assert got.shape == want.shape and np.array_equal(got, want), form
+
+
+@pytest.mark.parametrize("shapes", [((6, 9), (9,)), ((6, 9), (9, 7))])
+def test_a_0d_addend_has_the_bits_of_a_ones_addend(shapes):
+    rng = np.random.default_rng(17)
+    points = [rng.normal(size=shape) for shape in shapes] + [np.asarray(rng.normal())]
+    ones = np.ones(np.dot(points[0], points[1]).shape)
+
+    def run(spread):
+        with ad.Tape() as tape:
+            a, b, c = (ad.Tensor(p, name=n, trainable=True) for p, n in zip(points, "abc"))
+            y = ad.matmul(a, b, plus=ad.multiply(ad.Tensor(ones), c) if spread else c)
+            grads = ad.backward(tape, ad.reduce_sum(ad.tanh(y)))
+        return [y.data] + [grads[n] for n in "abc"]
+
+    for got, want in zip(run(False), run(True)):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_log_sigmoid_is_finite_at_extremes_and_exact_at_moderate_x():

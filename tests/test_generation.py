@@ -110,6 +110,13 @@ class TestGenerate:
         assert out.tokens[-1] == EOS
         assert out.logprobs[-1] < -100.0  # the forced token was improbable
 
+    def test_the_cap_defaults_to_the_model_s(self):
+        p = ModelParams.init(tiny_cfg(), seed=7)
+        p["out_b"].data[EOS] = -1e3
+        assert len(generate(p, make_example(), prior="uniform").tokens) == 8
+        batch = generate_batch(p, [make_example()] * 2, prior="uniform")
+        assert [len(r.tokens) for r in batch] == [8, 8]
+
     def test_logprobs_are_nonpositive_and_aligned(self):
         p = ModelParams.init(tiny_cfg(), seed=3)
         out = generate(p, make_example(), prior="uniform")

@@ -149,6 +149,8 @@ class TestSelection:
                              rng=np.random.default_rng(11))
         assert a.chosen == b.chosen
         assert a.chosen in a.evaluated
+        with pytest.raises(ContractError, match="generator"):
+            select_knowledge(p, ex, prior="uniform", mode="sampled")
 
     def test_bad_arguments_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=4)

@@ -136,12 +136,8 @@ class TestPerplexity:
                             resp=(5, EOS, 6, 7)),
                make_example(hist=(4,), resp=(8, 8, EOS))]
         picks = [1, 0, 1, 0]
-        total = 0.0
-        for ex, s in zip(exs, picks):
-            scored = ex.response[:ex.response.index(EOS) + 1]
-            truncated = DialogueExample(ex.history, ex.candidates, ex.gold_index, scored)
-            total += verify.naive_response_logprob(
-                p, truncated, s, verify.naive_latent_mean(p, ex, s))
+        total = sum(verify.naive_response_logprob(p, ex, s, verify.naive_latent_mean(p, ex, s))
+                    for ex, s in zip(exs, picks))
         # the mean runs over the scored tokens: 6 + 1 + 2 + 3
         want = math.exp(-total / 12)
         assert perplexity(p, exs, picks=picks) == pytest.approx(want, rel=1e-12, abs=0)
@@ -402,6 +398,13 @@ class TestEvaluate:
         assert plain.perplexity == perplexity(params, examples, picks=[g.s for g in gens])
         assert oracle.perplexity == perplexity(
             params, examples, picks=[ex.gold_index for ex in examples])
+
+    def test_tokens_after_a_reference_s_first_eos_count_nowhere(self, small_corpus,
+                                                                small_config, small_trained):
+        from dataclasses import replace
+        params, examples = small_trained.best_params, small_corpus.test
+        padded = [replace(ex, response=ex.response + ex.response) for ex in examples]
+        assert evaluate(params, padded, small_config) == evaluate(params, examples, small_config)
 
     def test_empty_corpus_rejected(self, small_config, small_trained):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ from spi import autodiff as ad
 from spi import verify
 from spi.config import derived_rng
 from spi.inference import SelectionOutcome, select_knowledge, top_s_candidates
-from spi.model import ModelParams, decode_logprob
+from spi.model import EOS, DialogueExample, ModelParams, decode_logprob
 from spi.verify import (CheckResult, check_determinism, check_gradients,
                         check_langevin, check_selection,
                         naive_response_logprob, naive_select, naive_top_s)
@@ -29,10 +29,15 @@ class TestNaiveOracle:
             params = ModelParams.init(cfg, seed=seed)
             example = verify._random_example(rng, cfg.vocab_size)
             z = rng.normal(size=cfg.latent_dim)
+            # tokens after the first EOS are padding to both
+            padded = DialogueExample(example.history, example.candidates,
+                                     example.gold_index, example.response + [5, EOS])
             for s in range(len(example.candidates)):
                 naive = naive_response_logprob(params, example, s, z)
                 taped = float(decode_logprob(params, example, s, z).data)
                 assert naive == pytest.approx(taped, abs=1e-10)
+                assert naive_response_logprob(params, padded, s, z) == naive
+                assert float(decode_logprob(params, padded, s, z).data) == taped
 
     def test_naive_select_prefers_lowest_index_on_ties(self):
         rng = derived_rng(7, 2)
