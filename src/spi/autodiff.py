@@ -285,20 +285,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _mul_vjp(g, ad, bd, needs):
-    ga = g * bd if needs[0] else None
-    gb = g * ad if needs[1] else None
-    # a scalar operand sums the adjoints of the entries it was broadcast to
-    if ga is not None and ad.shape == () and bd.shape != ():
-        ga = ga.sum()
-    if gb is not None and bd.shape == () and ad.shape != ():
-        gb = gb.sum()
-    return ga, gb
+    return (g * bd if needs[0] else None), (g * ad if needs[1] else None)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of equal shapes, or of a tensor and a 0-d
+    constant (``scale``). A 0-d operand that needs a gradient against a
+    larger one is rejected: its adjoint would be a sum nothing here forms."""
     ad, bd = a.data, b.data
-    if ad.shape != bd.shape and ad.shape != () and bd.shape != ():
-        raise ShapeError(f"multiply needs equal shapes or a scalar, got {ad.shape} * {bd.shape}")
+    if ad.shape != bd.shape:
+        if ad.shape != () and bd.shape != ():
+            raise ShapeError(
+                f"multiply needs equal shapes or a scalar, got {ad.shape} * {bd.shape}")
+        if (a if ad.shape == () else b).requires_grad:
+            raise ShapeError(f"multiply broadcasts only a constant scalar, got a "
+                             f"scalar that needs a gradient against shape "
+                             f"{max(ad.shape, bd.shape, key=len)}")
     out = ad * bd
 
     def vjp(g, needs, ad=ad, bd=bd):

@@ -105,6 +105,8 @@ class SpiConfig:
             raise ContractError("langevin_steps must be non-negative")
         if self.step_size < 0.0:
             raise ContractError("step_size must be non-negative")
+        if self.grad_clamp < 0.0:
+            raise ContractError(f"grad_clamp must be non-negative, got {self.grad_clamp}")
         if self.temperature <= 0.0:
             raise ContractError("temperature must be positive")
         if self.batch_size < 1 or self.epochs < 0:

@@ -4,6 +4,13 @@ a short Langevin chain started at the prior mean.
 
 Selection arithmetic stays in log space throughout; the Langevin gradient of
 the decoder term is clamped elementwise before entering the drift.
+
+The examples of one encoder pass can be inferred together
+(``posterior_infer_batch``): one selection decode over every (example,
+candidate) lane, then the short-run chains, which share T and the step
+size, advance in lockstep as the rows of one latent state, each example
+drawing from its own generator. The one-example functions are the batches
+of one of the same code.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from .autodiff import Tape, Tensor
 from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, encode_context, latent_prior_mean,
+                    decode_logprob, distinct_lanes, encode_batch, encode_context,
                     latent_prior_means, prior_scores)
 
 
@@ -71,56 +78,96 @@ def select_knowledge(params: ModelParams, example: DialogueExample, *,
     top-S subset (``top_s_candidates``); the learnable prior scores every
     candidate, its prior weights the learnable ``prior_scores`` logits, and
     rejects ``top_s``. Sampled mode draws from ``rng``, which it requires.
+    The batch of one of ``select_knowledge_batch``.
     """
-    m = len(example.candidates)
-    if m < 1:
-        raise ContractError("selection needs at least one candidate")
-    if not example.response:
-        raise ContractError("selection needs a response to score")
+    return select_knowledge_batch(
+        params, [example], prior=prior, mode=mode,
+        top_s=None if top_s is None else [top_s], temperature=temperature, rngs=[rng],
+        encodings_batch=None if encodings is None else [encodings])[0]
+
+
+def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample], *,
+                           prior: str = "uniform", mode: str = "greedy",
+                           top_s: Sequence[int | None] | None = None,
+                           temperature: float = 1.0,
+                           rngs: Sequence[np.random.Generator | None] | None = None,
+                           encodings_batch: Sequence[Sequence[EncodedContext]] | None = None
+                           ) -> list[SelectionOutcome]:
+    """``select_knowledge`` for each example, the candidate encodings of
+    every example lanes of one encoder pass (``encodings_batch``; one pass
+    when not given). ``top_s`` holds each example's width (None, or a None
+    entry, scores every candidate) and ``rngs`` each example's generator.
+
+    Each example's subset and prior weights are its own; then one
+    ``latent_prior_means`` and one ``decode_logprob`` score every (example,
+    candidate) lane, each against its example's response, and each example
+    normalizes and picks on its own. Lanes of a wider pass may round apart
+    from a one-example pass in the last bits."""
+    n = len(examples)
+    if n < 1:
+        raise ContractError("selection needs at least one example")
+    widths = [None] * n if top_s is None else list(top_s)
+    gens = [None] * n if rngs is None else list(rngs)
+    if len(widths) != n or len(gens) != n:
+        raise ContractError(f"{len(widths)} widths and {len(gens)} generators "
+                            f"for {n} examples")
+    for example in examples:
+        if len(example.candidates) < 1:
+            raise ContractError("selection needs at least one candidate")
+        if not example.response:
+            raise ContractError("selection needs a response to score")
     if temperature <= 0.0:
         raise ContractError("temperature must be positive")
-    if encodings is None:
-        encodings = encode_context(params, example)
+    if mode not in ("greedy", "sampled"):
+        raise ContractError(f"unknown selection mode {mode!r}")
+    if mode == "sampled" and any(gen is None for gen in gens):
+        raise ContractError("a seeded generator is required for sampled selection")
+    if encodings_batch is None:
+        encodings_batch = encode_batch(params, examples)
     if prior == "uniform":
-        subset = list(range(m)) if top_s is None else top_s_candidates(
-            params, example, top_s, encodings=encodings)
-        prior_logits = np.zeros(len(subset))
+        subsets = [list(range(len(ex.candidates))) if width is None else top_s_candidates(
+                       params, ex, width, encodings=encs)
+                   for ex, width, encs in zip(examples, widths, encodings_batch)]
+        prior_logits = [np.zeros(len(subset)) for subset in subsets]
     elif prior == "learnable":
-        if top_s is not None:
+        if any(width is not None for width in widths):
             raise ContractError("top_s preselection is undefined under the learnable prior")
-        subset = list(range(m))
-        prior_logits = prior_scores(params, [encodings], prior="learnable")[0]
+        subsets = [list(range(len(ex.candidates))) for ex in examples]
+        prior_logits = prior_scores(params, encodings_batch, prior="learnable")
     else:
         raise ContractError(f"unknown prior mode {prior!r}")
 
-    # every candidate teacher-forces the same response: one lockstep decode
-    subset_encodings = [encodings[i] for i in subset]
-    mus = latent_prior_means(params, subset_encodings).data
-    raw = prior_logits + decode_logprob(params, example, subset, mus,
-                                        encoded=subset_encodings).data
-    scaled = raw / temperature
-    log_weights = scaled - log_sum_exp(scaled)
-
-    if mode == "greedy":
-        chosen = subset[int(np.argmax(log_weights))]
-    elif mode == "sampled":
-        if rng is None:
-            raise ContractError("a seeded generator is required for sampled selection")
-        probs = np.exp(log_weights)
-        probs = probs / probs.sum()
-        chosen = int(rng.choice(np.asarray(subset), p=probs))
-    else:
-        raise ContractError(f"unknown selection mode {mode!r}")
-    return SelectionOutcome(chosen=chosen, evaluated=tuple(subset), log_weights=log_weights)
+    # every lane teacher-forces its own example's response: one lockstep decode
+    owners = [ex for ex, subset in zip(examples, subsets) for _ in subset]
+    lanes = [encs[i] for encs, subset in zip(encodings_batch, subsets) for i in subset]
+    mus = latent_prior_means(params, lanes).data
+    raw = decode_logprob(params, owners, [i for subset in subsets for i in subset], mus,
+                         encoded=lanes).data
+    outcomes, lo = [], 0
+    for subset, logits, gen in zip(subsets, prior_logits, gens):
+        scaled = (logits + raw[lo:lo + len(subset)]) / temperature
+        lo += len(subset)
+        log_weights = scaled - log_sum_exp(scaled)
+        if mode == "greedy":
+            chosen = subset[int(np.argmax(log_weights))]
+        else:
+            probs = np.exp(log_weights)
+            probs = probs / probs.sum()
+            chosen = int(gen.choice(np.asarray(subset), p=probs))
+        outcomes.append(SelectionOutcome(chosen=chosen, evaluated=tuple(subset),
+                                         log_weights=log_weights))
+    return outcomes
 
 
 @dataclass
 class LangevinTrace:
-    """States visited by one chain; ``states[0]`` is the initial draw and the
-    final state is the inferred latent. ``drift_norms`` has one entry per step."""
+    """States visited by one chain, or by B chains as the rows of each state;
+    ``states[0]`` is the initial draw and the final state is the inferred
+    latent. ``drift_norms`` has one entry per step: the drift's norm, or each
+    row's."""
 
     states: list[np.ndarray]
-    drift_norms: list[float]
+    drift_norms: list
     step_size: float
     noisy: bool
 
@@ -129,36 +176,68 @@ class LangevinTrace:
         return self.states[-1]
 
 
+def _check_state(z: np.ndarray, what: str) -> None:
+    """``check_finite`` of a state; a (B, latent) state names its first
+    non-finite row, chain j being example j of a batch."""
+    if z.ndim == 1:
+        ad.check_finite(z, what)
+        return
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"{what} of example {int(finite.argmin())} is non-finite")
+
+
 def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarray], *,
-                   steps: int, step_size: float, rng: np.random.Generator | None = None,
+                   steps: int, step_size: float, rng=None,
                    noise: bool = True, grad_clamp: float = 100.0,
                    z0: np.ndarray | None = None) -> LangevinTrace:
     """Short-run Langevin dynamics on log N(z; mu, I) + loglik(z).
 
     Each step moves by step_size * (-(z - mu) + clamp(grad_loglik(z))) plus
-    sqrt(2 * step_size) Gaussian noise when ``noise`` is on. The chain starts
-    at the prior draw mu + eps (or at mu exactly when noise is off) unless
-    ``z0`` overrides it. A non-finite state, the start included, raises
-    ``NumericError``.
+    sqrt(2 * step_size) Gaussian noise when ``noise`` is on; the clamp to
+    [-grad_clamp, grad_clamp] is per element. The chain starts at the prior
+    draw mu + eps (or at mu exactly when noise is off) unless ``z0``
+    overrides it. A non-finite state, the start included, raises
+    ``NumericError`` naming the step.
+
+    A (latent,) ``mu`` runs one chain, drawing from the generator ``rng``.
+    A (B, latent) ``mu`` runs B chains in lockstep as the rows of one state:
+    ``grad_loglik`` maps (B, latent) states to (B, latent) gradients, ``rng``
+    is a sequence of B generators, and row j draws its start and its noise
+    from the j-th alone, so each row draws what its chain would draw on its
+    own. A non-finite state then also names its first non-finite row.
     """
     if steps < 0:
         raise ContractError("langevin steps must be non-negative")
     if step_size < 0.0:
         raise ContractError("langevin step size must be non-negative")
+    if grad_clamp < 0.0:
+        raise ContractError(f"langevin gradient clamp must be non-negative, got {grad_clamp}")
     mu = np.asarray(mu, dtype=np.float64)
-    if noise and rng is None:
-        raise ContractError("a seeded generator is required when noise is on")
+    if mu.ndim not in (1, 2):
+        raise ContractError(f"langevin mean must be (latent,) or (B, latent), got {mu.shape}")
+    rows = mu.ndim == 2
+    if noise and (rng is None or rows and (len(rng) != mu.shape[0]
+                                           or any(gen is None for gen in rng))):
+        raise ContractError("a seeded generator is required when noise is on, "
+                            "one per chain")
+
+    def draw() -> np.ndarray:
+        if rows:
+            return np.stack([gen.standard_normal(mu.shape[1]) for gen in rng])
+        return rng.standard_normal(mu.shape)
+
     if z0 is not None:
         z = np.asarray(z0, dtype=np.float64).copy()
         if z.shape != mu.shape:
             raise ContractError(f"z0 shape {z.shape} does not match mean {mu.shape}")
     elif noise:
-        z = mu + rng.standard_normal(mu.shape)
+        z = mu + draw()
     else:
         z = mu.copy()
-    ad.check_finite(z, "langevin start state")
+    _check_state(z, "langevin start state")
     states = [z.copy()]
-    drift_norms: list[float] = []
+    drift_norms: list = []
     scale = np.sqrt(2.0 * step_size)
     for step in range(steps):
         grad = np.asarray(grad_loglik(z), dtype=np.float64)
@@ -168,49 +247,87 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
         # overflow is handled by the finiteness check below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             drift = -(z - mu) + np.clip(grad, -grad_clamp, grad_clamp)
-            drift_norms.append(float(np.linalg.norm(drift)))
+            drift_norms.append(np.linalg.norm(drift, axis=1) if rows
+                               else float(np.linalg.norm(drift)))
             z = z + step_size * drift
             if noise:
-                z = z + scale * rng.standard_normal(mu.shape)
-        ad.check_finite(z, f"langevin state at step {step}")
+                z = z + scale * draw()
+        _check_state(z, f"langevin state at step {step}")
         states.append(z.copy())
     return LangevinTrace(states=states, drift_norms=drift_norms,
                          step_size=step_size, noisy=noise)
 
 
-def decoder_grad_z(params: ModelParams, example: DialogueExample, s: int,
-                   z: np.ndarray, encoded: EncodedContext | None = None) -> np.ndarray:
-    """Gradient of the teacher-forced response log-likelihood in z.
+def decoder_grad_z(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+                   s: int | Sequence[int], z: np.ndarray,
+                   encoded: EncodedContext | Sequence[EncodedContext] | None = None
+                   ) -> np.ndarray:
+    """Gradient in z of the teacher-forced response log-likelihood.
+
+    An int ``s`` gives the (latent,) gradient for candidate ``s`` of one
+    example, encoded here unless ``encoded`` is given. Sequences of B
+    indices and encodings (lanes of one pass), with ``z`` of shape (B,
+    latent) and ``example`` one example or one per index, give the (B,
+    latent) gradients of B rows: one ``decode_logprob`` of the B lanes,
+    summed, and one backward. Row j enters only lane j, so its gradient is
+    its lane's alone. Two rows of one example's encoding could share a lane
+    of that decode, which hands its gradient to the first, so they are
+    rejected. One index is the batch of one, to the bit.
 
     The context encoding is treated as fixed, so the tape only spans the
     decoder. Under ``params.constant()`` the tape holds only the nodes that
     depend on z, and the backward forms no weight gradient; the z-gradient
     is the same either way.
     """
-    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
+    one = np.ndim(s) == 0
+    if one:
+        examples, indices = [example], [s]
+        encs = [encoded if encoded is not None else encode_context(params, example, [s])[0]]
+        z = np.asarray(z, dtype=np.float64)[None]
+    else:
+        indices = list(s)
+        examples = ([example] * len(indices) if isinstance(example, DialogueExample)
+                    else list(example))
+        if encoded is None:
+            raise ContractError("latent rows need the encodings of their candidates")
+        encs = list(encoded)
+        if distinct_lanes(zip(map(id, examples), encs))[1] is not None:
+            raise ContractError("two latent rows of one example's encoding would share "
+                                "a decoder lane")
     with Tape() as tape:
         zt = Tensor(np.asarray(z, dtype=np.float64), name="z", trainable=True)
-        loglik = decode_logprob(params, example, s, zt, encoded=enc)
-        return ad.backward(tape, loglik)["z"]
+        loglik = ad.reduce_sum(decode_logprob(params, examples, indices, zt, encoded=encs))
+        grad = ad.backward(tape, loglik)["z"]
+    return grad[0] if one else grad
 
 
-def langevin_infer_z(params: ModelParams, example: DialogueExample, s: int, *,
-                     steps: int, step_size: float,
-                     rng: np.random.Generator | None = None, noise: bool = True,
-                     grad_clamp: float = 100.0, z0: np.ndarray | None = None,
-                     encoded: EncodedContext | None = None) -> LangevinTrace:
-    """Run the short Langevin chain for candidate ``s`` of one example.
+def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+                     s: int | Sequence[int], *, steps: int, step_size: float,
+                     rng=None, noise: bool = True, grad_clamp: float = 100.0,
+                     z0: np.ndarray | None = None,
+                     encoded: EncodedContext | Sequence[EncodedContext] | None = None
+                     ) -> LangevinTrace:
+    """Run the short Langevin chain for candidate ``s`` of one example, from
+    its prior mean, with the decoder's z-gradient (``decoder_grad_z``).
 
-    The chain asks only for z-gradients, so it runs against a constant view
-    of the weights, made for this chain alone."""
-    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-    mu = latent_prior_mean(params, example, s, encoded=enc).data
+    Sequences of B indices and encodings (lanes of one pass), with
+    ``example`` one example or one per index, run B chains in lockstep as
+    ``langevin_chain``'s rows: each step is one B-lane decode and one
+    backward, and ``rng`` holds one generator per chain. One index is the
+    chain of a batch of one. The chains ask only for z-gradients, so they
+    run against a constant view of the weights, made for them alone."""
+    one = np.ndim(s) == 0
+    if encoded is None:
+        if not one:
+            raise ContractError("lockstep chains need the encodings of their candidates")
+        encoded = encode_context(params, example, [s])[0]
+    mu = latent_prior_means(params, [encoded] if one else encoded).data
     weights = params.constant()
 
     def grad_loglik(z: np.ndarray) -> np.ndarray:
-        return decoder_grad_z(weights, example, s, z, encoded=enc)
+        return decoder_grad_z(weights, example, s, z, encoded=encoded)
 
-    return langevin_chain(mu, grad_loglik, steps=steps, step_size=step_size,
+    return langevin_chain(mu[0] if one else mu, grad_loglik, steps=steps, step_size=step_size,
                           rng=rng, noise=noise, grad_clamp=grad_clamp, z0=z0)
 
 
@@ -223,6 +340,7 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
     With no generator supplied, one is derived from the config seed, so
     repeated calls agree bit for bit. ``encodings`` (one per candidate,
     lanes of one pass) skips re-encoding when the caller already holds them.
+    ``posterior_infer_batch`` makes the same draw for many examples at once.
     """
     config.validate()
     gen = rng if rng is not None else derived_rng(config.seed, 0)
@@ -238,3 +356,34 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
         step_size=config.step_size, rng=gen, noise=config.langevin_noise,
         grad_clamp=config.grad_clamp, encoded=encodings[outcome.chosen])
     return LatentPair(s=outcome.chosen, z=trace.final)
+
+
+def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExample],
+                          config: SpiConfig, rngs: Sequence[np.random.Generator],
+                          encodings_batch: Sequence[Sequence[EncodedContext]] | None = None
+                          ) -> list[LatentPair]:
+    """``sequential_posterior_infer`` of each example, example j drawing from
+    ``rngs[j]``, for the examples of one encoder pass (``encodings_batch``;
+    one pass when not given): one ``select_knowledge_batch``, then the B
+    Langevin chains in lockstep, each step one B-lane decode and one
+    backward. Each generator draws what it would draw for its example alone,
+    so the draws agree with the per-example calls up to the rounding of the
+    wider products, and a batch of one agrees to the bit. A non-finite chain
+    state raises ``NumericError`` naming the step and the example's position
+    in ``examples``."""
+    config.validate()
+    if len(rngs) != len(examples):
+        raise ContractError(f"{len(rngs)} generators for {len(examples)} examples")
+    if encodings_batch is None:
+        encodings_batch = encode_batch(params, examples)
+    top_s = ([min(config.top_s, len(ex.candidates)) for ex in examples]
+             if config.prior == "uniform" else None)
+    outcomes = select_knowledge_batch(
+        params, examples, prior=config.prior, mode=config.selection, top_s=top_s,
+        temperature=config.temperature, rngs=rngs, encodings_batch=encodings_batch)
+    picks = [outcome.chosen for outcome in outcomes]
+    trace = langevin_infer_z(
+        params, examples, picks, steps=config.langevin_steps, step_size=config.step_size, rng=rngs,
+        noise=config.langevin_noise, grad_clamp=config.grad_clamp,
+        encoded=[encs[s] for encs, s in zip(encodings_batch, picks)])
+    return [LatentPair(s=s, z=z) for s, z in zip(picks, trace.final)]

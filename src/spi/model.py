@@ -216,12 +216,18 @@ class EncodedContext:
     (``states`` reads its lane through the second), and the lanes read
     together must be lanes of one pass. ``keep_lanes``
     gathers lanes into a pass of their own, so the pass they came from can
-    be freed while they live on."""
+    be freed while they live on.
 
-    __slots__ = ("_pass", "lane", "_states", "_pooled")
+    A lane also records what it encodes: its ``example`` and the candidate
+    ``indices`` of it that asked for this lane (equal candidates share one),
+    so a decode can check that it is handed the right encodings."""
 
-    def __init__(self, pass_: _Pass, lane: int):
+    __slots__ = ("_pass", "lane", "example", "indices", "_states", "_pooled")
+
+    def __init__(self, pass_: _Pass, lane: int, example: "DialogueExample",
+                 indices: tuple[int, ...]):
         self._pass, self.lane = pass_, lane
+        self.example, self.indices = example, indices
         self._states = self._pooled = None
 
     @property
@@ -289,7 +295,8 @@ def keep_lanes(encodings: Sequence[EncodedContext]) -> list[EncodedContext]:
     from can be freed while they live on."""
     rows, lengths = _lane_states(encodings)
     kept = _Pass(rows, ad.Windows.of_segments(lengths), _lane_pooled(encodings))
-    return [EncodedContext(kept, j) for j in range(len(encodings))]
+    return [EncodedContext(kept, j, enc.example, enc.indices)
+            for j, enc in enumerate(encodings)]
 
 
 def _is_index(value) -> bool:
@@ -357,7 +364,7 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
         raise ContractError(f"{len(indices)} index lists for {len(examples)} examples")
     prefixes = []
     lanes: dict[tuple[int, tuple[int, ...]], int] = {}  # (example, candidate) -> lane
-    lane_of = []
+    lane_of, asked = [], []  # each example's lanes; each lane's candidate indices
     for e, (example, wanted) in enumerate(zip(examples, indices)):
         m = len(example.candidates)
         hist = list(example.history[-cfg.max_history:])
@@ -369,7 +376,11 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
             cand = tuple(example.candidates[s][:cfg.max_candidate])
             if not hist and not cand:
                 raise ContractError("cannot encode an empty history with an empty candidate")
-            mine.append(lanes.setdefault((e, cand), len(lanes)))
+            lane = lanes.setdefault((e, cand), len(lanes))
+            if lane == len(asked):
+                asked.append([])
+            asked[lane].append(s)
+            mine.append(lane)
         lane_of.append(mine)
     n_ex, k = len(examples), len(lanes)
     n = max(map(len, prefixes), default=0)
@@ -410,7 +421,8 @@ def encode_batch(params: ModelParams, examples: Sequence[DialogueExample],
     index = np.where(w < plen[:, None], ex[:, None] + w * n_ex,
                      base + np.arange(k)[:, None] + (w - plen[:, None]) * k)
     pass_ = _Pass(flat, ad.Windows(index, length))
-    encoded = [EncodedContext(pass_, j) for j in range(k)]
+    encoded = [EncodedContext(pass_, j, examples[e], tuple(asked[j]))
+               for j, (e, _) in enumerate(lanes)]
     return [[encoded[lane] for lane in mine] for mine in lane_of]
 
 
@@ -660,6 +672,12 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
     encs = list(encoded)
     if len(encs) != len(indices):
         raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
+    for j, (ex, s, enc) in enumerate(zip(examples, indices, encs)):
+        if enc.example is not ex or s not in enc.indices:
+            raise ContractError(
+                f"encoding {j} does not encode candidate {s} of its example: it encodes "
+                f"candidates {list(enc.indices)} of "
+                f"{'that' if enc.example is ex else 'another'} example")
     # lanes of different examples never merge: their responses differ
     firsts, lane_of = distinct_lanes(
         (id(ex), enc, row.tobytes()) for ex, enc, row in zip(examples, encs, zt.data))
@@ -677,6 +695,8 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
     of shape (k, latent) and ``encoded`` (if given) one encoding per index,
     lanes of one encoder pass, gives a (k,) tensor from one lockstep pass;
+    encoding j must encode candidate ``s[j]`` of its pair's example, or
+    ``ContractError`` names the pair;
     entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
     for a sequence of k examples, against that example's own response. The
     lanes are the distinct (example, encoding, latent row) triples

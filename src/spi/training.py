@@ -11,10 +11,12 @@ Each batch is encoded in one pass off the tape (``encode_batch``), every
 candidate of every example a lane of it and every lane pooled in one
 windowed mean; inference and the head cross-entropy reuse those encodings.
 Validation encodes its examples the same way, ``batch_size`` to a pass,
-and takes the generation-time pick of every example of a pass from one head
-product (``pick_knowledge``). Inference, its Langevin chain and the taped
-surrogate step still run one example at a time; the surrogate step makes
-one more pass per example, since its gradient runs through the encoder.
+takes the generation-time pick of every example of a pass from one head
+product (``pick_knowledge``), and infers every example of a pass at once
+(``posterior_infer_batch``): one selection decode, then the Langevin chains
+in lockstep. Training still infers one example at a time, and its taped
+surrogate step runs per example too, making one more pass per example,
+since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .config import (SEED_SHUFFLE, SEED_TRAIN, SEED_VALID, SpiConfig,
 from .errors import ContractError, NumericError
 from .fsio import dump_json_line, atomic_write_text
 from .generation import pick_knowledge
-from .inference import sequential_posterior_infer
+from .inference import posterior_infer_batch, sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
                     latent_prior_log_density, latent_prior_mean)
@@ -179,7 +181,10 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     settings under a fixed per-epoch seed, and the selection accuracy of the
     generation-time pick over the gold-labelled examples (0 when none are).
     Each batch of ``config.batch_size`` examples is encoded in one pass for
-    both, and picked by one head product (``pick_knowledge``)."""
+    both, picked by one head product (``pick_knowledge``) and inferred in
+    lockstep (``posterior_infer_batch``), example ``i`` drawing from its own
+    generator; a batch of one infers as ``sequential_posterior_infer`` does,
+    to the bit. A non-finite chain names its batch, example and step."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
@@ -189,10 +194,14 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
         chunk = examples[lo:lo + config.batch_size]
         encodings_batch = encode_batch(params, chunk)
         picks = pick_knowledge(params, encodings_batch, prior=config.prior)
-        for idx, (example, encodings, pick) in enumerate(zip(chunk, encodings_batch, picks), lo):
-            rng = derived_rng(config.seed, SEED_VALID, epoch, idx)
-            pair = sequential_posterior_infer(params, example, config, rng=rng,
-                                              encodings=encodings)
+        rngs = [derived_rng(config.seed, SEED_VALID, epoch, idx)
+                for idx in range(lo, lo + len(chunk))]
+        try:
+            pairs = posterior_infer_batch(params, chunk, config, rngs, encodings_batch)
+        except NumericError as err:
+            raise NumericError(
+                f"validation batch {lo // config.batch_size}: {err}") from err
+        for example, encodings, pair, pick in zip(chunk, encodings_batch, pairs, picks):
             total += surrogate_value(params, example, pair.s, pair.z, config.prior,
                                      encodings)
             if example.gold_index is not None:

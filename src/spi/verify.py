@@ -1,6 +1,6 @@
 """Self-check suites: gradient checking, Langevin moment matching against an
-analytic Gaussian posterior, brute-force selection equivalence, and
-determinism. The reference computations here are written in plain numpy,
+analytic Gaussian posterior, brute-force selection equivalence, lockstep
+inference against the one-example draws, and determinism. The reference computations here are written in plain numpy,
 independent of the autodiff engine, so the two paths can disagree.
 """
 from __future__ import annotations
@@ -15,8 +15,9 @@ from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
 from .errors import ContractError
-from .inference import langevin_chain, select_knowledge, sequential_posterior_infer
-from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob,
+from .inference import (langevin_chain, posterior_infer_batch, select_knowledge,
+                        select_knowledge_batch, sequential_posterior_infer)
+from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob, encode_batch,
                     latent_prior_log_density, latent_prior_mean)
 from .training import head_ce_loss, multi_hot_labels, surrogate_objective, train
 
@@ -352,7 +353,9 @@ def check_selection(n_instances: int = 100, seed: int = 0,
     random tiny instances plus constructed all-tied instances (duplicate
     candidates), ragged-candidate instances and wide all-tied instances, whose
     equal rows a matrix product can round apart, in both prior modes; also
-    pins top-S at S=M to exhaustive."""
+    pins top-S at S=M to exhaustive. Passes of several examples (a random,
+    a tied and a ragged one; a random and two wide tied ones) go through
+    ``select_knowledge_batch`` as one pass, each pick against the reference."""
     fn = select_fn if select_fn is not None else select_knowledge
     rng = derived_rng(4_400 + seed, 1)
     mismatches: list[str] = []
@@ -370,6 +373,16 @@ def check_selection(n_instances: int = 100, seed: int = 0,
             mismatches.append(f"{label} top-S=M: {full} != {exhaustive}")
         if naive_top_s(params, example, m) != list(range(m)):
             mismatches.append(f"{label}: top-S at S=M lost a candidate")
+
+    def compare_pass(label: str, params: ModelParams,
+                     examples: list[DialogueExample]) -> None:
+        for prior in ("uniform", "learnable"):
+            picks = select_knowledge_batch(params, examples, prior=prior)
+            for j, (example, got) in enumerate(zip(examples, picks)):
+                want = naive_select(params, example, prior)
+                if got.chosen != want:
+                    mismatches.append(f"{label} example {j} prior={prior}: "
+                                      f"{got.chosen} != {want}")
 
     ties = 0
     for i in range(n_instances):
@@ -402,12 +415,83 @@ def check_selection(n_instances: int = 100, seed: int = 0,
                                   resp_len=int(wide_rng.integers(2, 6)), hist_len=2, cand_len=2)
         example.candidates = [example.candidates[0]] * 6
         compare(f"wide tied instance {i}", params, example)
+    # passes of several examples through the batch selection, each pick
+    # against the reference; drawn from a stream of their own as well
+    batch_rng = derived_rng(4_400 + seed, 4)
+    n_passes = max(2, n_instances // 10)
+    for i in range(n_passes):
+        cfg = _tiny_model_config(vocab_size=int(batch_rng.integers(6, 9)))
+        params = ModelParams.init(cfg, seed=int(batch_rng.integers(1_000_000)))
+        plain, tied = (_random_example(batch_rng, cfg.vocab_size, m=int(batch_rng.integers(2, 5)),
+                                       resp_len=int(batch_rng.integers(2, 6)))
+                       for _ in range(2))
+        tied.candidates = [list(tied.candidates[0]) for _ in tied.candidates]
+        ragged = _ragged_example(batch_rng, cfg, int(batch_rng.choice([1, cfg.max_history + 2])))
+        compare_pass(f"pass {i}", params, [plain, tied, ragged])
+        cfg = ModelConfig(vocab_size=cfg.vocab_size, hidden_dim=32, latent_dim=10)
+        params = ModelParams.init(cfg, seed=int(batch_rng.integers(1_000_000)), scale=0.3)
+        wide = [_random_example(batch_rng, cfg.vocab_size, m=6, hist_len=2, cand_len=2,
+                                resp_len=int(batch_rng.integers(2, 6))) for _ in range(3)]
+        for example in wide[1:]:
+            example.candidates = [example.candidates[0]] * 6
+        compare_pass(f"wide pass {i}", params, wide)
     if mismatches:
         return CheckResult("selection", False,
                            f"{len(mismatches)} mismatches: " + "; ".join(mismatches[:3]))
     return CheckResult("selection", True,
                        f"0 mismatches over {n_instances} instances ({ties} tied), "
-                       f"{n_ragged} ragged ones and {n_wide} wide tied ones")
+                       f"{n_ragged} ragged ones, {n_wide} wide tied ones and "
+                       f"{2 * n_passes} passes of three examples")
+
+
+# ---------------------------------------------------------------------------
+# lockstep inference suite
+
+
+def check_lockstep(n_passes: int = 3, tol: float = 1e-10) -> CheckResult:
+    """Posterior inference for a pass of examples (``posterior_infer_batch``)
+    against the one-example draws (``sequential_posterior_infer``) from the
+    same encodings, on the tiny config, in both prior modes and in greedy
+    and sampled selection, with noise on and off: each pick must agree, each
+    final latent within ``tol``, and each generator must be left where its
+    example alone leaves it."""
+    cfg = _tiny_model_config()
+    worst = 0.0
+    runs = 0
+    for i in range(n_passes):
+        rng = derived_rng(9_100 + i, 1)
+        params = ModelParams.init(cfg, seed=i, scale=0.5)
+        examples = [_random_example(rng, cfg.vocab_size, m=int(rng.integers(2, 5)),
+                                    resp_len=int(rng.integers(2, 7))) for _ in range(4)]
+        examples.append(_ragged_example(rng, cfg, int(rng.integers(1, cfg.max_history + 3))))
+        encodings = encode_batch(params, examples)
+        for prior in ("uniform", "learnable"):
+            for selection in ("greedy", "sampled"):
+                for noise in (True, False):
+                    config = SpiConfig(model=cfg, prior=prior, top_s=2, selection=selection,
+                                       temperature=3.0, langevin_noise=noise, seed=i)
+                    label = f"pass {i} {prior}/{selection} noise={noise}"
+                    gens = [derived_rng(9_100 + i, 2, j) for j in range(len(examples))]
+                    alone = [derived_rng(9_100 + i, 2, j) for j in range(len(examples))]
+                    batch = posterior_infer_batch(params, examples, config, gens, encodings)
+                    for j, (example, encs, got) in enumerate(zip(examples, encodings, batch)):
+                        want = sequential_posterior_infer(params, example, config,
+                                                          rng=alone[j], encodings=encs)
+                        if got.s != want.s:
+                            return CheckResult("lockstep", False, f"{label} example {j}: "
+                                               f"pick {got.s} != {want.s}")
+                        err = float(np.max(np.abs(got.z - want.z)))
+                        worst = max(worst, err)
+                        if not err <= tol:
+                            return CheckResult("lockstep", False, f"{label} example {j}: "
+                                               f"|z_T difference| {err:.2e} > {tol:.0e}")
+                        if gens[j].random() != alone[j].random():
+                            return CheckResult("lockstep", False, f"{label} example {j}: "
+                                               f"its generator drew another stream")
+                    runs += 1
+    return CheckResult("lockstep", True,
+                       f"max |z_T difference| {worst:.1e} over {runs} passes of "
+                       f"{len(examples)} examples (tol {tol:.0e})")
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +539,10 @@ def run_all(fast: bool = False) -> list[CheckResult]:
         return [check_gradients(n_seeds=1),
                 check_langevin(n_seeds=3, steps=4_000, burn_in=1_000, min_passes=3),
                 check_selection(n_instances=20),
+                check_lockstep(n_passes=1),
                 check_determinism()]
     return [check_gradients(),
             check_langevin(),
             check_selection(),
+            check_lockstep(),
             check_determinism()]

@@ -275,7 +275,7 @@ def _wrap_cases():
         "add": ((3,), lambda x: ad.add(x, v3)),
         "add-bias": ((2, 3), lambda x: ad.add(x, v3)),
         "multiply": ((3,), lambda x: ad.multiply(x, v3)),
-        "multiply-scalar": ((), lambda x: ad.multiply(x, v3)),
+        "multiply-scalar": ((3,), lambda x: ad.multiply(x, ad.Tensor(2.0))),
         "multiply-0d": ((), lambda x: ad.multiply(x, ad.Tensor(2.0))),
         "tanh": ((2, 3), ad.tanh),
         "tanh-0d": ((), ad.tanh),
@@ -436,14 +436,17 @@ def test_a_product_plus_addend_has_the_bits_of_a_product_and_an_add(mode, shapes
 def test_a_0d_addend_has_the_bits_of_a_ones_addend(shapes):
     rng = np.random.default_rng(17)
     points = [rng.normal(size=shape) for shape in shapes] + [np.asarray(rng.normal())]
-    ones = np.ones(np.dot(points[0], points[1]).shape)
+    shape = np.dot(points[0], points[1]).shape
 
     def run(spread):
+        # spread: the addend as a full array of its value, its adjoint summed here
         with ad.Tape() as tape:
-            a, b, c = (ad.Tensor(p, name=n, trainable=True) for p, n in zip(points, "abc"))
-            y = ad.matmul(a, b, plus=ad.multiply(ad.Tensor(ones), c) if spread else c)
+            a, b = (ad.Tensor(p, name=n, trainable=True) for p, n in zip(points, "ab"))
+            c = ad.Tensor(np.full(shape, points[2]) if spread else points[2],
+                          name="c", trainable=True)
+            y = ad.matmul(a, b, plus=c)
             grads = ad.backward(tape, ad.reduce_sum(ad.tanh(y)))
-        return [y.data] + [grads[n] for n in "abc"]
+        return [y.data, grads["a"], grads["b"], np.asarray(grads["c"].sum())]
 
     for got, want in zip(run(False), run(True)):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -598,3 +601,24 @@ def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed)
         for row, rows, length in zip(out, windows.index, lengths):
             # summed in window order: the same bits as the gathered rows' mean
             assert np.array_equal(row, x[rows[:length]].mean(axis=0))
+
+
+def test_a_scalar_that_needs_a_gradient_is_not_broadcast():
+    with ad.Tape():
+        x = ad.Tensor(2.0, name="x", trainable=True)
+        for a, b in ((x, ad.Tensor(np.ones(3))), (ad.Tensor(np.ones((2, 3))), x)):
+            with pytest.raises(ShapeError, match="constant scalar"):
+                ad.multiply(a, b)
+    # a 0-d operand of a 0-d product may need one
+    assert ad.multiply(x, ad.Tensor(3.0)).data == 6.0
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_scale_and_neg_gradients_are_the_constant_times_the_adjoint(shape):
+    rng = np.random.default_rng(23)
+    point, w = rng.normal(size=shape), ad.Tensor(rng.normal(size=shape))
+    for fn, c in ((lambda x: ad.scale(x, 0.37), 0.37), (ad.neg, -1.0)):
+        with ad.Tape() as tape:
+            x = ad.Tensor(point, name="x", trainable=True)
+            grad = ad.backward(tape, ad.reduce_sum(ad.multiply(fn(x), w)))["x"]
+        assert grad.shape == shape and np.array_equal(grad, w.data * c)

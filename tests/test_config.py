@@ -30,6 +30,7 @@ class TestValidate:
         {"top_s": 0},
         {"langevin_steps": -1},
         {"step_size": -0.1},
+        {"grad_clamp": -1.0},
         {"temperature": 0.0},
         {"batch_size": 0},
         {"epochs": -1},

@@ -74,7 +74,8 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     pair = sequential_posterior_infer(params, EXAMPLE, config, rng=derived_rng(1, 2))
     subset, *steps = decoder_calls["decode"]
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
-    assert steps == [pair.s] * 3
+    # each step decodes the pick as a batch of one chain
+    assert steps == [[pair.s]] * 3
     assert decoder_calls["lanes"] == [distinct(subset)] + [1] * 3
 
 

@@ -152,6 +152,15 @@ class TestSelection:
         with pytest.raises(ContractError, match="generator"):
             select_knowledge(p, ex, prior="uniform", mode="sampled")
 
+    def test_a_negative_clamp_is_rejected(self):
+        # clip(g, 1, -1) would set every entry to -1, whatever the gradient
+        with pytest.raises(ContractError, match="clamp"):
+            langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+                           step_size=0.1, noise=False, grad_clamp=-1.0)
+        trace = langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+                               step_size=0.1, noise=False, grad_clamp=0.0)
+        assert np.array_equal(trace.final, np.zeros(2))
+
     def test_bad_arguments_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6)))
@@ -251,6 +260,15 @@ class TestLangevinChain:
                                step_size=1.0, noise=False, z0=np.zeros(1),
                                grad_clamp=100.0)
         assert trace.final[0] == 100.0
+
+    def test_a_negative_clamp_is_rejected(self):
+        # clip(g, 1, -1) would set every entry to -1, whatever the gradient
+        with pytest.raises(ContractError, match="clamp"):
+            langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+                           step_size=0.1, noise=False, grad_clamp=-1.0)
+        trace = langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+                               step_size=0.1, noise=False, grad_clamp=0.0)
+        assert np.array_equal(trace.final, np.zeros(2))
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ContractError):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from spi import autodiff as ad
-from spi import verify
+from spi import inference, verify
 from spi.config import derived_rng
 from spi.inference import SelectionOutcome, select_knowledge, top_s_candidates
 from spi.model import EOS, DialogueExample, ModelParams, decode_logprob
 from spi.verify import (CheckResult, check_determinism, check_gradients,
-                        check_langevin, check_selection,
+                        check_langevin, check_lockstep, check_selection,
                         naive_response_logprob, naive_select, naive_top_s)
 
 
@@ -79,6 +79,10 @@ class TestSuitesPass:
         result = check_selection(n_instances=20)
         assert result.passed, result.detail
 
+    def test_lockstep(self):
+        result = check_lockstep(n_passes=1)
+        assert result.passed, result.detail
+
     def test_determinism(self):
         result = check_determinism()
         assert result.passed, result.detail
@@ -140,6 +144,40 @@ class TestNegativeControls:
         result = check_selection(n_instances=20, select_fn=highest_index_on_ties)
         assert not result.passed
         assert "mismatch" in result.detail
+
+    def test_wrong_tie_break_in_a_pass_is_caught(self, monkeypatch):
+        true_batch = verify.select_knowledge_batch
+
+        def highest_index_on_ties(*args, **kwargs):
+            outs = true_batch(*args, **kwargs)
+            for out in outs:
+                weights = np.asarray(out.log_weights)
+                out.chosen = out.evaluated[max(i for i in range(len(weights))
+                                               if weights[i] >= weights.max() - 1e-12)]
+            return outs
+
+        monkeypatch.setattr(verify, "select_knowledge_batch", highest_index_on_ties)
+        result = check_selection(n_instances=20)
+        assert not result.passed
+        assert "pass 0 example 1" in result.detail
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_lockstep_chains_on_the_wrong_rows_are_caught(self, monkeypatch, noise):
+        true_chains = inference.langevin_infer_z
+
+        def shifted(params, example, s, *, encoded, **chain):
+            # the rows' generators (noise) or their examples (no noise) rotated
+            if np.ndim(s) == 1 and noise:
+                chain["rng"] = chain["rng"][1:] + chain["rng"][:1]
+            elif np.ndim(s) == 1:
+                example, s, encoded = example[1:] + example[:1], s[1:] + s[:1], \
+                    encoded[1:] + encoded[:1]
+            return true_chains(params, example, s, encoded=encoded, **chain)
+
+        monkeypatch.setattr(inference, "langevin_infer_z", shifted)
+        result = check_lockstep(n_passes=1)
+        assert not result.passed
+        assert "z_T difference" in result.detail or "stream" in result.detail
 
     def test_biased_langevin_chain_is_caught(self, monkeypatch):
         true_chain = verify.langevin_chain
