@@ -124,6 +124,8 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
         raise ContractError("a seeded generator is required for sampled selection")
     if encodings_batch is None:
         encodings_batch = encode_batch(params, examples)
+    elif len(encodings_batch) != n:
+        raise ContractError(f"{len(encodings_batch)} encoding lists for {n} examples")
     if prior == "uniform":
         subsets = [list(range(len(ex.candidates))) if width is None else top_s_candidates(
                        params, ex, width, encodings=encs)

@@ -110,6 +110,11 @@ def test_a_batch_selection_picks_what_each_example_picks(setup):
                                 top_s=None if top_s is None else 3, encodings=encs)
         assert got.chosen == want.chosen and got.evaluated == want.evaluated
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ContractError, match="5 encoding lists for 6 examples"):
+        select_knowledge_batch(params, examples, prior=config.prior, top_s=top_s,
+                               encodings_batch=encodings[:5])
+    with pytest.raises(ContractError, match="generators"):
+        posterior_infer_batch(params, examples, config, _gens(config, N - 1), encodings)
 
 
 def test_a_non_finite_gradient_in_one_lane_names_its_example(setup, monkeypatch):
