@@ -21,11 +21,12 @@ adjoint, which reaches BLAS with less overhead than ``@``.
 The windowed primitives, ``segment_attention`` and ``reduce_mean`` (a mean
 over windows only: the encoder's pooling), take a ``Windows`` layout,
 checked once where it is built, so a decoder step does not re-derive or
-re-check its lanes.
+re-check its lanes. ``segment_attention`` is a k-lane decoder step's whole
+additive attention, scores, window softmax and weighted sum, as one node.
 
 Adjoint rules live in module-level ``_*_vjp`` functions that node closures
-look up by name at call time, so tests can swap a rule in and verify the
-checkers notice.
+(each named ``vjp``, inside its primitive) look up by name at call time, so
+tests can swap a rule in and verify the checkers notice.
 
 Two paths make a ``Tensor``. A caller's leaf goes through ``Tensor.__init__``,
 which converts its data to a float64 array and validates it. A primitive's
@@ -350,11 +351,14 @@ class Windows:
     in order are ``segments`` (``of_segments`` builds them); when they are
     also of equal length (``tiled``), the windows are a reshape with no
     copy. The leading columns that every window reads alike are ``shared``
-    (a one-example encoder pass's prefix rows). The layout is checked once,
-    here, so the primitives that take it need not re-derive it at every
-    call."""
+    (a one-example encoder pass's prefix rows). Taken window by window, the
+    live entries have their window in ``owner`` and each window's first
+    entry is at ``starts``: for segments, row i lies in window ``owner[i]``.
+    The layout is checked once, here, so the primitives that take it need
+    not re-derive it at every call."""
 
-    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled", "shared")
+    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled", "shared",
+                 "owner", "starts")
 
     def __init__(self, index, lengths):
         index, lengths = np.asarray(index), np.asarray(lengths)
@@ -376,6 +380,8 @@ class Windows:
         columns = np.arange(index.shape[1])
         self.live = columns < lengths[:, None]  # (k, width)
         self.full = columns < lengths.min()     # (width,) columns with no dead entry
+        self.owner = np.repeat(np.arange(len(lengths)), lengths)
+        self.starts = np.cumsum(lengths) - lengths
 
     @staticmethod
     def of_segments(lengths) -> "Windows":
@@ -393,51 +399,68 @@ class Windows:
         return windows
 
 
-def _segment_attention_vjp(g, vw, w, out, windows, needs):
-    gx = gv = None
-    if needs[0]:
+def _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs):
+    need_p, need_q, need_v, need_s = needs
+    gp = gq = gv = gs = None
+    if need_p or need_q or need_v:
         # the window softmax's adjoint: w * (g . v - g . out), 0 at dead entries
         gw = np.matmul(vw, g[:, :, None])[:, :, 0]
         gxw = w * (gw - (g * out).sum(axis=1, keepdims=True))
         gx = gxw.reshape(-1) if windows.tiled else gxw[windows.live]
-    if needs[1]:
-        gvw = w[:, :, None] * g[:, None, :]
-        gv = gvw.reshape(-1, g.shape[1]) if windows.tiled else gvw[windows.live]
-    return gx, gv
+        gv = t.T.dot(gx) if need_v else None
+        if need_p or need_q:
+            # through the scores' product with att_v, then the tanh
+            ga = gx[:, None] * vd * (1.0 - t * t)
+            gp = ga if need_p else None
+            if need_q:  # each lane's query met every entry of its window
+                gq = (ga.reshape(*windows.index.shape, -1).sum(axis=1) if windows.tiled
+                      else np.add.reduceat(ga, windows.starts, axis=0))
+    if need_s:
+        gs = (w[:, :, None] * g[:, None, :]).reshape(-1, g.shape[1])
+    return gp, gq, gv, gs
 
 
-def segment_attention(x: Tensor, slots: Tensor, windows: Windows) -> Tensor:
-    """Attention within segments: row j of the (k, D) result is the softmax
-    of segment j's scores in ``x`` (N,) applied to the same segment's rows
-    of ``slots`` (N, D).
+def segment_attention(proj: Tensor, query: Tensor, att_v: Tensor, slots: Tensor,
+                      windows: Windows) -> Tensor:
+    """Additive attention of k lanes, each over its own segment of slots, as
+    one node: row j of the (k, D) result is the softmax over segment j of
+    the scores tanh(proj + query[j]) . att_v applied to the segment's slots.
 
-    ``windows`` (``Windows.of_segments``) lays the N entries out as k
-    padded windows of the longest segment's width: a (k, width) softmax,
-    with the dead entries at weight 0, and one batched product do the work.
-    Equal segments make the windows a reshape of ``x`` and ``slots``; ragged
-    ones gather them.
+    ``proj`` (N, A) holds the N slots' attention projections, segment after
+    segment, ``query`` (k, A) the lanes' queries and ``att_v`` (A,) the score
+    vector. ``slots`` holds the slots laid out as the windows, (k * width,
+    D): row j * width + c is entry c of window j, dead entries included. For
+    tiled windows that is the N slots themselves; ragged ones are gathered
+    into it once per decode, not at every step. The scores are formed by the
+    ops of the composition ``add``, ``tanh``, ``matmul`` by att_v in that
+    order, and the (k, width) window softmax gives the dead entries weight
+    0, so the node has that composition's bits. The tape keeps one (N, A)
+    array, the tanh; the query's adjoint sums each window's rows, by a
+    reshape for tiled windows and ``np.add.reduceat`` for ragged ones.
     """
-    xd, vd = x.data, slots.data
+    pd, qd, vd, sd = proj.data, query.data, att_v.data, slots.data
     if not isinstance(windows, Windows) or not windows.segments:
         raise ContractError("segment_attention needs segment windows (Windows.of_segments)")
-    n = int(windows.lengths.sum())
-    if xd.shape != (n,) or vd.ndim != 2 or vd.shape[0] != n:
-        raise ShapeError(f"segment_attention over {n} entries expects ({n},) scores and "
-                         f"({n}, D) slots, got {xd.shape} and {vd.shape}")
-    k, width = windows.index.shape
-    if windows.tiled:
-        xw, vw = xd.reshape(k, width), vd.reshape(k, width, -1)
-    else:
-        xw = np.where(windows.live, xd[windows.index], -np.inf)
-        vw = vd[windows.index]
+    (k, width), n = windows.index.shape, windows.span
+    if (pd.ndim != 2 or pd.shape[0] != n or qd.shape != (k, pd.shape[1])
+            or vd.shape != pd.shape[1:] or sd.ndim != 2 or sd.shape[0] != k * width):
+        raise ShapeError(f"segment_attention over {k} windows of {n} entries, width "
+                         f"{width}, expects ({n}, A) projections, ({k}, A) queries, (A,) "
+                         f"att_v and ({k * width}, D) slots, got {pd.shape}, {qd.shape}, "
+                         f"{vd.shape} and {sd.shape}")
+    t = np.tanh(pd + qd[windows.owner])
+    x = t.dot(vd)
+    xw = x.reshape(k, width) if windows.tiled else np.where(windows.live, x[windows.index],
+                                                            -np.inf)
+    vw = sd.reshape(k, width, -1)
     e = np.exp(xw - xw.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     out = np.matmul(w[:, None, :], vw)[:, 0, :]
 
-    def vjp(g, needs, vw=vw, w=w, out=out, windows=windows):
-        return _segment_attention_vjp(g, vw, w, out, windows, needs)
+    def vjp(g, needs, t=t, vd=vd, w=w, vw=vw, out=out, windows=windows):
+        return _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs)
 
-    return _emit(out, (x, slots), vjp)
+    return _emit(out, (proj, query, att_v, slots), vjp)
 
 
 def _log_vjp(g, xd):
@@ -494,7 +517,7 @@ def _reduce_mean_vjp(g, shape, windows):
         k, width = windows.index.shape
         out[:k * width] = np.repeat(grad, width, axis=0)
     else:
-        np.add.at(out, windows.index[windows.live], np.repeat(grad, windows.lengths, axis=0))
+        np.add.at(out, windows.index[windows.live], grad[windows.owner])
     return (out,)
 
 
@@ -534,7 +557,10 @@ def reduce_mean(x: Tensor, *, windows: Windows) -> Tensor:
 
 def _gather_vjp(g, shape, idx):
     out = np.zeros(shape, dtype=g.dtype)
-    np.add.at(out, idx, g)
+    if isinstance(idx, np.ndarray) and not (idx[1:] > idx[:-1]).all():
+        np.add.at(out, idx, g)  # a repeated row sums its adjoints
+    else:  # an int, a slice or strictly increasing rows: no two rows meet
+        out[idx] = g
     return (out,)
 
 
@@ -599,12 +625,16 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _squared_l2_vjp(g, xd):
-    return ((2.0 * g) * xd,)
+    return ((2.0 * g)[..., None] * xd if xd.ndim == 2 else (2.0 * g) * xd,)
 
 
 def squared_l2(x: Tensor) -> Tensor:
+    """The sum of squares: of every entry of a vector or a scalar, and of
+    each row of a matrix, (n,). A row sums as the same vector would."""
     xd = x.data
-    out = (xd * xd).sum()
+    if xd.ndim > 2:
+        raise ShapeError(f"squared_l2 expects rank 0, 1 or 2, got {xd.shape}")
+    out = (xd * xd).sum(axis=-1) if xd.ndim == 2 else (xd * xd).sum()
 
     def vjp(g, needs, xd=xd):
         return _squared_l2_vjp(g, xd)

@@ -272,9 +272,15 @@ def _one_pass(encodings: Sequence[EncodedContext]) -> tuple[_Pass, list[int], bo
 
 def _lane_pooled(encodings: Sequence[EncodedContext]) -> Tensor:
     """The encodings' pooled rows, (n, hidden): one gather from their pass,
-    none when they are every lane of it in order."""
+    none when they are every lane of it in order. A lone lane of a wider
+    pass reads its own row (``EncodedContext.pooled``), so its prior mean
+    and a one-lane decode of it share one gather."""
     pass_, lanes, every = _one_pass(encodings)
-    return pass_.pooled if every else ad.gather_rows(pass_.pooled, np.asarray(lanes))
+    if every:
+        return pass_.pooled
+    if len(lanes) == 1:
+        return ad.concat([encodings[0].pooled])
+    return ad.gather_rows(pass_.pooled, np.asarray(lanes))
 
 
 def _lane_states(encodings: Sequence[EncodedContext]) -> tuple[Tensor, np.ndarray]:
@@ -497,11 +503,14 @@ def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext])
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
-    """log N(z; mu, I) up to the additive constant: -||z - mu||^2 / 2."""
+    """log N(z; mu, I) up to the additive constant: -||z - mu||^2 / 2, a
+    scalar for a (latent,) mean, one per row for (n, latent) rows. It is
+    taken as -||mu - z||^2 / 2, whose square has the same bits, so that a
+    constant ``z`` is negated off the tape."""
     zt = z if isinstance(z, Tensor) else Tensor(z)
     if zt.shape != mu.shape:
         raise ContractError(f"latent shape {zt.shape} does not match mean {mu.shape}")
-    return ad.scale(ad.squared_l2(ad.sub(zt, mu)), -0.5)
+    return ad.scale(ad.squared_l2(ad.sub(mu, zt)), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +524,17 @@ class DecoderCursor:
     What a decode holds fixed is built once, in ``decoder_start``: the
     attended slots and their attention projections with the attention bias
     added. A step moves the recurrent state after the consumed prefix and
-    the attention context of its last step. For k lanes the cursor also
-    holds the slot windows. A lane's slots are contiguous: its encoder
-    states, then its latent slot."""
+    the attention context of its last step. A lane's N slots are
+    contiguous: its encoder states, then its latent slot. For k lanes the
+    cursor also holds the slot windows, and its slots are laid out as the
+    windows, (k * width, hidden), as ``segment_attention`` reads them:
+    the N slots themselves when the windows are tiled, else gathered into
+    that layout once per decode."""
 
-    slots: Tensor       # (N, hidden)
+    slots: Tensor       # (N, hidden) for one lane, (k * width, hidden) for k
     proj: Tensor        # (N, att): slots @ att_enc + att_b
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
     windows: ad.Windows | None = None  # each lane's slots; None for one lane
-    lane: np.ndarray | None = None     # (N,) lane of each slot; None for one lane
     ctx: Tensor | None = None          # (hidden,) or (k, hidden); None before the first token
 
 
@@ -536,9 +547,10 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     layout, and ``decoder_advance`` follows the cursor. For k lanes, which
     must be lanes of one pass, the states and pooled rows come from it in
     one gather each (``_lane_states``, ``_lane_pooled``), and the
-    slot windows of ``segment_attention`` are laid out here. The slots'
-    attention projections, with ``att_b`` added, are made here too, once
-    per decode, on the tape or off it alike."""
+    slot windows of ``segment_attention`` are laid out here, with the slots
+    in their layout (``DecoderCursor``). The slots' attention projections,
+    with ``att_b`` added, are made here too, once per decode, on the tape
+    or off it alike."""
     t = params.tensors
     lanes = list(encoded)
     if not lanes:
@@ -548,7 +560,7 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
     zrow = ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])
-    windows = lane = None
+    windows = None
     if len(lanes) == 1:
         slots = ad.concat([lanes[0].states, zrow])
         pooled = lanes[0].pooled
@@ -564,10 +576,11 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> 
         order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
         slots = ad.gather_rows(ad.concat([rows, zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
-        lane = np.repeat(np.arange(k), lengths + 1)
     proj = ad.matmul(slots, t["att_enc"], plus=t["att_b"])
+    if windows is not None and not windows.tiled:
+        slots = ad.gather_rows(slots, windows.index.reshape(-1))
     state = ad.tanh(ad.matmul(pooled, t["dec_init_w"], plus=t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows, lane=lane)
+    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows)
 
 
 def _decoder_inputs(params: ModelParams, ids) -> Tensor:
@@ -599,21 +612,21 @@ def _decoder_step(params: ModelParams, cur: DecoderCursor, x: Tensor) -> Decoder
     """One step from the input projections ``x`` of its tokens
     (``_decoder_inputs``): the state projected for attention and for the
     recurrence, and the attention. The attention bias was added once, in
-    ``decoder_start``, and the input bias is in ``x``."""
+    ``decoder_start``, and the input bias is in ``x``. k lanes take their
+    attention, each slot meeting its own lane's query, as one
+    ``segment_attention`` node."""
     t = params.tensors
     if cur.windows is None:
         # one lane: its query, a vector product, is broadcast over the slots' rows
         hidden = ad.matmul(cur.state, t["att_dec"], plus=cur.proj)
         ctx = ad.matmul(ad.softmax(ad.matmul(ad.tanh(hidden), t["att_v"])), cur.slots)
     else:
-        # each slot meets its own lane's query
-        q = ad.gather_rows(ad.matmul(cur.state, t["att_dec"]), cur.lane)
-        scores = ad.matmul(ad.tanh(ad.add(cur.proj, q)), t["att_v"])
-        ctx = ad.segment_attention(scores, cur.slots, cur.windows)
+        ctx = ad.segment_attention(cur.proj, ad.matmul(cur.state, t["att_dec"]), t["att_v"],
+                                   cur.slots, cur.windows)
     # state . dec_wh + (ctx . dec_wc + x); ``x`` may be one row that every lane reads
     pre = ad.matmul(cur.state, t["dec_wh"], plus=ad.matmul(ctx, t["dec_wc"], plus=x))
     return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
-                         windows=cur.windows, lane=cur.lane, ctx=ctx)
+                         windows=cur.windows, ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:

@@ -12,11 +12,13 @@ candidate of every example a lane of it and every lane pooled in one
 windowed mean; inference and the head cross-entropy reuse those encodings.
 Validation encodes its examples the same way, ``batch_size`` to a pass,
 takes the generation-time pick of every example of a pass from one head
-product (``pick_knowledge``), and infers every example of a pass at once
-(``posterior_infer_batch``): one selection decode, then the Langevin chains
-in lockstep. Training still infers one example at a time, and its taped
-surrogate step runs per example too, making one more pass per example,
-since its gradient runs through the encoder.
+product (``pick_knowledge``), infers every example of a pass at once
+(``posterior_infer_batch``: one selection decode, then the Langevin chains
+in lockstep) and scores them with one ``surrogate_objectives`` call (one
+B-lane decode at the inferred latents). Training still infers one example
+at a time, and its taped surrogate step runs per example too
+(``surrogate_objective``, the batch of one), making one more pass per
+example, since its gradient runs through the encoder.
 """
 from __future__ import annotations
 
@@ -37,34 +39,69 @@ from .generation import pick_knowledge
 from .inference import posterior_infer_batch, sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
-                    latent_prior_log_density, latent_prior_mean)
+                    latent_prior_log_density, latent_prior_means)
 
 log = logging.getLogger(__name__)
+
+
+def surrogate_objectives(params: ModelParams, examples: Sequence[DialogueExample],
+                         picks: Sequence[int], zs, prior: str,
+                         encodings_batch: Sequence[Sequence[EncodedContext]]) -> ad.Tensor:
+    """Latent-completed objective of each example, (B,): the latent prior
+    log-density of its row of ``zs`` (B, latent) plus the response
+    log-likelihood under candidate ``picks[j]``, plus, in learnable mode,
+    the knowledge prior log-probability of the pick. ``zs`` and ``picks``
+    enter as constants, and encodings made off the tape carry no encoder
+    gradient.
+
+    ``encodings_batch[j]`` holds every candidate of example j or, under the
+    uniform prior, its pick's alone, all lanes of one pass. One
+    ``latent_prior_means`` and one B-lane ``decode_logprob`` cover the
+    picks. The knowledge prior logits come from one ``head_logits`` product
+    over every candidate (the taped tensor, not ``prior_scores``); each
+    example's log-softmax is taken over its own slice, and its entry at the
+    pick is added into the example's row by a one-hot product, whose zeros
+    add nothing. A batch of one takes no slice, so it has the bits of the
+    ops applied to one example."""
+    n = len(examples)
+    if prior not in ("uniform", "learnable"):
+        raise ContractError(f"unknown prior mode {prior!r}")
+    if n < 1 or len(picks) != n or len(encodings_batch) != n:
+        raise ContractError(f"{len(picks)} picks and {len(encodings_batch)} encoding lists "
+                            f"for {n} examples")
+    if prior == "learnable" and any(len(encs) != len(ex.candidates)
+                                    for ex, encs in zip(examples, encodings_batch)):
+        raise ContractError("the learnable prior needs every candidate's encoding")
+    lanes = [encs[s if len(encs) > 1 else 0] for encs, s in zip(encodings_batch, picks)]
+    zt = Tensor(np.asarray(zs, dtype=np.float64))
+    obj = ad.add(latent_prior_log_density(latent_prior_means(params, lanes), zt),
+                 decode_logprob(params, examples, list(picks), zt, encoded=lanes))
+    if prior == "learnable":
+        logits = head_logits(params, "knowledge_prior",
+                             [enc for encs in encodings_batch for enc in encs])
+        lo = 0
+        for j, (encs, s) in enumerate(zip(encodings_batch, picks)):
+            m = len(encs)
+            mine = logits if n == 1 else ad.gather_rows(logits, slice(lo, lo + m))
+            onehot = np.zeros((m, n))
+            onehot[s, j] = 1.0
+            obj = ad.matmul(ad.log(ad.softmax(mine)), Tensor(onehot), plus=obj)
+            lo += m
+    return obj
 
 
 def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
                         z: np.ndarray, prior: str,
                         encodings: Sequence[EncodedContext] | None = None) -> ad.Tensor:
-    """Latent-completed objective for one example: latent prior log-density
-    plus response log-likelihood, plus the knowledge prior log-probability in
-    learnable mode. ``z`` and ``s`` enter as constants. Without the
-    candidate ``encodings`` it encodes candidate ``s`` (uniform) or every
-    candidate (learnable) in one pass; encodings made off the tape carry no
-    encoder gradient. The knowledge prior's logits come from ``head_logits``
-    itself, not ``prior_scores``: the objective needs the taped tensor."""
-    if encodings is None and prior == "learnable":
-        encodings = encode_context(params, example)
-    encoded = encodings[s] if encodings is not None else encode_context(params, example, [s])[0]
-    mu = latent_prior_mean(params, example, s, encoded=encoded)
-    zt = Tensor(np.asarray(z, dtype=np.float64))
-    obj = ad.add(latent_prior_log_density(mu, zt),
-                 decode_logprob(params, example, s, zt, encoded=encoded))
-    if prior == "learnable":
-        logits = head_logits(params, "knowledge_prior", encodings)
-        obj = ad.add(obj, ad.gather_rows(ad.log(ad.softmax(logits)), s))
-    elif prior != "uniform":
-        raise ContractError(f"unknown prior mode {prior!r}")
-    return obj
+    """Latent-completed objective for one example, a scalar: the batch of
+    one of ``surrogate_objectives``. Without the candidate ``encodings`` it
+    encodes candidate ``s`` (uniform) or every candidate (learnable) in one
+    pass."""
+    if encodings is None:
+        encodings = encode_context(params, example, None if prior == "learnable" else [s])
+    objs = surrogate_objectives(params, [example], [s], np.asarray(z, dtype=np.float64)[None],
+                                prior, [encodings])
+    return ad.gather_rows(objs, 0)
 
 
 def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfig,
@@ -181,10 +218,13 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     settings under a fixed per-epoch seed, and the selection accuracy of the
     generation-time pick over the gold-labelled examples (0 when none are).
     Each batch of ``config.batch_size`` examples is encoded in one pass for
-    both, picked by one head product (``pick_knowledge``) and inferred in
+    both, picked by one head product (``pick_knowledge``), inferred in
     lockstep (``posterior_infer_batch``), example ``i`` drawing from its own
-    generator; a batch of one infers as ``sequential_posterior_infer`` does,
-    to the bit. A non-finite chain names its batch, example and step."""
+    generator, and scored by one ``surrogate_objectives`` call; a batch of
+    one infers and scores as ``sequential_posterior_infer`` and
+    ``surrogate_objective`` do, to the bit. A non-finite chain names its
+    batch, example and step, and a non-finite objective its batch and
+    example."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
@@ -198,12 +238,19 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
                 for idx in range(lo, lo + len(chunk))]
         try:
             pairs = posterior_infer_batch(params, chunk, config, rngs, encodings_batch)
+            values = surrogate_objectives(params, chunk, [pair.s for pair in pairs],
+                                          [pair.z for pair in pairs], config.prior,
+                                          encodings_batch).data
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise NumericError(f"surrogate objective of example {int(finite.argmin())} "
+                                   f"is non-finite")
         except NumericError as err:
             raise NumericError(
                 f"validation batch {lo // config.batch_size}: {err}") from err
-        for example, encodings, pair, pick in zip(chunk, encodings_batch, pairs, picks):
-            total += surrogate_value(params, example, pair.s, pair.z, config.prior,
-                                     encodings)
+        for value in values.tolist():
+            total += value
+        for example, pick in zip(chunk, picks):
             if example.gold_index is not None:
                 labelled += 1
                 hits += pick == example.gold_index

@@ -19,7 +19,8 @@ from .inference import (langevin_chain, posterior_infer_batch, select_knowledge,
                         select_knowledge_batch, sequential_posterior_infer)
 from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob, encode_batch,
                     latent_prior_log_density, latent_prior_mean)
-from .training import head_ce_loss, multi_hot_labels, surrogate_objective, train
+from .training import (head_ce_loss, multi_hot_labels, surrogate_objective,
+                       surrogate_objectives, train)
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,11 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
     driving the Langevin drift, a lockstep decode of a ragged example's
     candidates in ``att_v``, the latent log-likelihood gradient through
     the constant weights the Langevin chain runs on (the tape
-    ``decoder_grad_z`` records), and a decode whose lanes come from two
-    examples, in the latents under constant weights and in ``att_v``."""
+    ``decoder_grad_z`` records), a decode whose lanes come from two
+    examples, in the latents under constant weights and in ``att_v``, and
+    the objectives of a pass of two examples (``surrogate_objectives``) in
+    every parameter, whose decode runs ``segment_attention`` in all four of
+    its inputs."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -294,6 +298,25 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
             if not report.passed:
                 return CheckResult("gradients", False, f"cross-example decode grad wrt "
                                    f"{label} seed {seed}: {report}")
+        # the objectives of a pass of two examples, on the tape from the
+        # encoder on: their decode's segment attention in every input
+        pass_picks, pass_zs = [s, cases[1][2]], np.stack([z, z[::-1]])
+        # weights of total magnitude 1 keep the value at one objective's O(10)
+        pass_mix = Tensor(mix.data[:2] / np.abs(mix.data[:2]).sum())
+        for prior in priors:
+            for name in params.names():
+                def pass_obj(x: Tensor, _name=name, _prior=prior) -> Tensor:
+                    swapped = _swap(params, _name, x)
+                    encs = encode_batch(swapped, [example, ragged], None if _prior == "learnable"
+                                        else [[i] for i in pass_picks])
+                    return matmul(surrogate_objectives(swapped, [example, ragged], pass_picks,
+                                                       pass_zs, _prior, encs), pass_mix)
+
+                report = gradcheck(pass_obj, params.tensors[name].data, tol=tol, h=1e-4)
+                worst = max(worst, report.max_rel_error)
+                if not report.passed:
+                    return CheckResult("gradients", False,
+                                       f"objective/pass/{prior}/{name} seed {seed}: {report}")
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

@@ -34,8 +34,12 @@ class TestFrozenValues:
 
     def test_segment_attention_of_equal_scores_averages_each_segment(self):
         slots = np.arange(12.0).reshape(6, 2)
-        out = ad.segment_attention(ad.Tensor(np.zeros(6)), ad.Tensor(slots),
-                                   ad.Windows.of_segments([3, 1, 2]))
+        windows = ad.Windows.of_segments([3, 1, 2])
+        rng = np.random.default_rng(3)
+        # a zero score vector gives every slot the score 0
+        out = ad.segment_attention(ad.Tensor(rng.normal(size=(6, 4))),
+                                   ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(np.zeros(4)),
+                                   ad.Tensor(slots[windows.index.reshape(-1)]), windows)
         np.testing.assert_allclose(out.data, [slots[:3].mean(axis=0), slots[3],
                                               slots[4:].mean(axis=0)], atol=1e-15)
 
@@ -96,7 +100,7 @@ class TestTape:
         with ad.Tape() as tape:
             rows = ad.gather_rows(embed, [4, 1])
             h = ad.tanh(ad.add(ad.matmul(rows, w), z))   # z enters as a row-wise bias
-            y = ad.squared_l2(ad.matmul(h, w))
+            y = ad.reduce_sum(ad.squared_l2(ad.matmul(h, w)))
             grads = ad.backward(tape, y)
         # the constant lookup and its product were never recorded; the one
         # matmul on the tape is asked for its left operand alone
@@ -105,7 +109,7 @@ class TestTape:
         asked.clear()
         with ad.Tape() as tape:
             h = ad.tanh(ad.add(ad.matmul(ad.gather_rows(embed, [4, 1]), w), z))
-            y = ad.squared_l2(ad.matmul(h, w, plus=c))
+            y = ad.reduce_sum(ad.squared_l2(ad.matmul(h, w, plus=c)))
             grads = ad.backward(tape, y)
         # a constant addend is asked for nothing, and so is the weight
         assert asked == [("matmul-plus", (True, False, False)), ("matmul", (True, False))]
@@ -214,18 +218,27 @@ class TestShapeAndNumericErrors:
         for lengths in ([2, 0, 1], [], [-1, 4]):  # an empty segment, none at all
             with pytest.raises(ShapeError):
                 ad.Windows.of_segments(lengths)
-        windows = ad.Windows.of_segments([2, 1])
-        for n_scores, n_slots in ((2, 3),   # one score per entry
-                                  (3, 2),   # one slot per entry
-                                  (4, 4)):  # the windows cover 3 entries
+        windows = ad.Windows.of_segments([2, 1])  # 3 entries, 2 windows of width 2
+
+        def attend(n_proj=3, n_query=2, n_v=4, n_slots=4, layout=windows, width=4):
+            return ad.segment_attention(
+                ad.Tensor(np.zeros((n_proj, width))), ad.Tensor(np.zeros((n_query, 4))),
+                ad.Tensor(np.zeros(n_v)), ad.Tensor(np.ones((n_slots, 2))), layout)
+
+        attend()
+        for bad in ({"n_proj": 2},    # one projection per entry
+                    {"n_proj": 4},    # the windows cover 3 entries
+                    {"n_query": 3},   # one query per window
+                    {"n_v": 3},       # the score vector spans the attention width
+                    {"width": 3},     # and so do the projections
+                    {"n_slots": 3}):  # the slots are laid out as the windows, 2 x 2
             with pytest.raises(ShapeError):
-                ad.segment_attention(ad.Tensor(np.zeros(n_scores)),
-                                     ad.Tensor(np.ones((n_slots, 2))), windows)
+                attend(**bad)
         # windows over rows in any order are not segments; nor is a list of ids
         rows = ad.Windows(np.array([[0, 2], [1, 1]]), np.array([2, 1]))
         for layout in (rows, [0, 0, 1]):
             with pytest.raises(ContractError):
-                ad.segment_attention(ad.Tensor(np.zeros(3)), ad.Tensor(np.ones((3, 2))), layout)
+                attend(layout=layout)
 
     def test_windows_need_live_entries_and_integer_rows(self):
         for index, lengths in (([[0, 1]], [0]),         # an empty window
@@ -258,8 +271,9 @@ def _wrap_cases():
     v3 = ad.Tensor(rng.normal(size=3))
     v4 = ad.Tensor(rng.normal(size=4))
     m23 = ad.Tensor(rng.normal(size=(2, 3)))
-    slots = ad.Tensor(rng.normal(size=(3, 2)))
+    slots = ad.Tensor(rng.normal(size=(4, 2)))
     windows = ad.Windows(np.array([[3, 0, 0], [1, 3, 2]]), np.array([1, 3]))
+    seg = ad.Windows.of_segments([1, 2])  # 3 entries, 2 windows of width 2
     return {
         "matmul-22": ((2, 4), lambda x: ad.matmul(x, m)),
         "matmul-21": ((2, 3), lambda x: ad.matmul(x, v3)),
@@ -280,10 +294,15 @@ def _wrap_cases():
         "tanh": ((2, 3), ad.tanh),
         "tanh-0d": ((), ad.tanh),
         "softmax": ((2, 3), ad.softmax),
-        "segment-attention": ((3,), lambda x: ad.segment_attention(
-            x, slots, ad.Windows.of_segments([2, 1]))),
-        "segment-attention-slots": ((3, 2), lambda x: ad.segment_attention(
-            v3, x, ad.Windows.of_segments([1, 2]))),
+        # m's rows as the projections and the queries of an attention width of 3
+        "segment-attention-proj": ((3, 3), lambda x: ad.segment_attention(
+            x, ad.Tensor(m.data[:2]), v3, slots, seg)),
+        "segment-attention-query": ((2, 3), lambda x: ad.segment_attention(
+            ad.Tensor(m.data[:3]), x, v3, slots, seg)),
+        "segment-attention-att-v": ((3,), lambda x: ad.segment_attention(
+            ad.Tensor(m.data[:3]), ad.Tensor(m.data[:2]), x, slots, seg)),
+        "segment-attention-slots": ((4, 2), lambda x: ad.segment_attention(
+            ad.Tensor(m.data[:3]), ad.Tensor(m.data[:2]), v3, x, seg)),
         "log": ((3,), ad.log),
         "log-0d": ((), ad.log),
         "log-sigmoid": ((3,), ad.log_sigmoid),
@@ -298,6 +317,7 @@ def _wrap_cases():
         "concat": ((2, 4), lambda x: ad.concat([x, v4])),
         "squared-l2": ((3,), ad.squared_l2),
         "squared-l2-0d": ((), ad.squared_l2),
+        "squared-l2-rows": ((2, 3), ad.squared_l2),
     }
 
 
@@ -318,6 +338,24 @@ def test_primitive_results_are_float64_arrays_that_need_a_gradient_only_when_rec
         y = fn(ad.Tensor(point, name="x", trainable=True))
         check(y, True)
         assert len(tape) == 1 and tape._nodes[0][0] is y
+
+
+def _attention_case(windows, which, rng):
+    """``segment_attention`` over ``windows`` with its input ``which`` (0 the
+    projections, 1 the queries, 2 att_v, 3 the slots) x, the others
+    constants; the slots are laid out as the windows by a gather, as
+    ``decoder_start`` lays them out."""
+    k, n = windows.index.shape[0], windows.span
+    consts = [rng.normal(size=(n, 3)), rng.normal(size=(k, 3)), rng.normal(size=3),
+              rng.normal(size=(n, 2))]
+
+    def fn(x):
+        args = [ad.Tensor(c) for c in consts]
+        args[which] = x
+        args[3] = ad.gather_rows(args[3], windows.index.reshape(-1))
+        return ad.reduce_sum(ad.tanh(ad.segment_attention(*args, windows)))
+
+    return consts[which].shape, fn
 
 
 def _primitive_cases():
@@ -369,11 +407,16 @@ def _primitive_cases():
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
         "tanh": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(x))),
         "softmax": ((5,), lambda x: ad.reduce_sum(ad.multiply(ad.softmax(x), w5))),
-        # the slots are x and their scores a function of x: both adjoints count
-        "segment-attention": ((6, 3), lambda x: ad.reduce_sum(
-            ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, seg)))),
-        "segment-attention-tiled": ((6, 3), lambda x: ad.reduce_sum(
-            ad.tanh(ad.segment_attention(ad.matmul(x, w3), x, tiled)))),
+        **{f"segment-attention-{input_}{label}": _attention_case(windows, i, rng)
+           for label, windows in (("", seg), ("-tiled", tiled))
+           for i, input_ in enumerate(("proj", "query", "att-v", "slots"))},
+        # every input a function of x: the four adjoints accumulate
+        "segment-attention-all": ((6, 3), lambda x: ad.reduce_sum(ad.tanh(ad.segment_attention(
+            ad.matmul(x, c33), ad.gather_rows(x, [0, 3, 5]), ad.gather_rows(x, 1),
+            ad.gather_rows(x, seg.index.reshape(-1)), seg)))),
+        "segment-attention-all-tiled": ((6, 3), lambda x: ad.reduce_sum(ad.tanh(
+            ad.segment_attention(ad.matmul(x, c33), ad.gather_rows(x, [0, 3, 5]),
+                                 ad.gather_rows(x, 1), x, tiled)))),
         "log-sigmoid": ((4,), lambda x: ad.reduce_sum(ad.multiply(ad.log_sigmoid(x), wv))),
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "mean-windows": ((5, 4), lambda x: ad.reduce_sum(
@@ -387,6 +430,7 @@ def _primitive_cases():
         "concat-rows": ((2, 4), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv])))),
         "concat-vectors": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.concat([x, wv, x])))),
         "squared-l2": ((4,), lambda x: ad.squared_l2(x)),
+        "squared-l2-rows": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.squared_l2(x)))),
     }
 
 
@@ -547,22 +591,64 @@ SEGMENT_LENGTHS = st.one_of(
     st.lists(st.integers(1, 6), min_size=1, max_size=6))                  # mixed
 
 
+def _attention_inputs(lengths, seed):
+    """Projections, queries, att_v and slots (N rows) of segment attention
+    over segments of ``lengths``."""
+    rng = np.random.default_rng(seed)
+    n, k = sum(lengths), len(lengths)
+    return (rng.normal(size=(n, 5)), rng.normal(size=(k, 5)), rng.normal(size=5) * 3.0,
+            rng.normal(size=(n, 4)))
+
+
 @given(lengths=SEGMENT_LENGTHS, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_windowed_segment_attention_matches_a_plain_softmax_per_segment(lengths, seed):
-    rng = np.random.default_rng(seed)
-    n = sum(lengths)
-    x, slots = rng.normal(size=n) * 3.0, rng.normal(size=(n, 4))
-    out = ad.segment_attention(ad.Tensor(x), ad.Tensor(slots),
-                               ad.Windows.of_segments(lengths)).data
+    proj, query, att_v, slots = _attention_inputs(lengths, seed)
+    windows = ad.Windows.of_segments(lengths)
+    out = ad.segment_attention(ad.Tensor(proj), ad.Tensor(query), ad.Tensor(att_v),
+                               ad.Tensor(slots[windows.index.reshape(-1)]), windows).data
     assert out.shape == (len(lengths), 4)
     start = 0
-    for row, length in zip(out, lengths):
-        scores = x[start:start + length]
+    for j, (row, length) in enumerate(zip(out, lengths)):
+        scores = np.tanh(proj[start:start + length] + query[j]) @ att_v
         e = np.exp(scores - scores.max())
         np.testing.assert_allclose(row, (e / e.sum()) @ slots[start:start + length],
                                    rtol=0, atol=1e-12)
         start += length
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 2, 5], [4, 4, 4], [1]])
+def test_fused_segment_attention_has_the_bits_of_the_unfused_ops(lengths):
+    # the ops the decoder step ran before they were one node, in their order:
+    # each slot's lane query added to its projection, tanh, the product with
+    # att_v, then the window softmax and the weighted sum
+    proj, query, att_v, slots = _attention_inputs(lengths, 17)
+    windows = ad.Windows.of_segments(lengths)
+    lane = np.repeat(np.arange(len(lengths)), lengths)
+    scores = np.tanh(proj + query[lane]).dot(att_v)
+    xw = np.where(windows.live, scores[windows.index], -np.inf)
+    e = np.exp(xw - xw.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    want = np.matmul(w[:, None, :], slots[windows.index])[:, 0, :]
+    laid_out = slots if windows.tiled else slots[windows.index.reshape(-1)]
+    got = ad.segment_attention(ad.Tensor(proj), ad.Tensor(query), ad.Tensor(att_v),
+                               ad.Tensor(laid_out), windows).data
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", [2, -1, slice(1, 4), [0, 2, 3], [4], [3, 1], [1, 3, 1]],
+                         ids=["int", "negative-int", "slice", "increasing", "one-row",
+                              "decreasing", "repeated"])
+def test_gather_adjoint_equals_the_accumulating_form_for_every_key(key):
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.normal(size=(5, 3)), name="x", trainable=True)
+    # an adjoint with zeros of both signs, which accumulation from +0 makes +0
+    w = ad.Tensor(rng.normal(size=x.data[key].shape) * (rng.random(x.data[key].shape) > 0.3))
+    with ad.Tape() as tape:
+        grad = ad.backward(tape, ad.reduce_sum(ad.multiply(ad.gather_rows(x, key), w)))["x"]
+    want = np.zeros((5, 3))
+    np.add.at(want, key if isinstance(key, (int, slice)) else np.asarray(key), w.data)
+    assert np.array_equal(grad, want)
 
 
 @given(lengths=SEGMENT_LENGTHS)
@@ -601,6 +687,17 @@ def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed)
         for row, rows, length in zip(out, windows.index, lengths):
             # summed in window order: the same bits as the gathered rows' mean
             assert np.array_equal(row, x[rows[:length]].mean(axis=0))
+
+
+@pytest.mark.parametrize("width", [3, 9, 17, 130])
+def test_each_row_s_sum_of_squares_has_the_bits_of_its_vector_s(width):
+    rows = np.random.default_rng(width).normal(size=(4, width)) * 7.0
+    got = ad.squared_l2(ad.Tensor(rows)).data
+    assert got.shape == (4,)
+    for row, value in zip(rows, got):
+        assert value == ad.squared_l2(ad.Tensor(row)).data
+    with pytest.raises(ShapeError):
+        ad.squared_l2(ad.Tensor(np.ones((2, 2, 2))))
 
 
 def test_a_scalar_that_needs_a_gradient_is_not_broadcast():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spi import autodiff as ad
-from spi import verify
+from spi import training, verify
 from spi.config import SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import NumericError
@@ -21,7 +21,7 @@ from spi.inference import langevin_chain, langevin_infer_z, select_knowledge, \
     sequential_posterior_infer
 from spi.model import EOS, DialogueExample, LatentPair, ModelParams, decode_logprob
 from spi.training import (initializer_ce_step, mle_step, multi_hot_labels,
-                          surrogate_value, train)
+                          surrogate_value, train, validation_loss)
 
 pytestmark = [pytest.mark.filterwarnings("ignore:overflow"),
               pytest.mark.filterwarnings("ignore:invalid value")]
@@ -135,6 +135,28 @@ def test_surrogate_raises_where_only_the_latent_prior_term_overflows(prior):
     with pytest.raises(NumericError, match="root"):
         mle_step(params, [EXAMPLE], SpiConfig(model=CFG, prior=prior),
                  latents=[LatentPair(3, z)])
+
+
+@pytest.mark.parametrize("prior", ["uniform", "learnable"])
+def test_validation_names_the_batch_and_example_of_a_non_finite_objective(prior, monkeypatch):
+    # example 1 of batch 1 gets the latent of 1e200 above: its chain is fine,
+    # its objective is not
+    params = ModelParams.init(CFG, seed=1)
+    config = SpiConfig(model=CFG, prior=prior, top_s=2, langevin_steps=1, batch_size=2)
+    infer = training.posterior_infer_batch
+    batches = []
+
+    def overflowing_second_batch(*args):
+        pairs = infer(*args)
+        batches.append(pairs)
+        if len(batches) == 2:
+            pairs[1] = LatentPair(pairs[1].s, np.full(CFG.latent_dim, 1e200))
+        return pairs
+
+    monkeypatch.setattr(training, "posterior_infer_batch", overflowing_second_batch)
+    with pytest.raises(NumericError, match=r"^validation batch 1: surrogate objective of "
+                                           r"example 1 is non-finite"):
+        validation_loss(params, [EXAMPLE] * 4, config, epoch=0)
 
 
 def nan_vjp(*args):

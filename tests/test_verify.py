@@ -121,8 +121,8 @@ class TestNegativeControls:
         true_vjp = ad._segment_attention_vjp
 
         def flipped_slots(*args, **kwargs):
-            gx, gv = true_vjp(*args, **kwargs)
-            return gx, (None if gv is None else -gv)
+            *rest, gs = true_vjp(*args, **kwargs)
+            return (*rest, None if gs is None else -gs)
 
         monkeypatch.setattr(ad, "_segment_attention_vjp", flipped_slots)
         result = check_gradients(n_seeds=1, priors=("uniform",))
