@@ -12,10 +12,13 @@ all are constants is not recorded, and an adjoint is told which of its
 inputs need a gradient, so it can skip the rest.
 
 Dispatch, not arithmetic, is what a small model pays for, so an affine map
-is one primitive: ``matmul(a, b, plus=c)`` is ``a.b + c`` as one node, with
-``c`` added in place into the fresh product. Since IEEE addition is
-commutative, it has the bits of ``add(matmul(a, b), c)`` and of
-``add(c, matmul(a, b))``. Products call ``ndarray.dot``, forward and in the
+and its tanh are one primitive: ``matmul(a, b, plus=c)`` is ``a.b + c`` as
+one node, with ``c`` added in place into the fresh product, and
+``matmul(a, b, plus=c, tanh=True)`` is ``tanh(a.b + c)``, the tanh taken in
+place too (a recurrent step, an attention hidden layer). Since IEEE
+addition is commutative, the first has the bits of ``add(matmul(a, b), c)``
+and of ``add(c, matmul(a, b))``, and the second those of ``tanh`` of it,
+value and adjoints. Products call ``ndarray.dot``, forward and in the
 adjoint, which reaches BLAS with less overhead than ``@``.
 
 The windowed primitives, ``segment_attention`` and ``reduce_mean`` (a mean
@@ -41,9 +44,9 @@ each primitive: a ``Tensor`` made by a caller rejects non-finite entries,
 non-finite root and ``gradcheck`` a non-finite value at any probe or a
 non-finite analytic gradient. A primitive's result is never checked, so an
 overflow travels on as inf or NaN until a boundary meets it; the model's
-callers check what they return or act on (``model.decode_logprob``,
-``model.head_logits``, each greedy step, each Langevin state, each untaped
-surrogate value, each summed training gradient). Every boundary after
+callers check what they return or act on (``model.decode_run``,
+``model.head_logits``, each greedy step, each Langevin state, each
+validation objective, each summed training gradient). Every boundary after
 ``log`` and ``Tensor`` applies ``check_finite``. A ``tanh`` that
 saturates an overflow yields its limit, +-1, and the value stays finite:
 that is the chosen semantics, not an error.
@@ -232,13 +235,17 @@ def _matmul_plus_vjp(g, ad, bd, pshape, needs):
     return (*_matmul_vjp(g, ad, bd, needs[:2]), gp)
 
 
-def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None, tanh: bool = False) -> Tensor:
     """The product ``a.b`` of rank-1 or rank-2 tensors, or ``a.b + plus``
     as one node. ``plus`` has the product's shape, is 0-d or a row bias of
     a (n, m) product, or holds the (k, m) rows that an (m,) product is
     broadcast over. It is added in place into the fresh product, so no
     second array of its size is made. The products call ``ndarray.dot``,
-    which dispatches to BLAS with less overhead than ``@``."""
+    which dispatches to BLAS with less overhead than ``@``.
+
+    With ``tanh`` the node is ``tanh(a.b + plus)``: the tanh runs in place
+    on the fresh result, and the adjoint is ``_tanh_vjp``'s followed by the
+    product's, so the node has the bits of ``tanh(matmul(a, b, plus))``."""
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul expects rank 1 or 2, got {ad.shape} @ {bd.shape}")
@@ -246,23 +253,28 @@ def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
     out = ad.dot(bd)
     if plus is None:
-        def vjp(g, needs, ad=ad, bd=bd):
-            return _matmul_vjp(g, ad, bd, needs)
-
-        return _emit(out, (a, b), vjp)
-    pd = plus.data
-    if pd.shape in (out.shape, ()) or (out.ndim == 2 and pd.shape == out.shape[1:]):
-        out += pd  # a vector . vector product is a numpy scalar, added out of place
-    elif out.ndim == 1 and pd.ndim == 2 and pd.shape[1] == out.shape[0]:
-        out = pd + out
+        inputs, pshape = (a, b), None
     else:
-        raise ShapeError(f"matmul cannot add shape {pd.shape} to a product of "
-                         f"shape {out.shape}")
+        pd = plus.data
+        if pd.shape in (out.shape, ()) or (out.ndim == 2 and pd.shape == out.shape[1:]):
+            out += pd  # a vector . vector product is a numpy scalar, added out of place
+        elif out.ndim == 1 and pd.ndim == 2 and pd.shape[1] == out.shape[0]:
+            out = pd + out
+        else:
+            raise ShapeError(f"matmul cannot add shape {pd.shape} to a product of "
+                             f"shape {out.shape}")
+        inputs, pshape = (a, b, plus), pd.shape
+    if tanh:
+        out = np.tanh(out, out=out) if type(out) is np.ndarray else np.tanh(out)
 
-    def vjp(g, needs, ad=ad, bd=bd, pshape=pd.shape):
+    def vjp(g, needs, ad=ad, bd=bd, pshape=pshape, y=out if tanh else None):
+        if y is not None:
+            g = _tanh_vjp(g, y)[0]
+        if pshape is None:
+            return _matmul_vjp(g, ad, bd, needs)
         return _matmul_plus_vjp(g, ad, bd, pshape, needs)
 
-    return _emit(out, (a, b, plus), vjp)
+    return _emit(out, inputs, vjp)
 
 
 def _add_same_vjp(g):

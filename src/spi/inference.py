@@ -10,7 +10,8 @@ The examples of one encoder pass can be inferred together
 candidate) lane, then the short-run chains, which share T and the step
 size, advance in lockstep as the rows of one latent state, each example
 drawing from its own generator. The one-example functions are the batches
-of one of the same code.
+of one of the same code. A chain plans its decode once (``decode_plan``)
+and each of its steps runs only the latent's part of it.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import SpiConfig, derived_rng
 from .errors import ContractError, NumericError
-from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, distinct_lanes, encode_batch, encode_context,
+from .model import (DecodePlan, DialogueExample, EncodedContext, LatentPair, ModelParams,
+                    decode_logprob, decode_plan, decode_run, encode_batch, encode_context,
                     latent_prior_means, prior_scores)
 
 
@@ -260,45 +261,28 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
                          step_size=step_size, noisy=noise)
 
 
-def decoder_grad_z(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
-                   s: int | Sequence[int], z: np.ndarray,
-                   encoded: EncodedContext | Sequence[EncodedContext] | None = None
-                   ) -> np.ndarray:
-    """Gradient in z of the teacher-forced response log-likelihood.
+def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.ndarray:
+    """Gradient in z of the teacher-forced response log-likelihood of the
+    lanes of ``plan`` (``decode_plan``), which holds everything of the
+    decode that does not read z, so only z's part runs here (``decode_run``
+    and its backward): the latent slot rows, the slots' projections, the
+    recurrence and the output head.
 
-    An int ``s`` gives the (latent,) gradient for candidate ``s`` of one
-    example, encoded here unless ``encoded`` is given. Sequences of B
-    indices and encodings (lanes of one pass), with ``z`` of shape (B,
-    latent) and ``example`` one example or one per index, give the (B,
-    latent) gradients of B rows: one ``decode_logprob`` of the B lanes,
-    summed, and one backward. Row j enters only lane j, so its gradient is
-    its lane's alone. Two rows of one example's encoding could share a lane
-    of that decode, which hands its gradient to the first, so they are
-    rejected. One index is the batch of one, to the bit.
+    A (latent,) ``z`` gives the (latent,) gradient of a one-lane plan. A
+    (B, latent) ``z`` gives the (B, latent) gradients of a B-lane plan, the
+    lanes summed and one backward; row j enters only lane j, so its
+    gradient is its lane's alone. One lane is the batch of one, to the bit.
 
     The context encoding is treated as fixed, so the tape only spans the
-    decoder. Under ``params.constant()`` the tape holds only the nodes that
-    depend on z, and the backward forms no weight gradient; the z-gradient
-    is the same either way.
+    decoder. Under ``params.constant()`` (the weights the plan was made
+    with) the tape holds only the nodes that depend on z, and the backward
+    forms no weight gradient; the z-gradient is the same either way.
     """
-    one = np.ndim(s) == 0
-    if one:
-        examples, indices = [example], [s]
-        encs = [encoded if encoded is not None else encode_context(params, example, [s])[0]]
-        z = np.asarray(z, dtype=np.float64)[None]
-    else:
-        indices = list(s)
-        examples = ([example] * len(indices) if isinstance(example, DialogueExample)
-                    else list(example))
-        if encoded is None:
-            raise ContractError("latent rows need the encodings of their candidates")
-        encs = list(encoded)
-        if distinct_lanes(zip(map(id, examples), encs))[1] is not None:
-            raise ContractError("two latent rows of one example's encoding would share "
-                                "a decoder lane")
+    z = np.asarray(z, dtype=np.float64)
+    one = z.ndim == 1
     with Tape() as tape:
-        zt = Tensor(np.asarray(z, dtype=np.float64), name="z", trainable=True)
-        loglik = ad.reduce_sum(decode_logprob(params, examples, indices, zt, encoded=encs))
+        zt = Tensor(z[None] if one else z, name="z", trainable=True)
+        loglik = ad.reduce_sum(decode_run(params, plan, zt))
         grad = ad.backward(tape, loglik)["z"]
     return grad[0] if one else grad
 
@@ -314,10 +298,14 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
 
     Sequences of B indices and encodings (lanes of one pass), with
     ``example`` one example or one per index, run B chains in lockstep as
-    ``langevin_chain``'s rows: each step is one B-lane decode and one
-    backward, and ``rng`` holds one generator per chain. One index is the
-    chain of a batch of one. The chains ask only for z-gradients, so they
-    run against a constant view of the weights, made for them alone."""
+    ``langevin_chain``'s rows, and ``rng`` holds one generator per chain.
+    One index is the chain of a batch of one. The chain plans its decode
+    once (``decode_plan``: the lane checks, the lanes' states, the decoder's
+    initial state, the teacher-forced inputs and masks), so each step is
+    one ``decoder_grad_z`` run of that plan at the step's state: z's part
+    of one B-lane decode and one backward. The chains ask only for
+    z-gradients, so they run against a constant view of the weights, made
+    for them alone."""
     one = np.ndim(s) == 0
     if encoded is None:
         if not one:
@@ -325,9 +313,11 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
         encoded = encode_context(params, example, [s])[0]
     mu = latent_prior_means(params, [encoded] if one else encoded).data
     weights = params.constant()
+    # a chain of no steps asks for no gradient, so it plans no decode
+    plan = decode_plan(weights, example, s, encoded=encoded) if steps > 0 else None
 
     def grad_loglik(z: np.ndarray) -> np.ndarray:
-        return decoder_grad_z(weights, example, s, z, encoded=encoded)
+        return decoder_grad_z(weights, plan, z)
 
     return langevin_chain(mu[0] if one else mu, grad_loglik, steps=steps, step_size=step_size,
                           rng=rng, noise=noise, grad_clamp=grad_clamp, z0=z0)

@@ -325,7 +325,7 @@ def _encoder_steps(params: ModelParams, inputs: Tensor, state: Tensor, steps) ->
     wh = params.tensors["enc_wh"]
     rows = []
     for step in steps:
-        state = ad.tanh(ad.matmul(state, wh, plus=ad.gather_rows(inputs, step)))
+        state = ad.matmul(state, wh, plus=ad.gather_rows(inputs, step), tanh=True)
         rows.append(state)
     return rows
 
@@ -538,49 +538,77 @@ class DecoderCursor:
     ctx: Tensor | None = None          # (hidden,) or (k, hidden); None before the first token
 
 
-def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext], z) -> DecoderCursor:
-    """Cursor before the first token of k lanes decoded in lockstep, from k
-    encodings and ``z`` of shape (k, latent).
+@dataclass
+class DecoderLanes:
+    """What a cursor over k lanes holds fixed whatever their latents
+    (``decoder_lanes``): the lanes' encoder states, the decoder's initial
+    state and, for k lanes, the order of the slots and their windows."""
 
-    The only code that picks the decoder ops: a lone lane gets the one-lane
-    cursor (vectors, no windows), which runs faster than a one-lane segment
-    layout, and ``decoder_advance`` follows the cursor. For k lanes, which
-    must be lanes of one pass, the states and pooled rows come from it in
-    one gather each (``_lane_states``, ``_lane_pooled``), and the
-    slot windows of ``segment_attention`` are laid out here, with the slots
-    in their layout (``DecoderCursor``). The slots' attention projections,
-    with ``att_b`` added, are made here too, once per decode, on the tape
-    or off it alike."""
-    t = params.tensors
+    rows: Tensor        # one lane's states, (L, hidden), or k lanes' end to end
+    state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
+    order: np.ndarray | None = None    # slot i is row order[i] of [rows; latent rows]
+    windows: ad.Windows | None = None  # each lane's slots; None for one lane
+
+    def __len__(self) -> int:
+        return 1 if self.windows is None else len(self.windows.lengths)
+
+
+def decoder_lanes(params: ModelParams, encoded: Sequence[EncodedContext]) -> DecoderLanes:
+    """The part of ``decoder_start`` that does not read the latents. A lone
+    lane gets the one-lane layout (vectors, no windows), which runs faster
+    than a one-lane segment layout. For k lanes, which must be lanes of one
+    pass, the states and pooled rows come from it in one gather each
+    (``_lane_states``, ``_lane_pooled``), and the slot windows of
+    ``segment_attention`` are laid out here: lane j's encoder rows, then
+    its latent row."""
     lanes = list(encoded)
     if not lanes:
         raise ContractError("decoder_start needs at least one encoding")
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    want = (len(lanes), params.cfg.latent_dim)
-    if zt.shape != want:
-        raise ContractError(f"latent has shape {zt.shape}, expected {want}")
-    zrow = ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])
-    windows = None
+    order = windows = None
     if len(lanes) == 1:
-        slots = ad.concat([lanes[0].states, zrow])
-        pooled = lanes[0].pooled
+        rows, pooled = lanes[0].states, lanes[0].pooled
     else:
         rows, lengths = _lane_states(lanes)
         pooled = _lane_pooled(lanes)
-        # lane j's encoder rows, then its latent row (row n + j of the concatenation)
+        # lane j's encoder rows, then its latent row (row n + j of [rows; latent rows])
         n, k = int(lengths.sum()), len(lanes)
         zpos = np.cumsum(lengths) + np.arange(k)
         order = np.empty(n + k, dtype=np.int64)
         encoder = np.ones(n + k, dtype=bool)
         encoder[zpos] = False
         order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
-        slots = ad.gather_rows(ad.concat([rows, zrow]), order)
         windows = ad.Windows.of_segments(lengths + 1)
+    t = params.tensors
+    state = ad.matmul(pooled, t["dec_init_w"], plus=t["dec_init_b"], tanh=True)
+    return DecoderLanes(rows=rows, state=state, order=order, windows=windows)
+
+
+def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext] | DecoderLanes,
+                  z) -> DecoderCursor:
+    """Cursor before the first token of k lanes decoded in lockstep, from k
+    encodings, or their ``decoder_lanes`` when the caller runs the same
+    lanes at many latents, and ``z`` of shape (k, latent).
+
+    The only code that picks the decoder ops: what does not read ``z`` is
+    laid out by ``decoder_lanes``, and ``decoder_advance`` follows the
+    cursor. Here the latent slot rows are made, the slots put in their
+    layout (``DecoderCursor``) and their attention projections, with
+    ``att_b`` added, made once per decode, on the tape or off it alike."""
+    lanes = encoded if isinstance(encoded, DecoderLanes) else decoder_lanes(params, encoded)
+    t = params.tensors
+    zt = z if isinstance(z, Tensor) else Tensor(z)
+    want = (len(lanes), params.cfg.latent_dim)
+    if zt.shape != want:
+        raise ContractError(f"latent has shape {zt.shape}, expected {want}")
+    zrow = ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])
+    if lanes.windows is None:
+        slots = ad.concat([lanes.rows, zrow])
+    else:
+        slots = ad.gather_rows(ad.concat([lanes.rows, zrow]), lanes.order)
     proj = ad.matmul(slots, t["att_enc"], plus=t["att_b"])
-    if windows is not None and not windows.tiled:
-        slots = ad.gather_rows(slots, windows.index.reshape(-1))
-    state = ad.tanh(ad.matmul(pooled, t["dec_init_w"], plus=t["dec_init_b"]))
-    return DecoderCursor(slots=slots, proj=proj, state=state, windows=windows)
+    if lanes.windows is not None and not lanes.windows.tiled:
+        slots = ad.gather_rows(slots, lanes.windows.index.reshape(-1))
+    return DecoderCursor(slots=slots, proj=proj, state=lanes.state, windows=lanes.windows)
 
 
 def _decoder_inputs(params: ModelParams, ids) -> Tensor:
@@ -618,15 +646,16 @@ def _decoder_step(params: ModelParams, cur: DecoderCursor, x: Tensor) -> Decoder
     t = params.tensors
     if cur.windows is None:
         # one lane: its query, a vector product, is broadcast over the slots' rows
-        hidden = ad.matmul(cur.state, t["att_dec"], plus=cur.proj)
-        ctx = ad.matmul(ad.softmax(ad.matmul(ad.tanh(hidden), t["att_v"])), cur.slots)
+        hidden = ad.matmul(cur.state, t["att_dec"], plus=cur.proj, tanh=True)
+        ctx = ad.matmul(ad.softmax(ad.matmul(hidden, t["att_v"])), cur.slots)
     else:
         ctx = ad.segment_attention(cur.proj, ad.matmul(cur.state, t["att_dec"]), t["att_v"],
                                    cur.slots, cur.windows)
     # state . dec_wh + (ctx . dec_wc + x); ``x`` may be one row that every lane reads
-    pre = ad.matmul(cur.state, t["dec_wh"], plus=ad.matmul(ctx, t["dec_wc"], plus=x))
-    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=ad.tanh(pre),
-                         windows=cur.windows, ctx=ctx)
+    state = ad.matmul(cur.state, t["dec_wh"], plus=ad.matmul(ctx, t["dec_wc"], plus=x),
+                      tanh=True)
+    return DecoderCursor(slots=cur.slots, proj=cur.proj, state=state, windows=cur.windows,
+                         ctx=ctx)
 
 
 def output_logits(params: ModelParams, state: Tensor, ctx: Tensor) -> Tensor:
@@ -653,24 +682,36 @@ def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
     return response
 
 
-def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
-                    indices: Sequence[int], z,
-                    encoded: Sequence[EncodedContext] | None
-                    ) -> tuple[DecoderCursor, list[int], np.ndarray | None]:
-    """Cursor over the distinct (example, encoding, latent row) lanes of the
-    k (example, index) pairs (``distinct_lanes``), the first pair of each
-    lane and the lane of each pair, None when no two pairs share one."""
+def _decode_pairs(params: ModelParams, example, s, z, encoded):
+    """The k (example, index) pairs of a teacher-forced decode, checked:
+    whether ``s`` is one index, the pairs' examples, ``z`` as a (k, latent)
+    tensor (None when not given), one encoding per pair (one pass of the
+    pairs when ``encoded`` is None) and each pair's scored response."""
+    cfg = params.cfg
+    one = _is_index(s)
+    if one:  # lane 0 of a one-index lockstep
+        if not isinstance(example, DialogueExample):
+            raise ContractError("one candidate index scores one example")
+        s = [s]
+        if z is not None:
+            z = ad.concat([z]) if isinstance(z, Tensor) else np.asarray(z)[None]
+        encoded = None if encoded is None else [encoded]
+    indices = list(s)
+    examples = ([example] * len(indices) if isinstance(example, DialogueExample)
+                else list(example))
+    scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
     if not indices:
         raise ContractError("a lockstep decode needs at least one candidate index")
     if len(examples) != len(indices):
         raise ContractError(f"{len(examples)} examples for {len(indices)} candidate indices")
-    for ex, s in zip(examples, indices):
-        if not _is_index(s) or not 0 <= s < len(ex.candidates):
-            raise ContractError(f"candidate index {s!r} out of range")
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    want = (len(indices), params.cfg.latent_dim)
-    if zt.shape != want:
-        raise ContractError(f"latents have shape {zt.shape}, expected {want}")
+    for ex, i in zip(examples, indices):
+        if not _is_index(i) or not 0 <= i < len(ex.candidates):
+            raise ContractError(f"candidate index {i!r} out of range")
+    if z is not None:
+        z = z if isinstance(z, Tensor) else Tensor(z)
+        want = (len(indices), cfg.latent_dim)
+        if z.shape != want:
+            raise ContractError(f"latents have shape {z.shape}, expected {want}")
     if encoded is None:
         # one encoder pass: each distinct example with the indices its lanes ask for
         mine: dict[int, list[int]] = {}
@@ -685,17 +726,102 @@ def _lockstep_start(params: ModelParams, examples: Sequence[DialogueExample],
     encs = list(encoded)
     if len(encs) != len(indices):
         raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
-    for j, (ex, s, enc) in enumerate(zip(examples, indices, encs)):
-        if enc.example is not ex or s not in enc.indices:
+    for j, (ex, i, enc) in enumerate(zip(examples, indices, encs)):
+        if enc.example is not ex or i not in enc.indices:
             raise ContractError(
-                f"encoding {j} does not encode candidate {s} of its example: it encodes "
+                f"encoding {j} does not encode candidate {i} of its example: it encodes "
                 f"candidates {list(enc.indices)} of "
                 f"{'that' if enc.example is ex else 'another'} example")
-    # lanes of different examples never merge: their responses differ
-    firsts, lane_of = distinct_lanes(
-        (id(ex), enc, row.tobytes()) for ex, enc, row in zip(examples, encs, zt.data))
-    zl = zt if lane_of is None else ad.gather_rows(zt, np.asarray(firsts))
-    return decoder_start(params, [encs[pos] for pos in firsts], zl), firsts, lane_of
+    return one, examples, z, encs, [scored[id(ex)] for ex in examples]
+
+
+@dataclass
+class DecodePlan:
+    """What a teacher-forced decode of k lanes holds fixed whatever their
+    latents: the decoder's lanes (``decoder_lanes``), each step's input
+    projections, the targets' one-hot and the live mask. ``decode_run``
+    runs it at any latents."""
+
+    lanes: DecoderLanes
+    inputs: list[Tensor]  # step t's input rows: one row that every lane reads, or k rows
+    pick: np.ndarray      # (width * k, V): row t*k + j is lane j's step-t target, one-hot
+    live: Tensor          # (k, width * k): 1 where row t*k + j is a step of lane j's response
+
+
+def _plan(params: ModelParams, responses: Sequence[list[int]],
+          encoded: Sequence[EncodedContext]) -> DecodePlan:
+    """The plan of k lanes, lane j teacher-forcing ``responses[j]`` from
+    ``encoded[j]``. Every step's input projections come from one product,
+    one row per step when the lanes read the same tokens."""
+    k = len(responses)
+    lengths = np.array([len(r) for r in responses])
+    width = int(lengths.max())
+    # targets[t, j] is lane j's step-t target; past the lane's end, padding
+    targets = np.array([r + [PAD] * (width - len(r)) for r in responses]).T
+    # step t reads the step t-1 targets, one id for all when the lanes agree;
+    # step t's inputs are row t of the product (a vector, broadcast as a row
+    # bias) or rows t*k to t*k + k of it
+    shared = (targets == targets[:, :1]).all()
+    feed = np.vstack([np.full(k, BOS), targets[:-1]])
+    lanes = decoder_lanes(params, encoded)
+    if shared:
+        inputs, steps = _decoder_inputs(params, feed[:, 0]), range(width)
+    else:
+        inputs = _decoder_inputs(params, feed.reshape(-1))
+        steps = [slice(t * k, (t + 1) * k) for t in range(width)]
+    rows = np.arange(width * k)
+    pick = np.zeros((width * k, params.cfg.vocab_size))
+    pick[rows, targets.reshape(-1)] = 1.0
+    live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
+    return DecodePlan(lanes=lanes, inputs=[ad.gather_rows(inputs, step) for step in steps],
+                      pick=pick, live=Tensor(live.astype(np.float64)))
+
+
+def decode_plan(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+                s: int | Sequence[int],
+                encoded: EncodedContext | Sequence[EncodedContext] | None = None
+                ) -> DecodePlan:
+    """The plan of ``decode_logprob(params, example, s, z, encoded)``, for
+    ``decode_run`` at any ``z``: built once, it leaves a run only z's part
+    of the decode. Each (example, index) pair is one lane, so two pairs
+    that share one example's encoding are rejected: ``decode_logprob``
+    would make them one lane at equal latent rows, and a plan cannot know
+    its latents."""
+    _, examples, _, encs, responses = _decode_pairs(params, example, s, None, encoded)
+    if distinct_lanes(zip(map(id, examples), encs))[1] is not None:
+        raise ContractError("two latent rows of one example's encoding would share "
+                            "a decoder lane")
+    return _plan(params, responses, encs)
+
+
+def decode_run(params: ModelParams, plan: DecodePlan, z) -> Tensor:
+    """The teacher-forced log-probability of each lane of ``plan`` at its
+    row of ``z`` (k, latent), (k,): the latent slots and the slots'
+    projections, the recurrence step by step, the output head once over
+    every step's rows, and each lane's sum over its live steps.
+
+    Each token's log-probability is taken as (x_t - x_top) + log
+    softmax(x)_top, where x_top is its row's largest logit: the softmax
+    there is at least 1/V, so the log stays finite however confident the
+    model is. A non-finite total (an overflow in the weights) raises
+    ``NumericError``."""
+    cur = decoder_start(params, plan.lanes, z)
+    states, ctxs = [], []
+    for x in plan.inputs:
+        cur = _decoder_step(params, cur, x)
+        states.append(cur.state)
+        ctxs.append(cur.ctx)
+    # row t*k + j holds step t of lane j
+    logits = output_logits(params, ad.concat(states), ad.concat(ctxs))
+    top = np.zeros(logits.shape)
+    top[np.arange(logits.shape[0]), logits.data.argmax(axis=1)] = 1.0
+    # one-hot and 0/1 products pick entries and sum each lane's live rows exactly
+    ones = Tensor(np.ones(logits.shape[1]))
+    gap = ad.matmul(ad.multiply(logits, Tensor(plan.pick - top)), ones)
+    log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
+    total = ad.matmul(plan.live, ad.add(gap, log_top))
+    ad.check_finite(total.data, "response log-probability")
+    return total
 
 
 def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
@@ -717,61 +843,16 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     lane, so the two tie exactly, and its gradient in ``z`` reaches that
     first row.
 
-    The teacher-forced inputs of every step are projected in one product,
-    then the recurrence steps every lane token by token; a live mask drops
-    the steps past a lane's end. The output head then runs once over every
-    step's rows. Each token's log-probability is taken as (x_t - x_top) +
-    log softmax(x)_top, where x_top is its row's largest logit: the softmax
-    there is at least 1/V, so the log stays finite however confident the
-    model is. A non-finite total (an overflow in the weights) raises
-    ``NumericError``.
-    """
-    cfg = params.cfg
-    one = _is_index(s)
-    if one:  # lane 0 of a one-index lockstep, returned as a scalar
-        if not isinstance(example, DialogueExample):
-            raise ContractError("one candidate index scores one example")
-        s, z = [s], ad.concat([z]) if isinstance(z, Tensor) else np.asarray(z)[None]
-        encoded = None if encoded is None else [encoded]
-    indices = list(s)
-    examples = ([example] * len(indices) if isinstance(example, DialogueExample)
-                else list(example))
-    scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
-    cur, firsts, lane_of = _lockstep_start(params, examples, indices, z, encoded)
-    responses = [scored[id(examples[pos])] for pos in firsts]
-    k = len(responses)
-    lengths = np.array([len(r) for r in responses])
-    width = int(lengths.max())
-    # targets[t, j] is lane j's step-t target; past the lane's end, padding
-    targets = np.array([r + [PAD] * (width - len(r)) for r in responses]).T
-    # step t reads the step t-1 targets, one id for all when the lanes agree;
-    # every step's input projections come from one product, row t (a vector,
-    # broadcast as a row bias) or rows t*k to t*k + k of it
-    shared = (targets == targets[:, :1]).all()
-    feed = np.vstack([np.full(k, BOS), targets[:-1]])
-    if shared:
-        inputs, steps = _decoder_inputs(params, feed[:, 0]), range(width)
-    else:
-        inputs = _decoder_inputs(params, feed.reshape(-1))
-        steps = [slice(t * k, (t + 1) * k) for t in range(width)]
-    states, ctxs = [], []
-    for step in steps:
-        cur = _decoder_step(params, cur, ad.gather_rows(inputs, step))
-        states.append(cur.state)
-        ctxs.append(cur.ctx)
-    # row t*k + j holds step t of lane j
-    logits = output_logits(params, ad.concat(states), ad.concat(ctxs))
-    rows = np.arange(width * k)
-    top = np.zeros(logits.shape)
-    top[rows, logits.data.argmax(axis=1)] = 1.0
-    pick = np.zeros(logits.shape)
-    pick[rows, targets.reshape(-1)] = 1.0
-    # one-hot and 0/1 products pick entries and sum each lane's live rows exactly
-    ones = Tensor(np.ones(cfg.vocab_size))
-    gap = ad.matmul(ad.multiply(logits, Tensor(pick - top)), ones)
-    log_top = ad.log(ad.matmul(ad.multiply(ad.softmax(logits), Tensor(top)), ones))
-    live = (rows % k == np.arange(k)[:, None]) & (rows // k < lengths[:, None])
-    total = ad.matmul(Tensor(live.astype(np.float64)), ad.add(gap, log_top))
-    ad.check_finite(total.data, "response log-probability")
+    The decode is the plan of the distinct lanes (``DecodePlan``: their
+    states, initial state, input projections and masks) run at their
+    latents (``decode_run``), the same two steps a Langevin chain takes
+    once and T times (``decode_plan``)."""
+    one, examples, zt, encs, responses = _decode_pairs(params, example, s, z, encoded)
+    # lanes of different examples never merge: their responses differ
+    firsts, lane_of = distinct_lanes(
+        (id(ex), enc, row.tobytes()) for ex, enc, row in zip(examples, encs, zt.data))
+    zl = zt if lane_of is None else ad.gather_rows(zt, np.asarray(firsts))
+    total = decode_run(params, _plan(params, [responses[pos] for pos in firsts],
+                                     [encs[pos] for pos in firsts]), zl)
     lane_of = 0 if one else lane_of  # one index: the scalar of lane 0
     return total if lane_of is None else ad.gather_rows(total, lane_of)

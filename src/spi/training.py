@@ -19,6 +19,11 @@ B-lane decode at the inferred latents). Training still infers one example
 at a time, and its taped surrogate step runs per example too
 (``surrogate_objective``, the batch of one), making one more pass per
 example, since its gradient runs through the encoder.
+
+Most of a training example's time is its Langevin chain: T runs of the
+latent's part of one planned decode (``inference.langevin_infer_z``). Its
+taped surrogate step records each recurrent step, the product and its
+tanh, as one node (``tests/test_node_budget.py`` holds its budget).
 """
 from __future__ import annotations
 
@@ -202,14 +207,6 @@ def prior_ce_step(params: ModelParams, batch: list[DialogueExample],
                   encodings_batch=None) -> float:
     """Same multi-label update applied to the learnable prior head."""
     return _head_ce_step(params, batch, labels, lr, "knowledge_prior", encodings_batch)
-
-
-def surrogate_value(params: ModelParams, example: DialogueExample, s: int,
-                    z: np.ndarray, prior: str,
-                    encodings: Sequence[EncodedContext] | None = None) -> float:
-    value = float(surrogate_objective(params, example, s, z, prior, encodings).data)
-    ad.check_finite(value, "surrogate objective")
-    return value
 
 
 def validation_loss(params: ModelParams, examples: list[DialogueExample],

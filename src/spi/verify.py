@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gradcheck, matmul
+from .autodiff import Tape, Tensor, backward, gradcheck, matmul, multiply, reduce_sum, tanh
 from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
@@ -174,6 +174,57 @@ def _swap(params: ModelParams, name: str, tensor: Tensor) -> ModelParams:
     return ModelParams(params.cfg, merged)
 
 
+# (a, b, addend) shapes of a product with its tanh: no addend, one of the
+# product's shape, a row bias, a 0-d one, and the rows an (m,) product is
+# broadcast over; matrix and vector products
+_FUSED_TANH_SHAPES = (((3, 4), (4, 2), None), ((4,), (4, 2), None), ((3, 4), (4,), None),
+                      ((4,), (4,), None), ((3, 4), (4, 2), (3, 2)), ((4,), (4, 2), (2,)),
+                      ((3, 4), (4, 2), (2,)), ((3, 4), (4, 2), ()), ((4,), (4,), ()),
+                      ((4,), (4, 2), (3, 2)))
+
+
+def _fused_tanh_failure(seed: int, tol: float) -> tuple[float, str | None]:
+    """``matmul(a, b, plus, tanh=True)`` in every mode of
+    ``_FUSED_TANH_SHAPES``: gradcheck in each input, and its value and every
+    input gradient ``==`` those of ``tanh(matmul(a, b, plus))``. Returns the
+    worst relative error and what failed, or None."""
+    rng = derived_rng(9000 + seed, 7)
+    worst = 0.0
+    for shapes in _FUSED_TANH_SHAPES:
+        points = [rng.normal(size=shape) for shape in shapes if shape is not None]
+        # uneven weights on the node's entries, so each entry's adjoint counts
+        out = np.dot(points[0], points[1]) + (points[2] if len(points) == 3 else 0.0)
+        mix = Tensor(rng.normal(size=np.shape(out)))
+
+        def node(xs, fused):
+            plus = xs[2] if len(xs) == 3 else None
+            y = (matmul(xs[0], xs[1], plus=plus, tanh=True) if fused
+                 else tanh(matmul(xs[0], xs[1], plus=plus)))
+            return y, reduce_sum(multiply(y, mix))
+
+        for i in range(len(points)):
+            def fn(x: Tensor, _i=i) -> Tensor:
+                xs = [Tensor(p) for p in points]
+                xs[_i] = x
+                return node(xs, True)[1]
+
+            report = gradcheck(fn, points[i], tol=tol)
+            worst = max(worst, report.max_rel_error)
+            if not report.passed:
+                return worst, f"fused tanh {shapes} input {i} seed {seed}: {report}"
+        runs = []
+        for fused in (True, False):
+            with Tape() as tape:
+                xs = [Tensor(p, name=str(j), trainable=True) for j, p in enumerate(points)]
+                y, root = node(xs, fused)
+                grads = backward(tape, root)
+            runs.append([y.data] + [grads[str(j)] for j in range(len(points))])
+        if not all(np.array_equal(a, b) for a, b in zip(*runs)):
+            return worst, (f"fused tanh {shapes} seed {seed}: value or gradient differs "
+                           f"from the tanh of the product")
+    return worst, None
+
+
 def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                     priors: Sequence[str] = ("uniform", "learnable")) -> CheckResult:
     """Finite-difference check of the full parameter gradient of the training
@@ -187,7 +238,8 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
     examples, in the latents under constant weights and in ``att_v``, and
     the objectives of a pass of two examples (``surrogate_objectives``) in
     every parameter, whose decode runs ``segment_attention`` in all four of
-    its inputs."""
+    its inputs. Each seed ends with a product and its tanh as one node
+    (``_fused_tanh_failure``), the node of every recurrent step."""
     cfg = _tiny_model_config()
     worst = 0.0
     for seed in range(n_seeds):
@@ -317,6 +369,10 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                 if not report.passed:
                     return CheckResult("gradients", False,
                                        f"objective/pass/{prior}/{name} seed {seed}: {report}")
+        fused_worst, failure = _fused_tanh_failure(seed, tol)
+        worst = max(worst, fused_worst)
+        if failure is not None:
+            return CheckResult("gradients", False, failure)
     return CheckResult("gradients", True,
                        f"max rel err {worst:.2e} over {n_seeds} seeds (tol {tol:.0e})")
 

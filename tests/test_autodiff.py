@@ -286,6 +286,16 @@ def _wrap_cases():
         "matmul-plus-addend": ((3,), lambda x: ad.matmul(v4, m, plus=x)),
         "matmul-plus-scalar": ((2, 4), lambda x: ad.matmul(x, m, plus=ad.Tensor(1.5))),
         "matmul-plus-scalar-addend": ((), lambda x: ad.matmul(m23, v3, plus=x)),
+        # the product's tanh in its node, in every addend mode
+        "matmul-tanh-22": ((2, 4), lambda x: ad.matmul(x, m, tanh=True)),
+        "matmul-tanh-11": ((3,), lambda x: ad.matmul(x, v3, tanh=True)),
+        "matmul-tanh-plus": ((2, 4), lambda x: ad.matmul(x, m, plus=m23, tanh=True)),
+        "matmul-tanh-plus-bias": ((2, 4), lambda x: ad.matmul(x, m, plus=v3, tanh=True)),
+        "matmul-tanh-plus-rows": ((4,), lambda x: ad.matmul(x, m, plus=m23, tanh=True)),
+        "matmul-tanh-plus-0d": ((3,), lambda x: ad.matmul(x, v3, plus=ad.Tensor(1.5),
+                                                          tanh=True)),
+        "matmul-tanh-plus-scalar": ((2, 4), lambda x: ad.matmul(x, m, plus=ad.Tensor(1.5),
+                                                                tanh=True)),
         "add": ((3,), lambda x: ad.add(x, v3)),
         "add-bias": ((2, 3), lambda x: ad.add(x, v3)),
         "multiply": ((3,), lambda x: ad.multiply(x, v3)),
@@ -402,6 +412,32 @@ def _primitive_cases():
             ad.tanh(ad.matmul(c34, wv, plus=x)))),
         "matmul-plus-scalar-both": ((4,), lambda x: ad.reduce_sum(
             ad.tanh(ad.matmul(c34, x, plus=ad.squared_l2(x))))),
+        # the tanh inside the product's node, in every addend mode and for x
+        # each input
+        "matmul-tanh-22": ((3, 4), lambda x: ad.reduce_sum(ad.matmul(x, w2, tanh=True))),
+        "matmul-tanh-21": ((3, 4), lambda x: ad.reduce_sum(ad.matmul(x, wv, tanh=True))),
+        "matmul-tanh-12": ((4,), lambda x: ad.reduce_sum(ad.matmul(x, w2, tanh=True))),
+        "matmul-tanh-11": ((4,), lambda x: ad.matmul(x, wv, tanh=True)),
+        "matmul-tanh-plus": ((3, 4), lambda x: ad.reduce_sum(
+            ad.matmul(x, w2, plus=c33, tanh=True))),
+        "matmul-tanh-plus-addend": ((3, 3), lambda x: ad.reduce_sum(
+            ad.matmul(c34, w2, plus=x, tanh=True))),
+        "matmul-tanh-plus-bias": ((3, 4), lambda x: ad.reduce_sum(
+            ad.matmul(x, w2, plus=w3, tanh=True))),
+        "matmul-tanh-plus-bias-addend": ((3,), lambda x: ad.reduce_sum(
+            ad.matmul(c34, w2, plus=x, tanh=True))),
+        "matmul-tanh-plus-rows": ((4,), lambda x: ad.reduce_sum(
+            ad.matmul(x, w2, plus=c33, tanh=True))),
+        "matmul-tanh-plus-rows-addend": ((2, 3), lambda x: ad.reduce_sum(
+            ad.matmul(wv, w2, plus=x, tanh=True))),
+        "matmul-tanh-plus-both": ((3, 3), lambda x: ad.reduce_sum(
+            ad.matmul(x, c33, plus=x, tanh=True))),
+        "matmul-tanh-plus-0d": ((4,), lambda x: ad.matmul(x, wv, plus=ad.squared_l2(x),
+                                                          tanh=True)),
+        "matmul-tanh-plus-scalar": ((3, 4), lambda x: ad.reduce_sum(
+            ad.matmul(x, w2, plus=ad.squared_l2(wv), tanh=True))),
+        "matmul-tanh-plus-scalar-addend": ((), lambda x: ad.reduce_sum(
+            ad.matmul(c34, wv, plus=x, tanh=True))),
         "add": ((4,), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "add-bias": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.add(x, wv)))),
         "multiply": ((4,), lambda x: ad.reduce_sum(ad.multiply(x, ad.multiply(x, wv)))),
@@ -474,6 +510,33 @@ def test_a_product_plus_addend_has_the_bits_of_a_product_and_an_add(mode, shapes
     for form in unfused:
         for got, want in zip(fused, run(form)):
             assert got.shape == want.shape and np.array_equal(got, want), form
+
+
+@pytest.mark.parametrize("shapes", [
+    ((6, 9), (9, 7), None), ((6, 9), (9,), None), ((9,), (9, 7), None), ((9,), (9,), None),
+    ((6, 9), (9, 7), (6, 7)), ((9,), (9, 7), (7,)), ((6, 9), (9,), (6,)),  # same shape
+    ((6, 9), (9, 7), (7,)),                                                # a row bias
+    ((6, 9), (9, 7), ()), ((9,), (9, 7), ()), ((9,), (9,), ()),           # 0-d
+    ((9,), (9, 7), (6, 7)),                        # a vector product broadcast over rows
+], ids=str)
+def test_a_product_with_its_tanh_has_the_bits_of_the_tanh_of_the_product(shapes):
+    rng = np.random.default_rng(19)
+    points = [rng.normal(size=shape) for shape in shapes if shape is not None]
+    names = "abc"[:len(points)]
+
+    def run(fused):
+        with ad.Tape() as tape:
+            a, b, *plus = (ad.Tensor(p, name=n, trainable=True) for p, n in zip(points, names))
+            plus = plus[0] if plus else None
+            y = (ad.matmul(a, b, plus=plus, tanh=True) if fused
+                 else ad.tanh(ad.matmul(a, b, plus=plus)))
+            # an uneven adjoint, so every entry of the tanh's adjoint counts
+            weights = ad.Tensor(np.random.default_rng(23).normal(size=y.shape))
+            grads = ad.backward(tape, ad.reduce_sum(ad.multiply(y, weights)))
+        return [y.data] + [grads[n] for n in names]
+
+    for got, want in zip(run(True), run(False), strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shapes", [((6, 9), (9,)), ((6, 9), (9, 7))])

@@ -101,3 +101,43 @@ def test_held_out_runs_are_marked_and_stay_out_of_the_traced_medians(tmp_path):
     assert bench_pairs.traced_medians(runs, ["model.decode_logprob_ms"]) == {
         "eval-desk": {"parent": {"model.decode_logprob_ms": 8.0},
                       "change": {"model.decode_logprob_ms": 8.5}}}
+
+
+def _run(side, workload, seed, trace, rounds, rss, held_out=False):
+    run = {"side": side, "file": f"{workload}-seed{seed}-trace{trace}.json",
+           "record": {"rounds": rounds},
+           "result": {"metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}}}}
+    if held_out:
+        run["held_out"] = True
+    return run
+
+
+def test_peak_rss_is_read_at_the_parent_s_median_rounds():
+    # each side's RSS grows 0.3 MB a round from its own base; the change
+    # makes more rounds, so its median RSS is higher at equal memory per round
+    runs = []
+    for seed, (parent_rounds, change_rounds) in enumerate([(80, 88), (82, 90), (84, 91)]):
+        runs += [_run("parent", "train-desk", 101 + seed, 0, parent_rounds,
+                      60.0 + 0.3 * parent_rounds),
+                 _run("change", "train-desk", 101 + seed, 0, change_rounds,
+                      59.0 + 0.3 * change_rounds)]
+    # held-out runs count; traced runs, which keep spans, do not
+    runs += [_run("parent", "train-desk", 211, 0, 86, 60.0 + 0.3 * 86, held_out=True),
+             _run("change", "train-desk", 211, 0, 95, 59.0 + 0.3 * 95, held_out=True),
+             _run("parent", "train-desk", 101, 1, 10, 500.0),
+             _run("change", "train-desk", 101, 1, 10, 900.0)]
+    # a workload whose runs all make the same number of rounds: their mean
+    runs += [_run(side, "eval-desk", 101 + i, 0, 40, rss)
+             for i, (side, rss) in enumerate([("parent", 50.0), ("change", 51.0),
+                                              ("parent", 52.0), ("change", 53.0)])]
+    fits = bench_pairs.rss_at_equal_rounds(runs)
+    desk = fits["train-desk"]
+    assert desk["rounds"] == 83.0  # the median of 80, 82, 84 and 86
+    for side, base in (("parent", 60.0), ("change", 59.0)):
+        assert desk[side]["slope"] == pytest.approx(0.3, abs=1e-12)
+        assert desk[side]["intercept"] == pytest.approx(base, abs=1e-9)
+        assert desk[side]["peak_rss_mb"] == pytest.approx(base + 0.3 * 83, abs=1e-9)
+    assert fits["eval-desk"] == {"rounds": 40.0,
+                                 "parent": {"slope": 0.0, "intercept": 51.0, "peak_rss_mb": 51.0},
+                                 "change": {"slope": 0.0, "intercept": 52.0, "peak_rss_mb": 52.0}}
+    json.dumps(fits)  # the file is plain JSON

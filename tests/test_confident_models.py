@@ -11,7 +11,8 @@ import pytest
 from spi import verify
 from spi.config import SpiConfig, derived_rng
 from spi.inference import decoder_grad_z, sequential_posterior_infer
-from spi.model import EOS, DialogueExample, LatentPair, ModelParams, decode_logprob
+from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, decode_logprob,
+                       decode_plan)
 from spi.training import mle_step
 
 CFG = verify._tiny_model_config()
@@ -62,9 +63,11 @@ def test_latent_gradient_is_finite_and_at_its_limit(gap, constant):
     # at a gap of 60 the confident token's probability already rounds to 1
     # and every other one is below 1e-25, so that gradient is the limit
     z = np.random.default_rng(2).normal(size=CFG.latent_dim)
-    want = decoder_grad_z(confident_params(60.0), EXAMPLE, 3, z)
+    limit = confident_params(60.0)
+    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, 3), z)
     params = confident_params(gap)
-    got = decoder_grad_z(params.constant() if constant else params, EXAMPLE, 3, z)
+    params = params.constant() if constant else params
+    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, 3), z)
     assert np.isfinite(got).all()
     assert rel_err(got, want) <= TOL
 

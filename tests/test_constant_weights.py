@@ -11,7 +11,8 @@ from spi import autodiff as ad
 from spi import verify
 from spi.config import derived_rng
 from spi.inference import decoder_grad_z, langevin_chain, langevin_infer_z
-from spi.model import ModelParams, decode_logprob, encode_context, latent_prior_mean
+from spi.model import (ModelParams, decode_logprob, decode_plan, encode_context,
+                       latent_prior_mean)
 
 CFG = verify._tiny_model_config()
 
@@ -43,8 +44,9 @@ def test_z_gradient_through_the_constant_view_equals_the_full_tape():
     checked = 0
     for params, example, s in ragged_cases():
         z = derived_rng(checked, 2).normal(size=CFG.latent_dim)
-        full = decoder_grad_z(params, example, s, z)
-        lean = decoder_grad_z(params.constant(), example, s, z)
+        view = params.constant()
+        full = decoder_grad_z(params, decode_plan(params, example, s), z)
+        lean = decoder_grad_z(view, decode_plan(view, example, s), z)
         assert np.array_equal(lean, full)
         checked += 1
     assert checked >= 40
@@ -95,7 +97,8 @@ def test_langevin_chain_equals_the_full_tape_chain():
         mu = latent_prior_mean(params, example, s, encoded=enc).data
         lean = langevin_infer_z(params, example, s, steps=4, step_size=0.1,
                                 rng=derived_rng(s, 3), encoded=enc)
-        full = langevin_chain(mu, lambda z: decoder_grad_z(params, example, s, z, encoded=enc),
+        plan = decode_plan(params, example, s, encoded=enc)
+        full = langevin_chain(mu, lambda z: decoder_grad_z(params, plan, z),
                               steps=4, step_size=0.1, rng=derived_rng(s, 3))
         assert all(np.array_equal(a, b) for a, b in zip(lean.states, full.states))
 

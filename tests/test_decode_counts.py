@@ -1,7 +1,8 @@
 """Posterior selection scores its candidates in one decoder pass
 (``decode_logprob`` call), in both prior modes: the call covers the
 evaluated subset, and its lanes are the subset's distinct truncated
-candidates. Evaluation decodes all its examples in two passes, one greedy
+candidates. A Langevin chain plans its decode once and runs only the
+latent's part of it at each step. Evaluation decodes all its examples in two passes, one greedy
 and one teacher-forced. A teacher-forced decode runs its output head once."""
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from spi import autodiff as ad
-from spi import model
+from spi import inference, model
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.inference import select_knowledge, sequential_posterior_infer
 from spi.metrics import evaluate
@@ -68,14 +69,30 @@ def test_one_decode_per_selection(decoder_calls, prior, top_s):
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])
 def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder_calls,
-                                                                         prior):
+                                                                         prior, monkeypatch):
+    plans, runs = [], []
+    plan, grad_z = inference.decode_plan, inference.decoder_grad_z
+
+    def counting_plan(params, example, s, encoded=None):
+        plans.append(s)
+        return plan(params, example, s, encoded=encoded)
+
+    def counting_grad(params, decode, z):
+        runs.append(decode)
+        return grad_z(params, decode, z)
+
+    monkeypatch.setattr(inference, "decode_plan", counting_plan)
+    monkeypatch.setattr(inference, "decoder_grad_z", counting_grad)
     config = SpiConfig(model=CFG, prior=prior, top_s=4, langevin_steps=3)
     params = ModelParams.init(CFG, seed=5)
     pair = sequential_posterior_infer(params, EXAMPLE, config, rng=derived_rng(1, 2))
-    subset, *steps = decoder_calls["decode"]
+    # the selection is the one full decode
+    [subset] = decoder_calls["decode"]
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
-    # each step decodes the pick as a batch of one chain
-    assert steps == [[pair.s]] * 3
+    # the chain plans the pick's decode once, then each step runs that plan:
+    # one cursor of one lane per step, from the plan's lanes
+    assert plans == [pair.s]
+    assert len(runs) == 3 and all(run is runs[0] for run in runs)
     assert decoder_calls["lanes"] == [distinct(subset)] + [1] * 3
 
 

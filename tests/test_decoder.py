@@ -17,8 +17,8 @@ from spi.config import ModelConfig
 from spi.errors import ContractError
 from spi.generation import generate
 from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge
-from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decoder_advance,
-                       decoder_start, encode_context, latent_prior_mean)
+from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
+                       decoder_advance, decoder_start, encode_context, latent_prior_mean)
 
 CFG = verify._tiny_model_config()
 TOL = 1e-12
@@ -222,7 +222,8 @@ def test_lockstep_gradient_in_z_matches_each_candidate():
         zt = ad.Tensor(z, name="z", trainable=True)
         grad = ad.backward(tape, ad.reduce_sum(decode_logprob(params, example, indices, zt)))
     for pos, s in enumerate(indices):
-        np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(params, example, s, z[pos]),
+        np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(params, decode_plan(params, example, s),
+                                                                  z[pos]),
                                    rtol=1e-10, atol=1e-14)
 
 

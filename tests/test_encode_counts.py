@@ -16,7 +16,7 @@ from spi.generation import generate, pick_knowledge
 from spi.inference import sequential_posterior_infer
 from spi.metrics import evaluate, perplexity
 from spi.model import ModelParams, encode_batch, encode_context
-from spi.training import surrogate_value, train, validation_loss
+from spi.training import surrogate_objective, train, validation_loss
 
 M = 8
 
@@ -143,7 +143,10 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
         pair = sequential_posterior_infer(params, ex, cfg, rng=rng)
         # a fresh pass over every candidate, as validation makes: a pass over
         # fewer candidates may round its lockstep rows differently
-        total += surrogate_value(params, ex, pair.s, pair.z, prior, encode_context(params, ex))
+        value = float(surrogate_objective(params, ex, pair.s, pair.z, prior,
+                                          encode_context(params, ex)).data)
+        ad.check_finite(value, "surrogate objective")
+        total += value
         hits += pick_knowledge(params, [encode_context(params, ex)], prior=prior)[0] \
             == ex.gold_index
     # in batches of one, validation's passes are these one-example passes

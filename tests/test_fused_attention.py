@@ -12,7 +12,7 @@ from spi import verify
 from spi.config import ModelConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.inference import decoder_grad_z
-from spi.model import (ModelParams, decode_logprob, decoder_advance, decoder_start,
+from spi.model import (ModelParams, decode_logprob, decode_plan, decoder_advance, decoder_start,
                        encode_batch, encode_context, latent_prior_means)
 
 
@@ -43,9 +43,11 @@ def test_a_lockstep_step_records_one_attention_node(lengths):
         start = len(tape)
         cur = decoder_advance(params, cur, [5, 6, 7])
         step = tape._nodes[start:]
-    # the input projection, the lanes' queries, the attention, the state
+    # the input projection, the lanes' queries, the attention, and the state:
+    # the context's product, then the recurrent product with its tanh
     assert primitives(step) == ["gather_rows", "matmul", "matmul", "segment_attention",
-                                "matmul", "matmul", "tanh"]
+                                "matmul", "matmul"]
+    assert step[-1][0] is cur.state
     # the projections are read by the attention node alone; a ragged
     # layout's slots were gathered once, in decoder_start
     assert [name for name, (_, inputs, _, _) in zip(primitives(tape._nodes), tape._nodes)
@@ -68,12 +70,13 @@ def test_a_ragged_lockstep_decode_matches_one_lane_decodes():
     owners, picks = [enc.example for enc in lanes], [enc.indices[0] for enc in lanes]
     z = rng.normal(size=(len(picks), cfg.latent_dim))
     scores = decode_logprob(params, owners, picks, z, encoded=lanes).data
-    grads = decoder_grad_z(params, owners, picks, z, encoded=lanes)
+    grads = decoder_grad_z(params, decode_plan(params, owners, picks, encoded=lanes), z)
     for j, (ex, s) in enumerate(zip(owners, picks)):
         alone = encode_context(params, ex, [s])[0]
         np.testing.assert_allclose(scores[j], decode_logprob(params, ex, s, z[j], encoded=alone)
                                    .data, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(grads[j], decoder_grad_z(params, ex, s, z[j], encoded=alone),
+        np.testing.assert_allclose(grads[j], decoder_grad_z(params, decode_plan(
+                                       params, ex, s, encoded=alone), z[j]),
                                    rtol=0, atol=1e-10)
 
 

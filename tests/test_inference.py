@@ -16,7 +16,7 @@ from spi.inference import (LangevinTrace, decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
                            select_knowledge, sequential_posterior_infer,
                            top_s_candidates)
-from spi.model import EOS, DialogueExample, ModelParams, latent_prior_mean
+from spi.model import EOS, DialogueExample, ModelParams, decode_plan, latent_prior_mean
 
 
 def tiny_cfg(vocab_size=10):
@@ -296,7 +296,7 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         p["zslot_w"].data[:] = 0.0
         ex = make_example(cands=((6, 7), (7, 6)))
-        grad = decoder_grad_z(p, ex, 0, np.ones(cfg.latent_dim))
+        grad = decoder_grad_z(p, decode_plan(p, ex, 0), np.ones(cfg.latent_dim))
         np.testing.assert_array_equal(grad, np.zeros(cfg.latent_dim))
 
     def test_decoder_gradient_matches_finite_differences(self):
@@ -304,7 +304,7 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         ex = make_example(cands=((6, 7), (7, 6)))
         z = np.full(cfg.latent_dim, 0.4)
-        grad = decoder_grad_z(p, ex, 0, z)
+        grad = decoder_grad_z(p, decode_plan(p, ex, 0), z)
         from spi.model import decode_logprob
         h = 1e-5
         for j in range(cfg.latent_dim):

@@ -20,8 +20,8 @@ from spi.inference import (decoder_grad_z, langevin_chain, langevin_infer_z,
                            posterior_infer_batch,
                            select_knowledge, select_knowledge_batch,
                            sequential_posterior_infer)
-from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, encode_batch,
-                       encode_context)
+from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
+                       encode_batch, encode_context)
 from spi.training import validation_loss
 
 N = 6
@@ -200,17 +200,21 @@ def test_gradient_rows_are_each_lane_s_gradient():
     owners, picks = [examples[0], examples[1], examples[2], examples[0]], [0, 2, 1, 2]
     encs = [encodings[examples.index(ex)][s] for ex, s in zip(owners, picks)]
     z = rng.normal(size=(4, cfg.latent_dim))
-    rows = decoder_grad_z(params, owners, picks, z, encoded=encs)
+    rows = decoder_grad_z(params, decode_plan(params, owners, picks, encoded=encs), z)
     for j in range(4):
-        alone = decoder_grad_z(params, owners[j], picks[j], z[j], encoded=encs[j])
+        alone = decoder_grad_z(params, decode_plan(params, owners[j], picks[j],
+                                                   encoded=encs[j]), z[j])
         np.testing.assert_allclose(rows[j], alone, rtol=1e-12, atol=1e-15)
     # a batch of one is the one-index call, to the bit
-    one = decoder_grad_z(params, owners[:1], picks[:1], z[:1], encoded=encs[:1])
-    assert np.array_equal(one[0], decoder_grad_z(params, owners[0], 0, z[0], encoded=encs[0]))
+    one = decoder_grad_z(params, decode_plan(params, owners[:1], picks[:1], encoded=encs[:1]),
+                         z[:1])
+    assert np.array_equal(one[0], decoder_grad_z(
+        params, decode_plan(params, owners[0], 0, encoded=encs[0]), z[0]))
     with pytest.raises(ContractError, match="share a decoder lane"):
-        decoder_grad_z(params, examples[0], [0, 0], z[:2], encoded=[encs[0]] * 2)
-    with pytest.raises(ContractError, match="encodings"):
-        decoder_grad_z(params, owners, picks, z)
+        decode_plan(params, examples[0], [0, 0], encoded=[encs[0]] * 2)
+    # a plan of four lanes runs four latent rows
+    with pytest.raises(ContractError, match="latent has shape"):
+        decoder_grad_z(params, decode_plan(params, owners, picks, encoded=encs), z[:3])
     with pytest.raises(ContractError, match="encodings"):
         langevin_infer_z(params, owners, picks, steps=1, step_size=0.1, noise=False)
 

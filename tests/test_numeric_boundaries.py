@@ -21,7 +21,7 @@ from spi.inference import langevin_chain, langevin_infer_z, select_knowledge, \
     sequential_posterior_infer
 from spi.model import EOS, DialogueExample, LatentPair, ModelParams, decode_logprob
 from spi.training import (initializer_ce_step, mle_step, multi_hot_labels,
-                          surrogate_value, train, validation_loss)
+                          surrogate_objective, train, validation_loss)
 
 pytestmark = [pytest.mark.filterwarnings("ignore:overflow"),
               pytest.mark.filterwarnings("ignore:invalid value")]
@@ -130,8 +130,9 @@ def test_surrogate_raises_where_only_the_latent_prior_term_overflows(prior):
     # finite, but ||z - mu||^2 overflows
     params = ModelParams.init(CFG, seed=1)
     z = np.full(CFG.latent_dim, 1e200)
-    with pytest.raises(NumericError):
-        surrogate_value(params, EXAMPLE, 3, z, prior)
+    with pytest.raises(NumericError, match="surrogate objective is non-finite"):
+        ad.check_finite(surrogate_objective(params, EXAMPLE, 3, z, prior).data,
+                        "surrogate objective")
     with pytest.raises(NumericError, match="root"):
         mle_step(params, [EXAMPLE], SpiConfig(model=CFG, prior=prior),
                  latents=[LatentPair(3, z)])

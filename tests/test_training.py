@@ -16,7 +16,7 @@ from spi.model import (EOS, DialogueExample, LatentPair, ModelParams,
                        latent_prior_log_density, latent_prior_mean)
 from spi.training import (TrainResult, head_ce_loss, initializer_ce_step,
                           mle_step, multi_hot_labels, prior_ce_step,
-                          surrogate_objective, surrogate_value, train,
+                          surrogate_objective, train,
                           validation_loss)
 
 
@@ -37,6 +37,13 @@ def make_example(cands=((6, 7), (7, 6)), hist=(4, 5), resp=(6, 7, EOS), gold=0):
     return DialogueExample(history=list(hist),
                            candidates=[list(c) for c in cands],
                            gold_index=gold, response=list(resp))
+
+
+def objective_value(params, example, s, z, prior) -> float:
+    """The surrogate objective's value, checked finite."""
+    value = float(surrogate_objective(params, example, s, z, prior).data)
+    ad.check_finite(value, "surrogate objective")
+    return value
 
 
 def snapshot(params):
@@ -167,8 +174,8 @@ class TestSurrogateObjective:
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
         z = np.full(2, 0.3)
-        plain = surrogate_value(p, ex, 1, z, "uniform")
-        tilted = surrogate_value(p, ex, 1, z, "learnable")
+        plain = objective_value(p, ex, 1, z, "uniform")
+        tilted = objective_value(p, ex, 1, z, "learnable")
         from spi.model import encode_context, prior_scores
         logits = prior_scores(p, [encode_context(p, ex)], prior="learnable")[0]
         expected = logits[1] - math.log(np.exp(logits).sum())
@@ -229,7 +236,7 @@ class TestMleStep:
     def test_loss_is_negative_mean_objective(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
         batch, latents = self.batch_and_latents(p)
-        want = -np.mean([surrogate_value(p, ex, lat.s, lat.z, "uniform")
+        want = -np.mean([objective_value(p, ex, lat.s, lat.z, "uniform")
                          for ex, lat in zip(batch, latents)])
         got = mle_step(p, batch, run_config(lr_model=0.0), latents=latents)
         assert got == pytest.approx(want, abs=1e-12)
@@ -240,7 +247,7 @@ class TestMleStep:
         batch, latents = self.batch_and_latents(p)
 
         def mean_objective(pp):
-            return np.mean([surrogate_value(pp, ex, lat.s, lat.z, "uniform")
+            return np.mean([objective_value(pp, ex, lat.s, lat.z, "uniform")
                             for ex, lat in zip(batch, latents)])
 
         before = snapshot(p)

@@ -101,8 +101,9 @@ class TestNegativeControls:
         assert "rel err" in result.detail
 
     def test_wrong_adjoint_under_constant_weights_is_caught(self, monkeypatch):
-        # of the checks, only the constant-weight one multiplies a data input
-        # by a weight matrix that needs no gradient
+        # of the checks before the fused tanh's, which ends each seed, only the
+        # constant-weight one multiplies a data input by a weight matrix that
+        # needs no gradient
         true_vjp = ad._matmul_vjp
 
         def halved_when_weight_constant(g, a, b, needs):
@@ -128,6 +129,23 @@ class TestNegativeControls:
         result = check_gradients(n_seeds=1, priors=("uniform",))
         assert not result.passed
         assert "cross-example decode grad wrt z" in result.detail
+
+    def test_a_fused_tanh_that_rounds_apart_from_the_unfused_ops_is_caught(self, monkeypatch):
+        # the same function, its product rounded through (x + 1) - 1: the
+        # central differences cannot tell, the bits can
+        true_matmul = ad.matmul
+
+        def rounded(a, b, plus=None, tanh=False):
+            y = true_matmul(a, b, plus=plus)
+            if not tanh:
+                return y
+            one = ad.Tensor(np.ones(y.shape))
+            return ad.tanh(ad.sub(ad.add(y, one), one))
+
+        monkeypatch.setattr(verify, "matmul", rounded)
+        worst, failure = verify._fused_tanh_failure(0, 1e-4)
+        assert worst < 1e-4
+        assert "differs from the tanh of the product" in failure
 
     def test_wrong_tie_break_is_caught(self):
         def highest_index_on_ties(params, example, *, prior, mode, top_s=None,

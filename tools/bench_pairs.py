@@ -22,8 +22,9 @@ output lines are kept as the run's ``record`` and ``result``. A run that
 exits non-zero stops the script. Per-layer times are wall clock, so one
 traced pair can point the wrong way; the file also records each side's
 median of every per-layer metric over its traced runs
-(``traced_medians``). The script only invokes the benchmark; it changes
-nothing under ``perfbench/``.
+(``traced_medians``), and each side's ``peak_rss_mb`` at the parent's
+median round count (``rss_at_equal_rounds``). The script only invokes the
+benchmark; it changes nothing under ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ def traced_medians(runs: list[dict], names: list[str]) -> dict:
     ``names`` over each side's traced runs."""
     values: dict[str, dict[str, dict[str, list[float]]]] = {}
     for run in runs:
-        workload, trace = re.fullmatch(r"(.+)-seed\d+-trace(\d)\.json", run["file"]).groups()
+        workload, trace = _workload_trace(run)
         if trace == "0":
             continue
         metrics = values.setdefault(workload, {}).setdefault(run["side"], {})
@@ -103,6 +104,41 @@ def traced_medians(runs: list[dict], names: list[str]) -> dict:
     return {workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
                        for side, metrics in sides.items()}
             for workload, sides in values.items()}
+
+
+def _workload_trace(run: dict) -> tuple[str, str]:
+    """A run's workload and trace flag, from its file name."""
+    return re.fullmatch(r"(.+)-seed\d+-trace(\d)\.json", run["file"]).groups()
+
+
+def rss_at_equal_rounds(runs: list[dict]) -> dict:
+    """{workload: {"rounds": r, side: {"slope", "intercept", "peak_rss_mb"}}}:
+    per side, the least-squares line of ``peak_rss_mb`` on the run's rounds
+    over its untraced runs (held-out ones included), read at r, the
+    parent's median rounds. A run that keeps something per round grows with
+    its round count, so a faster side's median RSS is read against the
+    parent's at equal rounds here. A side whose runs all made the same
+    number of rounds gets slope 0 and their mean."""
+    points: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    for run in runs:
+        workload, trace = _workload_trace(run)
+        if trace != "0":
+            continue
+        points.setdefault(workload, {}).setdefault(run["side"], []).append(
+            (float(run["record"]["rounds"]), run["result"]["metrics"]["peak_rss_mb"]["value"]))
+    out = {}
+    for workload, sides in points.items():
+        at = statistics.median(x for x, _ in sides["parent"])
+        fits: dict = {"rounds": at}
+        for side, xy in sides.items():
+            mx = statistics.fmean(x for x, _ in xy)
+            my = statistics.fmean(y for _, y in xy)
+            sxx = sum((x - mx) ** 2 for x, _ in xy)
+            slope = sum((x - mx) * (y - my) for x, y in xy) / sxx if sxx else 0.0
+            fits[side] = {"slope": slope, "intercept": my - slope * mx,
+                          "peak_rss_mb": my + slope * (at - mx)}
+        out[workload] = fits
+    return out
 
 
 def _seeds(text: str) -> tuple[int, ...]:
@@ -165,11 +201,15 @@ def main(argv=None) -> int:
         how += (f"; then one untraced pair per workload on each held-out seed "
                 f"{', '.join(map(str, args.held_out))}, alternating the same way, its "
                 f"runs marked held_out")
+    how += ("; peak_rss_at_equal_rounds holds each side's least-squares line of "
+            "peak_rss_mb on rounds over its untraced runs, read at the parent's median "
+            "rounds")
     medians = traced_medians(runs, [m["name"] for m in bench["per_layer"]])
     out = {"tag": args.tag, "change": args.note, "how": how,
            "parent_sha": shas["parent"], "change_sha": shas["change"],
            "held_out_seeds": list(args.held_out),
-           "traced_medians": medians, "runs": runs}
+           "traced_medians": medians, "peak_rss_at_equal_rounds": rss_at_equal_rounds(runs),
+           "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
