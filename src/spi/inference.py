@@ -273,10 +273,11 @@ def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.n
     lanes summed and one backward; row j enters only lane j, so its
     gradient is its lane's alone. One lane is the batch of one, to the bit.
 
-    The context encoding is treated as fixed, so the tape only spans the
-    decoder. Under ``params.constant()`` (the weights the plan was made
-    with) the tape holds only the nodes that depend on z, and the backward
-    forms no weight gradient; the z-gradient is the same either way.
+    The plan is made with the same weights. What it holds, the context
+    encoding included, is fixed, so the tape spans only z's part of the
+    decoder. Under ``params.constant()`` the tape holds only the nodes that
+    depend on z, and the backward forms no weight gradient; the z-gradient
+    is the same either way.
     """
     z = np.asarray(z, dtype=np.float64)
     one = z.ndim == 1
