@@ -109,6 +109,9 @@ class SpiConfig:
             raise ContractError(f"grad_clamp must be non-negative, got {self.grad_clamp}")
         if self.temperature <= 0.0:
             raise ContractError("temperature must be positive")
+        for name in ("lr_model", "lr_head"):
+            if getattr(self, name) < 0.0:
+                raise ContractError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ContractError("batch_size/epochs out of range")
 

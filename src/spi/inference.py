@@ -9,9 +9,10 @@ The examples of one encoder pass can be inferred together
 (``posterior_infer_batch``): one selection decode over every (example,
 candidate) lane, then the short-run chains, which share T and the step
 size, advance in lockstep as the rows of one latent state, each example
-drawing from its own generator. The one-example functions are the batches
-of one of the same code. A chain plans its decode once (``decode_plan``)
-and each of its steps runs only the latent's part of it.
+drawing from its own generator. The chain functions take rows only: a
+(B, latent) state, B candidate indices and B generators, so a lone chain is
+a batch of one. A chain plans its decode once (``decode_plan``) and each of
+its steps runs only the latent's part of it.
 """
 from __future__ import annotations
 
@@ -164,15 +165,13 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
 
 @dataclass
 class LangevinTrace:
-    """States visited by one chain, or by B chains as the rows of each state;
-    ``states[0]`` is the initial draw and the final state is the inferred
-    latent. ``drift_norms`` has one entry per step: the drift's norm, or each
-    row's."""
+    """States visited by B chains, run as the rows of each (B, latent)
+    state; ``states[0]`` is the initial draw and the final state holds the
+    inferred latents. ``drift_norms`` has one (B,) array per step: each
+    row's drift norm."""
 
     states: list[np.ndarray]
-    drift_norms: list
-    step_size: float
-    noisy: bool
+    drift_norms: list[np.ndarray]
 
     @property
     def final(self) -> np.ndarray:
@@ -180,35 +179,30 @@ class LangevinTrace:
 
 
 def _check_state(z: np.ndarray, what: str) -> None:
-    """``check_finite`` of a state; a (B, latent) state names its first
-    non-finite row, chain j being example j of a batch."""
-    if z.ndim == 1:
-        ad.check_finite(z, what)
-        return
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"{what} of example {int(finite.argmin())} is non-finite")
+    """``check_finite`` of a (B, latent) state, naming its first non-finite
+    row: chain j is example j of a batch."""
+    if not np.isfinite(z).all():
+        first = int(np.isfinite(z).all(axis=1).argmin())
+        raise NumericError(f"{what} of example {first} is non-finite")
 
 
 def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarray], *,
-                   steps: int, step_size: float, rng=None,
+                   steps: int, step_size: float, rng: Sequence[np.random.Generator] | None = None,
                    noise: bool = True, grad_clamp: float = 100.0,
                    z0: np.ndarray | None = None) -> LangevinTrace:
-    """Short-run Langevin dynamics on log N(z; mu, I) + loglik(z).
+    """Short-run Langevin dynamics on log N(z; mu, I) + loglik(z), for B
+    chains in lockstep as the rows of one state: ``mu`` is (B, latent) and
+    ``grad_loglik`` maps (B, latent) states to (B, latent) gradients.
 
     Each step moves by step_size * (-(z - mu) + clamp(grad_loglik(z))) plus
     sqrt(2 * step_size) Gaussian noise when ``noise`` is on; the clamp to
-    [-grad_clamp, grad_clamp] is per element. The chain starts at the prior
+    [-grad_clamp, grad_clamp] is per element. The chains start at the prior
     draw mu + eps (or at mu exactly when noise is off) unless ``z0``
-    overrides it. A non-finite state, the start included, raises
-    ``NumericError`` naming the step.
-
-    A (latent,) ``mu`` runs one chain, drawing from the generator ``rng``.
-    A (B, latent) ``mu`` runs B chains in lockstep as the rows of one state:
-    ``grad_loglik`` maps (B, latent) states to (B, latent) gradients, ``rng``
-    is a sequence of B generators, and row j draws its start and its noise
-    from the j-th alone, so each row draws what its chain would draw on its
-    own. A non-finite state then also names its first non-finite row.
+    overrides it. With noise on, ``rng`` holds one generator per row, and
+    row j draws its start and its noise from the j-th alone, so each row
+    draws what its chain would draw in a batch of one. A non-finite state,
+    the start included, raises ``NumericError`` naming the step and its
+    first non-finite row.
     """
     if steps < 0:
         raise ContractError("langevin steps must be non-negative")
@@ -217,18 +211,19 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
     if grad_clamp < 0.0:
         raise ContractError(f"langevin gradient clamp must be non-negative, got {grad_clamp}")
     mu = np.asarray(mu, dtype=np.float64)
-    if mu.ndim not in (1, 2):
-        raise ContractError(f"langevin mean must be (latent,) or (B, latent), got {mu.shape}")
-    rows = mu.ndim == 2
-    if noise and (rng is None or rows and (len(rng) != mu.shape[0]
-                                           or any(gen is None for gen in rng))):
+    if mu.ndim != 2:
+        raise ContractError(f"langevin mean must be (B, latent) rows, got {mu.shape}: "
+                            f"a lone chain is a batch of one")
+    if noise and (not isinstance(rng, Sequence) or len(rng) != mu.shape[0]
+                  or any(gen is None for gen in rng)):
         raise ContractError("a seeded generator is required when noise is on, "
                             "one per chain")
 
     def draw() -> np.ndarray:
-        if rows:
-            return np.stack([gen.standard_normal(mu.shape[1]) for gen in rng])
-        return rng.standard_normal(mu.shape)
+        eps = np.empty(mu.shape)
+        for row, gen in zip(eps, rng):
+            gen.standard_normal(out=row)
+        return eps
 
     if z0 is not None:
         z = np.asarray(z0, dtype=np.float64).copy()
@@ -240,7 +235,7 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
         z = mu.copy()
     _check_state(z, "langevin start state")
     states = [z.copy()]
-    drift_norms: list = []
+    drift_norms: list[np.ndarray] = []
     scale = np.sqrt(2.0 * step_size)
     for step in range(steps):
         grad = np.asarray(grad_loglik(z), dtype=np.float64)
@@ -250,15 +245,13 @@ def langevin_chain(mu: np.ndarray, grad_loglik: Callable[[np.ndarray], np.ndarra
         # overflow is handled by the finiteness check below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             drift = -(z - mu) + np.clip(grad, -grad_clamp, grad_clamp)
-            drift_norms.append(np.linalg.norm(drift, axis=1) if rows
-                               else float(np.linalg.norm(drift)))
+            drift_norms.append(np.linalg.norm(drift, axis=1))
             z = z + step_size * drift
             if noise:
                 z = z + scale * draw()
         _check_state(z, f"langevin state at step {step}")
         states.append(z.copy())
-    return LangevinTrace(states=states, drift_norms=drift_norms,
-                         step_size=step_size, noisy=noise)
+    return LangevinTrace(states=states, drift_norms=drift_norms)
 
 
 def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.ndarray:
@@ -268,10 +261,9 @@ def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.n
     and its backward): the latent slot rows, the slots' projections, the
     recurrence and the output head.
 
-    A (latent,) ``z`` gives the (latent,) gradient of a one-lane plan. A
-    (B, latent) ``z`` gives the (B, latent) gradients of a B-lane plan, the
-    lanes summed and one backward; row j enters only lane j, so its
-    gradient is its lane's alone. One lane is the batch of one, to the bit.
+    ``z`` is (B, latent) for a B-lane plan, and so is the gradient: the
+    lanes summed and one backward. Row j enters only lane j, so its gradient
+    is its lane's alone; a z of another shape raises ``ContractError``.
 
     The plan is made with the same weights. What it holds, the context
     encoding included, is fixed, so the tape spans only z's part of the
@@ -279,40 +271,33 @@ def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.n
     depend on z, and the backward forms no weight gradient; the z-gradient
     is the same either way.
     """
-    z = np.asarray(z, dtype=np.float64)
-    one = z.ndim == 1
     with Tape() as tape:
-        zt = Tensor(z[None] if one else z, name="z", trainable=True)
+        zt = Tensor(np.asarray(z, dtype=np.float64), name="z", trainable=True)
         loglik = ad.reduce_sum(decode_run(params, plan, zt))
-        grad = ad.backward(tape, loglik)["z"]
-    return grad[0] if one else grad
+        return ad.backward(tape, loglik)["z"]
 
 
 def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
-                     s: int | Sequence[int], *, steps: int, step_size: float,
-                     rng=None, noise: bool = True, grad_clamp: float = 100.0,
-                     z0: np.ndarray | None = None,
-                     encoded: EncodedContext | Sequence[EncodedContext] | None = None
-                     ) -> LangevinTrace:
-    """Run the short Langevin chain for candidate ``s`` of one example, from
-    its prior mean, with the decoder's z-gradient (``decoder_grad_z``).
+                     s: Sequence[int], *, encoded: Sequence[EncodedContext], steps: int,
+                     step_size: float, rng: Sequence[np.random.Generator] | None = None,
+                     noise: bool = True, grad_clamp: float = 100.0) -> LangevinTrace:
+    """Run B short Langevin chains in lockstep, chain j for candidate
+    ``s[j]`` of ``example`` (or of ``example[j]`` for a sequence of B
+    examples) from its prior mean, with the decoder's z-gradient
+    (``decoder_grad_z``). ``encoded`` holds one encoding per index, lanes of
+    one pass, and ``rng`` one generator per chain (``langevin_chain``'s
+    rows); a lone chain is a batch of one.
 
-    Sequences of B indices and encodings (lanes of one pass), with
-    ``example`` one example or one per index, run B chains in lockstep as
-    ``langevin_chain``'s rows, and ``rng`` holds one generator per chain.
-    One index is the chain of a batch of one. The chain plans its decode
-    once (``decode_plan``: the lane checks, the lanes' states, the decoder's
-    initial state, the teacher-forced inputs and masks), so each step is
-    one ``decoder_grad_z`` run of that plan at the step's state: z's part
-    of one B-lane decode and one backward. The chains ask only for
-    z-gradients, so they run against a constant view of the weights, made
-    for them alone."""
-    one = np.ndim(s) == 0
-    if encoded is None:
-        if not one:
-            raise ContractError("lockstep chains need the encodings of their candidates")
-        encoded = encode_context(params, example, [s])[0]
-    mu = latent_prior_means(params, [encoded] if one else encoded).data
+    The chains plan their decode once (``decode_plan``: the lane checks, the
+    lanes' states, the decoder's initial state, the teacher-forced inputs
+    and masks), so each step is one ``decoder_grad_z`` run of that plan at
+    the step's state: z's part of one B-lane decode and one backward. The
+    chains ask only for z-gradients, so they run against a constant view of
+    the weights, made for them alone."""
+    if np.ndim(s) != 1 or len(encoded) != len(s):
+        raise ContractError(f"langevin chains take a sequence of candidate indices and "
+                            f"one encoding each, got {s!r}: a lone chain is a batch of one")
+    mu = latent_prior_means(params, encoded).data
     weights = params.constant()
     # a chain of no steps asks for no gradient, so it plans no decode
     plan = decode_plan(weights, example, s, encoded=encoded) if steps > 0 else None
@@ -320,8 +305,8 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
     def grad_loglik(z: np.ndarray) -> np.ndarray:
         return decoder_grad_z(weights, plan, z)
 
-    return langevin_chain(mu[0] if one else mu, grad_loglik, steps=steps, step_size=step_size,
-                          rng=rng, noise=noise, grad_clamp=grad_clamp, z0=z0)
+    return langevin_chain(mu, grad_loglik, steps=steps, step_size=step_size, rng=rng,
+                          noise=noise, grad_clamp=grad_clamp)
 
 
 def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
@@ -333,6 +318,7 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
     With no generator supplied, one is derived from the config seed, so
     repeated calls agree bit for bit. ``encodings`` (one per candidate,
     lanes of one pass) skips re-encoding when the caller already holds them.
+    The chain is a batch of one of ``langevin_infer_z``;
     ``posterior_infer_batch`` makes the same draw for many examples at once.
     """
     config.validate()
@@ -345,10 +331,10 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
         params, example, prior=config.prior, mode=config.selection,
         top_s=top_s, temperature=config.temperature, rng=gen, encodings=encodings)
     trace = langevin_infer_z(
-        params, example, outcome.chosen, steps=config.langevin_steps,
-        step_size=config.step_size, rng=gen, noise=config.langevin_noise,
-        grad_clamp=config.grad_clamp, encoded=encodings[outcome.chosen])
-    return LatentPair(s=outcome.chosen, z=trace.final)
+        params, example, [outcome.chosen], steps=config.langevin_steps,
+        step_size=config.step_size, rng=[gen], noise=config.langevin_noise,
+        grad_clamp=config.grad_clamp, encoded=[encodings[outcome.chosen]])
+    return LatentPair(s=outcome.chosen, z=trace.final[0])
 
 
 def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExample],

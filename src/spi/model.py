@@ -486,20 +486,19 @@ def prior_scores(params: ModelParams, encodings_batch: Sequence[Sequence[Encoded
     return scores
 
 
+def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
+    """Means of the unit-variance Gaussian prior over the response latent,
+    one per encoding (lanes of one pass), (n, latent), from one
+    ``_pooled_product``. A matrix product of more rows may round a row
+    apart from a lone encoding's."""
+    return _pooled_product(encodings, params["zprior_w"], params["zprior_b"])
+
+
 def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
                       encoded: EncodedContext | None = None) -> Tensor:
-    """Mean of the unit-variance Gaussian prior over the response latent."""
-    enc = encoded if encoded is not None else encode_context(params, example, [s])[0]
-    t = params.tensors
-    return ad.matmul(enc.pooled, t["zprior_w"], plus=t["zprior_b"])
-
-
-def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
-    """``latent_prior_mean`` of every encoding (lanes of one pass), (n,
-    latent), from one ``_pooled_product``. A lone encoding's (1, hidden)
-    product has the bits of ``latent_prior_mean``'s vector product; a
-    matrix product of more rows may round a row differently."""
-    return _pooled_product(encodings, params["zprior_w"], params["zprior_b"])
+    """The (latent,) row of ``latent_prior_means`` of candidate ``s`` alone."""
+    return ad.gather_rows(latent_prior_means(
+        params, [encoded or encode_context(params, example, [s])[0]]), 0)
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
@@ -683,19 +682,14 @@ def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
 
 
 def _decode_pairs(params: ModelParams, example, s, z, encoded):
-    """The k (example, index) pairs of a teacher-forced decode, checked:
-    whether ``s`` is one index, the pairs' examples, ``z`` as a (k, latent)
-    tensor (None when not given), one encoding per pair (one pass of the
-    pairs when ``encoded`` is None) and each pair's scored response."""
+    """The k (example, index) pairs of a teacher-forced decode, checked: the
+    pairs' examples, ``z`` as a (k, latent) tensor (None when not given),
+    one encoding per pair (one pass of the pairs when ``encoded`` is None)
+    and each pair's scored response."""
     cfg = params.cfg
-    one = _is_index(s)
-    if one:  # lane 0 of a one-index lockstep
-        if not isinstance(example, DialogueExample):
-            raise ContractError("one candidate index scores one example")
-        s = [s]
-        if z is not None:
-            z = ad.concat([z]) if isinstance(z, Tensor) else np.asarray(z)[None]
-        encoded = None if encoded is None else [encoded]
+    if _is_index(s):
+        raise ContractError(f"candidate index {s} must come as a sequence of indices: "
+                            f"one lane is a batch of one")
     indices = list(s)
     examples = ([example] * len(indices) if isinstance(example, DialogueExample)
                 else list(example))
@@ -732,7 +726,7 @@ def _decode_pairs(params: ModelParams, example, s, z, encoded):
                 f"encoding {j} does not encode candidate {i} of its example: it encodes "
                 f"candidates {list(enc.indices)} of "
                 f"{'that' if enc.example is ex else 'another'} example")
-    return one, examples, z, encs, [scored[id(ex)] for ex in examples]
+    return examples, z, encs, [scored[id(ex)] for ex in examples]
 
 
 @dataclass
@@ -778,16 +772,15 @@ def _plan(params: ModelParams, responses: Sequence[list[int]],
 
 
 def decode_plan(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
-                s: int | Sequence[int],
-                encoded: EncodedContext | Sequence[EncodedContext] | None = None
+                s: Sequence[int], encoded: Sequence[EncodedContext] | None = None
                 ) -> DecodePlan:
-    """The plan of ``decode_logprob(params, example, s, z, encoded)``, for
-    ``decode_run`` at any ``z``: built once, it leaves a run only z's part
-    of the decode. Each (example, index) pair is one lane, so two pairs
-    that share one example's encoding are rejected: ``decode_logprob``
-    would make them one lane at equal latent rows, and a plan cannot know
-    its latents."""
-    _, examples, _, encs, responses = _decode_pairs(params, example, s, None, encoded)
+    """The plan of ``decode_logprob(params, example, s, z, encoded)`` for a
+    sequence of k indices, for ``decode_run`` at any (k, latent) ``z``:
+    built once, it leaves a run only z's part of the decode. Each (example,
+    index) pair is one lane, so two pairs that share one example's encoding
+    are rejected: ``decode_logprob`` would make them one lane at equal
+    latent rows, and a plan cannot know its latents."""
+    examples, _, encs, responses = _decode_pairs(params, example, s, None, encoded)
     if distinct_lanes(zip(map(id, examples), encs))[1] is not None:
         raise ContractError("two latent rows of one example's encoding would share "
                             "a decoder lane")
@@ -831,10 +824,11 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     ``s`` and latent ``z``. Tokens after the first end-of-sequence token are
     padding and do not contribute.
 
-    An int ``s`` gives a scalar tensor. A sequence of k indices, with ``z``
-    of shape (k, latent) and ``encoded`` (if given) one encoding per index,
-    lanes of one encoder pass, gives a (k,) tensor from one lockstep pass;
-    encoding j must encode candidate ``s[j]`` of its pair's example, or
+    A sequence of k indices, with ``z`` of shape (k, latent) and ``encoded``
+    (if given) one encoding per index, lanes of one encoder pass, gives a
+    (k,) tensor from one lockstep pass. An int ``s`` of one example, with a
+    numpy (latent,) ``z``, is a scalar view of that pass's one lane.
+    Encoding j must encode candidate ``s[j]`` of its pair's example, or
     ``ContractError`` names the pair;
     entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
     for a sequence of k examples, against that example's own response. The
@@ -847,12 +841,16 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     states, initial state, input projections and masks) run at their
     latents (``decode_run``), the same two steps a Langevin chain takes
     once and T times (``decode_plan``)."""
-    one, examples, zt, encs, responses = _decode_pairs(params, example, s, z, encoded)
+    if _is_index(s):
+        if not isinstance(example, DialogueExample) or isinstance(z, Tensor):
+            raise ContractError("one candidate index scores one example at a numpy latent")
+        return ad.gather_rows(decode_logprob(params, [example], [s], np.asarray(z)[None],
+                                             None if encoded is None else [encoded]), 0)
+    examples, zt, encs, responses = _decode_pairs(params, example, s, z, encoded)
     # lanes of different examples never merge: their responses differ
     firsts, lane_of = distinct_lanes(
         (id(ex), enc, row.tobytes()) for ex, enc, row in zip(examples, encs, zt.data))
     zl = zt if lane_of is None else ad.gather_rows(zt, np.asarray(firsts))
     total = decode_run(params, _plan(params, [responses[pos] for pos in firsts],
                                      [encs[pos] for pos in firsts]), zl)
-    lane_of = 0 if one else lane_of  # one index: the scalar of lane 0
     return total if lane_of is None else ad.gather_rows(total, lane_of)

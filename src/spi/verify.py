@@ -285,16 +285,17 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                     if not report.passed:
                         return CheckResult("gradients", False,
                                            f"cross-entropy/{label}{name} seed {seed}: {report}")
-        mu_const = latent_prior_mean(params, example, s).data
+        # the drift's two terms at a lone chain's (1, latent) state
+        mu_const = latent_prior_mean(params, example, s).data[None]
 
         def prior_term(x: Tensor) -> Tensor:
-            return latent_prior_log_density(Tensor(mu_const), x)
+            return reduce_sum(latent_prior_log_density(Tensor(mu_const), x))
 
         def loglik_term(x: Tensor) -> Tensor:
-            return decode_logprob(params, example, s, x)
+            return reduce_sum(decode_logprob(params, example, [s], x))
 
         for label, fn in (("latent-prior", prior_term), ("latent-loglik", loglik_term)):
-            report = gradcheck(fn, z, tol=tol, h=1e-4)
+            report = gradcheck(fn, z[None], tol=tol, h=1e-4)
             worst = max(worst, report.max_rel_error)
             if not report.passed:
                 return CheckResult("gradients", False,
@@ -324,8 +325,8 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         pick = int(chain_rng.integers(len(chained.candidates)))
         z0 = chain_rng.normal(size=cfg.latent_dim)
         weights = params.constant()
-        report = gradcheck(lambda x: decode_logprob(weights, chained, pick, x), z0,
-                           tol=tol, h=1e-4)
+        report = gradcheck(lambda x: reduce_sum(decode_logprob(weights, chained, [pick], x)),
+                           z0[None], tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
             return CheckResult("gradients", False, f"latent-loglik grad wrt z under "
@@ -385,7 +386,8 @@ def check_langevin(n_seeds: int = 10, steps: int = 10_000, burn_in: int = 2_000,
                    step_size: float = 0.01, min_passes: int | None = None) -> CheckResult:
     """Long-chain moment test on a linear-Gaussian observation model whose
     posterior mean is known in closed form: the empirical post-burn-in mean
-    must sit within 3 batch-means standard errors componentwise."""
+    must sit within 3 batch-means standard errors componentwise. Each seed
+    runs one chain, a batch of one of ``langevin_chain``'s rows."""
     if burn_in >= steps:
         raise ContractError("burn-in must be smaller than the chain length")
     d, k = 3, 4
@@ -402,11 +404,11 @@ def check_langevin(n_seeds: int = 10, steps: int = 10_000, burn_in: int = 2_000,
         target_mean = cov @ (mu0 + design.T @ obs / sigma2)
 
         def grad_loglik(z: np.ndarray) -> np.ndarray:
-            return design.T @ (obs - design @ z) / sigma2
+            return (obs - z @ design.T) @ design / sigma2
 
-        trace = langevin_chain(mu0, grad_loglik, steps=steps, step_size=step_size,
-                               rng=rng, noise=True)
-        samples = np.asarray(trace.states[burn_in + 1:])
+        trace = langevin_chain(mu0[None], grad_loglik, steps=steps, step_size=step_size,
+                               rng=[rng], noise=True)
+        samples = np.asarray(trace.states[burn_in + 1:])[:, 0]
         n_batches = 40
         usable = (len(samples) // n_batches) * n_batches
         batches = samples[:usable].reshape(n_batches, -1, d).mean(axis=1)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from spi import verify
 from spi.cli import main
 from spi.errors import ContractError
 from spi.fsio import atomic_write_bytes
@@ -258,6 +259,34 @@ def test_an_output_path_under_a_regular_file_exits_1_naming_it(workdir, corpus_d
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert str(out) in err and "cannot write" in err
     assert blocked.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("flag, field", [("--lr-model", "lr_model"), ("--lr-head", "lr_head")])
+def test_a_negative_learning_rate_exits_1_naming_the_field(workdir, corpus_dir, config_file,
+                                                           capsys, flag, field):
+    out = workdir / "negative-rate"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", flag, "-0.05"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field} must be non-negative, got -0.05")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_fast_passes_every_suite(capsys):
+    assert main(["verify", "--fast"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("[PASS] ") for line in lines), lines
+
+
+def test_verify_exits_1_when_a_suite_fails(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "check_selection",
+                        lambda **kwargs: verify.CheckResult("selection", False, "forced"))
+    assert main(["verify", "--fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] selection: forced" in lines
+    assert sum(line.startswith("[PASS] ") for line in lines) == 4
 
 
 def test_a_write_that_fails_after_its_temp_file_names_the_path_and_removes_it(tmp_path):

@@ -62,12 +62,12 @@ def test_lockstep_decode_matches_the_reference(gap):
 def test_latent_gradient_is_finite_and_at_its_limit(gap, constant):
     # at a gap of 60 the confident token's probability already rounds to 1
     # and every other one is below 1e-25, so that gradient is the limit
-    z = np.random.default_rng(2).normal(size=CFG.latent_dim)
+    z = np.random.default_rng(2).normal(size=(1, CFG.latent_dim))
     limit = confident_params(60.0)
-    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, 3), z)
+    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, [3]), z)
     params = confident_params(gap)
     params = params.constant() if constant else params
-    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, 3), z)
+    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, [3]), z)
     assert np.isfinite(got).all()
     assert rel_err(got, want) <= TOL
 

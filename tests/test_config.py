@@ -136,6 +136,14 @@ class TestSerialization:
         with pytest.raises(ContractError):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["lr_model", "lr_head"])
+    def test_a_negative_learning_rate_is_rejected_naming_it(self, field):
+        # a negative rate would step against the gradient: train would
+        # descend the likelihood it claims to ascend
+        with pytest.raises(ContractError, match=rf"^{field} must be non-negative, got -1.0"):
+            config_from_dict({"model": {"vocab_size": 64}, field: -1.0})
+        assert getattr(config_from_dict({"model": {"vocab_size": 64}, field: 0.0}), field) == 0.0
+
 
 class TestOverrides:
     def test_run_field(self):

@@ -12,7 +12,7 @@ from spi import verify
 from spi.config import derived_rng
 from spi.inference import decoder_grad_z, langevin_chain, langevin_infer_z
 from spi.model import (ModelParams, decode_logprob, decode_plan, encode_context,
-                       latent_prior_mean)
+                       latent_prior_means)
 
 CFG = verify._tiny_model_config()
 
@@ -43,10 +43,10 @@ def test_constant_view_shares_the_arrays_and_needs_no_gradient():
 def test_z_gradient_through_the_constant_view_equals_the_full_tape():
     checked = 0
     for params, example, s in ragged_cases():
-        z = derived_rng(checked, 2).normal(size=CFG.latent_dim)
+        z = derived_rng(checked, 2).normal(size=(1, CFG.latent_dim))
         view = params.constant()
-        full = decoder_grad_z(params, decode_plan(params, example, s), z)
-        lean = decoder_grad_z(view, decode_plan(view, example, s), z)
+        full = decoder_grad_z(params, decode_plan(params, example, [s]), z)
+        lean = decoder_grad_z(view, decode_plan(view, example, [s]), z)
         assert np.array_equal(lean, full)
         checked += 1
     assert checked >= 40
@@ -78,12 +78,13 @@ def test_z_gradient_tape_holds_only_z_dependent_nodes():
     params = ModelParams.init(CFG, seed=3)
     example = verify._ragged_example(derived_rng(5, 1), CFG, hist_len=4)
     view = params.constant()
-    enc = encode_context(params, example, [1])[0]
+    enc = encode_context(params, example, [1])
     with ad.Tape() as tape:
-        z = ad.Tensor(np.zeros(CFG.latent_dim), name="z", trainable=True)
-        grads = ad.backward(tape, decode_logprob(view, example, 1, z, encoded=enc))
+        z = ad.Tensor(np.zeros((1, CFG.latent_dim)), name="z", trainable=True)
+        grads = ad.backward(tape, ad.reduce_sum(decode_logprob(view, example, [1], z,
+                                                               encoded=enc)))
     with ad.Tape() as full:
-        decode_logprob(params, example, 1, np.zeros(CFG.latent_dim), encoded=enc)
+        decode_logprob(params, example, [1], np.zeros((1, CFG.latent_dim)), encoded=enc)
     assert set(grads) == {"z"}
     # the embedding lookups and the initial state do not depend on z
     assert not any(t is view["embed"] or t is view["dec_init_w"]
@@ -93,13 +94,13 @@ def test_z_gradient_tape_holds_only_z_dependent_nodes():
 
 def test_langevin_chain_equals_the_full_tape_chain():
     for params, example, s in list(ragged_cases(n_seeds=2))[::3]:
-        enc = encode_context(params, example, [s])[0]
-        mu = latent_prior_mean(params, example, s, encoded=enc).data
-        lean = langevin_infer_z(params, example, s, steps=4, step_size=0.1,
-                                rng=derived_rng(s, 3), encoded=enc)
-        plan = decode_plan(params, example, s, encoded=enc)
+        enc = encode_context(params, example, [s])
+        mu = latent_prior_means(params, enc).data
+        lean = langevin_infer_z(params, example, [s], steps=4, step_size=0.1,
+                                rng=[derived_rng(s, 3)], encoded=enc)
+        plan = decode_plan(params, example, [s], encoded=enc)
         full = langevin_chain(mu, lambda z: decoder_grad_z(params, plan, z),
-                              steps=4, step_size=0.1, rng=derived_rng(s, 3))
+                              steps=4, step_size=0.1, rng=[derived_rng(s, 3)])
         assert all(np.array_equal(a, b) for a, b in zip(lean.states, full.states))
 
 
@@ -114,12 +115,15 @@ def test_each_chain_makes_its_own_view(monkeypatch):
     monkeypatch.setattr(ModelParams, "constant", counting)
     params = ModelParams.init(CFG, seed=4)
     example = verify._ragged_example(derived_rng(6, 1), CFG, hist_len=3)
-    first = langevin_infer_z(params, example, 0, steps=2, step_size=0.1, noise=False)
+    enc = encode_context(params, example, [0])
+    first = langevin_infer_z(params, example, [0], steps=2, step_size=0.1, noise=False,
+                             encoded=enc)
     # an in-place update between chains reaches the next chain's view
     params["zslot_w"].data[:] = 0.0
-    second = langevin_infer_z(params, example, 0, steps=2, step_size=0.1, noise=False)
+    second = langevin_infer_z(params, example, [0], steps=2, step_size=0.1, noise=False,
+                              encoded=enc)
     assert made == [params, params]
-    mu = latent_prior_mean(params, example, 0).data
+    mu = latent_prior_means(params, enc).data
     # with the latent detached from the decoder only the prior pulls z
     assert np.array_equal(second.states[1], mu)
     assert not np.array_equal(first.states[1], second.states[1])

@@ -91,7 +91,7 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
     # the chain plans the pick's decode once, then each step runs that plan:
     # one cursor of one lane per step, from the plan's lanes
-    assert plans == [pair.s]
+    assert plans == [[pair.s]]
     assert len(runs) == 3 and all(run is runs[0] for run in runs)
     assert decoder_calls["lanes"] == [distinct(subset)] + [1] * 3
 

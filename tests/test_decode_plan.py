@@ -63,28 +63,23 @@ def test_a_plan_run_has_the_bits_of_decode_logprob(kind, prior, constant):
         weights = params.constant() if constant else params
         owners, picks, encs = _lanes(kind, prior, params, seed)
         z = derived_rng(50 + seed, 2).normal(size=(len(picks), CFG.latent_dim))
-        if kind == "one":  # the int form: a scalar and a (latent,) gradient
-            plan = decode_plan(weights, owners[0], picks[0], encoded=encs[0])
-            want, want_grad = _taped_grad(weights, owners[0], picks[0], z[0], encs[0])
-            got, got_grad = decode_run(weights, plan, z).data[0], decoder_grad_z(weights, plan,
-                                                                                 z[0])
+        plan = decode_plan(weights, owners, picks, encoded=encs)
+        want, want_grad = _taped_grad(weights, owners, picks, z, encs)
+        got, got_grad = decode_run(weights, plan, z).data, decoder_grad_z(weights, plan, z)
+        if kind == "one":  # a lone lane keeps the one-lane layout
             assert plan.lanes.windows is None
         else:
-            plan = decode_plan(weights, owners, picks, encoded=encs)
-            want, want_grad = _taped_grad(weights, owners, picks, z, encs)
-            got, got_grad = decode_run(weights, plan, z).data, decoder_grad_z(weights, plan, z)
             assert plan.lanes.windows.tiled == (kind == "tiled")
         assert np.array_equal(got, want)
         assert got_grad.shape == want_grad.shape and np.array_equal(got_grad, want_grad)
         # a plan runs at any latent: a second run agrees with its own decode
         z2 = z[::-1].copy()
-        again = decode_run(weights, plan, z2 if kind != "one" else z2[:1]).data
-        if kind == "one":
-            assert np.array_equal(again[0], decode_logprob(weights, owners[0], picks[0], z2[0],
-                                                           encoded=encs[0]).data)
-        else:
-            assert np.array_equal(again, decode_logprob(weights, owners, picks, z2,
-                                                        encoded=encs).data)
+        again = decode_run(weights, plan, z2).data
+        assert np.array_equal(again, decode_logprob(weights, owners, picks, z2,
+                                                    encoded=encs).data)
+        if kind == "one":  # and with the scalar view of an int index
+            assert again[0] == decode_logprob(weights, owners[0], picks[0], z2[0],
+                                              encoded=encs[0]).data
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
@@ -107,9 +102,6 @@ def test_a_chain_plans_its_decode_once_for_its_steps(lanes, monkeypatch):
     monkeypatch.setattr(inference, "decoder_grad_z", counting_grad)
 
     def chain(steps):
-        if lanes == 1:
-            return langevin_infer_z(params, owners[0], picks[0], steps=steps, step_size=0.1,
-                                    rng=derived_rng(7, 0), encoded=encs[0])
         return langevin_infer_z(params, owners, picks, steps=steps, step_size=0.1,
                                 rng=[derived_rng(7, j) for j in range(lanes)], encoded=encs)
 
@@ -117,16 +109,10 @@ def test_a_chain_plans_its_decode_once_for_its_steps(lanes, monkeypatch):
     assert len(plans) == 1 and runs == plans * 4
     # the chain a taped decode's gradient drives, to the bit
     weights = params.constant()
-
-    def taped(z):
-        return _taped_grad(weights, owners[0] if lanes == 1 else owners,
-                           picks[0] if lanes == 1 else picks, z,
-                           encs[0] if lanes == 1 else encs)[1]
-
     mu = latent_prior_means(params, encs).data
-    want = langevin_chain(mu[0] if lanes == 1 else mu, taped, steps=4, step_size=0.1,
-                          rng=derived_rng(7, 0) if lanes == 1
-                          else [derived_rng(7, j) for j in range(lanes)])
+    want = langevin_chain(mu, lambda z: _taped_grad(weights, owners, picks, z, encs)[1],
+                          steps=4, step_size=0.1,
+                          rng=[derived_rng(7, j) for j in range(lanes)])
     assert all(np.array_equal(a, b) for a, b in zip(trace.states, want.states, strict=True))
     # a chain of no steps asks for no gradient and plans nothing
     plans.clear()

@@ -184,19 +184,17 @@ def test_a_lone_lane_runs_the_one_candidate_ops():
     one = decode_logprob(params, example, 0, z).data
     both = decode_logprob(params, example, [2, 0], np.stack([z, z])).data
     assert both[0] == one and both[1] == one
-    # an int index is the one-index sequence, lane 0 as a scalar
-    score, grad, _ = z_gradient(params, example, 0, z)
+    # an int index is a scalar view of the one-index sequence's lane 0
     lane_score, lane_grad, _ = z_gradient(params, example, [0], z[None])
-    assert score.shape == () and lane_score.shape == (1,)
-    assert score == lane_score[0]
-    assert np.array_equal(grad, lane_grad[0])
+    assert one.shape == () and lane_score.shape == (1,) and lane_grad.shape == (1, z.size)
+    assert one == lane_score[0]
 
 
 def test_a_lone_lane_tape_holds_no_segment_attention():
     params = ModelParams.init(CFG, seed=3)
     example = fixed_example()
     z = np.linspace(-1.0, 1.0, CFG.latent_dim)
-    *_, lone = z_gradient(params, example, 1, z)
+    *_, lone = z_gradient(params, example, [1], z[None])
     *_, pair = z_gradient(params, example, [1, 3], np.stack([z, -z]))
     assert "segment_attention" not in recorded_primitives(lone)
     assert "segment_attention" in recorded_primitives(pair)
@@ -222,8 +220,8 @@ def test_lockstep_gradient_in_z_matches_each_candidate():
         zt = ad.Tensor(z, name="z", trainable=True)
         grad = ad.backward(tape, ad.reduce_sum(decode_logprob(params, example, indices, zt)))
     for pos, s in enumerate(indices):
-        np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(params, decode_plan(params, example, s),
-                                                                  z[pos]),
+        np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(
+            params, decode_plan(params, example, [s]), z[pos:pos + 1])[0],
                                    rtol=1e-10, atol=1e-14)
 
 

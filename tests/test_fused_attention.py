@@ -72,11 +72,12 @@ def test_a_ragged_lockstep_decode_matches_one_lane_decodes():
     scores = decode_logprob(params, owners, picks, z, encoded=lanes).data
     grads = decoder_grad_z(params, decode_plan(params, owners, picks, encoded=lanes), z)
     for j, (ex, s) in enumerate(zip(owners, picks)):
-        alone = encode_context(params, ex, [s])[0]
-        np.testing.assert_allclose(scores[j], decode_logprob(params, ex, s, z[j], encoded=alone)
-                                   .data, rtol=1e-12, atol=0)
+        alone = encode_context(params, ex, [s])
+        np.testing.assert_allclose(scores[j], decode_logprob(params, ex, [s], z[j:j + 1],
+                                                             encoded=alone).data[0],
+                                   rtol=1e-12, atol=0)
         np.testing.assert_allclose(grads[j], decoder_grad_z(params, decode_plan(
-                                       params, ex, s, encoded=alone), z[j]),
+                                       params, ex, [s], encoded=alone), z[j:j + 1])[0],
                                    rtol=0, atol=1e-10)
 
 

@@ -16,7 +16,8 @@ from spi.inference import (LangevinTrace, decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
                            select_knowledge, sequential_posterior_infer,
                            top_s_candidates)
-from spi.model import EOS, DialogueExample, ModelParams, decode_plan, latent_prior_mean
+from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
+                       encode_context, latent_prior_mean, latent_prior_means)
 
 
 def tiny_cfg(vocab_size=10):
@@ -155,11 +156,11 @@ class TestSelection:
     def test_a_negative_clamp_is_rejected(self):
         # clip(g, 1, -1) would set every entry to -1, whatever the gradient
         with pytest.raises(ContractError, match="clamp"):
-            langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.array([[5.0, -5.0]]), steps=1,
                            step_size=0.1, noise=False, grad_clamp=-1.0)
-        trace = langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+        trace = langevin_chain(np.zeros((1, 2)), lambda z: np.array([[5.0, -5.0]]), steps=1,
                                step_size=0.1, noise=False, grad_clamp=0.0)
-        assert np.array_equal(trace.final, np.zeros(2))
+        assert np.array_equal(trace.final, np.zeros((1, 2)))
 
     def test_bad_arguments_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=4)
@@ -202,30 +203,32 @@ class TestTopS:
 
 
 class TestLangevinChain:
+    # one chain is a batch of one: (1, latent) rows and one generator
     def test_zero_steps_noise_off_returns_mean(self):
-        mu = np.array([0.4, -1.2])
-        trace = langevin_chain(mu, lambda z: np.zeros(2), steps=0,
+        mu = np.array([[0.4, -1.2]])
+        trace = langevin_chain(mu, lambda z: np.zeros((1, 2)), steps=0,
                                step_size=0.1, noise=False)
         assert len(trace.states) == 1
         assert np.array_equal(trace.final, mu)
 
     def test_trace_has_steps_plus_one_states(self):
-        mu = np.zeros(3)
-        trace = langevin_chain(mu, lambda z: np.zeros(3), steps=7,
-                               step_size=0.05, rng=np.random.default_rng(0))
+        mu = np.zeros((1, 3))
+        trace = langevin_chain(mu, lambda z: np.zeros((1, 3)), steps=7,
+                               step_size=0.05, rng=[np.random.default_rng(0)])
         assert len(trace.states) == 8
         assert len(trace.drift_norms) == 7
+        assert all(norms.shape == (1,) for norms in trace.drift_norms)
 
     def test_single_drift_step_frozen_value(self):
-        mu = np.array([1.0, 0.0, 0.0])
-        trace = langevin_chain(mu, lambda z: np.zeros(3), steps=1,
-                               step_size=0.1, noise=False, z0=np.zeros(3))
-        assert np.array_equal(trace.final, np.array([0.1, 0.0, 0.0]))
+        mu = np.array([[1.0, 0.0, 0.0]])
+        trace = langevin_chain(mu, lambda z: np.zeros((1, 3)), steps=1,
+                               step_size=0.1, noise=False, z0=np.zeros((1, 3)))
+        assert np.array_equal(trace.final, np.array([[0.1, 0.0, 0.0]]))
 
     def test_zero_step_size_freezes_the_chain(self):
-        mu = np.array([2.0, -1.0])
-        z0 = np.array([5.0, 5.0])
-        trace = langevin_chain(mu, lambda z: np.ones(2), steps=4,
+        mu = np.array([[2.0, -1.0]])
+        z0 = np.array([[5.0, 5.0]])
+        trace = langevin_chain(mu, lambda z: np.ones((1, 2)), steps=4,
                                step_size=0.0, noise=False, z0=z0)
         for state in trace.states:
             assert np.array_equal(state, z0)
@@ -234,9 +237,9 @@ class TestLangevinChain:
     @settings(max_examples=25, deadline=None)
     def test_noise_free_contraction_toward_mean(self, step, seed):
         rng = np.random.default_rng(seed)
-        mu = rng.normal(size=4)
-        z0 = rng.normal(size=4) * 3.0
-        trace = langevin_chain(mu, lambda z: np.zeros(4), steps=6,
+        mu = rng.normal(size=(1, 4))
+        z0 = rng.normal(size=(1, 4)) * 3.0
+        trace = langevin_chain(mu, lambda z: np.zeros((1, 4)), steps=6,
                                step_size=step, noise=False, z0=z0)
         dists = [np.linalg.norm(s - mu) for s in trace.states]
         for a, b in zip(dists, dists[1:]):
@@ -244,50 +247,50 @@ class TestLangevinChain:
 
     def test_noise_requires_generator(self):
         with pytest.raises(ContractError):
-            langevin_chain(np.zeros(2), lambda z: np.zeros(2), steps=1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.zeros((1, 2)), steps=1,
                            step_size=0.1, noise=True)
 
     def test_seeded_chains_agree_bitwise(self):
-        mu = np.array([0.3, 0.7])
+        mu = np.array([[0.3, 0.7]])
         runs = [langevin_chain(mu, lambda z: -z, steps=5, step_size=0.1,
-                               rng=np.random.default_rng(42)) for _ in range(2)]
+                               rng=[np.random.default_rng(42)]) for _ in range(2)]
         for a, b in zip(runs[0].states, runs[1].states):
             assert np.array_equal(a, b)
 
     def test_gradient_clamp_bounds_the_drift(self):
-        mu = np.zeros(1)
-        trace = langevin_chain(mu, lambda z: np.array([1e9]), steps=1,
-                               step_size=1.0, noise=False, z0=np.zeros(1),
+        mu = np.zeros((1, 1))
+        trace = langevin_chain(mu, lambda z: np.array([[1e9]]), steps=1,
+                               step_size=1.0, noise=False, z0=np.zeros((1, 1)),
                                grad_clamp=100.0)
-        assert trace.final[0] == 100.0
+        assert trace.final[0, 0] == 100.0
 
     def test_a_negative_clamp_is_rejected(self):
         # clip(g, 1, -1) would set every entry to -1, whatever the gradient
         with pytest.raises(ContractError, match="clamp"):
-            langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.array([[5.0, -5.0]]), steps=1,
                            step_size=0.1, noise=False, grad_clamp=-1.0)
-        trace = langevin_chain(np.zeros(2), lambda z: np.array([5.0, -5.0]), steps=1,
+        trace = langevin_chain(np.zeros((1, 2)), lambda z: np.array([[5.0, -5.0]]), steps=1,
                                step_size=0.1, noise=False, grad_clamp=0.0)
-        assert np.array_equal(trace.final, np.zeros(2))
+        assert np.array_equal(trace.final, np.zeros((1, 2)))
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ContractError):
-            langevin_chain(np.zeros(2), lambda z: np.zeros(2), steps=-1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.zeros((1, 2)), steps=-1,
                            step_size=0.1, noise=False)
         with pytest.raises(ContractError):
-            langevin_chain(np.zeros(2), lambda z: np.zeros(2), steps=1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.zeros((1, 2)), steps=1,
                            step_size=-0.1, noise=False)
         with pytest.raises(ContractError):
-            langevin_chain(np.zeros(2), lambda z: np.zeros(2), steps=1,
-                           step_size=0.1, noise=False, z0=np.zeros(3))
+            langevin_chain(np.zeros((1, 2)), lambda z: np.zeros((1, 2)), steps=1,
+                           step_size=0.1, noise=False, z0=np.zeros((1, 3)))
         with pytest.raises(ContractError):
-            langevin_chain(np.zeros(2), lambda z: np.zeros(3), steps=1,
+            langevin_chain(np.zeros((1, 2)), lambda z: np.zeros((1, 3)), steps=1,
                            step_size=0.1, noise=False)
 
     def test_divergence_names_the_step(self):
         with pytest.raises(NumericError, match="step"):
-            langevin_chain(np.zeros(2), lambda z: np.full(2, 100.0), steps=3,
-                           step_size=1e306, noise=False, z0=np.ones(2))
+            langevin_chain(np.zeros((1, 2)), lambda z: np.full((1, 2), 100.0), steps=3,
+                           step_size=1e306, noise=False, z0=np.ones((1, 2)))
 
 
 class TestLangevinOnModel:
@@ -296,16 +299,15 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         p["zslot_w"].data[:] = 0.0
         ex = make_example(cands=((6, 7), (7, 6)))
-        grad = decoder_grad_z(p, decode_plan(p, ex, 0), np.ones(cfg.latent_dim))
-        np.testing.assert_array_equal(grad, np.zeros(cfg.latent_dim))
+        grad = decoder_grad_z(p, decode_plan(p, ex, [0]), np.ones((1, cfg.latent_dim)))
+        np.testing.assert_array_equal(grad, np.zeros((1, cfg.latent_dim)))
 
     def test_decoder_gradient_matches_finite_differences(self):
         cfg = tiny_cfg()
         p = ModelParams.init(cfg, seed=5)
         ex = make_example(cands=((6, 7), (7, 6)))
         z = np.full(cfg.latent_dim, 0.4)
-        grad = decoder_grad_z(p, decode_plan(p, ex, 0), z)
-        from spi.model import decode_logprob
+        grad = decoder_grad_z(p, decode_plan(p, ex, [0]), z[None])[0]
         h = 1e-5
         for j in range(cfg.latent_dim):
             hi, lo = z.copy(), z.copy()
@@ -323,19 +325,52 @@ class TestLangevinOnModel:
         p["zprior_b"].data[:] = 0.0
         p["zprior_b"].data[0] = 1.0         # prior mean is the first basis vector
         ex = make_example(cands=((6, 7),))
-        trace = langevin_infer_z(p, ex, 0, steps=1, step_size=0.1, noise=False,
-                                 z0=np.zeros(cfg.latent_dim))
-        expected = np.zeros(cfg.latent_dim)
-        expected[0] = 0.1
+        enc = encode_context(p, ex, [0])
+        plan = decode_plan(p, ex, [0], encoded=enc)
+        trace = langevin_chain(latent_prior_means(p, enc).data,
+                               lambda z: decoder_grad_z(p, plan, z), steps=1, step_size=0.1,
+                               noise=False, z0=np.zeros((1, cfg.latent_dim)))
+        expected = np.zeros((1, cfg.latent_dim))
+        expected[0, 0] = 0.1
         assert np.array_equal(trace.final, expected)
 
     def test_noise_off_chain_starts_at_prior_mean(self):
         cfg = tiny_cfg()
         p = ModelParams.init(cfg, seed=6)
         ex = make_example(cands=((6, 7), (7, 6)))
-        trace = langevin_infer_z(p, ex, 1, steps=0, step_size=0.1, noise=False)
+        trace = langevin_infer_z(p, ex, [1], steps=0, step_size=0.1, noise=False,
+                                 encoded=encode_context(p, ex, [1]))
         mu = latent_prior_mean(p, ex, 1).data
-        assert np.array_equal(trace.final, mu)
+        assert np.array_equal(trace.final, mu[None])
+
+
+# the one-chain forms that a batch of one replaced: each fails as a contract
+# breach, not as a TypeError or AttributeError from deep inside
+REMOVED_FORMS = {
+    "langevin_chain-vector-mean": lambda p, ex, enc: langevin_chain(
+        np.zeros(p.cfg.latent_dim), lambda z: z, steps=1, step_size=0.1,
+        rng=np.random.default_rng(0)),
+    "langevin_chain-one-generator": lambda p, ex, enc: langevin_chain(
+        np.zeros((1, p.cfg.latent_dim)), lambda z: z, steps=1, step_size=0.1,
+        rng=np.random.default_rng(0)),
+    "decoder_grad_z-vector-z": lambda p, ex, enc: decoder_grad_z(
+        p, decode_plan(p, ex, [0], encoded=enc), np.zeros(p.cfg.latent_dim)),
+    "decode_plan-int-index": lambda p, ex, enc: decode_plan(p, ex, 0, encoded=enc[0]),
+    "langevin_infer_z-int-index": lambda p, ex, enc: langevin_infer_z(
+        p, ex, 0, steps=1, step_size=0.1, rng=np.random.default_rng(0), encoded=enc[0]),
+    "langevin_infer_z-int-index-no-steps": lambda p, ex, enc: langevin_infer_z(
+        p, ex, 0, steps=0, step_size=0.1, noise=False, encoded=enc[0]),
+    "decode_logprob-int-index-taped-z": lambda p, ex, enc: decode_logprob(
+        p, ex, 0, Tensor(np.zeros(p.cfg.latent_dim)), encoded=enc[0]),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_FORMS.values(), ids=REMOVED_FORMS.keys())
+def test_a_removed_one_chain_form_is_a_contract_error(call):
+    p = ModelParams.init(tiny_cfg(), seed=5)
+    ex = make_example(cands=((6, 7), (7, 6)))
+    with pytest.raises(ContractError):
+        call(p, ex, encode_context(p, ex, [0]))
 
 
 class TestSequentialPosterior:

@@ -167,15 +167,15 @@ def test_chain_rows_are_the_chains_of_each_row():
             rows = langevin_chain(mu, grad, steps=4, step_size=0.3, noise=noise,
                                   rng=[derived_rng(7, j) for j in range(3)], z0=start,
                                   grad_clamp=20.0)
-            for j in range(3):
-                alone = langevin_chain(mu[j], lambda z: grad(z[None])[0], steps=4,
-                                       step_size=0.3, noise=noise, rng=derived_rng(7, j),
-                                       z0=None if start is None else start[j],
+            for j in range(3):  # row j against its batch of one
+                alone = langevin_chain(mu[j:j + 1], grad, steps=4, step_size=0.3, noise=noise,
+                                       rng=[derived_rng(7, j)],
+                                       z0=None if start is None else start[j:j + 1],
                                        grad_clamp=20.0)
                 for a, b in zip(rows.states, alone.states):
-                    assert np.array_equal(a[j], b)
+                    assert np.array_equal(a[j], b[0])
                 np.testing.assert_allclose([n[j] for n in rows.drift_norms],
-                                           alone.drift_norms, rtol=1e-15)
+                                           [n[0] for n in alone.drift_norms], rtol=1e-15)
 
 
 def test_chain_rows_need_one_generator_each():
@@ -201,22 +201,18 @@ def test_gradient_rows_are_each_lane_s_gradient():
     encs = [encodings[examples.index(ex)][s] for ex, s in zip(owners, picks)]
     z = rng.normal(size=(4, cfg.latent_dim))
     rows = decoder_grad_z(params, decode_plan(params, owners, picks, encoded=encs), z)
-    for j in range(4):
-        alone = decoder_grad_z(params, decode_plan(params, owners[j], picks[j],
-                                                   encoded=encs[j]), z[j])
-        np.testing.assert_allclose(rows[j], alone, rtol=1e-12, atol=1e-15)
-    # a batch of one is the one-index call, to the bit
-    one = decoder_grad_z(params, decode_plan(params, owners[:1], picks[:1], encoded=encs[:1]),
-                         z[:1])
-    assert np.array_equal(one[0], decoder_grad_z(
-        params, decode_plan(params, owners[0], 0, encoded=encs[0]), z[0]))
+    for j in range(4):  # row j against its batch of one
+        alone = decoder_grad_z(params, decode_plan(params, owners[j:j + 1], picks[j:j + 1],
+                                                   encoded=encs[j:j + 1]), z[j:j + 1])
+        np.testing.assert_allclose(rows[j], alone[0], rtol=1e-12, atol=1e-15)
     with pytest.raises(ContractError, match="share a decoder lane"):
         decode_plan(params, examples[0], [0, 0], encoded=[encs[0]] * 2)
     # a plan of four lanes runs four latent rows
     with pytest.raises(ContractError, match="latent has shape"):
         decoder_grad_z(params, decode_plan(params, owners, picks, encoded=encs), z[:3])
-    with pytest.raises(ContractError, match="encodings"):
-        langevin_infer_z(params, owners, picks, steps=1, step_size=0.1, noise=False)
+    with pytest.raises(ContractError, match="one encoding each"):
+        langevin_infer_z(params, owners, picks, steps=1, step_size=0.1, noise=False,
+                         encoded=encs[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from spi.errors import NumericError
 from spi.generation import generate
 from spi.inference import langevin_chain, langevin_infer_z, select_knowledge, \
     sequential_posterior_infer
-from spi.model import EOS, DialogueExample, LatentPair, ModelParams, decode_logprob
+from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, decode_logprob,
+                       encode_context)
 from spi.training import (initializer_ce_step, mle_step, multi_hot_labels,
                           surrogate_objective, train, validation_loss)
 
@@ -85,10 +86,10 @@ def test_langevin_checks_its_start_state(steps):
     params["enc_b"].data[:] = BIG
     params["zprior_w"].data[:] = BIG
     with pytest.raises(NumericError, match="start"):
-        langevin_infer_z(params, EXAMPLE, 0, steps=steps, step_size=0.1,
-                         rng=derived_rng(4, 1))
+        langevin_infer_z(params, EXAMPLE, [0], steps=steps, step_size=0.1,
+                         rng=[derived_rng(4, 1)], encoded=encode_context(params, EXAMPLE, [0]))
     with pytest.raises(NumericError, match="start"):
-        langevin_chain(np.array([np.inf, 0.0]), lambda z: np.zeros(2), steps=steps,
+        langevin_chain(np.array([[np.inf, 0.0]]), lambda z: np.zeros((1, 2)), steps=steps,
                        step_size=0.1, noise=False)
 
 

@@ -101,9 +101,8 @@ class TestNegativeControls:
         assert "rel err" in result.detail
 
     def test_wrong_adjoint_under_constant_weights_is_caught(self, monkeypatch):
-        # of the checks before the fused tanh's, which ends each seed, only the
-        # constant-weight one multiplies a data input by a weight matrix that
-        # needs no gradient
+        # a data input times a weight matrix that needs no gradient: the
+        # products of a Langevin chain's decode under ``params.constant()``
         true_vjp = ad._matmul_vjp
 
         def halved_when_weight_constant(g, a, b, needs):
@@ -113,9 +112,20 @@ class TestNegativeControls:
             return ga, gb
 
         monkeypatch.setattr(ad, "_matmul_vjp", halved_when_weight_constant)
-        result = check_gradients(n_seeds=1, priors=("uniform",))
-        assert not result.passed
-        assert "under constant weights" in result.detail
+        assert not check_gradients(n_seeds=1, priors=("uniform",)).passed
+        # whichever of its cases fails first, the chain's own case, the rows
+        # decode of one lane in z under the constant view, catches it alone
+        cfg = verify._tiny_model_config()
+        weights = ModelParams.init(cfg, seed=0).constant()
+        example = verify._random_example(derived_rng(9, 1), cfg.vocab_size)
+        z = derived_rng(9, 2).normal(size=(1, cfg.latent_dim))
+
+        def loglik(x):
+            return ad.reduce_sum(decode_logprob(weights, example, [0], x))
+
+        assert not ad.gradcheck(loglik, z, h=1e-4).passed
+        monkeypatch.setattr(ad, "_matmul_vjp", true_vjp)
+        assert ad.gradcheck(loglik, z, h=1e-4).passed
 
     def test_wrong_sign_in_the_segment_attention_slot_gradient_is_caught(self, monkeypatch):
         # only the cross-example decode differentiates lockstep slots: in z
@@ -184,10 +194,11 @@ class TestNegativeControls:
         true_chains = inference.langevin_infer_z
 
         def shifted(params, example, s, *, encoded, **chain):
-            # the rows' generators (noise) or their examples (no noise) rotated
-            if np.ndim(s) == 1 and noise:
+            # the rows' generators (noise) or their examples (no noise) rotated;
+            # a lone chain, a batch of one, rotates to itself
+            if len(s) > 1 and noise:
                 chain["rng"] = chain["rng"][1:] + chain["rng"][:1]
-            elif np.ndim(s) == 1:
+            elif len(s) > 1:
                 example, s, encoded = example[1:] + example[:1], s[1:] + s[:1], \
                     encoded[1:] + encoded[:1]
             return true_chains(params, example, s, encoded=encoded, **chain)
