@@ -114,6 +114,8 @@ class SpiConfig:
                 raise ContractError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ContractError("batch_size/epochs out of range")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
     def fingerprint(self) -> str:
         """Hash of the fields a checkpoint must agree on (shapes + prior mode)."""

@@ -160,7 +160,7 @@ def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
                            gold_index=gold_index, response=response)
 
 
-SPLIT_SIZES = ("n_train", "n_valid", "n_test")
+NON_NEGATIVE = ("n_train", "n_valid", "n_test", "seed")
 
 
 def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
@@ -168,7 +168,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     vocab, layout = plan_vocab(spec)
     if spec.m_candidates < 1:
         raise ContractError("need at least one candidate")
-    for name in SPLIT_SIZES:
+    for name in NON_NEGATIVE:
         if getattr(spec, name) < 0:
             raise ContractError(f"{name} must not be negative, got {getattr(spec, name)}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
@@ -235,8 +235,13 @@ def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
     for lineno, line in enumerate(read_text(path, "the spec sidecar").splitlines(), start=1):
         if not line.strip():
             continue
-        key, _, value = line.partition(" = ")
-        fields[key.strip()] = (value.strip(), lineno)
+        key, eq, value = line.partition(" = ")
+        key = key.strip()
+        if not eq or key not in SyntheticSpec.__dataclass_fields__ or key in fields:
+            what = ("is not a 'key = value' line" if not eq else
+                    f"repeats {key!r}" if key in fields else f"names no spec field {key!r}")
+            raise ContractError(f"{path}:{lineno}: {what}")
+        fields[key] = (value.strip(), lineno)
     kwargs = {}
     for name, field_info in SyntheticSpec.__dataclass_fields__.items():
         if name not in fields:
@@ -248,7 +253,7 @@ def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
         except ValueError:
             raise ContractError(
                 f"{path}:{lineno}: {name} = {value!r} is not a valid {caster.__name__}") from None
-        if name in SPLIT_SIZES and kwargs[name] < 0:
+        if name in NON_NEGATIVE and kwargs[name] < 0:
             raise ContractError(f"{path}:{lineno}: {name} = {value} must not be negative")
     return SyntheticSpec(**kwargs)
 

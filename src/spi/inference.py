@@ -23,10 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .config import SpiConfig, derived_rng
+from .config import SpiConfig
 from .errors import ContractError, NumericError
 from .model import (DecodePlan, DialogueExample, EncodedContext, LatentPair, ModelParams,
-                    decode_logprob, decode_plan, decode_run, encode_batch, encode_context,
+                    decode_logprob, decode_plan, decode_run, encode_context,
                     latent_prior_means, prior_scores)
 
 
@@ -55,8 +55,9 @@ def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
                      encodings: Sequence[EncodedContext] | None = None) -> list[int]:
     """Indices of the ``top_s`` highest initializer scores, ascending: a
     stable argsort of the uniform ``prior_scores`` of the example's
-    ``encodings`` (a pass of its own by default), so lower indices win ties.
-    """
+    ``encodings``, so lower indices win ties. Without them the example is
+    encoded in a pass of its own, the one-example view that the checks
+    against the reference call."""
     m = len(example.candidates)
     if not 1 <= top_s <= m:
         raise ContractError(f"top_s must be in [1, {m}], got {top_s}")
@@ -68,37 +69,36 @@ def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
 
 
 def select_knowledge(params: ModelParams, example: DialogueExample, *,
-                     prior: str = "uniform", mode: str = "greedy",
-                     top_s: int | None = None, temperature: float = 1.0,
-                     rng: np.random.Generator | None = None,
-                     encodings: Sequence[EncodedContext] | None = None) -> SelectionOutcome:
+                     encodings: Sequence[EncodedContext], prior: str = "uniform",
+                     mode: str = "greedy", top_s: int | None = None,
+                     temperature: float = 1.0,
+                     rng: np.random.Generator | None = None) -> SelectionOutcome:
     """Select a knowledge index from its posterior given the response.
 
     The latent is held at the prior mean of each candidate (point mass), so a
     candidate's weight is its prior weight times the teacher-forced response
-    likelihood. Uniform-prior mode restricts scoring to the initializer's
-    top-S subset (``top_s_candidates``); the learnable prior scores every
+    likelihood; ``encodings`` holds the candidates' lanes of the caller's
+    pass. Uniform-prior mode restricts scoring to the initializer's top-S
+    subset (``top_s_candidates``); the learnable prior scores every
     candidate, its prior weights the learnable ``prior_scores`` logits, and
     rejects ``top_s``. Sampled mode draws from ``rng``, which it requires.
-    The batch of one of ``select_knowledge_batch``.
-    """
+    The batch of one of ``select_knowledge_batch``."""
     return select_knowledge_batch(
-        params, [example], prior=prior, mode=mode,
-        top_s=None if top_s is None else [top_s], temperature=temperature, rngs=[rng],
-        encodings_batch=None if encodings is None else [encodings])[0]
+        params, [example], encodings_batch=[encodings], prior=prior, mode=mode,
+        top_s=None if top_s is None else [top_s], temperature=temperature, rngs=[rng])[0]
 
 
 def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample], *,
+                           encodings_batch: Sequence[Sequence[EncodedContext]],
                            prior: str = "uniform", mode: str = "greedy",
                            top_s: Sequence[int | None] | None = None,
                            temperature: float = 1.0,
-                           rngs: Sequence[np.random.Generator | None] | None = None,
-                           encodings_batch: Sequence[Sequence[EncodedContext]] | None = None
+                           rngs: Sequence[np.random.Generator | None] | None = None
                            ) -> list[SelectionOutcome]:
     """``select_knowledge`` for each example, the candidate encodings of
-    every example lanes of one encoder pass (``encodings_batch``; one pass
-    when not given). ``top_s`` holds each example's width (None, or a None
-    entry, scores every candidate) and ``rngs`` each example's generator.
+    every example lanes of the caller's encoder pass (``encodings_batch``).
+    ``top_s`` holds each example's width (None, or a None entry, scores
+    every candidate) and ``rngs`` each example's generator.
 
     Each example's subset and prior weights are its own; then one
     ``latent_prior_means`` and one ``decode_logprob`` score every (example,
@@ -124,9 +124,7 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
         raise ContractError(f"unknown selection mode {mode!r}")
     if mode == "sampled" and any(gen is None for gen in gens):
         raise ContractError("a seeded generator is required for sampled selection")
-    if encodings_batch is None:
-        encodings_batch = encode_batch(params, examples)
-    elif len(encodings_batch) != n:
+    if len(encodings_batch) != n:
         raise ContractError(f"{len(encodings_batch)} encoding lists for {n} examples")
     if prior == "uniform":
         subsets = [list(range(len(ex.candidates))) if width is None else top_s_candidates(
@@ -310,40 +308,34 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
 
 
 def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
-                               config: SpiConfig,
-                               rng: np.random.Generator | None = None,
-                               encodings: Sequence[EncodedContext] | None = None) -> LatentPair:
+                               config: SpiConfig, rng: np.random.Generator,
+                               encodings: Sequence[EncodedContext]) -> LatentPair:
     """Two-stage posterior draw: knowledge index, then latent via Langevin.
 
-    With no generator supplied, one is derived from the config seed, so
-    repeated calls agree bit for bit. ``encodings`` (one per candidate,
-    lanes of one pass) skips re-encoding when the caller already holds them.
-    The chain is a batch of one of ``langevin_infer_z``;
-    ``posterior_infer_batch`` makes the same draw for many examples at once.
+    ``rng`` draws the sampled pick and the chain's noise, and ``encodings``
+    holds one encoding per candidate, lanes of the caller's pass. The chain
+    is a batch of one of ``langevin_infer_z``; ``posterior_infer_batch``
+    makes the same draw for many examples at once.
     """
     config.validate()
-    gen = rng if rng is not None else derived_rng(config.seed, 0)
-    m = len(example.candidates)
-    if encodings is None:
-        encodings = encode_context(params, example)
-    top_s = min(config.top_s, m) if config.prior == "uniform" else None
+    top_s = min(config.top_s, len(example.candidates)) if config.prior == "uniform" else None
     outcome = select_knowledge(
-        params, example, prior=config.prior, mode=config.selection,
-        top_s=top_s, temperature=config.temperature, rng=gen, encodings=encodings)
+        params, example, encodings=encodings, prior=config.prior, mode=config.selection,
+        top_s=top_s, temperature=config.temperature, rng=rng)
     trace = langevin_infer_z(
         params, example, [outcome.chosen], steps=config.langevin_steps,
-        step_size=config.step_size, rng=[gen], noise=config.langevin_noise,
+        step_size=config.step_size, rng=[rng], noise=config.langevin_noise,
         grad_clamp=config.grad_clamp, encoded=[encodings[outcome.chosen]])
     return LatentPair(s=outcome.chosen, z=trace.final[0])
 
 
 def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExample],
                           config: SpiConfig, rngs: Sequence[np.random.Generator],
-                          encodings_batch: Sequence[Sequence[EncodedContext]] | None = None
+                          encodings_batch: Sequence[Sequence[EncodedContext]]
                           ) -> list[LatentPair]:
     """``sequential_posterior_infer`` of each example, example j drawing from
-    ``rngs[j]``, for the examples of one encoder pass (``encodings_batch``;
-    one pass when not given): one ``select_knowledge_batch``, then the B
+    ``rngs[j]``, for the examples of the caller's encoder pass
+    (``encodings_batch``): one ``select_knowledge_batch``, then the B
     Langevin chains in lockstep, each step one B-lane decode and one
     backward. Each generator draws what it would draw for its example alone,
     so the draws agree with the per-example calls up to the rounding of the
@@ -353,13 +345,11 @@ def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExampl
     config.validate()
     if len(rngs) != len(examples):
         raise ContractError(f"{len(rngs)} generators for {len(examples)} examples")
-    if encodings_batch is None:
-        encodings_batch = encode_batch(params, examples)
     top_s = ([min(config.top_s, len(ex.candidates)) for ex in examples]
              if config.prior == "uniform" else None)
     outcomes = select_knowledge_batch(
-        params, examples, prior=config.prior, mode=config.selection, top_s=top_s,
-        temperature=config.temperature, rngs=rngs, encodings_batch=encodings_batch)
+        params, examples, encodings_batch=encodings_batch, prior=config.prior,
+        mode=config.selection, top_s=top_s, temperature=config.temperature, rngs=rngs)
     picks = [outcome.chosen for outcome in outcomes]
     trace = langevin_infer_z(
         params, examples, picks, steps=config.langevin_steps, step_size=config.step_size, rng=rngs,

@@ -46,29 +46,27 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
                picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent. Each chunk of ``generation.chunks`` is encoded in one
-    pass and scored in one lockstep decode (``_chunk_logprobs``), so memory
-    stays bounded however many examples there are. The mean runs over the
-    scored tokens, so padding past an EOS counts nowhere."""
+    prior-mean latent. Each chunk of ``generation.chunks`` has its picks
+    encoded in one pass and scored in one decode (``_chunk_logprobs``), so
+    memory stays bounded however many examples there are. The mean runs
+    over the scored tokens, so padding past an EOS counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
-    lps = [lp for exs, ss in zip(generation.chunks(examples), generation.chunks(picks))
-           for lp in _chunk_logprobs(params, exs, ss)]
+    lps: list[float] = []
+    for exs, ss in zip(generation.chunks(examples), generation.chunks(picks)):
+        lanes = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
+        lps += _chunk_logprobs(params, exs, ss, lanes)
     return _perplexity(params, examples, lps)
 
 
 def _chunk_logprobs(params: ModelParams, examples: Sequence[DialogueExample],
-                    picks: Sequence[int],
-                    encodings: Sequence[EncodedContext] | None = None) -> list[float]:
+                    picks: Sequence[int], encodings: Sequence[EncodedContext]) -> list[float]:
     """Each example's reference log-probability under its pick, from the
     pick's prior-mean latent: one latent-prior product and one lockstep
-    decode. ``encodings``, each example's encoding of its pick, spares the
-    encoder (``evaluate`` passes the lanes generation kept); without them
-    the picks are encoded in one pass."""
-    if encodings is None:
-        encodings = [encs[0] for encs in encode_batch(params, examples, [[s] for s in picks])]
+    decode. ``encodings`` holds each example's encoding of its pick, lanes
+    of the caller's pass."""
     z = latent_prior_means(params, encodings).data
     return decode_logprob(params, examples, picks, z, encoded=encodings).data.tolist()
 
@@ -220,7 +218,9 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         kept = encode_and_pick(params, chunk, prior=config.prior)
         made += decode_greedy(params, kept, config.model.max_response)
         if oracle_knowledge:
-            lps += _chunk_logprobs(params, chunk, [ex.gold_index for ex in chunk])
+            gold = [ex.gold_index for ex in chunk]
+            lanes = [encs[0] for encs in encode_batch(params, chunk, [[s] for s in gold])]
+            lps += _chunk_logprobs(params, chunk, gold, lanes)
         else:
             lps += _chunk_logprobs(params, chunk, kept.s, kept.lanes)
     labelled = any(ex.gold_index is not None for ex in examples)

@@ -494,11 +494,10 @@ def latent_prior_means(params: ModelParams, encodings: Sequence[EncodedContext])
     return _pooled_product(encodings, params["zprior_w"], params["zprior_b"])
 
 
-def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int,
-                      encoded: EncodedContext | None = None) -> Tensor:
-    """The (latent,) row of ``latent_prior_means`` of candidate ``s`` alone."""
-    return ad.gather_rows(latent_prior_means(
-        params, [encoded or encode_context(params, example, [s])[0]]), 0)
+def latent_prior_mean(params: ModelParams, example: DialogueExample, s: int) -> Tensor:
+    """The (latent,) row of ``latent_prior_means`` of candidate ``s`` alone,
+    encoded in a pass of its own."""
+    return ad.gather_rows(latent_prior_means(params, encode_context(params, example, [s])), 0)
 
 
 def latent_prior_log_density(mu: Tensor, z) -> Tensor:
@@ -684,8 +683,7 @@ def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
 def _decode_pairs(params: ModelParams, example, s, z, encoded):
     """The k (example, index) pairs of a teacher-forced decode, checked: the
     pairs' examples, ``z`` as a (k, latent) tensor (None when not given),
-    one encoding per pair (one pass of the pairs when ``encoded`` is None)
-    and each pair's scored response."""
+    one encoding per pair and each pair's scored response."""
     cfg = params.cfg
     if _is_index(s):
         raise ContractError(f"candidate index {s} must come as a sequence of indices: "
@@ -707,16 +705,8 @@ def _decode_pairs(params: ModelParams, example, s, z, encoded):
         if z.shape != want:
             raise ContractError(f"latents have shape {z.shape}, expected {want}")
     if encoded is None:
-        # one encoder pass: each distinct example with the indices its lanes ask for
-        mine: dict[int, list[int]] = {}
-        for pos, ex in enumerate(examples):
-            mine.setdefault(id(ex), []).append(pos)
-        encoded = [None] * len(indices)
-        batch = encode_batch(params, [examples[ps[0]] for ps in mine.values()],
-                             [[indices[p] for p in ps] for ps in mine.values()])
-        for ps, encs in zip(mine.values(), batch):
-            for pos, enc in zip(ps, encs):
-                encoded[pos] = enc
+        raise ContractError("a decode of a sequence of indices needs their encodings, "
+                            "one per index, lanes of the caller's encoder pass")
     encs = list(encoded)
     if len(encs) != len(indices):
         raise ContractError(f"{len(encs)} encodings for {len(indices)} candidate indices")
@@ -772,8 +762,7 @@ def _plan(params: ModelParams, responses: Sequence[list[int]],
 
 
 def decode_plan(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
-                s: Sequence[int], encoded: Sequence[EncodedContext] | None = None
-                ) -> DecodePlan:
+                s: Sequence[int], encoded: Sequence[EncodedContext]) -> DecodePlan:
     """The plan of ``decode_logprob(params, example, s, z, encoded)`` for a
     sequence of k indices, for ``decode_run`` at any (k, latent) ``z``:
     built once, it leaves a run only z's part of the decode. Each (example,
@@ -825,9 +814,10 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     padding and do not contribute.
 
     A sequence of k indices, with ``z`` of shape (k, latent) and ``encoded``
-    (if given) one encoding per index, lanes of one encoder pass, gives a
-    (k,) tensor from one lockstep pass. An int ``s`` of one example, with a
-    numpy (latent,) ``z``, is a scalar view of that pass's one lane.
+    one encoding per index, lanes of the caller's encoder pass, gives a (k,)
+    tensor from one lockstep pass. An int ``s`` of one example, with a numpy
+    (latent,) ``z``, is a scalar view of one lane: ``encoded`` if given, or
+    candidate ``s`` encoded in a pass of its own.
     Encoding j must encode candidate ``s[j]`` of its pair's example, or
     ``ContractError`` names the pair;
     entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
@@ -844,8 +834,8 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     if _is_index(s):
         if not isinstance(example, DialogueExample) or isinstance(z, Tensor):
             raise ContractError("one candidate index scores one example at a numpy latent")
-        return ad.gather_rows(decode_logprob(params, [example], [s], np.asarray(z)[None],
-                                             None if encoded is None else [encoded]), 0)
+        encs = [encoded] if encoded is not None else encode_context(params, example, [s])
+        return ad.gather_rows(decode_logprob(params, [example], [s], np.asarray(z)[None], encs), 0)
     examples, zt, encs, responses = _decode_pairs(params, example, s, z, encoded)
     # lanes of different examples never merge: their responses differ
     firsts, lane_of = distinct_lanes(

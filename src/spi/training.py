@@ -7,18 +7,18 @@ against multi-hot labels (gold plus the posterior pick). Validation loss is
 the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
 
-Each batch is encoded in one pass off the tape (``encode_batch``), every
-candidate of every example a lane of it and every lane pooled in one
-windowed mean; inference and the head cross-entropy reuse those encodings.
-Validation encodes its examples the same way, ``batch_size`` to a pass,
-takes the generation-time pick of every example of a pass from one head
-product (``pick_knowledge``), infers every example of a pass at once
-(``posterior_infer_batch``: one selection decode, then the Langevin chains
-in lockstep) and scores them with one ``surrogate_objectives`` call (one
-B-lane decode at the inferred latents). Training still infers one example
-at a time, and its taped surrogate step runs per example too
-(``surrogate_objective``, the batch of one), making one more pass per
-example, since its gradient runs through the encoder.
+The drivers, ``train`` and ``validation_loss``, encode each batch in one
+pass off the tape (``encode_batch``), every candidate of every example a
+lane of it, and hand the pass to inference and the head cross-entropy.
+Validation encodes ``batch_size`` examples to a pass, takes the
+generation-time pick of every example of a pass from one head product
+(``pick_knowledge``), infers them at once (``posterior_infer_batch``: one
+selection decode, then the Langevin chains in lockstep) and scores them
+with one ``surrogate_objectives`` call (one B-lane decode at the inferred
+latents). Training still infers one example at a time, and its taped
+surrogate step runs per example too (``surrogate_objective``, the batch of
+one): the one pass below the drivers, on the tape, since its gradient runs
+through the encoder.
 
 Most of a training example's time is its Langevin chain: T runs of the
 latent's part of one planned decode (``inference.langevin_infer_z``). Its
@@ -96,14 +96,12 @@ def surrogate_objectives(params: ModelParams, examples: Sequence[DialogueExample
 
 
 def surrogate_objective(params: ModelParams, example: DialogueExample, s: int,
-                        z: np.ndarray, prior: str,
-                        encodings: Sequence[EncodedContext] | None = None) -> ad.Tensor:
+                        z: np.ndarray, prior: str) -> ad.Tensor:
     """Latent-completed objective for one example, a scalar: the batch of
-    one of ``surrogate_objectives``. Without the candidate ``encodings`` it
-    encodes candidate ``s`` (uniform) or every candidate (learnable) in one
-    pass."""
-    if encodings is None:
-        encodings = encode_context(params, example, None if prior == "learnable" else [s])
+    one of ``surrogate_objectives``, over a pass of its own of candidate
+    ``s`` (uniform) or every candidate (learnable). ``mle_step`` calls it on
+    its tape, so the gradient runs through the encoder."""
+    encodings = encode_context(params, example, None if prior == "learnable" else [s])
     objs = surrogate_objectives(params, [example], [s], np.asarray(z, dtype=np.float64)[None],
                                 prior, [encodings])
     return ad.gather_rows(objs, 0)
@@ -158,21 +156,19 @@ def multi_hot_labels(example: DialogueExample, selected: int) -> np.ndarray:
 
 def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
                  labels: list[np.ndarray], head: str,
-                 encodings_batch=None) -> Tensor:
+                 encodings_batch: Sequence[Sequence[EncodedContext]]) -> Tensor:
     """Batch-mean binary cross-entropy of one selection head against 0/1
     multi-hot labels: -(y . log sigmoid(x) + (1 - y) . log sigmoid(-x)) / B
-    over every candidate's logit x in the batch, from one head pass. The
-    candidate encodings enter as constants (made off the tape or, when not
-    given, under constant weights), so the gradient touches only the head."""
+    over every candidate's logit x in the batch, from one head pass over
+    ``encodings_batch``, the caller's lanes of every candidate, made off the
+    tape, so the gradient touches only the head."""
     if not batch:
         raise ContractError("cross-entropy needs a non-empty batch")
-    if len(labels) != len(batch):
-        raise ContractError("labels must align with the batch")
-    for y, example in zip(labels, batch):
-        if len(y) != len(example.candidates):
-            raise ContractError("label vector length must match the candidate count")
-    if encodings_batch is None:
-        encodings_batch = encode_batch(params.constant(), batch)
+    if len(labels) != len(batch) or len(encodings_batch) != len(batch):
+        raise ContractError("labels and encodings must align with the batch")
+    for y, example, encs in zip(labels, batch, encodings_batch):
+        if len(y) != len(example.candidates) or len(encs) != len(y):
+            raise ContractError("label vector and encodings must match the candidate count")
     x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs])
     y = np.concatenate(labels).astype(np.float64)
     positive = ad.matmul(ad.log_sigmoid(x), Tensor(y))
@@ -182,7 +178,7 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
 
 def _head_ce_step(params: ModelParams, batch: list[DialogueExample],
                   labels: list[np.ndarray], lr: float, head: str,
-                  encodings_batch=None) -> float:
+                  encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
     """Shared binary-CE descent on one selection head."""
     with Tape() as tape:
         loss = head_ce_loss(params, batch, labels, head, encodings_batch)
@@ -196,7 +192,7 @@ def _head_ce_step(params: ModelParams, batch: list[DialogueExample],
 
 def initializer_ce_step(params: ModelParams, batch: list[DialogueExample],
                         labels: list[np.ndarray], lr: float,
-                        encodings_batch=None) -> float:
+                        encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
     """Descent on the initializer head (uniform-prior mode); returns the
     batch-mean cross-entropy."""
     return _head_ce_step(params, batch, labels, lr, "initializer", encodings_batch)
@@ -204,7 +200,7 @@ def initializer_ce_step(params: ModelParams, batch: list[DialogueExample],
 
 def prior_ce_step(params: ModelParams, batch: list[DialogueExample],
                   labels: list[np.ndarray], lr: float,
-                  encodings_batch=None) -> float:
+                  encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
     """Same multi-label update applied to the learnable prior head."""
     return _head_ce_step(params, batch, labels, lr, "knowledge_prior", encodings_batch)
 

@@ -6,6 +6,7 @@ independent of the autodiff engine, so the two paths can disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +19,8 @@ from .errors import ContractError
 from .inference import (langevin_chain, posterior_infer_batch, select_knowledge,
                         select_knowledge_batch, sequential_posterior_infer)
 from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob, encode_batch,
-                    latent_prior_log_density, latent_prior_mean)
+                    encode_context, latent_prior_log_density, latent_prior_mean,
+                    latent_prior_means)
 from .training import (head_ce_loss, multi_hot_labels, surrogate_objective,
                        surrogate_objectives, train)
 
@@ -275,10 +277,12 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         shared_pick = int(head_rng.integers(len(shared.candidates)))
         for label, ex, pick in (("", example, s), ("shared-rows/", shared, shared_pick)):
             labels = [multi_hot_labels(ex, pick)]
+            encs = encode_batch(params, [ex])  # off the tape: the heads' constant inputs
             for head in ("initializer", "knowledge_prior"):
                 for name in params.head_names(head):
-                    def ce(x: Tensor, _name=name, _head=head, _ex=ex, _y=labels) -> Tensor:
-                        return head_ce_loss(_swap(params, _name, x), [_ex], _y, _head)
+                    def ce(x: Tensor, _name=name, _head=head, _ex=ex, _y=labels,
+                           _encs=encs) -> Tensor:
+                        return head_ce_loss(_swap(params, _name, x), [_ex], _y, _head, _encs)
 
                     report = gradcheck(ce, params.tensors[name].data, tol=tol, h=1e-4)
                     worst = max(worst, report.max_rel_error)
@@ -286,13 +290,14 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
                         return CheckResult("gradients", False,
                                            f"cross-entropy/{label}{name} seed {seed}: {report}")
         # the drift's two terms at a lone chain's (1, latent) state
-        mu_const = latent_prior_mean(params, example, s).data[None]
+        lane = encode_context(params, example, [s])
+        mu_const = latent_prior_means(params, lane).data
 
         def prior_term(x: Tensor) -> Tensor:
             return reduce_sum(latent_prior_log_density(Tensor(mu_const), x))
 
         def loglik_term(x: Tensor) -> Tensor:
-            return reduce_sum(decode_logprob(params, example, [s], x))
+            return reduce_sum(decode_logprob(params, example, [s], x, encoded=lane))
 
         for label, fn in (("latent-prior", prior_term), ("latent-loglik", loglik_term)):
             report = gradcheck(fn, z[None], tol=tol, h=1e-4)
@@ -308,10 +313,11 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         # prior means, so the repeated candidate shares its lane
         mus = np.stack([latent_prior_mean(params, lockstep, i).data for i in order])
         coeffs = Tensor(lock_rng.normal(size=len(order)))
+        lock_lanes = encode_context(params, lockstep, order)
 
         def lockstep_term(x: Tensor) -> Tensor:
-            return matmul(decode_logprob(_swap(params, "att_v", x), lockstep, order, mus),
-                          coeffs)
+            return matmul(decode_logprob(_swap(params, "att_v", x), lockstep, order, mus,
+                                         encoded=lock_lanes), coeffs)
 
         report = gradcheck(lockstep_term, params.tensors["att_v"].data, tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)
@@ -325,7 +331,9 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         pick = int(chain_rng.integers(len(chained.candidates)))
         z0 = chain_rng.normal(size=cfg.latent_dim)
         weights = params.constant()
-        report = gradcheck(lambda x: reduce_sum(decode_logprob(weights, chained, [pick], x)),
+        chain_lane = encode_context(weights, chained, [pick])
+        report = gradcheck(lambda x: reduce_sum(decode_logprob(weights, chained, [pick], x,
+                                                               encoded=chain_lane)),
                            z0[None], tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
@@ -341,11 +349,14 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         owners = [first, second, second, first]
         picks = [int(cross_rng.integers(len(ex.candidates))) for ex in owners]
         zs, mix = cross_rng.normal(size=(4, cfg.latent_dim)), Tensor(cross_rng.normal(size=4))
+        (a, d), (b, c) = encode_batch(params, [first, second], [picks[::3], picks[1:3]])
+        cross = [a, b, c, d]
         for label, fn, point in (
                 ("z under constant weights",
-                 lambda x: matmul(decode_logprob(weights, owners, picks, x), mix), zs),
-                ("att_v", lambda x: matmul(decode_logprob(
-                    _swap(params, "att_v", x), owners, picks, zs), mix), params["att_v"].data)):
+                 lambda x: matmul(decode_logprob(weights, owners, picks, x, cross), mix), zs),
+                ("att_v", lambda x: matmul(decode_logprob(_swap(params, "att_v", x), owners,
+                                                          picks, zs, cross), mix),
+                 params["att_v"].data)):
             report = gradcheck(fn, point, tol=tol, h=1e-4)
             worst = max(worst, report.max_rel_error)
             if not report.passed:
@@ -443,13 +454,15 @@ def check_selection(n_instances: int = 100, seed: int = 0,
 
     def compare(label: str, params: ModelParams, example: DialogueExample) -> None:
         m = len(example.candidates)
+        select = partial(fn, params, example, encodings=encode_context(params, example),
+                         mode="greedy")
         for prior in ("uniform", "learnable"):
-            got = fn(params, example, prior=prior, mode="greedy").chosen
+            got = select(prior=prior).chosen
             want = naive_select(params, example, prior)
             if got != want:
                 mismatches.append(f"{label} prior={prior}: {got} != {want}")
-        full = fn(params, example, prior="uniform", mode="greedy", top_s=m).chosen
-        exhaustive = fn(params, example, prior="uniform", mode="greedy").chosen
+        full = select(prior="uniform", top_s=m).chosen
+        exhaustive = select(prior="uniform").chosen
         if full != exhaustive:
             mismatches.append(f"{label} top-S=M: {full} != {exhaustive}")
         if naive_top_s(params, example, m) != list(range(m)):
@@ -457,8 +470,10 @@ def check_selection(n_instances: int = 100, seed: int = 0,
 
     def compare_pass(label: str, params: ModelParams,
                      examples: list[DialogueExample]) -> None:
+        encodings = encode_batch(params, examples)
         for prior in ("uniform", "learnable"):
-            picks = select_knowledge_batch(params, examples, prior=prior)
+            picks = select_knowledge_batch(params, examples, encodings_batch=encodings,
+                                           prior=prior)
             for j, (example, got) in enumerate(zip(examples, picks)):
                 want = naive_select(params, example, prior)
                 if got.chosen != want:
@@ -557,7 +572,7 @@ def check_lockstep(n_passes: int = 3, tol: float = 1e-10) -> CheckResult:
                     batch = posterior_infer_batch(params, examples, config, gens, encodings)
                     for j, (example, encs, got) in enumerate(zip(examples, encodings, batch)):
                         want = sequential_posterior_infer(params, example, config,
-                                                          rng=alone[j], encodings=encs)
+                                                          alone[j], encs)
                         if got.s != want.s:
                             return CheckResult("lockstep", False, f"{label} example {j}: "
                                                f"pick {got.s} != {want.s}")
@@ -596,10 +611,10 @@ def check_determinism() -> CheckResult:
                                          latent_dim=4),
                        top_s=2, langevin_steps=2, batch_size=4, epochs=2, seed=3)
     params = ModelParams.init(config.model, seed=1)
-    pair_a = sequential_posterior_infer(params, first.train[0], config,
-                                        rng=derived_rng(11, 1))
-    pair_b = sequential_posterior_infer(params, first.train[0], config,
-                                        rng=derived_rng(11, 1))
+    pair_a, pair_b = (sequential_posterior_infer(params, first.train[0], config,
+                                                 derived_rng(11, 1),
+                                                 encode_context(params, first.train[0]))
+                      for _ in range(2))
     if pair_a.s != pair_b.s or not np.array_equal(pair_a.z, pair_b.z):
         return CheckResult("determinism", False, "repeated seeded inference differs")
 

@@ -141,3 +141,27 @@ def test_peak_rss_is_read_at_the_parent_s_median_rounds():
                                  "parent": {"slope": 0.0, "intercept": 51.0, "peak_rss_mb": 51.0},
                                  "change": {"slope": 0.0, "intercept": 52.0, "peak_rss_mb": 52.0}}
     json.dumps(fits)  # the file is plain JSON
+
+
+def test_uncorrected_and_speed_factor_medians_cover_each_side_s_untraced_runs():
+    # the corrected speed may hide a factor that differs between the sides:
+    # here the parent's runs were probed slow, so its corrected speed reads
+    # higher while the uncorrected medians agree
+    def run(side, seed, trace, speed, factor, held_out=False):
+        out = _run(side, "eval-desk", seed, trace, 40, 50.0, held_out)
+        out["record"].update(speed_factor=factor, uncorrected={
+            "eval_examples_per_s": speed, "peak_rss_mb": 50.0})
+        return out
+
+    runs = [run("parent", 101, 0, 1000.0, 0.90), run("change", 101, 0, 1010.0, 1.10),
+            run("change", 102, 0, 990.0, 1.05), run("parent", 102, 0, 1004.0, 0.92),
+            run("parent", 211, 0, 1002.0, 0.94, held_out=True),
+            run("change", 211, 0, 1000.0, 1.07, held_out=True),
+            # traced runs keep spans and do not count
+            run("parent", 101, 1, 1.0, 9.0), run("change", 101, 1, 1.0, 9.0)]
+    uncorrected, factors = bench_pairs.untraced_medians(runs)
+    assert uncorrected == {"eval-desk": {
+        "parent": {"eval_examples_per_s": 1002.0, "peak_rss_mb": 50.0},
+        "change": {"eval_examples_per_s": 1000.0, "peak_rss_mb": 50.0}}}
+    assert factors == {"eval-desk": {"parent": 0.92, "change": 1.07}}
+    json.dumps([uncorrected, factors])  # the file is plain JSON

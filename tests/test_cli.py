@@ -274,6 +274,24 @@ def test_a_negative_learning_rate_exits_1_naming_the_field(workdir, corpus_dir, 
     assert not out.exists()
 
 
+def test_a_negative_seed_exits_1_naming_the_field(workdir, corpus_dir, config_file, capsys):
+    out = workdir / "negative-seed"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: seed must be non-negative, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+    code = main(["synth", "--out", str(out), "--vocab-size", str(VOCAB), "--candidates", "3",
+                 "--candidate-len", "4", "--styles", "2", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: seed must not be negative, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_fast_passes_every_suite(capsys):
     assert main(["verify", "--fast"]) == 0
     lines = capsys.readouterr().out.splitlines()

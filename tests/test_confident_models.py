@@ -12,7 +12,7 @@ from spi import verify
 from spi.config import SpiConfig, derived_rng
 from spi.inference import decoder_grad_z, sequential_posterior_infer
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, decode_logprob,
-                       decode_plan)
+                       decode_plan, encode_context)
 from spi.training import mle_step
 
 CFG = verify._tiny_model_config()
@@ -50,7 +50,8 @@ def test_lockstep_decode_matches_the_reference(gap):
     params = confident_params(gap)
     indices = [3, 0, 2, 1]
     mus = np.stack([verify.naive_latent_mean(params, EXAMPLE, s) for s in indices])
-    got = decode_logprob(params, EXAMPLE, indices, mus).data
+    got = decode_logprob(params, EXAMPLE, indices, mus,
+                         encoded=encode_context(params, EXAMPLE, indices)).data
     want = [verify.naive_response_logprob(params, EXAMPLE, s, mu)
             for s, mu in zip(indices, mus)]
     assert np.isfinite(got).all()
@@ -64,10 +65,12 @@ def test_latent_gradient_is_finite_and_at_its_limit(gap, constant):
     # and every other one is below 1e-25, so that gradient is the limit
     z = np.random.default_rng(2).normal(size=(1, CFG.latent_dim))
     limit = confident_params(60.0)
-    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, [3]), z)
+    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, [3],
+                                             encode_context(limit, EXAMPLE, [3])), z)
     params = confident_params(gap)
     params = params.constant() if constant else params
-    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, [3]), z)
+    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, [3],
+                                             encode_context(params, EXAMPLE, [3])), z)
     assert np.isfinite(got).all()
     assert rel_err(got, want) <= TOL
 
@@ -98,6 +101,7 @@ def test_training_step_matches_the_reference(gap, prior):
 @pytest.mark.parametrize("gap", GAPS)
 def test_inference_stays_finite(gap):
     config = SpiConfig(model=CFG, top_s=3, langevin_steps=3)
-    pair = sequential_posterior_infer(confident_params(gap), EXAMPLE, config,
-                                      rng=derived_rng(4, 1))
+    params = confident_params(gap)
+    pair = sequential_posterior_infer(params, EXAMPLE, config, derived_rng(4, 1),
+                                      encode_context(params, EXAMPLE))
     assert np.isfinite(pair.z).all()

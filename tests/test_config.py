@@ -144,6 +144,12 @@ class TestSerialization:
             config_from_dict({"model": {"vocab_size": 64}, field: -1.0})
         assert getattr(config_from_dict({"model": {"vocab_size": 64}, field: 0.0}), field) == 0.0
 
+    def test_a_negative_seed_is_rejected_naming_it(self):
+        # a seed stream takes non-negative entries only
+        with pytest.raises(ContractError, match=r"^seed must be non-negative, got -3"):
+            config_from_dict({"model": {"vocab_size": 64}, "seed": -3})
+        assert config_from_dict({"model": {"vocab_size": 64}, "seed": 0}).seed == 0
+
 
 class TestOverrides:
     def test_run_field(self):

@@ -45,8 +45,10 @@ def test_z_gradient_through_the_constant_view_equals_the_full_tape():
     for params, example, s in ragged_cases():
         z = derived_rng(checked, 2).normal(size=(1, CFG.latent_dim))
         view = params.constant()
-        full = decoder_grad_z(params, decode_plan(params, example, [s]), z)
-        lean = decoder_grad_z(view, decode_plan(view, example, [s]), z)
+        full = decoder_grad_z(params, decode_plan(params, example, [s],
+                                                  encode_context(params, example, [s])), z)
+        lean = decoder_grad_z(view, decode_plan(view, example, [s],
+                                                encode_context(view, example, [s])), z)
         assert np.array_equal(lean, full)
         checked += 1
     assert checked >= 40
@@ -56,7 +58,10 @@ def test_lockstep_z_gradient_through_the_constant_view_equals_the_full_tape():
     def grad(params, example, indices, z, coeffs):
         with ad.Tape() as tape:
             zt = ad.Tensor(z, name="z", trainable=True)
-            out = ad.matmul(decode_logprob(params, example, indices, zt), ad.Tensor(coeffs))
+            # encoded on the tape, so the full tape runs from the encoder on
+            lanes = encode_context(params, example, indices)
+            out = ad.matmul(decode_logprob(params, example, indices, zt, encoded=lanes),
+                            ad.Tensor(coeffs))
             return ad.backward(tape, out)["z"]
 
     for seed in range(4):

@@ -62,6 +62,10 @@ class TestPlanVocab:
             generate_corpus(small_spec(**{name: -5}))
         assert len(generate_corpus(small_spec(**{name: 0})).split(name[2:])) == 0
 
+    def test_a_negative_seed_is_rejected_naming_it(self):
+        with pytest.raises(ContractError, match="seed must not be negative, got -1"):
+            generate_corpus(small_spec(seed=-1))
+
 
 class TestGeneration:
     def test_same_spec_same_examples(self):
@@ -247,6 +251,30 @@ class TestDiskRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=re.escape(
                 f"{path}:{lineno}: {name} = -5 must not be negative")):
+            load_corpus(tmp_path)
+
+    def test_a_negative_seed_in_the_sidecar_names_file_and_line(self, tmp_path):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("seed = "))
+        lines[lineno - 1] = "seed = -1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(
+                f"{path}:{lineno}: seed = -1 must not be negative")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("line, what", [
+        ("n_trian = 5", "names no spec field 'n_trian'"),
+        ("seed = 7", "repeats 'seed'"),
+        ("seed: 7", "is not a 'key = value' line"),
+    ], ids=["unknown-key", "repeated-key", "no-equals"])
+    def test_a_malformed_sidecar_line_names_file_and_line(self, tmp_path, line, what):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_text().splitlines() + [line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:{len(lines)}: {what}")):
             load_corpus(tmp_path)
 
     def test_non_numeric_spec_value_names_file_and_line(self, tmp_path):

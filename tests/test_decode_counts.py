@@ -53,6 +53,12 @@ def decoder_calls(monkeypatch):
     return calls
 
 
+def taped_lanes(params, example, s):
+    """The lanes of a sequence of indices, encoded on the caller's tape as
+    the int form encodes its one lane."""
+    return None if isinstance(s, int) else model.encode_context(params, example, s)
+
+
 def distinct(indices) -> int:
     return len({tuple(EXAMPLE.candidates[s][:CFG.max_candidate]) for s in indices})
 
@@ -61,7 +67,8 @@ def distinct(indices) -> int:
                                           ("learnable", None)])
 def test_one_decode_per_selection(decoder_calls, prior, top_s):
     params = ModelParams.init(CFG, seed=2)
-    out = select_knowledge(params, EXAMPLE, prior=prior, top_s=top_s)
+    out = select_knowledge(params, EXAMPLE, encodings=model.encode_context(params, EXAMPLE),
+                           prior=prior, top_s=top_s)
     assert decoder_calls["decode"] == [list(out.evaluated)]
     assert decoder_calls["lanes"] == [distinct(out.evaluated)]
     assert len(out.evaluated) == (top_s or len(EXAMPLE.candidates))
@@ -73,7 +80,7 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     plans, runs = [], []
     plan, grad_z = inference.decode_plan, inference.decoder_grad_z
 
-    def counting_plan(params, example, s, encoded=None):
+    def counting_plan(params, example, s, encoded):
         plans.append(s)
         return plan(params, example, s, encoded=encoded)
 
@@ -85,7 +92,8 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     monkeypatch.setattr(inference, "decoder_grad_z", counting_grad)
     config = SpiConfig(model=CFG, prior=prior, top_s=4, langevin_steps=3)
     params = ModelParams.init(CFG, seed=5)
-    pair = sequential_posterior_infer(params, EXAMPLE, config, rng=derived_rng(1, 2))
+    pair = sequential_posterior_infer(params, EXAMPLE, config, derived_rng(1, 2),
+                                      model.encode_context(params, EXAMPLE))
     # the selection is the one full decode
     [subset] = decoder_calls["decode"]
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
@@ -103,7 +111,7 @@ def test_taped_decode_applies_the_output_head_once(s):
     z = np.random.default_rng(0).normal(size=(lanes, CFG.latent_dim) if lanes > 1
                                         else CFG.latent_dim)
     with ad.Tape() as tape:
-        model.decode_logprob(params, EXAMPLE, s, z)
+        model.decode_logprob(params, EXAMPLE, s, z, encoded=taped_lanes(params, EXAMPLE, s))
     uses = [inputs for _, inputs, _, _ in tape._nodes
             if any(t is params["out_w"] for t in inputs)]
     assert len(uses) == 1
@@ -154,7 +162,7 @@ def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
         example = DialogueExample(history=EXAMPLE.history, candidates=EXAMPLE.candidates,
                                   gold_index=1, response=response)
         with ad.Tape() as tape:
-            model.decode_logprob(params, example, s, z)
+            model.decode_logprob(params, example, s, z, encoded=taped_lanes(params, example, s))
         # the inputs' projection with its bias, and the slots' attention
         # projection with the attention bias: once per decode, each bias
         # added by its product's node; the projection covers the tokens read
@@ -203,5 +211,6 @@ def test_latent_rows_are_gathered_only_when_pairs_share_a_lane():
                        ([0, 2], np.ones((2, CFG.latent_dim)), ["gather_rows"])):
         with ad.Tape() as tape:
             zt = ad.Tensor(z, name="z", trainable=True)
-            model.decode_logprob(params.constant(), EXAMPLE, s, zt)
+            model.decode_logprob(params.constant(), EXAMPLE, s, zt,
+                                 encoded=model.encode_context(params, EXAMPLE, s))
         assert _uses(tape, zt) == want

@@ -18,7 +18,8 @@ from spi.errors import ContractError
 from spi.generation import generate
 from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
-                       decoder_advance, decoder_start, encode_context, latent_prior_mean)
+                       decoder_advance, decoder_start, encode_batch, encode_context,
+                       latent_prior_mean, latent_prior_means)
 
 CFG = verify._tiny_model_config()
 TOL = 1e-12
@@ -46,6 +47,22 @@ def truncated(example: DialogueExample, s: int) -> tuple[int, ...]:
     return tuple(example.candidates[s][:CFG.max_candidate])
 
 
+def pass_lanes(params, owners, indices) -> list:
+    """The lanes of (example, index) pairs from one encoder pass: each
+    distinct example with the indices its pairs ask for, in order of first
+    appearance."""
+    groups: dict[int, list[int]] = {}
+    for pos, ex in enumerate(owners):
+        groups.setdefault(id(ex), []).append(pos)
+    batch = encode_batch(params, [owners[ps[0]] for ps in groups.values()],
+                         [[indices[p] for p in ps] for ps in groups.values()])
+    lanes = [None] * len(indices)
+    for ps, encs in zip(groups.values(), batch):
+        for pos, enc in zip(ps, encs):
+            lanes[pos] = enc
+    return lanes
+
+
 def shared_latents(example: DialogueExample, indices, seed: int) -> np.ndarray:
     """One random latent row per distinct truncated candidate, repeated with it."""
     rng = np.random.default_rng(seed)
@@ -66,7 +83,8 @@ def test_lockstep_decode_matches_one_candidate_decodes_and_the_reference(example
         z = np.stack([latent_prior_mean(params, example, s).data for s in indices])
     else:
         z = shared_latents(example, indices, seed)
-    out = decode_logprob(params, example, indices, z).data
+    out = decode_logprob(params, example, indices, z,
+                         encoded=encode_context(params, example, indices)).data
     assert out.shape == (len(indices),)
     for pos, s in enumerate(indices):
         one = float(decode_logprob(params, example, s, z[pos]).data)
@@ -92,7 +110,8 @@ def test_cross_example_lanes_match_their_own_decodes_and_the_reference(examples,
     owners = [examples[e] for e, _ in lanes]
     indices = [s for _, s in lanes]
     z = np.stack([shared_latents(examples[e], [s], seed)[0] for e, s in lanes])
-    out = decode_logprob(params, owners, indices, z).data
+    out = decode_logprob(params, owners, indices, z,
+                         encoded=pass_lanes(params, owners, indices)).data
     assert out.shape == (len(lanes),)
     for pos, (e, s) in enumerate(lanes):
         one = float(decode_logprob(params, examples[e], s, z[pos]).data)
@@ -112,7 +131,9 @@ def test_lanes_of_two_examples_never_share():
     second = DialogueExample(history=[10, 11, 4], candidates=[[5], [7, 8]], gold_index=0,
                              response=[5, EOS, 9])
     z = np.tile(np.linspace(-1.0, 1.0, CFG.latent_dim), (3, 1))
-    out = decode_logprob(params, [first, second, first], [0, 1, 0], z).data
+    owners = [first, second, first]
+    out = decode_logprob(params, owners, [0, 1, 0], z,
+                         encoded=pass_lanes(params, owners, [0, 1, 0])).data
     assert out[0] != out[1] and out[0] == out[2]
     for pos, (ex, s) in enumerate(((first, 0), (second, 1))):
         assert out[pos] == pytest.approx(float(decode_logprob(params, ex, s, z[pos]).data),
@@ -126,7 +147,8 @@ def test_selection_weights_match_the_reference_in_both_priors(example, seed, pri
     params = ModelParams.init(CFG, seed=seed)
     m = len(example.candidates)
     top_s = data.draw(st.none() | st.integers(1, m)) if prior == "uniform" else None
-    out = select_knowledge(params, example, prior=prior, top_s=top_s)
+    out = select_knowledge(params, example, encodings=encode_context(params, example),
+                           prior=prior, top_s=top_s)
     want = list(range(m)) if top_s is None else verify.naive_top_s(params, example, top_s)
     assert list(out.evaluated) == want
     extra = verify.naive_prior_logits(params, example) if prior == "learnable" \
@@ -151,8 +173,7 @@ def test_repeated_candidates_share_one_lane():
                                                           [9, 7, 6]],
                               gold_index=0, response=[6, 7, EOS])
     encodings = encode_context(params, example)
-    z = np.stack([latent_prior_mean(params, example, s, encoded=enc).data
-                  for s, enc in enumerate(encodings)])
+    z = np.stack([latent_prior_means(params, [enc]).data[0] for enc in encodings])
     out = decode_logprob(params, example, range(7), z, encoded=encodings).data
     assert out[1] == out[2] == out[3] == out[4]
     assert out[0] == out[5]
@@ -166,9 +187,10 @@ def fixed_example() -> DialogueExample:
 
 def z_gradient(params, example, s, z):
     """The score and its z-gradient, with the tape they came from."""
+    weights = params.constant()
     with ad.Tape() as tape:
         zt = ad.Tensor(z, name="z", trainable=True)
-        out = decode_logprob(params.constant(), example, s, zt)
+        out = decode_logprob(weights, example, s, zt, encoded=encode_context(weights, example, s))
         grad = ad.backward(tape, ad.reduce_sum(out))["z"]
     return out.data, grad, tape
 
@@ -182,7 +204,8 @@ def test_a_lone_lane_runs_the_one_candidate_ops():
     example = fixed_example()
     z = np.linspace(-1.0, 1.0, CFG.latent_dim)
     one = decode_logprob(params, example, 0, z).data
-    both = decode_logprob(params, example, [2, 0], np.stack([z, z])).data
+    both = decode_logprob(params, example, [2, 0], np.stack([z, z]),
+                          encoded=encode_context(params, example, [2, 0])).data
     assert both[0] == one and both[1] == one
     # an int index is a scalar view of the one-index sequence's lane 0
     lane_score, lane_grad, _ = z_gradient(params, example, [0], z[None])
@@ -207,7 +230,12 @@ def test_passed_encodings_give_the_same_scores():
     z = shared_latents(example, indices, 5)
     encodings = encode_context(params, example, indices)
     assert np.array_equal(decode_logprob(params, example, indices, z, encoded=encodings).data,
-                          decode_logprob(params, example, indices, z).data)
+                          decode_logprob(params, example, indices, z,
+                                         encoded=encode_context(params, example, indices)).data)
+    # the int form encodes its lane in a pass of its own unless handed one
+    for pos, s in enumerate(indices):
+        assert decode_logprob(params, example, s, z[pos], encoded=encodings[pos]).data == \
+            decode_logprob(params, example, s, z[pos]).data
 
 
 def test_lockstep_gradient_in_z_matches_each_candidate():
@@ -218,10 +246,14 @@ def test_lockstep_gradient_in_z_matches_each_candidate():
     z = np.random.default_rng(4).normal(size=(len(indices), CFG.latent_dim))
     with ad.Tape() as tape:
         zt = ad.Tensor(z, name="z", trainable=True)
-        grad = ad.backward(tape, ad.reduce_sum(decode_logprob(params, example, indices, zt)))
+        # encoded on the tape, so the full tape runs from the encoder on
+        lanes = encode_context(params, example, indices)
+        grad = ad.backward(tape, ad.reduce_sum(decode_logprob(params, example, indices, zt,
+                                                              encoded=lanes)))
     for pos, s in enumerate(indices):
         np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(
-            params, decode_plan(params, example, [s]), z[pos:pos + 1])[0],
+            params, decode_plan(params, example, [s], encode_context(params, example, [s])),
+            z[pos:pos + 1])[0],
                                    rtol=1e-10, atol=1e-14)
 
 

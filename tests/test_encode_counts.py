@@ -1,6 +1,7 @@
 """Each stage encodes its examples in batch passes (``encode_batch`` calls)
-and reuses them: counts of passes per stage, and agreement with the paths
-that encode for themselves."""
+and reuses them: counts of passes per stage, agreement with encoding from
+scratch, and the rule that only the drivers encode: a function handed its
+lanes makes no pass of its own."""
 from __future__ import annotations
 
 import sys
@@ -8,15 +9,20 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
 from spi import autodiff as ad
 from spi import generation, model
 from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
+from spi.errors import ContractError
 from spi.generation import generate, pick_knowledge
-from spi.inference import sequential_posterior_infer
+from spi.inference import (posterior_infer_batch, select_knowledge_batch,
+                           sequential_posterior_infer)
 from spi.metrics import evaluate, perplexity
-from spi.model import ModelParams, encode_batch, encode_context
-from spi.training import surrogate_objective, train, validation_loss
+from spi.model import ModelParams, decode_logprob, decode_plan, encode_batch, encode_context
+from spi.training import (head_ce_loss, multi_hot_labels, surrogate_objectives, train,
+                          validation_loss)
 
 M = 8
 
@@ -140,15 +146,16 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
     total, hits = 0.0, 0
     for idx, ex in enumerate(examples):
         rng = derived_rng(cfg.seed, SEED_VALID, 3, idx)
-        pair = sequential_posterior_infer(params, ex, cfg, rng=rng)
-        # a fresh pass over every candidate, as validation makes: a pass over
-        # fewer candidates may round its lockstep rows differently
-        value = float(surrogate_objective(params, ex, pair.s, pair.z, prior,
-                                          encode_context(params, ex)).data)
+        # a fresh pass over every candidate, as validation makes, for the
+        # draw, the objective and the pick: a pass over fewer candidates may
+        # round its lockstep rows differently
+        encs = encode_context(params, ex)
+        pair = sequential_posterior_infer(params, ex, cfg, rng, encs)
+        value = float(surrogate_objectives(params, [ex], [pair.s], pair.z[None], prior,
+                                           [encs]).data[0])
         ad.check_finite(value, "surrogate objective")
         total += value
-        hits += pick_knowledge(params, [encode_context(params, ex)], prior=prior)[0] \
-            == ex.gold_index
+        hits += pick_knowledge(params, [encs], prior=prior)[0] == ex.gold_index
     # in batches of one, validation's passes are these one-example passes
     loss, accuracy = validation_loss(params, examples, replace(cfg, batch_size=1), epoch=3)
     assert loss == -total / len(examples)
@@ -157,3 +164,35 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
     loss, accuracy = validation_loss(params, examples, cfg, epoch=3)
     assert loss == pytest.approx(-total / len(examples), rel=1e-12, abs=0)
     assert accuracy == hits / len(examples)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "learnable"])
+def test_handed_lanes_make_no_encoder_pass(corpus, encode_calls, prior):
+    cfg = config_for(corpus, prior)
+    params = ModelParams.init(cfg.model, seed=1)
+    examples = corpus.valid[:3]
+    encodings = encode_batch(params, examples)
+    picks = [ex.gold_index for ex in examples]
+    lanes = [encs[s] for encs, s in zip(encodings, picks)]
+    z = np.zeros((len(examples), cfg.model.latent_dim))
+    labels = [multi_hot_labels(ex, s) for ex, s in zip(examples, picks)]
+    rngs = [derived_rng(cfg.seed, SEED_VALID, 0, j) for j in range(len(examples))]
+    encode_calls.clear()
+    top_s = [cfg.top_s] * len(examples) if prior == "uniform" else None
+    select_knowledge_batch(params, examples, encodings_batch=encodings, prior=prior,
+                           top_s=top_s)
+    posterior_infer_batch(params, examples, cfg, rngs, encodings)
+    with ad.Tape():
+        head_ce_loss(params, examples, labels, "initializer", encodings)
+    decode_plan(params, examples, picks, lanes)
+    decode_logprob(params, examples, picks, z, encoded=lanes)
+    assert encode_calls == []
+
+
+def test_a_sequence_decode_without_its_lanes_is_a_contract_error(corpus, encode_calls):
+    cfg = config_for(corpus, "uniform")
+    params = ModelParams.init(cfg.model, seed=1)
+    ex = corpus.valid[0]
+    with pytest.raises(ContractError, match="needs their encodings"):
+        decode_logprob(params, ex, [0, 1], np.zeros((2, cfg.model.latent_dim)))
+    assert encode_calls == []

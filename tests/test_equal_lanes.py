@@ -41,7 +41,8 @@ def test_distinct_lanes_names_first_positions_and_each_entry_s_lane():
 @pytest.mark.parametrize("seed", range(8))
 def test_equal_candidates_tie_exactly_and_the_lowest_index_wins(prior, seed):
     params, example = tied_instance(seed)
-    outcome = select_knowledge(params, example, prior=prior)
+    outcome = select_knowledge(params, example, encodings=encode_context(params, example),
+                               prior=prior)
     assert (outcome.log_weights == outcome.log_weights[0]).all()
     assert outcome.chosen == verify.naive_select(params, example, prior) == 0
 

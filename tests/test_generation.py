@@ -12,7 +12,7 @@ from spi.config import ModelConfig
 from spi.errors import ContractError, NumericError
 from spi.generation import generate, generate_batch, pick_knowledge, write_generations
 from spi.model import (EOS, DialogueExample, ModelParams, encode_batch, encode_context,
-                       latent_prior_mean, latent_prior_means)
+                       latent_prior_means)
 
 
 def tiny_cfg(vocab_size=10):
@@ -276,8 +276,8 @@ class TestBatchAndOutput:
                     assert got.tokens == want.tokens
                     assert got.s == want.s
                     assert np.array_equal(got.z, mean)
-                    assert np.array_equal(want.z, latent_prior_mean(
-                        p, ex, want.s, encoded=encode_context(p, ex)[want.s]).data)
+                    assert np.array_equal(want.z, latent_prior_means(
+                        p, [encode_context(p, ex)[want.s]]).data[0])
                     # the batch's prefix rows are one matrix product where a lone
                     # example's are vector products, which may round differently
                     np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)

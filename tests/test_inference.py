@@ -50,11 +50,16 @@ class TestLogSumExp:
             log_sum_exp(np.array([np.nan, 0.0]))
 
 
+def select(p, ex, **kw):
+    """``select_knowledge`` over a pass of every candidate of ``ex``."""
+    return select_knowledge(p, ex, encodings=encode_context(p, ex), **kw)
+
+
 class TestSelection:
     def test_identical_candidates_share_weight_equally(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (6, 7), (6, 7)))
-        out = select_knowledge(p, ex, prior="uniform")
+        out = select(p, ex, prior="uniform")
         np.testing.assert_allclose(np.exp(out.log_weights), [1 / 3] * 3, atol=1e-12)
         assert out.chosen == 0
 
@@ -67,7 +72,7 @@ class TestSelection:
             return Tensor([0.0 if s == 0 else -gap for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", fixed_loglik)
-        out = select_knowledge(p, ex, prior="uniform")
+        out = select(p, ex, prior="uniform")
         np.testing.assert_allclose(np.exp(out.log_weights), [0.75, 0.25], atol=1e-12)
         assert out.chosen == 0
 
@@ -81,9 +86,9 @@ class TestSelection:
                 Tensor([base[s] + shift for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", loglik_at(0.0))
-        plain = select_knowledge(p, ex, prior="uniform")
+        plain = select(p, ex, prior="uniform")
         monkeypatch.setattr(inference, "decode_logprob", loglik_at(-700.0))
-        shifted = select_knowledge(p, ex, prior="uniform")
+        shifted = select(p, ex, prior="uniform")
         np.testing.assert_allclose(plain.log_weights, shifted.log_weights, atol=1e-9)
         assert plain.chosen == shifted.chosen
 
@@ -91,7 +96,7 @@ class TestSelection:
     def test_weights_normalize(self, prior):
         p = ModelParams.init(tiny_cfg(), seed=3)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4), (4, 4)))
-        out = select_knowledge(p, ex, prior=prior)
+        out = select(p, ex, prior=prior)
         assert abs(np.exp(out.log_weights).sum() - 1.0) <= 1e-10
 
     def test_learnable_prior_tilts_selection(self, monkeypatch):
@@ -107,7 +112,7 @@ class TestSelection:
 
         monkeypatch.setattr(inference, "decode_logprob", flat_loglik)
         monkeypatch.setattr(inference, "prior_scores", tilted_logits)
-        out = select_knowledge(p, ex, prior="learnable")
+        out = select(p, ex, prior="learnable")
         assert out.chosen == 1
         np.testing.assert_allclose(
             np.exp(out.log_weights),
@@ -116,7 +121,7 @@ class TestSelection:
     def test_top_s_restricts_the_evaluated_set(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        out = select_knowledge(p, ex, prior="uniform", top_s=2)
+        out = select(p, ex, prior="uniform", top_s=2)
         assert len(out.evaluated) == 2
         assert out.chosen in out.evaluated
 
@@ -124,7 +129,7 @@ class TestSelection:
         p = ModelParams.init(tiny_cfg(), seed=2)
         ex = make_example(cands=((6, 7), (7, 6)))
         with pytest.raises(ContractError):
-            select_knowledge(p, ex, prior="learnable", top_s=1)
+            select(p, ex, prior="learnable", top_s=1)
 
     def test_temperature_flattens_weights(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -134,8 +139,8 @@ class TestSelection:
             return Tensor([0.0 if s == 0 else -2.0 for s in indices])
 
         monkeypatch.setattr(inference, "decode_logprob", fixed_loglik)
-        sharp = select_knowledge(p, ex, prior="uniform", temperature=1.0)
-        flat = select_knowledge(p, ex, prior="uniform", temperature=10.0)
+        sharp = select(p, ex, prior="uniform", temperature=1.0)
+        flat = select(p, ex, prior="uniform", temperature=10.0)
         assert np.exp(flat.log_weights)[0] < np.exp(sharp.log_weights)[0]
         np.testing.assert_allclose(np.exp(flat.log_weights),
                                    np.exp([0.0, -0.2]) / np.exp([0.0, -0.2]).sum(),
@@ -144,14 +149,12 @@ class TestSelection:
     def test_sampled_mode_is_seeded(self):
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        a = select_knowledge(p, ex, prior="uniform", mode="sampled",
-                             rng=np.random.default_rng(11))
-        b = select_knowledge(p, ex, prior="uniform", mode="sampled",
-                             rng=np.random.default_rng(11))
+        a = select(p, ex, prior="uniform", mode="sampled", rng=np.random.default_rng(11))
+        b = select(p, ex, prior="uniform", mode="sampled", rng=np.random.default_rng(11))
         assert a.chosen == b.chosen
         assert a.chosen in a.evaluated
         with pytest.raises(ContractError, match="generator"):
-            select_knowledge(p, ex, prior="uniform", mode="sampled")
+            select(p, ex, prior="uniform", mode="sampled")
 
     def test_a_negative_clamp_is_rejected(self):
         # clip(g, 1, -1) would set every entry to -1, whatever the gradient
@@ -166,13 +169,13 @@ class TestSelection:
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6)))
         with pytest.raises(ContractError):
-            select_knowledge(p, ex, prior="flat")
+            select(p, ex, prior="flat")
         with pytest.raises(ContractError):
-            select_knowledge(p, ex, prior="uniform", mode="beam")
+            select(p, ex, prior="uniform", mode="beam")
         with pytest.raises(ContractError):
-            select_knowledge(p, ex, prior="uniform", temperature=0.0)
+            select(p, ex, prior="uniform", temperature=0.0)
         with pytest.raises(ContractError):
-            select_knowledge(p, make_example(cands=((6, 7),), resp=()), prior="uniform")
+            select(p, make_example(cands=((6, 7),), resp=()), prior="uniform")
 
 
 class TestTopS:
@@ -299,7 +302,8 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         p["zslot_w"].data[:] = 0.0
         ex = make_example(cands=((6, 7), (7, 6)))
-        grad = decoder_grad_z(p, decode_plan(p, ex, [0]), np.ones((1, cfg.latent_dim)))
+        plan = decode_plan(p, ex, [0], encode_context(p, ex, [0]))
+        grad = decoder_grad_z(p, plan, np.ones((1, cfg.latent_dim)))
         np.testing.assert_array_equal(grad, np.zeros((1, cfg.latent_dim)))
 
     def test_decoder_gradient_matches_finite_differences(self):
@@ -307,7 +311,8 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         ex = make_example(cands=((6, 7), (7, 6)))
         z = np.full(cfg.latent_dim, 0.4)
-        grad = decoder_grad_z(p, decode_plan(p, ex, [0]), z[None])[0]
+        grad = decoder_grad_z(p, decode_plan(p, ex, [0], encode_context(p, ex, [0])),
+                              z[None])[0]
         h = 1e-5
         for j in range(cfg.latent_dim):
             hi, lo = z.copy(), z.copy()
@@ -379,19 +384,25 @@ class TestSequentialPosterior:
         base.update(kw)
         return SpiConfig(model=tiny_cfg(), **base)
 
+    @staticmethod
+    def infer(p, ex, cfg, seed=0):
+        """The draw of ``derived_rng(seed, 1)`` over a pass of every candidate."""
+        return sequential_posterior_infer(p, ex, cfg, derived_rng(seed, 1),
+                                          encode_context(p, ex))
+
     def test_single_candidate_is_always_chosen(self):
         p = ModelParams.init(tiny_cfg(), seed=7)
         ex = make_example(cands=((6, 7),))
         for prior in ("uniform", "learnable"):
-            pair = sequential_posterior_infer(p, ex, self.config(prior=prior))
+            pair = self.infer(p, ex, self.config(prior=prior))
             assert pair.s == 0
 
     def test_repeated_calls_agree_bitwise(self):
         p = ModelParams.init(tiny_cfg(), seed=7)
         ex = make_example(cands=((6, 7), (7, 6)))
         cfg = self.config()
-        a = sequential_posterior_infer(p, ex, cfg)
-        b = sequential_posterior_infer(p, ex, cfg)
+        a = self.infer(p, ex, cfg)
+        b = self.infer(p, ex, cfg)
         assert a.s == b.s
         assert np.array_equal(a.z, b.z)
 
@@ -399,9 +410,9 @@ class TestSequentialPosterior:
         p = ModelParams.init(tiny_cfg(), seed=7)
         ex = make_example(cands=((6, 7), (7, 6)))
         cfg = self.config()
-        a = sequential_posterior_infer(p, ex, cfg, rng=derived_rng(3, 1))
-        b = sequential_posterior_infer(p, ex, cfg, rng=derived_rng(3, 1))
-        c = sequential_posterior_infer(p, ex, cfg, rng=derived_rng(4, 1))
+        a = self.infer(p, ex, cfg, seed=3)
+        b = self.infer(p, ex, cfg, seed=3)
+        c = self.infer(p, ex, cfg, seed=4)
         assert np.array_equal(a.z, b.z)
         assert not np.array_equal(a.z, c.z)
 
@@ -409,12 +420,12 @@ class TestSequentialPosterior:
         p = ModelParams.init(tiny_cfg(), seed=7)
         ex = make_example(cands=((6, 7), (7, 6)))
         cfg = self.config(langevin_steps=0, langevin_noise=False)
-        pair = sequential_posterior_infer(p, ex, cfg)
+        pair = self.infer(p, ex, cfg)
         mu = latent_prior_mean(p, ex, pair.s).data
         assert np.array_equal(pair.z, mu)
 
     def test_top_s_wider_than_candidate_set_is_clamped(self):
         p = ModelParams.init(tiny_cfg(), seed=7)
         ex = make_example(cands=((6, 7), (7, 6)))
-        pair = sequential_posterior_infer(p, ex, self.config(top_s=5))
+        pair = self.infer(p, ex, self.config(top_s=5))
         assert pair.s in (0, 1)

@@ -82,8 +82,8 @@ def test_sampled_picks_match_the_one_example_picks(setup):
     assert [pair.s for pair in batch] == [pair.s for pair in solo]
     # at this temperature the draws are not all the greedy pick
     greedy = [out.chosen for out in select_knowledge_batch(
-        params, examples, prior=config.prior, top_s=None if config.prior == "learnable"
-        else [config.top_s] * N)]
+        params, examples, encodings_batch=encode_batch(params, examples), prior=config.prior,
+        top_s=None if config.prior == "learnable" else [config.top_s] * N)]
     assert [pair.s for pair in batch] != greedy
 
 
@@ -130,7 +130,8 @@ def test_a_non_finite_gradient_in_one_lane_names_its_example(setup, monkeypatch)
 
     monkeypatch.setattr(inference, "decoder_grad_z", poisoned)
     with pytest.raises(NumericError, match="step 0 of example 2 "):
-        posterior_infer_batch(params, examples, config, _gens(config, N))
+        posterior_infer_batch(params, examples, config, _gens(config, N),
+                              encode_batch(params, examples))
     # validation names the batch: its second batch holds examples 4 and 5
     with pytest.raises(NumericError, match="validation batch 1: .*step 0 of example 1 "):
         validation_loss(params, examples, replace(config, batch_size=4), epoch=0)

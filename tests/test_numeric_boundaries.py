@@ -51,7 +51,8 @@ def test_decode_logprob_raises():
     with pytest.raises(NumericError):
         decode_logprob(params, EXAMPLE, 0, np.full(CFG.latent_dim, BIG))
     with pytest.raises(NumericError):
-        decode_logprob(params, EXAMPLE, [0, 3], np.full((2, CFG.latent_dim), BIG))
+        decode_logprob(params, EXAMPLE, [0, 3], np.full((2, CFG.latent_dim), BIG),
+                       encoded=encode_context(params, EXAMPLE, [0, 3]))
 
 
 def test_decode_logprob_checks_its_totals():
@@ -67,16 +68,19 @@ def test_decode_logprob_checks_its_totals():
 @pytest.mark.parametrize("prior, top_s", [("uniform", None), ("uniform", 2),
                                           ("learnable", None)])
 def test_select_knowledge_raises(prior, top_s):
+    params = overflowing_params()
     with pytest.raises(NumericError):
-        select_knowledge(overflowing_params(), EXAMPLE, prior=prior, top_s=top_s)
+        select_knowledge(params, EXAMPLE, encodings=encode_context(params, EXAMPLE),
+                         prior=prior, top_s=top_s)
 
 
 @pytest.mark.parametrize("steps", [0, 5])
 def test_sequential_posterior_infer_raises(steps):
     config = SpiConfig(model=CFG, top_s=3, langevin_steps=steps)
+    params = overflowing_params()
     with pytest.raises(NumericError):
-        sequential_posterior_infer(overflowing_params(), EXAMPLE, config,
-                                   rng=derived_rng(4, 1))
+        sequential_posterior_infer(params, EXAMPLE, config, derived_rng(4, 1),
+                                   encode_context(params, EXAMPLE))
 
 
 @pytest.mark.parametrize("steps", [0, 5])
@@ -183,6 +187,6 @@ def test_head_ce_step_rejects_a_non_finite_gradient_before_moving(monkeypatch):
     monkeypatch.setattr(ad, "_log_sigmoid_vjp", lambda g, xd: nan_vjp(g))
     labels = [multi_hot_labels(EXAMPLE, 3)]
     with pytest.raises(NumericError, match="gradient of init_w "):
-        initializer_ce_step(params, [EXAMPLE], labels, lr=0.1)
+        initializer_ce_step(params, [EXAMPLE], labels, 0.1, [encode_context(params, EXAMPLE)])
     for name, t in params.items():
         assert np.array_equal(t.data, before[name])

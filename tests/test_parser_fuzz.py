@@ -112,7 +112,7 @@ spec_lines = st.lists(
 @given(extra=spec_lines, keep=st.integers(0, 10))
 @settings(max_examples=100, deadline=None)
 def test_arbitrary_spec_sidecar_lines(corpus_dir, extra, keep):
-    # the first ``keep`` valid lines, then the drawn ones, which win on a repeated key
+    # the first ``keep`` valid lines, then the drawn ones; a repeated key is rejected
     path = corpus_dir / "spec.txt"
     original = path.read_bytes()
     path.write_bytes(b"\n".join(original.splitlines()[:keep] + extra) + b"\n")

@@ -36,15 +36,27 @@ def setup(request):
 
 @pytest.mark.parametrize("given", [True, False], ids=["encodings-given", "encoded-here"])
 def test_a_batch_of_one_is_the_per_example_objective_to_the_bit(setup, given):
+    # the per-example objective encodes the pick alone under the uniform
+    # prior, or every candidate under the learnable one; the batch of one is
+    # handed the same pass, made off the tape, or on the tape as ``mle_step``
+    # makes it, where every gradient must agree to the bit as well
     examples, config, params, picks, zs = setup
     for ex, s, z in zip(examples, picks, zs):
-        # without encodings the objective encodes the pick alone under the
-        # uniform prior, a pass that may round apart from one of every candidate
-        encs = encode_context(params, ex, None if given or config.prior == "learnable" else [s])
-        one = surrogate_objectives(params, [ex], [s], z[None], config.prior, [encs])
-        want = surrogate_objective(params, ex, s, z, config.prior, encs if given else None)
+        with ad.Tape() as tape:
+            encs = encode_context(params, ex, None if config.prior == "learnable" else [s])
+            one = surrogate_objectives(params, [ex], [s], z[None], config.prior, [encs])
+            got = {} if given else ad.backward(tape, ad.reduce_sum(one))
+        if given:
+            encs = encode_context(params, ex, None if config.prior == "learnable" else [s])
+            one = surrogate_objectives(params, [ex], [s], z[None], config.prior, [encs])
+        with ad.Tape() as tape:
+            want = surrogate_objective(params, ex, s, z, config.prior)
+            grads = {} if given else ad.backward(tape, want)
         assert one.shape == (1,) and want.shape == ()
         assert one.data[0] == want.data
+        assert set(got) == set(grads)
+        for name, grad in grads.items():
+            assert np.array_equal(got[name], grad), name
 
 
 def test_a_pass_agrees_with_the_per_example_objectives(setup):

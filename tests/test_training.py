@@ -12,7 +12,7 @@ from spi import training, verify
 from spi.autodiff import Tape, Tensor
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
-from spi.model import (EOS, DialogueExample, LatentPair, ModelParams,
+from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, encode_batch,
                        latent_prior_log_density, latent_prior_mean)
 from spi.training import (TrainResult, head_ce_loss, initializer_ce_step,
                           mle_step, multi_hot_labels, prior_ce_step,
@@ -70,12 +70,17 @@ class TestLabels:
 
 
 class TestHeadCrossEntropy:
+    @staticmethod
+    def loss(p, batch, labels, head):
+        """``head_ce_loss`` over the batch's pass under constant weights."""
+        return head_ce_loss(p, batch, labels, head, encode_batch(p.constant(), batch))
+
     def test_indifferent_head_on_one_hot_pair_costs_two_log_two(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example()
-        loss = head_ce_loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
+        loss = self.loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
         assert float(loss.data) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_prediction_costs_nothing(self):
@@ -83,7 +88,7 @@ class TestHeadCrossEntropy:
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 40.0
         ex = make_example()
-        loss = head_ce_loss(p, [ex], [np.array([1.0, 1.0])], "initializer")
+        loss = self.loss(p, [ex], [np.array([1.0, 1.0])], "initializer")
         assert 0.0 <= float(loss.data) < 1e-10
 
     def test_batch_mean_scaling(self):
@@ -91,8 +96,8 @@ class TestHeadCrossEntropy:
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example()
-        one = head_ce_loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
-        two = head_ce_loss(p, [ex, ex],
+        one = self.loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
+        two = self.loss(p, [ex, ex],
                            [np.array([1.0, 0.0]), np.array([1.0, 0.0])],
                            "initializer")
         assert float(one.data) == pytest.approx(float(two.data), abs=1e-12)
@@ -111,7 +116,7 @@ class TestHeadCrossEntropy:
                           for i in range(len(ex.candidates))])
             sig = 1.0 / (1.0 + np.exp(-x))
             want -= float((y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)).sum())
-        got = float(head_ce_loss(p, batch, labels, head).data)
+        got = float(self.loss(p, batch, labels, head).data)
         assert got == pytest.approx(want / len(batch), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
@@ -123,7 +128,7 @@ class TestHeadCrossEntropy:
             batch = [examples[i % 2] for i in range(n)]
             labels = [multi_hot_labels(ex, 0) for ex in batch]
             with Tape() as tape:
-                head_ce_loss(p, batch, labels, head)
+                self.loss(p, batch, labels, head)
             return len(tape)
 
         assert nodes(1) == nodes(16)
@@ -131,31 +136,32 @@ class TestHeadCrossEntropy:
     def test_label_length_mismatch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
-            head_ce_loss(p, [make_example()], [np.array([1.0])], "initializer")
+            self.loss(p, [make_example()], [np.array([1.0])], "initializer")
 
     def test_empty_batch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
-            head_ce_loss(p, [], [], "initializer")
+            self.loss(p, [], [], "initializer")
 
     def test_initializer_step_touches_only_its_head(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         before = snapshot(p)
         ex = make_example()
-        initializer_ce_step(p, [ex], [np.array([1.0, 0.0])], lr=0.1)
+        initializer_ce_step(p, [ex], [np.array([1.0, 0.0])], 0.1, encode_batch(p, [ex]))
         assert changed_names(p, before) == {"init_w", "init_b"}
 
     def test_prior_step_touches_only_its_head(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         before = snapshot(p)
         ex = make_example()
-        prior_ce_step(p, [ex], [np.array([1.0, 0.0])], lr=0.1)
+        prior_ce_step(p, [ex], [np.array([1.0, 0.0])], 0.1, encode_batch(p, [ex]))
         assert changed_names(p, before) == {"kprior_w", "kprior_b"}
 
     def test_zero_rate_leaves_weights_bit_identical(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         before = snapshot(p)
-        loss = initializer_ce_step(p, [make_example()], [np.array([1.0, 0.0])], lr=0.0)
+        ex = make_example()
+        loss = initializer_ce_step(p, [ex], [np.array([1.0, 0.0])], 0.0, encode_batch(p, [ex]))
         assert changed_names(p, before) == set()
         assert np.isfinite(loss)
 
@@ -163,9 +169,10 @@ class TestHeadCrossEntropy:
         p = ModelParams.init(tiny_cfg(), seed=2)
         ex = make_example()
         labels = [np.array([1.0, 0.0])]
-        first = initializer_ce_step(p, [ex], labels, lr=0.5)
+        encs = encode_batch(p, [ex])
+        first = initializer_ce_step(p, [ex], labels, 0.5, encs)
         for _ in range(20):
-            last = initializer_ce_step(p, [ex], labels, lr=0.5)
+            last = initializer_ce_step(p, [ex], labels, 0.5, encs)
         assert last < first
 
 

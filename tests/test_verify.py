@@ -9,7 +9,7 @@ from spi import autodiff as ad
 from spi import inference, verify
 from spi.config import derived_rng
 from spi.inference import SelectionOutcome, select_knowledge, top_s_candidates
-from spi.model import EOS, DialogueExample, ModelParams, decode_logprob
+from spi.model import EOS, DialogueExample, ModelParams, decode_logprob, encode_context
 from spi.verify import (CheckResult, check_determinism, check_gradients,
                         check_langevin, check_lockstep, check_selection,
                         naive_response_logprob, naive_select, naive_top_s)
@@ -119,9 +119,10 @@ class TestNegativeControls:
         weights = ModelParams.init(cfg, seed=0).constant()
         example = verify._random_example(derived_rng(9, 1), cfg.vocab_size)
         z = derived_rng(9, 2).normal(size=(1, cfg.latent_dim))
+        lane = encode_context(weights, example, [0])
 
         def loglik(x):
-            return ad.reduce_sum(decode_logprob(weights, example, [0], x))
+            return ad.reduce_sum(decode_logprob(weights, example, [0], x, encoded=lane))
 
         assert not ad.gradcheck(loglik, z, h=1e-4).passed
         monkeypatch.setattr(ad, "_matmul_vjp", true_vjp)

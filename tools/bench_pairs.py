@@ -23,8 +23,13 @@ exits non-zero stops the script. Per-layer times are wall clock, so one
 traced pair can point the wrong way; the file also records each side's
 median of every per-layer metric over its traced runs
 (``traced_medians``), and each side's ``peak_rss_mb`` at the parent's
-median round count (``rss_at_equal_rounds``). The script only invokes the
-benchmark; it changes nothing under ``perfbench/``.
+median round count (``rss_at_equal_rounds``). The end-to-end speeds a run
+reports are corrected by its ``speed_factor``, a reference workload's speed
+probed during the run, and that factor can differ between the sides by more
+than the change being measured; so the file also records each side's
+median of every uncorrected end-to-end value and of the factor over its
+untraced runs (``uncorrected_medians``, ``speed_factor_medians``). The
+script only invokes the benchmark; it changes nothing under ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -104,6 +109,29 @@ def traced_medians(runs: list[dict], names: list[str]) -> dict:
     return {workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
                        for side, metrics in sides.items()}
             for workload, sides in values.items()}
+
+
+def untraced_medians(runs: list[dict]) -> tuple[dict, dict]:
+    """({workload: {side: {metric: median}}} of each run's
+    ``record.uncorrected`` end-to-end values, {workload: {side: median}} of
+    its ``record.speed_factor``), over each side's untraced runs, held-out
+    ones included."""
+    values: dict[str, dict[str, dict[str, list[float]]]] = {}
+    factors: dict[str, dict[str, list[float]]] = {}
+    for run in runs:
+        workload, trace = _workload_trace(run)
+        if trace != "0":
+            continue
+        metrics = values.setdefault(workload, {}).setdefault(run["side"], {})
+        for name, value in run["record"]["uncorrected"].items():
+            metrics.setdefault(name, []).append(value)
+        factors.setdefault(workload, {}).setdefault(run["side"], []).append(
+            run["record"]["speed_factor"])
+    return ({workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
+                        for side, metrics in sides.items()}
+             for workload, sides in values.items()},
+            {workload: {side: statistics.median(v) for side, v in sides.items()}
+             for workload, sides in factors.items()})
 
 
 def _workload_trace(run: dict) -> tuple[str, str]:
@@ -203,12 +231,16 @@ def main(argv=None) -> int:
                 f"runs marked held_out")
     how += ("; peak_rss_at_equal_rounds holds each side's least-squares line of "
             "peak_rss_mb on rounds over its untraced runs, read at the parent's median "
-            "rounds")
+            "rounds; uncorrected_medians and speed_factor_medians hold each side's median "
+            "of every end-to-end value before speed correction and of the run's "
+            "speed_factor, over its untraced runs")
     medians = traced_medians(runs, [m["name"] for m in bench["per_layer"]])
+    uncorrected, factors = untraced_medians(runs)
     out = {"tag": args.tag, "change": args.note, "how": how,
            "parent_sha": shas["parent"], "change_sha": shas["change"],
            "held_out_seeds": list(args.held_out),
            "traced_medians": medians, "peak_rss_at_equal_rounds": rss_at_equal_rounds(runs),
+           "uncorrected_medians": uncorrected, "speed_factor_medians": factors,
            "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
