@@ -64,7 +64,8 @@ class ModelConfig:
             if value <= 0:
                 raise ContractError(f"ModelConfig.{name} must be positive, got {value}")
         if self.vocab_size < 4:
-            raise ContractError("vocab_size must cover the four reserved tokens")
+            raise ContractError(f"vocab_size must cover the four reserved tokens, "
+                                f"got {self.vocab_size}")
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,22 @@ class SpiConfig:
             raise ContractError(
                 f"selection must be one of {SELECTION_MODES}, got {self.selection!r}")
         if self.top_s < 1:
-            raise ContractError("top_s must be at least 1")
+            raise ContractError(f"top_s must be at least 1, got {self.top_s}")
         if self.langevin_steps < 0:
-            raise ContractError("langevin_steps must be non-negative")
+            raise ContractError(f"langevin_steps must be non-negative, got {self.langevin_steps}")
         if self.step_size < 0.0:
-            raise ContractError("step_size must be non-negative")
+            raise ContractError(f"step_size must be non-negative, got {self.step_size}")
         if self.grad_clamp < 0.0:
             raise ContractError(f"grad_clamp must be non-negative, got {self.grad_clamp}")
         if self.temperature <= 0.0:
-            raise ContractError("temperature must be positive")
+            raise ContractError(f"temperature must be positive, got {self.temperature}")
         for name in ("lr_model", "lr_head"):
             if getattr(self, name) < 0.0:
                 raise ContractError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ContractError("batch_size/epochs out of range")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ContractError(f"epochs must be non-negative, got {self.epochs}")
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 

@@ -2,6 +2,10 @@
 posterior under a point-mass latent, then refine the continuous latent with
 a short Langevin chain started at the prior mean.
 
+Both steps read their settings from the run's ``SpiConfig``: selection its
+``prior``, ``top_s``, ``selection`` and ``temperature``, the chain its
+``langevin_*``, ``step_size`` and ``grad_clamp`` fields. One rule, in
+``select_knowledge_batch``, turns ``top_s`` into an example's width.
 Selection arithmetic stays in log space throughout; the Langevin gradient of
 the decoder term is clamped elementwise before entering the drift.
 
@@ -68,76 +72,68 @@ def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
     return sorted(int(i) for i in order)
 
 
-def select_knowledge(params: ModelParams, example: DialogueExample, *,
-                     encodings: Sequence[EncodedContext], prior: str = "uniform",
-                     mode: str = "greedy", top_s: int | None = None,
-                     temperature: float = 1.0,
-                     rng: np.random.Generator | None = None) -> SelectionOutcome:
-    """Select a knowledge index from its posterior given the response.
-
-    The latent is held at the prior mean of each candidate (point mass), so a
-    candidate's weight is its prior weight times the teacher-forced response
-    likelihood; ``encodings`` holds the candidates' lanes of the caller's
-    pass. Uniform-prior mode restricts scoring to the initializer's top-S
-    subset (``top_s_candidates``); the learnable prior scores every
-    candidate, its prior weights the learnable ``prior_scores`` logits, and
-    rejects ``top_s``. Sampled mode draws from ``rng``, which it requires.
-    The batch of one of ``select_knowledge_batch``."""
-    return select_knowledge_batch(
-        params, [example], encodings_batch=[encodings], prior=prior, mode=mode,
-        top_s=None if top_s is None else [top_s], temperature=temperature, rngs=[rng])[0]
+def select_knowledge(params: ModelParams, example: DialogueExample, config: SpiConfig,
+                     rng: np.random.Generator | None = None, *,
+                     encodings: Sequence[EncodedContext]) -> SelectionOutcome:
+    """Select a knowledge index from its posterior given the response, under
+    the run's ``config`` (``prior``, ``top_s``, ``selection`` and
+    ``temperature``); ``encodings`` holds the candidates' lanes of the
+    caller's pass, and ``rng`` draws a sampled pick. The batch of one of
+    ``select_knowledge_batch``."""
+    return select_knowledge_batch(params, [example], config, [rng],
+                                  encodings_batch=[encodings])[0]
 
 
-def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample], *,
-                           encodings_batch: Sequence[Sequence[EncodedContext]],
-                           prior: str = "uniform", mode: str = "greedy",
-                           top_s: Sequence[int | None] | None = None,
-                           temperature: float = 1.0,
-                           rngs: Sequence[np.random.Generator | None] | None = None
+def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample],
+                           config: SpiConfig,
+                           rngs: Sequence[np.random.Generator | None] | None = None, *,
+                           encodings_batch: Sequence[Sequence[EncodedContext]]
                            ) -> list[SelectionOutcome]:
-    """``select_knowledge`` for each example, the candidate encodings of
-    every example lanes of the caller's encoder pass (``encodings_batch``).
-    ``top_s`` holds each example's width (None, or a None entry, scores
-    every candidate) and ``rngs`` each example's generator.
+    """Each example's knowledge index from its posterior given the response,
+    the candidate encodings of every example lanes of the caller's encoder
+    pass (``encodings_batch``), example j drawing a sampled pick from
+    ``rngs[j]``. The run's ``config`` is validated here.
+
+    The latent is held at each candidate's prior mean (point mass), so a
+    candidate's weight is its prior weight times the teacher-forced
+    response likelihood, both divided by ``config.temperature`` before they
+    are normalized. Under the uniform prior an example scores the
+    initializer's top min(``config.top_s``, M) candidates
+    (``top_s_candidates``) with equal prior weights; under the learnable
+    prior it scores all M, weighted by the learnable ``prior_scores``
+    logits, and ``config.top_s`` is not read. Greedy selection takes the
+    heaviest candidate, the lowest index on a tie; sampled selection draws
+    from the example's generator, which it requires.
 
     Each example's subset and prior weights are its own; then one
     ``latent_prior_means`` and one ``decode_logprob`` score every (example,
     candidate) lane, each against its example's response, and each example
     normalizes and picks on its own. Lanes of a wider pass may round apart
     from a one-example pass in the last bits."""
+    config.validate()
     n = len(examples)
     if n < 1:
         raise ContractError("selection needs at least one example")
-    widths = [None] * n if top_s is None else list(top_s)
     gens = [None] * n if rngs is None else list(rngs)
-    if len(widths) != n or len(gens) != n:
-        raise ContractError(f"{len(widths)} widths and {len(gens)} generators "
-                            f"for {n} examples")
+    if len(gens) != n:
+        raise ContractError(f"{len(gens)} generators for {n} examples")
     for example in examples:
         if len(example.candidates) < 1:
             raise ContractError("selection needs at least one candidate")
         if not example.response:
             raise ContractError("selection needs a response to score")
-    if temperature <= 0.0:
-        raise ContractError("temperature must be positive")
-    if mode not in ("greedy", "sampled"):
-        raise ContractError(f"unknown selection mode {mode!r}")
-    if mode == "sampled" and any(gen is None for gen in gens):
+    if config.selection == "sampled" and any(gen is None for gen in gens):
         raise ContractError("a seeded generator is required for sampled selection")
     if len(encodings_batch) != n:
         raise ContractError(f"{len(encodings_batch)} encoding lists for {n} examples")
-    if prior == "uniform":
-        subsets = [list(range(len(ex.candidates))) if width is None else top_s_candidates(
-                       params, ex, width, encodings=encs)
-                   for ex, width, encs in zip(examples, widths, encodings_batch)]
+    if config.prior == "uniform":
+        subsets = [top_s_candidates(params, ex, min(config.top_s, len(ex.candidates)),
+                                    encodings=encs)
+                   for ex, encs in zip(examples, encodings_batch)]
         prior_logits = [np.zeros(len(subset)) for subset in subsets]
-    elif prior == "learnable":
-        if any(width is not None for width in widths):
-            raise ContractError("top_s preselection is undefined under the learnable prior")
+    else:
         subsets = [list(range(len(ex.candidates))) for ex in examples]
         prior_logits = prior_scores(params, encodings_batch, prior="learnable")
-    else:
-        raise ContractError(f"unknown prior mode {prior!r}")
 
     # every lane teacher-forces its own example's response: one lockstep decode
     owners = [ex for ex, subset in zip(examples, subsets) for _ in subset]
@@ -147,10 +143,10 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
                          encoded=lanes).data
     outcomes, lo = [], 0
     for subset, logits, gen in zip(subsets, prior_logits, gens):
-        scaled = (logits + raw[lo:lo + len(subset)]) / temperature
+        scaled = (logits + raw[lo:lo + len(subset)]) / config.temperature
         lo += len(subset)
         log_weights = scaled - log_sum_exp(scaled)
-        if mode == "greedy":
+        if config.selection == "greedy":
             chosen = subset[int(np.argmax(log_weights))]
         else:
             probs = np.exp(log_weights)
@@ -317,11 +313,7 @@ def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
     is a batch of one of ``langevin_infer_z``; ``posterior_infer_batch``
     makes the same draw for many examples at once.
     """
-    config.validate()
-    top_s = min(config.top_s, len(example.candidates)) if config.prior == "uniform" else None
-    outcome = select_knowledge(
-        params, example, encodings=encodings, prior=config.prior, mode=config.selection,
-        top_s=top_s, temperature=config.temperature, rng=rng)
+    outcome = select_knowledge(params, example, config, rng, encodings=encodings)
     trace = langevin_infer_z(
         params, example, [outcome.chosen], steps=config.langevin_steps,
         step_size=config.step_size, rng=[rng], noise=config.langevin_noise,
@@ -342,14 +334,8 @@ def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExampl
     wider products, and a batch of one agrees to the bit. A non-finite chain
     state raises ``NumericError`` naming the step and the example's position
     in ``examples``."""
-    config.validate()
-    if len(rngs) != len(examples):
-        raise ContractError(f"{len(rngs)} generators for {len(examples)} examples")
-    top_s = ([min(config.top_s, len(ex.candidates)) for ex in examples]
-             if config.prior == "uniform" else None)
-    outcomes = select_knowledge_batch(
-        params, examples, encodings_batch=encodings_batch, prior=config.prior,
-        mode=config.selection, top_s=top_s, temperature=config.temperature, rngs=rngs)
+    outcomes = select_knowledge_batch(params, examples, config, rngs,
+                                      encodings_batch=encodings_batch)
     picks = [outcome.chosen for outcome in outcomes]
     trace = langevin_infer_z(
         params, examples, picks, steps=config.langevin_steps, step_size=config.step_size, rng=rngs,

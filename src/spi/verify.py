@@ -6,7 +6,6 @@ independent of the autodiff engine, so the two paths can disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -444,36 +443,38 @@ def check_selection(n_instances: int = 100, seed: int = 0,
     """Greedy posterior selection versus the brute-force reference above, on
     random tiny instances plus constructed all-tied instances (duplicate
     candidates), ragged-candidate instances and wide all-tied instances, whose
-    equal rows a matrix product can round apart, in both prior modes; also
-    pins top-S at S=M to exhaustive. Passes of several examples (a random,
-    a tied and a ragged one; a random and two wide tied ones) go through
-    ``select_knowledge_batch`` as one pass, each pick against the reference."""
+    equal rows a matrix product can round apart, in both prior modes, under
+    greedy configs whose top-S covers every candidate; also pins the
+    reference's top-S at S=M to every candidate. Passes of several examples
+    (a random, a tied and a ragged one; a random and two wide tied ones) go
+    through ``select_knowledge_batch`` as one pass, each pick against the
+    reference. ``select_fn`` stands in for ``select_knowledge``."""
     fn = select_fn if select_fn is not None else select_knowledge
     rng = derived_rng(4_400 + seed, 1)
     mismatches: list[str] = []
 
+    def configs(params: ModelParams, examples: list[DialogueExample]):
+        top_s = max(len(example.candidates) for example in examples)
+        return [(prior, SpiConfig(model=params.cfg, prior=prior, top_s=top_s))
+                for prior in ("uniform", "learnable")]
+
     def compare(label: str, params: ModelParams, example: DialogueExample) -> None:
         m = len(example.candidates)
-        select = partial(fn, params, example, encodings=encode_context(params, example),
-                         mode="greedy")
-        for prior in ("uniform", "learnable"):
-            got = select(prior=prior).chosen
+        encodings = encode_context(params, example)
+        for prior, config in configs(params, [example]):
+            got = fn(params, example, config, encodings=encodings).chosen
             want = naive_select(params, example, prior)
             if got != want:
                 mismatches.append(f"{label} prior={prior}: {got} != {want}")
-        full = select(prior="uniform", top_s=m).chosen
-        exhaustive = select(prior="uniform").chosen
-        if full != exhaustive:
-            mismatches.append(f"{label} top-S=M: {full} != {exhaustive}")
         if naive_top_s(params, example, m) != list(range(m)):
             mismatches.append(f"{label}: top-S at S=M lost a candidate")
 
     def compare_pass(label: str, params: ModelParams,
                      examples: list[DialogueExample]) -> None:
         encodings = encode_batch(params, examples)
-        for prior in ("uniform", "learnable"):
-            picks = select_knowledge_batch(params, examples, encodings_batch=encodings,
-                                           prior=prior)
+        for prior, config in configs(params, examples):
+            picks = select_knowledge_batch(params, examples, config,
+                                           encodings_batch=encodings)
             for j, (example, got) in enumerate(zip(examples, picks)):
                 want = naive_select(params, example, prior)
                 if got.chosen != want:

@@ -292,6 +292,21 @@ def test_a_negative_seed_exits_1_naming_the_field(workdir, corpus_dir, config_fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("--epochs", "-1", "epochs must be non-negative, got -1"),
+])
+def test_an_out_of_range_loop_setting_exits_1_naming_the_field(workdir, corpus_dir, config_file,
+                                                               capsys, flag, value, message):
+    out = workdir / "bad-loop-setting"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_verify_fast_passes_every_suite(capsys):
     assert main(["verify", "--fast"]) == 0
     lines = capsys.readouterr().out.splitlines()

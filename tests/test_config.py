@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestSerialization:
         with pytest.raises(ContractError, match=r"^seed must be non-negative, got -3"):
             config_from_dict({"model": {"vocab_size": 64}, "seed": -3})
         assert config_from_dict({"model": {"vocab_size": 64}, "seed": 0}).seed == 0
+
+
+    @pytest.mark.parametrize("part, message", [
+        ({"prior": "flat"}, "prior must be one of ('uniform', 'learnable'), got 'flat'"),
+        ({"selection": "beam"}, "selection must be one of ('greedy', 'sampled'), got 'beam'"),
+        ({"top_s": 0}, "top_s must be at least 1, got 0"),
+        ({"langevin_steps": -2}, "langevin_steps must be non-negative, got -2"),
+        ({"step_size": -0.5}, "step_size must be non-negative, got -0.5"),
+        ({"grad_clamp": -1.0}, "grad_clamp must be non-negative, got -1.0"),
+        ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
+        ({"lr_head": -2.0}, "lr_head must be non-negative, got -2.0"),
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"epochs": -1}, "epochs must be non-negative, got -1"),
+        ({"seed": -3}, "seed must be non-negative, got -3"),
+        ({"model": {"vocab_size": 3}},
+         "vocab_size must cover the four reserved tokens, got 3"),
+        ({"model": {"vocab_size": 64, "latent_dim": 0}},
+         "ModelConfig.latent_dim must be positive, got 0"),
+    ])
+    def test_each_out_of_range_value_is_named_with_its_field(self, part, message):
+        data = {"model": {"vocab_size": 64}, **part}
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
 
 
 class TestOverrides:

@@ -66,9 +66,11 @@ def distinct(indices) -> int:
 @pytest.mark.parametrize("prior, top_s", [("uniform", None), ("uniform", 4),
                                           ("learnable", None)])
 def test_one_decode_per_selection(decoder_calls, prior, top_s):
+    # None: a top-S of every candidate
     params = ModelParams.init(CFG, seed=2)
-    out = select_knowledge(params, EXAMPLE, encodings=model.encode_context(params, EXAMPLE),
-                           prior=prior, top_s=top_s)
+    config = SpiConfig(model=CFG, prior=prior, top_s=top_s or len(EXAMPLE.candidates))
+    out = select_knowledge(params, EXAMPLE, config,
+                           encodings=model.encode_context(params, EXAMPLE))
     assert decoder_calls["decode"] == [list(out.evaluated)]
     assert decoder_calls["lanes"] == [distinct(out.evaluated)]
     assert len(out.evaluated) == (top_s or len(EXAMPLE.candidates))

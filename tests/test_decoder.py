@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spi import autodiff as ad
 from spi import verify
-from spi.config import ModelConfig
+from spi.config import ModelConfig, SpiConfig
 from spi.errors import ContractError
 from spi.generation import generate
 from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge
@@ -147,8 +147,9 @@ def test_selection_weights_match_the_reference_in_both_priors(example, seed, pri
     params = ModelParams.init(CFG, seed=seed)
     m = len(example.candidates)
     top_s = data.draw(st.none() | st.integers(1, m)) if prior == "uniform" else None
-    out = select_knowledge(params, example, encodings=encode_context(params, example),
-                           prior=prior, top_s=top_s)
+    # None: a top-S of every candidate, which the learnable prior always scores
+    config = SpiConfig(model=CFG, prior=prior, top_s=top_s or m)
+    out = select_knowledge(params, example, config, encodings=encode_context(params, example))
     want = list(range(m)) if top_s is None else verify.naive_top_s(params, example, top_s)
     assert list(out.evaluated) == want
     extra = verify.naive_prior_logits(params, example) if prior == "learnable" \

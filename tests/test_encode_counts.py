@@ -178,9 +178,7 @@ def test_handed_lanes_make_no_encoder_pass(corpus, encode_calls, prior):
     labels = [multi_hot_labels(ex, s) for ex, s in zip(examples, picks)]
     rngs = [derived_rng(cfg.seed, SEED_VALID, 0, j) for j in range(len(examples))]
     encode_calls.clear()
-    top_s = [cfg.top_s] * len(examples) if prior == "uniform" else None
-    select_knowledge_batch(params, examples, encodings_batch=encodings, prior=prior,
-                           top_s=top_s)
+    select_knowledge_batch(params, examples, cfg, encodings_batch=encodings)
     posterior_infer_batch(params, examples, cfg, rngs, encodings)
     with ad.Tape():
         head_ce_loss(params, examples, labels, "initializer", encodings)

@@ -14,10 +14,11 @@ from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
 from spi.inference import (LangevinTrace, decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
-                           select_knowledge, sequential_posterior_infer,
-                           top_s_candidates)
+                           select_knowledge, select_knowledge_batch,
+                           sequential_posterior_infer, top_s_candidates)
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
-                       encode_context, latent_prior_mean, latent_prior_means)
+                       encode_batch, encode_context, latent_prior_mean, latent_prior_means)
+from spi.verify import naive_top_s
 
 
 def tiny_cfg(vocab_size=10):
@@ -50,9 +51,12 @@ class TestLogSumExp:
             log_sum_exp(np.array([np.nan, 0.0]))
 
 
-def select(p, ex, **kw):
-    """``select_knowledge`` over a pass of every candidate of ``ex``."""
-    return select_knowledge(p, ex, encodings=encode_context(p, ex), **kw)
+def select(p, ex, rng=None, **settings):
+    """``select_knowledge`` over a pass of every candidate of ``ex``, under a
+    config of ``settings`` whose top-S is every candidate unless they set
+    one."""
+    config = SpiConfig(model=p.cfg, **{"top_s": len(ex.candidates), **settings})
+    return select_knowledge(p, ex, config, rng, encodings=encode_context(p, ex))
 
 
 class TestSelection:
@@ -125,11 +129,12 @@ class TestSelection:
         assert len(out.evaluated) == 2
         assert out.chosen in out.evaluated
 
-    def test_top_s_with_learnable_prior_rejected(self):
+    def test_learnable_prior_with_top_s_1_evaluates_every_candidate(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         ex = make_example(cands=((6, 7), (7, 6)))
-        with pytest.raises(ContractError):
-            select(p, ex, prior="learnable", top_s=1)
+        out = select(p, ex, prior="learnable", top_s=1)
+        assert out.evaluated == (0, 1)
+        assert len(out.log_weights) == 2
 
     def test_temperature_flattens_weights(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -149,12 +154,12 @@ class TestSelection:
     def test_sampled_mode_is_seeded(self):
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        a = select(p, ex, prior="uniform", mode="sampled", rng=np.random.default_rng(11))
-        b = select(p, ex, prior="uniform", mode="sampled", rng=np.random.default_rng(11))
+        a = select(p, ex, np.random.default_rng(11), prior="uniform", selection="sampled")
+        b = select(p, ex, np.random.default_rng(11), prior="uniform", selection="sampled")
         assert a.chosen == b.chosen
         assert a.chosen in a.evaluated
         with pytest.raises(ContractError, match="generator"):
-            select(p, ex, prior="uniform", mode="sampled")
+            select(p, ex, prior="uniform", selection="sampled")
 
     def test_a_negative_clamp_is_rejected(self):
         # clip(g, 1, -1) would set every entry to -1, whatever the gradient
@@ -168,12 +173,15 @@ class TestSelection:
     def test_bad_arguments_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=4)
         ex = make_example(cands=((6, 7), (7, 6)))
-        with pytest.raises(ContractError):
+        # a bad config is rejected by its own validation, naming the field
+        with pytest.raises(ContractError, match="prior"):
             select(p, ex, prior="flat")
-        with pytest.raises(ContractError):
-            select(p, ex, prior="uniform", mode="beam")
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="selection"):
+            select(p, ex, prior="uniform", selection="beam")
+        with pytest.raises(ContractError, match="temperature"):
             select(p, ex, prior="uniform", temperature=0.0)
+        with pytest.raises(ContractError, match="top_s"):
+            select(p, ex, prior="uniform", top_s=0)
         with pytest.raises(ContractError):
             select(p, make_example(cands=((6, 7),), resp=()), prior="uniform")
 
@@ -203,6 +211,50 @@ class TestTopS:
         for bad in (0, 3):
             with pytest.raises(ContractError):
                 top_s_candidates(p, ex, bad)
+
+
+class TestWidthRule:
+    """One rule turns ``config.top_s`` into an example's width, in the
+    one-example form and in a pass of examples of 3 and 5 candidates alike:
+    the initializer's top min(top_s, M) under the uniform prior, all M under
+    the learnable prior."""
+
+    EXAMPLES = (make_example(cands=((6, 7), (7, 6), (5, 4))),
+                make_example(cands=((6, 7), (7, 6), (5, 4), (4, 5), (6, 6)), resp=(5, EOS)))
+
+    @classmethod
+    def evaluated(cls, p, config, form):
+        if form == "one":
+            return [select_knowledge(p, ex, config, encodings=encode_context(p, ex)).evaluated
+                    for ex in cls.EXAMPLES]
+        examples = list(cls.EXAMPLES)
+        return [out.evaluated for out in select_knowledge_batch(
+            p, examples, config, encodings_batch=encode_batch(p, examples))]
+
+    @pytest.mark.parametrize("form", ["one", "batch"])
+    def test_a_top_s_above_m_evaluates_every_candidate(self, form):
+        p = ModelParams.init(tiny_cfg(), seed=2)
+        for top_s in (5, 6):
+            config = SpiConfig(model=p.cfg, top_s=top_s)
+            assert self.evaluated(p, config, form) == [(0, 1, 2), (0, 1, 2, 3, 4)]
+        # a width between the two examples' M is each one's own min(top_s, M)
+        config = SpiConfig(model=p.cfg, top_s=4)
+        assert self.evaluated(p, config, form) == [
+            (0, 1, 2), tuple(naive_top_s(p, self.EXAMPLES[1], 4))]
+
+    @pytest.mark.parametrize("form", ["one", "batch"])
+    def test_a_top_s_of_2_evaluates_the_initializer_s_top_2(self, form):
+        p = ModelParams.init(tiny_cfg(), seed=2)
+        want = [tuple(naive_top_s(p, ex, 2)) for ex in self.EXAMPLES]
+        assert want == [(0, 2), (2, 3)]  # not the first two indices
+        assert self.evaluated(p, SpiConfig(model=p.cfg, top_s=2), form) == want
+
+    @pytest.mark.parametrize("form", ["one", "batch"])
+    def test_the_learnable_prior_evaluates_every_candidate_whatever_top_s(self, form):
+        p = ModelParams.init(tiny_cfg(), seed=2)
+        for top_s in (1, 2, 4, 6):
+            config = SpiConfig(model=p.cfg, prior="learnable", top_s=top_s)
+            assert self.evaluated(p, config, form) == [(0, 1, 2), (0, 1, 2, 3, 4)]
 
 
 class TestLangevinChain:

@@ -82,8 +82,7 @@ def test_sampled_picks_match_the_one_example_picks(setup):
     assert [pair.s for pair in batch] == [pair.s for pair in solo]
     # at this temperature the draws are not all the greedy pick
     greedy = [out.chosen for out in select_knowledge_batch(
-        params, examples, encodings_batch=encode_batch(params, examples), prior=config.prior,
-        top_s=None if config.prior == "learnable" else [config.top_s] * N)]
+        params, examples, config, encodings_batch=encode_batch(params, examples))]
     assert [pair.s for pair in batch] != greedy
 
 
@@ -102,17 +101,14 @@ def test_a_batch_of_one_is_the_one_example_call(setup, noise):
 def test_a_batch_selection_picks_what_each_example_picks(setup):
     examples, config, params = setup
     encodings = encode_batch(params, examples)
-    top_s = None if config.prior == "learnable" else [3] * N
-    batch = select_knowledge_batch(params, examples, prior=config.prior, top_s=top_s,
-                                   encodings_batch=encodings)
+    config = replace(config, top_s=3)
+    batch = select_knowledge_batch(params, examples, config, encodings_batch=encodings)
     for ex, encs, got in zip(examples, encodings, batch):
-        want = select_knowledge(params, ex, prior=config.prior,
-                                top_s=None if top_s is None else 3, encodings=encs)
+        want = select_knowledge(params, ex, config, encodings=encs)
         assert got.chosen == want.chosen and got.evaluated == want.evaluated
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=1e-12)
     with pytest.raises(ContractError, match="5 encoding lists for 6 examples"):
-        select_knowledge_batch(params, examples, prior=config.prior, top_s=top_s,
-                               encodings_batch=encodings[:5])
+        select_knowledge_batch(params, examples, config, encodings_batch=encodings[:5])
     with pytest.raises(ContractError, match="generators"):
         posterior_infer_batch(params, examples, config, _gens(config, N - 1), encodings)
 

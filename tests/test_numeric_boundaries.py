@@ -68,10 +68,11 @@ def test_decode_logprob_checks_its_totals():
 @pytest.mark.parametrize("prior, top_s", [("uniform", None), ("uniform", 2),
                                           ("learnable", None)])
 def test_select_knowledge_raises(prior, top_s):
+    # None: a top-S of every candidate
     params = overflowing_params()
+    config = SpiConfig(model=CFG, prior=prior, top_s=top_s or len(EXAMPLE.candidates))
     with pytest.raises(NumericError):
-        select_knowledge(params, EXAMPLE, encodings=encode_context(params, EXAMPLE),
-                         prior=prior, top_s=top_s)
+        select_knowledge(params, EXAMPLE, config, encodings=encode_context(params, EXAMPLE))
 
 
 @pytest.mark.parametrize("steps", [0, 5])

@@ -33,11 +33,25 @@ def test_the_pipeline_digests_every_artefact_it_writes(tiny_runs):
                   "evaluate-oracle.json", "generations.jsonl"}
     assert set(digests) == {f"{name}/{file}" for name, _, _ in same_bytes.CORPORA
                             for file in per_corpus}
+    assert len(digests) == 6 * 3
     for name, value in digests.items():
         assert value == hashlib.sha256((out / name).read_bytes()).hexdigest()
     # the oracle flag changes the perplexity field, so the two reports differ
     for name, _, _ in same_bytes.CORPORA:
         assert digests[f"{name}/evaluate.json"] != digests[f"{name}/evaluate-oracle.json"]
+
+
+def test_the_pipeline_covers_sampled_selection_on_the_desk_corpus(tiny_runs):
+    runs = {name: (history, settings) for name, history, settings in same_bytes.CORPORA}
+    assert runs["desk-sampled"] == (runs["desk-uniform"][0], {
+        "prior": "uniform", "selection": "sampled", "temperature": 2.0, "top_s": 3})
+    # the same corpus, seed and checkpoint fingerprint: only the selection
+    # settings move the sampled run's weights apart from the greedy run's
+    out, digests = tiny_runs["a"]
+    assert digests["desk-sampled/final.bin"] != digests["desk-uniform/final.bin"]
+    head = json.loads((out / "desk-sampled" / "metrics.jsonl").read_text().splitlines()[0])
+    assert (head["config"]["selection"], head["config"]["temperature"],
+            head["config"]["top_s"]) == ("sampled", 2.0, 3)
 
 
 def test_the_pipeline_gives_the_same_bytes_twice_and_other_bytes_on_another_seed(tiny_runs):

@@ -10,6 +10,7 @@ import pytest
 from spi import autodiff as ad
 from spi import training, verify
 from spi.autodiff import Tape, Tensor
+from spi.checkpoint import checkpoint_bytes
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, encode_batch,
@@ -346,6 +347,18 @@ class TestTrainLoop:
         assert a.records == b.records
         for name in a.params.names():
             assert np.array_equal(a.params[name].data, b.params[name].data)
+
+    def test_sampled_selection_trains_bit_identically_and_apart_from_greedy(self, tiny_corpus):
+        cfg = self.corpus_config(tiny_corpus, selection="sampled", temperature=5.0)
+        a, b = (train(tiny_corpus.train, tiny_corpus.valid, cfg, quiet=True) for _ in range(2))
+        for got, want in ((a.params, b.params), (a.best_params, b.best_params)):
+            assert (checkpoint_bytes(got, cfg.fingerprint())
+                    == checkpoint_bytes(want, cfg.fingerprint()))
+        assert a.records == b.records and a.batch_losses == b.batch_losses
+        # the picks are drawn, so the run moves apart from the greedy one
+        greedy = train(tiny_corpus.train, tiny_corpus.valid, self.corpus_config(tiny_corpus),
+                       quiet=True)
+        assert a.batch_losses != greedy.batch_losses
 
     def test_metrics_log_is_seed_stable_and_parseable(self, tiny_corpus, tmp_path):
         cfg = self.corpus_config(tiny_corpus)

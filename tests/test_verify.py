@@ -159,10 +159,8 @@ class TestNegativeControls:
         assert "differs from the tanh of the product" in failure
 
     def test_wrong_tie_break_is_caught(self):
-        def highest_index_on_ties(params, example, *, prior, mode, top_s=None,
-                                  **kwargs):
-            out = select_knowledge(params, example, prior=prior, mode=mode,
-                                   top_s=top_s, **kwargs)
+        def highest_index_on_ties(params, example, config, rng=None, *, encodings):
+            out = select_knowledge(params, example, config, rng, encodings=encodings)
             weights = np.asarray(out.log_weights)
             best = max(i for i in range(len(weights))
                        if weights[i] >= weights.max() - 1e-12)

@@ -8,12 +8,14 @@ Usage, from the repository root:
 
 Each side runs from a clean copy of its commit's files (``bench_pairs``'s
 ``_export``), in a subprocess with that copy's ``src`` first on the path, so
-uncommitted edits never reach a run. The pipeline (``pipeline``) runs on
-two synthetic corpora, a desk one under the uniform prior and one with
-history 32 under the learnable prior, each of 96/24/40 train/valid/test
-examples from seed 101: a 3-epoch ``train`` (its metrics log, best and
-final checkpoints), plain and oracle ``evaluate`` reports of the test
-split, and ``generate_batch`` of it. The script prints each artefact's
+uncommitted edits never reach a run. The pipeline (``pipeline``) makes
+three runs on synthetic corpora of 96/24/40 train/valid/test examples from
+seed 101: a desk one under the uniform prior and greedy top-5 of 8
+selection, the same desk corpus under sampled top-3 selection at
+temperature 2, and one with history 32 under the learnable prior. Each run
+writes a 3-epoch ``train`` (its metrics log, best and final checkpoints),
+plain and oracle ``evaluate`` reports of the test split, and
+``generate_batch`` of it. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
 when every one agrees. For a JSON or JSON-lines artefact that differs it
 also prints the largest relative difference over its numeric fields
@@ -34,8 +36,11 @@ from pathlib import Path
 
 from bench_pairs import SIDES, _export, _git
 
-# (name, history length, prior) of each corpus
-CORPORA = (("desk-uniform", 8, "uniform"), ("history32-learnable", 32, "learnable"))
+# (name, history length, SpiConfig settings) of each run
+CORPORA = (("desk-uniform", 8, {"prior": "uniform"}),
+           ("history32-learnable", 32, {"prior": "learnable"}),
+           ("desk-sampled", 8, {"prior": "uniform", "selection": "sampled",
+                                "temperature": 2.0, "top_s": 3}))
 SIZES = (96, 24, 40)  # train, valid, test examples
 EPOCHS = 3
 SEED = 101
@@ -54,20 +59,20 @@ def digest(path: Path) -> str:
 def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
              seed: int = SEED) -> dict[str, str]:
     """Write every artefact of the pipeline under ``out``, one directory per
-    corpus; returns {artefact path under ``out``: sha256}."""
+    run; returns {artefact path under ``out``: sha256}."""
     import spi
     from spi import checkpoint, data, generation, metrics
     from spi.fsio import atomic_write_text, dump_json_line
 
     out = Path(out)
     n_train, n_valid, n_test = sizes
-    for name, history, prior in CORPORA:
+    for name, history, settings in CORPORA:
         where = out / name
         where.mkdir(parents=True)
         corpus = data.generate_corpus(data.SyntheticSpec(
             history_len=history, n_train=n_train, n_valid=n_valid, n_test=n_test, seed=seed))
         config = spi.SpiConfig(model=spi.ModelConfig(vocab_size=corpus.vocab.size),
-                               prior=prior, epochs=epochs, seed=seed)
+                               epochs=epochs, seed=seed, **settings)
         result = spi.train(corpus.train, corpus.valid, config,
                            log_path=where / "metrics.jsonl", quiet=True)
         checkpoint.save_checkpoint(where / "checkpoint.bin", result.best_params, config)
@@ -77,7 +82,8 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
                                       oracle_knowledge=oracle)
             atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
-            result.best_params, corpus.test, prior=prior, max_len=config.model.max_response))
+            result.best_params, corpus.test, prior=config.prior,
+            max_len=config.model.max_response))
     return {path.relative_to(out).as_posix(): digest(path)
             for path in sorted(out.rglob("*")) if path.is_file()}
 
