@@ -62,9 +62,9 @@ class ModelConfig:
         _check_kinds(self, "model.")
         for name, value in asdict(self).items():
             if value <= 0:
-                raise ContractError(f"ModelConfig.{name} must be positive, got {value}")
+                raise ContractError(f"model.{name} must be positive, got {value}")
         if self.vocab_size < 4:
-            raise ContractError(f"vocab_size must cover the four reserved tokens, "
+            raise ContractError(f"model.vocab_size must cover the four reserved tokens, "
                                 f"got {self.vocab_size}")
 
 

@@ -443,8 +443,8 @@ def check_selection(n_instances: int = 100, seed: int = 0,
     """Greedy posterior selection versus the brute-force reference above, on
     random tiny instances plus constructed all-tied instances (duplicate
     candidates), ragged-candidate instances and wide all-tied instances, whose
-    equal rows a matrix product can round apart, in both prior modes, under
-    greedy configs whose top-S covers every candidate; also pins the
+    equal rows a matrix product can round apart, in both prior modes, each
+    through a config whose top-S covers every candidate; also pins the
     reference's top-S at S=M to every candidate. Passes of several examples
     (a random, a tied and a ragged one; a random and two wide tied ones) go
     through ``select_knowledge_batch`` as one pass, each pick against the

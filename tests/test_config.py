@@ -165,9 +165,9 @@ class TestSerialization:
         ({"epochs": -1}, "epochs must be non-negative, got -1"),
         ({"seed": -3}, "seed must be non-negative, got -3"),
         ({"model": {"vocab_size": 3}},
-         "vocab_size must cover the four reserved tokens, got 3"),
+         "model.vocab_size must cover the four reserved tokens, got 3"),
         ({"model": {"vocab_size": 64, "latent_dim": 0}},
-         "ModelConfig.latent_dim must be positive, got 0"),
+         "model.latent_dim must be positive, got 0"),
     ])
     def test_each_out_of_range_value_is_named_with_its_field(self, part, message):
         data = {"model": {"vocab_size": 64}, **part}
