@@ -95,9 +95,9 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
     ``rngs[j]``. The run's ``config`` is validated here.
 
     The latent is held at each candidate's prior mean (point mass), so a
-    candidate's weight is its prior weight times the teacher-forced
-    response likelihood, both divided by ``config.temperature`` before they
-    are normalized. Under the uniform prior an example scores the
+    candidate's log weight is its prior logit plus the teacher-forced
+    response log-likelihood, divided by ``config.temperature`` and then
+    normalized. Under the uniform prior an example scores the
     initializer's top min(``config.top_s``, M) candidates
     (``top_s_candidates``) with equal prior weights; under the learnable
     prior it scores all M, weighted by the learnable ``prior_scores``
