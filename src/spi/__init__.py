@@ -5,7 +5,7 @@ from .config import ModelConfig, SpiConfig, config_from_dict, with_overrides
 from .errors import ContractError, NumericError, ShapeError, SpiError
 from .model import DialogueExample, LatentPair, ModelParams, Vocab
 from .inference import (LangevinTrace, SelectionOutcome, langevin_infer_z,
-                        select_knowledge, sequential_posterior_infer)
+                        select_knowledge_batch, sequential_posterior_infer)
 from .training import TrainResult, initializer_ce_step, mle_step, train
 from .generation import GenerationResult, generate, generate_batch
 from .metrics import (EvalReport, bleu_corpus, distinct_n, evaluate,
@@ -17,7 +17,7 @@ __all__ = [
     "ContractError", "NumericError", "ShapeError", "SpiError",
     "DialogueExample", "LatentPair", "ModelParams", "Vocab",
     "LangevinTrace", "SelectionOutcome", "langevin_infer_z",
-    "select_knowledge", "sequential_posterior_infer",
+    "select_knowledge_batch", "sequential_posterior_infer",
     "TrainResult", "initializer_ce_step", "mle_step", "train",
     "GenerationResult", "generate", "generate_batch",
     "EvalReport", "bleu_corpus", "distinct_n", "evaluate", "perplexity",

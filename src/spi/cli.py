@@ -169,15 +169,24 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"best epoch {summary['best_epoch']} "
               f"validation loss {summary['best_validation_loss']:.4f}")
         return 0
-    rows = []
+    if sweep_s is not None and config.prior == "learnable":
+        raise ContractError("--sweep-top-s: the learnable prior scores every candidate "
+                            "and reads no top_s, so each point would train the same run")
+    # every point is validated before the first trains, so a bad one leaves no run
+    points = []
     for t in (sweep_t if sweep_t is not None else [config.langevin_steps]):
         for s in (sweep_s if sweep_s is not None else [config.top_s]):
-            point = with_overrides(config, langevin_steps=t, top_s=s)
-            summary = _train_once(corpus, point, out / f"T{t}_S{s}")
-            rows.append((t, s, summary))
-            print(f"T={t} S={s}: best epoch {summary['best_epoch']} "
-                  f"validation loss {summary['best_validation_loss']:.4f} "
-                  f"({summary['mean_epoch_seconds']:.1f}s/epoch)")
+            try:
+                points.append((t, s, with_overrides(config, langevin_steps=t, top_s=s)))
+            except ContractError as err:
+                raise ContractError(f"sweep point T={t} S={s}: {err}") from None
+    rows = []
+    for t, s, point in points:
+        summary = _train_once(corpus, point, out / f"T{t}_S{s}")
+        rows.append((t, s, summary))
+        print(f"T={t} S={s}: best epoch {summary['best_epoch']} "
+              f"validation loss {summary['best_validation_loss']:.4f} "
+              f"({summary['mean_epoch_seconds']:.1f}s/epoch)")
     lines = ["langevin_steps\ttop_s\tbest_epoch\tbest_validation_loss\tmean_epoch_seconds"]
     lines += [f"{t}\t{s}\t{m['best_epoch']}\t{m['best_validation_loss']:.6f}"
               f"\t{m['mean_epoch_seconds']:.3f}" for t, s, m in rows]

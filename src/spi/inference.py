@@ -9,14 +9,14 @@ Both steps read their settings from the run's ``SpiConfig``: selection its
 Selection arithmetic stays in log space throughout; the Langevin gradient of
 the decoder term is clamped elementwise before entering the drift.
 
-The examples of one encoder pass can be inferred together
-(``posterior_infer_batch``): one selection decode over every (example,
-candidate) lane, then the short-run chains, which share T and the step
-size, advance in lockstep as the rows of one latent state, each example
-drawing from its own generator. The chain functions take rows only: a
-(B, latent) state, B candidate indices and B generators, so a lone chain is
-a batch of one. A chain plans its decode once (``decode_plan``) and each of
-its steps runs only the latent's part of it.
+There is one draw, ``sequential_posterior_infer``, and it takes the examples
+of one encoder pass: one selection decode over every (example, candidate)
+lane (``select_knowledge_batch``, the only selection), then the short-run
+chains, which share T and the step size, advance in lockstep as the rows of
+one latent state, each example drawing from its own generator. One example
+is a batch of one. The chain functions take rows only: a (B, latent) state,
+B candidate indices and B generators. A chain plans its decode once
+(``decode_plan``) and each of its steps runs only the latent's part of it.
 """
 from __future__ import annotations
 
@@ -70,18 +70,6 @@ def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
     scores = prior_scores(params, [encodings], prior="uniform")[0]
     order = np.argsort(-scores, kind="stable")[:top_s]
     return sorted(int(i) for i in order)
-
-
-def select_knowledge(params: ModelParams, example: DialogueExample, config: SpiConfig,
-                     rng: np.random.Generator | None = None, *,
-                     encodings: Sequence[EncodedContext]) -> SelectionOutcome:
-    """Select a knowledge index from its posterior given the response, under
-    the run's ``config`` (``prior``, ``top_s``, ``selection`` and
-    ``temperature``); ``encodings`` holds the candidates' lanes of the
-    caller's pass, and ``rng`` draws a sampled pick. The batch of one of
-    ``select_knowledge_batch``."""
-    return select_knowledge_batch(params, [example], config, [rng],
-                                  encodings_batch=[encodings])[0]
 
 
 def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample],
@@ -303,37 +291,19 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
                           noise=noise, grad_clamp=grad_clamp)
 
 
-def sequential_posterior_infer(params: ModelParams, example: DialogueExample,
-                               config: SpiConfig, rng: np.random.Generator,
-                               encodings: Sequence[EncodedContext]) -> LatentPair:
-    """Two-stage posterior draw: knowledge index, then latent via Langevin.
-
-    ``rng`` draws the sampled pick and the chain's noise, and ``encodings``
-    holds one encoding per candidate, lanes of the caller's pass. The chain
-    is a batch of one of ``langevin_infer_z``; ``posterior_infer_batch``
-    makes the same draw for many examples at once.
-    """
-    outcome = select_knowledge(params, example, config, rng, encodings=encodings)
-    trace = langevin_infer_z(
-        params, example, [outcome.chosen], steps=config.langevin_steps,
-        step_size=config.step_size, rng=[rng], noise=config.langevin_noise,
-        grad_clamp=config.grad_clamp, encoded=[encodings[outcome.chosen]])
-    return LatentPair(s=outcome.chosen, z=trace.final[0])
-
-
-def posterior_infer_batch(params: ModelParams, examples: Sequence[DialogueExample],
-                          config: SpiConfig, rngs: Sequence[np.random.Generator],
-                          encodings_batch: Sequence[Sequence[EncodedContext]]
-                          ) -> list[LatentPair]:
-    """``sequential_posterior_infer`` of each example, example j drawing from
+def sequential_posterior_infer(params: ModelParams, examples: Sequence[DialogueExample],
+                               config: SpiConfig, rngs: Sequence[np.random.Generator],
+                               encodings_batch: Sequence[Sequence[EncodedContext]]
+                               ) -> list[LatentPair]:
+    """The two-stage posterior draw of each example, knowledge index then
+    latent, example j drawing its sampled pick and its chain's noise from
     ``rngs[j]``, for the examples of the caller's encoder pass
     (``encodings_batch``): one ``select_knowledge_batch``, then the B
     Langevin chains in lockstep, each step one B-lane decode and one
     backward. Each generator draws what it would draw for its example alone,
-    so the draws agree with the per-example calls up to the rounding of the
-    wider products, and a batch of one agrees to the bit. A non-finite chain
-    state raises ``NumericError`` naming the step and the example's position
-    in ``examples``."""
+    so a wider pass agrees with batches of one up to the rounding of the
+    wider products. A non-finite chain state raises ``NumericError`` naming
+    the step and the example's position in ``examples``."""
     outcomes = select_knowledge_batch(params, examples, config, rngs,
                                       encodings_batch=encodings_batch)
     picks = [outcome.chosen for outcome in outcomes]

@@ -9,16 +9,17 @@ the best checkpoint is the epoch with the lowest validation loss.
 
 The drivers, ``train`` and ``validation_loss``, encode each batch in one
 pass off the tape (``encode_batch``), every candidate of every example a
-lane of it, and hand the pass to inference and the head cross-entropy.
+lane of it, and hand the pass to inference and the head cross-entropy. Both
+draw through the one SPI draw, ``inference.sequential_posterior_infer``.
 Validation encodes ``batch_size`` examples to a pass, takes the
 generation-time pick of every example of a pass from one head product
-(``pick_knowledge``), infers them at once (``posterior_infer_batch``: one
-selection decode, then the Langevin chains in lockstep) and scores them
-with one ``surrogate_objectives`` call (one B-lane decode at the inferred
-latents). Training still infers one example at a time, and its taped
-surrogate step runs per example too (``surrogate_objective``, the batch of
-one): the one pass below the drivers, on the tape, since its gradient runs
-through the encoder.
+(``pick_knowledge``), draws them all in one call (one selection decode, then
+the Langevin chains in lockstep) and scores them with one
+``surrogate_objectives`` call (one B-lane decode at the inferred latents).
+Training calls the draw once per example, a batch of one with the example's
+own generator, and its taped surrogate step runs per example too
+(``surrogate_objective``, the batch of one): the one pass below the drivers,
+on the tape, since its gradient runs through the encoder.
 
 Most of a training example's time is its Langevin chain: T runs of the
 latent's part of one planned decode (``inference.langevin_infer_z``). Its
@@ -41,7 +42,7 @@ from .config import (SEED_SHUFFLE, SEED_TRAIN, SEED_VALID, SpiConfig,
 from .errors import ContractError, NumericError
 from .fsio import dump_json_line, atomic_write_text
 from .generation import pick_knowledge
-from .inference import posterior_infer_batch, sequential_posterior_infer
+from .inference import sequential_posterior_infer
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
                     latent_prior_log_density, latent_prior_means)
@@ -212,12 +213,11 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     generation-time pick over the gold-labelled examples (0 when none are).
     Each batch of ``config.batch_size`` examples is encoded in one pass for
     both, picked by one head product (``pick_knowledge``), inferred in
-    lockstep (``posterior_infer_batch``), example ``i`` drawing from its own
-    generator, and scored by one ``surrogate_objectives`` call; a batch of
-    one infers and scores as ``sequential_posterior_infer`` and
-    ``surrogate_objective`` do, to the bit. A non-finite chain names its
-    batch, example and step, and a non-finite objective its batch and
-    example."""
+    lockstep (``sequential_posterior_infer``), example ``i`` drawing from its
+    own generator, and scored by one ``surrogate_objectives`` call; a batch
+    of one scores as ``surrogate_objective`` does, to the bit. A non-finite
+    chain names its batch, example and step, and a non-finite objective its
+    batch and example."""
     if not examples:
         raise ContractError("validation set is empty")
     total = 0.0
@@ -230,7 +230,8 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
         rngs = [derived_rng(config.seed, SEED_VALID, epoch, idx)
                 for idx in range(lo, lo + len(chunk))]
         try:
-            pairs = posterior_infer_batch(params, chunk, config, rngs, encodings_batch)
+            pairs = sequential_posterior_infer(params, chunk, config, rngs,
+                                               encodings_batch)
             values = surrogate_objectives(params, chunk, [pair.s for pair in pairs],
                                           [pair.z for pair in pairs], config.prior,
                                           encodings_batch).data
@@ -291,9 +292,8 @@ def train(train_examples: list[DialogueExample],
             try:
                 encodings_batch = encode_batch(params, batch)
                 latents = [sequential_posterior_infer(
-                               params, ex, config,
-                               rng=derived_rng(config.seed, SEED_TRAIN, epoch, i),
-                               encodings=encs)
+                               params, [ex], config,
+                               [derived_rng(config.seed, SEED_TRAIN, epoch, i)], [encs])[0]
                            for i, ex, encs in zip(idxs, batch, encodings_batch)]
                 loss = mle_step(params, batch, config, latents=latents)
                 labels = [multi_hot_labels(ex, pair.s) for ex, pair in zip(batch, latents)]

@@ -1,12 +1,13 @@
 """Self-check suites: gradient checking, Langevin moment matching against an
 analytic Gaussian posterior, brute-force selection equivalence, lockstep
-inference against the one-example draws, and determinism. The reference computations here are written in plain numpy,
-independent of the autodiff engine, so the two paths can disagree.
+inference against batches of one, and determinism. The reference
+computations here are written in plain numpy, independent of the autodiff
+engine, so the two paths can disagree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,8 +16,7 @@ from .checkpoint import checkpoint_bytes
 from .config import ModelConfig, SpiConfig, derived_rng
 from .data import SyntheticSpec, generate_corpus
 from .errors import ContractError
-from .inference import (langevin_chain, posterior_infer_batch, select_knowledge,
-                        select_knowledge_batch, sequential_posterior_infer)
+from .inference import langevin_chain, select_knowledge_batch, sequential_posterior_infer
 from .model import (BOS, EOS, DialogueExample, ModelParams, decode_logprob, encode_batch,
                     encode_context, latent_prior_log_density, latent_prior_mean,
                     latent_prior_means)
@@ -438,18 +438,16 @@ def check_langevin(n_seeds: int = 10, steps: int = 10_000, burn_in: int = 2_000,
 # selection suite
 
 
-def check_selection(n_instances: int = 100, seed: int = 0,
-                    select_fn: Callable[..., object] | None = None) -> CheckResult:
+def check_selection(n_instances: int = 100, seed: int = 0) -> CheckResult:
     """Greedy posterior selection versus the brute-force reference above, on
     random tiny instances plus constructed all-tied instances (duplicate
     candidates), ragged-candidate instances and wide all-tied instances, whose
     equal rows a matrix product can round apart, in both prior modes, each
     through a config whose top-S covers every candidate; also pins the
-    reference's top-S at S=M to every candidate. Passes of several examples
+    reference's top-S at S=M to every candidate. Every instance goes through
+    ``select_knowledge_batch`` as a pass of one; passes of several examples
     (a random, a tied and a ragged one; a random and two wide tied ones) go
-    through ``select_knowledge_batch`` as one pass, each pick against the
-    reference. ``select_fn`` stands in for ``select_knowledge``."""
-    fn = select_fn if select_fn is not None else select_knowledge
+    through it as one pass, each pick against the reference."""
     rng = derived_rng(4_400 + seed, 1)
     mismatches: list[str] = []
 
@@ -460,12 +458,7 @@ def check_selection(n_instances: int = 100, seed: int = 0,
 
     def compare(label: str, params: ModelParams, example: DialogueExample) -> None:
         m = len(example.candidates)
-        encodings = encode_context(params, example)
-        for prior, config in configs(params, [example]):
-            got = fn(params, example, config, encodings=encodings).chosen
-            want = naive_select(params, example, prior)
-            if got != want:
-                mismatches.append(f"{label} prior={prior}: {got} != {want}")
+        compare_pass(label, params, [example])
         if naive_top_s(params, example, m) != list(range(m)):
             mismatches.append(f"{label}: top-S at S=M lost a candidate")
 
@@ -478,8 +471,8 @@ def check_selection(n_instances: int = 100, seed: int = 0,
             for j, (example, got) in enumerate(zip(examples, picks)):
                 want = naive_select(params, example, prior)
                 if got.chosen != want:
-                    mismatches.append(f"{label} example {j} prior={prior}: "
-                                      f"{got.chosen} != {want}")
+                    where = label if len(examples) == 1 else f"{label} example {j}"
+                    mismatches.append(f"{where} prior={prior}: {got.chosen} != {want}")
 
     ties = 0
     for i in range(n_instances):
@@ -546,11 +539,11 @@ def check_selection(n_instances: int = 100, seed: int = 0,
 
 
 def check_lockstep(n_passes: int = 3, tol: float = 1e-10) -> CheckResult:
-    """Posterior inference for a pass of examples (``posterior_infer_batch``)
-    against the one-example draws (``sequential_posterior_infer``) from the
-    same encodings, on the tiny config, in both prior modes and in greedy
-    and sampled selection, with noise on and off: each pick must agree, each
-    final latent within ``tol``, and each generator must be left where its
+    """Posterior inference for a pass of examples (``sequential_posterior_infer``)
+    against each example's draw as a batch of one from the same encodings,
+    on the tiny config, in both prior modes and in greedy and sampled
+    selection, with noise on and off: each pick must agree, each final
+    latent within ``tol``, and each generator must be left where its
     example alone leaves it."""
     cfg = _tiny_model_config()
     worst = 0.0
@@ -570,10 +563,11 @@ def check_lockstep(n_passes: int = 3, tol: float = 1e-10) -> CheckResult:
                     label = f"pass {i} {prior}/{selection} noise={noise}"
                     gens = [derived_rng(9_100 + i, 2, j) for j in range(len(examples))]
                     alone = [derived_rng(9_100 + i, 2, j) for j in range(len(examples))]
-                    batch = posterior_infer_batch(params, examples, config, gens, encodings)
+                    batch = sequential_posterior_infer(params, examples, config, gens,
+                                                       encodings)
                     for j, (example, encs, got) in enumerate(zip(examples, encodings, batch)):
-                        want = sequential_posterior_infer(params, example, config,
-                                                          alone[j], encs)
+                        [want] = sequential_posterior_infer(params, [example], config,
+                                                            [alone[j]], [encs])
                         if got.s != want.s:
                             return CheckResult("lockstep", False, f"{label} example {j}: "
                                                f"pick {got.s} != {want.s}")
@@ -612,10 +606,11 @@ def check_determinism() -> CheckResult:
                                          latent_dim=4),
                        top_s=2, langevin_steps=2, batch_size=4, epochs=2, seed=3)
     params = ModelParams.init(config.model, seed=1)
-    pair_a, pair_b = (sequential_posterior_infer(params, first.train[0], config,
-                                                 derived_rng(11, 1),
-                                                 encode_context(params, first.train[0]))
-                      for _ in range(2))
+    example = first.train[0]
+    [pair_a], [pair_b] = (sequential_posterior_infer(params, [example], config,
+                                                     [derived_rng(11, 1)],
+                                                     [encode_context(params, example)])
+                          for _ in range(2))
     if pair_a.s != pair_b.s or not np.array_equal(pair_a.z, pair_b.z):
         return CheckResult("determinism", False, "repeated seeded inference differs")
 

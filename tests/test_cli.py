@@ -231,6 +231,37 @@ def test_a_repeated_sweep_value_exits_1_naming_the_flag(workdir, corpus_dir, con
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, grid, bad", [("--sweep-top-s", "3,0", "T=2 S=0: top_s"),
+                                             ("--sweep-langevin-steps", "1,-1",
+                                              "T=-1 S=2: langevin_steps")])
+def test_an_invalid_sweep_point_exits_1_before_any_training(workdir, corpus_dir, config_file,
+                                                            capsys, flag, grid, bad):
+    # the valid point listed first must not train either
+    out = workdir / f"invalid{flag}"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", flag, grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: sweep point {bad}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_top_s_sweep_under_the_learnable_prior_exits_1_naming_the_flag(
+        workdir, corpus_dir, config_file, capsys):
+    # the learnable prior reads no top_s: every point would train the same run
+    out = workdir / "learnable-sweep"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", "--prior", "learnable",
+                 "--sweep-top-s", "1,3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --sweep-top-s: the learnable prior")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, capsys):
     path = workdir / "no-such.bin"
     code = main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),

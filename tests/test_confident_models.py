@@ -102,6 +102,6 @@ def test_training_step_matches_the_reference(gap, prior):
 def test_inference_stays_finite(gap):
     config = SpiConfig(model=CFG, top_s=3, langevin_steps=3)
     params = confident_params(gap)
-    pair = sequential_posterior_infer(params, EXAMPLE, config, derived_rng(4, 1),
-                                      encode_context(params, EXAMPLE))
+    [pair] = sequential_posterior_infer(params, [EXAMPLE], config, [derived_rng(4, 1)],
+                                        [encode_context(params, EXAMPLE)])
     assert np.isfinite(pair.z).all()

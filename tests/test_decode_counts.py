@@ -14,7 +14,7 @@ import pytest
 from spi import autodiff as ad
 from spi import inference, model
 from spi.config import ModelConfig, SpiConfig, derived_rng
-from spi.inference import select_knowledge, sequential_posterior_infer
+from spi.inference import select_knowledge_batch, sequential_posterior_infer
 from spi.metrics import evaluate
 from spi.model import EOS, DialogueExample, ModelParams
 
@@ -69,8 +69,8 @@ def test_one_decode_per_selection(decoder_calls, prior, top_s):
     # None: a top-S of every candidate
     params = ModelParams.init(CFG, seed=2)
     config = SpiConfig(model=CFG, prior=prior, top_s=top_s or len(EXAMPLE.candidates))
-    out = select_knowledge(params, EXAMPLE, config,
-                           encodings=model.encode_context(params, EXAMPLE))
+    [out] = select_knowledge_batch(params, [EXAMPLE], config,
+                                   encodings_batch=[model.encode_context(params, EXAMPLE)])
     assert decoder_calls["decode"] == [list(out.evaluated)]
     assert decoder_calls["lanes"] == [distinct(out.evaluated)]
     assert len(out.evaluated) == (top_s or len(EXAMPLE.candidates))
@@ -94,8 +94,8 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     monkeypatch.setattr(inference, "decoder_grad_z", counting_grad)
     config = SpiConfig(model=CFG, prior=prior, top_s=4, langevin_steps=3)
     params = ModelParams.init(CFG, seed=5)
-    pair = sequential_posterior_infer(params, EXAMPLE, config, derived_rng(1, 2),
-                                      model.encode_context(params, EXAMPLE))
+    [pair] = sequential_posterior_infer(params, [EXAMPLE], config, [derived_rng(1, 2)],
+                                        [model.encode_context(params, EXAMPLE)])
     # the selection is the one full decode
     [subset] = decoder_calls["decode"]
     assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))

@@ -16,7 +16,7 @@ from spi import verify
 from spi.config import ModelConfig, SpiConfig
 from spi.errors import ContractError
 from spi.generation import generate
-from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge
+from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge_batch
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
                        decoder_advance, decoder_start, encode_batch, encode_context,
                        latent_prior_mean, latent_prior_means)
@@ -149,7 +149,8 @@ def test_selection_weights_match_the_reference_in_both_priors(example, seed, pri
     top_s = data.draw(st.none() | st.integers(1, m)) if prior == "uniform" else None
     # None: a top-S of every candidate, which the learnable prior always scores
     config = SpiConfig(model=CFG, prior=prior, top_s=top_s or m)
-    out = select_knowledge(params, example, config, encodings=encode_context(params, example))
+    [out] = select_knowledge_batch(params, [example], config,
+                                   encodings_batch=[encode_context(params, example)])
     want = list(range(m)) if top_s is None else verify.naive_top_s(params, example, top_s)
     assert list(out.evaluated) == want
     extra = verify.naive_prior_logits(params, example) if prior == "learnable" \

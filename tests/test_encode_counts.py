@@ -17,8 +17,7 @@ from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import ContractError
 from spi.generation import generate, pick_knowledge
-from spi.inference import (posterior_infer_batch, select_knowledge_batch,
-                           sequential_posterior_infer)
+from spi.inference import select_knowledge_batch, sequential_posterior_infer
 from spi.metrics import evaluate, perplexity
 from spi.model import ModelParams, decode_logprob, decode_plan, encode_batch, encode_context
 from spi.training import (head_ce_loss, multi_hot_labels, surrogate_objectives, train,
@@ -150,7 +149,7 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
         # draw, the objective and the pick: a pass over fewer candidates may
         # round its lockstep rows differently
         encs = encode_context(params, ex)
-        pair = sequential_posterior_infer(params, ex, cfg, rng, encs)
+        [pair] = sequential_posterior_infer(params, [ex], cfg, [rng], [encs])
         value = float(surrogate_objectives(params, [ex], [pair.s], pair.z[None], prior,
                                            [encs]).data[0])
         ad.check_finite(value, "surrogate objective")
@@ -179,7 +178,7 @@ def test_handed_lanes_make_no_encoder_pass(corpus, encode_calls, prior):
     rngs = [derived_rng(cfg.seed, SEED_VALID, 0, j) for j in range(len(examples))]
     encode_calls.clear()
     select_knowledge_batch(params, examples, cfg, encodings_batch=encodings)
-    posterior_infer_batch(params, examples, cfg, rngs, encodings)
+    sequential_posterior_infer(params, examples, cfg, rngs, encodings)
     with ad.Tape():
         head_ce_loss(params, examples, labels, "initializer", encodings)
     decode_plan(params, examples, picks, lanes)

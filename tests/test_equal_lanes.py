@@ -10,7 +10,7 @@ import pytest
 from spi import autodiff as ad
 from spi import model, verify
 from spi.config import ModelConfig, SpiConfig, derived_rng
-from spi.inference import select_knowledge
+from spi.inference import select_knowledge_batch
 from spi.model import (ModelParams, decode_logprob, distinct_lanes, encode_context,
                        head_logits, latent_prior_means)
 
@@ -42,8 +42,8 @@ def test_distinct_lanes_names_first_positions_and_each_entry_s_lane():
 def test_equal_candidates_tie_exactly_and_the_lowest_index_wins(prior, seed):
     params, example = tied_instance(seed)
     config = SpiConfig(model=params.cfg, prior=prior, top_s=len(example.candidates))
-    outcome = select_knowledge(params, example, config,
-                               encodings=encode_context(params, example))
+    [outcome] = select_knowledge_batch(params, [example], config,
+                                       encodings_batch=[encode_context(params, example)])
     assert (outcome.log_weights == outcome.log_weights[0]).all()
     assert outcome.chosen == verify.naive_select(params, example, prior) == 0
 

@@ -14,8 +14,8 @@ from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
 from spi.inference import (LangevinTrace, decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
-                           select_knowledge, select_knowledge_batch,
-                           sequential_posterior_infer, top_s_candidates)
+                           select_knowledge_batch, sequential_posterior_infer,
+                           top_s_candidates)
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
                        encode_batch, encode_context, latent_prior_mean, latent_prior_means)
 from spi.verify import naive_top_s
@@ -52,11 +52,12 @@ class TestLogSumExp:
 
 
 def select(p, ex, rng=None, **settings):
-    """``select_knowledge`` over a pass of every candidate of ``ex``, under a
-    config of ``settings`` whose top-S is every candidate unless they set
-    one."""
+    """``select_knowledge_batch`` of ``ex`` alone, over a pass of every
+    candidate of ``ex``, under a config of ``settings`` whose top-S is every
+    candidate unless they set one."""
     config = SpiConfig(model=p.cfg, **{"top_s": len(ex.candidates), **settings})
-    return select_knowledge(p, ex, config, rng, encodings=encode_context(p, ex))
+    return select_knowledge_batch(p, [ex], config, [rng],
+                                  encodings_batch=[encode_context(p, ex)])[0]
 
 
 class TestSelection:
@@ -225,7 +226,8 @@ class TestWidthRule:
     @classmethod
     def evaluated(cls, p, config, form):
         if form == "one":
-            return [select_knowledge(p, ex, config, encodings=encode_context(p, ex)).evaluated
+            return [select_knowledge_batch(p, [ex], config,
+                                           encodings_batch=[encode_context(p, ex)])[0].evaluated
                     for ex in cls.EXAMPLES]
         examples = list(cls.EXAMPLES)
         return [out.evaluated for out in select_knowledge_batch(
@@ -438,9 +440,10 @@ class TestSequentialPosterior:
 
     @staticmethod
     def infer(p, ex, cfg, seed=0):
-        """The draw of ``derived_rng(seed, 1)`` over a pass of every candidate."""
-        return sequential_posterior_infer(p, ex, cfg, derived_rng(seed, 1),
-                                          encode_context(p, ex))
+        """The draw of ``derived_rng(seed, 1)`` for ``ex`` alone, over a pass
+        of every candidate."""
+        return sequential_posterior_infer(p, [ex], cfg, [derived_rng(seed, 1)],
+                                          [encode_context(p, ex)])[0]
 
     def test_single_candidate_is_always_chosen(self):
         p = ModelParams.init(tiny_cfg(), seed=7)

@@ -1,8 +1,8 @@
 """Posterior inference for the examples of one encoder pass
-(``posterior_infer_batch``) against the one-example calls, on a desk-sized
-model under the uniform prior and a history-32 corpus under the learnable
-prior: each lane's pick and latent, each generator's stream, sampled picks,
-the batch of one, and a non-finite chain. Also the rows form of
+(``sequential_posterior_infer``) against each example's batch of one, on a
+desk-sized model under the uniform prior and a history-32 corpus under the
+learnable prior: each lane's pick and latent, each generator's stream,
+sampled picks, and a non-finite chain. Also the rows form of
 ``langevin_chain`` and ``decoder_grad_z``, and the check that a decode is
 handed the encodings of its own candidates."""
 from __future__ import annotations
@@ -17,9 +17,7 @@ from spi.config import SEED_VALID, ModelConfig, SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import ContractError, NumericError
 from spi.inference import (decoder_grad_z, langevin_chain, langevin_infer_z,
-                           posterior_infer_batch,
-                           select_knowledge, select_knowledge_batch,
-                           sequential_posterior_infer)
+                           select_knowledge_batch, sequential_posterior_infer)
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
                        encode_batch, encode_context)
 from spi.training import validation_loss
@@ -48,12 +46,12 @@ def _gens(config, n):
 
 
 def _both(params, examples, config):
-    """The batch draw and the one-example draws from the same pass, and each
-    side's generators after it."""
+    """The batch draw and each example's draw as a batch of one from the
+    same pass, and each side's generators after it."""
     encodings = encode_batch(params, examples)
     batch_gens, solo_gens = _gens(config, len(examples)), _gens(config, len(examples))
-    batch = posterior_infer_batch(params, examples, config, batch_gens, encodings)
-    solo = [sequential_posterior_infer(params, ex, config, rng=gen, encodings=encs)
+    batch = sequential_posterior_infer(params, examples, config, batch_gens, encodings)
+    solo = [sequential_posterior_infer(params, [ex], config, [gen], [encs])[0]
             for ex, gen, encs in zip(examples, solo_gens, encodings)]
     return batch, solo, batch_gens, solo_gens
 
@@ -86,31 +84,19 @@ def test_sampled_picks_match_the_one_example_picks(setup):
     assert [pair.s for pair in batch] != greedy
 
 
-@pytest.mark.parametrize("noise", [True, False])
-def test_a_batch_of_one_is_the_one_example_call(setup, noise):
-    examples, config, params = setup
-    config = replace(config, langevin_noise=noise)
-    for i, ex in enumerate(examples):
-        encs = encode_context(params, ex)
-        [got] = posterior_infer_batch(params, [ex], config, [derived_rng(1, i)], [encs])
-        want = sequential_posterior_infer(params, ex, config, rng=derived_rng(1, i),
-                                          encodings=encs)
-        assert got.s == want.s and np.array_equal(got.z, want.z)
-
-
 def test_a_batch_selection_picks_what_each_example_picks(setup):
     examples, config, params = setup
     encodings = encode_batch(params, examples)
     config = replace(config, top_s=3)
     batch = select_knowledge_batch(params, examples, config, encodings_batch=encodings)
     for ex, encs, got in zip(examples, encodings, batch):
-        want = select_knowledge(params, ex, config, encodings=encs)
+        [want] = select_knowledge_batch(params, [ex], config, encodings_batch=[encs])
         assert got.chosen == want.chosen and got.evaluated == want.evaluated
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=1e-12)
     with pytest.raises(ContractError, match="5 encoding lists for 6 examples"):
         select_knowledge_batch(params, examples, config, encodings_batch=encodings[:5])
     with pytest.raises(ContractError, match="generators"):
-        posterior_infer_batch(params, examples, config, _gens(config, N - 1), encodings)
+        sequential_posterior_infer(params, examples, config, _gens(config, N - 1), encodings)
 
 
 def test_a_non_finite_gradient_in_one_lane_names_its_example(setup, monkeypatch):
@@ -126,8 +112,8 @@ def test_a_non_finite_gradient_in_one_lane_names_its_example(setup, monkeypatch)
 
     monkeypatch.setattr(inference, "decoder_grad_z", poisoned)
     with pytest.raises(NumericError, match="step 0 of example 2 "):
-        posterior_infer_batch(params, examples, config, _gens(config, N),
-                              encode_batch(params, examples))
+        sequential_posterior_infer(params, examples, config, _gens(config, N),
+                                   encode_batch(params, examples))
     # validation names the batch: its second batch holds examples 4 and 5
     with pytest.raises(NumericError, match="validation batch 1: .*step 0 of example 1 "):
         validation_loss(params, examples, replace(config, batch_size=4), epoch=0)
@@ -136,13 +122,13 @@ def test_a_non_finite_gradient_in_one_lane_names_its_example(setup, monkeypatch)
 def test_validation_infers_each_pass_in_one_batch(setup, monkeypatch):
     examples, config, params = setup
     calls = []
-    original = inference.posterior_infer_batch
+    original = inference.sequential_posterior_infer
 
     def counting(params, examples, *args, **kwargs):
         calls.append(len(examples))
         return original(params, examples, *args, **kwargs)
 
-    monkeypatch.setattr("spi.training.posterior_infer_batch", counting)
+    monkeypatch.setattr("spi.training.sequential_posterior_infer", counting)
     validation_loss(params, examples, replace(config, batch_size=4), epoch=0)
     assert calls == [4, N - 4]
 

@@ -17,8 +17,8 @@ from spi.config import SpiConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import NumericError
 from spi.generation import generate
-from spi.inference import langevin_chain, langevin_infer_z, select_knowledge, \
-    sequential_posterior_infer
+from spi.inference import (langevin_chain, langevin_infer_z, select_knowledge_batch,
+                           sequential_posterior_infer)
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, decode_logprob,
                        encode_context)
 from spi.training import (initializer_ce_step, mle_step, multi_hot_labels,
@@ -72,7 +72,8 @@ def test_select_knowledge_raises(prior, top_s):
     params = overflowing_params()
     config = SpiConfig(model=CFG, prior=prior, top_s=top_s or len(EXAMPLE.candidates))
     with pytest.raises(NumericError):
-        select_knowledge(params, EXAMPLE, config, encodings=encode_context(params, EXAMPLE))
+        select_knowledge_batch(params, [EXAMPLE], config,
+                               encodings_batch=[encode_context(params, EXAMPLE)])
 
 
 @pytest.mark.parametrize("steps", [0, 5])
@@ -80,8 +81,8 @@ def test_sequential_posterior_infer_raises(steps):
     config = SpiConfig(model=CFG, top_s=3, langevin_steps=steps)
     params = overflowing_params()
     with pytest.raises(NumericError):
-        sequential_posterior_infer(params, EXAMPLE, config, derived_rng(4, 1),
-                                   encode_context(params, EXAMPLE))
+        sequential_posterior_infer(params, [EXAMPLE], config, [derived_rng(4, 1)],
+                                   [encode_context(params, EXAMPLE)])
 
 
 @pytest.mark.parametrize("steps", [0, 5])
@@ -150,7 +151,7 @@ def test_validation_names_the_batch_and_example_of_a_non_finite_objective(prior,
     # its objective is not
     params = ModelParams.init(CFG, seed=1)
     config = SpiConfig(model=CFG, prior=prior, top_s=2, langevin_steps=1, batch_size=2)
-    infer = training.posterior_infer_batch
+    infer = training.sequential_posterior_infer
     batches = []
 
     def overflowing_second_batch(*args):
@@ -160,7 +161,7 @@ def test_validation_names_the_batch_and_example_of_a_non_finite_objective(prior,
             pairs[1] = LatentPair(pairs[1].s, np.full(CFG.latent_dim, 1e200))
         return pairs
 
-    monkeypatch.setattr(training, "posterior_infer_batch", overflowing_second_batch)
+    monkeypatch.setattr(training, "sequential_posterior_infer", overflowing_second_batch)
     with pytest.raises(NumericError, match=r"^validation batch 1: surrogate objective of "
                                            r"example 1 is non-finite"):
         validation_loss(params, [EXAMPLE] * 4, config, epoch=0)

@@ -2,13 +2,15 @@
 suites can actually catch the defects they exist to catch."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from spi import autodiff as ad
 from spi import inference, verify
 from spi.config import derived_rng
-from spi.inference import SelectionOutcome, select_knowledge, top_s_candidates
+from spi.inference import top_s_candidates
 from spi.model import EOS, DialogueExample, ModelParams, decode_logprob, encode_context
 from spi.verify import (CheckResult, check_determinism, check_gradients,
                         check_langevin, check_lockstep, check_selection,
@@ -158,32 +160,34 @@ class TestNegativeControls:
         assert worst < 1e-4
         assert "differs from the tanh of the product" in failure
 
-    def test_wrong_tie_break_is_caught(self):
-        def highest_index_on_ties(params, example, config, rng=None, *, encodings):
-            out = select_knowledge(params, example, config, rng, encodings=encodings)
-            weights = np.asarray(out.log_weights)
-            best = max(i for i in range(len(weights))
-                       if weights[i] >= weights.max() - 1e-12)
-            return SelectionOutcome(chosen=out.evaluated[best],
-                                    evaluated=out.evaluated,
-                                    log_weights=out.log_weights)
-
-        result = check_selection(n_instances=20, select_fn=highest_index_on_ties)
-        assert not result.passed
-        assert "mismatch" in result.detail
-
-    def test_wrong_tie_break_in_a_pass_is_caught(self, monkeypatch):
+    @staticmethod
+    def highest_index_on_ties(monkeypatch, min_examples):
+        """Break ties to the highest index in every selection pass of at
+        least ``min_examples`` examples that ``check_selection`` makes."""
         true_batch = verify.select_knowledge_batch
 
-        def highest_index_on_ties(*args, **kwargs):
-            outs = true_batch(*args, **kwargs)
-            for out in outs:
-                weights = np.asarray(out.log_weights)
-                out.chosen = out.evaluated[max(i for i in range(len(weights))
-                                               if weights[i] >= weights.max() - 1e-12)]
+        def wrong(params, examples, *args, **kwargs):
+            outs = true_batch(params, examples, *args, **kwargs)
+            if len(examples) >= min_examples:
+                for out in outs:
+                    weights = np.asarray(out.log_weights)
+                    out.chosen = out.evaluated[max(i for i in range(len(weights))
+                                                   if weights[i] >= weights.max() - 1e-12)]
             return outs
 
-        monkeypatch.setattr(verify, "select_knowledge_batch", highest_index_on_ties)
+        monkeypatch.setattr(verify, "select_knowledge_batch", wrong)
+
+    def test_wrong_tie_break_is_caught(self, monkeypatch):
+        self.highest_index_on_ties(monkeypatch, min_examples=1)
+        result = check_selection(n_instances=20)
+        assert not result.passed
+        assert "mismatch" in result.detail
+        # an instance is a pass of one, named without an example index
+        assert re.search(r"mismatches: instance \d+ prior=uniform: ", result.detail)
+
+    def test_wrong_tie_break_in_a_pass_is_caught(self, monkeypatch):
+        # only passes of several examples break ties wrongly
+        self.highest_index_on_ties(monkeypatch, min_examples=2)
         result = check_selection(n_instances=20)
         assert not result.passed
         assert "pass 0 example 1" in result.detail
