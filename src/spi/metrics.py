@@ -1,14 +1,30 @@
 """Evaluation metrics: selection accuracy, perplexity, BLEU, ROUGE, distinct-n.
 
-N-gram metrics operate on token id sequences cut before their first EOS;
-perplexity covers every response token up to and including the first EOS.
+Perplexity covers every response token up to and including the first EOS.
+
+The n-gram metrics count token id sequences (``evaluate`` cuts each one
+before its first EOS) by these rules:
+
+- a sequence of length L has L - n + 1 n-grams, so one shorter than n has
+  none;
+- a pair's matches at order n are its clipped counts: each candidate
+  n-gram counts at most as often as the reference holds it;
+- corpus BLEU takes, at each order, the matches over the candidate n-grams
+  of every pair, and falls back to (m+1)/(t+1) when an order has no
+  matches (m = 0), so the geometric mean stays defined;
+- ROUGE-n is the mean over pairs of each pair's n-gram F1;
+- distinct-n pools the n-grams of every candidate: unique over total.
+
+``_ngram_counts`` takes every one of these counts, exact integers, in one
+array pass per order over the whole batch; the float formulas (``_bleu``,
+``_rouge``, ``_distinct``) then run on them. Token ids must fit in 64 bits.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,62 +73,100 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
     lps: list[float] = []
     for exs, ss in zip(generation.chunks(examples), generation.chunks(picks)):
         lanes = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
-        lps += _chunk_logprobs(params, exs, ss, lanes)
-    return _perplexity(params, examples, lps)
+        lps += _chunk_logprobs(params, exs, ss, lanes, latent_prior_means(params, lanes).data)
+    return _perplexity(lps, scored_tokens(params, examples))
 
 
 def _chunk_logprobs(params: ModelParams, examples: Sequence[DialogueExample],
-                    picks: Sequence[int], encodings: Sequence[EncodedContext]) -> list[float]:
-    """Each example's reference log-probability under its pick, from the
-    pick's prior-mean latent: one latent-prior product and one lockstep
-    decode. ``encodings`` holds each example's encoding of its pick, lanes
-    of the caller's pass."""
-    z = latent_prior_means(params, encodings).data
+                    picks: Sequence[int], encodings: Sequence[EncodedContext],
+                    z: np.ndarray) -> list[float]:
+    """Each example's reference log-probability under its pick, from ``z``,
+    the picks' prior means: one lockstep decode. ``encodings`` holds each
+    example's encoding of its pick, lanes of the caller's pass."""
     return decode_logprob(params, examples, picks, z, encoded=encodings).data.tolist()
 
 
-def _perplexity(params: ModelParams, examples: list[DialogueExample],
-                lps: list[float]) -> float:
+def _perplexity(lps: list[float], n_tokens: int) -> float:
     # summed in example order, however the examples were chunked
-    return math.exp(-sum(lps) / scored_tokens(params, examples))
+    return math.exp(-sum(lps) / n_tokens)
 
 
-def _ngrams(seq: list[int], n: int) -> Counter:
-    return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+class _Order(NamedTuple):
+    """One order's n-gram counts over a batch of (candidate, reference) pairs."""
+
+    matches: np.ndarray      # (pairs,) each pair's clipped matches
+    cand_totals: np.ndarray  # (pairs,) each candidate's n-grams
+    ref_totals: np.ndarray   # (pairs,) each reference's n-grams
+    distinct: int            # unique n-grams pooled over the candidates
 
 
-def _pair_stats(cgrams: Counter, rgrams: Counter) -> tuple[int, int, int]:
-    """What every n-gram score takes from one pair's counts: the clipped
-    matches, the candidate's n-grams and the reference's n-grams."""
-    overlap = sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
-    return overlap, sum(cgrams.values()), sum(rgrams.values())
+def _ngram_counts(candidates: list[list[int]], references: list[list[int]],
+                  max_n: int) -> list[_Order]:
+    """The counts of orders 1..``max_n``, one array pass per order. The
+    token ids are made dense once; an n-gram's code is made from its
+    (n-1)-gram's code and its last token and made dense again, so codes stay
+    below (tokens in the batch)^2 whatever the ids. Each pair's matches come
+    from the sorted counts of its (pair, n-gram) keys on either side.
+    ``references`` may be empty (distinct-n alone)."""
+    seqs = [*candidates, *references]
+    n_cand = len(candidates)
+    n_pairs = max(n_cand, len(references))
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    try:
+        flat = np.array(list(chain.from_iterable(seqs)), dtype=np.int64)
+    except OverflowError:
+        raise ContractError("n-gram metrics need token ids that fit in 64 bits") from None
+    vocab, tokens = np.unique(flat, return_inverse=True)
+    seq_of = np.repeat(np.arange(len(seqs)), lengths)
+    is_cand = seq_of < n_cand
+    pair_of = np.where(is_cand, seq_of, seq_of - n_cand)
+    # tokens from each position to its sequence's end, itself included
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size)
+    starts, codes, n_codes = np.arange(flat.size), tokens, vocab.size
+    orders = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            alive = left[starts] >= n
+            starts = starts[alive]
+            grams, codes = np.unique(codes[alive] * vocab.size + tokens[starts + n - 1],
+                                     return_inverse=True)
+            n_codes = grams.size
+        cand = is_cand[starts]
+        keys = pair_of[starts] * n_codes + codes
+        cand_keys, cand_counts = np.unique(keys[cand], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[~cand], return_counts=True)
+        # a sentinel past every key, so each lookup lands inside the arrays
+        ref_keys = np.append(ref_keys, n_pairs * n_codes)
+        ref_counts = np.append(ref_counts, 0)
+        at = np.searchsorted(ref_keys, cand_keys)
+        clipped = np.where(ref_keys[at] == cand_keys, np.minimum(cand_counts, ref_counts[at]), 0)
+        matches = np.bincount(cand_keys // n_codes, weights=clipped,
+                              minlength=n_pairs).astype(np.int64)
+        orders.append(_Order(matches, np.maximum(lengths[:n_cand] - n + 1, 0),
+                             np.maximum(lengths[n_cand:] - n + 1, 0),
+                             int(np.count_nonzero(np.bincount(codes[cand])))))
+    return orders
 
 
-def _order_stats(candidates: list[list[int]], references: list[list[int]],
-                 n: int) -> list[tuple[int, int, int]]:
-    return [_pair_stats(_ngrams(cand, n), _ngrams(ref, n))
-            for cand, ref in zip(candidates, references)]
-
-
-def _bleu(stats_by_order: list[list[tuple[int, int, int]]]) -> float:
+def _bleu(orders: list[_Order]) -> float:
     log_precision_sum = 0.0
-    for stats in stats_by_order:
-        matches = sum(overlap for overlap, _, _ in stats)
-        total = sum(cand_total for _, cand_total, _ in stats)
+    for order in orders:
+        matches, total = int(order.matches.sum()), int(order.cand_totals.sum())
         if total == 0:
             return 0.0
         precision = matches / total if matches > 0 else (matches + 1) / (total + 1)
         log_precision_sum += math.log(precision)
     # a sequence has as many unigrams as tokens
-    cand_len = sum(cand_total for _, cand_total, _ in stats_by_order[0])
-    ref_len = sum(ref_total for _, _, ref_total in stats_by_order[0])
+    cand_len, ref_len = int(orders[0].cand_totals.sum()), int(orders[0].ref_totals.sum())
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return brevity * math.exp(log_precision_sum / len(stats_by_order))
+    return brevity * math.exp(log_precision_sum / len(orders))
 
 
-def _rouge(stats: list[tuple[int, int, int]]) -> float:
+def _rouge(order: _Order) -> float:
     scores = []
-    for overlap, cand_total, ref_total in stats:
+    for overlap, cand_total, ref_total in zip(order.matches.tolist(),
+                                              order.cand_totals.tolist(),
+                                              order.ref_totals.tolist()):
         precision = overlap / cand_total if cand_total else 0.0
         recall = overlap / ref_total if ref_total else 0.0
         f1 = (2 * precision * recall / (precision + recall)
@@ -121,9 +175,9 @@ def _rouge(stats: list[tuple[int, int, int]]) -> float:
     return float(np.mean(scores))
 
 
-def _distinct(seen: Counter) -> float:
-    total = sum(seen.values())
-    return len(seen) / total if total else 0.0
+def _distinct(order: _Order) -> float:
+    total = int(order.cand_totals.sum())
+    return order.distinct / total if total else 0.0
 
 
 def bleu_corpus(candidates: list[list[int]], references: list[list[int]],
@@ -134,7 +188,7 @@ def bleu_corpus(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("max_n must lie in 1..4")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    return _bleu([_order_stats(candidates, references, n) for n in range(1, max_n + 1)])
+    return _bleu(_ngram_counts(candidates, references, max_n))
 
 
 def rouge_n(candidates: list[list[int]], references: list[list[int]],
@@ -144,33 +198,23 @@ def rouge_n(candidates: list[list[int]], references: list[list[int]],
         raise ContractError("n must be at least 1")
     if not candidates or len(candidates) != len(references):
         raise ContractError("candidates and references must align and be non-empty")
-    return _rouge(_order_stats(candidates, references, n))
+    return _rouge(_ngram_counts(candidates, references, n)[-1])
 
 
 def distinct_n(sequences: list[list[int]], n: int = 1) -> float:
     """Unique n-grams over total n-grams, pooled across all sequences."""
     if n < 1:
         raise ContractError("n must be at least 1")
-    seen: Counter = Counter()
-    for seq in sequences:
-        seen.update(_ngrams(seq, n))
-    return _distinct(seen)
+    return _distinct(_ngram_counts(sequences, [], n)[-1])
 
 
 def _ngram_fields(candidates: list[list[int]], references: list[list[int]]) -> dict:
     """``evaluate``'s BLEU, ROUGE and distinct-n fields, from one count of
-    each pair's 1- to 4-grams; each equals its public function's value."""
-    stats: list[list[tuple[int, int, int]]] = [[], [], [], []]
-    seen = [Counter(), Counter()]  # candidate unigrams and bigrams, for distinct-n
-    for cand, ref in zip(candidates, references):
-        for n, order in enumerate(stats, start=1):
-            cgrams = _ngrams(cand, n)
-            order.append(_pair_stats(cgrams, _ngrams(ref, n)))
-            if n <= 2:
-                seen[n - 1].update(cgrams)
-    return {"bleu3": _bleu(stats[:3]), "bleu4": _bleu(stats),
-            "rouge1": _rouge(stats[0]), "rouge2": _rouge(stats[1]),
-            "distinct1": _distinct(seen[0]), "distinct2": _distinct(seen[1])}
+    the pairs' 1- to 4-grams; each equals its public function's value."""
+    orders = _ngram_counts(candidates, references, 4)
+    return {"bleu3": _bleu(orders[:3]), "bleu4": _bleu(orders),
+            "rouge1": _rouge(orders[0]), "rouge2": _rouge(orders[1]),
+            "distinct1": _distinct(orders[0]), "distinct2": _distinct(orders[1])}
 
 
 def _strip_eos(tokens: list[int]) -> list[int]:
@@ -206,8 +250,9 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     scored before the next, so memory stays bounded however many examples
     there are: it is encoded and picked in one pass (``encode_and_pick``)
     and decoded from the picked lanes kept from it (``decode_greedy``).
-    Perplexity then scores those kept lanes, or, under the oracle flag, the
-    gold candidates, which it encodes in a pass of their own."""
+    Perplexity then scores those kept lanes at the prior means the pick
+    already took (``Picks.z``), or, under the oracle flag, the gold
+    candidates, which it encodes in a pass of their own."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
     if oracle_knowledge and any(ex.gold_index is None for ex in examples):
@@ -220,17 +265,19 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         if oracle_knowledge:
             gold = [ex.gold_index for ex in chunk]
             lanes = [encs[0] for encs in encode_batch(params, chunk, [[s] for s in gold])]
-            lps += _chunk_logprobs(params, chunk, gold, lanes)
+            lps += _chunk_logprobs(params, chunk, gold, lanes,
+                                   latent_prior_means(params, lanes).data)
         else:
-            lps += _chunk_logprobs(params, chunk, kept.s, kept.lanes)
+            lps += _chunk_logprobs(params, chunk, kept.s, kept.lanes, kept.z)
     labelled = any(ex.gold_index is not None for ex in examples)
     cands = [_strip_eos(g.tokens) for g in made]
     refs = [_strip_eos(list(ex.response)) for ex in examples]
+    n_tokens = scored_tokens(params, examples)
     return EvalReport(
         n_examples=len(examples),
-        n_tokens=scored_tokens(params, examples),
+        n_tokens=n_tokens,
         selection_accuracy=(selection_accuracy([g.s for g in made], examples)
                             if labelled else None),
-        perplexity=_perplexity(params, examples, lps),
+        perplexity=_perplexity(lps, n_tokens),
         **_ngram_fields(cands, refs),
         oracle_knowledge=oracle_knowledge)

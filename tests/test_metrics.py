@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from spi import generation, verify
 from spi.config import ModelConfig, SpiConfig
 from spi.data import SyntheticSpec, generate_corpus
 from spi.errors import ContractError
-from spi.metrics import (bleu_corpus, distinct_n, evaluate, perplexity,
-                         rouge_n, selection_accuracy)
+from spi import metrics
+from spi.metrics import (_ngram_counts, _ngram_fields, bleu_corpus, distinct_n, evaluate,
+                         perplexity, rouge_n, selection_accuracy)
 from spi.model import EOS, DialogueExample, ModelParams, encode_batch, param_shapes
 
 
@@ -68,8 +70,65 @@ def reference_rouge(candidates, references, n):
     return sum(scores) / len(scores)
 
 
+def counter_ngrams(seq, n):
+    return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+
+
+def counter_stats(candidates, references, n):
+    """Each pair's (clipped matches, candidate n-grams, reference n-grams),
+    from plain Counters."""
+    stats = []
+    for cand, ref in zip(candidates, references):
+        cgrams, rgrams = counter_ngrams(cand, n), counter_ngrams(ref, n)
+        stats.append((sum(min(count, rgrams[gram]) for gram, count in cgrams.items()),
+                      sum(cgrams.values()), sum(rgrams.values())))
+    return stats
+
+
+def counter_bleu(candidates, references, max_n):
+    """Smoothed corpus BLEU on the Counter counts, by the module's float formula."""
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        stats = counter_stats(candidates, references, n)
+        matches = sum(m for m, _, _ in stats)
+        total = sum(t for _, t, _ in stats)
+        if total == 0:
+            return 0.0
+        p = matches / total if matches > 0 else (matches + 1) / (total + 1)
+        log_sum += math.log(p)
+    c_len = sum(len(c) for c in candidates)
+    r_len = sum(len(r) for r in references)
+    bp = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_sum / max_n)
+
+
+def counter_rouge(candidates, references, n):
+    scores = []
+    for overlap, c_total, r_total in counter_stats(candidates, references, n):
+        p = overlap / c_total if c_total else 0.0
+        r = overlap / r_total if r_total else 0.0
+        scores.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
+    # numpy's summation order, which parts from a plain sum past 8 pairs
+    return float(np.mean(scores))
+
+
+def counter_distinct(sequences, n):
+    seen = Counter()
+    for seq in sequences:
+        seen.update(counter_ngrams(seq, n))
+    total = sum(seen.values())
+    return len(seen) / total if total else 0.0
+
+
 token_seq = st.lists(st.integers(4, 12), min_size=1, max_size=8)
 corpus_pairs = st.lists(st.tuples(token_seq, token_seq), min_size=1, max_size=6)
+# a few ids, so n-grams repeat, among them negative ones and ids of 2^40 up to
+# the 64-bit bounds; sequences run from empty to longer than every order
+any_id = st.one_of(st.integers(-2, 3), st.sampled_from(
+    [2 ** 40, 2 ** 40 + 1, -2 ** 40, 2 ** 62, 2 ** 63 - 1, -2 ** 63]))
+any_seq = st.one_of(st.lists(any_id, max_size=12),
+                    st.lists(st.sampled_from([7, 2 ** 41]), max_size=30))
+any_pairs = st.lists(st.tuples(any_seq, any_seq), min_size=1, max_size=40)
 
 
 class TestSelectionAccuracy:
@@ -237,8 +296,7 @@ class TestBleu:
         # orders 1..4: 5/6, 2/4, smoothed 1/3, smoothed 1/2; equal lengths
         expected = ((5 / 6) * (1 / 2) * (1 / 3) * (1 / 2)) ** 0.25
         assert bleu_corpus(cands, refs, max_n=4) == pytest.approx(expected, abs=1e-12)
-        assert bleu_corpus(cands, refs, max_n=4) == \
-            pytest.approx(reference_bleu(cands, refs, 4), abs=1e-9)
+        assert bleu_corpus(cands, refs, max_n=4) == reference_bleu(cands, refs, 4)
 
     def test_no_overlap_hits_exactly_the_smoothing_floor(self):
         cands = [[4, 5, 6, 7]]
@@ -264,8 +322,7 @@ class TestBleu:
         cands = [list(c) for c, _ in pairs]
         refs = [list(r) for _, r in pairs]
         for max_n in (1, 2, 4):
-            assert bleu_corpus(cands, refs, max_n=max_n) == \
-                pytest.approx(reference_bleu(cands, refs, max_n), abs=1e-9)
+            assert bleu_corpus(cands, refs, max_n=max_n) == reference_bleu(cands, refs, max_n)
 
     @given(corpus_pairs, st.randoms())
     @settings(max_examples=25, deadline=None)
@@ -319,8 +376,7 @@ class TestRouge:
         cands = [list(c) for c, _ in pairs]
         refs = [list(r) for _, r in pairs]
         for n in (1, 2):
-            assert rouge_n(cands, refs, n=n) == \
-                pytest.approx(reference_rouge(cands, refs, n), abs=1e-12)
+            assert rouge_n(cands, refs, n=n) == reference_rouge(cands, refs, n)
 
     @given(corpus_pairs)
     @settings(max_examples=25, deadline=None)
@@ -363,6 +419,49 @@ class TestDistinct:
     def test_bad_order_rejected(self):
         with pytest.raises(ContractError):
             distinct_n([[4]], n=0)
+
+
+class TestNgramCounts:
+    """The one array pass against plain Counters, exactly."""
+
+    @given(any_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_every_count_equals_the_counters(self, pairs):
+        cands = [c for c, _ in pairs]
+        refs = [r for _, r in pairs]
+        for n, order in enumerate(_ngram_counts(cands, refs, 5), start=1):
+            assert list(zip(order.matches.tolist(), order.cand_totals.tolist(),
+                            order.ref_totals.tolist())) == counter_stats(cands, refs, n)
+            assert order.distinct == len(sum((counter_ngrams(c, n) for c in cands), Counter()))
+
+    @given(any_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_every_score_equals_the_counter_reference(self, pairs):
+        cands = [c for c, _ in pairs]
+        refs = [r for _, r in pairs]
+        assert _ngram_fields(cands, refs) == {
+            "bleu3": counter_bleu(cands, refs, 3), "bleu4": counter_bleu(cands, refs, 4),
+            "rouge1": counter_rouge(cands, refs, 1), "rouge2": counter_rouge(cands, refs, 2),
+            "distinct1": counter_distinct(cands, 1), "distinct2": counter_distinct(cands, 2)}
+        for n in (1, 2, 3, 4):
+            assert bleu_corpus(cands, refs, max_n=n) == counter_bleu(cands, refs, n)
+            assert rouge_n(cands, refs, n=n) == counter_rouge(cands, refs, n)
+            assert distinct_n(cands, n=n) == counter_distinct(cands, n)
+
+    def test_clipping_counts_a_repeated_gram_at_most_as_often_as_the_reference(self):
+        order1, order2 = _ngram_counts([[7, 7, 7, 7], [7, 8]], [[7, 7], [8, 7]], 2)
+        assert order1.matches.tolist() == [2, 2]
+        assert order2.matches.tolist() == [1, 0]
+        assert (order1.distinct, order2.distinct) == (2, 2)  # 7, 8; (7, 7), (7, 8)
+
+    def test_ids_that_differ_only_in_high_bits_stay_apart(self):
+        big = 2 ** 40
+        assert _ngram_counts([[big, 1]], [[big + 1, 1]], 2)[0].matches.tolist() == [1]
+        assert distinct_n([[big, big + 2 ** 32, -big]], n=1) == 1.0
+
+    def test_ids_past_64_bits_are_rejected(self):
+        with pytest.raises(ContractError, match="64 bits"):
+            bleu_corpus([[2 ** 63]], [[1]])
 
 
 class TestEvaluate:
@@ -432,13 +531,40 @@ class TestEvaluate:
     @settings(max_examples=40, deadline=None)
     def test_ngram_fields_equal_the_standalone_functions_on_any_corpus(self, pairs):
         # an empty candidate is a generation that was a lone EOS
-        from spi.metrics import _ngram_fields
         cands = [list(c) for c, _ in pairs]
         refs = [list(r) for _, r in pairs]
         assert _ngram_fields(cands, refs) == {
             "bleu3": bleu_corpus(cands, refs, max_n=3), "bleu4": bleu_corpus(cands, refs),
             "rouge1": rouge_n(cands, refs, n=1), "rouge2": rouge_n(cands, refs, n=2),
             "distinct1": distinct_n(cands, n=1), "distinct2": distinct_n(cands, n=2)}
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_a_chunk_reuses_its_pick_s_prior_means_and_counts_tokens_once(self, monkeypatch,
+                                                                          oracle):
+        from spi import generation as gen_module
+        corpus = generate_corpus(SyntheticSpec(n_train=1, n_valid=1, n_test=5, seed=0))
+        config = SpiConfig(model=ModelConfig(vocab_size=corpus.vocab.size))
+        params = ModelParams.init(config.model, seed=0)
+        calls = []
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(gen_module, "latent_prior_means")
+        counted(metrics, "latent_prior_means")
+        counted(metrics, "scored_tokens")
+        report = evaluate(params, corpus.test, config, oracle_knowledge=oracle)
+        # one product for the picks' means, and one more for the gold lanes
+        assert calls.count("latent_prior_means") == (2 if oracle else 1)
+        assert calls.count("scored_tokens") == 1
+        picks = [ex.gold_index for ex in corpus.test] if oracle else [
+            g.s for g in gen_module.generate_batch(params, corpus.test, prior=config.prior)]
+        assert report.perplexity == perplexity(params, corpus.test, picks=picks)
 
     def test_unlabelled_examples_report_no_selection_accuracy(self, small_corpus,
                                                               small_config, small_trained):

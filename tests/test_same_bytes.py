@@ -30,15 +30,31 @@ def tiny_runs(tmp_path_factory):
 def test_the_pipeline_digests_every_artefact_it_writes(tiny_runs):
     out, digests = tiny_runs["a"]
     per_corpus = {"metrics.jsonl", "checkpoint.bin", "final.bin", "evaluate.json",
-                  "evaluate-oracle.json", "generations.jsonl"}
+                  "evaluate-oracle.json", "evaluate-init.json", "generations.jsonl"}
     assert set(digests) == {f"{name}/{file}" for name, _, _ in same_bytes.CORPORA
                             for file in per_corpus}
-    assert len(digests) == 6 * 3
+    assert len(digests) == 7 * 3
     for name, value in digests.items():
         assert value == hashlib.sha256((out / name).read_bytes()).hexdigest()
     # the oracle flag changes the perplexity field, so the two reports differ
     for name, _, _ in same_bytes.CORPORA:
         assert digests[f"{name}/evaluate.json"] != digests[f"{name}/evaluate-oracle.json"]
+
+
+def test_the_init_report_scores_the_weights_training_starts_from(tiny_runs):
+    import spi
+    from spi import data, metrics
+    from spi.fsio import dump_json_line
+    out, digests = tiny_runs["a"]
+    corpus = data.generate_corpus(data.SyntheticSpec(
+        history_len=8, n_train=4, n_valid=2, n_test=3, seed=same_bytes.SEED))
+    config = spi.SpiConfig(model=spi.ModelConfig(vocab_size=corpus.vocab.size),
+                           epochs=1, seed=same_bytes.SEED, prior="uniform")
+    report = metrics.evaluate(spi.ModelParams.init(config.model, seed=config.seed),
+                              corpus.test, config)
+    assert (out / "desk-uniform" / "evaluate-init.json").read_text() == \
+        dump_json_line(report.to_dict()) + "\n"
+    assert digests["desk-uniform/evaluate-init.json"] != digests["desk-uniform/evaluate.json"]
 
 
 def test_the_pipeline_covers_sampled_selection_on_the_desk_corpus(tiny_runs):

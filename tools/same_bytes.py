@@ -15,7 +15,10 @@ selection, the same desk corpus under sampled top-3 selection at
 temperature 2, and one with history 32 under the learnable prior. Each run
 writes a 3-epoch ``train`` (its metrics log, best and final checkpoints),
 plain and oracle ``evaluate`` reports of the test split, and
-``generate_batch`` of it. The script prints each artefact's
+``generate_batch`` of it, and one more ``evaluate`` report, of the weights
+``train`` starts from (``evaluate-init.json``): like the benchmark's
+``evaluate``, untrained weights whose repetitive generations run near the
+length cap, where the n-gram scores' clipped counts matter most. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
 when every one agrees. For a JSON or JSON-lines artefact that differs it
 also prints the largest relative difference over its numeric fields
@@ -77,9 +80,11 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
                            log_path=where / "metrics.jsonl", quiet=True)
         checkpoint.save_checkpoint(where / "checkpoint.bin", result.best_params, config)
         checkpoint.save_checkpoint(where / "final.bin", result.params, config)
-        for oracle, file in ((False, "evaluate.json"), (True, "evaluate-oracle.json")):
-            report = metrics.evaluate(result.best_params, corpus.test, config,
-                                      oracle_knowledge=oracle)
+        initial = spi.ModelParams.init(config.model, seed=config.seed)
+        for params, oracle, file in ((result.best_params, False, "evaluate.json"),
+                                     (result.best_params, True, "evaluate-oracle.json"),
+                                     (initial, False, "evaluate-init.json")):
+            report = metrics.evaluate(params, corpus.test, config, oracle_knowledge=oracle)
             atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
             result.best_params, corpus.test, prior=config.prior,
