@@ -541,7 +541,6 @@ class TestEvaluate:
     @pytest.mark.parametrize("oracle", [False, True])
     def test_a_chunk_reuses_its_pick_s_prior_means_and_counts_tokens_once(self, monkeypatch,
                                                                           oracle):
-        from spi import generation as gen_module
         corpus = generate_corpus(SyntheticSpec(n_train=1, n_valid=1, n_test=5, seed=0))
         config = SpiConfig(model=ModelConfig(vocab_size=corpus.vocab.size))
         params = ModelParams.init(config.model, seed=0)
@@ -555,7 +554,7 @@ class TestEvaluate:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(gen_module, "latent_prior_means")
+        counted(generation, "latent_prior_means")
         counted(metrics, "latent_prior_means")
         counted(metrics, "scored_tokens")
         report = evaluate(params, corpus.test, config, oracle_knowledge=oracle)
@@ -563,7 +562,7 @@ class TestEvaluate:
         assert calls.count("latent_prior_means") == (2 if oracle else 1)
         assert calls.count("scored_tokens") == 1
         picks = [ex.gold_index for ex in corpus.test] if oracle else [
-            g.s for g in gen_module.generate_batch(params, corpus.test, prior=config.prior)]
+            g.s for g in generation.generate_batch(params, corpus.test, prior=config.prior)]
         assert report.perplexity == perplexity(params, corpus.test, picks=picks)
 
     def test_unlabelled_examples_report_no_selection_accuracy(self, small_corpus,
