@@ -18,7 +18,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ModelConfig, SpiConfig, config_from_dict, with_overrides
+from .config import (PRIOR_MODES, SELECTION_MODES, ModelConfig, SpiConfig, config_from_dict,
+                     with_overrides)
 from .data import SyntheticSpec, generate_corpus, load_corpus, save_corpus
 from .errors import ContractError, SpiError
 from .fsio import atomic_write_text, dump_json_line, read_text
@@ -31,10 +32,11 @@ log = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# SpiConfig fields settable from the command line (None means "not given").
-_RUN_FLAG_FIELDS = ("prior", "top_s", "langevin_steps", "step_size", "selection",
-                    "temperature", "seed", "epochs", "batch_size",
-                    "lr_model", "lr_head")
+# SpiConfig fields settable from the command line, each one's type or its
+# allowed values; a flag reads None when not given
+_RUN_FLAGS = {"prior": PRIOR_MODES, "top_s": int, "langevin_steps": int, "step_size": float,
+              "selection": SELECTION_MODES, "temperature": float, "seed": int, "epochs": int,
+              "batch_size": int, "lr_model": float, "lr_head": float}
 
 
 def _setup_logging() -> None:
@@ -46,20 +48,13 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; flags override its values")
-    p.add_argument("--prior", choices=("uniform", "learnable"), default=None)
-    p.add_argument("--top-s", dest="top_s", type=int, default=None)
-    p.add_argument("--langevin-steps", dest="langevin_steps", type=int, default=None)
-    p.add_argument("--step-size", dest="step_size", type=float, default=None)
-    p.add_argument("--selection", choices=("greedy", "sampled"), default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr-model", dest="lr_model", type=float, default=None)
-    p.add_argument("--lr-head", dest="lr_head", type=float, default=None)
+    for name in names:
+        kind = _RUN_FLAGS[name]
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **typed)
 
 
 def _read_config_file(path: Path) -> SpiConfig:
@@ -67,9 +62,6 @@ def _read_config_file(path: Path) -> SpiConfig:
         raw = json.loads(read_text(path, "the config file"))
     except (ValueError, RecursionError) as err:
         raise ContractError(f"{path}: malformed JSON ({err})") from None
-    if not isinstance(raw, dict):
-        raise ContractError(f"{path}: a config file holds a JSON object, "
-                            f"not {type(raw).__name__}")
     try:
         return config_from_dict(raw)
     except ContractError as err:
@@ -96,7 +88,7 @@ def _build_config(args: argparse.Namespace, vocab_size: int) -> SpiConfig:
                 f"the corpus vocabulary of {vocab_size}")
     else:
         base = SpiConfig(model=ModelConfig(vocab_size=vocab_size))
-    overrides = {name: getattr(args, name) for name in _RUN_FLAG_FIELDS
+    overrides = {name: getattr(args, name) for name in _RUN_FLAGS
                  if getattr(args, name, None) is not None}
     return with_overrides(base, **overrides) if overrides else base
 
@@ -162,8 +154,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args, corpus.vocab.size)
     out = Path(args.out)
     sweep_t = _parse_grid(args.sweep_langevin_steps, "langevin-steps") \
-        if args.sweep_langevin_steps else None
-    sweep_s = _parse_grid(args.sweep_top_s, "top-s") if args.sweep_top_s else None
+        if args.sweep_langevin_steps is not None else None
+    sweep_s = _parse_grid(args.sweep_top_s, "top-s") if args.sweep_top_s is not None else None
     if sweep_t is None and sweep_s is None:
         summary = _train_once(corpus, config, out)
         print(f"best epoch {summary['best_epoch']} "
@@ -194,13 +186,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def _load_checkpoint_and_split(args: argparse.Namespace):
+    """``eval``'s and ``generate``'s config, weights and examples."""
     corpus = load_corpus(Path(args.corpus))
     config = _build_config(args, corpus.vocab.size)
     params = load_checkpoint(Path(args.checkpoint), config)
     examples = corpus.split(args.split)
     if args.limit is not None:
         examples = examples[:args.limit]
+    return config, params, examples
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    config, params, examples = _load_checkpoint_and_split(args)
     report = evaluate(params, examples, config,
                       oracle_knowledge=args.oracle_knowledge)
     payload = dict(report.to_dict())
@@ -213,12 +211,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    corpus = load_corpus(Path(args.corpus))
-    config = _build_config(args, corpus.vocab.size)
-    params = load_checkpoint(Path(args.checkpoint), config)
-    examples = corpus.split(args.split)
-    if args.limit is not None:
-        examples = examples[:args.limit]
+    config, params, examples = _load_checkpoint_and_split(args)
     results = generate_batch(params, examples, prior=config.prior,
                              max_len=config.model.max_response)
     write_generations(Path(args.out), results)
@@ -264,27 +257,27 @@ def _parser() -> argparse.ArgumentParser:
                     help="comma-separated grid, one training run per value")
     tr.add_argument("--sweep-top-s", default=None,
                     help="comma-separated grid, one training run per value")
-    _add_config_flags(tr)
+    _add_config_flags(tr, tuple(_RUN_FLAGS))
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint")
-    ev.add_argument("--corpus", required=True)
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--split", default="test")
-    ev.add_argument("--limit", type=_limit, default=None)
+    # at test time there is no response to infer from: the prior picks the
+    # knowledge and the decode starts at its mean, so no other run setting is read
+    tested = argparse.ArgumentParser(add_help=False)
+    tested.add_argument("--corpus", required=True)
+    tested.add_argument("--checkpoint", required=True)
+    tested.add_argument("--split", default="test")
+    tested.add_argument("--limit", type=_limit, default=None)
+    _add_config_flags(tested, ("prior",))
+
+    ev = sub.add_parser("eval", parents=[tested], help="evaluate a checkpoint")
     ev.add_argument("--oracle-knowledge", dest="oracle_knowledge",
                     action="store_true")
     ev.add_argument("--out", default=None)
-    _add_config_flags(ev)
     ev.set_defaults(func=cmd_eval)
 
-    gen = sub.add_parser("generate", help="greedy-decode responses to JSONL")
-    gen.add_argument("--corpus", required=True)
-    gen.add_argument("--checkpoint", required=True)
-    gen.add_argument("--split", default="test")
-    gen.add_argument("--limit", type=_limit, default=None)
+    gen = sub.add_parser("generate", parents=[tested],
+                         help="greedy-decode responses to JSONL")
     gen.add_argument("--out", required=True)
-    _add_config_flags(gen)
     gen.set_defaults(func=cmd_generate)
 
     ver = sub.add_parser("verify", help="run the self-check suites")

@@ -23,11 +23,12 @@ SEED_SHUFFLE = 4
 _KINDS = {"int": "an integer", "float": "a finite number", "bool": "a boolean", "str": "a string"}
 
 
-def _check_kinds(cfg, prefix: str) -> None:
-    """Each field must hold its declared type; a bool is not a number, a float
-    is not an integer, and a number is finite (JSON reads NaN and Infinity)."""
-    for f in fields(cfg):
-        kind, value = f.type, getattr(cfg, f.name)  # a string: annotations are postponed
+def check_kinds(obj, prefix: str) -> None:
+    """Each field of the dataclass ``obj`` must hold its declared type; a bool
+    is not a number, a float is not an integer, and a number is finite (JSON
+    reads NaN and Infinity). The error names the field after ``prefix``."""
+    for f in fields(obj):
+        kind, value = f.type, getattr(obj, f.name)  # a string: annotations are postponed
         if kind not in _KINDS:
             continue
         if kind == "bool":
@@ -40,13 +41,13 @@ def _check_kinds(cfg, prefix: str) -> None:
             if ok and kind == "float":
                 ok = -sys.float_info.max <= value <= sys.float_info.max  # False for NaN
         if not ok:
-            raise ContractError(f"config field {prefix}{f.name} must be {_KINDS[kind]}, "
-                                f"got {value!r}")
+            raise ContractError(f"{prefix}{f.name} must be {_KINDS[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture sizes; these fix every parameter shape."""
+    """Architecture sizes; these fix every parameter shape. Checked when
+    built, so every instance is valid."""
 
     vocab_size: int
     embed_dim: int = 32
@@ -58,8 +59,8 @@ class ModelConfig:
     max_candidate: int = 32
     max_response: int = 32
 
-    def validate(self) -> None:
-        _check_kinds(self, "model.")
+    def __post_init__(self) -> None:
+        check_kinds(self, "config field model.")
         for name, value in asdict(self).items():
             if value <= 0:
                 raise ContractError(f"model.{name} must be positive, got {value}")
@@ -74,7 +75,8 @@ class SpiConfig:
 
     ``top_s`` limits posterior selection in uniform-prior mode; the learnable
     prior always scores every candidate. ``langevin_noise`` exists for
-    deterministic probes; training leaves it on.
+    deterministic probes; training leaves it on. Checked when built, so every
+    instance is valid.
     """
 
     model: ModelConfig
@@ -92,9 +94,10 @@ class SpiConfig:
     epochs: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
-        self.model.validate()
-        _check_kinds(self, "")
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, ModelConfig):
+            raise ContractError(f"config field model must be a ModelConfig, got {self.model!r}")
+        check_kinds(self, "config field ")
         if self.prior not in PRIOR_MODES:
             raise ContractError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
         if self.selection not in SELECTION_MODES:
@@ -151,21 +154,17 @@ def config_from_dict(data: dict) -> SpiConfig:
     extra = set(data) - known
     if extra:
         raise ContractError(f"unknown config fields: {sorted(extra)}")
-    cfg = SpiConfig(model=model, **data)
-    cfg.validate()
-    return cfg
+    return SpiConfig(model=model, **data)
 
 
 def with_overrides(cfg: SpiConfig, **kwargs) -> SpiConfig:
-    """Return a copy with the given fields replaced and re-validated."""
+    """Return a copy with the given fields replaced, checked as it is built."""
     model_fields = {k: v for k, v in kwargs.items()
                     if k in ModelConfig.__dataclass_fields__}
     run_fields = {k: v for k, v in kwargs.items()
                   if k not in ModelConfig.__dataclass_fields__}
     model = replace(cfg.model, **model_fields) if model_fields else cfg.model
-    out = replace(cfg, model=model, **run_fields)
-    out.validate()
-    return out
+    return replace(cfg, model=model, **run_fields)
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:

@@ -14,11 +14,13 @@ Same spec, same bytes: generation is a pure function of the spec fields.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import check_kinds
 from .errors import ContractError
 from .fsio import atomic_write_text, dump_json_line, read_jsonl, read_text
 from .model import EOS, DialogueExample, Vocab
@@ -26,7 +28,8 @@ from .model import EOS, DialogueExample, Vocab
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs of the corpus generator; defaults match the desk-scale setup."""
+    """Knobs of the corpus generator; defaults match the desk-scale setup.
+    Checked when built, so every instance can be generated."""
 
     vocab_size: int = 64
     m_candidates: int = 8
@@ -38,6 +41,28 @@ class SyntheticSpec:
     n_test: int = 250
     history_len: int = 8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_kinds(self, "spec field ")
+        remaining = self.vocab_size - 4 - 2 * self.n_styles  # past reserved and frame tokens
+        if self.n_styles < 1:
+            raise ContractError(f"n_styles must be at least 1, got {self.n_styles}")
+        if self.candidate_len < 2:
+            raise ContractError("candidate_len must be at least 2 (name + content)")
+        if self.history_len < 1:
+            raise ContractError("history_len must be at least 1")
+        if remaining < 8 or remaining // 2 < self.m_candidates:  # half are names (plan_vocab)
+            raise ContractError(
+                f"vocab_size {self.vocab_size} is too small for {self.n_styles} styles and "
+                f"{self.m_candidates} candidates; it cannot seat reserved, frame, name, "
+                f"and content tokens")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ContractError(f"rho must lie in [0, 1], got {self.rho}")
+        if self.m_candidates < 1:
+            raise ContractError(f"m_candidates must be at least 1, got {self.m_candidates}")
+        for name in ("n_train", "n_valid", "n_test", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -60,19 +85,6 @@ def plan_vocab(spec: SyntheticSpec) -> tuple[Vocab, VocabLayout]:
     remaining = spec.vocab_size - reserved - frames
     n_names = remaining // 2
     n_content = remaining - n_names
-    if spec.n_styles < 1:
-        raise ContractError("need at least one style")
-    if spec.candidate_len < 2:
-        raise ContractError("candidate_len must be at least 2 (name + content)")
-    if spec.history_len < 1:
-        raise ContractError("history_len must be at least 1")
-    if remaining < 8 or n_names < spec.m_candidates or n_names < 4 or n_content < 4:
-        raise ContractError(
-            f"vocab_size {spec.vocab_size} is too small for {spec.n_styles} styles and "
-            f"{spec.m_candidates} candidates; it cannot seat reserved, frame, name, "
-            f"and content tokens")
-    if not 0.0 <= spec.rho <= 1.0:
-        raise ContractError(f"rho must lie in [0, 1], got {spec.rho}")
     words = []
     for g in range(spec.n_styles):
         words += [f"f{g}a", f"f{g}b"]
@@ -160,17 +172,9 @@ def _make_example(topic: int, topics_content: list[list[int]], pool: list[int],
                            gold_index=gold_index, response=response)
 
 
-NON_NEGATIVE = ("n_train", "n_valid", "n_test", "seed")
-
-
 def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     """Deterministically build all three splits from the spec."""
     vocab, layout = plan_vocab(spec)
-    if spec.m_candidates < 1:
-        raise ContractError("need at least one candidate")
-    for name in NON_NEGATIVE:
-        if getattr(spec, name) < 0:
-            raise ContractError(f"{name} must not be negative, got {getattr(spec, name)}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     content_len = spec.candidate_len - 1
     topics_content = [_draw(rng, layout.content_array, content_len).tolist()
@@ -253,9 +257,12 @@ def _parse_spec_sidecar(path: Path) -> SyntheticSpec:
         except ValueError:
             raise ContractError(
                 f"{path}:{lineno}: {name} = {value!r} is not a valid {caster.__name__}") from None
-        if name in NON_NEGATIVE and kwargs[name] < 0:
-            raise ContractError(f"{path}:{lineno}: {name} = {value} must not be negative")
-    return SyntheticSpec(**kwargs)
+    try:
+        return SyntheticSpec(**kwargs)
+    except ContractError as err:  # at the line of the first field the message names
+        where = next((f"{path}:{lineno}" for name, (_, lineno) in fields.items()
+                      if re.search(rf"\b{name}\b", str(err))), path)
+        raise ContractError(f"{where}: {err}") from None
 
 
 def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
@@ -279,10 +286,7 @@ def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
     if spec.vocab_size != vocab.size:
         raise ContractError(f"{spec_path}: vocab_size {spec.vocab_size} does not match "
                             f"the {vocab.size} tokens of {vocab_path}")
-    try:
-        _, layout = plan_vocab(spec)
-    except ContractError as err:
-        raise ContractError(f"{spec_path}: {err}") from None
+    _, layout = plan_vocab(spec)
     splits = {}
     for name in ("train", "valid", "test"):
         path = out / f"{name}.jsonl"

@@ -80,7 +80,7 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
     """Each example's knowledge index from its posterior given the response,
     the candidate encodings of every example lanes of the caller's encoder
     pass (``encodings_batch``), example j drawing a sampled pick from
-    ``rngs[j]``. The run's ``config`` is validated here.
+    ``rngs[j]``.
 
     The latent is held at each candidate's prior mean (point mass), so a
     candidate's log weight is its prior logit plus the teacher-forced
@@ -98,7 +98,6 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
     candidate) lane, each against its example's response, and each example
     normalizes and picks on its own. Lanes of a wider pass may round apart
     from a one-example pass in the last bits."""
-    config.validate()
     n = len(examples)
     if n < 1:
         raise ContractError("selection needs at least one example")

@@ -62,19 +62,26 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
                picks: list[int]) -> float:
     """exp of the mean per-token negative log-likelihood of the reference
     responses, each conditioned on its knowledge pick and decoded from the
-    prior-mean latent. Each chunk of ``generation.chunks`` has its picks
-    encoded in one pass and scored in one decode (``_chunk_logprobs``), so
-    memory stays bounded however many examples there are. The mean runs
-    over the scored tokens, so padding past an EOS counts nowhere."""
+    prior-mean latent. Each chunk of ``generation.chunks`` is scored on its
+    own (``_score_picks``), so memory stays bounded however many examples
+    there are. The mean runs over the scored tokens, so padding past an EOS
+    counts nowhere."""
     if not examples:
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
     lps: list[float] = []
     for exs, ss in zip(generation.chunks(examples), generation.chunks(picks)):
-        lanes = [encs[0] for encs in encode_batch(params, exs, [[s] for s in ss])]
-        lps += _chunk_logprobs(params, exs, ss, lanes, latent_prior_means(params, lanes).data)
+        lps += _score_picks(params, exs, ss)
     return _perplexity(lps, scored_tokens(params, examples))
+
+
+def _score_picks(params: ModelParams, examples: Sequence[DialogueExample],
+                 picks: Sequence[int]) -> list[float]:
+    """Each example's reference log-probability under its given pick: the
+    picks encoded in one pass, then ``_chunk_logprobs`` at their prior means."""
+    lanes = [encs[0] for encs in encode_batch(params, examples, [[s] for s in picks])]
+    return _chunk_logprobs(params, examples, picks, lanes, latent_prior_means(params, lanes).data)
 
 
 def _chunk_logprobs(params: ModelParams, examples: Sequence[DialogueExample],
@@ -252,7 +259,7 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     and decoded from the picked lanes kept from it (``decode_greedy``).
     Perplexity then scores those kept lanes at the prior means the pick
     already took (``Picks.z``), or, under the oracle flag, the gold
-    candidates, which it encodes in a pass of their own."""
+    candidates, which ``_score_picks`` encodes in a pass of their own."""
     if not examples:
         raise ContractError("evaluate needs at least one example")
     if oracle_knowledge and any(ex.gold_index is None for ex in examples):
@@ -263,10 +270,7 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         kept = encode_and_pick(params, chunk, prior=config.prior)
         made += decode_greedy(params, kept, config.model.max_response)
         if oracle_knowledge:
-            gold = [ex.gold_index for ex in chunk]
-            lanes = [encs[0] for encs in encode_batch(params, chunk, [[s] for s in gold])]
-            lps += _chunk_logprobs(params, chunk, gold, lanes,
-                                   latent_prior_means(params, lanes).data)
+            lps += _score_picks(params, chunk, [ex.gold_index for ex in chunk])
         else:
             lps += _chunk_logprobs(params, chunk, kept.s, kept.lanes, kept.z)
     labelled = any(ex.gold_index is not None for ex in examples)

@@ -130,7 +130,6 @@ class ModelParams:
 
     @staticmethod
     def init(cfg: ModelConfig, seed: int = 0, scale: float = 0.1) -> "ModelParams":
-        cfg.validate()
         rng = derived_rng(seed, SEED_INIT)
         tensors: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg):

@@ -271,7 +271,6 @@ def train(train_examples: list[DialogueExample],
     ``log_path`` if given. Wall-clock timings stay out of the log so equal
     seeds produce byte-identical files.
     """
-    config.validate()
     if not train_examples:
         raise ContractError("training set is empty")
     params = ModelParams.init(config.model, seed=config.seed)

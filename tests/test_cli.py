@@ -14,6 +14,7 @@ import pytest
 
 from spi import verify
 from spi.cli import main
+from spi.config import config_from_dict
 from spi.errors import ContractError
 from spi.fsio import atomic_write_bytes
 
@@ -79,6 +80,38 @@ def test_eval_writes_a_report(workdir, corpus_dir, config_file, run_dir):
     report = json.loads(out.read_text())
     assert report["n_examples"] == 4
     assert report["perplexity"] >= 1.0
+
+
+def test_an_eval_report_echoes_its_config_file_but_for_the_prior(workdir, corpus_dir,
+                                                                 config_file):
+    run = workdir / "learnable-run"
+    assert main(["train", "--corpus", str(corpus_dir), "--out", str(run), "--config",
+                 str(config_file), "--epochs", "1", "--prior", "learnable"]) == 0
+    out = workdir / "learnable-report.json"
+    assert main(["eval", "--corpus", str(corpus_dir), "--config", str(config_file),
+                 "--checkpoint", str(run / "checkpoint.bin"), "--prior", "learnable",
+                 "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["config"]
+    expected = config_from_dict(json.loads(config_file.read_text())).to_dict()
+    assert echoed["prior"] == "learnable" and expected["prior"] == "uniform"
+    assert echoed == dict(expected, prior="learnable")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--temperature", "2"), ("eval", "--seed", "9"), ("eval", "--epochs", "1"),
+    ("generate", "--top-s", "3"), ("generate", "--selection", "sampled"),
+    ("generate", "--langevin-steps", "2")])
+def test_eval_and_generate_refuse_a_setting_they_do_not_read(workdir, corpus_dir, config_file,
+                                                             run_dir, capsys, command, flag,
+                                                             value):
+    # with no response at test time, only the prior and the model sizes are read
+    out = workdir / f"{command}-unread.out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--corpus", str(corpus_dir), "--config", str(config_file),
+              "--checkpoint", str(run_dir / "checkpoint.bin"), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_of_an_unlabelled_split_reports_no_selection_accuracy(workdir, corpus_dir,
@@ -215,6 +248,20 @@ def test_non_integer_sweep_grid_exits_1_naming_flag_and_value(workdir, corpus_di
     assert code == 1
     assert err.startswith(f"error: {flag}: 'x' is not an integer")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["", " , "])
+@pytest.mark.parametrize("flag", ["--sweep-top-s", "--sweep-langevin-steps"])
+def test_an_empty_sweep_grid_exits_1_before_any_training(workdir, corpus_dir, config_file,
+                                                         capsys, flag, grid):
+    # an empty grid is a sweep of no points, not one plain run
+    out = workdir / "empty-grid"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--config", str(config_file), "--epochs", "1", flag, grid])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {flag[len('--sweep-'):]} sweep grid is empty"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--sweep-top-s", "--sweep-langevin-steps"])

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,17 +14,38 @@ def make_config(**kw):
     return SpiConfig(model=ModelConfig(vocab_size=16), **kw)
 
 
+OUT_OF_RANGE = [
+    ({"prior": "flat"}, "prior must be one of ('uniform', 'learnable'), got 'flat'"),
+    ({"selection": "beam"}, "selection must be one of ('greedy', 'sampled'), got 'beam'"),
+    ({"top_s": 0}, "top_s must be at least 1, got 0"),
+    ({"langevin_steps": -2}, "langevin_steps must be non-negative, got -2"),
+    ({"step_size": -0.5}, "step_size must be non-negative, got -0.5"),
+    ({"grad_clamp": -1.0}, "grad_clamp must be non-negative, got -1.0"),
+    ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
+    ({"lr_head": -2.0}, "lr_head must be non-negative, got -2.0"),
+    ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+    ({"epochs": -1}, "epochs must be non-negative, got -1"),
+    ({"seed": -3}, "seed must be non-negative, got -3"),
+    ({"model": {"vocab_size": 3}},
+     "model.vocab_size must cover the four reserved tokens, got 3"),
+    ({"model": {"vocab_size": 64, "latent_dim": 0}},
+     "model.latent_dim must be positive, got 0"),
+]
+
+
 class TestValidate:
+    """A config is checked when built, so every instance is valid."""
+
     def test_defaults_pass(self):
-        make_config().validate()
+        make_config()
 
     def test_vocab_below_reserved_rejected(self):
         with pytest.raises(ContractError):
-            ModelConfig(vocab_size=3).validate()
+            ModelConfig(vocab_size=3)
 
     def test_nonpositive_dim_rejected(self):
         with pytest.raises(ContractError, match="hidden_dim"):
-            ModelConfig(vocab_size=16, hidden_dim=0).validate()
+            ModelConfig(vocab_size=16, hidden_dim=0)
 
     @pytest.mark.parametrize("kw", [
         {"prior": "flat"},
@@ -38,13 +60,46 @@ class TestValidate:
     ])
     def test_bad_run_fields_rejected(self, kw):
         with pytest.raises(ContractError):
-            make_config(**kw).validate()
+            make_config(**kw)
 
     def test_zero_epochs_allowed(self):
-        make_config(epochs=0).validate()
+        assert make_config(epochs=0).epochs == 0
 
     def test_zero_langevin_steps_allowed(self):
-        make_config(langevin_steps=0).validate()
+        assert make_config(langevin_steps=0).langevin_steps == 0
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+    def test_each_model_field_is_checked_when_built(self, name):
+        with pytest.raises(ContractError, match=rf"^model\.{name} must be positive, got 0$"):
+            ModelConfig(**{"vocab_size": 16, name: 0})
+        with pytest.raises(ContractError,
+                           match=rf"^config field model\.{name} must be an integer, got '8'$"):
+            ModelConfig(**{"vocab_size": 16, name: "8"})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SpiConfig) if f.name != "model"])
+    def test_each_run_field_is_checked_when_built(self, name):
+        # a string is no number or boolean, and a number is no string
+        wrong = 1 if SpiConfig.__dataclass_fields__[name].type == "str" else "1"
+        with pytest.raises(ContractError,
+                           match=rf"^config field {name} must be an? .*, got {wrong!r}$"):
+            make_config(**{name: wrong})
+
+    @pytest.mark.parametrize("part, message", OUT_OF_RANGE)
+    def test_each_out_of_range_value_is_named_when_built(self, part, message):
+        run = {k: v for k, v in part.items() if k != "model"}
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            SpiConfig(model=ModelConfig(**part.get("model", {"vocab_size": 64})), **run)
+
+    def test_a_model_that_is_not_a_model_config_is_named(self):
+        with pytest.raises(ContractError, match=re.escape(
+                "config field model must be a ModelConfig, got {'vocab_size': 64}")):
+            SpiConfig(model={"vocab_size": 64})
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ContractError, match="^top_s must be at least 1, got 0$"):
+            replace(make_config(), top_s=0)
+        with pytest.raises(ContractError, match="^model.latent_dim must be positive, got -1$"):
+            replace(make_config().model, latent_dim=-1)
 
 
 class TestFingerprint:
@@ -152,23 +207,7 @@ class TestSerialization:
         assert config_from_dict({"model": {"vocab_size": 64}, "seed": 0}).seed == 0
 
 
-    @pytest.mark.parametrize("part, message", [
-        ({"prior": "flat"}, "prior must be one of ('uniform', 'learnable'), got 'flat'"),
-        ({"selection": "beam"}, "selection must be one of ('greedy', 'sampled'), got 'beam'"),
-        ({"top_s": 0}, "top_s must be at least 1, got 0"),
-        ({"langevin_steps": -2}, "langevin_steps must be non-negative, got -2"),
-        ({"step_size": -0.5}, "step_size must be non-negative, got -0.5"),
-        ({"grad_clamp": -1.0}, "grad_clamp must be non-negative, got -1.0"),
-        ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
-        ({"lr_head": -2.0}, "lr_head must be non-negative, got -2.0"),
-        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
-        ({"epochs": -1}, "epochs must be non-negative, got -1"),
-        ({"seed": -3}, "seed must be non-negative, got -3"),
-        ({"model": {"vocab_size": 3}},
-         "model.vocab_size must cover the four reserved tokens, got 3"),
-        ({"model": {"vocab_size": 64, "latent_dim": 0}},
-         "model.latent_dim must be positive, got 0"),
-    ])
+    @pytest.mark.parametrize("part, message", OUT_OF_RANGE)
     def test_each_out_of_range_value_is_named_with_its_field(self, part, message):
         data = {"model": {"vocab_size": 64}, **part}
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):

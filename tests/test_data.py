@@ -67,6 +67,50 @@ class TestPlanVocab:
             generate_corpus(small_spec(seed=-1))
 
 
+class TestSpecChecks:
+    """A spec is checked when built: every malformed field is a ContractError
+    that names it."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("vocab_size", 64.0), ("m_candidates", "8"), ("candidate_len", None),
+        ("n_styles", "3"), ("rho", "0.5"), ("rho", float("nan")), ("n_train", 2.5),
+        ("n_valid", True), ("n_test", [1]), ("history_len", "8"), ("seed", 1.0),
+    ])
+    def test_a_mistyped_field_names_it(self, name, value):
+        kind = "a finite number" if name == "rho" else "an integer"
+        with pytest.raises(ContractError,
+                           match=f"^spec field {name} must be {kind}, got {re.escape(repr(value))}$"):
+            small_spec(**{name: value})
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"vocab_size": 14}, "vocab_size 14 is too small for 2 styles and 4 candidates"),
+        ({"m_candidates": 0}, "m_candidates must be at least 1, got 0"),
+        ({"candidate_len": 1}, "candidate_len must be at least 2 (name + content)"),
+        ({"n_styles": 0}, "n_styles must be at least 1, got 0"),
+        ({"rho": 1.5}, "rho must lie in [0, 1], got 1.5"),
+        ({"n_train": -1}, "n_train must not be negative, got -1"),
+        ({"n_valid": -1}, "n_valid must not be negative, got -1"),
+        ({"n_test": -1}, "n_test must not be negative, got -1"),
+        ({"history_len": 0}, "history_len must be at least 1"),
+        ({"seed": -1}, "seed must not be negative, got -1"),
+    ])
+    def test_an_out_of_range_field_names_it(self, kw, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+            small_spec(**kw)
+
+    @pytest.mark.parametrize("name, value", [("rho", "nan"), ("n_styles", "0"),
+                                             ("vocab_size", "14")])
+    def test_a_sidecar_value_out_of_range_names_file_and_line(self, tmp_path, name, value):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "spec.txt"
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{name} = "))
+        lines[lineno - 1] = f"{name} = {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(f"{path}:{lineno}: ")):
+            load_corpus(tmp_path)
+
+
 class TestGeneration:
     def test_same_spec_same_examples(self):
         a = generate_corpus(small_spec())
@@ -250,7 +294,7 @@ class TestDiskRoundTrip:
         lines[lineno - 1] = f"{name} = -5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=re.escape(
-                f"{path}:{lineno}: {name} = -5 must not be negative")):
+                f"{path}:{lineno}: {name} must not be negative, got -5")):
             load_corpus(tmp_path)
 
     def test_a_negative_seed_in_the_sidecar_names_file_and_line(self, tmp_path):
@@ -261,7 +305,7 @@ class TestDiskRoundTrip:
         lines[lineno - 1] = "seed = -1"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=re.escape(
-                f"{path}:{lineno}: seed = -1 must not be negative")):
+                f"{path}:{lineno}: seed must not be negative, got -1")):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("line, what", [

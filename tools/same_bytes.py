@@ -13,12 +13,15 @@ three runs on synthetic corpora of 96/24/40 train/valid/test examples from
 seed 101: a desk one under the uniform prior and greedy top-5 of 8
 selection, the same desk corpus under sampled top-3 selection at
 temperature 2, and one with history 32 under the learnable prior. Each run
-writes a 3-epoch ``train`` (its metrics log, best and final checkpoints),
-plain and oracle ``evaluate`` reports of the test split, and
-``generate_batch`` of it, and one more ``evaluate`` report, of the weights
-``train`` starts from (``evaluate-init.json``): like the benchmark's
-``evaluate``, untrained weights whose repetitive generations run near the
-length cap, where the n-gram scores' clipped counts matter most. The script prints each artefact's
+writes a 3-epoch ``train`` (its metrics log, best and final checkpoints;
+``checkpoint.bin`` has ``final.bin``'s bytes whenever the last epoch is the
+best), plain and oracle ``evaluate`` reports of the test split, and
+``generate_batch`` of it. One more ``evaluate`` report, of the weights
+``train`` starts from (``evaluate-init.json``), is written once per corpus
+and prior, since ``evaluate`` reads no selection setting: like the
+benchmark's ``evaluate``, untrained weights whose repetitive generations run
+near the length cap, where the n-gram scores' clipped counts matter most.
+That makes 20 artefacts. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
 when every one agrees. For a JSON or JSON-lines artefact that differs it
 also prints the largest relative difference over its numeric fields
@@ -69,6 +72,7 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
 
     out = Path(out)
     n_train, n_valid, n_test = sizes
+    scored_init = set()  # (history, prior) of each evaluate-init.json written
     for name, history, settings in CORPORA:
         where = out / name
         where.mkdir(parents=True)
@@ -80,10 +84,13 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
                            log_path=where / "metrics.jsonl", quiet=True)
         checkpoint.save_checkpoint(where / "checkpoint.bin", result.best_params, config)
         checkpoint.save_checkpoint(where / "final.bin", result.params, config)
-        initial = spi.ModelParams.init(config.model, seed=config.seed)
-        for params, oracle, file in ((result.best_params, False, "evaluate.json"),
-                                     (result.best_params, True, "evaluate-oracle.json"),
-                                     (initial, False, "evaluate-init.json")):
+        reports = [(result.best_params, False, "evaluate.json"),
+                   (result.best_params, True, "evaluate-oracle.json")]
+        if (history, config.prior) not in scored_init:
+            scored_init.add((history, config.prior))
+            reports.append((spi.ModelParams.init(config.model, seed=config.seed), False,
+                            "evaluate-init.json"))
+        for params, oracle, file in reports:
             report = metrics.evaluate(params, corpus.test, config, oracle_knowledge=oracle)
             atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
