@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -158,13 +158,12 @@ def config_from_dict(data: dict) -> SpiConfig:
 
 
 def with_overrides(cfg: SpiConfig, **kwargs) -> SpiConfig:
-    """Return a copy with the given fields replaced, checked as it is built."""
-    model_fields = {k: v for k, v in kwargs.items()
-                    if k in ModelConfig.__dataclass_fields__}
-    run_fields = {k: v for k, v in kwargs.items()
-                  if k not in ModelConfig.__dataclass_fields__}
-    model = replace(cfg.model, **model_fields) if model_fields else cfg.model
-    return replace(cfg, model=model, **run_fields)
+    """Return a copy with the given fields, model or run, replaced; built
+    and checked as ``config_from_dict`` builds a config."""
+    data = cfg.to_dict()
+    for name, value in kwargs.items():
+        (data["model"] if name in ModelConfig.__dataclass_fields__ else data)[name] = value
+    return config_from_dict(data)
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:

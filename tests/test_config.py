@@ -14,25 +14,6 @@ def make_config(**kw):
     return SpiConfig(model=ModelConfig(vocab_size=16), **kw)
 
 
-OUT_OF_RANGE = [
-    ({"prior": "flat"}, "prior must be one of ('uniform', 'learnable'), got 'flat'"),
-    ({"selection": "beam"}, "selection must be one of ('greedy', 'sampled'), got 'beam'"),
-    ({"top_s": 0}, "top_s must be at least 1, got 0"),
-    ({"langevin_steps": -2}, "langevin_steps must be non-negative, got -2"),
-    ({"step_size": -0.5}, "step_size must be non-negative, got -0.5"),
-    ({"grad_clamp": -1.0}, "grad_clamp must be non-negative, got -1.0"),
-    ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
-    ({"lr_head": -2.0}, "lr_head must be non-negative, got -2.0"),
-    ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
-    ({"epochs": -1}, "epochs must be non-negative, got -1"),
-    ({"seed": -3}, "seed must be non-negative, got -3"),
-    ({"model": {"vocab_size": 3}},
-     "model.vocab_size must cover the four reserved tokens, got 3"),
-    ({"model": {"vocab_size": 64, "latent_dim": 0}},
-     "model.latent_dim must be positive, got 0"),
-]
-
-
 class TestValidate:
     """A config is checked when built, so every instance is valid."""
 
@@ -57,9 +38,13 @@ class TestValidate:
         {"temperature": 0.0},
         {"batch_size": 0},
         {"epochs": -1},
+        {"lr_model": -0.1},
+        {"lr_head": -0.1},
+        {"seed": -1},
     ])
     def test_bad_run_fields_rejected(self, kw):
-        with pytest.raises(ContractError):
+        [name] = kw
+        with pytest.raises(ContractError, match=f"^{name} must be"):
             make_config(**kw)
 
     def test_zero_epochs_allowed(self):
@@ -83,12 +68,6 @@ class TestValidate:
         with pytest.raises(ContractError,
                            match=rf"^config field {name} must be an? .*, got {wrong!r}$"):
             make_config(**{name: wrong})
-
-    @pytest.mark.parametrize("part, message", OUT_OF_RANGE)
-    def test_each_out_of_range_value_is_named_when_built(self, part, message):
-        run = {k: v for k, v in part.items() if k != "model"}
-        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-            SpiConfig(model=ModelConfig(**part.get("model", {"vocab_size": 64})), **run)
 
     def test_a_model_that_is_not_a_model_config_is_named(self):
         with pytest.raises(ContractError, match=re.escape(
@@ -207,7 +186,23 @@ class TestSerialization:
         assert config_from_dict({"model": {"vocab_size": 64}, "seed": 0}).seed == 0
 
 
-    @pytest.mark.parametrize("part, message", OUT_OF_RANGE)
+    @pytest.mark.parametrize("part, message", [
+        ({"prior": "flat"}, "prior must be one of ('uniform', 'learnable'), got 'flat'"),
+        ({"selection": "beam"}, "selection must be one of ('greedy', 'sampled'), got 'beam'"),
+        ({"top_s": 0}, "top_s must be at least 1, got 0"),
+        ({"langevin_steps": -2}, "langevin_steps must be non-negative, got -2"),
+        ({"step_size": -0.5}, "step_size must be non-negative, got -0.5"),
+        ({"grad_clamp": -1.0}, "grad_clamp must be non-negative, got -1.0"),
+        ({"temperature": 0.0}, "temperature must be positive, got 0.0"),
+        ({"lr_head": -2.0}, "lr_head must be non-negative, got -2.0"),
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"epochs": -1}, "epochs must be non-negative, got -1"),
+        ({"seed": -3}, "seed must be non-negative, got -3"),
+        ({"model": {"vocab_size": 3}},
+         "model.vocab_size must cover the four reserved tokens, got 3"),
+        ({"model": {"vocab_size": 64, "latent_dim": 0}},
+         "model.latent_dim must be positive, got 0"),
+    ])
     def test_each_out_of_range_value_is_named_with_its_field(self, part, message):
         data = {"model": {"vocab_size": 64}, **part}
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
@@ -228,6 +223,10 @@ class TestOverrides:
     def test_invalid_override_rejected(self):
         with pytest.raises(ContractError):
             with_overrides(make_config(), top_s=0)
+
+    def test_an_unknown_override_is_a_contract_error_naming_it(self):
+        with pytest.raises(ContractError, match=r"^unknown config fields: \['momentum'\]$"):
+            with_overrides(make_config(), momentum=0.9)
 
     @pytest.mark.parametrize("field, value", [("top_s", "3"), ("hidden_dim", 8.5),
                                               ("langevin_noise", 0)])
