@@ -51,7 +51,8 @@ class SyntheticSpec:
             raise ContractError("candidate_len must be at least 2 (name + content)")
         if self.history_len < 1:
             raise ContractError("history_len must be at least 1")
-        if remaining < 8 or remaining // 2 < self.m_candidates:  # half are names (plan_vocab)
+        # plan_vocab seats half the rest as names, one per candidate, and needs 4 of each kind
+        if remaining < 8 or remaining // 2 < self.m_candidates:
             raise ContractError(
                 f"vocab_size {self.vocab_size} is too small for {self.n_styles} styles and "
                 f"{self.m_candidates} candidates; it cannot seat reserved, frame, name, "
