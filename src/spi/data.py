@@ -118,13 +118,12 @@ class SyntheticCorpus:
             raise ContractError(f"unknown split {name!r}") from None
 
 
-def _topic_split(spec: SyntheticSpec, layout: VocabLayout) -> tuple[list[int], list[int]]:
-    """Topic indices for the train/valid pool and the disjoint test pool."""
+def _topic_split(layout: VocabLayout) -> tuple[list[int], list[int]]:
+    """Topic indices for the train/valid pool and the disjoint test pool,
+    the last max(2, n // 4) of the n topics. A built spec seats at least 4
+    topic names, so at least 2 are left for training."""
     n_topics = len(layout.name_ids)
-    n_test_topics = max(2, n_topics // 4)
-    n_train_topics = n_topics - n_test_topics
-    if n_train_topics < 1:
-        raise ContractError("not enough topics to split train from test")
+    n_train_topics = n_topics - max(2, n_topics // 4)
     return list(range(n_train_topics)), list(range(n_train_topics, n_topics))
 
 
@@ -180,7 +179,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     content_len = spec.candidate_len - 1
     topics_content = [_draw(rng, layout.content_array, content_len).tolist()
                       for _ in range(len(layout.name_ids))]
-    train_topics, test_topics = _topic_split(spec, layout)
+    train_topics, test_topics = _topic_split(layout)
     all_topics = train_topics + test_topics
 
     def build(count: int, gold_pool: list[int]) -> list[DialogueExample]:

@@ -15,8 +15,8 @@ import numpy as np
 from .autodiff import check_finite
 from .errors import ContractError
 from .fsio import write_jsonl
-from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams,
-                    decoder_advance, decoder_start, encode_batch, keep_lanes,
+from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams, _decoder_inputs,
+                    _decoder_step, decoder_lanes, decoder_start, encode_batch, keep_lanes,
                     latent_prior_means, output_logits, prior_scores)
 
 
@@ -75,16 +75,16 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
     latents; a lane retires at its own EOS or at the cap, where EOS is
     forced.
 
-    A step only advances the cursor, applies the output head and takes each
-    lane's argmax. The steps' logits are kept, (steps, lanes, V), and read
-    once after the loop: a non-finite entry raises ``NumericError`` naming
-    the first step that has one, and each kept token's log-probability is
-    the log-softmax of its step's row at it, by the formula (and to the
-    bits) a step would take."""
+    A step is the decoder's own (``_decoder_step``, as in a teacher-forced
+    decode), the output head and each lane's argmax. The steps' logits are
+    kept, (steps, lanes, V), and read once after the loop: a non-finite
+    entry raises ``NumericError`` naming the first step that has one, and
+    each kept token's log-probability is the log-softmax of its step's row
+    at it, by the formula (and to the bits) a step would take."""
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     n, s, z = len(picks.lanes), picks.s, picks.z
-    cursor = decoder_start(params, picks.lanes, z)
+    cursor = decoder_start(params, decoder_lanes(params, picks.lanes), z)
     # the cursor holds the picked lanes' rows: a caller that hands its picks
     # on (``generate_batch``) lets the lanes go for the decode
     del picks
@@ -92,7 +92,8 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
     done = np.zeros(n, dtype=bool)  # a retired lane runs on unread
     prev = np.full(n, BOS)
     for step in range(max_len):
-        cursor = decoder_advance(params, cursor, prev)
+        ids = prev[0] if n == 1 else prev  # a lone lane's int, for its layout
+        cursor = _decoder_step(params, cursor, _decoder_inputs(params, ids))
         logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(n, -1)
         prev = logits.argmax(axis=1)
         if step == max_len - 1:

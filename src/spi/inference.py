@@ -258,16 +258,15 @@ def decoder_grad_z(params: ModelParams, plan: DecodePlan, z: np.ndarray) -> np.n
         return ad.backward(tape, loglik)["z"]
 
 
-def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+def langevin_infer_z(params: ModelParams, examples: Sequence[DialogueExample],
                      s: Sequence[int], *, encoded: Sequence[EncodedContext], steps: int,
                      step_size: float, rng: Sequence[np.random.Generator] | None = None,
                      noise: bool = True, grad_clamp: float = 100.0) -> LangevinTrace:
     """Run B short Langevin chains in lockstep, chain j for candidate
-    ``s[j]`` of ``example`` (or of ``example[j]`` for a sequence of B
-    examples) from its prior mean, with the decoder's z-gradient
-    (``decoder_grad_z``). ``encoded`` holds one encoding per index, lanes of
-    one pass, and ``rng`` one generator per chain (``langevin_chain``'s
-    rows); a lone chain is a batch of one.
+    ``s[j]`` of ``examples[j]``, one example per lane, from its prior mean,
+    with the decoder's z-gradient (``decoder_grad_z``). ``encoded`` holds
+    one encoding per index, lanes of one pass, and ``rng`` one generator per
+    chain (``langevin_chain``'s rows); a lone chain is a batch of one.
 
     The chains plan their decode once (``decode_plan``: the lane checks, the
     lanes' states, the decoder's initial state, the teacher-forced inputs
@@ -275,13 +274,14 @@ def langevin_infer_z(params: ModelParams, example: DialogueExample | Sequence[Di
     the step's state: z's part of one B-lane decode and one backward. The
     chains ask only for z-gradients, so they run against a constant view of
     the weights, made for them alone."""
-    if np.ndim(s) != 1 or len(encoded) != len(s):
-        raise ContractError(f"langevin chains take a sequence of candidate indices and "
-                            f"one encoding each, got {s!r}: a lone chain is a batch of one")
+    if isinstance(examples, DialogueExample) or np.ndim(s) != 1 or len(encoded) != len(s):
+        raise ContractError(f"langevin chains take one example per lane, a sequence of "
+                            f"candidate indices and one encoding each, got {s!r}: a lone "
+                            f"chain is a batch of one")
     mu = latent_prior_means(params, encoded).data
     weights = params.constant()
     # a chain of no steps asks for no gradient, so it plans no decode
-    plan = decode_plan(weights, example, s, encoded=encoded) if steps > 0 else None
+    plan = decode_plan(weights, examples, s, encoded=encoded) if steps > 0 else None
 
     def grad_loglik(z: np.ndarray) -> np.ndarray:
         return decoder_grad_z(weights, plan, z)

@@ -560,7 +560,7 @@ def decoder_lanes(params: ModelParams, encoded: Sequence[EncodedContext]) -> Dec
     its latent row."""
     lanes = list(encoded)
     if not lanes:
-        raise ContractError("decoder_start needs at least one encoding")
+        raise ContractError("decoder_lanes needs at least one encoding")
     order = windows = None
     if len(lanes) == 1:
         rows, pooled = lanes[0].states, lanes[0].pooled
@@ -580,18 +580,15 @@ def decoder_lanes(params: ModelParams, encoded: Sequence[EncodedContext]) -> Dec
     return DecoderLanes(rows=rows, state=state, order=order, windows=windows)
 
 
-def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext] | DecoderLanes,
-                  z) -> DecoderCursor:
-    """Cursor before the first token of k lanes decoded in lockstep, from k
-    encodings, or their ``decoder_lanes`` when the caller runs the same
-    lanes at many latents, and ``z`` of shape (k, latent).
+def decoder_start(params: ModelParams, lanes: DecoderLanes, z) -> DecoderCursor:
+    """Cursor before the first token of k lanes decoded in lockstep, from
+    their ``decoder_lanes`` and ``z`` of shape (k, latent).
 
     The only code that picks the decoder ops: what does not read ``z`` is
-    laid out by ``decoder_lanes``, and ``decoder_advance`` follows the
+    laid out by ``decoder_lanes``, and ``_decoder_step`` follows the
     cursor. Here the latent slot rows are made, the slots put in their
     layout (``DecoderCursor``) and their attention projections, with
     ``att_b`` added, made once per decode, on the tape or off it alike."""
-    lanes = encoded if isinstance(encoded, DecoderLanes) else decoder_lanes(params, encoded)
     t = params.tensors
     zt = z if isinstance(z, Tensor) else Tensor(z)
     want = (len(lanes), params.cfg.latent_dim)
@@ -610,27 +607,13 @@ def decoder_start(params: ModelParams, encoded: Sequence[EncodedContext] | Decod
 
 def _decoder_inputs(params: ModelParams, ids) -> Tensor:
     """The decoder's input projections embed[ids] @ dec_wx + dec_b, one row
-    per id read: a step's, or every step's of a decode that knows its
-    tokens before it runs (``decode_logprob``), in one product."""
+    per id read: a greedy step's (``decode_greedy``), which learns its ids
+    from the last step's logits, or every step's of a decode that knows its
+    tokens before it runs (``_plan``), in one product. An int id gives the
+    (dec_hidden,) input of a one-lane cursor, a (k,) array the rows of k
+    lanes."""
     t = params.tensors
     return ad.matmul(ad.gather_rows(t["embed"], ids), t["dec_wx"], plus=t["dec_b"])
-
-
-def decoder_advance(params: ModelParams, cur: DecoderCursor, tokens) -> DecoderCursor:
-    """Consume one token in every lane: ``tokens`` holds one id per lane, or
-    one id that every lane reads. ``output_logits`` of the new cursor's
-    state and context gives the next-token logits.
-
-    The step projects its ids' inputs (``_decoder_inputs``), then
-    ``_decoder_step`` does the work that reads the state: a greedy decode
-    learns its next ids only from this step's logits."""
-    ids = [tokens] if _is_index(tokens) else np.asarray(tokens).reshape(-1).tolist()
-    if len(ids) != 1 and (cur.windows is None or len(ids) != cur.state.shape[0]):
-        raise ContractError(f"decoder input {ids} is not one token id per lane")
-    _check_tokens(ids, params.cfg.vocab_size, "decoder input")
-    # an id that every lane reads enters as one row, broadcast as a row bias
-    return _decoder_step(params, cur,
-                         _decoder_inputs(params, ids[0] if len(ids) == 1 else np.asarray(ids)))
 
 
 def _decoder_step(params: ModelParams, cur: DecoderCursor, x: Tensor) -> DecoderCursor:
@@ -679,17 +662,19 @@ def _scored_response(cfg: ModelConfig, example: DialogueExample) -> list[int]:
     return response
 
 
-def _decode_pairs(params: ModelParams, example, s, z, encoded):
-    """The k (example, index) pairs of a teacher-forced decode, checked: the
-    pairs' examples, ``z`` as a (k, latent) tensor (None when not given),
-    one encoding per pair and each pair's scored response."""
+def _decode_pairs(params: ModelParams, examples, s, z, encoded):
+    """The k (example, index) pairs of a teacher-forced decode, one example
+    per lane, checked: the pairs' examples, ``z`` as a (k, latent) tensor
+    (None when not given), one encoding per pair and each pair's scored
+    response."""
     cfg = params.cfg
     if _is_index(s):
         raise ContractError(f"candidate index {s} must come as a sequence of indices: "
                             f"one lane is a batch of one")
-    indices = list(s)
-    examples = ([example] * len(indices) if isinstance(example, DialogueExample)
-                else list(example))
+    if isinstance(examples, DialogueExample):
+        raise ContractError("a decode takes one example per lane: a sequence of examples, "
+                            "one for each candidate index")
+    indices, examples = list(s), list(examples)
     scored = {id(ex): _scored_response(cfg, ex) for ex in examples}
     if not indices:
         raise ContractError("a lockstep decode needs at least one candidate index")
@@ -760,15 +745,15 @@ def _plan(params: ModelParams, responses: Sequence[list[int]],
                       pick=pick, live=Tensor(live.astype(np.float64)))
 
 
-def decode_plan(params: ModelParams, example: DialogueExample | Sequence[DialogueExample],
+def decode_plan(params: ModelParams, examples: Sequence[DialogueExample],
                 s: Sequence[int], encoded: Sequence[EncodedContext]) -> DecodePlan:
-    """The plan of ``decode_logprob(params, example, s, z, encoded)`` for a
-    sequence of k indices, for ``decode_run`` at any (k, latent) ``z``:
-    built once, it leaves a run only z's part of the decode. Each (example,
-    index) pair is one lane, so two pairs that share one example's encoding
-    are rejected: ``decode_logprob`` would make them one lane at equal
-    latent rows, and a plan cannot know its latents."""
-    examples, _, encs, responses = _decode_pairs(params, example, s, None, encoded)
+    """The plan of ``decode_logprob(params, examples, s, z, encoded)`` for k
+    lanes, for ``decode_run`` at any (k, latent) ``z``: built once, it
+    leaves a run only z's part of the decode. Each (example, index) pair is
+    one lane, so two pairs that share one example's encoding are rejected:
+    ``decode_logprob`` would make them one lane at equal latent rows, and a
+    plan cannot know its latents."""
+    examples, _, encs, responses = _decode_pairs(params, examples, s, None, encoded)
     if distinct_lanes(zip(map(id, examples), encs))[1] is not None:
         raise ContractError("two latent rows of one example's encoding would share "
                             "a decoder lane")
@@ -812,19 +797,17 @@ def decode_logprob(params: ModelParams, example: DialogueExample | Sequence[Dial
     ``s`` and latent ``z``. Tokens after the first end-of-sequence token are
     padding and do not contribute.
 
-    A sequence of k indices, with ``z`` of shape (k, latent) and ``encoded``
-    one encoding per index, lanes of the caller's encoder pass, gives a (k,)
-    tensor from one lockstep pass. An int ``s`` of one example, with a numpy
-    (latent,) ``z``, is a scalar view of one lane: ``encoded`` if given, or
-    candidate ``s`` encoded in a pass of its own.
-    Encoding j must encode candidate ``s[j]`` of its pair's example, or
-    ``ContractError`` names the pair;
-    entry j scores candidate ``s[j]`` of ``example``, or of ``example[j]``
-    for a sequence of k examples, against that example's own response. The
-    lanes are the distinct (example, encoding, latent row) triples
-    (``distinct_lanes``): a repeated triple shares its first occurrence's
-    lane, so the two tie exactly, and its gradient in ``z`` reaches that
-    first row.
+    A sequence of k examples, one per lane, and k indices, with ``z`` of
+    shape (k, latent) and ``encoded`` one encoding per index, lanes of the
+    caller's encoder pass, gives a (k,) tensor from one lockstep pass: entry
+    j scores candidate ``s[j]`` of ``example[j]`` against that example's own
+    response. Encoding j must encode that candidate, or ``ContractError``
+    names the pair. A lone example with an int ``s`` and a numpy (latent,)
+    ``z`` is a scalar view of one lane: ``encoded`` if given, or candidate
+    ``s`` encoded in a pass of its own. The lanes are the distinct
+    (example, encoding, latent row) triples (``distinct_lanes``): a repeated
+    triple shares its first occurrence's lane, so the two tie exactly, and
+    its gradient in ``z`` reaches that first row.
 
     The decode is the plan of the distinct lanes (``DecodePlan``: their
     states, initial state, input projections and masks) run at their

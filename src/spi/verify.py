@@ -296,7 +296,7 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
             return reduce_sum(latent_prior_log_density(Tensor(mu_const), x))
 
         def loglik_term(x: Tensor) -> Tensor:
-            return reduce_sum(decode_logprob(params, example, [s], x, encoded=lane))
+            return reduce_sum(decode_logprob(params, [example], [s], x, encoded=lane))
 
         for label, fn in (("latent-prior", prior_term), ("latent-loglik", loglik_term)):
             report = gradcheck(fn, z[None], tol=tol, h=1e-4)
@@ -315,8 +315,8 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         lock_lanes = encode_context(params, lockstep, order)
 
         def lockstep_term(x: Tensor) -> Tensor:
-            return matmul(decode_logprob(_swap(params, "att_v", x), lockstep, order, mus,
-                                         encoded=lock_lanes), coeffs)
+            return matmul(decode_logprob(_swap(params, "att_v", x), [lockstep] * len(order),
+                                         order, mus, encoded=lock_lanes), coeffs)
 
         report = gradcheck(lockstep_term, params.tensors["att_v"].data, tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)
@@ -331,7 +331,7 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         z0 = chain_rng.normal(size=cfg.latent_dim)
         weights = params.constant()
         chain_lane = encode_context(weights, chained, [pick])
-        report = gradcheck(lambda x: reduce_sum(decode_logprob(weights, chained, [pick], x,
+        report = gradcheck(lambda x: reduce_sum(decode_logprob(weights, [chained], [pick], x,
                                                                encoded=chain_lane)),
                            z0[None], tol=tol, h=1e-4)
         worst = max(worst, report.max_rel_error)

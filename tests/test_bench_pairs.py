@@ -165,3 +165,39 @@ def test_uncorrected_and_speed_factor_medians_cover_each_side_s_untraced_runs():
         "change": {"eval_examples_per_s": 1000.0, "peak_rss_mb": 50.0}}}
     assert factors == {"eval-desk": {"parent": 0.92, "change": 1.07}}
     json.dumps([uncorrected, factors])  # the file is plain JSON
+
+
+END_TO_END = [{"name": "train_examples_per_s", "better": "higher", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def _gated_run(side, workload, seed, trace, speed, rss, held_out=False):
+    run = _run(side, workload, seed, trace, 100 + seed % 10, rss, held_out)
+    run["result"]["failed"] = 0
+    run["result"]["metrics"]["train_examples_per_s"] = {"value": speed, "unit": "1/s"}
+    return run
+
+
+def test_the_gate_flags_a_metric_worse_than_its_bound():
+    # train-desk: twice the speed and +15% peak RSS; eval-desk: +5% peak RSS
+    runs = []
+    for workload, speedup, rss_rise in (("train-desk", 2.0, 1.15), ("eval-desk", 1.0, 1.05)):
+        for seed in (101, 102, 103):
+            runs += [_gated_run("parent", workload, seed, 0, 100.0, 80.0),
+                     _gated_run("change", workload, seed, 0, 100.0 * speedup, 80.0 * rss_rise)]
+        # traced and held-out runs stay out of the gate
+        runs += [_gated_run(side, workload, 101, 1, 1.0, 900.0) for side in ("parent", "change")]
+        runs += [_gated_run(side, workload, 211, 0, 1.0, 900.0, held_out=True)
+                 for side in ("parent", "change")]
+    gated = bench_pairs.gate(runs, END_TO_END)
+    desk, evals = gated["train-desk"], gated["eval-desk"]
+    assert desk["rounds"] == {"parent": 102, "change": 102}
+    assert desk["failed"] == {"parent": 0, "change": 0}
+    speed, rss = desk["metrics"]["train_examples_per_s"], desk["metrics"]["peak_rss_mb"]
+    assert (speed["parent"], speed["change"]) == (100.0, 200.0)
+    assert speed["relative_gain"] == pytest.approx(1.0) and not speed["flagged"]
+    assert rss["relative_gain"] == pytest.approx(-0.15) and rss["flagged"]
+    assert rss["bound"] == 0.1 and rss["better"] == "lower"
+    assert evals["metrics"]["peak_rss_mb"]["relative_gain"] == pytest.approx(-0.05)
+    assert not any(m["flagged"] for m in evals["metrics"].values())
+    json.dumps(gated)  # the file is plain JSON

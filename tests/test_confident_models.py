@@ -50,7 +50,7 @@ def test_lockstep_decode_matches_the_reference(gap):
     params = confident_params(gap)
     indices = [3, 0, 2, 1]
     mus = np.stack([verify.naive_latent_mean(params, EXAMPLE, s) for s in indices])
-    got = decode_logprob(params, EXAMPLE, indices, mus,
+    got = decode_logprob(params, [EXAMPLE] * len(indices), indices, mus,
                          encoded=encode_context(params, EXAMPLE, indices)).data
     want = [verify.naive_response_logprob(params, EXAMPLE, s, mu)
             for s, mu in zip(indices, mus)]
@@ -65,11 +65,11 @@ def test_latent_gradient_is_finite_and_at_its_limit(gap, constant):
     # and every other one is below 1e-25, so that gradient is the limit
     z = np.random.default_rng(2).normal(size=(1, CFG.latent_dim))
     limit = confident_params(60.0)
-    want = decoder_grad_z(limit, decode_plan(limit, EXAMPLE, [3],
+    want = decoder_grad_z(limit, decode_plan(limit, [EXAMPLE], [3],
                                              encode_context(limit, EXAMPLE, [3])), z)
     params = confident_params(gap)
     params = params.constant() if constant else params
-    got = decoder_grad_z(params, decode_plan(params, EXAMPLE, [3],
+    got = decoder_grad_z(params, decode_plan(params, [EXAMPLE], [3],
                                              encode_context(params, EXAMPLE, [3])), z)
     assert np.isfinite(got).all()
     assert rel_err(got, want) <= TOL

@@ -45,9 +45,9 @@ def test_z_gradient_through_the_constant_view_equals_the_full_tape():
     for params, example, s in ragged_cases():
         z = derived_rng(checked, 2).normal(size=(1, CFG.latent_dim))
         view = params.constant()
-        full = decoder_grad_z(params, decode_plan(params, example, [s],
+        full = decoder_grad_z(params, decode_plan(params, [example], [s],
                                                   encode_context(params, example, [s])), z)
-        lean = decoder_grad_z(view, decode_plan(view, example, [s],
+        lean = decoder_grad_z(view, decode_plan(view, [example], [s],
                                                 encode_context(view, example, [s])), z)
         assert np.array_equal(lean, full)
         checked += 1
@@ -60,8 +60,8 @@ def test_lockstep_z_gradient_through_the_constant_view_equals_the_full_tape():
             zt = ad.Tensor(z, name="z", trainable=True)
             # encoded on the tape, so the full tape runs from the encoder on
             lanes = encode_context(params, example, indices)
-            out = ad.matmul(decode_logprob(params, example, indices, zt, encoded=lanes),
-                            ad.Tensor(coeffs))
+            out = ad.matmul(decode_logprob(params, [example] * len(indices), indices, zt,
+                                           encoded=lanes), ad.Tensor(coeffs))
             return ad.backward(tape, out)["z"]
 
     for seed in range(4):
@@ -86,10 +86,10 @@ def test_z_gradient_tape_holds_only_z_dependent_nodes():
     enc = encode_context(params, example, [1])
     with ad.Tape() as tape:
         z = ad.Tensor(np.zeros((1, CFG.latent_dim)), name="z", trainable=True)
-        grads = ad.backward(tape, ad.reduce_sum(decode_logprob(view, example, [1], z,
+        grads = ad.backward(tape, ad.reduce_sum(decode_logprob(view, [example], [1], z,
                                                                encoded=enc)))
     with ad.Tape() as full:
-        decode_logprob(params, example, [1], np.zeros((1, CFG.latent_dim)), encoded=enc)
+        decode_logprob(params, [example], [1], np.zeros((1, CFG.latent_dim)), encoded=enc)
     assert set(grads) == {"z"}
     # the embedding lookups and the initial state do not depend on z
     assert not any(t is view["embed"] or t is view["dec_init_w"]
@@ -101,9 +101,9 @@ def test_langevin_chain_equals_the_full_tape_chain():
     for params, example, s in list(ragged_cases(n_seeds=2))[::3]:
         enc = encode_context(params, example, [s])
         mu = latent_prior_means(params, enc).data
-        lean = langevin_infer_z(params, example, [s], steps=4, step_size=0.1,
+        lean = langevin_infer_z(params, [example], [s], steps=4, step_size=0.1,
                                 rng=[derived_rng(s, 3)], encoded=enc)
-        plan = decode_plan(params, example, [s], encoded=enc)
+        plan = decode_plan(params, [example], [s], encoded=enc)
         full = langevin_chain(mu, lambda z: decoder_grad_z(params, plan, z),
                               steps=4, step_size=0.1, rng=[derived_rng(s, 3)])
         assert all(np.array_equal(a, b) for a, b in zip(lean.states, full.states))
@@ -121,11 +121,11 @@ def test_each_chain_makes_its_own_view(monkeypatch):
     params = ModelParams.init(CFG, seed=4)
     example = verify._ragged_example(derived_rng(6, 1), CFG, hist_len=3)
     enc = encode_context(params, example, [0])
-    first = langevin_infer_z(params, example, [0], steps=2, step_size=0.1, noise=False,
+    first = langevin_infer_z(params, [example], [0], steps=2, step_size=0.1, noise=False,
                              encoded=enc)
     # an in-place update between chains reaches the next chain's view
     params["zslot_w"].data[:] = 0.0
-    second = langevin_infer_z(params, example, [0], steps=2, step_size=0.1, noise=False,
+    second = langevin_infer_z(params, [example], [0], steps=2, step_size=0.1, noise=False,
                               encoded=enc)
     assert made == [params, params]
     mu = latent_prior_means(params, enc).data

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from spi.data import (SyntheticSpec, _draw, example_to_record, generate_corpus,
+from spi.data import (SyntheticSpec, _draw, _topic_split, example_to_record, generate_corpus,
                       load_corpus, oracle_select, plan_vocab, save_corpus)
 from spi.errors import ContractError
 from spi.model import EOS
@@ -40,31 +40,13 @@ class TestPlanVocab:
         assert sorted(flat) == list(range(4, spec.vocab_size))
         assert vocab.size == spec.vocab_size
 
-    def test_too_small_vocab_rejected(self):
+    def test_the_smallest_spec_splits_two_topics_each_way(self):
+        # 4 reserved, 2 frame, 4 name and 4 content tokens: one fewer is too small
+        spec = SyntheticSpec(vocab_size=14, m_candidates=4, n_styles=1)
         with pytest.raises(ContractError, match="too small"):
-            plan_vocab(small_spec(vocab_size=4))
-
-    def test_vocab_must_seat_all_candidates(self):
-        with pytest.raises(ContractError):
-            plan_vocab(small_spec(vocab_size=20, m_candidates=8))
-
-    @pytest.mark.parametrize("kw", [
-        {"rho": -0.1}, {"rho": 1.5}, {"n_styles": 0},
-        {"candidate_len": 1}, {"history_len": 0},
-    ])
-    def test_bad_knobs_rejected(self, kw):
-        with pytest.raises(ContractError):
-            plan_vocab(small_spec(**kw))
-
-    @pytest.mark.parametrize("name", ["n_train", "n_valid", "n_test"])
-    def test_negative_split_size_rejected(self, name):
-        with pytest.raises(ContractError, match=f"{name} must not be negative, got -5"):
-            generate_corpus(small_spec(**{name: -5}))
-        assert len(generate_corpus(small_spec(**{name: 0})).split(name[2:])) == 0
-
-    def test_a_negative_seed_is_rejected_naming_it(self):
-        with pytest.raises(ContractError, match="seed must not be negative, got -1"):
-            generate_corpus(small_spec(seed=-1))
+            SyntheticSpec(vocab_size=13, m_candidates=4, n_styles=1)
+        _, layout = plan_vocab(spec)
+        assert _topic_split(layout) == ([0, 1], [2, 3])
 
 
 class TestSpecChecks:
@@ -84,10 +66,14 @@ class TestSpecChecks:
 
     @pytest.mark.parametrize("kw, message", [
         ({"vocab_size": 14}, "vocab_size 14 is too small for 2 styles and 4 candidates"),
+        # room for 4 names and 4 content tokens, but not one name per candidate
+        ({"vocab_size": 20, "m_candidates": 8},
+         "vocab_size 20 is too small for 2 styles and 8 candidates"),
         ({"m_candidates": 0}, "m_candidates must be at least 1, got 0"),
         ({"candidate_len": 1}, "candidate_len must be at least 2 (name + content)"),
         ({"n_styles": 0}, "n_styles must be at least 1, got 0"),
         ({"rho": 1.5}, "rho must lie in [0, 1], got 1.5"),
+        ({"rho": -0.1}, "rho must lie in [0, 1], got -0.1"),
         ({"n_train": -1}, "n_train must not be negative, got -1"),
         ({"n_valid": -1}, "n_valid must not be negative, got -1"),
         ({"n_test": -1}, "n_test must not be negative, got -1"),
@@ -122,6 +108,10 @@ class TestGeneration:
         a = generate_corpus(small_spec(seed=11))
         b = generate_corpus(small_spec(seed=12))
         assert [vars(x) for x in a.train] != [vars(x) for x in b.train]
+
+    @pytest.mark.parametrize("name", ["n_train", "n_valid", "n_test"])
+    def test_a_zero_split_size_gives_an_empty_split(self, name):
+        assert len(generate_corpus(small_spec(**{name: 0})).split(name[2:])) == 0
 
     def test_split_sizes(self):
         c = generate_corpus(small_spec())

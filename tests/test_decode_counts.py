@@ -59,6 +59,11 @@ def taped_lanes(params, example, s):
     return None if isinstance(s, int) else model.encode_context(params, example, s)
 
 
+def owners(example, s):
+    """The int form's lone example, or one example per lane of a sequence."""
+    return example if isinstance(s, int) else [example] * len(s)
+
+
 def distinct(indices) -> int:
     return len({tuple(EXAMPLE.candidates[s][:CFG.max_candidate]) for s in indices})
 
@@ -113,7 +118,8 @@ def test_taped_decode_applies_the_output_head_once(s):
     z = np.random.default_rng(0).normal(size=(lanes, CFG.latent_dim) if lanes > 1
                                         else CFG.latent_dim)
     with ad.Tape() as tape:
-        model.decode_logprob(params, EXAMPLE, s, z, encoded=taped_lanes(params, EXAMPLE, s))
+        model.decode_logprob(params, owners(EXAMPLE, s), s, z,
+                             encoded=taped_lanes(params, EXAMPLE, s))
     uses = [inputs for _, inputs, _, _ in tape._nodes
             if any(t is params["out_w"] for t in inputs)]
     assert len(uses) == 1
@@ -164,7 +170,8 @@ def test_a_taped_decode_projects_its_inputs_once_whatever_its_length(s):
         example = DialogueExample(history=EXAMPLE.history, candidates=EXAMPLE.candidates,
                                   gold_index=1, response=response)
         with ad.Tape() as tape:
-            model.decode_logprob(params, example, s, z, encoded=taped_lanes(params, example, s))
+            model.decode_logprob(params, owners(example, s), s, z,
+                                 encoded=taped_lanes(params, example, s))
         # the inputs' projection with its bias, and the slots' attention
         # projection with the attention bias: once per decode, each bias
         # added by its product's node; the projection covers the tokens read
@@ -213,6 +220,6 @@ def test_latent_rows_are_gathered_only_when_pairs_share_a_lane():
                        ([0, 2], np.ones((2, CFG.latent_dim)), ["gather_rows"])):
         with ad.Tape() as tape:
             zt = ad.Tensor(z, name="z", trainable=True)
-            model.decode_logprob(params.constant(), EXAMPLE, s, zt,
+            model.decode_logprob(params.constant(), [EXAMPLE] * len(s), s, zt,
                                  encoded=model.encode_context(params, EXAMPLE, s))
         assert _uses(tape, zt) == want

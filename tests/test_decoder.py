@@ -18,8 +18,7 @@ from spi.errors import ContractError
 from spi.generation import generate
 from spi.inference import decoder_grad_z, log_sum_exp, select_knowledge_batch
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
-                       decoder_advance, decoder_start, encode_batch, encode_context,
-                       latent_prior_mean, latent_prior_means)
+                       encode_batch, encode_context, latent_prior_mean, latent_prior_means)
 
 CFG = verify._tiny_model_config()
 TOL = 1e-12
@@ -83,7 +82,7 @@ def test_lockstep_decode_matches_one_candidate_decodes_and_the_reference(example
         z = np.stack([latent_prior_mean(params, example, s).data for s in indices])
     else:
         z = shared_latents(example, indices, seed)
-    out = decode_logprob(params, example, indices, z,
+    out = decode_logprob(params, [example] * len(indices), indices, z,
                          encoded=encode_context(params, example, indices)).data
     assert out.shape == (len(indices),)
     for pos, s in enumerate(indices):
@@ -176,7 +175,7 @@ def test_repeated_candidates_share_one_lane():
                               gold_index=0, response=[6, 7, EOS])
     encodings = encode_context(params, example)
     z = np.stack([latent_prior_means(params, [enc]).data[0] for enc in encodings])
-    out = decode_logprob(params, example, range(7), z, encoded=encodings).data
+    out = decode_logprob(params, [example] * 7, range(7), z, encoded=encodings).data
     assert out[1] == out[2] == out[3] == out[4]
     assert out[0] == out[5]
     assert len({out[0], out[1], out[6]}) == 3
@@ -192,7 +191,8 @@ def z_gradient(params, example, s, z):
     weights = params.constant()
     with ad.Tape() as tape:
         zt = ad.Tensor(z, name="z", trainable=True)
-        out = decode_logprob(weights, example, s, zt, encoded=encode_context(weights, example, s))
+        out = decode_logprob(weights, [example] * len(s), s, zt,
+                             encoded=encode_context(weights, example, s))
         grad = ad.backward(tape, ad.reduce_sum(out))["z"]
     return out.data, grad, tape
 
@@ -206,7 +206,7 @@ def test_a_lone_lane_runs_the_one_candidate_ops():
     example = fixed_example()
     z = np.linspace(-1.0, 1.0, CFG.latent_dim)
     one = decode_logprob(params, example, 0, z).data
-    both = decode_logprob(params, example, [2, 0], np.stack([z, z]),
+    both = decode_logprob(params, [example] * 2, [2, 0], np.stack([z, z]),
                           encoded=encode_context(params, example, [2, 0])).data
     assert both[0] == one and both[1] == one
     # an int index is a scalar view of the one-index sequence's lane 0
@@ -231,8 +231,9 @@ def test_passed_encodings_give_the_same_scores():
     indices = [3, 1, 0]
     z = shared_latents(example, indices, 5)
     encodings = encode_context(params, example, indices)
-    assert np.array_equal(decode_logprob(params, example, indices, z, encoded=encodings).data,
-                          decode_logprob(params, example, indices, z,
+    owners = [example] * len(indices)
+    assert np.array_equal(decode_logprob(params, owners, indices, z, encoded=encodings).data,
+                          decode_logprob(params, owners, indices, z,
                                          encoded=encode_context(params, example, indices)).data)
     # the int form encodes its lane in a pass of its own unless handed one
     for pos, s in enumerate(indices):
@@ -250,11 +251,11 @@ def test_lockstep_gradient_in_z_matches_each_candidate():
         zt = ad.Tensor(z, name="z", trainable=True)
         # encoded on the tape, so the full tape runs from the encoder on
         lanes = encode_context(params, example, indices)
-        grad = ad.backward(tape, ad.reduce_sum(decode_logprob(params, example, indices, zt,
-                                                              encoded=lanes)))
+        grad = ad.backward(tape, ad.reduce_sum(decode_logprob(
+            params, [example] * len(indices), indices, zt, encoded=lanes)))
     for pos, s in enumerate(indices):
         np.testing.assert_allclose(grad["z"][pos], decoder_grad_z(
-            params, decode_plan(params, example, [s], encode_context(params, example, [s])),
+            params, decode_plan(params, [example], [s], encode_context(params, example, [s])),
             z[pos:pos + 1])[0],
                                    rtol=1e-10, atol=1e-14)
 
@@ -272,7 +273,7 @@ def test_lockstep_contract_errors(indices, z_rows, n_encodings, match):
     z = np.zeros((z_rows, CFG.latent_dim))
     encoded = None if n_encodings is None else encode_context(params, example, [0])
     with pytest.raises(ContractError, match=match):
-        decode_logprob(params, example, indices, z, encoded=encoded)
+        decode_logprob(params, [example] * len(indices), indices, z, encoded=encoded)
 
 
 def test_cross_example_contract_errors():
@@ -283,9 +284,6 @@ def test_cross_example_contract_errors():
         decode_logprob(params, [example, example], [0, 1, 2], z)
     with pytest.raises(ContractError, match="one example"):
         decode_logprob(params, [example], 0, z[0])
-    cursor = decoder_start(params, encode_context(params, example, [0, 1, 3]), z)
-    with pytest.raises(ContractError, match="one token id per lane"):
-        decoder_advance(params, cursor, [4, 5])
 
 
 @pytest.mark.parametrize("prior", ["uniform", "learnable"])

@@ -165,8 +165,8 @@ def test_lanes_read_together_come_from_one_pass():
     for read in (lambda encs: model.head_logits(params, "initializer", encs),
                  lambda encs: model.latent_prior_means(params, encs),
                  model.keep_lanes,
-                 lambda encs: model.decoder_start(params, encs, z),
-                 lambda encs: model.decode_logprob(params, ex, [0, 1], z, encoded=encs)):
+                 lambda encs: model.decoder_lanes(params, encs),
+                 lambda encs: model.decode_logprob(params, [ex] * 2, [0, 1], z, encoded=encs)):
         read(one[:2])  # lanes of one pass
         with pytest.raises(ContractError, match="one encoder pass"):
             read(two)
@@ -275,19 +275,19 @@ def test_generate_batch_lets_the_picked_lanes_go_for_the_decode(chunk, monkeypat
     # the cursor holds the picked rows, so no kept pass lives through the steps
     monkeypatch.setattr(generation, "ENCODE_CHUNK", chunk)
     kept_rows, alive = [], []
-    keep, advance = generation.keep_lanes, generation.decoder_advance
+    keep, step = generation.keep_lanes, generation._decoder_step
 
     def tracking(encodings):
         kept = keep(encodings)
         kept_rows.append(weakref.ref(kept[0]._pass.rows.data))
         return kept
 
-    def checking(params, cursor, tokens):
+    def checking(params, cursor, x):
         alive.append(sum(ref() is not None for ref in kept_rows))
-        return advance(params, cursor, tokens)
+        return step(params, cursor, x)
 
     monkeypatch.setattr(generation, "keep_lanes", tracking)
-    monkeypatch.setattr(generation, "decoder_advance", checking)
+    monkeypatch.setattr(generation, "_decoder_step", checking)
     params = ModelParams.init(CFG, seed=3)
     examples = _generation_batch()
     generate_batch(params, examples, prior="uniform", max_len=4)

@@ -191,5 +191,5 @@ def test_a_sequence_decode_without_its_lanes_is_a_contract_error(corpus, encode_
     params = ModelParams.init(cfg.model, seed=1)
     ex = corpus.valid[0]
     with pytest.raises(ContractError, match="needs their encodings"):
-        decode_logprob(params, ex, [0, 1], np.zeros((2, cfg.model.latent_dim)))
+        decode_logprob(params, [ex] * 2, [0, 1], np.zeros((2, cfg.model.latent_dim)))
     assert encode_calls == []

@@ -70,7 +70,7 @@ def test_a_lockstep_decode_of_equal_candidates_runs_one_lane(seed, monkeypatch):
         return start(params, encoded, z)
 
     monkeypatch.setattr(model, "decoder_start", counting)
-    out = decode_logprob(params, example, range(6), mus, encoded=encs).data
+    out = decode_logprob(params, [example] * 6, range(6), mus, encoded=encs).data
     assert lanes == [1]
     assert (out == out[0]).all()
 

@@ -12,8 +12,9 @@ from spi import verify
 from spi.config import ModelConfig, derived_rng
 from spi.data import SyntheticSpec, generate_corpus
 from spi.inference import decoder_grad_z
-from spi.model import (ModelParams, decode_logprob, decode_plan, decoder_advance, decoder_start,
-                       encode_batch, encode_context, latent_prior_means)
+from spi.model import (ModelParams, _decoder_inputs, _decoder_step, decode_logprob, decode_plan,
+                       decoder_lanes, decoder_start, encode_batch, encode_context,
+                       latent_prior_means)
 
 
 def primitives(nodes) -> list[str]:
@@ -39,9 +40,10 @@ def test_a_lockstep_step_records_one_attention_node(lengths):
     encs = encode_context(params, example)
     z = ad.Tensor(np.random.default_rng(2).normal(size=(3, cfg.latent_dim)))
     with ad.Tape() as tape:
-        cur = decoder_start(params, encs, z)
+        cur = decoder_start(params, decoder_lanes(params, encs), z)
         start = len(tape)
-        cur = decoder_advance(params, cur, [5, 6, 7])
+        # a greedy decode's step: its ids' input projection, then the step
+        cur = _decoder_step(params, cur, _decoder_inputs(params, np.array([5, 6, 7])))
         step = tape._nodes[start:]
     # the input projection, the lanes' queries, the attention, and the state:
     # the context's product, then the recurrent product with its tanh
@@ -73,11 +75,11 @@ def test_a_ragged_lockstep_decode_matches_one_lane_decodes():
     grads = decoder_grad_z(params, decode_plan(params, owners, picks, encoded=lanes), z)
     for j, (ex, s) in enumerate(zip(owners, picks)):
         alone = encode_context(params, ex, [s])
-        np.testing.assert_allclose(scores[j], decode_logprob(params, ex, [s], z[j:j + 1],
+        np.testing.assert_allclose(scores[j], decode_logprob(params, [ex], [s], z[j:j + 1],
                                                              encoded=alone).data[0],
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(grads[j], decoder_grad_z(params, decode_plan(
-                                       params, ex, [s], encoded=alone), z[j:j + 1])[0],
+                                       params, [ex], [s], encoded=alone), z[j:j + 1])[0],
                                    rtol=0, atol=1e-10)
 
 

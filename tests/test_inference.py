@@ -356,7 +356,7 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         p["zslot_w"].data[:] = 0.0
         ex = make_example(cands=((6, 7), (7, 6)))
-        plan = decode_plan(p, ex, [0], encode_context(p, ex, [0]))
+        plan = decode_plan(p, [ex], [0], encode_context(p, ex, [0]))
         grad = decoder_grad_z(p, plan, np.ones((1, cfg.latent_dim)))
         np.testing.assert_array_equal(grad, np.zeros((1, cfg.latent_dim)))
 
@@ -365,7 +365,7 @@ class TestLangevinOnModel:
         p = ModelParams.init(cfg, seed=5)
         ex = make_example(cands=((6, 7), (7, 6)))
         z = np.full(cfg.latent_dim, 0.4)
-        grad = decoder_grad_z(p, decode_plan(p, ex, [0], encode_context(p, ex, [0])),
+        grad = decoder_grad_z(p, decode_plan(p, [ex], [0], encode_context(p, ex, [0])),
                               z[None])[0]
         h = 1e-5
         for j in range(cfg.latent_dim):
@@ -385,7 +385,7 @@ class TestLangevinOnModel:
         p["zprior_b"].data[0] = 1.0         # prior mean is the first basis vector
         ex = make_example(cands=((6, 7),))
         enc = encode_context(p, ex, [0])
-        plan = decode_plan(p, ex, [0], encoded=enc)
+        plan = decode_plan(p, [ex], [0], encoded=enc)
         trace = langevin_chain(latent_prior_means(p, enc).data,
                                lambda z: decoder_grad_z(p, plan, z), steps=1, step_size=0.1,
                                noise=False, z0=np.zeros((1, cfg.latent_dim)))
@@ -397,7 +397,7 @@ class TestLangevinOnModel:
         cfg = tiny_cfg()
         p = ModelParams.init(cfg, seed=6)
         ex = make_example(cands=((6, 7), (7, 6)))
-        trace = langevin_infer_z(p, ex, [1], steps=0, step_size=0.1, noise=False,
+        trace = langevin_infer_z(p, [ex], [1], steps=0, step_size=0.1, noise=False,
                                  encoded=encode_context(p, ex, [1]))
         mu = latent_prior_mean(p, ex, 1).data
         assert np.array_equal(trace.final, mu[None])
@@ -413,7 +413,7 @@ REMOVED_FORMS = {
         np.zeros((1, p.cfg.latent_dim)), lambda z: z, steps=1, step_size=0.1,
         rng=np.random.default_rng(0)),
     "decoder_grad_z-vector-z": lambda p, ex, enc: decoder_grad_z(
-        p, decode_plan(p, ex, [0], encoded=enc), np.zeros(p.cfg.latent_dim)),
+        p, decode_plan(p, [ex], [0], encoded=enc), np.zeros(p.cfg.latent_dim)),
     "decode_plan-int-index": lambda p, ex, enc: decode_plan(p, ex, 0, encoded=enc[0]),
     "langevin_infer_z-int-index": lambda p, ex, enc: langevin_infer_z(
         p, ex, 0, steps=1, step_size=0.1, rng=np.random.default_rng(0), encoded=enc[0]),
@@ -430,6 +430,29 @@ def test_a_removed_one_chain_form_is_a_contract_error(call):
     ex = make_example(cands=((6, 7), (7, 6)))
     with pytest.raises(ContractError):
         call(p, ex, encode_context(p, ex, [0]))
+
+
+# a lone example with several indices, which once served every lane: a
+# decode and a chain take one example per lane
+LONE_EXAMPLE_FORMS = {
+    "decode_plan": lambda p, ex, enc: decode_plan(p, ex, [0, 1], encoded=enc),
+    "decode_logprob": lambda p, ex, enc: decode_logprob(
+        p, ex, [0, 1], np.zeros((2, p.cfg.latent_dim)), encoded=enc),
+    "langevin_infer_z": lambda p, ex, enc: langevin_infer_z(
+        p, ex, [0, 1], steps=1, step_size=0.1, noise=False, encoded=enc),
+    "langevin_infer_z-no-steps": lambda p, ex, enc: langevin_infer_z(
+        p, ex, [0, 1], steps=0, step_size=0.1, noise=False, encoded=enc),
+}
+
+
+@pytest.mark.parametrize("call", LONE_EXAMPLE_FORMS.values(), ids=LONE_EXAMPLE_FORMS.keys())
+def test_a_lone_example_with_several_indices_is_a_contract_error(call):
+    p = ModelParams.init(tiny_cfg(), seed=5)
+    ex = make_example(cands=((6, 7), (7, 6)))
+    enc = encode_context(p, ex)
+    with pytest.raises(ContractError, match="one example per lane"):
+        call(p, ex, enc)
+    call(p, [ex, ex], enc)  # the same lanes, one example each
 
 
 class TestSequentialPosterior:

@@ -189,7 +189,7 @@ def test_gradient_rows_are_each_lane_s_gradient():
                                                    encoded=encs[j:j + 1]), z[j:j + 1])
         np.testing.assert_allclose(rows[j], alone[0], rtol=1e-12, atol=1e-15)
     with pytest.raises(ContractError, match="share a decoder lane"):
-        decode_plan(params, examples[0], [0, 0], encoded=[encs[0]] * 2)
+        decode_plan(params, [examples[0]] * 2, [0, 0], encoded=[encs[0]] * 2)
     # a plan of four lanes runs four latent rows
     with pytest.raises(ContractError, match="latent has shape"):
         decoder_grad_z(params, decode_plan(params, owners, picks, encoded=encs), z[:3])
@@ -213,10 +213,10 @@ def test_a_decode_rejects_another_candidate_s_encoding():
     params, (ex, _) = _tiny_pair()
     encs = encode_context(params, ex)
     z = np.zeros((1, params.cfg.latent_dim))
-    decode_logprob(params, ex, [0], z, encoded=[encs[0]])
+    decode_logprob(params, [ex], [0], z, encoded=[encs[0]])
     with pytest.raises(ContractError, match="encoding 0 does not encode candidate 0 .*"
                                             r"candidates \[1\] of that example"):
-        decode_logprob(params, ex, [0], z, encoded=[encs[1]])
+        decode_logprob(params, [ex], [0], z, encoded=[encs[1]])
     with pytest.raises(ContractError, match="candidate 2"):
         decode_logprob(params, ex, 2, z[0], encoded=encs[1])
 
@@ -242,5 +242,5 @@ def test_equal_candidates_share_one_encoding_that_serves_both():
     encs = encode_context(params, ex)
     assert encs[0] is encs[2] and encs[0].indices == (0, 2) and encs[0].example is ex
     z = np.zeros((2, params.cfg.latent_dim))
-    got = decode_logprob(params, ex, [2, 0], z, encoded=[encs[0], encs[2]]).data
+    got = decode_logprob(params, [ex] * 2, [2, 0], z, encoded=[encs[0], encs[2]]).data
     assert got[0] == got[1]

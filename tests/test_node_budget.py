@@ -64,7 +64,7 @@ def test_a_one_lane_desk_chain_step_stays_within_its_node_budget(desk, monkeypat
 
     monkeypatch.setattr(ad, "backward", counting)
     s = example.gold_index
-    inference.langevin_infer_z(params, example, [s], steps=2, step_size=0.1,
+    inference.langevin_infer_z(params, [example], [s], steps=2, step_size=0.1,
                                rng=[derived_rng(0, 1)],
                                encoded=encode_context(params, example, [s]))
     assert len(steps) == 2

@@ -51,7 +51,7 @@ def test_decode_logprob_raises():
     with pytest.raises(NumericError):
         decode_logprob(params, EXAMPLE, 0, np.full(CFG.latent_dim, BIG))
     with pytest.raises(NumericError):
-        decode_logprob(params, EXAMPLE, [0, 3], np.full((2, CFG.latent_dim), BIG),
+        decode_logprob(params, [EXAMPLE] * 2, [0, 3], np.full((2, CFG.latent_dim), BIG),
                        encoded=encode_context(params, EXAMPLE, [0, 3]))
 
 
@@ -92,7 +92,7 @@ def test_langevin_checks_its_start_state(steps):
     params["enc_b"].data[:] = BIG
     params["zprior_w"].data[:] = BIG
     with pytest.raises(NumericError, match="start"):
-        langevin_infer_z(params, EXAMPLE, [0], steps=steps, step_size=0.1,
+        langevin_infer_z(params, [EXAMPLE], [0], steps=steps, step_size=0.1,
                          rng=[derived_rng(4, 1)], encoded=encode_context(params, EXAMPLE, [0]))
     with pytest.raises(NumericError, match="start"):
         langevin_chain(np.array([[np.inf, 0.0]]), lambda z: np.zeros((1, 2)), steps=steps,

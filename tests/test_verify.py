@@ -124,7 +124,7 @@ class TestNegativeControls:
         lane = encode_context(weights, example, [0])
 
         def loglik(x):
-            return ad.reduce_sum(decode_logprob(weights, example, [0], x, encoded=lane))
+            return ad.reduce_sum(decode_logprob(weights, [example], [0], x, encoded=lane))
 
         assert not ad.gradcheck(loglik, z, h=1e-4).passed
         monkeypatch.setattr(ad, "_matmul_vjp", true_vjp)

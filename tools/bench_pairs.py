@@ -28,8 +28,13 @@ reports are corrected by its ``speed_factor``, a reference workload's speed
 probed during the run, and that factor can differ between the sides by more
 than the change being measured; so the file also records each side's
 median of every uncorrected end-to-end value and of the factor over its
-untraced runs (``uncorrected_medians``, ``speed_factor_medians``). The
-script only invokes the benchmark; it changes nothing under ``perfbench/``.
+untraced runs (``uncorrected_medians``, ``speed_factor_medians``). Last, it
+reads the benchmark's gate off the untraced runs that are not held out
+(``gate``): each side's median of every end-to-end metric, the change's
+relative gain and the metric's bound in ``BENCHMARK.json``, each side's
+median rounds and failed operations; it prints each metric that is worse
+than its bound. The script only invokes the benchmark; it changes nothing
+under ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -169,6 +174,43 @@ def rss_at_equal_rounds(runs: list[dict]) -> dict:
     return out
 
 
+def gate(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """{workload: {"rounds", "failed", "metrics"}} over each side's untraced
+    runs that are not held out: each side's median ``rounds`` and its total
+    ``failed`` operations, and for each end-to-end metric of ``end_to_end``
+    (``BENCHMARK.json``'s) each side's median of the run's reported value,
+    the change's ``relative_gain`` over the parent (positive when it is
+    better by the metric's ``better``; None when the parent's median is 0),
+    the metric's ``bound``, and ``flagged`` when the gain is below -bound:
+    a metric worse than its bound."""
+    values: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for run in runs:
+        workload, trace = _workload_trace(run)
+        if trace != "0" or run.get("held_out"):
+            continue
+        side = values.setdefault(workload, {}).setdefault(
+            run["side"], {"rounds": [], "failed": []})
+        side["rounds"].append(run["record"]["rounds"])
+        side["failed"].append(run["result"]["failed"])
+        for name, metric in run["result"]["metrics"].items():
+            side.setdefault(name, []).append(metric["value"])
+    out = {}
+    for workload, sides in values.items():
+        metrics = {}
+        for m in end_to_end:
+            parent, change = (statistics.median(sides[side][m["name"]]) for side in SIDES)
+            gain = change - parent if m["better"] == "higher" else parent - change
+            gain = gain / abs(parent) if parent else None
+            metrics[m["name"]] = {"parent": parent, "change": change, "better": m["better"],
+                                  "relative_gain": gain, "bound": m["bound"],
+                                  "flagged": gain is not None and gain < -m["bound"]}
+        out[workload] = {"rounds": {side: statistics.median(sides[side]["rounds"])
+                                    for side in SIDES},
+                         "failed": {side: sum(sides[side]["failed"]) for side in SIDES},
+                         "metrics": metrics}
+    return out
+
+
 def _seeds(text: str) -> tuple[int, ...]:
     """``--held-out``'s comma-separated seeds."""
     try:
@@ -233,18 +275,28 @@ def main(argv=None) -> int:
             "peak_rss_mb on rounds over its untraced runs, read at the parent's median "
             "rounds; uncorrected_medians and speed_factor_medians hold each side's median "
             "of every end-to-end value before speed correction and of the run's "
-            "speed_factor, over its untraced runs")
+            "speed_factor, over its untraced runs; gate holds each side's median of "
+            "every end-to-end metric, rounds and failed operations over its untraced "
+            "runs that are not held out, with the change's relative gain and the "
+            "metric's bound")
     medians = traced_medians(runs, [m["name"] for m in bench["per_layer"]])
     uncorrected, factors = untraced_medians(runs)
+    gated = gate(runs, bench["end_to_end"])
     out = {"tag": args.tag, "change": args.note, "how": how,
            "parent_sha": shas["parent"], "change_sha": shas["change"],
            "held_out_seeds": list(args.held_out),
            "traced_medians": medians, "peak_rss_at_equal_rounds": rss_at_equal_rounds(runs),
            "uncorrected_medians": uncorrected, "speed_factor_medians": factors,
-           "runs": runs}
+           "gate": gated, "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
+    flagged = [f"{workload} {name}: {metric['relative_gain']:+.1%} against a bound of "
+               f"{metric['bound']:.0%}"
+               for workload, sides in gated.items()
+               for name, metric in sides["metrics"].items() if metric["flagged"]]
+    print("\n".join(f"worse than its bound: {line}" for line in flagged)
+          or "no end-to-end metric is worse than its bound")
     return 0
 
 
