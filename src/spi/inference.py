@@ -274,7 +274,8 @@ def langevin_infer_z(params: ModelParams, examples: Sequence[DialogueExample],
     the step's state: z's part of one B-lane decode and one backward. The
     chains ask only for z-gradients, so they run against a constant view of
     the weights, made for them alone."""
-    if isinstance(examples, DialogueExample) or np.ndim(s) != 1 or len(encoded) != len(s):
+    if (isinstance(examples, DialogueExample) or np.ndim(s) != 1
+            or not len(examples) == len(encoded) == len(s)):
         raise ContractError(f"langevin chains take one example per lane, a sequence of "
                             f"candidate indices and one encoding each, got {s!r}: a lone "
                             f"chain is a batch of one")

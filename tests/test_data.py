@@ -66,19 +66,19 @@ class TestSpecChecks:
 
     @pytest.mark.parametrize("kw, message", [
         ({"vocab_size": 14}, "vocab_size 14 is too small for 2 styles and 4 candidates"),
-        # room for 4 names and 4 content tokens, but not one name per candidate
-        ({"vocab_size": 20, "m_candidates": 8},
-         "vocab_size 20 is too small for 2 styles and 8 candidates"),
         ({"m_candidates": 0}, "m_candidates must be at least 1, got 0"),
         ({"candidate_len": 1}, "candidate_len must be at least 2 (name + content)"),
         ({"n_styles": 0}, "n_styles must be at least 1, got 0"),
         ({"rho": 1.5}, "rho must lie in [0, 1], got 1.5"),
-        ({"rho": -0.1}, "rho must lie in [0, 1], got -0.1"),
         ({"n_train": -1}, "n_train must not be negative, got -1"),
         ({"n_valid": -1}, "n_valid must not be negative, got -1"),
         ({"n_test": -1}, "n_test must not be negative, got -1"),
         ({"history_len": 0}, "history_len must be at least 1"),
         ({"seed": -1}, "seed must not be negative, got -1"),
+        # room for 4 names and 4 content tokens, but not one name per candidate
+        ({"vocab_size": 20, "m_candidates": 8},
+         "vocab_size 20 is too small for 2 styles and 8 candidates"),
+        ({"rho": -0.1}, "rho must lie in [0, 1], got -0.1"),
     ])
     def test_an_out_of_range_field_names_it(self, kw, message):
         with pytest.raises(ContractError, match=f"^{re.escape(message)}"):

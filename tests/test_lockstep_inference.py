@@ -196,6 +196,10 @@ def test_gradient_rows_are_each_lane_s_gradient():
     with pytest.raises(ContractError, match="one encoding each"):
         langevin_infer_z(params, owners, picks, steps=1, step_size=0.1, noise=False,
                          encoded=encs[:3])
+    # a chain of no steps plans no decode, and still takes one example per lane
+    with pytest.raises(ContractError, match="one example per lane"):
+        langevin_infer_z(params, owners[:3], picks, steps=0, step_size=0.1, noise=False,
+                         encoded=encs)
 
 
 # ---------------------------------------------------------------------------
