@@ -403,3 +403,12 @@ class TestDecoder:
         ex = make_example(resp=(4, 5, EOS, PAD, PAD, PAD, PAD))
         lp = decode_logprob(p, ex, 0, np.zeros(cfg.latent_dim))
         assert np.isfinite(lp.data)
+
+    def test_decoder_token_out_of_vocab(self):
+        # a teacher-forced target is checked once, before the decoder reads it
+        cfg = tiny_cfg()
+        p = random_params(cfg)
+        ex = make_example(resp=(4, cfg.vocab_size, EOS))
+        with pytest.raises(ContractError,
+                           match=f"^response token id {cfg.vocab_size} outside vocabulary"):
+            decode_logprob(p, ex, 0, np.zeros(cfg.latent_dim))
