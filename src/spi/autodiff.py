@@ -33,10 +33,16 @@ tests can swap a rule in and verify the checkers notice.
 
 Two paths make a ``Tensor``. A caller's leaf goes through ``Tensor.__init__``,
 which converts its data to a float64 array and validates it. A primitive's
-result is wrapped as computed by ``_emit``, the only wrapper of primitive
-results: it neither converts (numpy keeps float64 inputs float64; only a
-0-d result, which numpy returns as a scalar, goes through ``np.asarray``)
-nor validates.
+result is wrapped as computed by ``_wrap``: it neither converts (numpy keeps
+float64 inputs float64; only a 0-d result, which numpy returns as a scalar,
+goes through ``np.asarray``) nor validates.
+
+With no tape open, a primitive runs its checks and its numpy ops and
+returns its ``_wrap``-ped value before it builds an adjoint: nothing could
+keep one. Only with a tape open does it build its ``vjp`` closure and hand
+it to ``_emit``, the only recording wrapper, which wraps the value and
+records it when an input needs a gradient. Both paths run the same ops in
+the same order, so a value has the same bits on a tape and off it.
 
 Finiteness is checked where a value enters the engine or leaves it, not in
 each primitive: a ``Tensor`` made by a caller rejects non-finite entries,
@@ -66,7 +72,7 @@ class Tensor:
 
     The constructor is for a caller's leaves: it converts ``data`` to a
     float64 array and rejects non-finite entries. Primitive results are
-    wrapped by ``_emit`` without either step (see the module docstring).
+    wrapped by ``_wrap`` without either step (see the module docstring).
     """
 
     __slots__ = ("data", "name", "trainable", "requires_grad")
@@ -135,23 +141,29 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def _emit(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    """Wrap a primitive's value and record it when a tape needs it. The
-    slots are set here, not by ``Tensor.__init__``; the value is converted
-    only when numpy returned a scalar, and never checked: see the module
+def _wrap(out_data) -> Tensor:
+    """A primitive's value as a ``Tensor`` that needs no gradient. The slots
+    are set here, not by ``Tensor.__init__``; the value is converted only
+    when numpy returned a scalar, and never checked: see the module
     docstring."""
     out = object.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
     out.name = None
     out.trainable = False
     out.requires_grad = False
-    if _TAPES:
-        needs = [t.requires_grad for t in inputs]
-        if True in needs:
-            out.requires_grad = True
-            tape = _TAPES[-1]
-            tape._nodes.append((out, inputs, needs, vjp))
-            tape._out_ids.add(id(out))
+    return out
+
+
+def _emit(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """Wrap a primitive's value under an open tape, and record it with its
+    adjoint ``vjp`` when an input needs a gradient."""
+    out = _wrap(out_data)
+    needs = [t.requires_grad for t in inputs]
+    if True in needs:
+        out.requires_grad = True
+        tape = _TAPES[-1]
+        tape._nodes.append((out, inputs, needs, vjp))
+        tape._out_ids.add(id(out))
     return out
 
 
@@ -245,16 +257,18 @@ def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None, tanh: bool = False)
 
     With ``tanh`` the node is ``tanh(a.b + plus)``: the tanh runs in place
     on the fresh result, and the adjoint is ``_tanh_vjp``'s followed by the
-    product's, so the node has the bits of ``tanh(matmul(a, b, plus))``."""
+    product's, so the node has the bits of ``tanh(matmul(a, b, plus))``.
+
+    Operands of other inner dimensions are left to ``ndarray.dot`` to find:
+    its ``ValueError`` becomes the ``ShapeError`` that names both shapes."""
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul expects rank 1 or 2, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
-    out = ad.dot(bd)
-    if plus is None:
-        inputs, pshape = (a, b), None
-    else:
+    try:
+        out = ad.dot(bd)
+    except ValueError:
+        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}") from None
+    if plus is not None:
         pd = plus.data
         if pd.shape in (out.shape, ()) or (out.ndim == 2 and pd.shape == out.shape[1:]):
             out += pd  # a vector . vector product is a numpy scalar, added out of place
@@ -263,9 +277,11 @@ def matmul(a: Tensor, b: Tensor, plus: Tensor | None = None, tanh: bool = False)
         else:
             raise ShapeError(f"matmul cannot add shape {pd.shape} to a product of "
                              f"shape {out.shape}")
-        inputs, pshape = (a, b, plus), pd.shape
     if tanh:
         out = np.tanh(out, out=out) if type(out) is np.ndarray else np.tanh(out)
+    if not _TAPES:
+        return _wrap(out)
+    inputs, pshape = ((a, b), None) if plus is None else ((a, b, plus), plus.data.shape)
 
     def vjp(g, needs, ad=ad, bd=bd, pshape=pshape, y=out if tanh else None):
         if y is not None:
@@ -287,14 +303,18 @@ def _add_bias_vjp(g, needs):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        vjp = lambda g, needs: _add_same_vjp(g)
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-        # row-wise bias: the only broadcast this engine supports
-        vjp = lambda g, needs: _add_bias_vjp(g, needs)
-    else:
+    # a row-wise bias is the only broadcast this engine supports
+    bias = ad.shape != bd.shape
+    if bias and not (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]):
         raise ShapeError(f"add cannot combine shapes {ad.shape} and {bd.shape}")
-    return _emit(ad + bd, (a, b), vjp)
+    out = ad + bd
+    if not _TAPES:
+        return _wrap(out)
+
+    def vjp(g, needs, bias=bias):
+        return _add_bias_vjp(g, needs) if bias else _add_same_vjp(g)
+
+    return _emit(out, (a, b), vjp)
 
 
 def _mul_vjp(g, ad, bd, needs):
@@ -315,6 +335,8 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
                              f"scalar that needs a gradient against shape "
                              f"{max(ad.shape, bd.shape, key=len)}")
     out = ad * bd
+    if not _TAPES:
+        return _wrap(out)
 
     def vjp(g, needs, ad=ad, bd=bd):
         return _mul_vjp(g, ad, bd, needs)
@@ -328,6 +350,8 @@ def _tanh_vjp(g, y):
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
+    if not _TAPES:
+        return _wrap(y)
 
     def vjp(g, needs, y=y):
         return _tanh_vjp(g, y)
@@ -341,13 +365,18 @@ def _softmax_vjp(g, y):
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a rank-1 or rank-2 tensor."""
+    """Softmax over the last axis of a rank-1 or rank-2 tensor. The max and
+    the sum are the ufunc reductions that ``ndarray.max`` and ``ndarray.sum``
+    run, called directly, and the exponentials are taken and normalised in
+    place in the shifted copy."""
     xd = x.data
     if xd.ndim not in (1, 2):
         raise ShapeError(f"softmax expects rank 1 or 2, got {xd.shape}")
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    if not _TAPES:
+        return _wrap(y)
 
     def vjp(g, needs, y=y):
         return _softmax_vjp(g, y)
@@ -468,6 +497,8 @@ def segment_attention(proj: Tensor, query: Tensor, att_v: Tensor, slots: Tensor,
     e = np.exp(xw - xw.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     out = np.matmul(w[:, None, :], vw)[:, 0, :]
+    if not _TAPES:
+        return _wrap(out)
 
     def vjp(g, needs, t=t, vd=vd, w=w, vw=vw, out=out, windows=windows):
         return _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs)
@@ -484,11 +515,14 @@ def log(x: Tensor) -> Tensor:
     xd = x.data
     if not (xd > 0.0).all():
         raise NumericError("log of a value that is not positive")
+    out = np.log(xd)
+    if not _TAPES:
+        return _wrap(out)
 
     def vjp(g, needs, xd=xd):
         return _log_vjp(g, xd)
 
-    return _emit(np.log(xd), (x,), vjp)
+    return _emit(out, (x,), vjp)
 
 
 def _log_sigmoid_vjp(g, xd):
@@ -499,11 +533,14 @@ def _log_sigmoid_vjp(g, xd):
 def log_sigmoid(x: Tensor) -> Tensor:
     """Elementwise log sigma(x) = -log(1 + e^-x), finite for every finite x."""
     xd = x.data
+    out = -np.logaddexp(0.0, -xd)
+    if not _TAPES:
+        return _wrap(out)
 
     def vjp(g, needs, xd=xd):
         return _log_sigmoid_vjp(g, xd)
 
-    return _emit(-np.logaddexp(0.0, -xd), (x,), vjp)
+    return _emit(out, (x,), vjp)
 
 
 def _reduce_sum_vjp(g, shape):
@@ -513,12 +550,14 @@ def _reduce_sum_vjp(g, shape):
 def reduce_sum(x: Tensor) -> Tensor:
     """The sum of every entry, a scalar."""
     xd = x.data
-    shape = xd.shape
+    out = xd.sum()
+    if not _TAPES:
+        return _wrap(out)
 
-    def vjp(g, needs, shape=shape):
+    def vjp(g, needs, shape=xd.shape):
         return _reduce_sum_vjp(g, shape)
 
-    return _emit(xd.sum(), (x,), vjp)
+    return _emit(out, (x,), vjp)
 
 
 def _reduce_mean_vjp(g, shape, windows):
@@ -559,9 +598,10 @@ def reduce_mean(x: Tensor, *, windows: Windows) -> Tensor:
             col = xd[index[:, c]]
             acc += col if full[c] else col * live[:, c, None]
     out = acc / windows.lengths[:, None]
-    shape = xd.shape
+    if not _TAPES:
+        return _wrap(out)
 
-    def vjp(g, needs, shape=shape, windows=windows):
+    def vjp(g, needs, shape=xd.shape, windows=windows):
         return _reduce_mean_vjp(g, shape, windows)
 
     return _emit(out, (x,), vjp)
@@ -581,9 +621,12 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     takes consecutive rows with no index array to check.
 
     Duplicate indices accumulate gradient, so this doubles as the embedding
-    lookup.
+    lookup. With no tape open, an in-range plain ``int`` (a greedy step's
+    token) is the row itself, with no further dispatch.
     """
     xd = x.data
+    if type(idx) is int and not _TAPES and -xd.shape[0] <= idx < xd.shape[0]:
+        return _wrap(xd[idx])
     if isinstance(idx, (int, np.integer)):
         if not -xd.shape[0] <= idx < xd.shape[0]:
             raise ShapeError(f"row index {idx} out of range for shape {xd.shape}")
@@ -600,9 +643,10 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         if key.min() < 0 or key.max() >= xd.shape[0]:
             raise ShapeError(f"gather_rows index out of range for shape {xd.shape}")
     out = xd[key]
-    shape = xd.shape
+    if not _TAPES:
+        return _wrap(out)
 
-    def vjp(g, needs, shape=shape, key=key):
+    def vjp(g, needs, shape=xd.shape, key=key):
         return _gather_vjp(g, shape, key)
 
     return _emit(out, (x,), vjp)
@@ -628,12 +672,14 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     widths = {d.shape[-1] for d in datas}
     if len(widths) != 1:
         raise ShapeError(f"concat parts disagree on width: {sorted(widths)}")
-    shapes = tuple(d.shape for d in datas)
+    out = np.vstack(datas)
+    if not _TAPES:
+        return _wrap(out)
 
-    def vjp(g, needs, shapes=shapes):
+    def vjp(g, needs, shapes=tuple(d.shape for d in datas)):
         return _concat_vjp(g, shapes)
 
-    return _emit(np.vstack(datas), tuple(parts), vjp)
+    return _emit(out, tuple(parts), vjp)
 
 
 def _squared_l2_vjp(g, xd):
@@ -647,6 +693,8 @@ def squared_l2(x: Tensor) -> Tensor:
     if xd.ndim > 2:
         raise ShapeError(f"squared_l2 expects rank 0, 1 or 2, got {xd.shape}")
     out = (xd * xd).sum(axis=-1) if xd.ndim == 2 else (xd * xd).sum()
+    if not _TAPES:
+        return _wrap(out)
 
     def vjp(g, needs, xd=xd):
         return _squared_l2_vjp(g, xd)

@@ -73,7 +73,9 @@ def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
 def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[GenerationResult]:
     """Greedy lockstep decode of the picked lanes from their prior-mean
     latents; a lane retires at its own EOS or at the cap, where EOS is
-    forced.
+    forced. A lone lane (``generate``) feeds its id as a Python int, the
+    one-lane layout's token, and stops at its own EOS with no lane mask; k
+    lanes run on, a retired lane unread, until every lane has stopped.
 
     A step is the decoder's own (``_decoder_step``, as in a teacher-forced
     decode), the output head and each lane's argmax. The steps' logits are
@@ -89,22 +91,34 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
     # on (``generate_batch``) lets the lanes go for the decode
     del picks
     step_logits, step_tokens = [], []
-    done = np.zeros(n, dtype=bool)  # a retired lane runs on unread
-    prev = np.full(n, BOS)
-    for step in range(max_len):
-        ids = prev[0] if n == 1 else prev  # a lone lane's int, for its layout
-        cursor = _decoder_step(params, cursor, _decoder_inputs(params, ids))
-        logits = output_logits(params, cursor.state, cursor.ctx).data.reshape(n, -1)
-        prev = logits.argmax(axis=1)
-        if step == max_len - 1:
-            prev[:] = EOS
-        step_logits.append(logits)
-        step_tokens.append(prev)
-        done |= prev == EOS
-        if done.all():
-            break
+    if n == 1:
+        prev = BOS
+        for step in range(max_len):
+            cursor = _decoder_step(params, cursor, _decoder_inputs(params, prev))
+            logits = output_logits(params, cursor.state, cursor.ctx).data  # (V,)
+            prev = EOS if step == max_len - 1 else int(logits.argmax())
+            step_logits.append(logits)
+            step_tokens.append(prev)
+            if prev == EOS:
+                break
+    else:
+        done = np.zeros(n, dtype=bool)  # a retired lane runs on unread
+        prev = np.full(n, BOS)
+        for step in range(max_len):
+            cursor = _decoder_step(params, cursor, _decoder_inputs(params, prev))
+            logits = output_logits(params, cursor.state, cursor.ctx).data  # (n, V)
+            prev = logits.argmax(axis=1)
+            if step == max_len - 1:
+                prev[:] = EOS
+            step_logits.append(logits)
+            step_tokens.append(prev)
+            done |= prev == EOS
+            if done.all():
+                break
     del cursor
-    logits, tokens = np.stack(step_logits), np.stack(step_tokens)  # (T, n, V), (T, n)
+    steps = len(step_logits)
+    logits = np.stack(step_logits).reshape(steps, n, -1)  # (T, n, V)
+    tokens = np.array(step_tokens).reshape(steps, n)      # (T, n)
     del step_logits
     finite = np.isfinite(logits).all(axis=(1, 2))
     if not finite.all():

@@ -514,7 +514,7 @@ def latent_prior_log_density(mu: Tensor, z) -> Tensor:
 # decoder
 
 
-@dataclass
+@dataclass(slots=True)
 class DecoderCursor:
     """Incremental decoding state of one lane, or of k lanes in lockstep.
 

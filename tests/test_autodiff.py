@@ -173,10 +173,13 @@ class TestTape:
 
 
 class TestShapeAndNumericErrors:
-    def test_matmul_shape_mismatch_names_dimensions(self):
+    @pytest.mark.parametrize("a, b", [((3,), (4,)), ((3,), (4, 2)), ((2, 3), (4,)),
+                                      ((2, 3), (4, 2))], ids=["1-1", "1-2", "2-1", "2-2"])
+    def test_matmul_shape_mismatch_names_dimensions(self, a, b):
+        # numpy's own check finds the mismatch; its error comes out as this one
         with pytest.raises(ShapeError) as err:
-            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
-        assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+            ad.matmul(ad.Tensor(np.ones(a)), ad.Tensor(np.ones(b)))
+        assert str(err.value) == f"matmul inner dimensions differ: {a} @ {b}"
 
     def test_an_addend_of_another_shape_is_a_shape_error(self):
         for a, b, c in (((2, 3), (3,), (3,)),       # a (2,) product meets a (3,) addend
@@ -332,22 +335,38 @@ def _wrap_cases():
 
 
 @pytest.mark.parametrize("name", sorted(_wrap_cases().keys()))
-def test_primitive_results_are_float64_arrays_that_need_a_gradient_only_when_recorded(name):
+def test_primitive_results_are_float64_arrays_that_need_a_gradient_only_when_recorded(
+        name, monkeypatch):
     shape, fn = _wrap_cases()[name]
     point = np.abs(np.random.default_rng(9).normal(size=shape)) + 0.5  # positive, for log
+    adjoints = []  # the adjoint each call hands to the recording wrapper
+    emit = ad._emit
+
+    def recording(out, inputs, vjp):
+        adjoints.append(vjp.__qualname__)
+        return emit(out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_emit", recording)
 
     def check(y, recorded):
         assert type(y.data) is np.ndarray and y.data.dtype == np.float64
         assert y.name is None and y.trainable is False
         assert y.requires_grad is recorded
 
-    check(fn(ad.Tensor(point)), False)
+    assert ad.active_tape() is None
+    untaped = fn(ad.Tensor(point))
+    check(untaped, False)
+    assert adjoints == []  # no tape open: no adjoint built, nothing recorded
     with ad.Tape() as tape:
         check(fn(ad.Tensor(point)), False)
         assert len(tape) == 0
         y = fn(ad.Tensor(point, name="x", trainable=True))
         check(y, True)
         assert len(tape) == 1 and tape._nodes[0][0] is y
+    # each adjoint is a closure named vjp inside its primitive
+    assert len(adjoints) == 2 and all(q.endswith(".<locals>.vjp") for q in adjoints)
+    # off the tape and on it, the same ops give the same bits
+    assert untaped.shape == y.shape and untaped.data.tobytes() == y.data.tobytes()
 
 
 def _attention_case(windows, which, rng):

@@ -90,6 +90,8 @@ def test_the_pass_pools_every_lane_as_the_plain_numpy_reference(examples, seed):
 
 
 def test_pooling_makes_no_per_lane_primitive_calls(monkeypatch):
+    # with a tape open every primitive call hands its adjoint to ``_emit``,
+    # whose name tells the primitive; off the tape no adjoint is built
     calls = []
     emit = ad._emit
 
@@ -104,7 +106,8 @@ def test_pooling_makes_no_per_lane_primitive_calls(monkeypatch):
         examples = [DialogueExample(history=[4, 5, 6], candidates=[[7 + i, 8] for i in range(m)],
                                     gold_index=0, response=[5, EOS]) for _ in range(n_ex)]
         calls.clear()
-        encode_batch(params, examples)
+        with ad.Tape():
+            encode_batch(params, examples)
         counts.append(len(calls))
         assert calls.count("reduce_mean") == 1  # every lane of the pass at once
     assert counts[0] == counts[1] == counts[2]

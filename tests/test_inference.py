@@ -12,7 +12,7 @@ from spi import inference
 from spi.autodiff import Tensor
 from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
-from spi.inference import (LangevinTrace, decoder_grad_z,
+from spi.inference import (decoder_grad_z,
                            langevin_chain, langevin_infer_z, log_sum_exp,
                            select_knowledge_batch, sequential_posterior_infer,
                            top_s_candidates)

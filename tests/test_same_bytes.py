@@ -30,12 +30,13 @@ def tiny_runs(tmp_path_factory):
 def test_the_pipeline_digests_every_artefact_it_writes(tiny_runs):
     out, digests = tiny_runs["a"]
     per_corpus = {"metrics.jsonl", "checkpoint.bin", "final.bin", "evaluate.json",
-                  "evaluate-oracle.json", "evaluate-init.json", "generations.jsonl"}
+                  "evaluate-oracle.json", "evaluate-init.json", "generations.jsonl",
+                  "generations-single.jsonl"}
     # desk-sampled shares desk-uniform's corpus and prior, and evaluate reads
     # no selection setting, so its init report would repeat desk-uniform's
     assert set(digests) == {f"{name}/{file}" for name, _, _ in same_bytes.CORPORA
                             for file in per_corpus} - {"desk-sampled/evaluate-init.json"}
-    assert len(digests) == 7 * 3 - 1
+    assert len(digests) == 8 * 3 - 1
     for name, value in digests.items():
         assert value == hashlib.sha256((out / name).read_bytes()).hexdigest()
     # the oracle flag changes the perplexity field, so the two reports differ

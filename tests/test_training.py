@@ -15,7 +15,7 @@ from spi.config import ModelConfig, SpiConfig, derived_rng
 from spi.errors import ContractError, NumericError
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, encode_batch,
                        latent_prior_log_density, latent_prior_mean)
-from spi.training import (TrainResult, head_ce_loss, initializer_ce_step,
+from spi.training import (head_ce_loss, initializer_ce_step,
                           mle_step, multi_hot_labels, prior_ce_step,
                           surrogate_objective, train,
                           validation_loss)

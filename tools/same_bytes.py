@@ -15,13 +15,16 @@ selection, the same desk corpus under sampled top-3 selection at
 temperature 2, and one with history 32 under the learnable prior. Each run
 writes a 3-epoch ``train`` (its metrics log, best and final checkpoints;
 ``checkpoint.bin`` has ``final.bin``'s bytes whenever the last epoch is the
-best), plain and oracle ``evaluate`` reports of the test split, and
-``generate_batch`` of it. One more ``evaluate`` report, of the weights
+best), plain and oracle ``evaluate`` reports of the test split,
+``generate_batch`` of it (``generations.jsonl``, whose chunks decode 8 to 32
+lanes in lockstep) and ``generate`` of each test example on its own
+(``generations-single.jsonl``, the lone-lane decode the benchmark times),
+both from the best weights. One more ``evaluate`` report, of the weights
 ``train`` starts from (``evaluate-init.json``), is written once per corpus
 and prior, since ``evaluate`` reads no selection setting: like the
 benchmark's ``evaluate``, untrained weights whose repetitive generations run
 near the length cap, where the n-gram scores' clipped counts matter most.
-That makes 20 artefacts. The script prints each artefact's
+That makes 23 artefacts. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
 when every one agrees. For a JSON or JSON-lines artefact that differs it
 also prints the largest relative difference over its numeric fields
@@ -96,6 +99,9 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
             result.best_params, corpus.test, prior=config.prior,
             max_len=config.model.max_response))
+        generation.write_generations(where / "generations-single.jsonl", [
+            generation.generate(result.best_params, ex, prior=config.prior,
+                                max_len=config.model.max_response) for ex in corpus.test])
     return {path.relative_to(out).as_posix(): digest(path)
             for path in sorted(out.rglob("*")) if path.is_file()}
 
