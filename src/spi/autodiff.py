@@ -621,12 +621,9 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     takes consecutive rows with no index array to check.
 
     Duplicate indices accumulate gradient, so this doubles as the embedding
-    lookup. With no tape open, an in-range plain ``int`` (a greedy step's
-    token) is the row itself, with no further dispatch.
+    lookup.
     """
     xd = x.data
-    if type(idx) is int and not _TAPES and -xd.shape[0] <= idx < xd.shape[0]:
-        return _wrap(xd[idx])
     if isinstance(idx, (int, np.integer)):
         if not -xd.shape[0] <= idx < xd.shape[0]:
             raise ShapeError(f"row index {idx} out of range for shape {xd.shape}")
