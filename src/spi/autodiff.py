@@ -388,18 +388,14 @@ class Windows:
     """k windows over the rows of a tensor, in a (k, width) index matrix:
     window j reads rows ``index[j, :lengths[j]]`` in that order, and its
     entries past its length are dead (they repeat a live row, so every entry
-    indexes a row). Windows that are consecutive runs covering rows 0..N-1
-    in order are ``segments`` (``of_segments`` builds them); when they are
-    also of equal length (``tiled``), the windows are a reshape with no
-    copy. The leading columns that every window reads alike are ``shared``
-    (a one-example encoder pass's prefix rows). Taken window by window, the
-    live entries have their window in ``owner`` and each window's first
-    entry is at ``starts``: for segments, row i lies in window ``owner[i]``.
+    indexes a row); ``live`` marks the live entries. Windows that are
+    consecutive runs covering rows 0..N-1 in order are ``segments``
+    (``of_segments`` builds them). The leading columns that every window
+    reads alike are ``shared`` (a one-example encoder pass's prefix rows).
     The layout is checked once, here, so the primitives that take it need
     not re-derive it at every call."""
 
-    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "tiled", "shared",
-                 "owner", "starts")
+    __slots__ = ("index", "lengths", "live", "full", "span", "segments", "shared")
 
     def __init__(self, index, lengths):
         index, lengths = np.asarray(index), np.asarray(lengths)
@@ -412,7 +408,6 @@ class Windows:
         self._lay_out(index, lengths, int(index.max()) + 1)
         n = int(lengths.sum())
         self.segments = self.span == n and bool((index[self.live] == np.arange(n)).all())
-        self.tiled = self.segments and bool(self.full[-1])
         alike = (index == index[:1]).all(axis=0) & self.full
         self.shared = int(np.append(alike, False).argmin())
 
@@ -421,8 +416,6 @@ class Windows:
         columns = np.arange(index.shape[1])
         self.live = columns < lengths[:, None]  # (k, width)
         self.full = columns < lengths.min()     # (width,) columns with no dead entry
-        self.owner = np.repeat(np.arange(len(lengths)), lengths)
-        self.starts = np.cumsum(lengths) - lengths
 
     @staticmethod
     def of_segments(lengths) -> "Windows":
@@ -435,27 +428,25 @@ class Windows:
         offsets = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
         windows = object.__new__(Windows)
         windows._lay_out((ends - lengths)[:, None] + offsets, lengths, int(ends[-1]))
-        windows.segments, windows.tiled = True, bool(windows.full[-1])
+        windows.segments = True
         windows.shared = int(ends[0]) if len(ends) == 1 else 0  # runs are disjoint
         return windows
 
 
-def _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs):
+def _segment_attention_vjp(g, t, vd, w, vw, out, needs):
     need_p, need_q, need_v, need_s = needs
     gp = gq = gv = gs = None
     if need_p or need_q or need_v:
         # the window softmax's adjoint: w * (g . v - g . out), 0 at dead entries
         gw = np.matmul(vw, g[:, :, None])[:, :, 0]
-        gxw = w * (gw - (g * out).sum(axis=1, keepdims=True))
-        gx = gxw.reshape(-1) if windows.tiled else gxw[windows.live]
+        gx = (w * (gw - (g * out).sum(axis=1, keepdims=True))).reshape(-1)
         gv = t.T.dot(gx) if need_v else None
         if need_p or need_q:
             # through the scores' product with att_v, then the tanh
             ga = gx[:, None] * vd * (1.0 - t * t)
             gp = ga if need_p else None
             if need_q:  # each lane's query met every entry of its window
-                gq = (ga.reshape(*windows.index.shape, -1).sum(axis=1) if windows.tiled
-                      else np.add.reduceat(ga, windows.starts, axis=0))
+                gq = ga.reshape(*w.shape, -1).sum(axis=1)
     if need_s:
         gs = (w[:, :, None] * g[:, None, :]).reshape(-1, g.shape[1])
     return gp, gq, gv, gs
@@ -463,36 +454,34 @@ def _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs):
 
 def segment_attention(proj: Tensor, query: Tensor, att_v: Tensor, slots: Tensor,
                       windows: Windows) -> Tensor:
-    """Additive attention of k lanes, each over its own segment of slots, as
-    one node: row j of the (k, D) result is the softmax over segment j of
-    the scores tanh(proj + query[j]) . att_v applied to the segment's slots.
+    """Additive attention of k lanes, each over its own window of slots, as
+    one node: row j of the (k, D) result is the softmax over window j of the
+    scores tanh(proj + query[j]) . att_v applied to the window's slots.
 
-    ``proj`` (N, A) holds the N slots' attention projections, segment after
-    segment, ``query`` (k, A) the lanes' queries and ``att_v`` (A,) the score
-    vector. ``slots`` holds the slots laid out as the windows, (k * width,
-    D): row j * width + c is entry c of window j, dead entries included. For
-    tiled windows that is the N slots themselves; ragged ones are gathered
-    into it once per decode, not at every step. The scores are formed by the
-    ops of the composition ``add``, ``tanh``, ``matmul`` by att_v in that
-    order, and the (k, width) window softmax gives the dead entries weight
-    0, so the node has that composition's bits. The tape keeps one (N, A)
-    array, the tanh; the query's adjoint sums each window's rows, by a
-    reshape for tiled windows and ``np.add.reduceat`` for ragged ones.
+    ``proj`` (k * width, A) and ``slots`` (k * width, D) are laid out as the
+    (k, width) windows: row j * width + c is entry c of window j, dead
+    entries included; ``query`` (k, A) holds the lanes' queries and ``att_v``
+    (A,) the score vector. Only the windows' shape and ``live`` are read.
+    The scores are formed by the ops of the composition ``add``, ``tanh``,
+    ``matmul`` by att_v in that order, over every row of the layout, and the
+    (k, width) window softmax gives the dead entries weight 0, so the node
+    has that composition's bits and the dead rows' values reach neither the
+    result nor a live row's adjoint. The tape keeps one (k * width, A)
+    array, the tanh; the query's adjoint sums each window's rows.
     """
     pd, qd, vd, sd = proj.data, query.data, att_v.data, slots.data
-    if not isinstance(windows, Windows) or not windows.segments:
-        raise ContractError("segment_attention needs segment windows (Windows.of_segments)")
-    (k, width), n = windows.index.shape, windows.span
-    if (pd.ndim != 2 or pd.shape[0] != n or qd.shape != (k, pd.shape[1])
+    if not isinstance(windows, Windows):
+        raise ContractError("segment_attention takes a Windows layout")
+    k, width = windows.live.shape
+    if (pd.ndim != 2 or pd.shape[0] != k * width or qd.shape != (k, pd.shape[1])
             or vd.shape != pd.shape[1:] or sd.ndim != 2 or sd.shape[0] != k * width):
-        raise ShapeError(f"segment_attention over {k} windows of {n} entries, width "
-                         f"{width}, expects ({n}, A) projections, ({k}, A) queries, (A,) "
-                         f"att_v and ({k * width}, D) slots, got {pd.shape}, {qd.shape}, "
-                         f"{vd.shape} and {sd.shape}")
-    t = np.tanh(pd + qd[windows.owner])
-    x = t.dot(vd)
-    xw = x.reshape(k, width) if windows.tiled else np.where(windows.live, x[windows.index],
-                                                            -np.inf)
+        raise ShapeError(f"segment_attention over {k} windows of width {width} expects "
+                         f"({k * width}, A) projections, ({k}, A) queries, (A,) att_v and "
+                         f"({k * width}, D) slots, got {pd.shape}, {qd.shape}, {vd.shape} "
+                         f"and {sd.shape}")
+    t = np.tanh(pd.reshape(k, width, -1) + qd[:, None]).reshape(k * width, -1)
+    xw = t.dot(vd).reshape(k, width)
+    xw[~windows.live] = -np.inf  # a dead entry's weight is 0
     vw = sd.reshape(k, width, -1)
     e = np.exp(xw - xw.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
@@ -500,8 +489,8 @@ def segment_attention(proj: Tensor, query: Tensor, att_v: Tensor, slots: Tensor,
     if not _TAPES:
         return _wrap(out)
 
-    def vjp(g, needs, t=t, vd=vd, w=w, vw=vw, out=out, windows=windows):
-        return _segment_attention_vjp(g, t, vd, w, vw, out, windows, needs)
+    def vjp(g, needs, t=t, vd=vd, w=w, vw=vw, out=out):
+        return _segment_attention_vjp(g, t, vd, w, vw, out, needs)
 
     return _emit(out, (proj, query, att_v, slots), vjp)
 
@@ -562,22 +551,15 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def _reduce_mean_vjp(g, shape, windows):
     # each live entry meets its window's adjoint over the window's length
-    grad = g / windows.lengths[:, None]
-    out = np.zeros(shape, dtype=g.dtype)
-    if windows.tiled:
-        k, width = windows.index.shape
-        out[:k * width] = np.repeat(grad, width, axis=0)
-    else:
-        np.add.at(out, windows.index[windows.live], grad[windows.owner])
-    return (out,)
+    grad = np.repeat(g / windows.lengths[:, None], windows.lengths, axis=0)
+    return _gather_vjp(grad, shape, windows.index[windows.live])
 
 
 def reduce_mean(x: Tensor, *, windows: Windows) -> Tensor:
     """Row j of the (k, D) result is the mean of window j's rows of ``x``
     (R, D). The windows are summed a column at a time, each window's rows in
     its order, as a mean over its gathered rows would sum them, with no (k,
-    width, D) copy; their shared columns are summed once for them all, and
-    tiled windows are reduced as a reshape of ``x``."""
+    width, D) copy; their shared columns are summed once for them all."""
     xd = x.data
     if not isinstance(windows, Windows):
         raise ContractError("reduce_mean takes a Windows layout")
@@ -586,17 +568,14 @@ def reduce_mean(x: Tensor, *, windows: Windows) -> Tensor:
                          f"got {xd.shape}")
     index, live, full = windows.index, windows.live, windows.full
     k, width = index.shape
-    if windows.tiled:  # a reduction over a view, in the same order
-        acc = np.add.reduce(xd[:k * width].reshape(k, width, -1), axis=1)
+    start = max(windows.shared, 1)
+    if start > 1:  # the same rows in the same order: the same partial sum
+        acc = np.repeat(np.add.reduce(xd[index[0, :start]], axis=0)[None], k, axis=0)
     else:
-        start = max(windows.shared, 1)
-        if start > 1:  # the same rows in the same order: the same partial sum
-            acc = np.repeat(np.add.reduce(xd[index[0, :start]], axis=0)[None], k, axis=0)
-        else:
-            acc = xd[index[:, 0]]
-        for c in range(start, width):
-            col = xd[index[:, c]]
-            acc += col if full[c] else col * live[:, c, None]
+        acc = xd[index[:, 0]]
+    for c in range(start, width):
+        col = xd[index[:, c]]
+        acc += col if full[c] else col * live[:, c, None]
     out = acc / windows.lengths[:, None]
     if not _TAPES:
         return _wrap(out)

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -107,12 +107,20 @@ def _spec_fingerprint(spec: SyntheticSpec) -> str:
 # subcommands
 
 
+# each ``synth`` flag and the ``SyntheticSpec`` field it sets; the field
+# gives the flag its type and default
+SYNTH_FLAGS = {"--vocab-size": "vocab_size", "--candidates": "m_candidates",
+               "--candidate-len": "candidate_len", "--styles": "n_styles", "--rho": "rho",
+               "--train": "n_train", "--valid": "n_valid", "--test": "n_test",
+               "--history-len": "history_len", "--seed": "seed"}
+
+
+def _synth_spec(args: argparse.Namespace) -> SyntheticSpec:
+    return SyntheticSpec(**{name: getattr(args, name) for name in SYNTH_FLAGS.values()})
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(vocab_size=args.vocab_size, m_candidates=args.candidates,
-                         candidate_len=args.candidate_len, n_styles=args.styles,
-                         rho=args.rho, n_train=args.train, n_valid=args.valid,
-                         n_test=args.test, history_len=args.history_len,
-                         seed=args.seed if args.seed is not None else 0)
+    spec = _synth_spec(args)
     corpus = generate_corpus(spec)
     save_corpus(corpus, Path(args.out))
     print(f"corpus {spec.n_train}/{spec.n_valid}/{spec.n_test} examples, "
@@ -238,16 +246,11 @@ def _parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--vocab-size", dest="vocab_size", type=int, default=64)
-    synth.add_argument("--candidates", type=int, default=8)
-    synth.add_argument("--candidate-len", dest="candidate_len", type=int, default=8)
-    synth.add_argument("--styles", type=int, default=3)
-    synth.add_argument("--rho", type=float, default=0.5)
-    synth.add_argument("--train", type=int, default=2000)
-    synth.add_argument("--valid", type=int, default=250)
-    synth.add_argument("--test", type=int, default=250)
-    synth.add_argument("--history-len", dest="history_len", type=int, default=8)
-    synth.add_argument("--seed", type=int, default=None)
+    spec_fields = {f.name: f for f in fields(SyntheticSpec)}
+    for flag, name in SYNTH_FLAGS.items():
+        field = spec_fields[name]  # its type is a string: annotations are postponed
+        synth.add_argument(flag, dest=name, type={"int": int, "float": float}[field.type],
+                           default=field.default, metavar=flag[2:].upper().replace("-", "_"))
     synth.set_defaults(func=cmd_synth)
 
     tr = sub.add_parser("train", help="train a model on a corpus directory")

@@ -278,15 +278,16 @@ def load_corpus(out_dir: str | Path) -> SyntheticCorpus:
         raise ContractError(f"{vocab_path}: malformed vocabulary file ({err!r})") from None
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ContractError(f"{vocab_path}: 'tokens' must be a list of strings")
-    vocab = Vocab(tuple(tokens))
-    if vocab.tokens[:4] != ("<pad>", "<bos>", "<eos>", "<sep>"):
-        raise ContractError(f"{vocab_path}: reserved tokens are wrong or reordered")
     spec_path = out / "spec.txt"
     spec = _parse_spec_sidecar(spec_path)
-    if spec.vocab_size != vocab.size:
+    if spec.vocab_size != len(tokens):
         raise ContractError(f"{spec_path}: vocab_size {spec.vocab_size} does not match "
-                            f"the {vocab.size} tokens of {vocab_path}")
-    _, layout = plan_vocab(spec)
+                            f"the {len(tokens)} tokens of {vocab_path}")
+    vocab, layout = plan_vocab(spec)
+    for i, (token, want) in enumerate(zip(tokens, vocab.tokens)):
+        if token != want:
+            raise ContractError(f"{vocab_path}: token {i} is {token!r}, but the vocabulary "
+                                f"of {spec_path.name} has {want!r} there")
     splits = {}
     for name in ("train", "valid", "test"):
         path = out / f"{name}.jsonl"

@@ -53,9 +53,18 @@ def selection_accuracy(predicted: list[int], examples: list[DialogueExample]) ->
     return hits / denom
 
 
-def scored_tokens(params: ModelParams, examples: list[DialogueExample]) -> int:
-    """Tokens a teacher-forced decode scores: each response up to its first EOS."""
-    return sum(len(_scored_response(params.cfg, ex)) for ex in examples)
+def scored_tokens(params: ModelParams, examples: list[DialogueExample],
+                  what: str = "example") -> int:
+    """Tokens a teacher-forced decode scores: each response up to its first
+    EOS. A response that cannot be scored raises ``ContractError`` naming
+    its position, as ``<what> <i>``, before any decode meets it."""
+    total = 0
+    for i, ex in enumerate(examples):
+        try:
+            total += len(_scored_response(params.cfg, ex))
+        except ContractError as err:
+            raise ContractError(f"{what} {i}: {err}") from None
+    return total
 
 
 def perplexity(params: ModelParams, examples: list[DialogueExample], *,
@@ -70,10 +79,11 @@ def perplexity(params: ModelParams, examples: list[DialogueExample], *,
         raise ContractError("perplexity needs at least one example")
     if len(picks) != len(examples):
         raise ContractError("picks must align with the examples")
+    n_tokens = scored_tokens(params, examples)
     lps: list[float] = []
     for exs, ss in zip(generation.chunks(examples), generation.chunks(picks)):
         lps += _score_picks(params, exs, ss)
-    return _perplexity(lps, scored_tokens(params, examples))
+    return _perplexity(lps, n_tokens)
 
 
 def _score_picks(params: ModelParams, examples: Sequence[DialogueExample],
@@ -264,6 +274,7 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
         raise ContractError("evaluate needs at least one example")
     if oracle_knowledge and any(ex.gold_index is None for ex in examples):
         raise ContractError("oracle scoring needs a gold index")
+    n_tokens = scored_tokens(params, examples)
     made: list[GenerationResult] = []
     lps: list[float] = []
     for chunk in generation.chunks(examples):
@@ -276,7 +287,6 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     labelled = any(ex.gold_index is not None for ex in examples)
     cands = [_strip_eos(g.tokens) for g in made]
     refs = [_strip_eos(list(ex.response)) for ex in examples]
-    n_tokens = scored_tokens(params, examples)
     return EvalReport(
         n_examples=len(examples),
         n_tokens=n_tokens,

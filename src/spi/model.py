@@ -523,13 +523,12 @@ class DecoderCursor:
     added. A step moves the recurrent state after the consumed prefix and
     the attention context of its last step. A lane's N slots are
     contiguous: its encoder states, then its latent slot. For k lanes the
-    cursor also holds the slot windows, and its slots are laid out as the
-    windows, (k * width, hidden), as ``segment_attention`` reads them:
-    the N slots themselves when the windows are tiled, else gathered into
-    that layout once per decode."""
+    cursor also holds the slot windows, and the slots and their projections
+    are laid out as the windows, (k * width, ·), as ``segment_attention``
+    reads them: row j * width + c is entry c of lane j."""
 
     slots: Tensor       # (N, hidden) for one lane, (k * width, hidden) for k
-    proj: Tensor        # (N, att): slots @ att_enc + att_b
+    proj: Tensor        # slots @ att_enc + att_b, a row per slot row
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
     windows: ad.Windows | None = None  # each lane's slots; None for one lane
     ctx: Tensor | None = None          # (hidden,) or (k, hidden); None before the first token
@@ -539,11 +538,11 @@ class DecoderCursor:
 class DecoderLanes:
     """What a cursor over k lanes holds fixed whatever their latents
     (``decoder_lanes``): the lanes' encoder states, the decoder's initial
-    state and, for k lanes, the order of the slots and their windows."""
+    state and, for k lanes, the slot windows: entry c of lane j is row
+    ``windows.index[j, c]`` of [rows; latent rows]."""
 
     rows: Tensor        # one lane's states, (L, hidden), or k lanes' end to end
     state: Tensor       # (dec_hidden,) for one lane, (k, dec_hidden) for k
-    order: np.ndarray | None = None    # slot i is row order[i] of [rows; latent rows]
     windows: ad.Windows | None = None  # each lane's slots; None for one lane
 
     def __len__(self) -> int:
@@ -556,28 +555,25 @@ def decoder_lanes(params: ModelParams, encoded: Sequence[EncodedContext]) -> Dec
     than a one-lane segment layout. For k lanes, which must be lanes of one
     pass, the states and pooled rows come from it in one gather each
     (``_lane_states``, ``_lane_pooled``), and the slot windows of
-    ``segment_attention`` are laid out here: lane j's encoder rows, then
-    its latent row."""
+    ``segment_attention`` are laid out here, padded to one width: lane j's
+    encoder rows, then its latent row (row n + j of [rows; latent rows]),
+    which its entries past the end repeat."""
     lanes = list(encoded)
     if not lanes:
         raise ContractError("decoder_lanes needs at least one encoding")
-    order = windows = None
+    windows = None
     if len(lanes) == 1:
         rows, pooled = lanes[0].states, lanes[0].pooled
     else:
         rows, lengths = _lane_states(lanes)
         pooled = _lane_pooled(lanes)
-        # lane j's encoder rows, then its latent row (row n + j of [rows; latent rows])
-        n, k = int(lengths.sum()), len(lanes)
-        zpos = np.cumsum(lengths) + np.arange(k)
-        order = np.empty(n + k, dtype=np.int64)
-        encoder = np.ones(n + k, dtype=bool)
-        encoder[zpos] = False
-        order[encoder], order[zpos] = np.arange(n), n + np.arange(k)
-        windows = ad.Windows.of_segments(lengths + 1)
+        n, k, c = int(lengths.sum()), len(lanes), np.arange(int(lengths.max()) + 1)
+        order = np.where(c < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + c,
+                         n + np.arange(k)[:, None])
+        windows = ad.Windows(order, lengths + 1)
     t = params.tensors
     state = ad.matmul(pooled, t["dec_init_w"], plus=t["dec_init_b"], tanh=True)
-    return DecoderLanes(rows=rows, state=state, order=order, windows=windows)
+    return DecoderLanes(rows=rows, state=state, windows=windows)
 
 
 def decoder_start(params: ModelParams, lanes: DecoderLanes, z) -> DecoderCursor:
@@ -587,21 +583,18 @@ def decoder_start(params: ModelParams, lanes: DecoderLanes, z) -> DecoderCursor:
     The only code that picks the decoder ops: what does not read ``z`` is
     laid out by ``decoder_lanes``, and ``_decoder_step`` follows the
     cursor. Here the latent slot rows are made, the slots put in their
-    layout (``DecoderCursor``) and their attention projections, with
-    ``att_b`` added, made once per decode, on the tape or off it alike."""
+    layout (``DecoderCursor``) by one gather for k lanes, and their
+    attention projections, with ``att_b`` added, made once per decode, on
+    the tape or off it alike."""
     t = params.tensors
     zt = z if isinstance(z, Tensor) else Tensor(z)
     want = (len(lanes), params.cfg.latent_dim)
     if zt.shape != want:
         raise ContractError(f"latent has shape {zt.shape}, expected {want}")
-    zrow = ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])
-    if lanes.windows is None:
-        slots = ad.concat([lanes.rows, zrow])
-    else:
-        slots = ad.gather_rows(ad.concat([lanes.rows, zrow]), lanes.order)
-    proj = ad.matmul(slots, t["att_enc"], plus=t["att_b"])
-    if lanes.windows is not None and not lanes.windows.tiled:
+    slots = ad.concat([lanes.rows, ad.matmul(zt, t["zslot_w"], plus=t["zslot_b"])])
+    if lanes.windows is not None:
         slots = ad.gather_rows(slots, lanes.windows.index.reshape(-1))
+    proj = ad.matmul(slots, t["att_enc"], plus=t["att_b"])
     return DecoderCursor(slots=slots, proj=proj, state=lanes.state, windows=lanes.windows)
 
 

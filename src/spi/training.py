@@ -43,6 +43,7 @@ from .errors import ContractError, NumericError
 from .fsio import dump_json_line, atomic_write_text
 from .generation import pick_knowledge
 from .inference import sequential_posterior_infer
+from .metrics import scored_tokens
 from .model import (DialogueExample, EncodedContext, LatentPair, ModelParams,
                     decode_logprob, encode_batch, encode_context, head_logits,
                     latent_prior_log_density, latent_prior_means)
@@ -274,6 +275,8 @@ def train(train_examples: list[DialogueExample],
     if not train_examples:
         raise ContractError("training set is empty")
     params = ModelParams.init(config.model, seed=config.seed)
+    for split, examples in (("train", train_examples), ("valid", valid_examples)):
+        scored_tokens(params, examples, f"{split} example")
     records: list[dict] = []
     epoch_seconds: list[float] = []
     all_batch_losses: list[list[float]] = []

@@ -34,10 +34,10 @@ class TestFrozenValues:
 
     def test_segment_attention_of_equal_scores_averages_each_segment(self):
         slots = np.arange(12.0).reshape(6, 2)
-        windows = ad.Windows.of_segments([3, 1, 2])
+        windows = ad.Windows.of_segments([3, 1, 2])  # 3 windows of width 3
         rng = np.random.default_rng(3)
         # a zero score vector gives every slot the score 0
-        out = ad.segment_attention(ad.Tensor(rng.normal(size=(6, 4))),
+        out = ad.segment_attention(ad.Tensor(rng.normal(size=(9, 4))),
                                    ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(np.zeros(4)),
                                    ad.Tensor(slots[windows.index.reshape(-1)]), windows)
         np.testing.assert_allclose(out.data, [slots[:3].mean(axis=0), slots[3],
@@ -223,25 +223,27 @@ class TestShapeAndNumericErrors:
                 ad.Windows.of_segments(lengths)
         windows = ad.Windows.of_segments([2, 1])  # 3 entries, 2 windows of width 2
 
-        def attend(n_proj=3, n_query=2, n_v=4, n_slots=4, layout=windows, width=4):
+        def attend(n_proj=4, n_query=2, n_v=4, n_slots=4, layout=windows, width=4):
             return ad.segment_attention(
-                ad.Tensor(np.zeros((n_proj, width))), ad.Tensor(np.zeros((n_query, 4))),
-                ad.Tensor(np.zeros(n_v)), ad.Tensor(np.ones((n_slots, 2))), layout)
+                ad.Tensor(np.linspace(-1.0, 1.0, n_proj * width).reshape(n_proj, width)),
+                ad.Tensor(np.ones((n_query, 4))), ad.Tensor(np.ones(n_v)),
+                ad.Tensor(np.arange(n_slots * 2.0).reshape(n_slots, 2)), layout)
 
         attend()
-        for bad in ({"n_proj": 2},    # one projection per entry
-                    {"n_proj": 4},    # the windows cover 3 entries
+        for bad in ({"n_proj": 3},    # the projections are laid out as the windows, 2 x 2
+                    {"n_proj": 5},
                     {"n_query": 3},   # one query per window
                     {"n_v": 3},       # the score vector spans the attention width
                     {"width": 3},     # and so do the projections
-                    {"n_slots": 3}):  # the slots are laid out as the windows, 2 x 2
+                    {"n_slots": 3}):  # and the slots are laid out as the windows
             with pytest.raises(ShapeError):
                 attend(**bad)
-        # windows over rows in any order are not segments; nor is a list of ids
+        with pytest.raises(ContractError):  # a list of ids is not a layout
+            attend(layout=[0, 0, 1])
+        # only the windows' shape and live entries are read: windows of the
+        # same lengths over rows in any order attend alike
         rows = ad.Windows(np.array([[0, 2], [1, 1]]), np.array([2, 1]))
-        for layout in (rows, [0, 0, 1]):
-            with pytest.raises(ContractError):
-                attend(layout=layout)
+        assert np.array_equal(attend(layout=rows).data, attend().data)
 
     def test_windows_need_live_entries_and_integer_rows(self):
         for index, lengths in (([[0, 1]], [0]),         # an empty window
@@ -307,15 +309,16 @@ def _wrap_cases():
         "tanh": ((2, 3), ad.tanh),
         "tanh-0d": ((), ad.tanh),
         "softmax": ((2, 3), ad.softmax),
-        # m's rows as the projections and the queries of an attention width of 3
-        "segment-attention-proj": ((3, 3), lambda x: ad.segment_attention(
+        # m's rows as the projections, laid out as the windows, and the
+        # queries of an attention width of 3
+        "segment-attention-proj": ((4, 3), lambda x: ad.segment_attention(
             x, ad.Tensor(m.data[:2]), v3, slots, seg)),
         "segment-attention-query": ((2, 3), lambda x: ad.segment_attention(
-            ad.Tensor(m.data[:3]), x, v3, slots, seg)),
+            m, x, v3, slots, seg)),
         "segment-attention-att-v": ((3,), lambda x: ad.segment_attention(
-            ad.Tensor(m.data[:3]), ad.Tensor(m.data[:2]), x, slots, seg)),
+            m, ad.Tensor(m.data[:2]), x, slots, seg)),
         "segment-attention-slots": ((4, 2), lambda x: ad.segment_attention(
-            ad.Tensor(m.data[:3]), ad.Tensor(m.data[:2]), v3, x, seg)),
+            m, ad.Tensor(m.data[:2]), v3, x, seg)),
         "log": ((3,), ad.log),
         "log-0d": ((), ad.log),
         "log-sigmoid": ((3,), ad.log_sigmoid),
@@ -372,8 +375,8 @@ def test_primitive_results_are_float64_arrays_that_need_a_gradient_only_when_rec
 def _attention_case(windows, which, rng):
     """``segment_attention`` over ``windows`` with its input ``which`` (0 the
     projections, 1 the queries, 2 att_v, 3 the slots) x, the others
-    constants; the slots are laid out as the windows by a gather, as
-    ``decoder_start`` lays them out."""
+    constants; the projections and the slots are laid out as the windows by
+    a gather, as ``decoder_start`` lays out the slots it projects."""
     k, n = windows.index.shape[0], windows.span
     consts = [rng.normal(size=(n, 3)), rng.normal(size=(k, 3)), rng.normal(size=3),
               rng.normal(size=(n, 2))]
@@ -381,7 +384,8 @@ def _attention_case(windows, which, rng):
     def fn(x):
         args = [ad.Tensor(c) for c in consts]
         args[which] = x
-        args[3] = ad.gather_rows(args[3], windows.index.reshape(-1))
+        for i in (0, 3):
+            args[i] = ad.gather_rows(args[i], windows.index.reshape(-1))
         return ad.reduce_sum(ad.tanh(ad.segment_attention(*args, windows)))
 
     return consts[which].shape, fn
@@ -397,11 +401,11 @@ def _primitive_cases():
     c33 = ad.Tensor(rng.normal(size=(3, 3)))
     c34 = ad.Tensor(rng.normal(size=(3, 4)))
     seg = ad.Windows.of_segments([3, 1, 2])  # segment 1 holds one slot
-    tiled = ad.Windows.of_segments([2, 2, 2])  # equal segments: a reshape
+    tiled = ad.Windows.of_segments([2, 2, 2])  # equal segments: no dead entry
     # rows in any order, shared between windows, one window a single row
     pools = ad.Windows(np.array([[4, 0, 2, 2], [0, 0, 0, 0], [1, 3, 0, 4]]),
                        np.array([3, 1, 4]))
-    tiled_pools = ad.Windows.of_segments([2, 2])
+    tiled_pools = ad.Windows.of_segments([2, 2])  # equal segments
     return {
         "matmul-22": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, w2)))),
         "matmul-21": ((3, 4), lambda x: ad.reduce_sum(ad.tanh(ad.matmul(x, wv)))),
@@ -467,7 +471,8 @@ def _primitive_cases():
            for i, input_ in enumerate(("proj", "query", "att-v", "slots"))},
         # every input a function of x: the four adjoints accumulate
         "segment-attention-all": ((6, 3), lambda x: ad.reduce_sum(ad.tanh(ad.segment_attention(
-            ad.matmul(x, c33), ad.gather_rows(x, [0, 3, 5]), ad.gather_rows(x, 1),
+            ad.matmul(ad.gather_rows(x, seg.index.reshape(-1)), c33),
+            ad.gather_rows(x, [0, 3, 5]), ad.gather_rows(x, 1),
             ad.gather_rows(x, seg.index.reshape(-1)), seg)))),
         "segment-attention-all-tiled": ((6, 3), lambda x: ad.reduce_sum(ad.tanh(
             ad.segment_attention(ad.matmul(x, c33), ad.gather_rows(x, [0, 3, 5]),
@@ -476,7 +481,7 @@ def _primitive_cases():
         "log": ((4,), lambda x: ad.reduce_sum(ad.log(ad.add(ad.multiply(x, x), ad.Tensor(np.ones(4)))))),
         "mean-windows": ((5, 4), lambda x: ad.reduce_sum(
             ad.tanh(ad.reduce_mean(x, windows=pools)))),
-        # tiled windows over the first 4 of 5 rows: a reshape
+        # equal windows over the first 4 of 5 rows
         "mean-windows-tiled": ((5, 4), lambda x: ad.reduce_sum(
             ad.tanh(ad.reduce_mean(x, windows=tiled_pools)))),
         "gather": ((5, 4), lambda x: ad.reduce_sum(ad.tanh(ad.gather_rows(x, idx)))),
@@ -687,8 +692,9 @@ def _attention_inputs(lengths, seed):
 def test_windowed_segment_attention_matches_a_plain_softmax_per_segment(lengths, seed):
     proj, query, att_v, slots = _attention_inputs(lengths, seed)
     windows = ad.Windows.of_segments(lengths)
-    out = ad.segment_attention(ad.Tensor(proj), ad.Tensor(query), ad.Tensor(att_v),
-                               ad.Tensor(slots[windows.index.reshape(-1)]), windows).data
+    layout = windows.index.reshape(-1)
+    out = ad.segment_attention(ad.Tensor(proj[layout]), ad.Tensor(query), ad.Tensor(att_v),
+                               ad.Tensor(slots[layout]), windows).data
     assert out.shape == (len(lengths), 4)
     start = 0
     for j, (row, length) in enumerate(zip(out, lengths)):
@@ -701,21 +707,48 @@ def test_windowed_segment_attention_matches_a_plain_softmax_per_segment(lengths,
 
 @pytest.mark.parametrize("lengths", [[3, 1, 2, 5], [4, 4, 4], [1]])
 def test_fused_segment_attention_has_the_bits_of_the_unfused_ops(lengths):
-    # the ops the decoder step ran before they were one node, in their order:
-    # each slot's lane query added to its projection, tanh, the product with
-    # att_v, then the window softmax and the weighted sum
+    # the ops the decoder step ran before they were one node, in their order,
+    # over every row of the padded layout: each row's lane query added to its
+    # projection, tanh, the product with att_v, then the window softmax with
+    # the dead entries at -inf and the weighted sum
     proj, query, att_v, slots = _attention_inputs(lengths, 17)
     windows = ad.Windows.of_segments(lengths)
-    lane = np.repeat(np.arange(len(lengths)), lengths)
-    scores = np.tanh(proj + query[lane]).dot(att_v)
-    xw = np.where(windows.live, scores[windows.index], -np.inf)
+    (k, width), layout = windows.index.shape, windows.index.reshape(-1)
+    scores = np.tanh(proj[layout] + query[np.repeat(np.arange(k), width)]).dot(att_v)
+    xw = np.where(windows.live, scores.reshape(k, width), -np.inf)
     e = np.exp(xw - xw.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     want = np.matmul(w[:, None, :], slots[windows.index])[:, 0, :]
-    laid_out = slots if windows.tiled else slots[windows.index.reshape(-1)]
-    got = ad.segment_attention(ad.Tensor(proj), ad.Tensor(query), ad.Tensor(att_v),
-                               ad.Tensor(laid_out), windows).data
+    got = ad.segment_attention(ad.Tensor(proj[layout]), ad.Tensor(query), ad.Tensor(att_v),
+                               ad.Tensor(slots[layout]), windows).data
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 2, 5], [1, 4]])
+def test_finite_values_in_dead_rows_reach_neither_the_attention_nor_a_live_adjoint(lengths):
+    proj, query, att_v, slots = _attention_inputs(lengths, 29)
+    windows = ad.Windows.of_segments(lengths)
+    layout, dead = windows.index.reshape(-1), ~windows.live.reshape(-1)
+
+    def attend(proj_rows, slot_rows):
+        with ad.Tape() as tape:
+            args = [ad.Tensor(a, name=name, trainable=True) for name, a in (
+                ("proj", proj_rows), ("query", query), ("att_v", att_v), ("slots", slot_rows))]
+            out = ad.segment_attention(*args, windows)
+            return out.data, ad.backward(tape, ad.reduce_sum(ad.tanh(out)))
+
+    want, want_grads = attend(proj[layout], slots[layout])
+    rng = np.random.default_rng(6)
+    moved = [proj[layout], slots[layout]]
+    for rows in moved:
+        rows[dead] = rng.normal(size=rows[dead].shape) * 50.0
+    got, got_grads = attend(*moved)
+    assert dead.any() and np.array_equal(got, want)
+    for name in ("query", "att_v"):
+        assert np.array_equal(got_grads[name], want_grads[name])
+    for name in ("proj", "slots"):  # the dead rows' adjoints are 0
+        assert np.array_equal(got_grads[name][~dead], want_grads[name][~dead])
+        assert not got_grads[name][dead].any() and not want_grads[name][dead].any()
 
 
 @pytest.mark.parametrize("key", [2, -1, slice(1, 4), [0, 2, 3], [4], [3, 1], [1, 3, 1]],
@@ -740,7 +773,6 @@ def test_segment_windows_match_the_layout_derived_from_their_index(lengths):
     built = ad.Windows.of_segments(lengths)
     derived = ad.Windows(built.index, built.lengths)
     assert built.segments and derived.segments
-    assert built.tiled == derived.tiled == (len(set(lengths)) == 1)
     assert built.span == derived.span == sum(lengths)
     assert built.shared == derived.shared
     for name in ("index", "lengths", "live", "full"):
@@ -763,7 +795,6 @@ def test_windowed_mean_equals_the_mean_of_each_windows_gathered_rows(data, seed)
     assert rows.shared >= min(alike, lengths.min())
     x = np.random.default_rng(seed).normal(size=(max(n_rows, k * width), 3))
     segments = ad.Windows.of_segments(lengths)  # consecutive runs of the rows
-    assert segments.tiled == (len(set(lengths.tolist())) == 1)
     for windows in (rows, segments):
         out = ad.reduce_mean(ad.Tensor(x), windows=windows).data
         for row, rows, length in zip(out, windows.index, lengths):

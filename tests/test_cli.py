@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from spi import verify
-from spi.cli import main
+from spi.cli import _parser, _synth_spec, main
 from spi.config import config_from_dict
+from spi.data import SyntheticSpec
 from spi.errors import ContractError
 from spi.fsio import atomic_write_bytes
 
@@ -61,6 +62,13 @@ def test_synth_writes_every_split(corpus_dir):
     for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "vocab.json", "spec.txt"):
         assert (corpus_dir / name).is_file(), name
     assert len((corpus_dir / "train.jsonl").read_text().splitlines()) == 8
+
+
+def test_synth_flags_read_their_defaults_from_the_spec():
+    assert _synth_spec(_parser().parse_args(["synth", "--out", "X"])) == SyntheticSpec()
+    args = _parser().parse_args(["synth", "--out", "X", "--candidates", "3", "--rho", "0.25",
+                                 "--history-len", "5", "--seed", "9"])
+    assert _synth_spec(args) == SyntheticSpec(m_candidates=3, rho=0.25, history_len=5, seed=9)
 
 
 def test_train_writes_config_log_and_checkpoints(run_dir):
@@ -337,6 +345,23 @@ def test_an_output_path_under_a_regular_file_exits_1_naming_it(workdir, corpus_d
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert str(out) in err and "cannot write" in err
     assert blocked.read_text() == "not a directory\n"
+
+
+def test_a_response_past_the_cap_exits_1_naming_its_example(workdir, config_file, run_dir,
+                                                            capsys):
+    # candidates of 12 tokens make responses of 14, past the config's cap of 8
+    corpus = workdir / "long-responses"
+    assert main(["synth", "--out", str(corpus), "--vocab-size", str(VOCAB),
+                 "--candidates", "3", "--candidate-len", "12", "--styles", "2",
+                 "--train", "2", "--valid", "1", "--test", "2", "--history-len", "4"]) == 0
+    capsys.readouterr()
+    common = ["--corpus", str(corpus), "--config", str(config_file)]
+    assert main(["train", *common, "--out", str(workdir / "long-train"), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: train example 0: response of length 14 exceeds the cap 8\n"
+    assert main(["eval", *common, "--checkpoint", str(run_dir / "checkpoint.bin")]) == 1
+    assert capsys.readouterr().err == \
+        "error: example 0: response of length 14 exceeds the cap 8\n"
 
 
 @pytest.mark.parametrize("flag, field", [("--lr-model", "lr_model"), ("--lr-head", "lr_head")])

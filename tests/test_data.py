@@ -1,6 +1,7 @@
 """Synthetic corpus construction, determinism, and the disk round trip."""
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -247,6 +248,19 @@ class TestDiskRoundTrip:
         path = tmp_path / "vocab.json"
         path.write_text(text)
         with pytest.raises(ContractError, match=re.escape(str(path))):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("at, token", [(47, "repeat"), (20, "w999"), (1, "<BOS>")],
+                             ids=["repeated", "renamed", "reserved"])
+    def test_a_vocab_that_is_not_the_spec_s_names_the_file_and_the_id(self, tmp_path, at,
+                                                                         token):
+        save_corpus(generate_corpus(small_spec()), tmp_path)
+        path = tmp_path / "vocab.json"
+        tokens = json.loads(path.read_text())["tokens"]
+        # a repeated token keeps the count that spec.txt declares
+        tokens[at] = tokens[at - 1] if token == "repeat" else token
+        path.write_text(json.dumps({"tokens": tokens}))
+        with pytest.raises(ContractError, match=re.escape(f"{path}: token {at} is")):
             load_corpus(tmp_path)
 
     def test_non_utf8_jsonl_line_names_file_and_line(self, tmp_path):

@@ -1,7 +1,8 @@
 """A k-lane decoder step takes its additive attention as one
-``segment_attention`` node, over slots laid out as the windows once per
-decode: the node count and the tape's bytes of a lockstep step, and ragged
-lockstep decodes against one-lane decodes in value and z-gradient."""
+``segment_attention`` node, over slots and projections laid out as the
+padded windows once per decode, by one gather: the node count and the
+tape's bytes of a lockstep step, and ragged lockstep decodes against
+one-lane decodes in value and z-gradient."""
 from __future__ import annotations
 
 import numpy as np
@@ -50,13 +51,39 @@ def test_a_lockstep_step_records_one_attention_node(lengths):
     assert primitives(step) == ["gather_rows", "matmul", "matmul", "segment_attention",
                                 "matmul", "matmul"]
     assert step[-1][0] is cur.state
-    # the projections are read by the attention node alone; a ragged
-    # layout's slots were gathered once, in decoder_start
+    # the projections are read by the attention node alone
     assert [name for name, (_, inputs, _, _) in zip(primitives(tape._nodes), tape._nodes)
             if any(t is cur.proj for t in inputs)] == ["segment_attention"]
-    windows = cur.windows
-    assert cur.slots.shape == (windows.index.size, cfg.hidden_dim)
-    assert windows.tiled == (len(set(lengths)) == 1)
+    # the slots and their projections in one layout, a row per lane and column
+    live = cur.windows.live
+    assert cur.slots.shape == (live.size, cfg.hidden_dim)
+    assert cur.proj.shape == (live.size, cfg.att_dim)
+    assert live.all() == (len(set(lengths)) == 1)
+
+
+@pytest.mark.parametrize("lengths", [(2, 1, 3), (2, 2, 2)], ids=["ragged", "tiled"])
+def test_decoder_start_lays_out_k_lanes_slots_with_one_gather(lengths):
+    cfg = verify._tiny_model_config()
+    params = ModelParams.init(cfg, seed=4)
+    example = verify._random_example(derived_rng(3, 1), cfg.vocab_size, m=3)
+    example.candidates = [list(range(4, 4 + n)) for n in lengths]
+    encs = encode_context(params, example)
+    lanes = decoder_lanes(params, encs)
+    z = ad.Tensor(np.random.default_rng(2).normal(size=(3, cfg.latent_dim)), name="z",
+                  trainable=True)
+    with ad.Tape() as tape:
+        cur = decoder_start(params, lanes, z)
+    # the latent rows, their concatenation to the states, one gather into
+    # the padded layout and the projection; ragged lanes once took a second
+    # gather of the projected slots
+    assert primitives(tape._nodes) == ["matmul", "concat", "gather_rows", "matmul"]
+    # lane j's entries: its encoder rows, then its latent row, repeated past its end
+    k, width = cur.windows.live.shape
+    laid = cur.slots.data.reshape(k, width, -1)
+    for j, (enc, n) in enumerate(zip(encs, cur.windows.lengths)):
+        assert np.array_equal(laid[j, :n - 1], enc.states.data)
+        assert (laid[j, n - 1:] == laid[j, n - 1]).all()
+    assert len({laid[j, n - 1].tobytes() for j, n in enumerate(cur.windows.lengths)}) == k
 
 
 def test_a_ragged_lockstep_decode_matches_one_lane_decodes():

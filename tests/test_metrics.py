@@ -565,6 +565,25 @@ class TestEvaluate:
             g.s for g in generation.generate_batch(params, corpus.test, prior=config.prior)]
         assert report.perplexity == perplexity(params, corpus.test, picks=picks)
 
+    def test_a_response_past_the_cap_names_its_example_before_any_decode(self, tiny_corpus,
+                                                                          monkeypatch):
+        from dataclasses import replace
+        config = SpiConfig(model=ModelConfig(vocab_size=tiny_corpus.vocab.size))
+        params = ModelParams.init(config.model, seed=0)
+        examples = list(tiny_corpus.test)
+        examples[2] = replace(examples[2], response=[5] * 40 + [EOS])
+
+        def decoded(*args, **kwargs):
+            raise AssertionError("a decode ran before the responses were checked")
+
+        monkeypatch.setattr(metrics, "encode_and_pick", decoded)
+        monkeypatch.setattr(metrics, "_score_picks", decoded)
+        for run in (lambda: evaluate(params, examples, config),
+                    lambda: perplexity(params, examples, picks=[0] * len(examples))):
+            with pytest.raises(ContractError, match=r"^example 2: response of length 41 "
+                                                    r"exceeds the cap 32$"):
+                run()
+
     def test_unlabelled_examples_report_no_selection_accuracy(self, small_corpus,
                                                               small_config, small_trained):
         from dataclasses import replace

@@ -33,14 +33,15 @@ def test_the_pipeline_digests_every_artefact_it_writes(tiny_runs):
                   "evaluate-oracle.json", "evaluate-init.json", "generations.jsonl",
                   "generations-single.jsonl"}
     # desk-sampled shares desk-uniform's corpus and prior, and evaluate reads
-    # no selection setting, so its init report would repeat desk-uniform's
-    assert set(digests) == {f"{name}/{file}" for name, _, _ in same_bytes.CORPORA
+    # no selection setting, so its init report would repeat desk-uniform's;
+    # desk-ragged's trimmed corpus has one of its own
+    assert set(digests) == {f"{name}/{file}" for name, *_ in same_bytes.CORPORA
                             for file in per_corpus} - {"desk-sampled/evaluate-init.json"}
-    assert len(digests) == 8 * 3 - 1
+    assert len(digests) == 8 * 4 - 1
     for name, value in digests.items():
         assert value == hashlib.sha256((out / name).read_bytes()).hexdigest()
     # the oracle flag changes the perplexity field, so the two reports differ
-    for name, _, _ in same_bytes.CORPORA:
+    for name, *_ in same_bytes.CORPORA:
         assert digests[f"{name}/evaluate.json"] != digests[f"{name}/evaluate-oracle.json"]
 
 
@@ -61,8 +62,9 @@ def test_the_init_report_scores_the_weights_training_starts_from(tiny_runs):
 
 
 def test_the_pipeline_covers_sampled_selection_on_the_desk_corpus(tiny_runs):
-    runs = {name: (history, settings) for name, history, settings in same_bytes.CORPORA}
-    assert runs["desk-sampled"] == (runs["desk-uniform"][0], {
+    runs = {name: (history, trimmed, settings)
+            for name, history, trimmed, settings in same_bytes.CORPORA}
+    assert runs["desk-sampled"] == (*runs["desk-uniform"][:2], {
         "prior": "uniform", "selection": "sampled", "temperature": 2.0, "top_s": 3})
     # the same corpus, seed and checkpoint fingerprint: only the selection
     # settings move the sampled run's weights apart from the greedy run's
@@ -71,6 +73,27 @@ def test_the_pipeline_covers_sampled_selection_on_the_desk_corpus(tiny_runs):
     head = json.loads((out / "desk-sampled" / "metrics.jsonl").read_text().splitlines()[0])
     assert (head["config"]["selection"], head["config"]["temperature"],
             head["config"]["top_s"]) == ("sampled", 2.0, 3)
+
+
+def test_the_ragged_run_trims_the_desk_corpus_to_lanes_of_unequal_lengths(tiny_runs):
+    from spi import data
+    runs = {name: (history, trimmed, settings)
+            for name, history, trimmed, settings in same_bytes.CORPORA}
+    assert runs["desk-ragged"] == (runs["desk-uniform"][0], True, {"prior": "uniform"})
+    corpus = data.generate_corpus(data.SyntheticSpec(n_train=4, n_valid=2, n_test=6,
+                                                     seed=same_bytes.SEED))
+    trimmed = same_bytes.ragged(corpus.test)
+    for i, (ex, cut) in enumerate(zip(corpus.test, trimmed)):
+        assert cut.history == ex.history[i % 5:]
+        assert [len(c) for c in cut.candidates] == [
+            len(c) - (i + j) % 4 for j, c in enumerate(ex.candidates)]
+        assert (cut.gold_index, cut.response) == (ex.gold_index, ex.response)
+    # every example's candidates have unequal lengths, and so do the histories
+    assert all(len({len(c) for c in ex.candidates}) > 1 for ex in trimmed)
+    assert len({len(ex.history) for ex in trimmed}) == 5
+    out, digests = tiny_runs["a"]
+    for file in ("evaluate-init.json", "generations.jsonl", "final.bin"):
+        assert digests[f"desk-ragged/{file}"] != digests[f"desk-uniform/{file}"]
 
 
 def test_the_pipeline_gives_the_same_bytes_twice_and_other_bytes_on_another_seed(tiny_runs):

@@ -390,3 +390,20 @@ class TestTrainLoop:
         result = train(tiny_corpus.train, tiny_corpus.valid, cfg, quiet=True)
         n_batches = math.ceil(len(tiny_corpus.train) / cfg.batch_size)
         assert [len(b) for b in result.batch_losses] == [n_batches] * cfg.epochs
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_a_response_past_the_cap_names_its_split_and_example_before_epoch_0(tiny_corpus,
+                                                                           split, monkeypatch):
+    from dataclasses import replace
+    splits = {"train": list(tiny_corpus.train), "valid": list(tiny_corpus.valid)}
+    splits[split][1] = replace(splits[split][1], response=[5] * 40 + [EOS])
+    config = SpiConfig(model=ModelConfig(vocab_size=tiny_corpus.vocab.size), epochs=1)
+
+    def encoded(*args, **kwargs):
+        raise AssertionError("epoch 0 began before the responses were checked")
+
+    monkeypatch.setattr(training, "encode_batch", encoded)
+    with pytest.raises(ContractError, match=rf"^{split} example 1: response of length 41 "
+                                            r"exceeds the cap 32$"):
+        training.train(splits["train"], splits["valid"], config, quiet=True)

@@ -9,10 +9,13 @@ Usage, from the repository root:
 Each side runs from a clean copy of its commit's files (``bench_pairs``'s
 ``_export``), in a subprocess with that copy's ``src`` first on the path, so
 uncommitted edits never reach a run. The pipeline (``pipeline``) makes
-three runs on synthetic corpora of 96/24/40 train/valid/test examples from
+four runs on synthetic corpora of 96/24/40 train/valid/test examples from
 seed 101: a desk one under the uniform prior and greedy top-5 of 8
 selection, the same desk corpus under sampled top-3 selection at
-temperature 2, and one with history 32 under the learnable prior. Each run
+temperature 2, one with history 32 under the learnable prior, and the desk
+corpus with its histories and candidates trimmed to unequal lengths
+(``ragged``) under the uniform prior, so that its lockstep decodes run
+lanes of unequal lengths, which no other run's corpus has. Each run
 writes a 3-epoch ``train`` (its metrics log, best and final checkpoints;
 ``checkpoint.bin`` has ``final.bin``'s bytes whenever the last epoch is the
 best), plain and oracle ``evaluate`` reports of the test split,
@@ -21,10 +24,10 @@ lanes in lockstep) and ``generate`` of each test example on its own
 (``generations-single.jsonl``, the lone-lane decode the benchmark times),
 both from the best weights. One more ``evaluate`` report, of the weights
 ``train`` starts from (``evaluate-init.json``), is written once per corpus
-and prior, since ``evaluate`` reads no selection setting: like the
-benchmark's ``evaluate``, untrained weights whose repetitive generations run
-near the length cap, where the n-gram scores' clipped counts matter most.
-That makes 23 artefacts. The script prints each artefact's
+(trimmed or not) and prior, since ``evaluate`` reads no selection setting:
+like the benchmark's ``evaluate``, untrained weights whose repetitive
+generations run near the length cap, where the n-gram scores' clipped
+counts matter most. That makes 31 artefacts. The script prints each artefact's
 sha256 side by side, then exits 1 naming each artefact that differs, or 0
 when every one agrees. For a JSON or JSON-lines artefact that differs it
 also prints the largest relative difference over its numeric fields
@@ -41,15 +44,18 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from bench_pairs import SIDES, _export, _git
 
-# (name, history length, SpiConfig settings) of each run
-CORPORA = (("desk-uniform", 8, {"prior": "uniform"}),
-           ("history32-learnable", 32, {"prior": "learnable"}),
-           ("desk-sampled", 8, {"prior": "uniform", "selection": "sampled",
-                                "temperature": 2.0, "top_s": 3}))
+# (name, history length, whether ``ragged`` trims the corpus, SpiConfig
+# settings) of each run
+CORPORA = (("desk-uniform", 8, False, {"prior": "uniform"}),
+           ("history32-learnable", 32, False, {"prior": "learnable"}),
+           ("desk-sampled", 8, False, {"prior": "uniform", "selection": "sampled",
+                                       "temperature": 2.0, "top_s": 3}),
+           ("desk-ragged", 8, True, {"prior": "uniform"}))
 SIZES = (96, 24, 40)  # train, valid, test examples
 EPOCHS = 3
 SEED = 101
@@ -65,6 +71,15 @@ def digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def ragged(examples: list) -> list:
+    """The examples trimmed to unequal lengths by a fixed rule: example i
+    keeps ``history[i % 5:]``, and its candidate j ``c[:len(c) - (i + j) %
+    4]``."""
+    return [replace(ex, history=ex.history[i % 5:],
+                    candidates=[c[:len(c) - (i + j) % 4] for j, c in enumerate(ex.candidates)])
+            for i, ex in enumerate(examples)]
+
+
 def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
              seed: int = SEED) -> dict[str, str]:
     """Write every artefact of the pipeline under ``out``, one directory per
@@ -75,33 +90,34 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
 
     out = Path(out)
     n_train, n_valid, n_test = sizes
-    scored_init = set()  # (history, prior) of each evaluate-init.json written
-    for name, history, settings in CORPORA:
+    scored_init = set()  # (history, trimmed, prior) of each evaluate-init.json written
+    for name, history, trimmed, settings in CORPORA:
         where = out / name
         where.mkdir(parents=True)
         corpus = data.generate_corpus(data.SyntheticSpec(
             history_len=history, n_train=n_train, n_valid=n_valid, n_test=n_test, seed=seed))
+        train, valid, test = (ragged(split) if trimmed else split
+                              for split in (corpus.train, corpus.valid, corpus.test))
         config = spi.SpiConfig(model=spi.ModelConfig(vocab_size=corpus.vocab.size),
                                epochs=epochs, seed=seed, **settings)
-        result = spi.train(corpus.train, corpus.valid, config,
-                           log_path=where / "metrics.jsonl", quiet=True)
+        result = spi.train(train, valid, config, log_path=where / "metrics.jsonl", quiet=True)
         checkpoint.save_checkpoint(where / "checkpoint.bin", result.best_params, config)
         checkpoint.save_checkpoint(where / "final.bin", result.params, config)
         reports = [(result.best_params, False, "evaluate.json"),
                    (result.best_params, True, "evaluate-oracle.json")]
-        if (history, config.prior) not in scored_init:
-            scored_init.add((history, config.prior))
+        if (history, trimmed, config.prior) not in scored_init:
+            scored_init.add((history, trimmed, config.prior))
             reports.append((spi.ModelParams.init(config.model, seed=config.seed), False,
                             "evaluate-init.json"))
         for params, oracle, file in reports:
-            report = metrics.evaluate(params, corpus.test, config, oracle_knowledge=oracle)
+            report = metrics.evaluate(params, test, config, oracle_knowledge=oracle)
             atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
-            result.best_params, corpus.test, prior=config.prior,
+            result.best_params, test, prior=config.prior,
             max_len=config.model.max_response))
         generation.write_generations(where / "generations-single.jsonl", [
             generation.generate(result.best_params, ex, prior=config.prior,
-                                max_len=config.model.max_response) for ex in corpus.test])
+                                max_len=config.model.max_response) for ex in test])
     return {path.relative_to(out).as_posix(): digest(path)
             for path in sorted(out.rglob("*")) if path.is_file()}
 
