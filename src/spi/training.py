@@ -270,7 +270,8 @@ def train(train_examples: list[DialogueExample],
 
     Writes the metrics log (config line, then one JSON record per epoch) to
     ``log_path`` if given. Wall-clock timings stay out of the log so equal
-    seeds produce byte-identical files.
+    seeds produce byte-identical files. Every response of both splits is
+    checked against the cap (``scored_tokens``) before epoch 0.
     """
     if not train_examples:
         raise ContractError("training set is empty")

@@ -74,8 +74,7 @@ def test_decoder_start_lays_out_k_lanes_slots_with_one_gather(lengths):
     with ad.Tape() as tape:
         cur = decoder_start(params, lanes, z)
     # the latent rows, their concatenation to the states, one gather into
-    # the padded layout and the projection; ragged lanes once took a second
-    # gather of the projected slots
+    # the padded layout and the projection, for ragged lanes as for equal ones
     assert primitives(tape._nodes) == ["matmul", "concat", "gather_rows", "matmul"]
     # lane j's entries: its encoder rows, then its latent row, repeated past its end
     k, width = cur.windows.live.shape
