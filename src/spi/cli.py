@@ -169,9 +169,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"best epoch {summary['best_epoch']} "
               f"validation loss {summary['best_validation_loss']:.4f}")
         return 0
-    if sweep_s is not None and config.prior == "learnable":
-        raise ContractError("--sweep-top-s: the learnable prior scores every candidate "
-                            "and reads no top_s, so each point would train the same run")
     # every point is validated before the first trains, so a bad one leaves no run
     points = []
     for t in (sweep_t if sweep_t is not None else [config.langevin_steps]):
@@ -220,8 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config, params, examples = _load_checkpoint_and_split(args)
-    results = generate_batch(params, examples, prior=config.prior,
-                             max_len=config.model.max_response)
+    results = generate_batch(params, examples, max_len=config.model.max_response)
     write_generations(Path(args.out), results)
     print(f"wrote {len(results)} generations to {args.out}")
     return 0
@@ -263,8 +259,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_config_flags(tr, tuple(_RUN_FLAGS))
     tr.set_defaults(func=cmd_train)
 
-    # at test time there is no response to infer from: the prior picks the
-    # knowledge and the decode starts at its mean, so no other run setting is read
+    # at test time there is no response to infer from: the selection head's
+    # argmax picks the knowledge under either prior and the decode starts at
+    # its prior mean, so no run setting is read; ``--prior`` only has to match
+    # the checkpoint's fingerprint
     tested = argparse.ArgumentParser(add_help=False)
     tested.add_argument("--corpus", required=True)
     tested.add_argument("--checkpoint", required=True)

@@ -73,10 +73,10 @@ class ModelConfig:
 class SpiConfig:
     """Everything a training or evaluation run needs, defaults per the engine.
 
-    ``top_s`` limits posterior selection in uniform-prior mode; the learnable
-    prior always scores every candidate. ``langevin_noise`` exists for
-    deterministic probes; training leaves it on. Checked when built, so every
-    instance is valid.
+    ``top_s`` limits posterior selection to the selection head's top
+    candidates under either prior; ``prior`` sets their weights, equal or
+    the head's logits. ``langevin_noise`` exists for deterministic probes;
+    training leaves it on. Checked when built, so every instance is valid.
     """
 
     model: ModelConfig

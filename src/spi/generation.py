@@ -1,9 +1,9 @@
 """Deterministic response generation.
 
 At generation time the model has no access to the reference response:
-knowledge is picked by the initializer head (uniform prior) or the prior
-head (learnable), the response latent sits at the prior mean, and decoding
-is greedy with a hard length cap.
+knowledge is the selection head's argmax under either prior (the prior mode
+only weights the training-time posterior), the response latent sits at the
+prior mean, and decoding is greedy with a hard length cap.
 """
 from __future__ import annotations
 
@@ -20,14 +20,14 @@ from .model import (BOS, EOS, DialogueExample, EncodedContext, ModelParams, _dec
                     latent_prior_means, output_logits, prior_scores)
 
 
-def pick_knowledge(params: ModelParams, encodings_batch: Sequence[Sequence[EncodedContext]],
-                   *, prior: str) -> list[int]:
+def pick_knowledge(params: ModelParams,
+                   encodings_batch: Sequence[Sequence[EncodedContext]]) -> list[int]:
     """Argmax knowledge pick of each example over all its candidates
     (``encodings_batch[e]``, one encoding per candidate): the argmax of its
     ``prior_scores``, which scores every encoding of the batch in one head
     product without the response. Ties resolve to the lowest index; no
     examples get no picks."""
-    return [int(np.argmax(x)) for x in prior_scores(params, encodings_batch, prior=prior)]
+    return [int(np.argmax(x)) for x in prior_scores(params, encodings_batch)]
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,13 @@ class Picks:
     z: np.ndarray                # (n, latent) prior means of the picks
 
 
-def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample], *,
-                    prior: str) -> Picks:
+def encode_and_pick(params: ModelParams, examples: Sequence[DialogueExample]) -> Picks:
     """Encode the examples (one chunk of ``chunks``) in one pass, pick every
     example's knowledge from one head product (``pick_knowledge``), take the
     picks' prior means from one latent-prior product and keep the picked
     lanes with one gather (``keep_lanes``), so the pass is freed on return."""
     encodings = encode_batch(params, examples)
-    picks = pick_knowledge(params, encodings, prior=prior)
+    picks = pick_knowledge(params, encodings)
     kept = keep_lanes([encs[s] for encs, s in zip(encodings, picks)])
     return Picks(s=picks, lanes=kept, z=latent_prior_means(params, kept).data)
 
@@ -135,15 +134,17 @@ def decode_greedy(params: ModelParams, picks: Picks, max_len: int) -> list[Gener
                                                    ends.tolist())]
 
 
-def generate(params: ModelParams, example: DialogueExample, *, prior: str,
+def generate(params: ModelParams, example: DialogueExample, *, prior: str | None = None,
              max_len: int | None = None) -> GenerationResult:
     """Greedy decode from the prior-mean latent. Emits at most ``max_len``
-    tokens (by default the model's ``max_response``), EOS forced at the cap."""
-    return generate_batch(params, [example], prior=prior, max_len=max_len)[0]
+    tokens (by default the model's ``max_response``), EOS forced at the cap.
+    ``prior`` is not read: the pick is the selection head's argmax under
+    either prior. It stays only because the benchmark's workloads pass it."""
+    return generate_batch(params, [example], max_len=max_len)[0]
 
 
 def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
-                   prior: str, max_len: int | None = None) -> list[GenerationResult]:
+                   max_len: int | None = None) -> list[GenerationResult]:
     """``generate`` for every example. Each chunk of ``chunks`` is encoded
     and picked in one pass (``encode_and_pick``), then decoded as the lanes
     of one greedy lockstep decode (``decode_greedy``), before the next."""
@@ -151,8 +152,7 @@ def generate_batch(params: ModelParams, examples: list[DialogueExample], *,
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
     return [result for chunk in chunks(examples)
-            for result in decode_greedy(params, encode_and_pick(params, chunk, prior=prior),
-                                        max_len)]
+            for result in decode_greedy(params, encode_and_pick(params, chunk), max_len)]
 
 
 def write_generations(path, results: list[GenerationResult]) -> None:

@@ -5,7 +5,10 @@ a short Langevin chain started at the prior mean.
 Both steps read their settings from the run's ``SpiConfig``: selection its
 ``prior``, ``top_s``, ``selection`` and ``temperature``, the chain its
 ``langevin_*``, ``step_size`` and ``grad_clamp`` fields. One rule, in
-``select_knowledge_batch``, turns ``top_s`` into an example's width.
+``select_knowledge_batch``, turns ``top_s`` into an example's width under
+either prior: the top min(``top_s``, M) candidates by the selection head's
+logit. The prior only sets their weights: equal under the uniform prior,
+the head's logits under the learnable one.
 Selection arithmetic stays in log space throughout; the Langevin gradient of
 the decoder term is clamped elementwise before entering the drift.
 
@@ -55,21 +58,25 @@ class SelectionOutcome:
     log_weights: np.ndarray
 
 
+def _top_s(scores: np.ndarray, top_s: int) -> list[int]:
+    """Indices of the ``top_s`` highest scores, ascending: a stable argsort,
+    so the lowest index wins a tie."""
+    return sorted(int(i) for i in np.argsort(-scores, kind="stable")[:top_s])
+
+
 def top_s_candidates(params: ModelParams, example: DialogueExample, top_s: int,
                      encodings: Sequence[EncodedContext] | None = None) -> list[int]:
-    """Indices of the ``top_s`` highest initializer scores, ascending: a
-    stable argsort of the uniform ``prior_scores`` of the example's
-    ``encodings``, so lower indices win ties. Without them the example is
-    encoded in a pass of its own, the one-example view that the checks
-    against the reference call."""
+    """Indices of the example's ``top_s`` highest head logits
+    (``prior_scores`` of its ``encodings``), ascending, the lowest index
+    winning a tie: the subset ``select_knowledge_batch`` scores. Without
+    encodings the example is encoded in a pass of its own, the one-example
+    view that the checks against the reference call."""
     m = len(example.candidates)
     if not 1 <= top_s <= m:
         raise ContractError(f"top_s must be in [1, {m}], got {top_s}")
     if encodings is None:
         encodings = encode_context(params, example)
-    scores = prior_scores(params, [encodings], prior="uniform")[0]
-    order = np.argsort(-scores, kind="stable")[:top_s]
-    return sorted(int(i) for i in order)
+    return _top_s(prior_scores(params, [encodings])[0], top_s)
 
 
 def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExample],
@@ -82,22 +89,22 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
     pass (``encodings_batch``), example j drawing a sampled pick from
     ``rngs[j]``.
 
-    The latent is held at each candidate's prior mean (point mass), so a
-    candidate's log weight is its prior logit plus the teacher-forced
-    response log-likelihood, divided by ``config.temperature`` and then
-    normalized. Under the uniform prior an example scores the
-    initializer's top min(``config.top_s``, M) candidates
-    (``top_s_candidates``) with equal prior weights; under the learnable
-    prior it scores all M, weighted by the learnable ``prior_scores``
-    logits, and ``config.top_s`` is not read. Greedy selection takes the
-    heaviest candidate, the lowest index on a tie; sampled selection draws
-    from the example's generator, which it requires.
+    One width rule under both priors: an example scores its top
+    min(``config.top_s``, M) candidates by head logit (a stable argsort, so
+    the lowest index wins a tie), and one ``prior_scores`` call gives every
+    example's subset and prior weights: zero under the uniform prior, the
+    head's logits at the subset under the learnable one. The latent is held
+    at each candidate's prior mean (point mass), so a candidate's log weight
+    is its prior weight plus the teacher-forced response log-likelihood,
+    divided by ``config.temperature`` and then normalized over the subset.
+    Greedy selection takes the heaviest candidate, the lowest index on a
+    tie; sampled selection draws from the example's generator, which it
+    requires.
 
-    Each example's subset and prior weights are its own; then one
-    ``latent_prior_means`` and one ``decode_logprob`` score every (example,
-    candidate) lane, each against its example's response, and each example
-    normalizes and picks on its own. Lanes of a wider pass may round apart
-    from a one-example pass in the last bits."""
+    One ``latent_prior_means`` and one ``decode_logprob`` then score every
+    (example, candidate) lane, each against its example's response, and each
+    example normalizes and picks on its own. Lanes of a wider pass may round
+    apart from a one-example pass in the last bits."""
     n = len(examples)
     if n < 1:
         raise ContractError("selection needs at least one example")
@@ -113,14 +120,10 @@ def select_knowledge_batch(params: ModelParams, examples: Sequence[DialogueExamp
         raise ContractError("a seeded generator is required for sampled selection")
     if len(encodings_batch) != n:
         raise ContractError(f"{len(encodings_batch)} encoding lists for {n} examples")
-    if config.prior == "uniform":
-        subsets = [top_s_candidates(params, ex, min(config.top_s, len(ex.candidates)),
-                                    encodings=encs)
-                   for ex, encs in zip(examples, encodings_batch)]
-        prior_logits = [np.zeros(len(subset)) for subset in subsets]
-    else:
-        subsets = [list(range(len(ex.candidates))) for ex in examples]
-        prior_logits = prior_scores(params, encodings_batch, prior="learnable")
+    scores = prior_scores(params, encodings_batch)
+    subsets = [_top_s(x, min(config.top_s, len(x))) for x in scores]
+    prior_logits = [x[subset] if config.prior == "learnable" else np.zeros(len(subset))
+                    for x, subset in zip(scores, subsets)]
 
     # every lane teacher-forces its own example's response: one lockstep decode
     owners = [ex for ex, subset in zip(examples, subsets) for _ in subset]

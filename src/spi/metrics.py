@@ -278,7 +278,7 @@ def evaluate(params: ModelParams, examples: list[DialogueExample],
     made: list[GenerationResult] = []
     lps: list[float] = []
     for chunk in generation.chunks(examples):
-        kept = encode_and_pick(params, chunk, prior=config.prior)
+        kept = encode_and_pick(params, chunk)
         made += decode_greedy(params, kept, config.model.max_response)
         if oracle_knowledge:
             lps += _score_picks(params, chunk, [ex.gold_index for ex in chunk])

@@ -1,6 +1,6 @@
-"""Conditional sequence model: shared recurrent encoder, knowledge heads,
-latent-prior head, and an attention decoder conditioned on a continuous
-latent injected as one extra attended slot.
+"""Conditional sequence model: shared recurrent encoder, one knowledge
+selection head, latent-prior head, and an attention decoder conditioned on a
+continuous latent injected as one extra attended slot.
 
 Every forward function takes the parameter set explicitly and records on the
 active autodiff tape when one is open, so the same code path serves
@@ -85,10 +85,6 @@ class LatentPair:
 # ---------------------------------------------------------------------------
 # parameters
 
-# the (weight, bias) of each selection head
-HEADS = {"initializer": ("init_w", "init_b"), "knowledge_prior": ("kprior_w", "kprior_b")}
-
-
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     v, e, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
     a, hd, d = cfg.att_dim, cfg.dec_hidden_dim, cfg.latent_dim
@@ -99,8 +95,6 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("enc_b", (h,)),
         ("init_w", (h,)),
         ("init_b", ()),
-        ("kprior_w", (h,)),
-        ("kprior_b", ()),
         ("zprior_w", (h, d)),
         ("zprior_b", (d,)),
         ("zslot_w", (d, h)),
@@ -176,11 +170,6 @@ class ModelParams:
         return ModelParams(self.cfg, {
             name: Tensor(t.data, name=name, _validate=False)
             for name, t in self.tensors.items()})
-
-    def head_names(self, head: str) -> tuple[str, str]:
-        if head not in HEADS:
-            raise ContractError(f"unknown head {head!r}")
-        return HEADS[head]
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +433,26 @@ def _pooled_product(encodings: Sequence[EncodedContext], w: Tensor, b: Tensor) -
     return out if lane_of is None else ad.gather_rows(out, lane_of)
 
 
-def head_logits(params: ModelParams, head: str,
-                encodings: Sequence[EncodedContext]) -> Tensor:
-    """Logits pooled . w + b of a selection head, one per encoding (lanes of
-    one pass), from one ``_pooled_product``; the only code that applies a
-    head. Equal candidates share an encoding, so they tie exactly.
-    Non-finite logits raise ``NumericError``."""
-    logits = _pooled_product(encodings, *(params[name] for name in params.head_names(head)))
-    ad.check_finite(logits.data, f"{head} head output")
+def head_logits(params: ModelParams, encodings: Sequence[EncodedContext]) -> Tensor:
+    """Logits pooled . init_w + init_b of the knowledge selection head, one
+    per encoding (lanes of one pass), from one ``_pooled_product``; the only
+    code that applies the head. Equal candidates share an encoding, so they
+    tie exactly. Non-finite logits raise ``NumericError``."""
+    logits = _pooled_product(encodings, params["init_w"], params["init_b"])
+    ad.check_finite(logits.data, "selection head output")
     return logits
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function, in the two forms a softmax over (x, 0) takes;
-    exp(-|x|) cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
-
-
-def prior_scores(params: ModelParams, encodings_batch: Sequence[Sequence[EncodedContext]],
-                 *, prior: str) -> list[np.ndarray]:
+def prior_scores(params: ModelParams,
+                 encodings_batch: Sequence[Sequence[EncodedContext]]) -> list[np.ndarray]:
     """Response-free knowledge scores of each example's candidates
-    (``encodings_batch[e]``, lanes of one pass), as plain values, from one
-    ``head_logits`` product over every encoding given: the initializer's
-    sigmoid scores under the uniform prior, or the knowledge prior's logits
-    under the learnable one. The only code that maps a prior mode to its
-    head and score; scores can tie where their logits do not."""
-    if prior not in ("uniform", "learnable"):
-        raise ContractError(f"unknown prior mode {prior!r}")
+    (``encodings_batch[e]``, lanes of one pass), as plain values: the head's
+    logits, from one ``head_logits`` product over every encoding given and
+    split by example. Selection ranks its top-S by them, the learnable prior
+    weights that subset by them, and the test-time pick is their argmax."""
     if not encodings_batch:
         return []
-    x = head_logits(params, "initializer" if prior == "uniform" else "knowledge_prior",
-                    [enc for encs in encodings_batch for enc in encs]).data
-    if prior == "uniform":
-        x = sigmoid(x)
+    x = head_logits(params, [enc for encs in encodings_batch for enc in encs]).data
     scores, lo = [], 0
     for encs in encodings_batch:
         scores.append(x[lo:lo + len(encs)])

@@ -3,7 +3,10 @@
 Each batch runs sequential posterior inference per example, takes one
 ascent step on the latent-completed objective (the inferred latents held
 constant), and one descent step on the selection head's binary cross-entropy
-against multi-hot labels (gold plus the posterior pick). Validation loss is
+against multi-hot labels (gold plus the posterior pick). There is one
+selection head under both priors, so the cross-entropy step is the same
+(``initializer_ce_step``); under the learnable prior the surrogate objective
+trains the head too, through the pick's log-probability. Validation loss is
 the same surrogate objective on held-out data under a fixed per-epoch seed;
 the best checkpoint is the epoch with the lowest validation loss.
 
@@ -57,15 +60,17 @@ def surrogate_objectives(params: ModelParams, examples: Sequence[DialogueExample
     """Latent-completed objective of each example, (B,): the latent prior
     log-density of its row of ``zs`` (B, latent) plus the response
     log-likelihood under candidate ``picks[j]``, plus, in learnable mode,
-    the knowledge prior log-probability of the pick. ``zs`` and ``picks``
+    the knowledge prior log-probability of the pick, a log-softmax of the
+    selection head's logits over all M candidates (PostKS's prior over the
+    whole pool), though selection scored only the top-S. ``zs`` and ``picks``
     enter as constants, and encodings made off the tape carry no encoder
     gradient.
 
     ``encodings_batch[j]`` holds every candidate of example j or, under the
     uniform prior, its pick's alone, all lanes of one pass. One
     ``latent_prior_means`` and one B-lane ``decode_logprob`` cover the
-    picks. The knowledge prior logits come from one ``head_logits`` product
-    over every candidate (the taped tensor, not ``prior_scores``); each
+    picks. The head's logits come from one ``head_logits`` product over
+    every candidate (the taped tensor, not ``prior_scores``); each
     example's log-softmax is taken over its own slice, and its entry at the
     pick is added into the example's row by a one-hot product, whose zeros
     add nothing. A batch of one takes no slice, so it has the bits of the
@@ -84,8 +89,7 @@ def surrogate_objectives(params: ModelParams, examples: Sequence[DialogueExample
     obj = ad.add(latent_prior_log_density(latent_prior_means(params, lanes), zt),
                  decode_logprob(params, examples, list(picks), zt, encoded=lanes))
     if prior == "learnable":
-        logits = head_logits(params, "knowledge_prior",
-                             [enc for encs in encodings_batch for enc in encs])
+        logits = head_logits(params, [enc for encs in encodings_batch for enc in encs])
         lo = 0
         for j, (encs, s) in enumerate(zip(encodings_batch, picks)):
             m = len(encs)
@@ -113,9 +117,9 @@ def mle_step(params: ModelParams, batch: list[DialogueExample], config: SpiConfi
              latents: list[LatentPair]) -> float:
     """One ascent step on the batch-mean surrogate objective at the inferred
     ``latents``, one (s, z) per example. Returns the surrogate loss
-    (negative mean objective). The objective never reads the initializer
-    head, nor the knowledge prior head in uniform mode, so neither moves
-    here.
+    (negative mean objective). Under the uniform prior the objective never
+    reads the selection head, so it does not move here; under the learnable
+    prior it moves with the rest, through the pick's log-softmax over all M.
     """
     if not batch:
         raise ContractError("mle_step needs a non-empty batch")
@@ -157,9 +161,9 @@ def multi_hot_labels(example: DialogueExample, selected: int) -> np.ndarray:
 
 
 def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
-                 labels: list[np.ndarray], head: str,
+                 labels: list[np.ndarray],
                  encodings_batch: Sequence[Sequence[EncodedContext]]) -> Tensor:
-    """Batch-mean binary cross-entropy of one selection head against 0/1
+    """Batch-mean binary cross-entropy of the selection head against 0/1
     multi-hot labels: -(y . log sigmoid(x) + (1 - y) . log sigmoid(-x)) / B
     over every candidate's logit x in the batch, from one head pass over
     ``encodings_batch``, the caller's lanes of every candidate, made off the
@@ -171,47 +175,33 @@ def head_ce_loss(params: ModelParams, batch: list[DialogueExample],
     for y, example, encs in zip(labels, batch, encodings_batch):
         if len(y) != len(example.candidates) or len(encs) != len(y):
             raise ContractError("label vector and encodings must match the candidate count")
-    x = head_logits(params, head, [enc for encs in encodings_batch for enc in encs])
+    x = head_logits(params, [enc for encs in encodings_batch for enc in encs])
     y = np.concatenate(labels).astype(np.float64)
     positive = ad.matmul(ad.log_sigmoid(x), Tensor(y))
     total = ad.matmul(ad.log_sigmoid(ad.neg(x)), Tensor(1.0 - y), plus=positive)
     return ad.scale(total, -1.0 / len(batch))
 
 
-def _head_ce_step(params: ModelParams, batch: list[DialogueExample],
-                  labels: list[np.ndarray], lr: float, head: str,
-                  encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
-    """Shared binary-CE descent on one selection head."""
+def initializer_ce_step(params: ModelParams, batch: list[DialogueExample],
+                        labels: list[np.ndarray], lr: float,
+                        encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
+    """Binary-CE descent on the selection head, under either prior; returns
+    the batch-mean cross-entropy."""
     with Tape() as tape:
-        loss = head_ce_loss(params, batch, labels, head, encodings_batch)
+        loss = head_ce_loss(params, batch, labels, encodings_batch)
         grads = ad.backward(tape, loss)
-    _check_gradients(grads, params.head_names(head))
+    _check_gradients(grads, ("init_w", "init_b"))
     if lr != 0.0:
-        for name in params.head_names(head):
+        for name in ("init_w", "init_b"):
             params.tensors[name].data -= lr * grads[name]
     return float(loss.data)
 
 
-def initializer_ce_step(params: ModelParams, batch: list[DialogueExample],
-                        labels: list[np.ndarray], lr: float,
-                        encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
-    """Descent on the initializer head (uniform-prior mode); returns the
-    batch-mean cross-entropy."""
-    return _head_ce_step(params, batch, labels, lr, "initializer", encodings_batch)
-
-
-def prior_ce_step(params: ModelParams, batch: list[DialogueExample],
-                  labels: list[np.ndarray], lr: float,
-                  encodings_batch: Sequence[Sequence[EncodedContext]]) -> float:
-    """Same multi-label update applied to the learnable prior head."""
-    return _head_ce_step(params, batch, labels, lr, "knowledge_prior", encodings_batch)
-
-
 def validation_loss(params: ModelParams, examples: list[DialogueExample],
-                    config: SpiConfig, epoch: int) -> tuple[float, float]:
+                    config: SpiConfig, epoch: int) -> tuple[float, float | None]:
     """Mean surrogate loss on held-out data with the run's own inference
     settings under a fixed per-epoch seed, and the selection accuracy of the
-    generation-time pick over the gold-labelled examples (0 when none are).
+    generation-time pick over the gold-labelled examples (None when none are).
     Each batch of ``config.batch_size`` examples is encoded in one pass for
     both, picked by one head product (``pick_knowledge``), inferred in
     lockstep (``sequential_posterior_infer``), example ``i`` drawing from its
@@ -227,7 +217,7 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
     for lo in range(0, len(examples), config.batch_size):
         chunk = examples[lo:lo + config.batch_size]
         encodings_batch = encode_batch(params, chunk)
-        picks = pick_knowledge(params, encodings_batch, prior=config.prior)
+        picks = pick_knowledge(params, encodings_batch)
         rngs = [derived_rng(config.seed, SEED_VALID, epoch, idx)
                 for idx in range(lo, lo + len(chunk))]
         try:
@@ -249,7 +239,7 @@ def validation_loss(params: ModelParams, examples: list[DialogueExample],
             if example.gold_index is not None:
                 labelled += 1
                 hits += pick == example.gold_index
-    return -total / len(examples), (hits / labelled if labelled else 0.0)
+    return -total / len(examples), (hits / labelled if labelled else None)
 
 
 @dataclass
@@ -300,12 +290,8 @@ def train(train_examples: list[DialogueExample],
                            for i, ex, encs in zip(idxs, batch, encodings_batch)]
                 loss = mle_step(params, batch, config, latents=latents)
                 labels = [multi_hot_labels(ex, pair.s) for ex, pair in zip(batch, latents)]
-                if config.prior == "uniform":
-                    ce = initializer_ce_step(params, batch, labels, config.lr_head,
-                                             encodings_batch)
-                else:
-                    ce = prior_ce_step(params, batch, labels, config.lr_head,
-                                       encodings_batch)
+                ce = initializer_ce_step(params, batch, labels, config.lr_head,
+                                         encodings_batch)
             except NumericError as err:
                 raise NumericError(
                     f"epoch {epoch}, batch {lo // config.batch_size}: {err}") from err
@@ -317,17 +303,18 @@ def train(train_examples: list[DialogueExample],
         if valid_examples:
             val_loss, val_acc = validation_loss(params, valid_examples, config, epoch)
         else:
-            val_loss, val_acc = float(np.mean(batch_losses)), 0.0
+            val_loss, val_acc = float(np.mean(batch_losses)), None
         record = {"epoch": epoch,
                   "surrogate_loss": float(np.mean(batch_losses)),
                   "ce_loss": float(np.mean(ce_losses)),
                   "validation_loss": float(val_loss),
-                  "selection_accuracy": float(val_acc)}
+                  # null when no validation example is gold-labelled
+                  "selection_accuracy": val_acc}
         records.append(record)
         if not quiet:
-            log.info("epoch %d: surrogate %.4f ce %.4f val %.4f acc %.3f (%.1fs)",
-                     epoch, record["surrogate_loss"], record["ce_loss"],
-                     val_loss, val_acc, epoch_seconds[-1])
+            log.info("epoch %d: surrogate %.4f ce %.4f val %.4f acc %s (%.1fs)",
+                     epoch, record["surrogate_loss"], record["ce_loss"], val_loss,
+                     "n/a" if val_acc is None else f"{val_acc:.3f}", epoch_seconds[-1])
         if val_loss < best_loss:
             best_loss = float(val_loss)
             best_epoch = epoch

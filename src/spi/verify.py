@@ -96,39 +96,33 @@ def naive_latent_mean(params: ModelParams, example: DialogueExample, s: int) -> 
     return _naive_pooled(params, example, s) @ params["zprior_w"].data + params["zprior_b"].data
 
 
-def naive_initializer_probs(params: ModelParams, example: DialogueExample) -> np.ndarray:
-    w = params.tensors
-    out = np.zeros(len(example.candidates))
-    for i in range(len(example.candidates)):
-        logit = float(_naive_pooled(params, example, i) @ w["init_w"].data + w["init_b"].data)
-        # exp of a non-positive number: no overflow however large the logit
-        e = np.exp(-abs(logit))
-        out[i] = 1.0 / (1.0 + e) if logit >= 0.0 else e / (1.0 + e)
-    return out
-
-
 def naive_prior_logits(params: ModelParams, example: DialogueExample) -> np.ndarray:
+    """Reference selection-head logits, one per candidate."""
     w = params.tensors
     return np.array([
-        _naive_pooled(params, example, i) @ w["kprior_w"].data + w["kprior_b"].data
+        _naive_pooled(params, example, i) @ w["init_w"].data + w["init_b"].data
         for i in range(len(example.candidates))])
 
 
-def naive_select(params: ModelParams, example: DialogueExample, prior: str) -> int:
-    """Brute-force posterior pick over all candidates at the prior-mean latent."""
-    m = len(example.candidates)
-    raw = np.zeros(m)
-    extra = naive_prior_logits(params, example) if prior == "learnable" else np.zeros(m)
-    for i in range(m):
-        mu = naive_latent_mean(params, example, i)
-        raw[i] = extra[i] + naive_response_logprob(params, example, i, mu)
-    return int(np.argmax(raw))
-
-
 def naive_top_s(params: ModelParams, example: DialogueExample, top_s: int) -> list[int]:
-    scores = naive_initializer_probs(params, example)
-    keep = np.argsort(-scores, kind="stable")[:top_s]
+    """Reference top-S: the ``top_s`` highest head logits, ascending, the
+    lowest index winning a tie."""
+    keep = np.argsort(-naive_prior_logits(params, example), kind="stable")[:top_s]
     return sorted(int(i) for i in keep)
+
+
+def naive_select(params: ModelParams, example: DialogueExample, prior: str,
+                 top_s: int | None = None) -> int:
+    """Brute-force posterior pick at the prior-mean latent over the
+    reference top-S (``naive_top_s`` of min(``top_s``, M)), or over every
+    candidate when ``top_s`` is None; the lowest index wins a tie."""
+    m = len(example.candidates)
+    subset = list(range(m)) if top_s is None else naive_top_s(params, example, min(top_s, m))
+    extra = naive_prior_logits(params, example) if prior == "learnable" else np.zeros(m)
+    raw = [extra[i] + naive_response_logprob(params, example, i,
+                                             naive_latent_mean(params, example, i))
+           for i in subset]
+    return subset[int(np.argmax(raw))]
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +270,16 @@ def check_gradients(n_seeds: int = 3, tol: float = 1e-4,
         shared_pick = int(head_rng.integers(len(shared.candidates)))
         for label, ex, pick in (("", example, s), ("shared-rows/", shared, shared_pick)):
             labels = [multi_hot_labels(ex, pick)]
-            encs = encode_batch(params, [ex])  # off the tape: the heads' constant inputs
-            for head in ("initializer", "knowledge_prior"):
-                for name in params.head_names(head):
-                    def ce(x: Tensor, _name=name, _head=head, _ex=ex, _y=labels,
-                           _encs=encs) -> Tensor:
-                        return head_ce_loss(_swap(params, _name, x), [_ex], _y, _head, _encs)
+            encs = encode_batch(params, [ex])  # off the tape: the head's constant inputs
+            for name in ("init_w", "init_b"):
+                def ce(x: Tensor, _name=name, _ex=ex, _y=labels, _encs=encs) -> Tensor:
+                    return head_ce_loss(_swap(params, _name, x), [_ex], _y, _encs)
 
-                    report = gradcheck(ce, params.tensors[name].data, tol=tol, h=1e-4)
-                    worst = max(worst, report.max_rel_error)
-                    if not report.passed:
-                        return CheckResult("gradients", False,
-                                           f"cross-entropy/{label}{name} seed {seed}: {report}")
+                report = gradcheck(ce, params.tensors[name].data, tol=tol, h=1e-4)
+                worst = max(worst, report.max_rel_error)
+                if not report.passed:
+                    return CheckResult("gradients", False,
+                                       f"cross-entropy/{label}{name} seed {seed}: {report}")
         # the drift's two terms at a lone chain's (1, latent) state
         lane = encode_context(params, example, [s])
         mu_const = latent_prior_means(params, lane).data
@@ -443,18 +435,20 @@ def check_selection(n_instances: int = 100, seed: int = 0) -> CheckResult:
     random tiny instances plus constructed all-tied instances (duplicate
     candidates), ragged-candidate instances and wide all-tied instances, whose
     equal rows a matrix product can round apart, in both prior modes, each
-    through a config whose top-S covers every candidate; also pins the
-    reference's top-S at S=M to every candidate. Every instance goes through
-    ``select_knowledge_batch`` as a pass of one; passes of several examples
+    through a config whose top-S covers every candidate and one that cuts
+    it to half the widest example's M (at least 1), against the reference's
+    pick over its own top-S; also pins the reference's top-S at S=M to every
+    candidate. Every instance goes through ``select_knowledge_batch`` as a
+    pass of one; passes of several examples
     (a random, a tied and a ragged one; a random and two wide tied ones) go
     through it as one pass, each pick against the reference."""
     rng = derived_rng(4_400 + seed, 1)
     mismatches: list[str] = []
 
     def configs(params: ModelParams, examples: list[DialogueExample]):
-        top_s = max(len(example.candidates) for example in examples)
-        return [(prior, SpiConfig(model=params.cfg, prior=prior, top_s=top_s))
-                for prior in ("uniform", "learnable")]
+        m = max(len(example.candidates) for example in examples)
+        return [SpiConfig(model=params.cfg, prior=prior, top_s=top_s)
+                for prior in ("uniform", "learnable") for top_s in (m, max(1, m // 2))]
 
     def compare(label: str, params: ModelParams, example: DialogueExample) -> None:
         m = len(example.candidates)
@@ -465,14 +459,15 @@ def check_selection(n_instances: int = 100, seed: int = 0) -> CheckResult:
     def compare_pass(label: str, params: ModelParams,
                      examples: list[DialogueExample]) -> None:
         encodings = encode_batch(params, examples)
-        for prior, config in configs(params, examples):
+        for config in configs(params, examples):
             picks = select_knowledge_batch(params, examples, config,
                                            encodings_batch=encodings)
             for j, (example, got) in enumerate(zip(examples, picks)):
-                want = naive_select(params, example, prior)
+                want = naive_select(params, example, config.prior, config.top_s)
                 if got.chosen != want:
                     where = label if len(examples) == 1 else f"{label} example {j}"
-                    mismatches.append(f"{where} prior={prior}: {got.chosen} != {want}")
+                    mismatches.append(f"{where} prior={config.prior} top_s={config.top_s}: "
+                                      f"{got.chosen} != {want}")
 
     ties = 0
     for i in range(n_instances):
@@ -531,7 +526,8 @@ def check_selection(n_instances: int = 100, seed: int = 0) -> CheckResult:
     return CheckResult("selection", True,
                        f"0 mismatches over {n_instances} instances ({ties} tied), "
                        f"{n_ragged} ragged ones, {n_wide} wide tied ones and "
-                       f"{2 * n_passes} passes of three examples")
+                       f"{2 * n_passes} passes of three examples, each prior at full "
+                       f"and half top-S")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from spi.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                             read_checkpoint, save_checkpoint)
 from spi.config import ModelConfig, SpiConfig, with_overrides
+from spi.autodiff import Tensor
 from spi.errors import ContractError
 from spi.model import ModelParams
 
@@ -159,3 +160,24 @@ def test_a_manifest_that_lists_a_tensor_twice_names_the_file_and_the_tensor(tmp_
                      + np.full(shape, 0.5).tobytes() + blob[tail:])
     with pytest.raises(ContractError, match=re.escape(f"{path}: ") + ".*'embed' twice"):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "learnable"])
+def test_a_checkpoint_with_a_second_selection_head_names_the_file_and_its_tensors(
+        tmp_path, cfg, prior):
+    # the earlier 25-tensor layout: a knowledge prior head after ``init_b``,
+    # under the same fingerprint, so only the tensor list refuses it
+    config = with_overrides(cfg, prior=prior)
+    params = ModelParams.init(config.model)
+    tensors = {}
+    for name, tensor in params.items():
+        tensors[name] = tensor
+        if name == "init_b":
+            tensors["kprior_w"] = Tensor(np.ones(config.model.hidden_dim))
+            tensors["kprior_b"] = Tensor(np.zeros(()))
+    path = tmp_path / "model.bin"
+    path.write_bytes(checkpoint_bytes(ModelParams(config.model, tensors), config.fingerprint()))
+    assert len(read_checkpoint(path)[0]) == 25
+    with pytest.raises(ContractError, match=re.escape(
+            f"{path}: unknown parameters in checkpoint: ['kprior_b', 'kprior_w']")):
+        load_checkpoint(path, config)

@@ -303,18 +303,19 @@ def test_an_invalid_sweep_point_exits_1_before_any_training(workdir, corpus_dir,
     assert not out.exists()
 
 
-def test_a_top_s_sweep_under_the_learnable_prior_exits_1_naming_the_flag(
+def test_a_top_s_sweep_under_the_learnable_prior_trains_one_run_per_point(
         workdir, corpus_dir, config_file, capsys):
-    # the learnable prior reads no top_s: every point would train the same run
+    # the learnable prior weights the head's top-S as the uniform one does, so
+    # a cut to 1 of the 3 candidates trains apart from full width
     out = workdir / "learnable-sweep"
     code = main(["train", "--corpus", str(corpus_dir), "--out", str(out),
                  "--config", str(config_file), "--epochs", "1", "--prior", "learnable",
-                 "--sweep-top-s", "1,3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: --sweep-top-s: the learnable prior")
-    assert "Traceback" not in err
-    assert not out.exists()
+                 "--sweep-top-s", "1,5"])
+    assert code == 0, capsys.readouterr().err
+    logs = [(out / f"T2_S{s}" / "metrics.jsonl").read_text().splitlines() for s in (1, 5)]
+    assert [json.loads(log[0])["config"]["top_s"] for log in logs] == [1, 5]
+    assert len(logs[0]) == len(logs[1]) == 2 and logs[0][1] != logs[1][1]
+    assert len((out / "sweep.tsv").read_text().splitlines()) == 3
 
 
 def test_missing_checkpoint_exits_1_naming_it(workdir, corpus_dir, config_file, capsys):

@@ -1,7 +1,7 @@
 """Posterior selection scores its candidates in one decoder pass
 (``decode_logprob`` call), in both prior modes: the call covers the
-evaluated subset, and its lanes are the subset's distinct truncated
-candidates. A Langevin chain plans its decode once and runs only the
+evaluated subset, the top min(top_s, M) under either prior, and its lanes
+are the subset's distinct truncated candidates. A Langevin chain plans its decode once and runs only the
 latent's part of it at each step. Evaluation decodes all its examples in two passes, one greedy
 and one teacher-forced. A teacher-forced decode runs its output head once."""
 from __future__ import annotations
@@ -68,8 +68,8 @@ def distinct(indices) -> int:
     return len({tuple(EXAMPLE.candidates[s][:CFG.max_candidate]) for s in indices})
 
 
-@pytest.mark.parametrize("prior, top_s", [("uniform", None), ("uniform", 4),
-                                          ("learnable", None)])
+@pytest.mark.parametrize("top_s", [None, 4])
+@pytest.mark.parametrize("prior", ["uniform", "learnable"])
 def test_one_decode_per_selection(decoder_calls, prior, top_s):
     # None: a top-S of every candidate
     params = ModelParams.init(CFG, seed=2)
@@ -101,9 +101,9 @@ def test_inference_makes_one_selection_decode_then_one_per_langevin_step(decoder
     params = ModelParams.init(CFG, seed=5)
     [pair] = sequential_posterior_infer(params, [EXAMPLE], config, [derived_rng(1, 2)],
                                         [model.encode_context(params, EXAMPLE)])
-    # the selection is the one full decode
+    # the selection is the one full decode, of the top 4 of 7 under either prior
     [subset] = decoder_calls["decode"]
-    assert len(subset) == (4 if prior == "uniform" else len(EXAMPLE.candidates))
+    assert len(subset) == 4
     # the chain plans the pick's decode once, then each step runs that plan:
     # one cursor of one lane per step, from the plan's lanes
     assert plans == [[pair.s]]

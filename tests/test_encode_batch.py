@@ -121,17 +121,14 @@ def test_equal_candidates_get_equal_logits_from_the_batched_head():
                 DialogueExample(history=[9], candidates=[[4] * (cap + 1), [5], [4] * (cap + 2)],
                                 gold_index=0, response=[5, EOS])]
     batch = encode_batch(params, examples)
-    for head in ("initializer", "knowledge_prior"):
-        logits = model.head_logits(params, head, [enc for encs in batch for enc in encs]).data
-        first, second = logits[:4], logits[4:]
-        assert first[0] == first[2] and second[0] == second[2]
-        assert len(set(first.tolist())) == 3 and len(set(second.tolist())) == 2
-    for prior in ("uniform", "learnable"):
-        # ties resolve to the lowest index
-        params_tied = ModelParams.init(CFG, seed=2)
-        params_tied["init_w"].data[:] = params_tied["kprior_w"].data[:] = 0.0
-        assert generation.pick_knowledge(params_tied, encode_batch(params_tied, examples),
-                                         prior=prior) == [0, 0]
+    logits = model.head_logits(params, [enc for encs in batch for enc in encs]).data
+    first, second = logits[:4], logits[4:]
+    assert first[0] == first[2] and second[0] == second[2]
+    assert len(set(first.tolist())) == 3 and len(set(second.tolist())) == 2
+    # ties resolve to the lowest index
+    params_tied = ModelParams.init(CFG, seed=2)
+    params_tied["init_w"].data[:] = 0.0
+    assert generation.pick_knowledge(params_tied, encode_batch(params_tied, examples)) == [0, 0]
 
 
 def test_equal_examples_get_their_own_lanes():
@@ -165,7 +162,7 @@ def test_lanes_read_together_come_from_one_pass():
     one = encode_context(params, ex)
     two = [one[0], encode_context(params, ex)[1]]  # lanes of two passes
     z = np.zeros((2, CFG.latent_dim))
-    for read in (lambda encs: model.head_logits(params, "initializer", encs),
+    for read in (lambda encs: model.head_logits(params, encs),
                  lambda encs: model.latent_prior_means(params, encs),
                  model.keep_lanes,
                  lambda encs: model.decoder_lanes(params, encs),
@@ -177,13 +174,11 @@ def test_lanes_read_together_come_from_one_pass():
 
 def test_empty_lane_sets_end_in_a_contract_error():
     params = ModelParams.init(CFG, seed=1)
-    for head in ("initializer", "knowledge_prior"):
-        with pytest.raises(ContractError, match="no encodings"):
-            model.head_logits(params, head, [])
+    with pytest.raises(ContractError, match="no encodings"):
+        model.head_logits(params, [])
     with pytest.raises(ContractError, match="no encodings"):
         model.latent_prior_means(params, [])
-    for prior in ("uniform", "learnable"):
-        assert generation.pick_knowledge(params, [], prior=prior) == []
+    assert generation.pick_knowledge(params, []) == []
 
 
 def test_lane_reads_take_the_pass_as_it_is_or_one_gather():
@@ -224,7 +219,7 @@ def test_generate_batch_gives_the_tokens_of_one_example_at_a_time(prior, chunk, 
     monkeypatch.setattr(generation, "ENCODE_CHUNK", chunk)
     params = ModelParams.init(CFG, seed=3, scale=0.8)
     examples = _generation_batch()
-    batch = generate_batch(params, examples, prior=prior, max_len=6)
+    batch = generate_batch(params, examples, max_len=6)
     for got, ex in zip(batch, examples):
         want = generate(params, ex, prior=prior, max_len=6)
         assert got.s == want.s and got.tokens == want.tokens
@@ -254,7 +249,7 @@ def test_generate_batch_keeps_the_picked_lanes_only(monkeypatch):
     monkeypatch.setattr(model.EncodedContext, "states", property(reading))
     params = ModelParams.init(CFG, seed=3)
     examples = _generation_batch()
-    results = generate_batch(params, examples, prior="uniform", max_len=4)
+    results = generate_batch(params, examples, max_len=4)
     # one gather per pass keeps each example's pick, in a pass of its own
     # that holds the picks' rows and nothing else
     assert [len(encodings) for encodings, _ in kept_calls] == [3, 1]
@@ -268,7 +263,7 @@ def test_generate_batch_keeps_the_picked_lanes_only(monkeypatch):
     # decode (the second chunk's) reads its lone lane's, once
     read.clear()
     kept_calls.clear()
-    generate_batch(params, examples, prior="uniform", max_len=4)
+    generate_batch(params, examples, max_len=4)
     assert [len(kept) for _, kept in kept_calls] == [3, 1]
     assert read == [kept_calls[1][1][0]]
 
@@ -293,7 +288,7 @@ def test_generate_batch_lets_the_picked_lanes_go_for_the_decode(chunk, monkeypat
     monkeypatch.setattr(generation, "_decoder_step", checking)
     params = ModelParams.init(CFG, seed=3)
     examples = _generation_batch()
-    generate_batch(params, examples, prior="uniform", max_len=4)
+    generate_batch(params, examples, max_len=4)
     assert len(kept_rows) == -(-len(examples) // chunk) and alive and set(alive) == {0}
     alive.clear()
     generate(params, examples[0], prior="uniform", max_len=4)

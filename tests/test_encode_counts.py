@@ -118,7 +118,7 @@ def test_perplexity_without_lanes_encodes_the_picks_alone(corpus, encode_calls):
     cfg = config_for(corpus, "uniform")
     params = ModelParams.init(cfg.model, seed=1)
     examples = corpus.test[:4]
-    picks = pick_knowledge(params, encode_batch(params, examples), prior="uniform")
+    picks = pick_knowledge(params, encode_batch(params, examples))
     encode_calls.clear()
     perplexity(params, examples, picks=picks)
     assert encode_calls == [([[s] for s in picks], False)]
@@ -154,7 +154,7 @@ def test_reused_encodings_match_encoding_from_scratch(corpus, prior):
                                            [encs]).data[0])
         ad.check_finite(value, "surrogate objective")
         total += value
-        hits += pick_knowledge(params, [encs], prior=prior)[0] == ex.gold_index
+        hits += pick_knowledge(params, [encs])[0] == ex.gold_index
     # in batches of one, validation's passes are these one-example passes
     loss, accuracy = validation_loss(params, examples, replace(cfg, batch_size=1), epoch=3)
     assert loss == -total / len(examples)
@@ -180,7 +180,7 @@ def test_handed_lanes_make_no_encoder_pass(corpus, encode_calls, prior):
     select_knowledge_batch(params, examples, cfg, encodings_batch=encodings)
     sequential_posterior_infer(params, examples, cfg, rngs, encodings)
     with ad.Tape():
-        head_ce_loss(params, examples, labels, "initializer", encodings)
+        head_ce_loss(params, examples, labels, encodings)
     decode_plan(params, examples, picks, lanes)
     decode_logprob(params, examples, picks, z, encoded=lanes)
     assert encode_calls == []

@@ -103,7 +103,7 @@ def test_learnable_surrogate_gradient_on_a_ragged_example():
     example = verify._ragged_example(rng, CFG, hist_len=CFG.max_history + 2)
     s = len(example.candidates) - 1
     z = rng.normal(size=CFG.latent_dim)
-    for name in ("embed", "enc_wx", "enc_wh", "enc_b", "kprior_w", "dec_init_w"):
+    for name in ("embed", "enc_wx", "enc_wh", "enc_b", "init_w", "dec_init_w"):
         def objective(x: Tensor, _name=name) -> Tensor:
             return surrogate_objective(verify._swap(params, _name, x), example, s, z,
                                        "learnable")

@@ -76,8 +76,7 @@ def test_a_lockstep_decode_of_equal_candidates_runs_one_lane(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("read", [
-    lambda p, encs: head_logits(p, "initializer", encs),
-    lambda p, encs: head_logits(p, "knowledge_prior", encs),
+    head_logits,
     latent_prior_means,
 ])
 def test_a_product_over_distinct_lanes_records_one_node(read):

@@ -27,60 +27,48 @@ def make_example(cands=((6, 7), (7, 6)), hist=(4, 5), resp=(6, 7, EOS), gold=0):
                            gold_index=gold, response=list(resp))
 
 
-def pick_one(params, example, prior):
+def pick_one(params, example):
     """``pick_knowledge`` of one example, every candidate a lane of one pass."""
-    return pick_knowledge(params, [encode_context(params, example)], prior=prior)[0]
+    return pick_knowledge(params, [encode_context(params, example)])[0]
 
 
 class TestPickKnowledge:
     def test_argmax_of_initializer_scores(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        heads = []
+        calls = []
 
-        def logits(params, head, encodings):
-            heads.append(head)
+        def logits(params, encodings):
+            calls.append(len(encodings))
             return Tensor(np.array([2.2, -2.2, 40.0]))
 
         monkeypatch.setattr(model, "head_logits", logits)
-        assert pick_one(p, ex, "uniform") == 2
-        assert heads == ["initializer"]
-        # the pick is the argmax of the scores, the sigmoid of the logits: two
-        # logits past where it rounds to 1 tie, and the lower index wins
+        assert pick_one(p, ex) == 2
+        assert calls == [3]
+        # the pick is the argmax of the logits themselves: two logits past
+        # where a sigmoid rounds to 1 stay apart, and the larger wins
         monkeypatch.setattr(model, "head_logits",
                             lambda *a: Tensor(np.array([0.0, 40.0, 41.0])))
-        assert pick_one(p, ex, "uniform") == 1
+        assert pick_one(p, ex) == 2
 
     def test_ties_resolve_to_lowest_index(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
-        assert pick_one(p, ex, "uniform") == 0
+        assert pick_one(p, ex) == 0
 
     def test_single_candidate_is_chosen(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         ex = make_example(cands=((6, 7),))
-        for prior in ("uniform", "learnable"):
-            assert pick_one(p, ex, prior) == 0
+        assert pick_one(p, ex) == 0
 
-    def test_learnable_mode_uses_the_prior_head(self, monkeypatch):
+    def test_generate_reads_no_prior(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
-        ex = make_example(cands=((6, 7), (7, 6)))
-        heads = []
-
-        def logits(params, head, encodings):
-            heads.append(head)
-            return Tensor(np.array([-2.0, 1.5]))
-
-        monkeypatch.setattr(model, "head_logits", logits)
-        assert pick_one(p, ex, "learnable") == 1
-        assert heads == ["knowledge_prior"]
-
-    def test_unknown_prior_rejected(self):
-        p = ModelParams.init(tiny_cfg(), seed=1)
-        with pytest.raises(ContractError):
-            pick_one(p, make_example(), "flat")
+        ex = make_example(cands=((6, 7), (7, 6), (5, 4)))
+        outs = [generate(p, ex, prior=prior) for prior in ("uniform", "learnable", None)]
+        assert outs[0].s == outs[1].s == outs[2].s == pick_one(p, ex)
+        assert outs[0].tokens == outs[1].tokens == outs[2].tokens
 
 
 class TestGenerate:
@@ -114,7 +102,7 @@ class TestGenerate:
         p = ModelParams.init(tiny_cfg(), seed=7)
         p["out_b"].data[EOS] = -1e3
         assert len(generate(p, make_example(), prior="uniform").tokens) == 8
-        batch = generate_batch(p, [make_example()] * 2, prior="uniform")
+        batch = generate_batch(p, [make_example()] * 2)
         assert [len(r.tokens) for r in batch] == [8, 8]
 
     def test_logprobs_are_nonpositive_and_aligned(self):
@@ -191,7 +179,8 @@ def _ragged_examples():
 
 
 def _ragged_params():
-    p = ModelParams.init(tiny_cfg(), seed=4, scale=0.8)
+    # seed 10: at a cap of 6 the lanes retire after 1, 1, 2, 5 and 6 steps
+    p = ModelParams.init(tiny_cfg(), seed=10, scale=0.8)
     p["out_b"].data[EOS] += 1.0
     return p
 
@@ -233,13 +222,13 @@ class TestGreedyDecode:
         monkeypatch.setattr(generation, "output_logits", poisoned)
         examples = [make_example(), make_example(hist=(6,)), make_example(hist=())][:lanes]
         with pytest.raises(NumericError, match=r"output at generation step 3 is non-finite"):
-            generate_batch(p, examples, prior="uniform", max_len=8)
+            generate_batch(p, examples, max_len=8)
 
     @pytest.mark.parametrize("lanes", [1, 5])
     def test_logprobs_are_each_steps_log_softmax_to_the_bit(self, lanes, step_logits):
         p = _ragged_params()
         examples = _ragged_examples()[:lanes]
-        results = generate_batch(p, examples, prior="uniform", max_len=6)
+        results = generate_batch(p, examples, max_len=6)
         assert len(step_logits) == max(len(r.tokens) for r in results)
         if lanes > 1:  # the lanes retire at different steps
             assert len({len(r.tokens) for r in results}) >= 3
@@ -266,7 +255,7 @@ class TestBatchAndOutput:
         passes = encode_batch(p, examples)
         for prior in ("uniform", "learnable"):
             for max_len in (1, 3, 6):
-                batch = generate_batch(p, examples, prior=prior, max_len=max_len)
+                batch = generate_batch(p, examples, max_len=max_len)
                 singles = [generate(p, ex, prior=prior, max_len=max_len) for ex in examples]
                 # the batch's latents are exactly the prior means of its picks
                 # from one product; a lone example's is exactly its own prior
@@ -283,18 +272,18 @@ class TestBatchAndOutput:
                     np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=0, atol=1e-12)
         # at the cap of 6 some lanes are forced to EOS and others retired before
-        capped = [len(r.tokens) for r in generate_batch(p, examples, prior="uniform",
+        capped = [len(r.tokens) for r in generate_batch(p, examples,
                                                          max_len=6)]
         assert any(n == 6 < u for n, u in zip(capped, uncapped))
         assert any(n < 6 for n in capped)
 
     def test_empty_batch_gives_no_results(self):
-        assert generate_batch(ModelParams.init(tiny_cfg(), seed=2), [], prior="uniform") == []
+        assert generate_batch(ModelParams.init(tiny_cfg(), seed=2), []) == []
 
     def test_written_file_round_trips(self, tmp_path):
         p = ModelParams.init(tiny_cfg(), seed=2)
         examples = [make_example(), make_example(cands=((5, 4), (4, 5)), gold=1)]
-        results = generate_batch(p, examples, prior="uniform")
+        results = generate_batch(p, examples)
         path = tmp_path / "gen.jsonl"
         write_generations(path, results)
         lines = [json.loads(line) for line in path.read_text().splitlines()]

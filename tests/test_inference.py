@@ -18,7 +18,7 @@ from spi.inference import (decoder_grad_z,
                            top_s_candidates)
 from spi.model import (EOS, DialogueExample, ModelParams, decode_logprob, decode_plan,
                        encode_batch, encode_context, latent_prior_mean, latent_prior_means)
-from spi.verify import naive_top_s
+from spi.verify import naive_prior_logits, naive_top_s
 
 
 def tiny_cfg(vocab_size=10):
@@ -111,8 +111,8 @@ class TestSelection:
         def flat_loglik(params, example, indices, z, encoded=None):
             return Tensor(np.full(len(indices), -1.0))
 
-        def tilted_logits(params, encodings_batch, *, prior):
-            assert prior == "learnable" and len(encodings_batch) == 1
+        def tilted_logits(params, encodings_batch):
+            assert len(encodings_batch) == 1
             return [np.array([0.0, 2.0])]
 
         monkeypatch.setattr(inference, "decode_logprob", flat_loglik)
@@ -130,12 +130,12 @@ class TestSelection:
         assert len(out.evaluated) == 2
         assert out.chosen in out.evaluated
 
-    def test_learnable_prior_with_top_s_1_evaluates_every_candidate(self):
+    def test_learnable_prior_with_top_s_1_evaluates_the_head_s_top_1(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
         ex = make_example(cands=((6, 7), (7, 6)))
         out = select(p, ex, prior="learnable", top_s=1)
-        assert out.evaluated == (0, 1)
-        assert len(out.log_weights) == 2
+        assert out.evaluated == tuple(naive_top_s(p, ex, 1)) == (out.chosen,)
+        assert out.log_weights.tolist() == [0.0]
 
     def test_temperature_flattens_weights(self, monkeypatch):
         p = ModelParams.init(tiny_cfg(), seed=1)
@@ -216,47 +216,58 @@ class TestTopS:
 
 class TestWidthRule:
     """One rule turns ``config.top_s`` into an example's width, in the
-    one-example form and in a pass of examples of 3 and 5 candidates alike:
-    the initializer's top min(top_s, M) under the uniform prior, all M under
-    the learnable prior."""
+    one-example form and in a pass of examples of 3 and 5 candidates alike,
+    under either prior: the selection head's top min(top_s, M)."""
 
     EXAMPLES = (make_example(cands=((6, 7), (7, 6), (5, 4))),
                 make_example(cands=((6, 7), (7, 6), (5, 4), (4, 5), (6, 6)), resp=(5, EOS)))
 
     @classmethod
-    def evaluated(cls, p, config, form):
+    def outcomes(cls, p, config, form):
         if form == "one":
             return [select_knowledge_batch(p, [ex], config,
-                                           encodings_batch=[encode_context(p, ex)])[0].evaluated
+                                           encodings_batch=[encode_context(p, ex)])[0]
                     for ex in cls.EXAMPLES]
         examples = list(cls.EXAMPLES)
-        return [out.evaluated for out in select_knowledge_batch(
-            p, examples, config, encodings_batch=encode_batch(p, examples))]
+        return select_knowledge_batch(p, examples, config,
+                                      encodings_batch=encode_batch(p, examples))
 
+    @classmethod
+    def evaluated(cls, p, config, form):
+        return [out.evaluated for out in cls.outcomes(p, config, form)]
+
+    @pytest.mark.parametrize("prior", ["uniform", "learnable"])
     @pytest.mark.parametrize("form", ["one", "batch"])
-    def test_a_top_s_above_m_evaluates_every_candidate(self, form):
+    def test_a_top_s_above_m_evaluates_every_candidate(self, form, prior):
         p = ModelParams.init(tiny_cfg(), seed=2)
         for top_s in (5, 6):
-            config = SpiConfig(model=p.cfg, top_s=top_s)
+            config = SpiConfig(model=p.cfg, prior=prior, top_s=top_s)
             assert self.evaluated(p, config, form) == [(0, 1, 2), (0, 1, 2, 3, 4)]
         # a width between the two examples' M is each one's own min(top_s, M)
-        config = SpiConfig(model=p.cfg, top_s=4)
+        config = SpiConfig(model=p.cfg, prior=prior, top_s=4)
         assert self.evaluated(p, config, form) == [
             (0, 1, 2), tuple(naive_top_s(p, self.EXAMPLES[1], 4))]
 
+    @pytest.mark.parametrize("prior", ["uniform", "learnable"])
     @pytest.mark.parametrize("form", ["one", "batch"])
-    def test_a_top_s_of_2_evaluates_the_initializer_s_top_2(self, form):
+    def test_a_top_s_of_2_evaluates_the_initializer_s_top_2(self, form, prior):
         p = ModelParams.init(tiny_cfg(), seed=2)
         want = [tuple(naive_top_s(p, ex, 2)) for ex in self.EXAMPLES]
         assert want == [(0, 2), (2, 3)]  # not the first two indices
-        assert self.evaluated(p, SpiConfig(model=p.cfg, top_s=2), form) == want
+        assert self.evaluated(p, SpiConfig(model=p.cfg, prior=prior, top_s=2), form) == want
 
     @pytest.mark.parametrize("form", ["one", "batch"])
-    def test_the_learnable_prior_evaluates_every_candidate_whatever_top_s(self, form):
+    def test_the_learnable_prior_weights_the_subset_by_its_logits(self, form):
+        # the same subset as the uniform prior's, its weights tilted by the
+        # head's logits there and normalized over the subset
         p = ModelParams.init(tiny_cfg(), seed=2)
-        for top_s in (1, 2, 4, 6):
-            config = SpiConfig(model=p.cfg, prior="learnable", top_s=top_s)
-            assert self.evaluated(p, config, form) == [(0, 1, 2), (0, 1, 2, 3, 4)]
+        uniform, learnable = (self.outcomes(p, SpiConfig(model=p.cfg, prior=prior, top_s=2),
+                                            form) for prior in ("uniform", "learnable"))
+        for ex, flat, tilted in zip(self.EXAMPLES, uniform, learnable):
+            assert tilted.evaluated == flat.evaluated
+            scaled = flat.log_weights + naive_prior_logits(p, ex)[list(flat.evaluated)]
+            np.testing.assert_allclose(tilted.log_weights, scaled - log_sum_exp(scaled),
+                                       rtol=0, atol=1e-12)
 
 
 class TestLangevinChain:

@@ -178,7 +178,7 @@ class TestPerplexity:
         p = ModelParams.init(cfg, seed=3)
         exs = [make_example(resp=(6, 7, EOS)), make_example(resp=(5, EOS)),
                make_example(resp=(4, 4, EOS))]
-        picks = generation.pick_knowledge(p, encode_batch(p, exs), prior="uniform")
+        picks = generation.pick_knowledge(p, encode_batch(p, exs))
         assert perplexity(p, exs, picks=picks) == \
             perplexity(p, list(reversed(exs)), picks=list(reversed(picks)))
 
@@ -490,7 +490,7 @@ class TestEvaluate:
                                                              small_config, small_trained):
         from spi.generation import generate_batch
         params, examples = small_trained.best_params, small_corpus.test
-        gens = generate_batch(params, examples, prior=small_config.prior,
+        gens = generate_batch(params, examples,
                               max_len=small_config.model.max_response)
         plain = evaluate(params, examples, small_config)
         oracle = evaluate(params, examples, small_config, oracle_knowledge=True)
@@ -514,7 +514,7 @@ class TestEvaluate:
         from spi.generation import generate_batch
         from spi.metrics import _strip_eos
         params, examples = small_trained.best_params, small_corpus.test
-        gens = generate_batch(params, examples, prior=small_config.prior,
+        gens = generate_batch(params, examples,
                               max_len=small_config.model.max_response)
         report = evaluate(params, examples, small_config)
         cands = [_strip_eos(g.tokens) for g in gens]
@@ -562,7 +562,7 @@ class TestEvaluate:
         assert calls.count("latent_prior_means") == (2 if oracle else 1)
         assert calls.count("scored_tokens") == 1
         picks = [ex.gold_index for ex in corpus.test] if oracle else [
-            g.s for g in generation.generate_batch(params, corpus.test, prior=config.prior)]
+            g.s for g in generation.generate_batch(params, corpus.test)]
         assert report.perplexity == perplexity(params, corpus.test, picks=picks)
 
     def test_a_response_past_the_cap_names_its_example_before_any_decode(self, tiny_corpus,

@@ -128,12 +128,10 @@ class TestParams:
         q["embed"].data[0, 0] += 1.0
         assert p["embed"].data[0, 0] != q["embed"].data[0, 0]
 
-    def test_head_names(self):
-        p = random_params(tiny_cfg())
-        assert p.head_names("initializer") == ("init_w", "init_b")
-        assert p.head_names("knowledge_prior") == ("kprior_w", "kprior_b")
-        with pytest.raises(ContractError):
-            p.head_names("decoder")
+    def test_one_selection_head_in_23_tensors(self):
+        names = [name for name, _ in param_shapes(tiny_cfg())]
+        assert len(names) == len(set(names)) == 23
+        assert "init_w" in names and not any(name.startswith("kprior") for name in names)
 
 
 class TestEncoder:
@@ -203,86 +201,74 @@ class TestEncoder:
 
 
 def initializer_scores(params, example):
-    """The uniform prior's ``prior_scores`` of one example's candidates."""
-    return prior_scores(params, [encode_context(params, example)], prior="uniform")[0]
+    """The ``prior_scores`` of one example's candidates: the head's logits."""
+    return prior_scores(params, [encode_context(params, example)])[0]
 
 
 class TestHeads:
-    def test_zero_head_scores_one_half(self):
+    def test_zero_head_scores_zero(self):
         p = random_params(tiny_cfg())
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         scores = initializer_scores(p, make_example())
-        np.testing.assert_allclose(scores, [0.5, 0.5], atol=1e-15)
-
-    def test_scores_stay_in_unit_interval(self):
-        p = random_params(tiny_cfg(), seed=9)
-        p["init_w"].data[:] = 40.0
-        scores = initializer_scores(p, make_example())
-        assert np.all(scores > 0.0) and np.all(scores < 1.0)
+        np.testing.assert_allclose(scores, [0.0, 0.0], atol=1e-15)
 
     def test_prior_softmax_sums_to_one(self):
         p = random_params(tiny_cfg(), seed=4)
-        logits = head_logits(p, "knowledge_prior", encode_context(p, make_example()))
+        logits = head_logits(p, encode_context(p, make_example()))
         weights = ad.softmax(logits)
         assert abs(float(weights.data.sum()) - 1.0) <= 1e-12
 
     def test_single_candidate_takes_full_mass(self):
         p = random_params(tiny_cfg())
         ex = make_example(cands=((6, 7),), gold=0)
-        weights = ad.softmax(head_logits(p, "knowledge_prior", encode_context(p, ex)))
+        weights = ad.softmax(head_logits(p, encode_context(p, ex)))
         np.testing.assert_allclose(weights.data, [1.0], atol=1e-15)
 
-    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
-    def test_equal_candidates_get_equal_logits(self, head):
+    def test_equal_candidates_get_equal_logits(self):
         # at hidden 8 a matrix product over three rows rounds rows 0 and 2
         # apart, though equal, unless they are one shared row
         p = random_params(tiny_cfg(hidden_dim=8), seed=4)
         ex = make_example(cands=((6, 7), (5, 4), (6, 7)))
-        logits = head_logits(p, head, encode_context(p, ex)).data
+        logits = head_logits(p, encode_context(p, ex)).data
         assert logits[0] == logits[2]
-        w_name, b_name = p.head_names(head)
-        want = [verify._naive_pooled(p, ex, i) @ p[w_name].data + p[b_name].data
+        want = [verify._naive_pooled(p, ex, i) @ p["init_w"].data + p["init_b"].data
                 for i in range(3)]
         np.testing.assert_allclose(logits, want, rtol=1e-12, atol=0.0)
 
     def test_logits_follow_the_requested_order(self):
         p = random_params(tiny_cfg(), seed=2)
         encs = encode_context(p, make_example(cands=((6, 7), (5, 4), (6, 7))))
-        logits = head_logits(p, "initializer", encs).data
-        reordered = head_logits(p, "initializer", [encs[2], encs[1], encs[2], encs[0]]).data
+        logits = head_logits(p, encs).data
+        reordered = head_logits(p, [encs[2], encs[1], encs[2], encs[0]]).data
         np.testing.assert_array_equal(reordered, logits[[2, 1, 2, 0]])
 
     def test_saturated_scores_are_exact_and_warn_nothing(self):
+        # a bias that saturates a sigmoid is a plain logit: the scores are it
         p = random_params(tiny_cfg())
         p["init_w"].data[:] = 0.0
-        for bias, want in ((1e4, 1.0), (-1e4, 0.0)):
+        for bias in (1e4, -1e4):
             p["init_b"].data[()] = bias
-            np.testing.assert_array_equal(initializer_scores(p, make_example()), [want, want])
+            np.testing.assert_array_equal(initializer_scores(p, make_example()), [bias, bias])
 
     def test_prior_scores_split_one_head_product_by_example(self, monkeypatch):
         p = random_params(tiny_cfg(), seed=5)
         exs = [make_example(cands=((6, 7), (5, 4))), make_example(cands=((4,), (7, 6), (6,)))]
         encodings = encode_batch(p, exs)
-        heads = []
+        calls = []
         real = model.head_logits
 
-        def counted(params, head, encs):
-            heads.append((head, len(encs)))
-            return real(params, head, encs)
+        def counted(params, encs):
+            calls.append(len(encs))
+            return real(params, encs)
 
         monkeypatch.setattr(model, "head_logits", counted)
         flat = [enc for encs in encodings for enc in encs]
-        for prior, head in (("uniform", "initializer"), ("learnable", "knowledge_prior")):
-            heads.clear()
-            scores = prior_scores(p, encodings, prior=prior)
-            assert heads == [(head, 5)]
-            x = real(p, head, flat).data
-            want = model.sigmoid(x) if prior == "uniform" else x
-            assert [list(s) for s in scores] == [list(want[:2]), list(want[2:])]
-        assert prior_scores(p, [], prior="uniform") == []
-        with pytest.raises(ContractError, match="unknown prior mode"):
-            prior_scores(p, encodings, prior="flat")
+        scores = prior_scores(p, encodings)
+        assert calls == [5]
+        x = real(p, flat).data
+        assert [list(s) for s in scores] == [list(x[:2]), list(x[2:])]
+        assert prior_scores(p, []) == []
 
 
 class TestLatentPrior:

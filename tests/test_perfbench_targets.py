@@ -17,7 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 # functions the benchmark still names but the program no longer has
-UNRESOLVED = {"_infer_with_cache", "select_for_generation", "select_knowledge"}
+UNRESOLVED = {"_infer_with_cache", "prior_ce_step", "select_for_generation",
+              "select_knowledge"}
 
 
 def test_every_trace_target_resolves_but_the_known_gone_ones():

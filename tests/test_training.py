@@ -16,7 +16,7 @@ from spi.errors import ContractError, NumericError
 from spi.model import (EOS, DialogueExample, LatentPair, ModelParams, encode_batch,
                        latent_prior_log_density, latent_prior_mean)
 from spi.training import (head_ce_loss, initializer_ce_step,
-                          mle_step, multi_hot_labels, prior_ce_step,
+                          mle_step, multi_hot_labels,
                           surrogate_objective, train,
                           validation_loss)
 
@@ -72,16 +72,16 @@ class TestLabels:
 
 class TestHeadCrossEntropy:
     @staticmethod
-    def loss(p, batch, labels, head):
+    def loss(p, batch, labels):
         """``head_ce_loss`` over the batch's pass under constant weights."""
-        return head_ce_loss(p, batch, labels, head, encode_batch(p.constant(), batch))
+        return head_ce_loss(p, batch, labels, encode_batch(p.constant(), batch))
 
     def test_indifferent_head_on_one_hot_pair_costs_two_log_two(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example()
-        loss = self.loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
+        loss = self.loss(p, [ex], [np.array([1.0, 0.0])])
         assert float(loss.data) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_prediction_costs_nothing(self):
@@ -89,7 +89,7 @@ class TestHeadCrossEntropy:
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 40.0
         ex = make_example()
-        loss = self.loss(p, [ex], [np.array([1.0, 1.0])], "initializer")
+        loss = self.loss(p, [ex], [np.array([1.0, 1.0])])
         assert 0.0 <= float(loss.data) < 1e-10
 
     def test_batch_mean_scaling(self):
@@ -97,31 +97,26 @@ class TestHeadCrossEntropy:
         p["init_w"].data[:] = 0.0
         p["init_b"].data[()] = 0.0
         ex = make_example()
-        one = self.loss(p, [ex], [np.array([1.0, 0.0])], "initializer")
-        two = self.loss(p, [ex, ex],
-                           [np.array([1.0, 0.0]), np.array([1.0, 0.0])],
-                           "initializer")
+        one = self.loss(p, [ex], [np.array([1.0, 0.0])])
+        two = self.loss(p, [ex, ex], [np.array([1.0, 0.0]), np.array([1.0, 0.0])])
         assert float(one.data) == pytest.approx(float(two.data), abs=1e-12)
 
-    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
-    def test_matches_plain_numpy_on_a_ragged_batch(self, head):
+    def test_matches_plain_numpy_on_a_ragged_batch(self):
         cfg = verify._tiny_model_config()
         p = ModelParams.init(cfg, seed=4)
         rng = derived_rng(31, 1)
         batch = [verify._ragged_example(rng, cfg, hist_len=n) for n in (1, 3, 10)]
         labels = [multi_hot_labels(ex, int(rng.integers(len(ex.candidates)))) for ex in batch]
-        w_name, b_name = p.head_names(head)
         want = 0.0
         for ex, y in zip(batch, labels):
-            x = np.array([verify._naive_pooled(p, ex, i) @ p[w_name].data + p[b_name].data
+            x = np.array([verify._naive_pooled(p, ex, i) @ p["init_w"].data + p["init_b"].data
                           for i in range(len(ex.candidates))])
             sig = 1.0 / (1.0 + np.exp(-x))
             want -= float((y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig)).sum())
-        got = float(self.loss(p, batch, labels, head).data)
+        got = float(self.loss(p, batch, labels).data)
         assert got == pytest.approx(want / len(batch), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("head", ["initializer", "knowledge_prior"])
-    def test_tape_does_not_grow_with_the_batch(self, head):
+    def test_tape_does_not_grow_with_the_batch(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         examples = [make_example(), make_example(cands=((5, 4), (4, 5), (6, 6)), gold=2)]
 
@@ -129,7 +124,7 @@ class TestHeadCrossEntropy:
             batch = [examples[i % 2] for i in range(n)]
             labels = [multi_hot_labels(ex, 0) for ex in batch]
             with Tape() as tape:
-                self.loss(p, batch, labels, head)
+                self.loss(p, batch, labels)
             return len(tape)
 
         assert nodes(1) == nodes(16)
@@ -137,12 +132,12 @@ class TestHeadCrossEntropy:
     def test_label_length_mismatch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
-            self.loss(p, [make_example()], [np.array([1.0])], "initializer")
+            self.loss(p, [make_example()], [np.array([1.0])])
 
     def test_empty_batch_rejected(self):
         p = ModelParams.init(tiny_cfg(), seed=1)
         with pytest.raises(ContractError):
-            self.loss(p, [], [], "initializer")
+            self.loss(p, [], [])
 
     def test_initializer_step_touches_only_its_head(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
@@ -150,13 +145,6 @@ class TestHeadCrossEntropy:
         ex = make_example()
         initializer_ce_step(p, [ex], [np.array([1.0, 0.0])], 0.1, encode_batch(p, [ex]))
         assert changed_names(p, before) == {"init_w", "init_b"}
-
-    def test_prior_step_touches_only_its_head(self):
-        p = ModelParams.init(tiny_cfg(), seed=2)
-        before = snapshot(p)
-        ex = make_example()
-        prior_ce_step(p, [ex], [np.array([1.0, 0.0])], 0.1, encode_batch(p, [ex]))
-        assert changed_names(p, before) == {"kprior_w", "kprior_b"}
 
     def test_zero_rate_leaves_weights_bit_identical(self):
         p = ModelParams.init(tiny_cfg(), seed=2)
@@ -185,7 +173,7 @@ class TestSurrogateObjective:
         plain = objective_value(p, ex, 1, z, "uniform")
         tilted = objective_value(p, ex, 1, z, "learnable")
         from spi.model import encode_context, prior_scores
-        logits = prior_scores(p, [encode_context(p, ex)], prior="learnable")[0]
+        logits = prior_scores(p, [encode_context(p, ex)])[0]
         expected = logits[1] - math.log(np.exp(logits).sum())
         assert tilted - plain == pytest.approx(expected, abs=1e-10)
 
@@ -228,18 +216,17 @@ class TestMleStep:
         batch, latents = self.batch_and_latents(p)
         before = snapshot(p)
         mle_step(p, batch, run_config(), latents=latents)
-        untouched = {"init_w", "init_b", "kprior_w", "kprior_b"}
+        untouched = {"init_w", "init_b"}
         assert changed_names(p, before).isdisjoint(untouched)
         assert "dec_wx" in changed_names(p, before)
 
-    def test_learnable_mode_moves_the_prior_head_but_not_the_initializer(self):
+    def test_learnable_mode_moves_the_selection_head(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
         batch, latents = self.batch_and_latents(p)
         before = snapshot(p)
         mle_step(p, batch, run_config(prior="learnable"), latents=latents)
         moved = changed_names(p, before)
-        assert {"kprior_w", "kprior_b"} <= moved
-        assert {"init_w", "init_b"}.isdisjoint(moved)
+        assert {"init_w", "init_b"} <= moved
 
     def test_loss_is_negative_mean_objective(self):
         p = ModelParams.init(tiny_cfg(), seed=5)
@@ -301,6 +288,14 @@ class TestValidationLoss:
         p = ModelParams.init(tiny_cfg(), seed=6)
         with pytest.raises(ContractError):
             validation_loss(p, [], run_config(), epoch=0)
+
+    def test_selection_accuracy_of_unlabelled_examples_is_none(self):
+        p = ModelParams.init(tiny_cfg(), seed=6)
+        examples = [make_example(gold=None), make_example(cands=((5, 4), (4, 5)), gold=None)]
+        loss, accuracy = validation_loss(p, examples, run_config(), epoch=0)
+        assert np.isfinite(loss) and accuracy is None
+        labelled = examples + [make_example(gold=0)]
+        assert validation_loss(p, labelled, run_config(), epoch=0)[1] in (0.0, 1.0)
 
 
 class TestTrainLoop:
@@ -384,6 +379,20 @@ class TestTrainLoop:
         cfg = self.corpus_config(tiny_corpus)
         with pytest.raises(NumericError, match=r"epoch 0, batch 0: synthetic"):
             train(tiny_corpus.train, tiny_corpus.valid, cfg, quiet=True)
+
+    @pytest.mark.parametrize("valid", ["unlabelled", "none"])
+    def test_selection_accuracy_is_null_without_a_labelled_valid_split(self, tiny_corpus,
+                                                                       tmp_path, caplog, valid):
+        from dataclasses import replace
+        examples = ([replace(ex, gold_index=None) for ex in tiny_corpus.valid]
+                    if valid == "unlabelled" else [])
+        cfg = self.corpus_config(tiny_corpus, epochs=1)
+        path = tmp_path / "metrics.jsonl"
+        with caplog.at_level("INFO", logger="spi.training"):
+            result = train(tiny_corpus.train, examples, cfg, log_path=path)
+        assert result.records[0]["selection_accuracy"] is None
+        assert '"selection_accuracy": null' in path.read_text().splitlines()[1]
+        assert "acc n/a" in caplog.text
 
     def test_result_exposes_batch_losses_per_epoch(self, tiny_corpus):
         cfg = self.corpus_config(tiny_corpus)

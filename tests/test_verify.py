@@ -3,13 +3,14 @@ suites can actually catch the defects they exist to catch."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spi import autodiff as ad
 from spi import inference, verify
-from spi.config import derived_rng
+from spi.config import SpiConfig, derived_rng
 from spi.inference import top_s_candidates
 from spi.model import EOS, DialogueExample, ModelParams, decode_logprob, encode_context
 from spi.verify import (CheckResult, check_determinism, check_gradients,
@@ -59,13 +60,42 @@ class TestNaiveOracle:
 
     @pytest.mark.parametrize("bias", [-1e4, 1e4])
     def test_naive_top_s_of_a_saturated_initializer(self, bias):
-        # every sigmoid saturates to the same value: ties, lowest indices first
+        # a bias that would saturate a sigmoid shifts every logit alike, and
+        # the top-S ranks by logit, so it keeps the unbiased ranking
         rng = derived_rng(7, 4)
         cfg = verify._tiny_model_config()
         params = ModelParams.init(cfg, seed=2)
-        params["init_b"].data[...] = bias
         example = verify._random_example(rng, cfg.vocab_size, m=4)
-        assert naive_top_s(params, example, 2) == top_s_candidates(params, example, 2) == [0, 1]
+        unbiased = naive_top_s(params, example, 2)
+        params["init_b"].data[...] = bias
+        assert naive_top_s(params, example, 2) == top_s_candidates(params, example, 2) == unbiased
+
+    @pytest.mark.parametrize("prior", ["uniform", "learnable"])
+    def test_naive_select_below_full_width_picks_within_the_top_s(self, prior):
+        # an instance whose full-width pick lies outside the head's top 1, so
+        # the cut changes the pick; the fast path agrees at either width
+        rng = derived_rng(7, 5)
+        cfg = verify._tiny_model_config()
+        for seed in range(50):
+            params = ModelParams.init(cfg, seed=seed)
+            example = verify._random_example(rng, cfg.vocab_size, m=4)
+            full = naive_select(params, example, prior)
+            if full not in naive_top_s(params, example, 1):
+                break
+        else:
+            pytest.fail("no instance whose full-width pick is outside the top 1")
+        encodings = [encode_context(params, example)]
+        for top_s in (1, 2, 4, 9):
+            want = naive_select(params, example, prior, top_s)
+            assert want in naive_top_s(params, example, min(top_s, 4))
+            config = SpiConfig(model=cfg, prior=prior, top_s=top_s)
+            got = inference.select_knowledge_batch(params, [example], config,
+                                                   encodings_batch=encodings)[0]
+            assert got.chosen == want
+            assert list(got.evaluated) == naive_top_s(params, example, min(top_s, 4))
+        assert naive_select(params, example, prior, 4) == naive_select(params, example, prior, 9) \
+            == full
+        assert naive_select(params, example, prior, 1) == naive_top_s(params, example, 1)[0] != full
 
 
 class TestSuitesPass:
@@ -183,7 +213,7 @@ class TestNegativeControls:
         assert not result.passed
         assert "mismatch" in result.detail
         # an instance is a pass of one, named without an example index
-        assert re.search(r"mismatches: instance \d+ prior=uniform: ", result.detail)
+        assert re.search(r"mismatches: instance \d+ prior=uniform top_s=\d+: ", result.detail)
 
     def test_wrong_tie_break_in_a_pass_is_caught(self, monkeypatch):
         # only passes of several examples break ties wrongly
@@ -191,6 +221,20 @@ class TestNegativeControls:
         result = check_selection(n_instances=20)
         assert not result.passed
         assert "pass 0 example 1" in result.detail
+
+    def test_a_selection_that_ignores_top_s_is_caught(self, monkeypatch):
+        # scoring every candidate whatever top_s says agrees with the
+        # reference at full width, so only the cut configs catch it
+        true_batch = verify.select_knowledge_batch
+
+        def full_width(params, examples, config, *args, **kwargs):
+            wide = replace(config, top_s=max(len(ex.candidates) for ex in examples))
+            return true_batch(params, examples, wide, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "select_knowledge_batch", full_width)
+        result = check_selection(n_instances=20)
+        assert not result.passed
+        assert re.search(r"prior=(uniform|learnable) top_s=[12]: ", result.detail)
 
     @pytest.mark.parametrize("noise", [True, False])
     def test_lockstep_chains_on_the_wrong_rows_are_caught(self, monkeypatch, noise):

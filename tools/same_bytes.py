@@ -12,7 +12,8 @@ uncommitted edits never reach a run. The pipeline (``pipeline``) makes
 four runs on synthetic corpora of 96/24/40 train/valid/test examples from
 seed 101: a desk one under the uniform prior and greedy top-5 of 8
 selection, the same desk corpus under sampled top-3 selection at
-temperature 2, one with history 32 under the learnable prior, and the desk
+temperature 2, one with history 32 under the learnable prior (top-5 of 8
+as well: one width rule serves both priors), and the desk
 corpus with its histories and candidates trimmed to unequal lengths
 (``ragged``) under the uniform prior, so that its lockstep decodes run
 lanes of unequal lengths, which no other run's corpus has. Each run
@@ -22,7 +23,10 @@ best), plain and oracle ``evaluate`` reports of the test split,
 ``generate_batch`` of it (``generations.jsonl``, whose chunks decode 8 to 32
 lanes in lockstep) and ``generate`` of each test example on its own
 (``generations-single.jsonl``, the lone-lane decode the benchmark times),
-both from the best weights. One more ``evaluate`` report, of the weights
+both from the best weights; neither reads the prior, since the test-time
+pick is the selection head's argmax under either prior (``generate`` still
+takes a ``prior``, unread, as the benchmark passes one, so this calls it as
+the benchmark does). One more ``evaluate`` report, of the weights
 ``train`` starts from (``evaluate-init.json``), is written once per corpus
 (trimmed or not) and prior, since ``evaluate`` reads no selection setting:
 like the benchmark's ``evaluate``, untrained weights whose repetitive
@@ -113,8 +117,7 @@ def pipeline(out, sizes: tuple[int, int, int] = SIZES, epochs: int = EPOCHS,
             report = metrics.evaluate(params, test, config, oracle_knowledge=oracle)
             atomic_write_text(where / file, dump_json_line(report.to_dict()) + "\n")
         generation.write_generations(where / "generations.jsonl", generation.generate_batch(
-            result.best_params, test, prior=config.prior,
-            max_len=config.model.max_response))
+            result.best_params, test, max_len=config.model.max_response))
         generation.write_generations(where / "generations-single.jsonl", [
             generation.generate(result.best_params, ex, prior=config.prior,
                                 max_len=config.model.max_response) for ex in test])
